@@ -32,6 +32,10 @@ from .reordering import ReorderingMeter
 from .sizing import conclusion_claims, ports_per_server
 from .control import ClusterManager
 from .router import ClusterThroughput, RouteBricksRouter, SimulationReport
+# The cluster builder ``simulate`` runs on: loaded with the package (after
+# ``.router``, which it imports from) so that the first ``simulate`` call
+# does not read and compile a module inside the call.
+from . import partition  # noqa: F401
 from .switching import check_fairness, check_throughput
 
 __all__ = [

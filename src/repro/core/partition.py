@@ -1,85 +1,169 @@
-"""One shard of a partitioned cluster simulation, and the merge step.
+"""The cluster builder: one shard of a cluster simulation, and the merge.
 
-:class:`ClusterPartition` builds the subset of a
-:class:`~repro.core.router.RouteBricksRouter` cluster assigned to one
-partition: local nodes, local-to-local mesh links, and
-:class:`~repro.simnet.partition.CrossLink` boundaries for every directed
-cable whose receive side lives elsewhere.  Node seeds come from the same
-:func:`~repro.simnet.rng.node_seeds` chain the single-sim build uses, so
-node ``i`` rolls identical dice no matter how the cluster is sharded --
-the keystone of the workers-independence guarantee.
+:class:`ClusterPartition` is the only code that wires and accounts a
+packet-level run of a :class:`~repro.core.router.RouteBricksRouter`
+cluster.  ``router.simulate`` builds one partition that owns every node
+and advances it once; :mod:`repro.parallel` builds several, each owning
+a contiguous node range, and drives them in epochs.  Ownership decides
+two things only: a directed cable is a
+:class:`~repro.simnet.links.Link` when its receive side is local and a
+:class:`~repro.simnet.partition.CrossLink` when it is not, and features
+that act on the whole cluster from inside one event queue need a
+partition that owns every node (see :class:`PartitionSpec`).
 
-Everything a partition measures lands in a :class:`PartitionFragment`
-(a picklable result bundle); :func:`merge_fragments` folds fragments
-into one :class:`~repro.core.router.SimulationReport` in partition-id
-order, so merged scalars are bit-identical run to run and -- for
-fault-free runs -- bit-identical to the single-heap engine.
-
-The driving epoch loop lives in :mod:`repro.parallel`.
+Node seeds come from the :func:`~repro.simnet.rng.node_seeds` chain, so
+node ``i`` rolls identical dice no matter how the cluster is sharded.
+Everything a partition measures lands in a picklable
+:class:`PartitionFragment`; :func:`merge_fragments` folds fragments into
+one :class:`~repro.core.router.SimulationReport` in partition-id order,
+so merged scalars are bit-identical run to run and -- for fault-free
+runs -- at any partition count.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..errors import ConfigurationError, SimulationError
 from ..net.packet import Packet
 from ..obs.hooks import ClusterObserver
 from ..obs.metrics import MetricsRegistry
+from ..obs.trace import TRACE_ANNOTATION
 from ..simnet.links import Link
-from ..simnet.partition import Partition, TransitRecord
+from ..simnet.partition import Partition
 from ..simnet.rng import node_seeds
+from ..simnet.stats import Histogram
 from ..units import to_usec
 from .node import ClusterNode
 from .reordering import ReorderingMeter
+from .resequencer import Resequencer
 from .router import SimulationReport
 
-#: ``registry_config`` layout: (enabled, timeline_bin_sec,
-#: trace_sample_every, profile, max_traces) -- enough to rebuild a
-#: worker-local registry shaped exactly like the parent's.
-RegistryConfig = Tuple[bool, float, int, bool, int]
 
-#: Observer placement: ``"event"`` keeps the legacy self-rearming tick
-#: chain inside the partition's own event queue (exactly one partition
-#: runs this, preserving the single-sim event count); ``"barrier"``
-#: partitions are sampled by the runner at epoch barriers that land on
-#: the same tick grid; ``None`` disables observation.
-OBSERVER_EVENT = "event"
-OBSERVER_BARRIER = "barrier"
+def empty_registry_like(registry: MetricsRegistry) -> MetricsRegistry:
+    """A fresh registry shaped like ``registry``: what a partition that
+    cannot charge the caller's directly (another process, or one of
+    several) charges instead, and ships back in its fragment."""
+    fresh = MetricsRegistry(
+        enabled=registry.enabled,
+        timeline_bin_sec=registry.timeline_bin_sec,
+        trace_sample_every=registry.tracer.sample_every,
+        profile=registry.profiler is not None)
+    fresh.tracer.max_traces = registry.tracer.max_traces
+    return fresh
 
 
-def registry_config_of(registry: MetricsRegistry) -> RegistryConfig:
-    """The shape of ``registry``, as a picklable worker-side recipe."""
-    return (registry.enabled, registry.timeline_bin_sec,
-            registry.tracer.sample_every,
-            registry.profiler is not None,
-            registry.tracer.max_traces)
+def checked_inputs(router, events, until, failed_links, faults,
+                   route_via_fib: bool = False):
+    """The one input check behind ``simulate`` and ``simulate_parallel``.
+
+    Returns ``(arrivals, failed_links, faults)``: ``events`` (realized
+    over the horizon when a :class:`~repro.workloads.WorkloadSpec`) as a
+    generator that range-checks each ``(time, ingress, egress, packet)``
+    as it is consumed -- FIB-routed runs ignore ``egress`` --, the failed
+    links as a checked tuple, and the fault schedule coerced from its
+    dict form and validated against the cluster size.
+    """
+    from ..workloads.spec import WorkloadSpec
+
+    n = router.num_nodes
+    if isinstance(events, WorkloadSpec):
+        workload = events
+        if workload.matrix is None:
+            raise ConfigurationError(
+                "workload %r has no traffic matrix; use with_matrix()"
+                % workload.name)
+        if workload.matrix.n != n:
+            raise ConfigurationError(
+                "workload matrix is %dx%d but the cluster has %d nodes"
+                % (workload.matrix.n, workload.matrix.n, n))
+        if until is None:
+            raise ConfigurationError(
+                "simulating a WorkloadSpec needs an explicit horizon "
+                "(until=...)")
+        events = workload.events(until)
+    failed_links = tuple((src, dst) for src, dst in failed_links)
+    for src, dst in failed_links:
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ConfigurationError("bad failed link (%r, %r)" % (src, dst))
+    if faults is not None:
+        # Here, so a fault-free call never loads the faults package.
+        from ..faults.schedule import FaultSchedule
+        if not isinstance(faults, FaultSchedule):
+            faults = FaultSchedule.from_dict(faults)
+        faults.validate(n)
+
+    def arrivals():
+        for event in events:
+            _, ingress, egress, _ = event
+            if not 0 <= ingress < n:
+                raise ConfigurationError("bad ingress node %r" % ingress)
+            if not route_via_fib and not 0 <= egress < n:
+                raise ConfigurationError("bad egress node %r" % egress)
+            yield event
+
+    return arrivals(), failed_links, faults
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Everything a worker needs to build and drive one partition.
+    """Everything needed to build and drive one partition.
 
-    The spec is fully picklable: the router carries only plain
-    configuration, arrivals are pre-realized ``(time, ingress, egress,
-    wire)`` tuples (the parent rolls the arrival process once, so the
-    offered traffic is identical at any worker count), and the fault
-    schedule is shared data every partition filters for itself.
+    ``arrivals`` is any iterable of checked ``(time, ingress, egress,
+    packet)`` for this partition's ingress nodes, the packet live or in
+    ``to_wire()`` form.  A spec shipped to a worker uses the wire form
+    (the parent rolls the arrival process once, so the offered traffic
+    is identical at any worker count) and is then fully picklable: the
+    router carries only plain configuration and the fault schedule is
+    shared data every partition filters for itself.
+
+    With ``observe`` the partition samples its links on the observer
+    tick grid: partition 0 runs the self-rearming tick chain in its own
+    event queue (so a run has one tick event per sample at any partition
+    count), the others are sampled by the runner at epoch barriers that
+    land on the same grid.
     """
 
     router: object                      # RouteBricksRouter
     assignment: Tuple[int, ...]         # node id -> partition id
     partition_id: int
+    #: What the partition charges -- always explicit (possibly disabled):
+    #: a partition must never fall back to the process-global active
+    #: registry, which in an inline run would be the parent's.
+    registry: MetricsRegistry
     rate_limited_egress: bool = False
     failed_links: Tuple[Tuple[int, int], ...] = ()
     faults: Optional[object] = None     # FaultSchedule
+    manager: Optional[object] = None    # ClusterManager
     detection_latency_sec: Optional[float] = None
     fib_push_latency_sec: float = 0.0
-    arrivals: Tuple[Tuple[float, int, int, tuple], ...] = ()
-    observer_mode: Optional[str] = None
+    route_via_fib: bool = False
+    churn: Optional[object] = None      # armable, e.g. ChurnDriver
+    arrivals: Iterable[tuple] = ()
+    observe: bool = False
     observer_interval_sec: float = 1e-4
-    registry_config: RegistryConfig = (False, 1e-4, 64, False, 256)
+
+    def __post_init__(self):
+        if self.route_via_fib and self.manager is None:
+            raise ConfigurationError(
+                "route_via_fib needs a ClusterManager supplying per-node "
+                "FIBs (manager=...)")
+        whole_cluster = [name for name, used in (
+            ("manager", self.manager is not None),
+            ("route_via_fib", self.route_via_fib),
+            ("churn", self.churn is not None),
+            ("router.resequence", self.router.resequence)) if used]
+        if whole_cluster and set(self.assignment) != {self.partition_id}:
+            # A manager reacts to every node, FIB lookups and churn share
+            # tables across all of them, and the resequencer's expiry
+            # chain re-arms on "anything pending anywhere": none of that
+            # survives a node living in another event queue.
+            raise ConfigurationError(
+                "%s needs one partition that owns every node; run "
+                "workers=1" % ", ".join(whole_cluster))
 
 
 @dataclass
@@ -91,182 +175,250 @@ class PartitionFragment:
     delivered_bytes: int = 0
     direct_packets: int = 0
     indirect_packets: int = 0
-    #: Raw latency observations in local egress order; the merge refills
-    #: a histogram whose scalars are multiset-determined.
-    latency_usec: List[float] = field(default_factory=list)
+    #: Latency observations in local egress order; every scalar the
+    #: merged histogram reports is multiset-determined.
+    latency_usec: Histogram = field(default_factory=Histogram)
     reordered_sequences: int = 0
     reorder_packets: int = 0
     dropped_packets: int = 0
+    fib_miss_packets: int = 0
+    resequencer_held: int = 0
+    resequencer_timeouts: int = 0
     node_stats: List[dict] = field(default_factory=list)
     flowlet_switches: int = 0
     flowlet_spills: int = 0
     fault_events: int = 0
     fault_flushed_packets: int = 0
+    convergence: List = field(default_factory=list)
     events_run: int = 0
-    busy_seconds: float = 0.0
     registry: Optional[MetricsRegistry] = None
 
 
-class ClusterPartition:
+class ClusterPartition(Partition):
     """The live simulation island for one :class:`PartitionSpec`.
 
-    Construction mirrors :meth:`RouteBricksRouter.simulate` step for
-    step (build, failed links, fault injector, egress accounting,
-    arrival scheduling, observer) so that events landing at equal
-    simulated times keep the single-sim engine's schedule-order
-    tie-break within the partition.
+    Construction order (mesh, failed links, fault injector, churn,
+    egress accounting, resequencers, arrivals, observer) is the order
+    events are scheduled in, and so the tie-break among events at equal
+    simulated times; it must not depend on how the cluster is sharded.
     """
 
     def __init__(self, spec: PartitionSpec):
         router = spec.router
-        enabled, bin_sec, sample_every, profile, max_traces = \
-            spec.registry_config
-        # Always an explicit registry (possibly disabled): partitions
-        # must never fall back to the process-global active registry,
-        # which in an inline run would be the parent's.
-        self.registry = MetricsRegistry(
-            enabled=enabled, timeline_bin_sec=bin_sec,
-            trace_sample_every=sample_every, profile=profile)
-        self.registry.tracer.max_traces = max_traces
         self.spec = spec
-        self.partition = Partition(spec.partition_id, seed=router.seed,
-                                   metrics=self.registry)
-        sim = self.partition.sim
-        self.sim = sim
+        registry = self.registry = spec.registry
+        super().__init__(spec.partition_id, seed=router.seed,
+                         metrics=registry)
+        sim = self.sim
         n = router.num_nodes
         seeds = node_seeds(router.seed, n)
-        local = [i for i in range(n)
-                 if spec.assignment[i] == spec.partition_id]
         self.nodes: Dict[int, ClusterNode] = {
             i: ClusterNode(
                 node_id=i, sim=sim, num_nodes=n,
                 rng=random.Random(seeds[i]),
                 use_flowlets=router.use_flowlets,
                 link_busy_threshold_sec=router.link_busy_threshold_sec,
-                metrics=self.registry)
-            for i in local}
-        for src_id in local:
-            src = self.nodes[src_id]
+                metrics=registry)
+            for i in range(n) if spec.assignment[i] == spec.partition_id}
+        for src_id, src in self.nodes.items():
             for dst_id in range(n):
                 if dst_id == src_id:
                     continue
                 name = "link-%d-%d" % (src_id, dst_id)
-                if spec.assignment[dst_id] == spec.partition_id:
+                if dst_id in self.nodes:
                     link = Link(sim, name=name,
                                 rate_bps=router.internal_link_bps,
                                 deliver=self.nodes[dst_id].receive_internal,
                                 propagation_sec=router.propagation_sec)
                 else:
-                    link = self.partition.cross_link(
+                    link = self.cross_link(
                         name, router.internal_link_bps, src_id, dst_id,
                         propagation_sec=router.propagation_sec)
                 src.connect(dst_id, link)
         for node_id, node in self.nodes.items():
-            self.partition.register_destination(node_id, node.receive_wire)
-        if spec.rate_limited_egress:
-            for node in self.nodes.values():
+            self.register_destination(node_id, node.receive_wire)
+            if spec.rate_limited_egress:
                 node.egress_link = Link(
-                    sim, name="ext-%d" % node.node_id,
+                    sim, name="ext-%d" % node_id,
                     rate_bps=router.port_rate_bps,
                     deliver=node._egress_done,
                     queue_packets=256)
-
         for src_id, dst_id in spec.failed_links:
-            if spec.assignment[src_id] == spec.partition_id:
+            if src_id in self.nodes:
                 self.nodes[src_id].failed_hops.add(dst_id)
 
         self.injector = None
         if spec.faults is not None:
             from ..faults.inject import (DEFAULT_DETECTION_LATENCY_SEC,
-                                         PartitionFaultInjector)
-            self.injector = PartitionFaultInjector(
-                sim, self.nodes, spec.faults, num_nodes=n,
+                                         FaultInjector)
+            self.injector = FaultInjector(
+                sim, self.nodes.values(), spec.faults,
+                manager=spec.manager,
                 detection_latency_sec=(
                     DEFAULT_DETECTION_LATENCY_SEC
                     if spec.detection_latency_sec is None
                     else spec.detection_latency_sec),
-                fib_push_latency_sec=spec.fib_push_latency_sec)
+                fib_push_latency_sec=spec.fib_push_latency_sec,
+                num_nodes=n)
+        if spec.churn is not None:
+            spec.churn.arm(sim)
 
-        self.delivered_packets = 0
-        self.delivered_bytes = 0
-        self.direct_packets = 0
-        self.indirect_packets = 0
-        self.latency_usec: List[float] = []
+        frag = self.fragment = PartitionFragment(spec.partition_id)
         self.meter = ReorderingMeter()
+        self.resequencers: List[Resequencer] = []
+        on_egress = self._egress_accounting()
+        if router.resequence:
+            self._attach_resequencers(on_egress)
+        else:
+            for node in self.nodes.values():
+                node.egress_callback = on_egress
 
-        def on_egress(packet: Packet, now: float) -> None:
-            self.delivered_packets += 1
-            self.delivered_bytes += packet.length
-            self.meter.observe(packet)
-            self.latency_usec.append(to_usec(now - packet.arrival_time))
-            if len(packet.path) <= 2:
-                self.direct_packets += 1
-            else:
-                self.indirect_packets += 1
+        if spec.route_via_fib:
+            fib_of = spec.manager.fib_of
 
-        for node in self.nodes.values():
-            node.egress_callback = on_egress
+            def admit(node, packet, _egress):
+                # The egress node is whatever the ingress node's *own*
+                # FIB says right now -- churn applied on the simulation
+                # clock changes the answer mid-run.
+                route = fib_of(node.node_id).lookup(int(packet.ip.dst))
+                if route is None:
+                    frag.fib_miss_packets += 1
+                    node._count_drop("fib_miss")
+                    return
+                node.ingress(packet, route.port)
+        else:
+            admit = ClusterNode.ingress
 
-        for time, ingress, egress, wire in spec.arrivals:
-            sim.schedule_timer_at(
-                time, lambda node=self.nodes[ingress], w=wire, e=egress:
-                node.ingress(Packet.from_wire(w), e))
+        #: Arrivals scheduled here (the partition's share of the load).
+        self.offered_packets = 0
+        for time, ingress, egress, packet in spec.arrivals:
+            self.offered_packets += 1
+            node = self.nodes[ingress]
+            # The wire form is decoded only when the arrival fires, so a
+            # worker never holds more live packets than are in flight.
+            # Its callback binds by defaults (one function + one tuple):
+            # a partial or a closure is one object more per pending
+            # arrival and measured 7 % more worker CPU while advancing.
+            sim.schedule_timer_at(time, (
+                partial(admit, node, packet, egress)
+                if isinstance(packet, Packet) else
+                lambda admit=admit, node=node, wire=packet, egress=egress:
+                admit(node, Packet.from_wire(wire), egress)))
 
         self.observer = None
-        if spec.observer_mode is not None:
+        if spec.observe:
             self.observer = ClusterObserver(
-                sim, [self.nodes[i] for i in local], self.registry,
+                sim, list(self.nodes.values()), registry,
                 interval_sec=spec.observer_interval_sec,
-                keep_alive=((lambda: self.partition.keep_alive)
-                            if spec.observer_mode == OBSERVER_EVENT
-                            else None))
-            if spec.observer_mode == OBSERVER_EVENT:
+                keep_alive=lambda: self.keep_alive)
+            if spec.partition_id == 0:
                 self.observer.start()
             else:
-                # Barrier-driven partitions still take the legacy t=0
-                # sample; later samples come from the runner at epoch
-                # barriers landing exactly on the tick grid.
+                # Barrier-sampled partitions still take the t=0 sample.
                 self.observer.sample()
 
-    # -- runner protocol -----------------------------------------------------
+    def _egress_accounting(self):
+        """The per-delivered-packet accounting callback."""
+        frag, meter, spec = self.fragment, self.meter, self.spec
+        observe_latency = frag.latency_usec.observe
+        # Forwarding-latency tail timeline, recorded only for control-
+        # plane runs (churn / FIB-routed), so plain runs keep the metric
+        # set their sharded twins have.
+        latency_tl = None
+        if self.registry.enabled and (spec.route_via_fib
+                                      or spec.churn is not None):
+            latency_tl = self.registry.timeline(
+                "cluster_latency_usec",
+                bin_sec=spec.observer_interval_sec,
+                help="end-to-end forwarding latency during churn "
+                     "(max per bin = the tail)").bind()
 
-    @property
-    def lookahead_sec(self) -> Optional[float]:
-        return self.partition.lookahead_sec
+        def on_egress(packet: Packet, now: float) -> None:
+            frag.delivered_packets += 1
+            frag.delivered_bytes += packet.length
+            meter.observe(packet)
+            latency = to_usec(now - packet.arrival_time)
+            observe_latency(latency)
+            if latency_tl is not None:
+                latency_tl(now, latency)
+            if len(packet.path) <= 2:
+                frag.direct_packets += 1
+            else:
+                frag.indirect_packets += 1
 
-    def peek_time(self) -> Optional[float]:
-        return self.sim.peek_time()
+        return on_egress
 
-    def set_keep_alive(self, flag: bool) -> None:
-        self.partition.keep_alive = flag
+    def _attach_resequencers(self, on_egress) -> None:
+        """The rejected alternative (Sec. 6.1): buffer out-of-order
+        arrivals at the output node and release flows in order."""
+        sim, registry = self.sim, self.registry
+        timeout = self.spec.router.resequence_timeout_sec
 
-    def inject(self, records: List[TransitRecord]) -> None:
-        self.partition.inject(records)
+        def make_callback(node):
+            def deliver(packet: Packet) -> None:
+                if registry.enabled:
+                    # Attribute the hold time before crediting egress:
+                    # the reorder buffer is a latency stage of its own.
+                    profiler = registry.profiler
+                    if profiler is not None:
+                        last = packet.annotations.get("prof_t")
+                        if last is not None and sim.now > last:
+                            profiler.charge(
+                                to_usec(sim.now - last),
+                                "node%d" % node.node_id, "reorder")
+                        packet.annotations["prof_t"] = sim.now
+                    trace = packet.annotations.get(TRACE_ANNOTATION)
+                    if trace is not None:
+                        trace.hop("reorder.release", sim.now)
+                on_egress(packet, sim.now)
 
-    def advance(self, until: float) -> List[TransitRecord]:
-        return self.partition.advance(until)
+            reseq = Resequencer(deliver=deliver, timeout_sec=timeout)
+            self.resequencers.append(reseq)
+
+            def callback(packet: Packet, now: float) -> None:
+                reseq.offer(packet.five_tuple(), packet, now)
+
+            return callback
+
+        for node in self.nodes.values():
+            node.egress_callback = make_callback(node)
+
+        def expire_all():
+            for reseq in self.resequencers:
+                reseq.expire(sim.now)
+            if sim.peek_time() is not None:
+                sim.schedule(timeout / 2, expire_all)
+
+        sim.schedule(timeout / 2, expire_all)
 
     def sample_barrier(self) -> None:
-        """Take one observer sample at an epoch barrier (no-op unless
-        this partition is in barrier-observation mode)."""
-        if (self.observer is not None
-                and self.spec.observer_mode == OBSERVER_BARRIER):
+        """Take one observer sample at an epoch barrier (no-op for
+        partition 0, whose tick chain samples from inside the queue)."""
+        if self.observer is not None and self.spec.partition_id != 0:
             self.observer.sample()
 
     def finish(self) -> PartitionFragment:
-        """Stop observing and bundle up this partition's results."""
+        """Stop observing, close the books, and hand over the results."""
+        spec, frag = self.spec, self.fragment
         if self.observer is not None:
             self.observer.stop()
-        frag = PartitionFragment(partition_id=self.spec.partition_id)
-        frag.delivered_packets = self.delivered_packets
-        frag.delivered_bytes = self.delivered_bytes
-        frag.direct_packets = self.direct_packets
-        frag.indirect_packets = self.indirect_packets
-        frag.latency_usec = self.latency_usec
+        if spec.churn is not None:
+            spec.churn.finalize()
+        for reseq in self.resequencers:
+            # Final flush: release anything still held back.
+            reseq.expire(self.sim.now
+                         + spec.router.resequence_timeout_sec * 2)
+            frag.resequencer_held += reseq.held
+            frag.resequencer_timeouts += reseq.timed_out
         frag.reordered_sequences = self.meter.reordered_count()
         frag.reorder_packets = self.meter.packets_observed()
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
+            # node.dropped already counts failed sends on both internal
+            # links and the external line (the link's own drop counter
+            # double-books the same event, so it is not summed here).
+            # Fault flushes land in node.dropped too, so the injector
+            # counter is informational.
             frag.dropped_packets += node.dropped
             frag.node_stats.append({
                 "node": node.node_id,
@@ -278,10 +430,13 @@ class ClusterPartition:
                 frag.flowlet_switches += node.flowlets.switches
                 frag.flowlet_spills += node.flowlets.spills
         if self.injector is not None:
-            frag.fault_events = self.injector.log.events_applied
-            frag.fault_flushed_packets = self.injector.log.flushed_packets
+            log = self.injector.log
+            frag.fault_events = log.events_applied
+            frag.fault_flushed_packets = log.flushed_packets
+            frag.convergence = list(log.convergence)
         frag.events_run = self.sim.events_run
-        frag.registry = self.registry if self.registry.enabled else None
+        if self.registry.enabled:
+            frag.registry = self.registry
         return frag
 
 
@@ -297,6 +452,10 @@ def merge_fragments(fragments: List[PartitionFragment], *,
     registry come out identical regardless of which worker finished
     first.  When ``registry`` is given, each fragment's worker-local
     registry is merged into it.
+
+    This is the one place a report is assembled, so it is also where
+    packet conservation is enforced: a run that delivered and dropped
+    more than it was offered raises instead of reporting.
     """
     report = SimulationReport()
     report.offered_packets = offered_packets
@@ -310,21 +469,33 @@ def merge_fragments(fragments: List[PartitionFragment], *,
         report.delivered_bytes += frag.delivered_bytes
         report.direct_packets += frag.direct_packets
         report.indirect_packets += frag.indirect_packets
-        for value in frag.latency_usec:
-            report.latency_usec.observe(value)
+        report.latency_usec.extend(frag.latency_usec)
         reordered += frag.reordered_sequences
         reorder_packets += frag.reorder_packets
         report.dropped_packets += frag.dropped_packets
+        report.fib_miss_packets += frag.fib_miss_packets
+        report.resequencer_held += frag.resequencer_held
+        report.resequencer_timeouts += frag.resequencer_timeouts
         report.node_stats.extend(frag.node_stats)
         report.flowlet_switches += frag.flowlet_switches
         report.flowlet_spills += frag.flowlet_spills
         report.fault_events += frag.fault_events
         report.fault_flushed_packets += frag.fault_flushed_packets
+        report.convergence.extend(frag.convergence)
         report.events_run += frag.events_run
-        report.partition_busy_seconds.append(frag.busy_seconds)
         if registry is not None and frag.registry is not None:
             registry.merge(frag.registry)
     report.node_stats.sort(key=lambda row: row["node"])
     report.reordered_fraction = (reordered / reorder_packets
                                  if reorder_packets else 0.0)
+    # ``dropped_packets`` already contains FIB misses (the ingress node
+    # books them as a drop cause).
+    if (report.delivered_packets + report.dropped_packets
+            > report.offered_packets
+            or report.fib_miss_packets > report.dropped_packets):
+        raise SimulationError(
+            "packet conservation violated: offered %d, delivered %d, "
+            "dropped %d (of which FIB misses %d)"
+            % (report.offered_packets, report.delivered_packets,
+               report.dropped_packets, report.fib_miss_packets))
     return report

@@ -14,7 +14,6 @@ Two complementary views:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -23,16 +22,14 @@ from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
 from ..net.packet import Packet
-from ..obs.trace import TRACE_ANNOTATION
+from ..obs.hooks import observer_interval
+from ..obs.metrics import active_registry
 from ..perfmodel.loads import DEFAULT_CONFIG, ServerConfig
 from ..results import RunResult
 from ..simnet.engine import Simulator
-from ..simnet.links import Link
-from ..simnet.rng import node_seeds
 from ..simnet.stats import Histogram
-from ..units import gbps, rate_pps_to_bps, to_usec
+from ..units import gbps, rate_pps_to_bps
 from .node import ClusterNode
-from .reordering import ReorderingMeter
 
 #: Effective per-NIC payload limit observed in cluster operation
 #: (Sec. 6.2: the external-line NIC sustains ~8.75 Gbps external + ~3 Gbps
@@ -240,6 +237,16 @@ class RouteBricksRouter:
 
     # -- packet-level simulation ----------------------------------------------
 
+    def _whole_cluster_partition(self, registry, **spec_fields):
+        """The one-partition case of the cluster builder: a single
+        :class:`~repro.core.partition.ClusterPartition` that owns every
+        node and charges ``registry`` directly."""
+        from .partition import ClusterPartition, PartitionSpec
+
+        return ClusterPartition(PartitionSpec(
+            router=self, assignment=(0,) * self.num_nodes, partition_id=0,
+            registry=registry, **spec_fields))
+
     def build_simulation(self, rate_limited_egress: bool = False,
                          metrics=None) \
             -> Tuple[Simulator, List[ClusterNode]]:
@@ -251,32 +258,10 @@ class RouteBricksRouter:
         :mod:`repro.obs` registry) turns on per-hop latency, drop-cause,
         and link-occupancy instrumentation.
         """
-        sim = Simulator(metrics=metrics)
-        seeds = node_seeds(self.seed, self.num_nodes)
-        nodes = [ClusterNode(node_id=i, sim=sim, num_nodes=self.num_nodes,
-                             rng=random.Random(seeds[i]),
-                             use_flowlets=self.use_flowlets,
-                             link_busy_threshold_sec=self.link_busy_threshold_sec,
-                             metrics=metrics)
-                 for i in range(self.num_nodes)]
-        for src in nodes:
-            for dst in nodes:
-                if src is dst:
-                    continue
-                link = Link(sim,
-                            name="link-%d-%d" % (src.node_id, dst.node_id),
-                            rate_bps=self.internal_link_bps,
-                            deliver=dst.receive_internal,
-                            propagation_sec=self.propagation_sec)
-                src.connect(dst.node_id, link)
-        if rate_limited_egress:
-            for node in nodes:
-                node.egress_link = Link(
-                    sim, name="ext-%d" % node.node_id,
-                    rate_bps=self.port_rate_bps,
-                    deliver=node._egress_done,
-                    queue_packets=256)
-        return sim, nodes
+        part = self._whole_cluster_partition(
+            metrics if metrics is not None else active_registry(),
+            rate_limited_egress=rate_limited_egress)
+        return part.sim, [part.nodes[i] for i in range(self.num_nodes)]
 
     def simulate(self,
                  events,
@@ -318,200 +303,30 @@ class RouteBricksRouter:
         in ``report.fib_miss_packets``.  ``churn`` is an armable driver
         (see :class:`~repro.control.ChurnDriver`) whose scheduled
         update/sync callbacks interleave with forwarding events.
+
+        The run is the one-partition case of the cluster builder
+        (:mod:`repro.core.partition`): one partition owning every node,
+        advanced once to the horizon -- no epochs, nothing crosses a
+        process boundary.
         """
-        from ..workloads.spec import WorkloadSpec
+        from .partition import checked_inputs, merge_fragments
 
-        if isinstance(events, WorkloadSpec):
-            workload = events
-            if workload.matrix is None:
-                raise ConfigurationError(
-                    "workload %r has no traffic matrix; use with_matrix()"
-                    % workload.name)
-            if workload.matrix.n != self.num_nodes:
-                raise ConfigurationError(
-                    "workload matrix is %dx%d but the cluster has %d nodes"
-                    % (workload.matrix.n, workload.matrix.n, self.num_nodes))
-            if until is None:
-                raise ConfigurationError(
-                    "simulating a WorkloadSpec needs an explicit horizon "
-                    "(until=...)")
-            events = workload.events(until)
-        sim, nodes = self.build_simulation(rate_limited_egress,
-                                           metrics=metrics)
-        for src, dst in failed_links:
-            if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
-                raise ConfigurationError("bad failed link (%r, %r)"
-                                         % (src, dst))
-            nodes[src].failed_hops.add(dst)
-        injector = None
-        if faults is not None:
-            from ..faults.inject import (DEFAULT_DETECTION_LATENCY_SEC,
-                                         FaultInjector)
-            from ..faults.schedule import FaultSchedule
-            if not isinstance(faults, FaultSchedule):
-                faults = FaultSchedule.from_dict(faults)
-            injector = FaultInjector(
-                sim, nodes, faults, manager=manager,
-                detection_latency_sec=(
-                    DEFAULT_DETECTION_LATENCY_SEC
-                    if detection_latency_sec is None
-                    else detection_latency_sec),
-                fib_push_latency_sec=fib_push_latency_sec)
-        if route_via_fib and manager is None:
-            raise ConfigurationError(
-                "route_via_fib needs a ClusterManager supplying per-node "
-                "FIBs (manager=...)")
-        if churn is not None:
-            churn.arm(sim)
-        report = SimulationReport()
-        meter = ReorderingMeter()
-        from ..obs.metrics import active_registry
         registry = metrics if metrics is not None else active_registry()
-        # Forwarding-latency tail timeline, recorded only for control-
-        # plane runs (churn / FIB-routed): fault-free runs stay
-        # bit-identical with their partitioned twins.
-        latency_tl = None
-        if registry.enabled and (route_via_fib or churn is not None):
-            from ..obs.hooks import observer_interval
-            latency_tl = registry.timeline(
-                "cluster_latency_usec",
-                bin_sec=observer_interval(until),
-                help="end-to-end forwarding latency during churn "
-                     "(max per bin = the tail)").bind()
-
-        def on_egress(packet: Packet, now: float) -> None:
-            report.delivered_packets += 1
-            report.delivered_bytes += packet.length
-            meter.observe(packet)
-            latency = to_usec(now - packet.arrival_time)
-            report.latency_usec.observe(latency)
-            if latency_tl is not None:
-                latency_tl(now, latency)
-            if len(packet.path) <= 2:
-                report.direct_packets += 1
-            else:
-                report.indirect_packets += 1
-
-        if self.resequence:
-            # The rejected alternative (Sec. 6.1): buffer out-of-order
-            # arrivals at the output node and release flows in order.
-            from .resequencer import Resequencer
-            resequencers = []
-
-            def make_callback(node):
-                def deliver(packet: Packet) -> None:
-                    if registry.enabled:
-                        # Attribute the hold time before crediting egress:
-                        # the reorder buffer is a latency stage of its own.
-                        profiler = registry.profiler
-                        if profiler is not None:
-                            last = packet.annotations.get("prof_t")
-                            if last is not None and sim.now > last:
-                                profiler.charge(
-                                    to_usec(sim.now - last),
-                                    "node%d" % node.node_id, "reorder")
-                            packet.annotations["prof_t"] = sim.now
-                        trace = packet.annotations.get(TRACE_ANNOTATION)
-                        if trace is not None:
-                            trace.hop("reorder.release", sim.now)
-                    on_egress(packet, sim.now)
-
-                reseq = Resequencer(
-                    deliver=deliver,
-                    timeout_sec=self.resequence_timeout_sec)
-                resequencers.append(reseq)
-
-                def callback(packet: Packet, now: float,
-                             reseq=reseq) -> None:
-                    reseq.offer(packet.five_tuple(), packet, now)
-
-                return callback
-
-            for node in nodes:
-                node.egress_callback = make_callback(node)
-
-            def expire_all():
-                for reseq in resequencers:
-                    reseq.expire(sim.now)
-                if sim.peek_time() is not None:
-                    sim.schedule(self.resequence_timeout_sec / 2, expire_all)
-
-            sim.schedule(self.resequence_timeout_sec / 2, expire_all)
-        else:
-            resequencers = []
-            for node in nodes:
-                node.egress_callback = on_egress
-
-        if route_via_fib:
-            fib_of = manager.fib_of
-
-            def fib_ingress(node, packet):
-                # The egress node is whatever the ingress node's *own*
-                # FIB says right now -- churn applied on the simulation
-                # clock changes the answer mid-run.
-                route = fib_of(node.node_id).lookup(int(packet.ip.dst))
-                if route is None:
-                    report.fib_miss_packets += 1
-                    node._count_drop("fib_miss")
-                    return
-                node.ingress(packet, route.port)
-
-            for time, ingress, egress, packet in events:
-                if not 0 <= ingress < self.num_nodes:
-                    raise ConfigurationError("bad ingress node %r" % ingress)
-                report.offered_packets += 1
-                sim.schedule_timer_at(time, lambda n=nodes[ingress],
-                                      p=packet: fib_ingress(n, p))
-        else:
-            for time, ingress, egress, packet in events:
-                if not 0 <= ingress < self.num_nodes:
-                    raise ConfigurationError("bad ingress node %r" % ingress)
-                if not 0 <= egress < self.num_nodes:
-                    raise ConfigurationError("bad egress node %r" % egress)
-                report.offered_packets += 1
-                sim.schedule_timer_at(time, lambda n=nodes[ingress], p=packet,
-                                      e=egress: n.ingress(p, e))
-        observer = None
-        if registry.enabled:
-            from ..obs.hooks import ClusterObserver, observer_interval
-            observer = ClusterObserver(
-                sim, nodes, registry,
-                interval_sec=observer_interval(until))
-            observer.start()
-        sim.run(until=until)
-        if observer is not None:
-            observer.stop()
-        if churn is not None:
-            churn.finalize()
-        for reseq in resequencers:
-            # Final flush: release anything still held back.
-            reseq.expire(sim.now + self.resequence_timeout_sec * 2)
-            report.resequencer_held += reseq.held
-            report.resequencer_timeouts += reseq.timed_out
-
-        # node.dropped already counts failed sends on both internal links
-        # and the external line (the link's own drop counter double-books
-        # the same event, so it is not summed here).  Fault flushes land
-        # in node.dropped too, so the injector counter is informational.
-        report.dropped_packets = sum(node.dropped for node in nodes)
-        report.reordered_fraction = meter.reordered_fraction()
-        report.duration_sec = sim.now
-        report.events_run = sim.events_run
-        if injector is not None:
-            report.fault_events = injector.log.events_applied
-            report.fault_flushed_packets = injector.log.flushed_packets
-            report.convergence = list(injector.log.convergence)
-        for node in nodes:
-            report.node_stats.append({
-                "node": node.node_id,
-                "ingress": node.ingress_packets,
-                "egress": node.egress_packets,
-                "intermediate": node.intermediate_packets,
-            })
-            if node.flowlets is not None:
-                report.flowlet_switches += node.flowlets.switches
-                report.flowlet_spills += node.flowlets.spills
-        return report
+        arrivals, failed_links, faults = checked_inputs(
+            self, events, until, failed_links, faults, route_via_fib)
+        part = self._whole_cluster_partition(
+            registry,
+            rate_limited_egress=rate_limited_egress,
+            failed_links=failed_links, faults=faults, manager=manager,
+            detection_latency_sec=detection_latency_sec,
+            fib_push_latency_sec=fib_push_latency_sec,
+            route_via_fib=route_via_fib, churn=churn, arrivals=arrivals,
+            observe=registry.enabled,
+            observer_interval_sec=observer_interval(until))
+        part.advance(until)
+        return merge_fragments(
+            [part.finish()], offered_packets=part.offered_packets,
+            duration_sec=part.sim.now, workers=1, epochs=0)
 
     def replay_pair(self, timed_packets: Iterable[Tuple[float, Packet]],
                     ingress: int = 0, egress: int = 1) -> SimulationReport:

@@ -79,7 +79,26 @@ class FaultLog(RunResult):
 
 
 class FaultInjector:
-    """Wire a :class:`FaultSchedule` into a simulator + node set."""
+    """Wire a cluster-wide :class:`FaultSchedule` into a simulator and
+    the nodes it owns.
+
+    ``nodes`` are the nodes living in ``sim``; ``num_nodes`` is the size
+    of the whole cluster when that is more (one partition of a sharded
+    run -- by default the injector owns every node).  The schedule always
+    describes the whole cluster, and responsibilities split by ownership:
+
+    * The injector that **owns** a faulted node/link applies the physical
+      effect (fail/recover/flush/stall) and counts it in its log, so the
+      merged ``events_applied`` / ``flushed_packets`` of a sharded run
+      count each event once, by its owner.
+    * **Every** injector tracks cluster-wide node aliveness in
+      ``_nodes_down`` -- bookkeeping driven purely by the schedule, so all
+      partitions agree without communication -- because ``link_up`` must
+      know whether the far end is alive even when that node is remote.
+    * Peer detection (``failed_hops`` updates after the detection
+      latency) runs on every injector for its *own* nodes, which together
+      cover the whole peer set.
+    """
 
     def __init__(self, sim, nodes, schedule: FaultSchedule,
                  manager=None,
@@ -88,25 +107,31 @@ class FaultInjector:
                  num_nodes: int = None):
         if detection_latency_sec < 0 or fib_push_latency_sec < 0:
             raise ConfigurationError("latencies cannot be negative")
-        schedule.validate(len(nodes) if num_nodes is None else num_nodes)
         self.sim = sim
-        self.nodes = list(nodes)
+        self.nodes = {node.node_id: node for node in nodes}
+        schedule.validate(len(self.nodes) if num_nodes is None
+                          else num_nodes)
         self.schedule = schedule
         self.manager = manager
         self.detection_latency_sec = detection_latency_sec
         self.fib_push_latency_sec = fib_push_latency_sec
         self.log = FaultLog()
+        self._nodes_down = set()
         #: Directed links currently cut by an explicit link fault --
         #: a node recovery must not resurrect an independently cut cable.
         self._links_down = set()
-        self._arm()
+        for event in schedule.events():
+            # Node events are armed everywhere (bookkeeping + local peer
+            # detection); link and NIC events only where they happen.
+            if event.kind in (NODE_DOWN, NODE_UP) or self._owns(event):
+                sim.schedule_at(event.time, lambda e=event: self._apply(e))
 
-    # -- wiring --------------------------------------------------------------
-
-    def _arm(self) -> None:
-        for event in self.schedule.events():
-            self.sim.schedule_at(event.time,
-                                 lambda e=event: self._apply(e))
+    def _owns(self, event: FaultEvent) -> bool:
+        """Does the faulted node (a link's transmit side) live here?"""
+        target = event.target
+        if event.kind in (LINK_DOWN, LINK_UP):
+            target = target[0]
+        return target in self.nodes
 
     def _apply(self, event: FaultEvent) -> None:
         handler = {
@@ -117,56 +142,50 @@ class FaultInjector:
             NIC_STALL: self._nic_stall,
         }[event.kind]
         handler(event)
-        self.log.events_applied += 1
-        self.log.applied.append(event)
+        if self._owns(event):
+            self.log.events_applied += 1
+            self.log.applied.append(event)
 
     # -- handlers ------------------------------------------------------------
 
     def _peers(self, node_id: int):
-        return (peer for peer in self.nodes if peer.node_id != node_id)
-
-    def _node(self, node_id: int):
-        """The live node object for ``node_id`` (indexable by id here;
-        the partition-scoped subclass looks it up in its local shard)."""
-        return self.nodes[node_id]
-
-    def _dst_alive(self, node_id: int) -> bool:
-        return self.nodes[node_id].alive
+        return (self.nodes[i] for i in sorted(self.nodes) if i != node_id)
 
     def _node_down(self, event: FaultEvent) -> None:
-        node = self._node(event.target)
-        failed_at = self.sim.now
-        self.log.flushed_packets += node.fail()
-        detect = self.detection_latency_sec
+        target = event.target
+        self._nodes_down.add(target)
+        if target in self.nodes:
+            self.log.flushed_packets += self.nodes[target].fail()
 
         def peers_detect():
-            for peer in self._peers(node.node_id):
-                peer.failed_hops.add(node.node_id)
+            for peer in self._peers(target):
+                peer.failed_hops.add(target)
 
-        self.sim.schedule(detect, peers_detect)
-        if self.manager is not None:
-            self.sim.schedule(detect + self.fib_push_latency_sec,
-                              lambda: self._converge(NODE_DOWN,
-                                                     node.node_id,
-                                                     failed_at))
+        self._after_detection(NODE_DOWN, target, peers_detect)
 
     def _node_up(self, event: FaultEvent) -> None:
-        node = self._node(event.target)
-        failed_at = self.sim.now
-        node.recover()
-        detect = self.detection_latency_sec
+        target = event.target
+        self._nodes_down.discard(target)
+        if target in self.nodes:
+            self.nodes[target].recover()
 
         def peers_detect():
-            for peer in self._peers(node.node_id):
-                if (peer.node_id, node.node_id) not in self._links_down:
-                    peer.failed_hops.discard(node.node_id)
+            for peer in self._peers(target):
+                if (peer.node_id, target) not in self._links_down:
+                    peer.failed_hops.discard(target)
 
+        self._after_detection(NODE_UP, target, peers_detect)
+
+    def _after_detection(self, kind: str, node_id: int, peers_detect) -> None:
+        """Local peers notice after the detection latency; the control
+        plane (if any) reacts a FIB push later."""
+        failed_at = self.sim.now
+        detect = self.detection_latency_sec
         self.sim.schedule(detect, peers_detect)
         if self.manager is not None:
-            self.sim.schedule(detect + self.fib_push_latency_sec,
-                              lambda: self._converge(NODE_UP,
-                                                     node.node_id,
-                                                     failed_at))
+            self.sim.schedule(
+                detect + self.fib_push_latency_sec,
+                lambda: self._converge(kind, node_id, failed_at))
 
     def _converge(self, kind: str, node_id: int, failed_at: float) -> None:
         react = (self.manager.handle_node_failure if kind == NODE_DOWN
@@ -180,7 +199,7 @@ class FaultInjector:
 
     def _link_down(self, event: FaultEvent) -> None:
         src, dst = event.target
-        node = self._node(src)
+        node = self.nodes[src]
         self._links_down.add((src, dst))
         node.failed_hops.add(dst)          # carrier loss: local, immediate
         link = node.links.get(dst)
@@ -193,99 +212,12 @@ class FaultInjector:
         src, dst = event.target
         self._links_down.discard((src, dst))
         # Only clear the hop if the far-end server is not itself down.
-        if self._dst_alive(dst):
-            self._node(src).failed_hops.discard(dst)
+        if dst not in self._nodes_down:
+            self.nodes[src].failed_hops.discard(dst)
 
     def _nic_stall(self, event: FaultEvent) -> None:
-        node = self._node(event.target)
+        node = self.nodes[event.target]
         for link in node.links.values():
             link.stall(event.duration_sec)
         if node.egress_link is not None:
             node.egress_link.stall(event.duration_sec)
-
-
-class PartitionFaultInjector(FaultInjector):
-    """Apply the *cluster-wide* fault schedule from one partition's view.
-
-    Each partition of a sharded run holds only some of the nodes, but the
-    schedule describes the whole cluster.  The split of responsibilities:
-
-    * The partition that **owns** a faulted node/link applies the physical
-      effect (fail/recover/flush/stall) and counts it in its log, so the
-      merged ``events_applied`` / ``flushed_packets`` match a single-sim
-      run exactly (each event is counted once, by its owner).
-    * **Every** partition tracks cluster-wide node aliveness in
-      ``_nodes_down`` -- bookkeeping driven purely by the schedule, so all
-      partitions agree without communication -- because ``link_up`` must
-      know whether the far end is alive even when that node is remote.
-    * Peer-detection (``failed_hops`` updates after the detection
-      latency) runs on every partition for its *local* peers, which
-      together cover exactly the peer set the single-sim injector walks.
-
-    The control-plane :class:`~repro.core.control.ClusterManager` is a
-    global observer and is not supported here; partitioned runs with a
-    manager must use ``workers=1`` (which keeps the legacy injector).
-    """
-
-    def __init__(self, sim, nodes_by_id, schedule: FaultSchedule,
-                 num_nodes: int,
-                 detection_latency_sec: float = DEFAULT_DETECTION_LATENCY_SEC,
-                 fib_push_latency_sec: float = 0.0):
-        self._nodes_by_id = dict(nodes_by_id)
-        self._nodes_down = set()
-        super().__init__(sim, list(self._nodes_by_id.values()), schedule,
-                         manager=None,
-                         detection_latency_sec=detection_latency_sec,
-                         fib_push_latency_sec=fib_push_latency_sec,
-                         num_nodes=num_nodes)
-
-    def _arm(self) -> None:
-        for event in self.schedule.events():
-            if event.kind in (NODE_DOWN, NODE_UP):
-                # All partitions observe node events (bookkeeping +
-                # local peer detection); only the owner applies them.
-                self.sim.schedule_at(event.time,
-                                     lambda e=event: self._node_event(e))
-            elif event.kind in (LINK_DOWN, LINK_UP):
-                if event.target[0] in self._nodes_by_id:
-                    self.sim.schedule_at(event.time,
-                                         lambda e=event: self._apply(e))
-            elif event.target in self._nodes_by_id:   # NIC_STALL
-                self.sim.schedule_at(event.time,
-                                     lambda e=event: self._apply(e))
-
-    def _node_event(self, event: FaultEvent) -> None:
-        target = event.target
-        if event.kind == NODE_DOWN:
-            self._nodes_down.add(target)
-        else:
-            self._nodes_down.discard(target)
-        if target in self._nodes_by_id:
-            self._apply(event)
-            return
-        # Remote node: our local nodes still detect the change after the
-        # detection latency, exactly as the single-sim injector's
-        # peers_detect does for them.
-        detect = self.detection_latency_sec
-        if event.kind == NODE_DOWN:
-            def peers_detect():
-                for peer in self._peers(target):
-                    peer.failed_hops.add(target)
-        else:
-            def peers_detect():
-                for peer in self._peers(target):
-                    if (peer.node_id, target) not in self._links_down:
-                        peer.failed_hops.discard(target)
-        self.sim.schedule(detect, peers_detect)
-
-    # -- local-shard accessors ----------------------------------------------
-
-    def _peers(self, node_id: int):
-        return (self._nodes_by_id[i] for i in sorted(self._nodes_by_id)
-                if i != node_id)
-
-    def _node(self, node_id: int):
-        return self._nodes_by_id[node_id]
-
-    def _dst_alive(self, node_id: int) -> bool:
-        return node_id not in self._nodes_down

@@ -44,11 +44,10 @@ class ClusterObserver:
         self.metrics = metrics
         self.interval_sec = interval_sec
         #: Optional zero-arg callable consulted when the local queue has
-        #: drained: a partitioned run passes one returning True while
-        #: *other* partitions still have pending work, so the sampling
-        #: cadence matches the single-sim observer's (which sees every
-        #: pending event in its one global queue).  None preserves the
-        #: legacy single-sim behavior exactly.
+        #: drained: a partition passes one returning True while *other*
+        #: partitions still have pending work, so the sampling cadence
+        #: is that of one queue holding every pending event (it is always
+        #: False for a partition that owns every node).
         self.keep_alive = keep_alive
         self.samples = 0
         self._occupancy = metrics.timeline("link_occupancy",

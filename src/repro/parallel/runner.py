@@ -33,63 +33,42 @@ from __future__ import annotations
 
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter, process_time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.partition import (
-    OBSERVER_BARRIER,
-    OBSERVER_EVENT,
     ClusterPartition,
     PartitionFragment,
     PartitionSpec,
+    checked_inputs,
+    empty_registry_like,
     merge_fragments,
-    registry_config_of,
 )
 from ..core.router import RouteBricksRouter, SimulationReport
 from ..core.topology import balanced_partitions
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..obs.hooks import observer_interval
 from ..obs.metrics import active_registry
 
 BACKENDS = ("inline", "process")
 
 
-def _realize_arrivals(router: RouteBricksRouter, events, until,
-                      assignment: List[int]) \
-        -> Tuple[int, List[List[Tuple[float, int, int, tuple]]]]:
+def _split_arrivals(arrivals, assignment: List[int]):
     """Roll the arrival process once, in the parent.
 
-    Returns (offered count, per-partition arrival lists).  Realizing
-    centrally -- instead of per worker -- keeps the offered traffic, the
-    packet ids, and the flow sequence numbers identical to a single-sim
-    run at any worker count.
+    Returns (offered count, per-partition ``(time, ingress, egress,
+    wire)`` lists).  Realizing centrally -- instead of per worker -- keeps
+    the offered traffic, the packet ids, and the flow sequence numbers
+    identical to a single-heap run at any worker count.
     """
-    from ..workloads.spec import WorkloadSpec
-
-    if isinstance(events, WorkloadSpec):
-        workload = events
-        if workload.matrix is None:
-            raise ConfigurationError(
-                "workload %r has no traffic matrix; use with_matrix()"
-                % workload.name)
-        if workload.matrix.n != router.num_nodes:
-            raise ConfigurationError(
-                "workload matrix is %dx%d but the cluster has %d nodes"
-                % (workload.matrix.n, workload.matrix.n, router.num_nodes))
-        events = workload.events(until)
     offered = 0
-    partitions = max(assignment) + 1
-    arrivals: List[List[Tuple[float, int, int, tuple]]] = [
-        [] for _ in range(partitions)]
-    for time, ingress, egress, packet in events:
-        if not 0 <= ingress < router.num_nodes:
-            raise ConfigurationError("bad ingress node %r" % ingress)
-        if not 0 <= egress < router.num_nodes:
-            raise ConfigurationError("bad egress node %r" % egress)
+    shares: List[List[tuple]] = [[] for _ in range(max(assignment) + 1)]
+    for time, ingress, egress, packet in arrivals:
         offered += 1
-        arrivals[assignment[ingress]].append(
+        shares[assignment[ingress]].append(
             (time, ingress, egress, packet.to_wire()))
-    return offered, arrivals
+    return offered, shares
 
 
 def _tick_grid(interval: float, horizon: float) -> List[float]:
@@ -113,15 +92,11 @@ def _tick_grid(interval: float, horizon: float) -> List[float]:
 _WORKER: Optional[ClusterPartition] = None
 
 
-def _worker_init(spec: PartitionSpec):
-    global _WORKER
-    _WORKER = ClusterPartition(spec)
-    return _WORKER.peek_time(), _WORKER.lookahead_sec
-
-
-def _worker_advance(until: float, records, keep_alive: bool, sample: bool):
-    part = _WORKER
-    part.set_keep_alive(keep_alive)
+def _advance(part: ClusterPartition, until: float, records,
+             keep_alive: bool, sample: bool):
+    """One partition's epoch: take delivery, run to the barrier, report
+    (outbox, next pending time, CPU seconds spent advancing)."""
+    part.keep_alive = keep_alive
     if records:
         part.inject(records)
     start = process_time()
@@ -130,6 +105,16 @@ def _worker_advance(until: float, records, keep_alive: bool, sample: bool):
     if sample:
         part.sample_barrier()
     return outbox, part.peek_time(), busy
+
+
+def _worker_init(spec: PartitionSpec):
+    global _WORKER
+    _WORKER = ClusterPartition(spec)
+    return _WORKER.peek_time(), _WORKER.lookahead_sec
+
+
+def _worker_advance(*epoch):
+    return _advance(_WORKER, *epoch)
 
 
 def _worker_finish() -> PartitionFragment:
@@ -144,34 +129,18 @@ class _InlineBackend:
 
     def __init__(self, specs: List[PartitionSpec]):
         self.partitions = [ClusterPartition(spec) for spec in specs]
-        self.busy = [0.0] * len(specs)
 
     def init_state(self):
         return [(p.peek_time(), p.lookahead_sec) for p in self.partitions]
 
     def advance_all(self, until, inboxes, keep_alive, sample):
-        out = []
-        for pid, part in enumerate(self.partitions):
-            part.set_keep_alive(keep_alive[pid])
-            records = inboxes[pid]
-            if records:
-                part.inject(pickle.loads(pickle.dumps(records)))
-            start = process_time()
-            outbox = part.advance(until)
-            busy = process_time() - start
-            self.busy[pid] += busy
-            if sample:
-                part.sample_barrier()
-            out.append((outbox, part.peek_time(), busy))
-        return out
+        return [_advance(part, until,
+                         pickle.loads(pickle.dumps(inboxes[pid])),
+                         keep_alive[pid], sample)
+                for pid, part in enumerate(self.partitions)]
 
     def finish(self) -> List[PartitionFragment]:
-        fragments = []
-        for pid, part in enumerate(self.partitions):
-            frag = part.finish()
-            frag.busy_seconds = self.busy[pid]
-            fragments.append(frag)
-        return fragments
+        return [part.finish() for part in self.partitions]
 
     def close(self):
         pass
@@ -189,36 +158,42 @@ class _ProcessBackend:
     def __init__(self, specs: List[PartitionSpec]):
         self.pools = [ProcessPoolExecutor(max_workers=1) for _ in specs]
         self.specs = specs
-        self.busy = [0.0] * len(specs)
+
+    def _on_all(self, fn, args_of):
+        """``fn(*args_of(pid))`` on every partition's worker at once;
+        results in partition order.  A worker that died (killed, out of
+        memory) took its partition's state with it, so the run cannot
+        continue: report which one instead of a bare pool error."""
+        pid = 0
+        try:
+            futures = []
+            for pid, pool in enumerate(self.pools):
+                futures.append(pool.submit(fn, *args_of(pid)))
+            results = []
+            for pid, future in enumerate(futures):
+                results.append(future.result())
+            return results
+        except BrokenProcessPool as error:
+            raise SimulationError(
+                "the worker process of partition %d died; its simulation "
+                "state is lost and the run cannot continue" % pid) from error
 
     def init_state(self):
-        futures = [pool.submit(_worker_init, spec)
-                   for pool, spec in zip(self.pools, self.specs)]
-        return [future.result() for future in futures]
+        return self._on_all(_worker_init, lambda pid: (self.specs[pid],))
 
     def advance_all(self, until, inboxes, keep_alive, sample):
-        futures = [pool.submit(_worker_advance, until, inboxes[pid],
-                               keep_alive[pid], sample)
-                   for pid, pool in enumerate(self.pools)]
-        out = []
-        for pid, future in enumerate(futures):
-            outbox, peek, busy = future.result()
-            self.busy[pid] += busy
-            out.append((outbox, peek, busy))
-        return out
+        return self._on_all(
+            _worker_advance,
+            lambda pid: (until, inboxes[pid], keep_alive[pid], sample))
 
     def finish(self) -> List[PartitionFragment]:
-        futures = [pool.submit(_worker_finish) for pool in self.pools]
-        fragments = []
-        for pid, future in enumerate(futures):
-            frag = future.result()
-            frag.busy_seconds = self.busy[pid]
-            fragments.append(frag)
-        return fragments
+        return self._on_all(_worker_finish, lambda pid: ())
 
     def close(self):
+        # cancel_futures: after a failure nothing queued behind it is
+        # wanted, and a surviving worker must not hold the exit for it.
         for pool in self.pools:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
 
 def simulate_parallel(router: RouteBricksRouter,
@@ -236,13 +211,15 @@ def simulate_parallel(router: RouteBricksRouter,
     """Run :meth:`RouteBricksRouter.simulate`'s workload sharded across
     ``workers`` partitions under conservative lookahead.
 
-    ``workers=1`` delegates to the single-heap engine unchanged (and so
-    still supports a cluster manager and resequencing).  For ``workers >
-    1`` the cluster is split into contiguous balanced node ranges; a
-    fault schedule is applied partition-locally with owner-side
-    accounting, but a control-plane ``manager`` (a global observer) and
-    ``router.resequence`` (whose expiry chain rides the global queue)
-    are not supported -- use ``workers=1`` for those.
+    Every partition is built by the same
+    :class:`~repro.core.partition.ClusterPartition` ``simulate`` uses;
+    ``workers=1`` *is* ``simulate`` (one partition, no epoch loop).  For
+    ``workers > 1`` the cluster is split into contiguous balanced node
+    ranges and a fault schedule is applied partition-locally with
+    owner-side accounting.  Features that need one partition owning
+    every node -- a control-plane ``manager``, ``router.resequence`` --
+    are refused by :class:`~repro.core.partition.PartitionSpec`; use
+    ``workers=1`` for those.
 
     Fault-free runs merge to bit-identical reports and metric snapshots
     at any worker count (modulo the wall-clock ``engine_wall_seconds``
@@ -258,50 +235,35 @@ def simulate_parallel(router: RouteBricksRouter,
             "unknown backend %r (choose from %s)" % (backend,
                                                      ", ".join(BACKENDS)))
     if workers == 1:
-        report = router.simulate(
+        return router.simulate(
             events, until=until,
             rate_limited_egress=rate_limited_egress,
             failed_links=failed_links, faults=faults, manager=manager,
             detection_latency_sec=detection_latency_sec,
             fib_push_latency_sec=fib_push_latency_sec, metrics=metrics)
-        report.workers = 1
-        return report
-    if manager is not None:
-        raise ConfigurationError(
-            "a cluster manager needs the global view; run workers=1")
-    if router.resequence:
-        raise ConfigurationError(
-            "resequencing timers ride the global event queue; run workers=1")
 
     registry = metrics if metrics is not None else active_registry()
     assignment = balanced_partitions(router.num_nodes, workers)
-    for src, dst in failed_links:
-        if not (0 <= src < router.num_nodes and 0 <= dst < router.num_nodes):
-            raise ConfigurationError("bad failed link (%r, %r)" % (src, dst))
-    if faults is not None:
-        from ..faults.schedule import FaultSchedule
-        if not isinstance(faults, FaultSchedule):
-            faults = FaultSchedule.from_dict(faults)
-        faults.validate(router.num_nodes)
-    offered, arrivals = _realize_arrivals(router, events, until, assignment)
+    arrivals, failed_links, faults = checked_inputs(
+        router, events, until, failed_links, faults)
+    offered, shares = _split_arrivals(arrivals, assignment)
 
     interval = observer_interval(until)
     observe = registry.enabled
-    config = registry_config_of(registry)
     specs = [PartitionSpec(
         router=router,
         assignment=tuple(assignment),
         partition_id=pid,
+        registry=empty_registry_like(registry),
         rate_limited_egress=rate_limited_egress,
-        failed_links=tuple(tuple(pair) for pair in failed_links),
+        failed_links=failed_links,
         faults=faults,
+        manager=manager,
         detection_latency_sec=detection_latency_sec,
         fib_push_latency_sec=fib_push_latency_sec,
-        arrivals=tuple(arrivals[pid]),
-        observer_mode=((OBSERVER_EVENT if pid == 0 else OBSERVER_BARRIER)
-                       if observe else None),
+        arrivals=tuple(shares[pid]),
+        observe=observe,
         observer_interval_sec=interval,
-        registry_config=config,
     ) for pid in range(workers)]
 
     driver = (_InlineBackend(specs) if backend == "inline"
@@ -367,11 +329,9 @@ def simulate_parallel(router: RouteBricksRouter,
     try:
         state = driver.init_state()
         peeks: List[Optional[float]] = [peek for peek, _ in state]
-        lookaheads = [la for _, la in state if la is not None]
-        if not lookaheads:
-            raise ConfigurationError(
-                "no cross-partition links: nothing to parallelize")
-        window = min(lookaheads)
+        # Two or more partitions of a full mesh: every one has
+        # cross-links, so every lookahead is a number.
+        window = min(lookahead for _, lookahead in state)
         ticks = _tick_grid(interval, until) if observe else []
         next_tick = 0
         inboxes: List[List] = [[] for _ in range(workers)]
@@ -421,7 +381,7 @@ def simulate_parallel(router: RouteBricksRouter,
         # pins each clock to ``until`` (undelivered records, if any, are
         # injected as future events exactly as the single sim would
         # leave them pending).  Charged as a final (non-epoch) barrier so
-        # the telemetry sums match each fragment's ``busy_seconds``.
+        # the telemetry sums cover every second a partition was busy.
         wall_start = perf_counter()
         results = driver.advance_all(until, inboxes, [False] * workers,
                                      False)
@@ -434,6 +394,7 @@ def simulate_parallel(router: RouteBricksRouter,
         fragments, offered_packets=offered, duration_sec=until,
         workers=workers, epochs=epochs,
         registry=registry if observe else None)
+    report.partition_busy_seconds = busy_totals
     report.barrier_wait_seconds = wait_totals
     report.lookahead_efficiency = (
         sim_covered / (epochs * window) if epochs else 0.0)
@@ -441,9 +402,8 @@ def simulate_parallel(router: RouteBricksRouter,
     report.load_imbalance = (max(busy_totals) / mean_busy
                              if mean_busy > 0 else 0.0)
     if observe:
-        run_info = registry.gauge(
-            "run_workers", help="partitions driving this run")
-        run_info.set(workers)
+        registry.gauge(
+            "run_workers", help="partitions driving this run").set(workers)
         registry.gauge(
             "run_epochs",
             help="conservative-lookahead epochs executed").set(epochs)
