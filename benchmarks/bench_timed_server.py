@@ -14,11 +14,8 @@ from repro.hw import nehalem_server
 
 
 def _search(kp, kn, low, high):
-    # batch=True drives the batch-native fast path.  Every rate and count
-    # below is bit-identical to the scalar loop (tests/test_batch.py
-    # proves it); only run.events_per_sec in the BENCH document moves.
     run = TimedForwardingRun(nehalem_server(num_ports=4, queues_per_port=2),
-                             kp=kp, kn=kn, batch=True)
+                             kp=kp, kn=kn)
     return run.find_loss_free_rate(low_bps=low, high_bps=high,
                                    tolerance_bps=0.15e9) / 1e9
 
@@ -47,8 +44,7 @@ def test_timed_saturation_plateau(benchmark):
 
     def run():
         sim = TimedForwardingRun(nehalem_server(num_ports=4,
-                                                queues_per_port=2),
-                                 batch=True)
+                                                queues_per_port=2))
         return sim.run(offered_bps=14e9, duration_sec=2e-3)
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)

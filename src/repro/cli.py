@@ -158,23 +158,12 @@ def _cmd_pipeline(args) -> int:
     if args.des:
         from .click.simrun import TimedPipelineRun
         run = TimedPipelineRun(fresh_server(), text, packet_bytes=args.size,
-                               kp=args.kp, kn=args.kn, batch=args.batch)
+                               kp=args.kp, kn=args.kn)
         des_gbps = run.find_loss_free_rate() / 1e9
         model_gbps = report["rate_gbps"]
-        print("timed simulation%s: %.2f Gbps (model %.2f, %.1f%% apart)"
-              % (" (batch)" if args.batch else "", des_gbps, model_gbps,
+        print("timed simulation: %.2f Gbps (model %.2f, %.1f%% apart)"
+              % (des_gbps, model_gbps,
                  abs(des_gbps - model_gbps) / model_gbps * 100))
-    elif args.batch:
-        # One short timed run through the batch-native fast path -- a
-        # quick smoke of PacketBatch end to end, not a rate search.
-        from .click.simrun import TimedPipelineRun
-        run = TimedPipelineRun(fresh_server(), text, packet_bytes=args.size,
-                               kp=args.kp, kn=args.kn, batch=True)
-        rep = run.run(report["rate_gbps"] * 0.5e9, duration_sec=1e-3)
-        print("batch timed run @ %.2f Gbps offered: forwarded %d of %d "
-              "(%d dropped)"
-              % (report["rate_gbps"] * 0.5, rep.forwarded_packets,
-                 rep.offered_packets, rep.dropped_packets))
     return 0
 
 
@@ -766,10 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--des", action="store_true",
                    help="also binary-search the timed simulation's "
                         "loss-free rate and compare")
-    p.add_argument("--batch", action="store_true",
-                   help="drive the timed simulation through the "
-                        "batch-native (PacketBatch) fast path; results "
-                        "are identical, only wall-clock time changes")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("rb4", help="cluster operating points")

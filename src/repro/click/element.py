@@ -7,30 +7,17 @@ and a :meth:`Element.resource_cost` hook so the scheduler, the timed
 simulation, and the analytic pipeline compiler all charge the same
 per-packet :class:`~repro.costs.ResourceVector` for the work an element
 represents.
-
-Elements come in two speeds.  Every element implements the scalar
-:meth:`Element.process`; hot elements may additionally override
-:meth:`Element.process_batch` to handle a whole
-:class:`~repro.net.batch.PacketBatch` per call (the RouteBricks batching
-argument applied to the Python interpreter itself).  The base class
-provides a loop-over-scalar fallback, so a batch pushed into a graph
-degrades gracefully: it travels as columns through consecutive
-batch-native elements and splits back to per-packet calls at the first
-element that is not.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from ..costs import ZERO_VECTOR, ResourceVector
 from ..errors import ConfigurationError
 from ..net.packet import Packet
 from ..obs.metrics import active_registry
 from ..obs.trace import TRACE_ANNOTATION
-
-if TYPE_CHECKING:
-    from ..net.batch import PacketBatch
 
 
 class PushPort:
@@ -55,12 +42,6 @@ class PushPort:
                 "%s output %d is dangling" % (self.owner.name, self.index))
         self.peer.receive(packet, self.peer_port)
 
-    def push_batch(self, batch: "PacketBatch") -> None:
-        if self.peer is None:
-            raise ConfigurationError(
-                "%s output %d is dangling" % (self.owner.name, self.index))
-        self.peer.receive_batch(batch, self.peer_port)
-
 
 class Element:
     """Base class for all dataplane elements.
@@ -73,10 +54,7 @@ class Element:
     cost_per_byte * packet.length`` on each component, either from the
     class-level term declarations or from terms set at construction via
     :meth:`set_cost_terms` (device and application elements derive theirs
-    from the shared :class:`~repro.costs.CostModel`).  A batch charges
-    ``n * cost_base + cost_per_byte * sum(lengths)`` -- the same affine
-    form, so the analytic compiler and the timed simulation agree
-    whether or not the fast path ran.
+    from the shared :class:`~repro.costs.CostModel`).
     """
 
     #: Number of output ports; subclasses override as needed.
@@ -129,38 +107,10 @@ class Element:
             trace.hop(self.name)
         self.process(packet, port)
 
-    def receive_batch(self, batch: "PacketBatch", port: int = 0) -> None:
-        """Batch entry point called by upstream elements.
-
-        Counts the whole burst (``packets_in += n``, ``bytes_in +=
-        sum(lengths)`` -- integer sums, so the totals are exactly what
-        ``n`` scalar receives would have produced), records trace hops
-        for sampled rows, then dispatches to :meth:`process_batch`.
-        """
-        n = len(batch)
-        if n == 0:
-            return
-        self.packets_in += n
-        self.bytes_in += batch.total_bytes
-        if batch.traced:
-            name = self.name
-            for _, trace in batch.traced:
-                trace.hop(name)
-        self.process_batch(batch, port)
-
     def push(self, packet: Packet, output: int = 0) -> None:
         """Push a packet downstream (used inside :meth:`process`)."""
         self.packets_out += 1
         self.output(output).push(packet)
-
-    def push_batch(self, batch: "PacketBatch", output: int = 0) -> None:
-        """Push a whole batch downstream (used inside
-        :meth:`process_batch`)."""
-        n = len(batch)
-        if n == 0:
-            return
-        self.packets_out += n
-        self.output(output).push_batch(batch)
 
     def drop(self, packet: Packet, cause: str = "dropped") -> None:
         """Account a deliberate drop, tagged with its cause."""
@@ -168,36 +118,8 @@ class Element:
         if self._drop_counter is not None:
             self._drop_counter.inc(1, element=self.name, cause=cause)
 
-    def drop_batch(self, batch: "PacketBatch",
-                   cause: str = "dropped") -> None:
-        """Account every packet of a batch as dropped.
-
-        One increment of ``n`` equals ``n`` increments of one (integer
-        counters), so batch drops and scalar drops are indistinguishable
-        in every report.
-        """
-        n = len(batch)
-        if n == 0:
-            return
-        self.packets_dropped += n
-        if self._drop_counter is not None:
-            self._drop_counter.inc(n, element=self.name, cause=cause)
-
     def process(self, packet: Packet, port: int) -> None:
         raise NotImplementedError
-
-    def process_batch(self, batch: "PacketBatch", port: int) -> None:
-        """Scalar fallback: flush column state and loop :meth:`process`.
-
-        ``receive_batch`` already counted the burst, so this calls
-        :meth:`process` directly (not :meth:`receive`) -- the per-element
-        counters end up identical to ``n`` scalar traversals of *this*
-        element, and any downstream pushes go through the ordinary scalar
-        ports from here on.
-        """
-        process = self.process
-        for packet in batch.sync():
-            process(packet, port)
 
     # -- cost accounting ---------------------------------------------------
 

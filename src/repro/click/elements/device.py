@@ -23,7 +23,6 @@ from ... import calibration as cal
 from ...costs import DEFAULT_COST_MODEL, CostModel
 from ...errors import ConfigurationError
 from ...hw.nic import NicPort, NicQueue
-from ...net.batch import PacketBatch
 from ...net.packet import Packet
 from ...obs.trace import TRACE_ANNOTATION
 from ..element import Element
@@ -70,31 +69,6 @@ class PollDevice(Element):
             self.push(packet)
         return len(batch)
 
-    def run_task_batch(self) -> int:
-        """One poll, batch-native: drain the burst into one
-        :class:`PacketBatch` and push it through the graph as columns.
-
-        Per-element counters come out identical to :meth:`run_task`
-        (``receive_batch``/``push_batch`` count whole bursts with
-        integer sums), so the two modes are interchangeable everywhere
-        except wall-clock time.
-        """
-        self.total_polls += 1
-        packets = self.queue.pop_batch(self.kp)
-        if not packets:
-            self.empty_polls += 1
-            return 0
-        batch = PacketBatch.from_packets(packets, trace_key=TRACE_ANNOTATION)
-        n = len(packets)
-        self.packets_in += n
-        self.bytes_in += batch.total_bytes
-        if batch.traced:
-            name = self.name
-            for _, trace in batch.traced:
-                trace.hop(name)  # run_task_batch bypasses receive()
-        self.push_batch(batch)
-        return n
-
     def process(self, packet: Packet, port: int) -> None:
         raise ConfigurationError("PollDevice has no inputs")
 
@@ -122,16 +96,6 @@ class ToDevice(Element):
     def process(self, packet: Packet, port: int) -> None:
         if not self.port.transmit(packet, self.queue_id):
             self.drop(packet, "tx_ring_full")
-
-    def process_batch(self, batch: PacketBatch, port: int) -> None:
-        # The wire is the scalar boundary: flush column state onto the
-        # packets, then relay them to the TX ring one by one (the ring
-        # may fill partway through the burst).
-        transmit = self.port.transmit
-        queue_id = self.queue_id
-        for packet in batch.sync():
-            if not transmit(packet, queue_id):
-                self.drop(packet, "tx_ring_full")
 
     def drain(self) -> List[Packet]:
         """Pop everything this element has queued for the wire."""

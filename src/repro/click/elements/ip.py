@@ -9,13 +9,10 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from ...costs import DEFAULT_COST_MODEL
 from ...errors import ConfigurationError
 from ...net.addresses import MACAddress
-from ...net.batch import PacketBatch
-from ...net.checksum import ttl_decrement_checksum, ttl_decrement_checksum_array
+from ...net.checksum import ttl_decrement_checksum
 from ...net.headers import ETHERTYPE_IPV4
 from ...net.packet import Packet
 from ...routing.table import RoutingTable
@@ -39,19 +36,6 @@ class CheckIPHeader(Element):
             self.drop(packet, "invalid_header")
             return
         self.push(packet)
-
-    def process_batch(self, batch: PacketBatch, port: int) -> None:
-        valid = (batch.has_ip & (batch.ethertype == ETHERTYPE_IPV4)
-                 & (batch.ttl > 0) & (batch.total_length >= 20))
-        if valid.all():
-            self.push_batch(batch)
-            return
-        n_bad = len(batch) - int(valid.sum())
-        self.invalid += n_bad
-        self.drop_batch(batch.select(~valid), "invalid_header")
-        good = batch.select(valid)
-        if len(good):
-            self.push_batch(good)
 
 
 class DecIPTTL(Element):
@@ -85,31 +69,6 @@ class DecIPTTL(Element):
         ip.ttl -= 1
         self.push(packet, 0)
 
-    def process_batch(self, batch: PacketBatch, port: int) -> None:
-        if not batch.has_ip.all():
-            self.drop_batch(batch.select(~batch.has_ip), "no_ip")
-            batch = batch.select(batch.has_ip)
-            if not len(batch):
-                return
-        expired = batch.ttl <= 1
-        if expired.any():
-            self.expired += int(expired.sum())
-            doomed = batch.select(expired)
-            if self.output(1).peer is not None:
-                self.push_batch(doomed, 1)
-            else:
-                self.drop_batch(doomed, "ttl_expired")
-            batch = batch.select(~expired)
-            if not len(batch):
-                return
-        # Checksum first (it needs the pre-decrement TTL), then TTL --
-        # the vectorized RFC 1624 form is integer-exact vs the scalar.
-        batch.checksum = ttl_decrement_checksum_array(
-            batch.checksum, batch.ttl, batch.proto)
-        batch.ttl = batch.ttl - np.int16(1)
-        batch.mark_ip_dirty()
-        self.push_batch(batch, 0)
-
 
 class LookupIPRoute(Element):
     """Longest-prefix-match and output-port selection.
@@ -141,35 +100,6 @@ class LookupIPRoute(Element):
         packet.annotations["next_hop_mac"] = route.next_hop_mac
         self.push(packet, route.port)
 
-    def process_batch(self, batch: PacketBatch, port: int) -> None:
-        ports, next_hops, macs = self.table.lookup_batch(batch.dst)
-        if not batch.has_ip.all():
-            # Rows without an IP header never reach the table in the
-            # scalar path; force them onto the failure port.
-            ports = np.where(batch.has_ip, ports, -1)
-        miss = (ports < 0) | (ports >= self.n_ports)
-        if miss.any():
-            self.misses += int(miss.sum())
-            self.push_batch(batch.select(miss), self.n_ports)
-            hit_rows = ~miss
-            if not hit_rows.any():
-                return
-            hit = batch.select(hit_rows)
-            ports = ports[hit_rows]
-            next_hops = next_hops[hit_rows]
-            macs = macs[hit_rows]
-        else:
-            hit = batch
-        hop_col, mac_col = hit.route_columns()
-        hop_col[:] = next_hops
-        mac_col[:] = macs
-        out_ports = np.unique(ports)
-        if len(out_ports) == 1:
-            self.push_batch(hit, int(out_ports[0]))
-            return
-        for out in out_ports.tolist():
-            self.push_batch(hit.select(ports == out), int(out))
-
     def output_probabilities(self) -> List[float]:
         """Routed traffic spreads uniformly over the port outputs; the
         failure port carries no load in the analytic model."""
@@ -190,15 +120,3 @@ class EtherEncap(Element):
         packet.eth.src = self.src_mac
         packet.eth.ethertype = ETHERTYPE_IPV4
         self.push(packet)
-
-    def process_batch(self, batch: PacketBatch, port: int) -> None:
-        if batch.next_hop_mac is None:
-            # No route columns on this batch: the next-hop MAC (if any)
-            # lives in per-packet annotations, so only the scalar loop
-            # can see it.
-            super().process_batch(batch, port)
-            return
-        batch.eth_src = self.src_mac
-        batch.eth_ethertype = ETHERTYPE_IPV4
-        batch.mark_eth_dirty()
-        self.push_batch(batch)

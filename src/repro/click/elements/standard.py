@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ...errors import ConfigurationError
-from ...net.batch import PacketBatch
 from ...net.packet import Packet
 from ...simnet.queues import FiniteQueue
 from ..element import Element
@@ -18,9 +17,6 @@ class Discard(Element):
 
     def process(self, packet: Packet, port: int) -> None:
         self.drop(packet, "discard")
-
-    def process_batch(self, batch: PacketBatch, port: int) -> None:
-        self.drop_batch(batch, "discard")
 
 
 class CounterElement(Element):
@@ -35,11 +31,6 @@ class CounterElement(Element):
         self.count += 1
         self.byte_count += packet.length
         self.push(packet)
-
-    def process_batch(self, batch: PacketBatch, port: int) -> None:
-        self.count += len(batch)
-        self.byte_count += batch.total_bytes
-        self.push_batch(batch)
 
 
 class PacketQueue(Element):
@@ -142,10 +133,6 @@ class Paint(Element):
         packet.annotations["paint"] = self.color
         self.push(packet)
 
-    def process_batch(self, batch: PacketBatch, port: int) -> None:
-        batch.paint_column()[:] = self.color
-        self.push_batch(batch)
-
 
 class CheckPaint(Element):
     """Packets painted ``color`` exit output 0; everything else output 1."""
@@ -161,21 +148,6 @@ class CheckPaint(Element):
             self.push(packet, 0)
         else:
             self.push(packet, 1)
-
-    def process_batch(self, batch: PacketBatch, port: int) -> None:
-        if batch.paint is None:
-            # No paint column: colors (if any) live in per-packet
-            # annotations, so only the scalar loop can see them.
-            super().process_batch(batch, port)
-            return
-        match = batch.paint == self.color
-        if match.all():
-            self.push_batch(batch, 0)
-        elif not match.any():
-            self.push_batch(batch, 1)
-        else:
-            self.push_batch(batch.select(match), 0)
-            self.push_batch(batch.select(~match), 1)
 
 
 class RandomSample(Element):

@@ -6,16 +6,11 @@ inside Click graphs.  Each element owns one :class:`~repro.stateful.
 FlowTable` (the single-core view; the multi-core strategies live in
 :mod:`repro.stateful.dispatch`) and charges the calibrated per-packet
 state-access cost for its NF.
-
-The batch paths keep the per-packet state updates -- flow state is
-inherently sequential -- but classify the whole burst into one
-downstream push plus one drop batch, so consecutive batch-native
-elements still hand whole bursts to each other.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import List
 
 from ...costs.model import DEFAULT_COST_MODEL
 from ...errors import ConfigurationError
@@ -24,9 +19,6 @@ from ...stateful.nf import FORWARD, StatefulNF, make_nf
 from ...stateful.state import FlowTable
 from ...workloads.zipf_flows import PacketRecord
 from ..element import Element
-
-if TYPE_CHECKING:
-    from ...net.batch import PacketBatch
 
 #: Annotation key carrying NAT's allocated external port downstream.
 NAT_PORT_ANNOTATION = "nat_ext_port"
@@ -88,19 +80,10 @@ class NetworkAddressTranslator(StatefulElement):
         packet.annotations[NAT_PORT_ANNOTATION] = entry[0]
         self.push(packet, 0)
 
-    def process_batch(self, batch: "PacketBatch", port: int) -> None:
-        # State updates stay per-packet (they are order-dependent), but
-        # NAT never drops, so the burst forwards as one batch push.
-        for packet in batch.sync():
-            if packet.ip is not None:
-                entry, _ = self._advance(packet)
-                packet.annotations[NAT_PORT_ANNOTATION] = entry[0]
-        self.push_batch(batch, 0)
-
 
 class _FilteringStatefulElement(StatefulElement):
-    """Stateful elements whose verdict partitions the burst: forwarded
-    packets leave as one batch, refused packets as one drop batch."""
+    """Stateful elements whose verdict either forwards the packet or
+    drops it under the subclass's :attr:`drop_cause`."""
 
     #: Drop cause recorded for refused packets.
     drop_cause = "refused"
@@ -110,22 +93,6 @@ class _FilteringStatefulElement(StatefulElement):
             self.push(packet, 0)
         else:
             self.drop(packet, self.drop_cause)
-
-    def process_batch(self, batch: "PacketBatch", port: int) -> None:
-        forwarded: List[int] = []
-        refused: List[int] = []
-        for index, packet in enumerate(batch.sync()):
-            if packet.ip is None:
-                forwarded.append(index)
-                continue
-            _, verdict = self._advance(packet)
-            (forwarded if verdict == FORWARD else refused).append(index)
-        if not refused:
-            self.push_batch(batch, 0)
-            return
-        if forwarded:
-            self.push_batch(batch.select(forwarded), 0)
-        self.drop_batch(batch.select(refused), self.drop_cause)
 
 
 class ConnTrackFirewall(_FilteringStatefulElement):

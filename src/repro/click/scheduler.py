@@ -19,7 +19,6 @@ from typing import Dict, List
 from .. import calibration as cal
 from ..errors import SchedulingError
 from ..hw.components import Core
-from ..net.batch import PacketBatch
 from .element import Element
 from .elements.device import PollDevice, ToDevice
 from .elements.standard import PacketQueue
@@ -54,31 +53,15 @@ class CoreThread:
             if isinstance(element, ToDevice):
                 element.queue.note_access(self.core.core_id)
 
-    def run_once(self, kp: int = cal.DEFAULT_KP, batch: bool = False) -> int:
-        """One scheduling round: every task runs once.  Returns packets moved.
-
-        With ``batch``, poll tasks drain their burst as one
-        :class:`~repro.net.batch.PacketBatch` via ``run_task_batch`` and
-        pull tasks hand a batch to the downstream element; counters are
-        identical to the scalar round.
-        """
+    def run_once(self, kp: int = cal.DEFAULT_KP) -> int:
+        """One scheduling round: every task runs once.  Returns packets moved."""
         moved = 0
-        if batch:
-            for device in self.poll_tasks:
-                moved += device.run_task_batch()
-            for queue, downstream in self.pull_tasks:
-                packets = queue.fifo.poll_batch(kp)
-                if packets:
-                    downstream.receive_batch(
-                        PacketBatch.from_packets(packets), 0)
-                    moved += len(packets)
-        else:
-            for device in self.poll_tasks:
-                moved += device.run_task()
-            for queue, downstream in self.pull_tasks:
-                for packet in queue.fifo.poll_batch(kp):
-                    downstream.receive(packet)
-                    moved += 1
+        for device in self.poll_tasks:
+            moved += device.run_task()
+        for queue, downstream in self.pull_tasks:
+            for packet in queue.fifo.poll_batch(kp):
+                downstream.receive(packet)
+                moved += 1
         self.packets_handled += moved
         return moved
 
@@ -146,7 +129,7 @@ class Scheduler:
         return violations
 
     def run_rounds(self, rounds: int, kp: int = cal.DEFAULT_KP,
-                   charge_cycles: bool = True, batch: bool = False) -> int:
+                   charge_cycles: bool = True) -> int:
         """Run ``rounds`` scheduling rounds on every thread.
 
         With ``charge_cycles``, each element's calibrated per-packet cost
@@ -167,7 +150,7 @@ class Scheduler:
                                            element.bytes_in)
         for _ in range(rounds):
             for thread in self.threads:
-                total += thread.run_once(kp, batch=batch)
+                total += thread.run_once(kp)
         if charge_cycles:
             for thread in self.threads:
                 for element in thread.owned_elements:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import count, cycle
 from typing import List, Optional
 
 from .. import calibration as cal
@@ -42,6 +42,10 @@ from .elements.standard import PacketQueue
 #: Cycles burned by a poll that finds no packets (Sec. 5.3's ce).
 #: Re-exported from :mod:`repro.calibration`, the single owner.
 EMPTY_POLL_CYCLES = cal.EMPTY_POLL_CYCLES
+
+#: How much a :class:`TimedForwardingRun` holds between replays: at most
+#: this many filed arrivals and (about) this many logged polls.
+REPLAY_CHUNK = 1024
 
 
 class _RunObs:
@@ -149,14 +153,9 @@ class TimedForwardingRun:
     spread round-robin across queues, matching the paper's uniform
     any-to-any pattern.  ``kp``/``kn`` control batching as in Table 1.
 
-    ``batch=True`` selects the batch fast-path: the whole run's arrival
-    events are bulk-filed into the engine's event wheel up front, RX
-    rings carry arrival indices instead of packet objects (materialized
-    only for trace-sampled slots), and per-poll bookkeeping is kept in
-    locals flushed once at the end.  Every simulated quantity -- event
-    times and counts, forwarded/dropped totals, rates, and the profiler's
-    per-element attribution -- is identical to scalar mode; only wall
-    clock differs.
+    ``batch`` is accepted and ignored: there is one :meth:`run` loop, and
+    older callers (``perfbench``) still pass the flag that used to pick
+    between two.
     """
 
     def __init__(self, server: Server, packet_bytes: int = 64,
@@ -175,7 +174,6 @@ class TimedForwardingRun:
         self.kn = kn
         self.app = app
         self.cost_model = cost_model
-        self.batch = batch
         self.metrics = metrics
         self.cycles_per_packet = (
             cost_model.app_vector(app, packet_bytes).cpu_cycles
@@ -193,164 +191,24 @@ class TimedForwardingRun:
 
     def run(self, offered_bps: float, duration_sec: float = 5e-3,
             seed: int = 0) -> TimedRunReport:
-        """Offer fixed-size packets at ``offered_bps`` for ``duration_sec``."""
+        """Offer fixed-size packets at ``offered_bps`` for ``duration_sec``.
+
+        The event loop does only what changes simulated state.  Nothing
+        downstream of a preset application inspects a packet, so RX rings
+        carry token counts (:meth:`~repro.hw.nic.NicQueue.push_token`)
+        and a real Packet exists only for trace-sampled arrivals.  Each
+        poll pops its burst, appends one tuple to a log and files its
+        successor; counters, timelines, profiler frames, trace hops and
+        ``Core.charge`` are replayed from the log in event order -- the
+        same calls and float chains a per-poll charge would make.
+
+        Memory stays bounded by :data:`REPLAY_CHUNK`: arrivals are
+        bulk-filed one chunk at a time, and the last arrival of a chunk
+        replays and clears the log before filing the next chunk, so no
+        event is added and no per-arrival ``schedule_timer`` is paid.
+        """
         if offered_bps <= 0 or duration_sec <= 0:
             raise ConfigurationError("offered load and duration must be > 0")
-        if self.batch:
-            return self._run_batch(offered_bps, duration_sec, seed)
-        obs = _RunObs.resolve(self.metrics)
-        sim = Simulator(metrics=self.metrics)
-        workload = FixedSizeWorkload(packet_bytes=self.packet_bytes,
-                                     num_flows=len(self._assignments) * 8,
-                                     seed=seed)
-        interarrival = self.packet_bytes * 8 / offered_bps
-        offered = int(duration_sec / interarrival)
-        packets = workload.packets(offered)
-
-        state = {"forwarded": 0, "empty_polls": 0, "polls": 0}
-        queues = [queue for _, queue in self._assignments]
-        drops_before = sum(queue.dropped for queue in queues)
-        # Clear any residue from a previous run on the same server.
-        for queue in queues:
-            queue.clear()
-        # Every packet of this run carries the same app vector, so bus
-        # bytes are chargeable per batch without walking elements.
-        per_packet_vec = (self.cost_model.app_vector(self.app,
-                                                     self.packet_bytes)
-                          if obs is not None else None)
-
-        def arrival(index=[0]):
-            try:
-                packet = next(packets)
-            except StopIteration:
-                return
-            queue = queues[index[0] % len(queues)]
-            index[0] += 1
-            if obs is not None:
-                trace = obs.tracer.maybe_start(packet, sim.now, "arrival")
-                if not queue.push(packet) and trace is not None:
-                    trace.hop("dropped", sim.now)
-            else:
-                queue.push(packet)
-            schedule_timer(interarrival, arrival)
-
-        clock_hz = self.server.spec.clock_hz
-        # Poll loops and arrivals are homogeneous high-rate timers: ride
-        # the engine's bucketed event wheel instead of the main heap.
-        schedule_timer = sim.schedule_timer
-
-        def make_poll_loop(core, queue, queue_label):
-            seen_drops = [queue.dropped]
-            poll_times: List[float] = []  # obs-only: poll-wait split
-            core_frame = "core%d" % core.core_id
-            app_frame = getattr(self.app, "name", "app")
-            # Hoist every per-poll attribute lookup out of the loop.
-            kp = self.kp
-            cycles_per_packet = self.cycles_per_packet
-            empty_poll_cycles = self.cost_model.empty_poll_cycles
-            pop_batch = queue.pop_batch
-            charge = core.charge
-            if obs is not None:
-                prof = obs.profiler
-                charge_app = (prof.bind(core_frame, app_frame)
-                              if prof is not None else None)
-                charge_empty = (prof.bind(core_frame, "empty_poll")
-                                if prof is not None else None)
-                (inc_busy_cycles, inc_empty_cycles,
-                 inc_busy_polls, inc_empty_polls) = \
-                    obs.core_handles(core.core_id)
-                record_occupancy = obs.rxq_occupancy.bind(queue=queue_label)
-                record_drops = obs.rxq_drops.bind(queue=queue_label)
-
-            def poll():
-                now = sim.now
-                if now >= duration_sec:
-                    return
-                state["polls"] += 1
-                if obs is not None:
-                    poll_times.append(now)
-                batch = pop_batch(kp)
-                if batch:
-                    cycles = len(batch) * cycles_per_packet
-                    state["forwarded"] += len(batch)
-                else:
-                    state["empty_polls"] += 1
-                    cycles = empty_poll_cycles
-                charge(cycles)
-                if obs is not None:
-                    if batch:
-                        if charge_app is not None:
-                            charge_app(cycles)
-                        inc_busy_cycles(cycles)
-                        inc_busy_polls()
-                    else:
-                        if charge_empty is not None:
-                            charge_empty(cycles)
-                        inc_empty_cycles(cycles)
-                        inc_empty_polls()
-                    record_occupancy(now, len(queue))
-                    if queue.dropped > seen_drops[0]:
-                        record_drops(now, queue.dropped - seen_drops[0])
-                        seen_drops[0] = queue.dropped
-                    if batch:
-                        n = len(batch)
-                        obs.charge_bus(n * per_packet_vec.mem_bytes,
-                                       n * per_packet_vec.io_bytes,
-                                       n * per_packet_vec.pcie_bytes,
-                                       n * per_packet_vec.qpi_bytes)
-                        t_done = now + cycles / clock_hz
-                        for packet in batch:
-                            trace = packet.annotations.get(TRACE_ANNOTATION)
-                            if trace is not None:
-                                trace.hop("poll", first_poll_after(
-                                    poll_times, trace.started, now))
-                                trace.hop("pickup", now)
-                                trace.hop("core%d" % core.core_id, now,
-                                          note="forwarded")
-                                trace.hop("service_done", t_done)
-                schedule_timer(cycles / clock_hz, poll)
-            return poll
-
-        sim.schedule(0.0, arrival)
-        for index, (core, queue) in enumerate(self._assignments):
-            sim.schedule(0.0, make_poll_loop(core, queue, str(index)))
-        sim.run(until=duration_sec)
-
-        dropped = sum(queue.dropped for queue in queues) - drops_before
-        return TimedRunReport(
-            offered_packets=offered,
-            forwarded_packets=state["forwarded"],
-            dropped_packets=dropped,
-            duration_sec=duration_sec,
-            packet_bytes=self.packet_bytes,
-            empty_polls=state["empty_polls"],
-            total_polls=state["polls"],
-            residual_backlog=sum(len(queue) for queue in queues),
-        )
-
-    def _run_batch(self, offered_bps: float, duration_sec: float,
-                   seed: int) -> TimedRunReport:
-        """The batch fast-path behind :meth:`run` (``batch=True``).
-
-        Event-for-event equivalent to scalar mode: arrival times are the
-        same chained ``t += interarrival`` floats (bulk-filed into the
-        event wheel before the measured window), poll cadence and cycle
-        charges are untouched, and the trace sampler advances over the
-        same arrival positions.  The savings are all constant-factor
-        Python overhead, removed from the measured loop two ways:
-
-        * **Count-only descriptors.**  Nothing downstream of minimal
-          forwarding inspects a packet, so rings carry token counts
-          (:meth:`~repro.hw.nic.NicQueue.push_token`) and arrivals
-          materialize a real Packet only for trace-sampled slots.
-        * **Deferred, order-exact bookkeeping.**  Each poll appends one
-          tuple to a run-wide log; after :meth:`Simulator.run` returns,
-          the log is replayed in event order through the same counter,
-          timeline, profiler, and trace calls the scalar loop makes per
-          poll.  Same calls, same order, same float chains -- every
-          derived number is bit-identical, but none of it is paid inside
-          the measured event loop.
-        """
         obs = _RunObs.resolve(self.metrics)
         sim = Simulator(metrics=self.metrics)
         interarrival = self.packet_bytes * 8 / offered_bps
@@ -359,94 +217,166 @@ class TimedForwardingRun:
         queues = [queue for _, queue in self._assignments]
         n_queues = len(queues)
         drops_before = sum(queue.dropped for queue in queues)
+        # Clear any residue from a previous run on the same server.
         for queue in queues:
             queue.clear()
-        drops_start = [queue.dropped for queue in queues]
-        per_packet_vec = (self.cost_model.app_vector(self.app,
-                                                     self.packet_bytes)
-                          if obs is not None else None)
 
-        # Arrival times, chained exactly like the scalar path's repeated
-        # schedule_timer(interarrival, ...) -- t[k] = t[k-1] + dt, never
-        # k * dt.  The extra final event mirrors the scalar generator's
-        # StopIteration no-op.
-        times = [0.0] * (offered + 1)
-        t = 0.0
-        for k in range(1, offered + 1):
-            t += interarrival
-            times[k] = t
+        clock_hz = self.server.spec.clock_hz
+        # Every poll charges one of kp+1 possible cycle values; index 0
+        # is the empty poll.
+        cycles_for = [self.cost_model.empty_poll_cycles] + [
+            n * self.cycles_per_packet for n in range(1, self.kp + 1)]
+        delay_for = [cycles / clock_hz for cycles in cycles_for]
+        # Arrivals per chunk.  The cores poll fastest when every poll is
+        # empty, which caps the polls one interarrival gap can log; sparse
+        # arrivals get short chunks so the log stays near REPLAY_CHUNK too.
+        chunk = max(1, int(REPLAY_CHUNK / max(
+            1.0, n_queues * interarrival / delay_for[0])))
+        charge_by = [core.charge for core, _ in self._assignments]
+        # One (queue index, time, burst, occupancy after, ring drops so
+        # far) tuple per poll since the last replay.
+        log: List[tuple] = []
+        forwarded = empty_polls = total_polls = 0
 
         push_tokens = [queue.push_token for queue in queues]
-        pending = [deque() for _ in range(n_queues)]
-        if obs is not None:
-            # Same workload state evolution as scalar mode; rows
-            # materialize into real packets only for trace-sampled
-            # arrivals.
-            workload = FixedSizeWorkload(
-                packet_bytes=self.packet_bytes,
-                num_flows=len(self._assignments) * 8, seed=seed)
-            arrival_batch = workload.packet_batch(offered)
-            packet_at = arrival_batch.packet
-            tracer = obs.tracer
-            sample_every = tracer.sample_every
-            counter = [0]
-            seen = [tracer.seen]
-            base_enqueued = [queue.enqueued for queue in queues]
-
-            def sample_arrival(i, qi, pushed):
-                # Rare path (1-in-sample_every): materialize the packet
-                # and start its trace, as scalar maybe_start() would.
-                trace = tracer.start_trace(packet_at(i), sim.now, "arrival")
-                if pushed:
-                    position = queues[qi].enqueued - base_enqueued[qi] - 1
-                    pending[qi].append((position, trace))
-                else:
-                    trace.hop("dropped", sim.now)
-
-            def arrival():
-                i = counter[0]
-                counter[0] = i + 1
-                s = seen[0]
-                seen[0] = s + 1
-                qi = i % n_queues
-                pushed = push_tokens[qi]()
-                if not s % sample_every:
-                    sample_arrival(i, qi, pushed)
-        else:
+        if obs is None:
             push_cycle = cycle(push_tokens)
 
             def arrival():
                 next(push_cycle)()
 
-        def final_arrival():
-            # The scalar generator's StopIteration no-op: one extra
-            # arrival event that does nothing but advance the clock.
+            def replay():
+                nonlocal forwarded, empty_polls, total_polls
+                for qi, _, n, _, _ in log:
+                    if n:
+                        forwarded += n
+                    else:
+                        empty_polls += 1
+                    charge_by[qi](cycles_for[n])
+                total_polls += len(log)
+                log.clear()
+        else:
+            # Every packet of this run carries the same app vector, so
+            # bus bytes are chargeable per burst without walking elements.
+            vec = self.cost_model.app_vector(self.app, self.packet_bytes)
+            # Same flows and flow_seq as the per-packet generator, built
+            # only for the 1-in-sample_every traced arrivals.
+            packet_at = FixedSizeWorkload(
+                packet_bytes=self.packet_bytes, num_flows=n_queues * 8,
+                seed=seed).packet_at
+            tracer = obs.tracer
+            sample_every = tracer.sample_every
+            arrivals = count()
+            first_seen = tracer.seen
+            # Per queue: (ring position, trace) of sampled arrivals not
+            # yet picked up, and how many descriptors polls have popped.
+            pending = [deque() for _ in queues]
+            base_enqueued = [queue.enqueued for queue in queues]
+            popped = [0] * n_queues
+
+            def arrival():
+                i = next(arrivals)
+                qi = i % n_queues
+                pushed = push_tokens[qi]()
+                if not (first_seen + i) % sample_every:
+                    trace = tracer.start_trace(packet_at(i), sim.now,
+                                               "arrival")
+                    if pushed:
+                        pending[qi].append((
+                            queues[qi].enqueued - base_enqueued[qi] - 1,
+                            trace))
+                    else:
+                        trace.hop("dropped", sim.now)
+
+            prof = obs.profiler
+            bind_frame = (prof.bind if prof is not None
+                          else lambda *frames: _noop_charge)
+            app_frame = getattr(self.app, "name", "app")
+            # Per queue: the empty-poll and busy-poll chargers, the ring
+            # timelines, the core's trace label, its poll times (the
+            # poll-wait split) and the ring drops already recorded.
+            handles = []
+            for index, (core, queue) in enumerate(self._assignments):
+                core_frame = "core%d" % core.core_id
+                (inc_busy_cycles, inc_empty_cycles,
+                 inc_busy_polls, inc_empty_polls) = \
+                    obs.core_handles(core.core_id)
+                handles.append((
+                    (bind_frame(core_frame, "empty_poll"),
+                     inc_empty_cycles, inc_empty_polls),
+                    (bind_frame(core_frame, app_frame),
+                     inc_busy_cycles, inc_busy_polls),
+                    obs.rxq_occupancy.bind(queue=str(index)),
+                    obs.rxq_drops.bind(queue=str(index)),
+                    core_frame, [], [queue.dropped]))
+
+            def replay():
+                nonlocal forwarded, empty_polls, total_polls
+                for qi, now, n, occupancy, dropped in log:
+                    (empty, busy, record_occupancy, record_drops,
+                     core_frame, poll_times, seen_drops) = handles[qi]
+                    poll_times.append(now)
+                    cycles = cycles_for[n]
+                    charge_frame, inc_cycles, inc_polls = busy if n else empty
+                    charge_frame(cycles)
+                    inc_cycles(cycles)
+                    inc_polls()
+                    charge_by[qi](cycles)
+                    record_occupancy(now, occupancy)
+                    if dropped > seen_drops[0]:
+                        record_drops(now, dropped - seen_drops[0])
+                        seen_drops[0] = dropped
+                    if not n:
+                        empty_polls += 1
+                        continue
+                    forwarded += n
+                    obs.charge_bus(n * vec.mem_bytes, n * vec.io_bytes,
+                                   n * vec.pcie_bytes, n * vec.qpi_bytes)
+                    end = popped[qi] = popped[qi] + n
+                    traced = pending[qi]
+                    while traced and traced[0][0] < end:
+                        _, trace = traced.popleft()
+                        trace.hop("poll", first_poll_after(
+                            poll_times, trace.started, now))
+                        trace.hop("pickup", now)
+                        trace.hop(core_frame, now, note="forwarded")
+                        trace.hop("service_done", now + delay_for[n])
+                total_polls += len(log)
+                log.clear()
+
+        # Arrival k fires at the chained float t[k] = t[k-1] + dt (never
+        # k * dt), exactly as per-arrival schedule_timer(dt) would; one
+        # extra no-op event past the last packet ends the stream.
+        next_index, next_time = 0, 0.0
+
+        def file_chunk():
+            nonlocal next_index, next_time
+            stop = min(next_index + chunk, offered + 1)
+            times = []
+            for _ in range(next_index, stop):
+                times.append(next_time)
+                next_time += interarrival
+            next_index = stop
+            sim.preschedule_timers(times[:-1], arrival)
+            sim.preschedule_timers(
+                times[-1:], end_of_chunk if stop <= offered else end_of_stream)
+
+        def end_of_chunk():
+            arrival()
+            replay()
+            file_chunk()
+
+        def end_of_stream():
             pass
 
-        # Bulk-file all arrivals first so they take sequence numbers
-        # 0..offered -- the same tie-break order vs the t=0 poll events
-        # that the scalar path's schedule(0.0, arrival) call produces.
-        # Splitting off the final event lets the hot closure skip the
-        # bounds check the scalar path pays per arrival.
-        if offered:
-            sim.preschedule_timers(times[:offered], arrival)
-        sim.preschedule_timers(times[offered:], final_arrival)
-
-        clock_hz = self.server.spec.clock_hz
-        # Every poll charges one of kp+1 possible cycle values; index 0
-        # is the empty poll.  Same multiplications/divisions the scalar
-        # loop performs, just done once.
-        cycles_for = [self.cost_model.empty_poll_cycles] + [
-            n * self.cycles_per_packet for n in range(1, self.kp + 1)]
-        delay_for = [cycles / clock_hz for cycles in cycles_for]
+        # The first chunk is filed before any poll, so arrival 0 wins the
+        # t=0 tie-break against the cores' first polls.
+        file_chunk()
         file_at = sim.timer_filer()
         kp = self.kp
-        log: List[tuple] = []
         log_append = log.append
 
         def make_poll_loop(queue, queue_index):
-            # The measured loop does only what changes simulated state:
-            # pop the burst, log one tuple, file the successor timer.
             pop_tokens = queue.pop_tokens
 
             def poll():
@@ -459,85 +389,12 @@ class TimedForwardingRun:
                 file_at(now + delay_for[n], poll)
             return poll
 
-        for index, (core, queue) in enumerate(self._assignments):
+        for index, queue in enumerate(queues):
             sim.schedule(0.0, make_poll_loop(queue, index))
         sim.run(until=duration_sec)
-
-        # -- deferred bookkeeping: replay the poll log in event order --
-        forwarded = 0
-        empty_polls = 0
-        charge_by = [core.charge for core, _ in self._assignments]
+        replay()
         if obs is not None:
-            tracer.seen = seen[0]
-            prof = obs.profiler
-            app_frame = getattr(self.app, "name", "app")
-            charge_app_by, charge_empty_by = [], []
-            busy_handles, empty_handles = [], []
-            occupancy_by, drops_by = [], []
-            label_by, poll_times_by = [], []
-            seen_drops = list(drops_start)
-            for index, (core, queue) in enumerate(self._assignments):
-                core_frame = "core%d" % core.core_id
-                charge_app_by.append(prof.bind(core_frame, app_frame)
-                                     if prof is not None else _noop_charge)
-                charge_empty_by.append(prof.bind(core_frame, "empty_poll")
-                                       if prof is not None else _noop_charge)
-                (inc_busy_cycles, inc_empty_cycles,
-                 inc_busy_polls, inc_empty_polls) = \
-                    obs.core_handles(core.core_id)
-                busy_handles.append((inc_busy_cycles, inc_busy_polls))
-                empty_handles.append((inc_empty_cycles, inc_empty_polls))
-                occupancy_by.append(obs.rxq_occupancy.bind(queue=str(index)))
-                drops_by.append(obs.rxq_drops.bind(queue=str(index)))
-                label_by.append(core_frame)
-                poll_times_by.append([])
-            charge_bus = obs.charge_bus
-            mem_b = per_packet_vec.mem_bytes
-            io_b = per_packet_vec.io_bytes
-            pcie_b = per_packet_vec.pcie_bytes
-            qpi_b = per_packet_vec.qpi_bytes
-            popped = [0] * n_queues
-            for qi, now, n, occupancy, dropped in log:
-                poll_times_by[qi].append(now)
-                cycles = cycles_for[n]
-                if n:
-                    forwarded += n
-                    charge_app_by[qi](cycles)
-                    inc_cycles, inc_polls = busy_handles[qi]
-                    inc_cycles(cycles)
-                    inc_polls()
-                    charge_bus(n * mem_b, n * io_b, n * pcie_b, n * qpi_b)
-                else:
-                    empty_polls += 1
-                    charge_empty_by[qi](cycles)
-                    inc_cycles, inc_polls = empty_handles[qi]
-                    inc_cycles(cycles)
-                    inc_polls()
-                charge_by[qi](cycles)
-                occupancy_by[qi](now, occupancy)
-                if dropped > seen_drops[qi]:
-                    drops_by[qi](now, dropped - seen_drops[qi])
-                    seen_drops[qi] = dropped
-                if n:
-                    end = popped[qi] + n
-                    popped[qi] = end
-                    my_pending = pending[qi]
-                    if my_pending and my_pending[0][0] < end:
-                        t_done = now + delay_for[n]
-                        while my_pending and my_pending[0][0] < end:
-                            _, trace = my_pending.popleft()
-                            trace.hop("poll", first_poll_after(
-                                poll_times_by[qi], trace.started, now))
-                            trace.hop("pickup", now)
-                            trace.hop(label_by[qi], now, note="forwarded")
-                            trace.hop("service_done", t_done)
-        else:
-            for qi, now, n, occupancy, dropped in log:
-                if n:
-                    forwarded += n
-                else:
-                    empty_polls += 1
-                charge_by[qi](cycles_for[n])
+            tracer.seen = first_seen + next(arrivals)
 
         dropped = sum(queue.dropped for queue in queues) - drops_before
         return TimedRunReport(
@@ -547,7 +404,7 @@ class TimedForwardingRun:
             duration_sec=duration_sec,
             packet_bytes=self.packet_bytes,
             empty_polls=empty_polls,
-            total_polls=len(log),
+            total_polls=total_polls,
             residual_backlog=sum(len(queue) for queue in queues),
         )
 
@@ -556,27 +413,35 @@ class TimedForwardingRun:
                             tolerance_bps: float = 0.25e9,
                             duration_sec: float = 2e-3) -> float:
         """Binary-search the maximum loss-free rate (the Sec. 5.1 metric)."""
-        if low_bps >= high_bps:
-            raise ConfigurationError("need low < high")
-        # A sustainable run may leave up to ~2 poll batches per queue.
-        max_backlog = 2 * self.kp * len(self._assignments)
-        while high_bps - low_bps > tolerance_bps:
-            mid = (low_bps + high_bps) / 2
-            report = self.run(mid, duration_sec=duration_sec)
-            if report.sustainable(max_backlog):
-                low_bps = mid
-            else:
-                high_bps = mid
-        return low_bps
+        return _find_loss_free_rate(
+            self, 2 * self.kp * len(self._assignments),
+            low_bps, high_bps, tolerance_bps, duration_sec)
+
+
+def _find_loss_free_rate(run, max_backlog: int, low_bps: float,
+                         high_bps: float, tolerance_bps: float,
+                         duration_sec: float) -> float:
+    """Bisect ``run.run`` for the highest sustainable offered rate.
+
+    ``max_backlog`` is what a sustainable run may leave queued: about
+    two poll batches per RX ring.
+    """
+    if low_bps >= high_bps:
+        raise ConfigurationError("need low < high")
+    while high_bps - low_bps > tolerance_bps:
+        mid = (low_bps + high_bps) / 2
+        if run.run(mid, duration_sec=duration_sec).sustainable(max_backlog):
+            low_bps = mid
+        else:
+            high_bps = mid
+    return low_bps
 
 
 def _element_cycles(element: Element, d_packets: int,
                     d_bytes: float) -> float:
     """CPU cycles for ``d_packets``/``d_bytes`` of new work on an element.
 
-    Exact for affine costs -- which also makes batch and scalar modes
-    charge identically: the deltas are integer packet/byte counts either
-    way.
+    Exact for affine costs: the deltas are integer packet/byte counts.
     """
     if d_packets <= 0:
         return 0.0
@@ -621,13 +486,6 @@ class TimedPipelineRun:
     devices, drives any Click ``Queue`` pulls, drains the TX rings, and
     charges the core the element-wise resource cost of the packets that
     actually moved.
-
-    ``batch=True`` drives each replica through
-    :meth:`~repro.click.elements.device.PollDevice.run_task_batch`, so a
-    poll burst traverses batch-native graph segments as one
-    :class:`~repro.net.batch.PacketBatch`.  Charging is unchanged -- it
-    reads the same integer packets_in/bytes_in deltas either way -- so
-    cycles, loads, and counters are identical between the modes.
     """
 
     def __init__(self, server: Server, config_text: str,
@@ -636,7 +494,6 @@ class TimedPipelineRun:
                  table=None, esp_context=None,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
                  replicas: Optional[int] = None,
-                 batch: bool = False,
                  metrics=None):
         from .pipelines import build_pipeline
         if not server.ports:
@@ -648,7 +505,6 @@ class TimedPipelineRun:
         self.kp = kp
         self.kn = kn
         self.cost_model = cost_model
-        self.batch = batch
         self.metrics = metrics
         queues_per_port = min(port.num_queues for port in server.ports)
         n_replicas = min(len(server.cores), queues_per_port)
@@ -727,9 +583,6 @@ class TimedPipelineRun:
             counters = {id(e): (e.packets_in, e.bytes_in)
                         for e in replica.elements}
             seen_drops = {id(d): d.queue.dropped for d in replica.polls}
-            poll_tasks = [(device.run_task_batch if self.batch
-                           else device.run_task)
-                          for device in replica.polls]
             core = replica.core
             core_frame = "core%d" % core.core_id
             empty_poll_cycles = self.cost_model.empty_poll_cycles
@@ -759,8 +612,8 @@ class TimedPipelineRun:
                     for device in replica.polls:
                         poll_times[id(device.queue)].append(sim.now)
                 moved = 0
-                for task in poll_tasks:
-                    moved += task()
+                for device in replica.polls:
+                    moved += device.run_task()
                 for queue, downstream in replica.pulls:
                     while True:
                         packet = queue.pull()
@@ -862,14 +715,6 @@ class TimedPipelineRun:
                             tolerance_bps: float = 0.25e9,
                             duration_sec: float = 2e-3) -> float:
         """Binary-search the maximum loss-free rate (the Sec. 5.1 metric)."""
-        if low_bps >= high_bps:
-            raise ConfigurationError("need low < high")
-        max_backlog = 2 * self.kp * len(self._rx_queues())
-        while high_bps - low_bps > tolerance_bps:
-            mid = (low_bps + high_bps) / 2
-            report = self.run(mid, duration_sec=duration_sec)
-            if report.sustainable(max_backlog):
-                low_bps = mid
-            else:
-                high_bps = mid
-        return low_bps
+        return _find_loss_free_rate(
+            self, 2 * self.kp * len(self._rx_queues()),
+            low_bps, high_bps, tolerance_bps, duration_sec)

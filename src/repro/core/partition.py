@@ -57,7 +57,7 @@ def empty_registry_like(registry: MetricsRegistry) -> MetricsRegistry:
 
 
 def checked_inputs(router, events, until, failed_links, faults,
-                   route_via_fib: bool = False):
+                   route_via_fib: bool = False, observed: bool = False):
     """The one input check behind ``simulate`` and ``simulate_parallel``.
 
     Returns ``(arrivals, failed_links, faults)``: ``events`` (realized
@@ -66,10 +66,20 @@ def checked_inputs(router, events, until, failed_links, faults,
     as it is consumed -- FIB-routed runs ignore ``egress`` --, the failed
     links as a checked tuple, and the fault schedule coerced from its
     dict form and validated against the cluster size.
+
+    ``observed`` says whether an enabled registry samples the run: with
+    ``router.resequence`` the observer tick and the resequencers' expiry
+    chain each re-arm while the other is pending, so that pair never
+    drains and needs a horizon.
     """
     from ..workloads.spec import WorkloadSpec
 
     n = router.num_nodes
+    if until is None and observed and router.resequence:
+        raise ConfigurationError(
+            "an observed resequencing run never drains (observer tick and "
+            "expiry chain keep each other armed); give it a horizon "
+            "(until=...) or a disabled registry")
     if isinstance(events, WorkloadSpec):
         workload = events
         if workload.matrix is None:

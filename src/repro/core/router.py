@@ -313,7 +313,8 @@ class RouteBricksRouter:
 
         registry = metrics if metrics is not None else active_registry()
         arrivals, failed_links, faults = checked_inputs(
-            self, events, until, failed_links, faults, route_via_fib)
+            self, events, until, failed_links, faults, route_via_fib,
+            observed=registry.enabled)
         part = self._whole_cluster_partition(
             registry,
             rate_limited_egress=rate_limited_egress,

@@ -46,7 +46,7 @@ class NicQueue:
         self.direction = direction
         self.capacity = capacity
         self._ring = deque()
-        #: Count-only occupancy used by the batch fast-path: descriptors
+        #: Count-only occupancy used by ``TimedForwardingRun``: descriptors
         #: whose payload nobody will inspect are tracked as an integer
         #: instead of ring entries, so push/pop are O(1) regardless of
         #: burst size.  ``__len__`` and the capacity check see the sum of

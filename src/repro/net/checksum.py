@@ -59,25 +59,6 @@ def incremental_checksum_update(checksum: int, old_word: int, new_word: int) -> 
     return (~total) & 0xFFFF
 
 
-def ttl_decrement_checksum_array(checksums, old_ttls, protos):
-    """Vectorized :func:`ttl_decrement_checksum` over numpy int arrays.
-
-    Integer-exact against the scalar form: the one's-complement sum of
-    three 16-bit terms is below ``0x30000``, so two folds always reduce
-    it to 16 bits.  Inputs may be any integer dtype; the result is int64.
-    """
-    import numpy as np
-
-    checksums = np.asarray(checksums, dtype=np.int64)
-    old_ttls = np.asarray(old_ttls, dtype=np.int64)
-    protos = np.asarray(protos, dtype=np.int64)
-    old_word = ((old_ttls & 0xFF) << 8) | (protos & 0xFF)
-    new_word = (((old_ttls - 1) & 0xFF) << 8) | (protos & 0xFF)
-    total = (~checksums & 0xFFFF) + (~old_word & 0xFFFF) + new_word
-    total = (total & 0xFFFF) + (total >> 16)
-    total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
 
 def ttl_decrement_checksum(checksum: int, old_ttl: int, proto: int) -> int:
     """Incrementally update an IPv4 checksum for a TTL decrement.

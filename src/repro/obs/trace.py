@@ -191,7 +191,7 @@ class TraceSampler:
         """Unconditionally start (and retain, capacity permitting) a trace.
 
         For callers that run the 1-in-``sample_every`` selection
-        themselves -- the batch arrival path keeps ``seen`` in a local
+        themselves -- ``TimedForwardingRun`` keeps ``seen`` in a local
         and only materializes a Packet for the slots this method would
         be called on, then writes the final count back to :attr:`seen`.
         The selection rule must match :meth:`maybe_start`'s (sample when

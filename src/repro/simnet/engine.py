@@ -216,9 +216,10 @@ class Simulator:
     def preschedule_timers(self, times, callback: Callable[[], None]) -> None:
         """Bulk-file fire-and-forget callbacks at ascending absolute times.
 
-        The batch arrival path schedules an entire run's worth of
-        identical arrival events up front, before :meth:`run` starts, so
-        the measured loop never pays ``schedule_timer`` per event.
+        ``TimedForwardingRun`` files its identical arrival events a chunk
+        at a time (the first before :meth:`run` starts, each later one
+        from the last arrival of the previous chunk), so the loop never
+        pays ``schedule_timer`` per arrival.
         ``times`` must be sorted ascending and at/after the current
         clock; each entry gets a fresh sequence number in list order, so
         execution order is exactly what per-event ``schedule_timer``
@@ -275,8 +276,8 @@ class Simulator:
     def timer_filer(self) -> Callable[[float, Callable[[], None]], None]:
         """A prebound ``file_at(time, callback)`` closure over the wheel.
 
-        The batch runners schedule one successor timer per poll from the
-        innermost loop; this closure is :meth:`schedule_timer_at` minus
+        ``TimedForwardingRun`` schedules one successor timer per poll from
+        its innermost loop; this closure is :meth:`schedule_timer_at` minus
         per-call attribute chasing and validation.  The caller must pass
         ``time >= now`` (poll delays are always positive).  Falls back to
         the full method while the quantum is still unknown -- the first

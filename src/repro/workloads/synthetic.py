@@ -5,12 +5,8 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..net.addresses import IPv4Address
-from ..net.batch import PacketBatch
-from ..net.headers import PROTO_UDP
 from ..net.packet import Packet
 from ..units import MIN_PACKET_BYTES
 
@@ -56,7 +52,6 @@ class FixedSizeWorkload(PacketSource):
                                 80 if i % 2 else 443))
         self._flow_seq = [0] * num_flows
         self._next_flow = 0
-        self._flow_columns = None  # cached (src, dst) uint32 flow arrays
 
     def mean_packet_bytes(self) -> float:
         return float(self.packet_bytes)
@@ -86,64 +81,19 @@ class FixedSizeWorkload(PacketSource):
             packet.flow_seq = flow_seq[index]
             yield packet
 
-    def packet_batch(self, count: int) -> PacketBatch:
-        """``count`` packets as one structure-of-arrays batch.
-
-        Produces the same flow sequence -- and leaves the workload's
-        flow/RNG state exactly where :meth:`packets` would have -- but
-        builds only numpy columns; real :class:`Packet` objects
-        materialize lazily (per row, on demand) with the same fields and
-        per-flow ``flow_seq`` the scalar generator would have assigned.
-        """
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        num_flows = len(self._flows)
-        flow_seq = self._flow_seq
+    def packet_at(self, position: int) -> Packet:
+        """The packet :meth:`packets` would yield ``position`` packets
+        from now -- same flow, same ``flow_seq`` -- without advancing the
+        workload.  Round-robin flow picking only: random picking has no
+        closed form for a position."""
         if self.randomize_flows:
-            # The RNG must advance once per packet, same as the scalar
-            # path, so random flow picking stays a Python loop.
-            idx = np.empty(count, dtype=np.int64)
-            seq = np.empty(count, dtype=np.int64)
-            randrange = self.rng.randrange
-            for i in range(count):
-                index = randrange(num_flows)
-                idx[i] = index
-                flow_seq[index] += 1
-                seq[i] = flow_seq[index]
-        else:
-            start = self._next_flow
-            positions = np.arange(count, dtype=np.int64)
-            idx = (start + positions) % num_flows
-            base = np.asarray(flow_seq, dtype=np.int64)
-            # Round-robin: flow f's k-th appearance is row f_pos + k*N,
-            # so its sequence number is base + row // N + 1.
-            seq = base[idx] + positions // num_flows + 1
-            for index, extra in enumerate(np.bincount(
-                    idx, minlength=num_flows).tolist()):
-                flow_seq[index] += extra
-            self._next_flow = (start + count) % num_flows
-        if self._flow_columns is None:
-            self._flow_columns = (
-                np.fromiter((flow[0].value for flow in self._flows),
-                            dtype=np.uint32, count=num_flows),
-                np.fromiter((flow[1].value for flow in self._flows),
-                            dtype=np.uint32, count=num_flows))
-        src_col, dst_col = self._flow_columns
-        length = self.packet_bytes
-        flows = self._flows
-
-        def materialize(i: int) -> Packet:
-            src, dst, sport, dport = flows[int(idx[i])]
-            packet = Packet.udp(src, dst, length=length,
-                                src_port=sport, dst_port=dport)
-            packet.flow_seq = int(seq[i])
-            return packet
-
-        return PacketBatch.from_columns(
-            lengths=np.full(count, length, dtype=np.int64),
-            dst=dst_col[idx], src=src_col[idx],
-            ttl=np.full(count, 64, dtype=np.int16),
-            proto=np.full(count, PROTO_UDP, dtype=np.int16),
-            total_length=np.full(count, max(length - 14, 20),
-                                 dtype=np.int32),
-            materialize=materialize)
+            raise ConfigurationError(
+                "packet_at needs round-robin flows (randomize_flows=False)")
+        num_flows = len(self._flows)
+        index = (self._next_flow + position) % num_flows
+        src, dst, sport, dport = self._flows[index]
+        packet = Packet.udp(src, dst, length=self.packet_bytes,
+                            src_port=sport, dst_port=dport)
+        # Flow ``index`` comes round once per ``num_flows`` packets.
+        packet.flow_seq = self._flow_seq[index] + position // num_flows + 1
+        return packet

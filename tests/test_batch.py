@@ -1,11 +1,23 @@
-"""Batch-native dataplane: PacketBatch semantics, scalar/batch
-equivalence across every preset pipeline, and drop accounting.
+"""The poll-batched dataplane, pinned against the per-packet loops.
 
-The equivalence tests are the contract the fast path lives under:
-``batch=True`` may only change wall-clock time.  Every forwarded/dropped
-count, per-element counter, and compiled load vector must be *equal*
-(integers) or byte-identical (floats follow the same operation chains).
+Until a734422 every timed run and element graph had a second "batch"
+code path held in lockstep by live scalar==batch twins.  The twins are
+gone with the switch; what replaces them is
+``tests/data/timed_run_goldens.json``, **recorded at a734422 from the
+per-packet loops** (``batch=False``, the default).  The surviving
+``TimedForwardingRun.run`` (token rings + chunked log-and-replay) and
+``TimedPipelineRun.run`` must reproduce every report scalar, per-core
+cycle total, registry snapshot, and trace hop bit for bit -- do not
+regenerate the file to make a refactor pass.
+
+The per-packet drop-accounting and scheduler-round checks that sat
+beside the twins stay here.
 """
+
+import hashlib
+import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -23,92 +35,169 @@ from repro.click.simrun import TimedForwardingRun, TimedPipelineRun
 from repro.costs import compile_loads
 from repro.hw import nehalem_server
 from repro.net import Packet
-from repro.net.batch import NO_PAINT, PacketBatch
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 PACKET_BYTES = 64
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "timed_run_goldens.json").read_text())
 
 
 def _udp(dst="10.1.0.5", length=64, ttl=64):
     return Packet.udp("192.168.0.1", dst, length=length, ttl=ttl)
 
 
-class _ScalarSink(Element):
-    """A sink with no batch override: batches reaching it go through the
-    base-class fallback, which syncs column mutations into the packets."""
-
-    n_outputs = 0
-
-    def process(self, packet: Packet, port: int) -> None:
-        self.drop(packet, "sink")
+def _sha256(value):
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
-# -- PacketBatch unit tests --------------------------------------------------
+def _report_scalars(report):
+    return {"offered": report.offered_packets,
+            "forwarded": report.forwarded_packets,
+            "dropped": report.dropped_packets,
+            "empty_polls": report.empty_polls,
+            "total_polls": report.total_polls,
+            "residual_backlog": report.residual_backlog,
+            "achieved_bps": report.achieved_bps}
 
-class TestPacketBatch:
-    def test_from_packets_gathers_columns(self):
-        packets = [_udp(dst="10.%d.0.1" % i, length=64 + i, ttl=10 + i)
-                   for i in range(4)]
-        batch = PacketBatch.from_packets(packets)
-        assert len(batch) == 4
-        assert batch.total_bytes == sum(p.length for p in packets)
-        assert list(batch.lengths) == [p.length for p in packets]
-        assert list(batch.ttl) == [p.ip.ttl for p in packets]
-        assert list(batch.dst) == [p.ip.dst.value for p in packets]
-        assert batch.has_ip.all()
 
-    def test_non_ip_rows_zeroed(self):
-        batch = PacketBatch.from_packets([_udp(), Packet(length=64)])
-        assert list(batch.has_ip) == [True, False]
-        assert batch.dst[1] == 0
+# -- TimedForwardingRun vs the per-packet loop -------------------------------
 
-    def test_packet_returns_underlying_object(self):
-        packets = [_udp(), _udp()]
-        batch = PacketBatch.from_packets(packets)
-        assert batch.packet(1) is packets[1]
-        assert batch.materialize_all() == packets
+#: Table 1's (kp, kn) rows with the paper's loss-free rate, each offered
+#: under, at, and over that rate ...
+_TABLE1 = {"kp1_kn1": (1, 1, 1.46e9), "kp32_kn1": (32, 1, 4.97e9),
+           "kp32_kn16": (32, 16, 9.77e9)}
+_LOADS = {"under": 0.5, "near": 1.0, "over": 1.5}
+FORWARDING_CASES = {
+    "%s_%s" % (row, load): (kp, kn, rate * factor, 1e-3)
+    for row, (kp, kn, rate) in _TABLE1.items()
+    for load, factor in _LOADS.items()}
+# ... plus horizons too short for more than 0, 1 or 2 arrivals (the
+# end-of-stream edge: 64 B at 1 Gbps is one packet per 512 ns).
+FORWARDING_CASES.update({
+    "offered_%d" % n: (32, 16, 1e9, (n + 0.5) * 512e-9) for n in (0, 1, 2)})
+# The scenario the live scalar==batch twin used to run.
+FORWARDING_CASES["legacy_twin"] = (32, 16, 5e9, 1e-3)
 
-    def test_select_by_mask_preserves_order(self):
-        packets = [_udp(length=64 + i) for i in range(5)]
-        batch = PacketBatch.from_packets(packets)
-        sub = batch.select(batch.lengths >= 66)
-        assert list(sub.lengths) == [66, 67, 68]
-        assert sub.packet(0) is packets[2]
 
-    def test_sync_flushes_ip_columns(self):
-        packets = [_udp(ttl=9), _udp(ttl=5)]
-        batch = PacketBatch.from_packets(packets)
-        batch.ttl -= 1
-        batch.checksum[:] = 7
-        batch.mark_ip_dirty()
-        out = batch.sync()
-        assert [p.ip.ttl for p in out] == [8, 4]
-        assert all(p.ip.checksum == 7 for p in out)
+def _snapshot_digest(registry):
+    """sha256 of the full-resolution snapshot minus wall-clock time.
+    Trace packet ids become ranks: the id counter is process-global and
+    counts every ``Packet`` built, which is not a simulated quantity
+    (the per-packet loop built one per arrival, the token rings build
+    one per *sampled* arrival)."""
+    snap = json.loads(json.dumps(
+        registry.snapshot(max_bins=1 << 30, max_traces=1 << 30)))
+    snap["counters"].pop("engine_wall_seconds", None)
+    paths = snap["traces"]["paths"]
+    rank = {pid: i for i, pid in enumerate(
+        sorted(p["packet_id"] for p in paths))}
+    for p in paths:
+        p["packet_id"] = rank[p["packet_id"]]
+    return _sha256(snap)
 
-    def test_sync_flushes_paint_annotation(self):
-        packets = [_udp(), _udp()]
-        batch = PacketBatch.from_packets(packets)
-        paint = batch.paint_column()
-        assert (paint == NO_PAINT).all()
-        paint[1] = 3
-        batch.sync()
-        assert "paint" not in packets[0].annotations
-        assert packets[1].annotations["paint"] == 3
 
-    def test_from_columns_materializes_lazily(self):
-        made = []
+def observe_forwarding(case, observed=True, **run_kwargs):
+    kp, kn, offered_bps, duration_sec = FORWARDING_CASES[case]
+    registry = (MetricsRegistry(enabled=True, trace_sample_every=16,
+                                profile=True)
+                if observed else MetricsRegistry(enabled=False))
+    server = nehalem_server()
+    run = TimedForwardingRun(server, packet_bytes=PACKET_BYTES, kp=kp,
+                             kn=kn, metrics=registry, **run_kwargs)
+    report = run.run(offered_bps, duration_sec=duration_sec, seed=3)
+    state = {"report": _report_scalars(report),
+             "core_cycles": [core.cycles_used for core in server.cores]}
+    if observed:
+        tracer = registry.tracer
+        hops = [[[hop.site, hop.time, hop.note] for hop in trace.hops]
+                for trace in tracer.traces]
+        state.update(snapshot_sha256=_snapshot_digest(registry),
+                     tracer=[tracer.seen, tracer.sampled],
+                     first_trace_hops=hops[0] if hops else [],
+                     hops_sha256=_sha256(hops))
+    return state
 
-        def materialize(i):
-            made.append(i)
-            return _udp(length=100 + i)
 
-        batch = PacketBatch.from_columns(
-            lengths=[100, 101], dst=[1, 2], src=[3, 4], ttl=[64, 64],
-            proto=[17, 17], total_length=[86, 87],
-            materialize=materialize)
-        assert made == []
-        assert batch.packet(1).length == 101
-        assert made == [1]
+# (legacy_twin runs observed in the named test below.)
+@pytest.mark.parametrize("case",
+                         sorted(set(FORWARDING_CASES) - {"legacy_twin"}))
+def test_forwarding_run_matches_per_packet_golden(case):
+    assert observe_forwarding(case) == GOLDEN["forwarding"][case]
+
+
+@pytest.mark.parametrize("case", sorted(FORWARDING_CASES))
+def test_forwarding_run_unobserved_matches_golden(case):
+    golden = GOLDEN["forwarding"][case]
+    state = observe_forwarding(case, observed=False)
+    assert state == {"report": golden["report"],
+                     "core_cycles": golden["core_cycles"]}
+
+
+def test_forwarding_run_bit_identical_under_observability():
+    """The old twin's scenario, now against the recorded per-packet run
+    (and actually forwarding, under- and over-load alike)."""
+    golden = GOLDEN["forwarding"]["legacy_twin"]
+    assert observe_forwarding("legacy_twin") == golden
+    assert golden["report"]["forwarded"] > 0
+    assert golden["tracer"][1] > 0 and golden["first_trace_hops"]
+    assert GOLDEN["forwarding"]["kp32_kn16_over"]["report"]["dropped"] > 0
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_batch_keyword_is_accepted_and_ignored(flag):
+    """``perfbench`` still passes ``batch=``; it selects nothing."""
+    assert (observe_forwarding("kp32_kn16_near", batch=flag)
+            == GOLDEN["forwarding"]["kp32_kn16_near"])
+    assert "batch" not in vars(TimedForwardingRun(nehalem_server(),
+                                                  batch=flag))
+
+
+def test_forwarding_run_memory_is_bounded_by_the_chunk():
+    """Arrivals are filed -- and the poll log replayed -- a chunk at a
+    time, so a saturated run holds one chunk, not the whole horizon
+    (the unbounded log-and-replay peaked at 9.3 MiB here, the per-packet
+    loop at 2.6)."""
+    run = TimedForwardingRun(nehalem_server(), packet_bytes=PACKET_BYTES,
+                             kp=32, kn=16,
+                             metrics=MetricsRegistry(enabled=False))
+    tracemalloc.start()
+    try:
+        report = run.run(15.25e9, duration_sec=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.offered_packets > 29000
+    assert peak < 3 * 2 ** 20
+
+
+# -- TimedPipelineRun vs its recording ---------------------------------------
+
+def observe_pipeline(preset):
+    server = nehalem_server(num_ports=1, queues_per_port=2)
+    run = TimedPipelineRun(server, preset, packet_bytes=PACKET_BYTES,
+                           kp=8, kn=4)
+    report = run.run(4e9, duration_sec=1e-3, seed=1)
+    counters = {}
+    for index, replica in enumerate(run.replicas):
+        for element in replica.elements:
+            counters["%d/%s" % (index, element.name)] = [
+                element.packets_in, element.bytes_in,
+                element.packets_out, element.packets_dropped]
+    loads = compile_loads(run.replicas[0].graph, packet_bytes=PACKET_BYTES)
+    return {"report": _report_scalars(report),
+            "element_counters": counters,
+            "compile_loads": [loads.cpu_cycles, loads.mem_bytes,
+                              loads.io_bytes, loads.pcie_bytes,
+                              loads.qpi_bytes],
+            "core_cycles": [core.cycles_used for core in server.cores]}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_PIPELINES))
+def test_preset_pipeline_matches_per_packet_golden(preset):
+    golden = GOLDEN["pipeline"][preset]
+    assert observe_pipeline(preset) == golden
+    assert golden["report"]["forwarded"] > 0
 
 
 # -- drop accounting ---------------------------------------------------------
@@ -130,29 +219,23 @@ class TestDropAccounting:
         (key, count), = series.items()
         assert "invalid_header" in key and count == 1
 
-    def test_batch_drop_matches_scalar(self):
-        def feed(batched):
-            registry = MetricsRegistry(enabled=True)
-            with use_registry(registry):
-                check = CheckIPHeader()
-            check.connect_to(Discard())
-            packets = [self._bad(), _udp(), self._bad(), _udp(ttl=0)]
-            if batched:
-                check.receive_batch(PacketBatch.from_packets(packets), 0)
-            else:
-                for packet in packets:
-                    check.receive(packet)
-            return (check.packets_in, check.packets_dropped, check.invalid,
-                    registry._metrics["element_drops"].series())
-
-        assert feed(batched=False) == feed(batched=True)
-        assert feed(batched=True)[1] == 3
+    def test_burst_drops_count_per_packet(self):
+        registry = MetricsRegistry(enabled=True)
+        with use_registry(registry):
+            check = CheckIPHeader()
+        check.connect_to(Discard())
+        for packet in [self._bad(), _udp(), self._bad(), _udp(ttl=0)]:
+            check.receive(packet)
+        assert (check.packets_in, check.packets_dropped,
+                check.invalid) == (4, 3, 3)
+        (key, count), = registry._metrics["element_drops"].series().items()
+        assert "invalid_header" in key and count == 3
 
 
-# -- scheduler batch rounds --------------------------------------------------
+# -- scheduler rounds --------------------------------------------------------
 
-class TestSchedulerBatchRounds:
-    def _forwarding(self):
+class TestSchedulerRounds:
+    def test_rounds_move_and_charge_the_burst(self):
         server = nehalem_server(num_ports=2, queues_per_port=8)
         scheduler = Scheduler()
         thread = scheduler.spawn(server.cores[0])
@@ -161,99 +244,25 @@ class TestSchedulerBatchRounds:
         poll.connect_to(to_dev)
         thread.add_poll_task(poll)
         thread.own(to_dev)
-        return server, scheduler, poll, to_dev
-
-    def test_batch_round_matches_scalar(self):
-        results = {}
-        for batch in (False, True):
-            server, scheduler, poll, to_dev = self._forwarding()
-            for _ in range(10):
-                server.port(0).rx_queues[0].push(_udp())
-            moved = scheduler.run_rounds(2, batch=batch)
-            results[batch] = (moved, poll.packets_in, poll.bytes_in,
-                              poll.empty_polls, len(to_dev.drain()),
-                              server.cores[0].cycles_used)
-        assert results[False] == results[True]
-        assert results[True][0] == 10
+        for _ in range(10):
+            server.port(0).rx_queues[0].push(_udp())
+        moved = scheduler.run_rounds(2)
+        assert [moved, poll.packets_in, poll.bytes_in, poll.empty_polls,
+                len(to_dev.drain()), server.cores[0].cycles_used
+                ] == GOLDEN["scheduler_rounds"]
+        assert moved == 10
 
 
-# -- scalar/batch equivalence over every preset pipeline ---------------------
+def test_paint_annotates_every_packet():
+    class Sink(Element):
+        n_outputs = 0
 
-def _pipeline_state(preset, batch):
-    server = nehalem_server(num_ports=1, queues_per_port=2)
-    run = TimedPipelineRun(server, preset, packet_bytes=PACKET_BYTES,
-                           kp=8, kn=4, batch=batch)
-    report = run.run(4e9, duration_sec=1e-3, seed=1)
-    counters = {}
-    for index, replica in enumerate(run.replicas):
-        for element in replica.elements:
-            counters[(index, element.name)] = (
-                element.packets_in, element.bytes_in,
-                element.packets_out, element.packets_dropped)
-    loads = compile_loads(run.replicas[0].graph, packet_bytes=PACKET_BYTES)
-    cycles = [core.cycles_used for core in server.cores]
-    return (report.offered_packets, report.forwarded_packets,
-            report.dropped_packets, report.empty_polls, report.total_polls,
-            report.residual_backlog), counters, loads, cycles
+        def process(self, packet, port):
+            self.drop(packet, "sink")
 
-
-@pytest.mark.parametrize("preset", sorted(PRESET_PIPELINES))
-def test_preset_pipeline_scalar_batch_equivalence(preset):
-    scalar = _pipeline_state(preset, batch=False)
-    batched = _pipeline_state(preset, batch=True)
-    assert scalar[0] == batched[0]   # report scalars
-    assert scalar[1] == batched[1]   # every per-element counter
-    assert scalar[2] == batched[2]   # compiled load vector
-    assert scalar[3] == batched[3]   # per-core cycle charges
-    assert scalar[0][1] > 0          # and the run actually forwarded
-
-
-# -- forwarding-loop bit-identity (the obs fast path) ------------------------
-
-def _forwarding_state(batch):
-    registry = MetricsRegistry(enabled=True)
-    server = nehalem_server()
-    run = TimedForwardingRun(server, packet_bytes=PACKET_BYTES,
-                             kp=32, kn=16, batch=batch, metrics=registry)
-    report = run.run(5e9, duration_sec=1e-3, seed=3)
-    snapshot = {}
-    for name, metric in sorted(registry._metrics.items()):
-        if name == "engine_wall_seconds":
-            continue  # the only number allowed to differ
-        if hasattr(metric, "series"):
-            snapshot[name] = metric.series()
-        else:  # Timeline
-            snapshot[name] = {key: series.bins
-                              for key, series in metric._series.items()}
-    tracer = registry.tracer
-    hops = [[(hop.site, hop.time, hop.note) for hop in trace.hops]
-            for trace in tracer.traces]
-    return ((report.offered_packets, report.forwarded_packets,
-             report.dropped_packets, report.empty_polls, report.total_polls,
-             report.residual_backlog, report.achieved_bps),
-            snapshot, (tracer.seen, tracer.sampled), hops,
-            [core.cycles_used for core in server.cores])
-
-
-def test_forwarding_run_bit_identical_under_observability():
-    scalar = _forwarding_state(batch=False)
-    batched = _forwarding_state(batch=True)
-    assert scalar == batched
-    assert scalar[0][1] > 0
-
-
-def test_batch_paint_column_equals_scalar_annotation():
-    """A Paint->CheckIPHeader chain run as columns leaves the same
-    annotations the scalar chain writes."""
-    def run(batched):
-        paint = Paint(5)
-        paint.connect_to(_ScalarSink())
-        packets = [_udp(), _udp()]
-        if batched:
-            paint.receive_batch(PacketBatch.from_packets(packets), 0)
-        else:
-            for packet in packets:
-                paint.receive(packet)
-        return [p.annotations.get("paint") for p in packets]
-
-    assert run(batched=False) == run(batched=True) == [5, 5]
+    paint = Paint(5)
+    paint.connect_to(Sink())
+    packets = [_udp(), _udp()]
+    for packet in packets:
+        paint.receive(packet)
+    assert [p.annotations.get("paint") for p in packets] == [5, 5]

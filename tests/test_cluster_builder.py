@@ -19,9 +19,9 @@ from repro.control import run_churn
 from repro.control.runner import announce_rib, build_cluster
 from repro.core import RouteBricksRouter
 from repro.core.partition import PartitionFragment, merge_fragments
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FaultSchedule
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.workloads import FlowGenerator, WorkloadSpec
 from repro.workloads.matrices import uniform_matrix
 
@@ -102,10 +102,11 @@ def _bursty_trace():
 
 def _resequenced_replay():
     """``replay_pair`` runs open-ended (``until=None``).  Observation
-    stays off here: the observer tick and the resequencer's expiry chain
-    each re-arm while the other is pending, so an observed open-ended
-    resequencing run never drains (``_resequenced_observed`` pins the
-    instrumented resequencer under a horizon instead)."""
+    stays off here: an observed open-ended resequencing run would never
+    drain, so it is refused (see
+    ``test_observed_open_ended_resequencing_is_refused``);
+    ``_resequenced_observed`` pins the instrumented resequencer under a
+    horizon instead."""
     report = _reorder_prone_router().replay_pair(_bursty_trace())
     return report, MetricsRegistry(enabled=False), {}
 
@@ -385,6 +386,19 @@ def test_scenarios_exercise_what_they_pin():
     assert churn["scalars"]["fib_miss"] > 0
     assert churn["extra"]["updates_applied"] > 0
     assert churn["extra"]["consistent"]
+
+
+def test_observed_open_ended_resequencing_is_refused():
+    """The observer tick and the resequencers' expiry chain each re-arm
+    while the other is pending; without a horizon that pair used to run
+    until the OOM killer.  It is a ConfigurationError now, raised before
+    anything is built, on both open-ended entry points."""
+    router = _reorder_prone_router()
+    with pytest.raises(ConfigurationError, match="give it a horizon"):
+        router.simulate(iter(()), metrics=_registry())
+    with use_registry(_registry()):
+        with pytest.raises(ConfigurationError, match="give it a horizon"):
+            router.replay_pair(_bursty_trace())
 
 
 class TestConservationSelfCheck:

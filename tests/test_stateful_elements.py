@@ -1,8 +1,8 @@
-"""Click stateful elements: scalar/batch equivalence, verdicts, config.
+"""Click stateful elements: determinism, verdicts, config.
 
-Every stateful element must behave identically whether packets arrive
-one at a time or as a PacketBatch -- same pushes, same drops (and drop
-causes), same flow-table end state.
+Every stateful element is a pure function of the packet stream: the
+same stream gives the same pushes, drops (and drop causes) and
+flow-table end state.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.click.elements.stateful import (
     TokenBucketPolicer,
 )
 from repro.net import Packet
-from repro.net.batch import PacketBatch
 
 SEED = 20090917
 
@@ -61,15 +60,12 @@ def _element(kind):
     return L4LoadBalancer(n=3)
 
 
-def _run(kind, batched, packets):
+def _run(kind, packets):
     element = _element(kind)
     sinks = [element.connect_to(_Sink("sink%d" % i), output=i)
              for i in range(element.n_outputs)]
-    if batched:
-        element.receive_batch(PacketBatch.from_packets(packets))
-    else:
-        for packet in packets:
-            element.receive(packet)
+    for packet in packets:
+        element.receive(packet)
     counters = (element.packets_in, element.bytes_in,
                 element.packets_out, element.packets_dropped)
     # packet_ids are globally fresh per run; compare stream *positions*.
@@ -79,14 +75,16 @@ def _run(kind, batched, packets):
 
 
 @pytest.mark.parametrize("kind", ["nat", "firewall", "policer", "lb"])
-def test_scalar_batch_equivalence(kind):
-    """Same pushes, drops, and end state on both paths -- including the
-    packet *identities* each output saw."""
-    scalar = _run(kind, False, _stream())
-    batched = _run(kind, True, _stream())
-    assert scalar == batched
-    assert scalar[0][0] == 60          # everything arrived
-    assert scalar[2]                   # and left state behind
+def test_stream_outcome_is_reproducible(kind):
+    """Same pushes, drops, and end state for the same stream -- including
+    the packet *positions* each output saw."""
+    first = _run(kind, _stream())
+    assert first == _run(kind, _stream())
+    counters, seen, _ = first
+    assert counters[0] == 60           # everything arrived ...
+    assert counters[2] + counters[3] == 60  # ... and was pushed or dropped
+    assert sum(len(s) for s in seen) == counters[2]
+    assert first[2]                    # and left state behind
 
 
 class TestNat:
