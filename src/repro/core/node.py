@@ -12,7 +12,7 @@ spreading) is available for the ablation the paper reports (5.5 % vs
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..net.packet import Packet
@@ -55,6 +55,10 @@ class ClusterNode:
         #: False once the server has crashed: every packet that touches
         #: the node (arriving, queued, or scheduled inside it) is lost.
         self.alive = True
+        #: This server's own ``(time, alive)`` transitions, so a delivery
+        #: applied late (:meth:`Simulator.run_as_of`) can ask what
+        #: ``alive`` was at its timestamp.  Empty without faults.
+        self._transitions: List[Tuple[float, bool]] = []
         #: Next hops this node considers unreachable (failed peers or
         #: cables); path choice routes around them with purely local
         #: information, as VLB permits.
@@ -125,6 +129,7 @@ class ClusterNode:
         lost (counted here); anything later scheduled inside the node is
         dropped on arrival.  Returns the number of packets flushed."""
         self.alive = False
+        self._transitions.append((self.sim.now, False))
         flushed = 0
         for link in self.links.values():
             flushed += link.flush()
@@ -137,10 +142,20 @@ class ClusterNode:
         """Bring a crashed server back (state, e.g. flowlets, is fresh --
         a rebooted server remembers nothing)."""
         self.alive = True
+        self._transitions.append((self.sim.now, True))
         if self.flowlets is not None:
             self.flowlets = FlowletTable(
                 delta_sec=self.flowlets.delta_sec,
                 max_entries=self.flowlets.max_entries)
+
+    def alive_at(self, time: float) -> bool:
+        """Was this server up as of ``time``?  A transition at exactly
+        ``time`` counts: fault events are armed before any traffic, so
+        the single-heap engine runs them first among equal times."""
+        for when, alive in reversed(self._transitions):
+            if when <= time:
+                return alive
+        return True
 
     # -- path choice ----------------------------------------------------------
 
@@ -262,7 +277,11 @@ class ClusterNode:
 
     def receive_internal(self, packet: Packet) -> None:
         """A packet arrives on an internal link."""
-        if not self.alive:
+        # The one receive path, on time or late: a late delivery runs
+        # with ``sim.now`` at its timestamp and must see the liveness of
+        # that moment, not of the partition clock.
+        if not (self.alive_at(self.sim.now) if self._transitions
+                else self.alive):
             # In-flight delivery to a crashed server: lost.
             self._count_drop("dead_receiver")
             return

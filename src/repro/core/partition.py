@@ -36,7 +36,8 @@ from ..simnet.links import Link
 from ..simnet.partition import Partition
 from ..simnet.rng import node_seeds
 from ..simnet.stats import Histogram
-from ..units import to_usec
+from ..units import to_usec, usec
+from .latency import server_latency_usec
 from .node import ClusterNode
 from .reordering import ReorderingMeter
 from .resequencer import Resequencer
@@ -218,7 +219,14 @@ class ClusterPartition(Partition):
         self.spec = spec
         registry = self.registry = spec.registry
         super().__init__(spec.partition_id, seed=router.seed,
-                         metrics=registry)
+                         metrics=registry, assignment=spec.assignment)
+        # What ClusterNode.receive_internal waits before doing anything
+        # another event can see -- from the same calls it makes, so the
+        # window cannot drift from the model (and if it did, the late
+        # delivery's run_as_of raises).
+        self.receive_delay_sec = usec(min(
+            server_latency_usec("intermediate"),
+            server_latency_usec("output")))
         sim = self.sim
         n = router.num_nodes
         seeds = node_seeds(router.seed, n)
@@ -439,12 +447,15 @@ class ClusterPartition(Partition):
             if node.flowlets is not None:
                 frag.flowlet_switches += node.flowlets.switches
                 frag.flowlet_spills += node.flowlets.spills
+        frag.events_run = self.sim.events_run
         if self.injector is not None:
             log = self.injector.log
             frag.fault_events = log.events_applied
             frag.fault_flushed_packets = log.flushed_packets
             frag.convergence = list(log.convergence)
-        frag.events_run = self.sim.events_run
+            # Node events a non-owner injector ran only to keep its
+            # books: without them the merged count is the single heap's.
+            frag.events_run -= log.shadow_events
         if self.registry.enabled:
             frag.registry = self.registry
         return frag

@@ -155,8 +155,8 @@ class RouteBricksRouter:
         self.nic_effective_bps = nic_effective_bps
         self.link_busy_threshold_sec = link_busy_threshold_sec
         self.seed = seed
-        #: Cable propagation delay on every internal link; it is also the
-        #: conservative-lookahead window of a partitioned run (see
+        #: Cable propagation delay on every internal link; it is also one
+        #: term of a partitioned run's conservative-lookahead window (see
         #: :mod:`repro.parallel`), since cross-partition packets cannot
         #: arrive sooner than this after leaving their source.
         self.propagation_sec = propagation_sec

@@ -74,6 +74,10 @@ class FaultLog(RunResult):
 
     events_applied: int = 0
     flushed_packets: int = 0
+    #: Node events (and their peer detections) run for a node that lives
+    #: in another partition: bookkeeping the owner's injector also runs,
+    #: so a sharded run subtracts them from its event count.
+    shadow_events: int = 0
     applied: List[FaultEvent] = field(default_factory=list)
     convergence: List[ConvergenceRecord] = field(default_factory=list)
 
@@ -98,6 +102,10 @@ class FaultInjector:
     * Peer detection (``failed_hops`` updates after the detection
       latency) runs on every injector for its *own* nodes, which together
       cover the whole peer set.
+    * A node event and its peer detection are one event each in a single
+      heap but one per partition in a sharded run; the non-owners' copies
+      are counted in ``log.shadow_events`` so the run can report the
+      single heap's ``events_run``.
     """
 
     def __init__(self, sim, nodes, schedule: FaultSchedule,
@@ -145,6 +153,8 @@ class FaultInjector:
         if self._owns(event):
             self.log.events_applied += 1
             self.log.applied.append(event)
+        else:
+            self.log.shadow_events += 1
 
     # -- handlers ------------------------------------------------------------
 
@@ -181,7 +191,13 @@ class FaultInjector:
         plane (if any) reacts a FIB push later."""
         failed_at = self.sim.now
         detect = self.detection_latency_sec
-        self.sim.schedule(detect, peers_detect)
+
+        def detected():
+            peers_detect()
+            if node_id not in self.nodes:
+                self.log.shadow_events += 1
+
+        self.sim.schedule(detect, detected)
         if self.manager is not None:
             self.sim.schedule(
                 detect + self.fib_push_latency_sec,

@@ -4,34 +4,39 @@
 :class:`~repro.core.router.RouteBricksRouter` cluster across
 ``workers`` partitions and runs them in lock-stepped epochs:
 
-1. ``m`` = earliest pending event time across every partition (counting
-   transit records not yet injected);
+1. ``m`` = the later of the partitions' clock and the earliest pending
+   event time across every partition (counting transit records not yet
+   injected);
 2. the epoch ends at ``min(m + W, next observer tick, horizon)`` where
-   ``W`` is the minimum cross-link propagation delay -- any cross-partition
-   send committed during the epoch delivers strictly after it (its
-   delivery time is its send time plus serialization plus at least
-   ``W``), so no partition can receive a message from its past;
-3. every partition advances to the epoch end, producing transit records;
-4. the parent routes the records to their destination partitions, where
-   they are sorted by the full ``(deliver_time, send_time, src_node,
-   seq)`` key and injected as future events before the next epoch.
+   ``W`` is the minimum cross-link propagation delay plus the minimum
+   receive-side server latency -- a cross-partition send committed during
+   the epoch may deliver inside it, but a delivery does nothing another
+   event can observe until the receiving server's latency has passed,
+   which is strictly after the epoch (send time plus serialization plus
+   at least ``W``);
+3. every partition advances to the epoch end, producing transit records
+   packed as one opaque parcel per destination partition;
+4. the parent routes the parcels by their headers, never decoding them;
+   the destination sorts the records by the full ``(deliver_time,
+   send_time, src_node, seq)`` key and, before the next epoch, schedules
+   those still ahead of its clock and applies those behind it as of
+   their timestamp (``Simulator.run_as_of``, which raises if ``W`` was
+   too large).
 
 Epoch boundaries are forced onto the observer's tick grid (computed by
 the same cumulative float addition the in-queue tick chain performs), so
 barrier-sampled partitions observe their links at exactly the timestamps
 the single-sim observer would have used.
 
-Two backends share this loop: ``"inline"`` runs every partition in the
-parent process (records still make a pickle round-trip, so inline and
-process runs execute identically), ``"process"`` gives each partition a
-dedicated worker process that keeps its simulation state alive between
-epochs.  Results merge in partition-id order either way, which makes the
-outcome independent of worker scheduling.
+Two backends share this loop and the parcel path: ``"inline"`` runs
+every partition in the parent process, ``"process"`` gives each
+partition a dedicated worker process that keeps its simulation state
+alive between epochs.  Results merge in partition-id order either way,
+which makes the outcome independent of worker scheduling.
 """
 
 from __future__ import annotations
 
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter, process_time
@@ -87,24 +92,24 @@ def _tick_grid(interval: float, horizon: float) -> List[float]:
 #
 # Each partition gets its own single-process pool; the partition object
 # lives in that process's module global between epoch calls.  Everything
-# crossing the boundary (spec, transit records, fragments) is picklable.
+# crossing the boundary (spec, parcels, fragments) is picklable.
 
 _WORKER: Optional[ClusterPartition] = None
 
 
-def _advance(part: ClusterPartition, until: float, records,
+def _advance(part: ClusterPartition, until: float, parcels,
              keep_alive: bool, sample: bool):
     """One partition's epoch: take delivery, run to the barrier, report
-    (outbox, next pending time, CPU seconds spent advancing)."""
+    (parcels by destination partition, next pending time, CPU seconds
+    spent on delivery and advancing)."""
     part.keep_alive = keep_alive
-    if records:
-        part.inject(records)
     start = process_time()
-    outbox = part.advance(until)
+    part.inject(parcels)
+    outgoing = part.advance(until)
     busy = process_time() - start
     if sample:
         part.sample_barrier()
-    return outbox, part.peek_time(), busy
+    return outgoing, part.peek_time(), busy
 
 
 def _worker_init(spec: PartitionSpec):
@@ -123,9 +128,7 @@ def _worker_finish() -> PartitionFragment:
 
 class _InlineBackend:
     """All partitions in the parent process (debugging, determinism
-    tests, and ``workers`` > cores).  Transit records still make a
-    pickle round-trip so execution is bit-identical to the process
-    backend."""
+    tests, and ``workers`` > cores)."""
 
     def __init__(self, specs: List[PartitionSpec]):
         self.partitions = [ClusterPartition(spec) for spec in specs]
@@ -134,9 +137,7 @@ class _InlineBackend:
         return [(p.peek_time(), p.lookahead_sec) for p in self.partitions]
 
     def advance_all(self, until, inboxes, keep_alive, sample):
-        return [_advance(part, until,
-                         pickle.loads(pickle.dumps(inboxes[pid])),
-                         keep_alive[pid], sample)
+        return [_advance(part, until, inboxes[pid], keep_alive[pid], sample)
                 for pid, part in enumerate(self.partitions)]
 
     def finish(self) -> List[PartitionFragment]:
@@ -312,8 +313,10 @@ def simulate_parallel(router: RouteBricksRouter,
             .bind(workers=workers, partition=pid) for pid in range(workers)]
         epoch_len_obs = registry.histogram(
             "parallel_epoch_sim_seconds",
-            help="simulated seconds covered per epoch (<= the lookahead "
-                 "window W)").bind(workers=workers)
+            help="simulated seconds covered per epoch, from the later of "
+                 "the clock and the earliest pending event (<= the "
+                 "lookahead window W = propagation + receive latency)"
+            ).bind(workers=workers)
 
     def charge_epoch(results, epoch_wall, epoch_end):
         for pid, (_, _, busy) in enumerate(results):
@@ -336,16 +339,20 @@ def simulate_parallel(router: RouteBricksRouter,
         next_tick = 0
         inboxes: List[List] = [[] for _ in range(workers)]
         epochs = 0
-        while True:
+        clock = 0.0
+        while clock < until:
             candidates = [peek for peek in peeks if peek is not None]
-            candidates.extend(record.deliver_time
-                              for inbox in inboxes for record in inbox)
+            candidates.extend(parcel.earliest
+                              for inbox in inboxes for parcel in inbox)
             if not candidates:
                 break
             earliest = min(candidates)
             if earliest > until:
                 break
-            epoch_end = min(earliest + window, until)
+            # Records may now deliver behind the clock; nothing executes
+            # before it, so that is where the safe window starts.
+            epoch_start = max(earliest, clock)
+            epoch_end = min(epoch_start + window, until)
             sample = False
             if next_tick < len(ticks) and ticks[next_tick] <= epoch_end:
                 epoch_end = ticks[next_tick]
@@ -360,28 +367,31 @@ def simulate_parallel(router: RouteBricksRouter,
                                          sample)
             epoch_wall = perf_counter() - wall_start
             epochs += 1
-            sim_covered += max(0.0, epoch_end - earliest)
+            clock = epoch_end
+            covered = max(0.0, epoch_end - epoch_start)
+            sim_covered += covered
             charge_epoch(results, epoch_wall, epoch_end)
             if observe:
-                epoch_len_obs(max(0.0, epoch_end - earliest))
+                epoch_len_obs(covered)
             inboxes = [[] for _ in range(workers)]
-            for pid, (outbox, peek, _) in enumerate(results):
+            for pid, (outgoing, peek, _) in enumerate(results):
                 peeks[pid] = peek
-                for record in outbox:
-                    inboxes[assignment[record.dst_node]].append(record)
+                for destination, parcel in outgoing.items():
+                    inboxes[destination].append(parcel)
             if observe:
                 for pid, inbox in enumerate(inboxes):
                     if inbox:
-                        transit_rec[pid](epoch_end, len(inbox))
+                        transit_rec[pid](
+                            epoch_end, sum(p.count for p in inbox))
                         transit_bytes_rec[pid](
-                            epoch_end,
-                            sum(r.frame_bytes() for r in inbox))
+                            epoch_end, sum(p.frame_bytes for p in inbox))
         # Tail barrier: no executable events remain at or before the
-        # horizon, so advancing everyone to it runs nothing -- it only
-        # pins each clock to ``until`` (undelivered records, if any, are
-        # injected as future events exactly as the single sim would
-        # leave them pending).  Charged as a final (non-epoch) barrier so
-        # the telemetry sums cover every second a partition was busy.
+        # horizon, so advancing everyone to it runs no queued event -- it
+        # pins each clock to ``until`` and takes the last delivery
+        # (records due by the horizon are applied as of their time, the
+        # rest are left pending exactly as the single sim would leave
+        # them).  Charged as a final (non-epoch) barrier so the
+        # telemetry sums cover every second a partition was busy.
         wall_start = perf_counter()
         results = driver.advance_all(until, inboxes, [False] * workers,
                                      False)

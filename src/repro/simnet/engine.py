@@ -389,14 +389,50 @@ class Simulator:
             entry[2] = _RAN
         else:
             return False
-        self.now = entry[0]
+        self._run_event(entry[0], callback)
+        return True
+
+    def _run_event(self, time: float, callback: Callable[[], None]) -> None:
+        """Execute one event at ``time`` and book it (the un-inlined form
+        of what the :meth:`run` loops do per event)."""
+        self.now = time
         if self._profiler is not None:
             self._profiler.begin_event()
         callback()
         self.events_run += 1
         if self._obs_record is not None:
-            self._obs_record(self.now)
-        return True
+            self._obs_record(time)
+
+    def run_as_of(self, time: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` now, as the event at past ``time`` it replaces.
+
+        For work that is known only after the clock passed its timestamp
+        but that nothing executed in ``(time, now]`` could have observed
+        (a partitioned run's late deliveries, see
+        :meth:`repro.simnet.partition.Partition.inject`).  The callback
+        sees ``sim.now == time``, so whatever it schedules lands relative
+        to ``time`` exactly as if it had run on time; it is counted and
+        binned as one event at ``time`` (``events_run``, ``sim_events``,
+        the profiler's event boundary -- the same booking :meth:`step`
+        does); then the clock is restored.  Anything left pending before
+        the restored clock means the caller's "nothing could have
+        observed it" was wrong, and raises instead of letting the run
+        diverge.
+        """
+        clock = self.now
+        if time > clock:
+            raise SimulationError(
+                "cannot run as of %r, clock only at %r" % (time, clock))
+        try:
+            self._run_event(time, callback)
+        finally:
+            self.now = clock
+        pending = self.peek_time()
+        if pending is not None and pending < clock:
+            raise SimulationError(
+                "running as of %r left an event pending at %r, before the "
+                "clock (%r): the lookahead window is too large"
+                % (time, pending, clock))
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:

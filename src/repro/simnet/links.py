@@ -38,6 +38,9 @@ class Link:
         self.deliver = deliver
         self.propagation_sec = propagation_sec
         self.queue = FiniteQueue(queue_packets, name=name + ".q")
+        #: Bits waiting in ``queue``, kept in step by send / _start_next /
+        #: flush so the per-packet path choice reads it in O(1).
+        self._queued_bits = 0
         self.busy = False
         self.stalled = False
         self.bytes_sent = 0
@@ -51,6 +54,7 @@ class Link:
         """Offer a packet to the link; False if the queue overflowed."""
         if not self.queue.offer(packet):
             return False
+        self._queued_bits += packet.length * 8
         if not self.busy:
             self._start_next()
         return True
@@ -65,6 +69,7 @@ class Link:
         if packet is None:
             self.busy = False
             return
+        self._queued_bits -= packet.length * 8
         self.busy = True
         tx_time = self.serialization_time(packet)
         self.bytes_sent += packet.length
@@ -110,6 +115,7 @@ class Link:
     def flush(self) -> int:
         """Discard everything queued (a cut cable); returns the count."""
         dropped = 0
+        self._queued_bits = 0
         while True:
             packet = self.queue.poll()
             if packet is None:
@@ -125,4 +131,4 @@ class Link:
     def queued_bits(self) -> int:
         """Bits currently waiting (used by the flowlet spreader's local
         load estimate)."""
-        return sum(p.length * 8 for p in self.queue._items)
+        return self._queued_bits

@@ -5,20 +5,28 @@ wheel, and RNG streams) plus the machinery to exchange packets with other
 partitions: a :class:`CrossLink` keeps the shared queueing/serialization
 semantics of :class:`Link` but, instead of scheduling a delivery event on
 the (remote) peer, appends a timestamped :class:`TransitRecord` to the
-partition outbox.  A runner drains outboxes at epoch barriers and injects
-the records into the destination partitions.
+partition outbox.  At each epoch barrier the outbox leaves as one
+:class:`Parcel` per destination partition, which a runner routes by its
+header and the destination unpacks in :meth:`Partition.inject`.
 
 Conservative lookahead: every cross delivery takes at least
 ``serialization + propagation > propagation`` seconds after its send is
-committed, so with ``W = min(propagation over all cross-links)`` a
-partition may safely run to ``min(next pending event time across all
-partitions) + W`` -- any send committed in that window delivers strictly
-after it.  ``W`` is exposed as :attr:`Partition.lookahead_sec`.
+committed, and then does nothing any other event can observe for
+:attr:`Partition.receive_delay_sec` more.  So with ``W = min(propagation
+over all cross-links) + receive delay`` a partition may run from ``m``
+(the later of the earliest pending event anywhere and its own clock) to
+``m + W``: a send committed in that window may *deliver* inside it --
+the record then arrives behind the destination's clock and is applied
+as of its timestamp (:meth:`Simulator.run_as_of`) -- but whatever the
+delivery schedules lands strictly after the window.  ``W`` is exposed as
+:attr:`Partition.lookahead_sec`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional
+import pickle
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from ..errors import ConfigurationError
 from .engine import Simulator
@@ -45,13 +53,24 @@ class TransitRecord(NamedTuple):
     wire: tuple
 
     def frame_bytes(self) -> int:
-        """Frame length of the carried packet, for barrier byte-volume
-        accounting.  ``wire[1]`` is ``Packet.to_wire()``'s length field;
-        non-packet payloads (not used today) would report 0."""
-        try:
-            return int(self.wire[1])
-        except (TypeError, ValueError, IndexError):
-            return 0
+        """Frame length of the carried packet (``Packet.to_wire()``'s
+        length field), for barrier byte-volume accounting."""
+        return self.wire[1]
+
+
+class Parcel(NamedTuple):
+    """Everything one partition sends another at one barrier.
+
+    The header fields are all a runner needs (the epoch loop's earliest
+    pending time, the transit telemetry); ``blob`` is the pickled record
+    list, written by the source partition and read only by the
+    destination, so records cross the parent process as bytes.
+    """
+
+    earliest: float      # min deliver_time over the records
+    count: int
+    frame_bytes: int
+    blob: bytes
 
 
 class CrossLink(Link):
@@ -99,17 +118,25 @@ class Partition:
 
     Owns a private :class:`Simulator`, an outbox of transit records, and
     the table of local delivery callbacks for records addressed to its
-    nodes.  The runner alternates :meth:`inject` / :meth:`advance` /
-    :meth:`drain_outbox` under a barrier protocol; ``keep_alive`` is a
+    nodes.  The runner alternates :meth:`inject` / :meth:`advance` under
+    a barrier protocol; ``assignment`` (node id -> partition id) says
+    which parcel an outgoing record joins; ``keep_alive`` is a
     runner-maintained hint that other partitions still have pending work
     (used by self-rearming observation loops that would otherwise stop
     when the local queue drains).
     """
 
-    def __init__(self, partition_id: int, *, seed: int = 0, metrics=None):
+    #: Seconds a delivered record does nothing observable at its
+    #: destination (a subclass that knows its receivers sets it); the
+    #: part of :attr:`lookahead_sec` that makes deliveries arrive late.
+    receive_delay_sec = 0.0
+
+    def __init__(self, partition_id: int, *, assignment: Sequence[int],
+                 seed: int = 0, metrics=None):
         self.partition_id = partition_id
         self.sim = Simulator(metrics=metrics)
         self.streams = RngStreams(seed).spawn("partition/%d" % partition_id)
+        self.assignment = assignment
         self.outbox: List[TransitRecord] = []
         self.keep_alive = False
         self._seq = 0
@@ -135,14 +162,16 @@ class Partition:
 
     @property
     def lookahead_sec(self) -> Optional[float]:
-        """Minimum propagation over this partition's cross-links.
+        """Minimum propagation over this partition's cross-links, plus
+        the receive delay.
 
         ``None`` when the partition has no boundary (a single-partition
         run may advance straight to the horizon).
         """
         if not self._cross_links:
             return None
-        return min(link.propagation_sec for link in self._cross_links)
+        return (min(link.propagation_sec for link in self._cross_links)
+                + self.receive_delay_sec)
 
     # -- record exchange ---------------------------------------------------
 
@@ -153,27 +182,31 @@ class Partition:
                                          packet.to_wire()))
         self._seq += 1
 
-    def inject(self, records) -> None:
-        """Schedule incoming transit records as local delivery events.
+    def inject(self, parcels) -> None:
+        """Take delivery of incoming parcels.
 
-        Records are sorted by their full tie-break key first, so the
-        injection order (and hence local event seq order among equal-time
-        deliveries) is independent of how the runner batched them.
+        A record at or after the clock becomes a local delivery event; one
+        already behind it (possible once :attr:`receive_delay_sec` widens
+        the window) is applied as of its ``deliver_time``, which raises
+        if its consequences would land before the clock.  Records are
+        sorted by their full tie-break key first, so the order they are
+        applied or scheduled in (and hence local event seq order among
+        equal-time deliveries) is independent of how the runner batched
+        them.
         """
-        for record in sorted(records):
+        sim = self.sim
+        for record in sorted(record for parcel in parcels
+                             for record in pickle.loads(parcel.blob)):
             callback = self._destinations.get(record.dst_node)
             if callback is None:
                 raise ConfigurationError(
                     "partition %d has no destination for node %d"
                     % (self.partition_id, record.dst_node))
-            self.sim.schedule_at(record.deliver_time,
-                                 lambda cb=callback, w=record.wire: cb(w))
-
-    def drain_outbox(self) -> List[TransitRecord]:
-        """Take (and clear) the records produced since the last drain."""
-        out = self.outbox
-        self.outbox = []
-        return out
+            deliver = partial(callback, record.wire)
+            if record.deliver_time < sim.now:
+                sim.run_as_of(record.deliver_time, deliver)
+            else:
+                sim.schedule_at(record.deliver_time, deliver)
 
     # -- time advancement --------------------------------------------------
 
@@ -181,7 +214,19 @@ class Partition:
         """Earliest pending local event time, or ``None`` when drained."""
         return self.sim.peek_time()
 
-    def advance(self, until: float) -> List[TransitRecord]:
-        """Run local events up to ``until`` and return the outbox."""
+    def advance(self, until: float) -> Dict[int, Parcel]:
+        """Run local events up to ``until`` and return (and clear) the
+        outbox, packed as one parcel per destination partition."""
         self.sim.run(until=until)
-        return self.drain_outbox()
+        by_destination: Dict[int, List[TransitRecord]] = {}
+        for record in self.outbox:
+            by_destination.setdefault(
+                self.assignment[record.dst_node], []).append(record)
+        self.outbox = []
+        return {
+            destination: Parcel(
+                min(record.deliver_time for record in records),
+                len(records),
+                sum(record.frame_bytes() for record in records),
+                pickle.dumps(records))
+            for destination, records in by_destination.items()}

@@ -5,24 +5,31 @@ The contract under test (the reproduction's analogue of RouteBricks'
 cluster simulation across partitions is an *execution* strategy, not a
 *model* change.  Fault-free RB4 runs must merge to bit-identical reports
 and metric snapshots at any worker count, on either backend; fault runs
-must agree on every report scalar.
+must agree on every report scalar, ``events_run`` included.
 """
 
 import json
+import multiprocessing
 import pickle
 
 import pytest
 
 from repro.core import RouteBricksRouter
 from repro.core.control import ClusterManager
-from repro.core.partition import merge_fragments
+from repro.core.latency import server_latency_usec
+from repro.core.partition import (
+    ClusterPartition,
+    PartitionSpec,
+    merge_fragments,
+)
 from repro.core.topology import balanced_partitions
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError, SimulationError, TopologyError
 from repro.faults import FaultSchedule
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import BACKENDS, simulate_parallel
 from repro.simnet.partition import TransitRecord
 from repro.simnet.rng import RngStreams, node_seeds
+from repro.units import usec
 from repro.workloads import WorkloadSpec
 from repro.workloads.matrices import uniform_matrix
 
@@ -74,8 +81,8 @@ def _normalize(snapshot):
     return snap
 
 
-def _report_scalars(report, with_events=True):
-    scalars = {
+def _report_scalars(report):
+    return {
         "offered": report.offered_packets,
         "delivered": report.delivered_packets,
         "bytes": report.delivered_bytes,
@@ -91,10 +98,8 @@ def _report_scalars(report, with_events=True):
         "latency_mean": report.latency_usec.mean(),
         "latency_p50": report.latency_usec.percentile(50),
         "latency_p99": report.latency_usec.percentile(99),
+        "events_run": report.events_run,
     }
-    if with_events:
-        scalars["events_run"] = report.events_run
-    return scalars
 
 
 def _legacy(load=0.3, **simulate_kwargs):
@@ -114,6 +119,18 @@ def _parallel(workers, backend="inline", load=0.3, **kwargs):
     return report, _normalize(registry.snapshot())
 
 
+@pytest.fixture
+def spawn_start_method():
+    """Run the test's worker pools under ``spawn`` (the default from
+    Python 3.14), then restore whatever was set before."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+
+
 class TestGoldenEquivalence:
     """Satellite 1: RB4 at workers 1/2/4 == the single-heap engine."""
 
@@ -127,6 +144,12 @@ class TestGoldenEquivalence:
             assert report.workers == workers
             assert report.delivered_packets > 0
             assert report.indirect_packets == 0  # Direct VLB at low load
+
+    def test_process_backend_matches_inline_under_spawn(
+            self, spawn_start_method):
+        # Nothing in the parcel / as-of protocol may lean on state a
+        # forked worker inherits.
+        self.test_process_backend_matches_inline()
 
     def test_process_backend_matches_inline(self):
         inline_report, inline_snap = _parallel(2, backend="inline")
@@ -157,16 +180,80 @@ class TestGoldenEquivalence:
         assert all(busy >= 0.0 for busy in report.partition_busy_seconds)
 
 
+class TestReceiveSideLookahead:
+    """The window is propagation + receive latency; deliveries that land
+    inside it are applied late, as of their timestamp."""
+
+    def test_window_is_propagation_plus_min_receive_latency(self):
+        router = _router()
+        part = ClusterPartition(PartitionSpec(
+            router=router, assignment=(0, 0, 1, 1), partition_id=0,
+            registry=MetricsRegistry(enabled=False)))
+        assert part.lookahead_sec == router.propagation_sec + usec(min(
+            server_latency_usec("intermediate"),
+            server_latency_usec("output")))
+
+    def test_rb8_epoch_count_pinned(self):
+        router = _router(num_nodes=8)
+        report = simulate_parallel(router, _workload(router), until=0.3e-3,
+                                   workers=2, backend="inline")
+        assert 0 < report.epochs <= 20
+
+    def test_crash_and_recovery_inside_one_window_parity(self):
+        # Node 1 is down for 10 us -- half a window -- so deliveries due
+        # in the outage reach its partition after it has recovered, and
+        # must still see the server dead (and those due just before it,
+        # alive).
+        schedule = (FaultSchedule()
+                    .crash_node(at=0.2e-3, node=1)
+                    .recover_node(at=0.21e-3, node=1))
+        legacy_report, legacy_snap = _legacy(faults=schedule)
+        drops = legacy_snap["counters"]["node_drops"]
+        assert drops["{node=1,reason=dead_receiver}"] > 0
+        for workers in (1, 2, 4):
+            report, snap = _parallel(workers, faults=schedule)
+            assert (_report_scalars(report)
+                    == _report_scalars(legacy_report)), \
+                "workers=%d fault run diverged" % workers
+            assert snap["counters"]["node_drops"] == drops
+        # Unobserved, epochs span the whole window instead of stopping
+        # at each sampling tick, so more deliveries arrive late.
+        off = MetricsRegistry(enabled=False)
+        router = _router()
+        unobserved = router.simulate(_workload(router), until=UNTIL,
+                                     faults=schedule, metrics=off)
+        for workers in (2, 4):
+            report = simulate_parallel(
+                router, _workload(router), until=UNTIL, workers=workers,
+                backend="inline", faults=schedule, metrics=off)
+            assert (_report_scalars(report)
+                    == _report_scalars(unobserved)), \
+                "workers=%d unobserved fault run diverged" % workers
+
+    def test_oversized_receive_delay_raises(self, monkeypatch):
+        # A window derived from a latency the nodes do not have must
+        # fail loudly, not return a diverged report.
+        monkeypatch.setattr("repro.core.partition.server_latency_usec",
+                            lambda role: 200.0)
+        router = _router()
+        # Unobserved: an observing run's epochs also stop at every
+        # sampling tick, which here would hide the oversized window.
+        with pytest.raises(SimulationError, match="window is too large"):
+            simulate_parallel(router, _workload(router), until=UNTIL,
+                              workers=2, backend="inline",
+                              metrics=MetricsRegistry(enabled=False))
+
+
 class TestPartitionedFaults:
-    """Fault runs agree on every report scalar (event *counts* may differ:
-    partitions keep per-partition fault bookkeeping events)."""
+    """Fault runs agree on every report scalar, ``events_run`` included
+    (non-owner partitions' bookkeeping copies of node events are counted
+    and subtracted)."""
 
     def test_node_crash_scalar_parity(self):
         schedule = FaultSchedule().crash_node(at=0.3e-3, node=3)
         legacy_report, _ = _legacy(faults=schedule)
         report, _ = _parallel(2, faults=schedule)
-        assert (_report_scalars(report, with_events=False)
-                == _report_scalars(legacy_report, with_events=False))
+        assert _report_scalars(report) == _report_scalars(legacy_report)
         assert report.fault_events == 1
         assert report.dropped_packets > 0  # node 3's dark port drops
 
@@ -177,8 +264,8 @@ class TestPartitionedFaults:
         legacy_report, _ = _legacy(faults=schedule)
         for workers in (2, 4):
             report, _ = _parallel(workers, faults=schedule)
-            assert (_report_scalars(report, with_events=False)
-                    == _report_scalars(legacy_report, with_events=False)), \
+            assert (_report_scalars(report)
+                    == _report_scalars(legacy_report)), \
                 "workers=%d fault run diverged" % workers
 
     def test_link_fault_parity(self):
@@ -190,8 +277,7 @@ class TestPartitionedFaults:
                     .restore_link(at=0.4e-3, src=0, dst=2))
         legacy_report, _ = _legacy(faults=schedule)
         report, _ = _parallel(2, faults=schedule)
-        assert (_report_scalars(report, with_events=False)
-                == _report_scalars(legacy_report, with_events=False))
+        assert _report_scalars(report) == _report_scalars(legacy_report)
         assert report.fault_events == 2
 
     def test_nic_stall_parity(self):
@@ -199,15 +285,13 @@ class TestPartitionedFaults:
                                              duration_sec=0.1e-3)
         legacy_report, _ = _legacy(faults=schedule)
         report, _ = _parallel(2, faults=schedule)
-        assert (_report_scalars(report, with_events=False)
-                == _report_scalars(legacy_report, with_events=False))
+        assert _report_scalars(report) == _report_scalars(legacy_report)
 
     def test_fault_dict_form_accepted(self):
         faults = [{"time": 0.2e-3, "kind": "node_down", "node": 3}]
         legacy_report, _ = _legacy(faults=faults)
         report, _ = _parallel(2, faults=faults)
-        assert (_report_scalars(report, with_events=False)
-                == _report_scalars(legacy_report, with_events=False))
+        assert _report_scalars(report) == _report_scalars(legacy_report)
 
     def test_failed_links_parity(self):
         legacy_report, legacy_snap = _legacy(failed_links=[(0, 2)])

@@ -188,6 +188,63 @@ class TestSimulator:
         assert sim.peek_time() is None
 
 
+class TestRunAsOf:
+    """``Simulator.run_as_of``: one event, executed late, booked on time."""
+
+    def _sim_at(self, clock, metrics=None):
+        sim = Simulator(metrics=metrics)
+        sim.schedule(clock, lambda: None)
+        sim.run()
+        return sim
+
+    def test_counts_one_event_and_restores_the_clock(self):
+        sim = self._sim_at(10.0)
+        seen = []
+        sim.run_as_of(4.0, lambda: seen.append(sim.now))
+        assert seen == [4.0]
+        assert sim.now == 10.0
+        assert sim.events_run == 2
+
+    def test_follow_on_lands_relative_to_the_past_time(self):
+        sim = self._sim_at(10.0)
+        fired = []
+        sim.run_as_of(4.0, lambda: sim.schedule_timer(
+            7.5, lambda: fired.append(sim.now)))
+        assert sim.peek_time() == 11.5
+        sim.run()
+        assert fired == [11.5]
+
+    def test_binned_at_its_time_with_a_registry_on(self):
+        from repro.obs.metrics import MetricsRegistry
+        registry = MetricsRegistry(enabled=True, timeline_bin_sec=1.0)
+        sim = self._sim_at(10.0, metrics=registry)
+        sim.run_as_of(4.5, lambda: None)
+        bins = registry.snapshot()["timelines"]["sim_events"][""]["bins"]
+        assert [(start, count) for start, _, count, _ in bins] == [
+            (4.0, 1), (10.0, 1)]
+
+    def test_clock_restored_when_the_callback_raises(self):
+        sim = self._sim_at(10.0)
+
+        def boom():
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError):
+            sim.run_as_of(4.0, boom)
+        assert sim.now == 10.0
+
+    def test_rejects_a_time_ahead_of_the_clock(self):
+        sim = self._sim_at(10.0)
+        with pytest.raises(SimulationError, match="clock only at"):
+            sim.run_as_of(10.5, lambda: None)
+
+    def test_raises_when_the_callback_schedules_before_the_clock(self):
+        sim = self._sim_at(10.0)
+        with pytest.raises(SimulationError, match="window is too large"):
+            sim.run_as_of(4.0, lambda: sim.schedule_timer(3.0, lambda: None))
+        assert sim.now == 10.0
+
+
 class TestFiniteQueue:
     def test_fifo_order(self):
         q = FiniteQueue(capacity=3)
@@ -281,6 +338,30 @@ class TestLink:
         link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=100))  # in flight
         link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=100))  # queued
         assert link.queued_bits() == 800
+
+    def test_queued_bits_tracks_the_queue_through_drain_stall_and_flush(self):
+        # The running count must equal a walk of the queue at every step.
+        def walked(link):
+            return sum(p.length * 8 for p in link.queue._items)
+
+        sim = Simulator()
+        link = Link(sim, "l", rate_bps=1e6, deliver=lambda p: None,
+                    queue_packets=4)
+        for length in (100, 200, 300, 400, 500, 600):  # last one overflows
+            link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=length))
+        assert link.queued_bits() == walked(link) == (200 + 300 + 400
+                                                      + 500) * 8
+        sim.run(until=1e-3)                     # 100 B done, 200 B started
+        assert link.queued_bits() == walked(link) == (300 + 400 + 500) * 8
+        link.stall(5e-3)
+        sim.run(until=4e-3)                     # in-flight done, rest held
+        link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=64))
+        assert link.queued_bits() == walked(link) == (300 + 400 + 500
+                                                      + 64) * 8
+        assert link.flush() == 4
+        assert link.queued_bits() == walked(link) == 0
+        sim.run()
+        assert link.queued_bits() == 0
 
 
 class TestRng:
