@@ -16,7 +16,6 @@ from ..core.provision import SERVER_MODELS, provision
 from ..core.router import RouteBricksRouter
 from ..core.topology import switched_cluster_equivalent_servers
 from ..perfmodel.batching import batching_sweep
-from ..perfmodel.loads import table3_row
 from ..perfmodel.projection import (
     project_rates,
     projected_abilene_forwarding_bps,
@@ -50,6 +49,17 @@ def run_table2() -> dict:
             "unit": "Gcycles/s" if bound.unit != "bps" else "Gbps",
         })
     return {"id": "T2", "rows": rows}
+
+
+def table3_row(app: cal.AppCost) -> dict:
+    """Table 3's reported instructions/packet and CPI for ``app``."""
+    return {
+        "application": app.name,
+        "instructions_per_packet": app.instructions_per_packet,
+        "cycles_per_instruction": app.cycles_per_instruction,
+        "derived_cycles_per_packet":
+            app.instructions_per_packet * app.cycles_per_instruction,
+    }
 
 
 def run_table3() -> dict:

@@ -15,10 +15,10 @@ from typing import List, Tuple
 
 from .. import calibration as cal
 from ..click.simrun import TimedForwardingRun
+from ..costs import ServerConfig
 from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import Server
-from ..perfmodel.loads import ServerConfig
 from ..perfmodel.throughput import max_loss_free_rate
 from ..results import RunResult
 from ..workloads.spec import WorkloadSpec

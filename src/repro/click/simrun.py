@@ -575,8 +575,8 @@ class TimedPipelineRun:
             schedule_timer(interarrival, arrival)
 
         clock_hz = self.server.spec.clock_hz
-        # Same wheel discipline as TimedForwardingRun: polls and
-        # arrivals are homogeneous high-rate timers.
+        # As in TimedForwardingRun, polls and arrivals are homogeneous
+        # high-rate timers: the handle-free front.
         schedule_timer = sim.schedule_timer
 
         def make_poll_loop(replica):

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import calibration as cal
+from ..costs import DEFAULT_CONFIG, ServerConfig
 from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
 from ..net.packet import Packet
 from ..obs.hooks import observer_interval
 from ..obs.metrics import active_registry
-from ..perfmodel.loads import DEFAULT_CONFIG, ServerConfig
 from ..results import RunResult
 from ..simnet.engine import Simulator
 from ..simnet.stats import Histogram

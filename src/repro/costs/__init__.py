@@ -4,7 +4,7 @@
 the reproduction consumes:
 
 * :class:`ResourceVector` -- per-packet cycles + bus bytes with add/scale
-  algebra (``repro.perfmodel.loads.LoadVector`` is an alias of it).
+  algebra (``repro.perfmodel.LoadVector`` is an alias of it).
 * :class:`CostModel` -- the calibrated constants and batching amortization,
   exposed as base/per-byte vector terms for applications and for the
   RX/TX device elements.

@@ -150,7 +150,7 @@ def compile_loads(graph, packet_bytes: float = 64,
     charges (``config.multi_queue``, the spec's CPI inflation).  Batching
     amortization is *not* added here -- the device elements already carry
     their ``kp``/``kn`` shares -- so for the preset applications the
-    result equals :func:`repro.perfmodel.loads.per_packet_loads` at the
+    result equals :func:`repro.perfmodel.per_packet_loads` at the
     same batching configuration.
 
     The returned vector plugs straight into

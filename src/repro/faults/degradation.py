@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .. import calibration as cal
+from ..costs import DEFAULT_CONFIG, ServerConfig
 from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
-from ..perfmodel.loads import DEFAULT_CONFIG, ServerConfig
 from ..results import RunResult
 
 

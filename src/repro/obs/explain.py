@@ -123,11 +123,10 @@ def explain_pipeline(pipeline: str, packet_bytes: int = 64,
     """
     from ..click.pipelines import build_pipeline
     from ..click.simrun import TimedPipelineRun
-    from ..costs import compile_loads
+    from ..costs import DEFAULT_CONFIG, compile_loads
     from ..errors import ConfigurationError
     from ..hw.presets import NEHALEM, nehalem_server
     from ..perfmodel.bounds import bounds_for
-    from ..perfmodel.loads import DEFAULT_CONFIG
     from ..perfmodel.throughput import rate_from_loads
     from .metrics import MetricsRegistry
 

@@ -2,7 +2,7 @@
 
 The single-heap engine in :mod:`repro.simnet.engine` executes one event
 at a time; this package shards the cluster across partitions -- each
-with its own heap, timer wheel, and RNG streams -- and drives them in
+with its own event queue and RNG streams -- and drives them in
 conservative-lookahead epochs bounded by the internal links' propagation
 delay, exchanging packets as timestamped transit records at epoch
 barriers.  RouteBricks scales a router by adding servers; the

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from ..costs import DEFAULT_COST_MODEL
+from ..costs import DEFAULT_COST_MODEL, ServerConfig
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
 from ..workloads.spec import WorkloadSpec
-from .loads import ServerConfig
 from .throughput import max_loss_free_rate
 
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from .. import calibration as cal
+from ..costs import ServerConfig
 from ..hw.presets import NEHALEM, XEON_SHARED_BUS
 from ..units import rate_pps_to_bps
 from ..workloads.spec import WorkloadSpec
-from .loads import ServerConfig
 from .throughput import max_loss_free_rate
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from .. import calibration as cal
+from ..costs import DEFAULT_CONFIG, ServerConfig
 from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
-from .loads import DEFAULT_CONFIG, ServerConfig
 from ..workloads.spec import WorkloadSpec
 from .throughput import RateResult, max_loss_free_rate
 

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .. import calibration as cal
+from ..costs import (DEFAULT_CONFIG, DEFAULT_COST_MODEL, ResourceVector,
+                     ServerConfig)
 from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
 from ..results import RunResult
 from ..units import rate_pps_to_bps
 from .bounds import bounds_for
-from .loads import DEFAULT_CONFIG, LoadVector, ServerConfig, per_packet_loads
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class RateResult(RunResult):
     rate_pps: float
     bottleneck: str
     packet_bytes: float
-    loads: LoadVector
+    loads: ResourceVector
     component_rates_pps: Dict[str, float]
 
     @property
@@ -55,7 +56,7 @@ class RateResult(RunResult):
                 for name, limit in self.component_rates_pps.items()}
 
 
-def _component_rate_limits(loads: LoadVector, spec: ServerSpec,
+def _component_rate_limits(loads: ResourceVector, spec: ServerSpec,
                            empirical: bool) -> Dict[str, float]:
     """Packet-rate limit imposed by each component (packets/second)."""
     bounds = bounds_for(spec)
@@ -88,7 +89,7 @@ def _component_rate_limits(loads: LoadVector, spec: ServerSpec,
     return limits
 
 
-def rate_from_loads(loads: LoadVector, packet_bytes: float,
+def rate_from_loads(loads: ResourceVector, packet_bytes: float,
                     spec: ServerSpec = NEHALEM,
                     empirical_bounds: bool = True,
                     nic_limited: bool = True) -> RateResult:
@@ -146,7 +147,8 @@ def max_loss_free_rate(workload: "WorkloadSpec",
     packet_bytes = workload.mean_packet_bytes
     if packet_bytes <= 0:
         raise ConfigurationError("packet size must be positive")
-    loads = per_packet_loads(app, packet_bytes, config, spec)
+    loads = DEFAULT_COST_MODEL.per_packet_vector(app, packet_bytes, config,
+                                                spec)
     return rate_from_loads(loads, packet_bytes, spec=spec,
                            empirical_bounds=empirical_bounds,
                            nic_limited=nic_limited)

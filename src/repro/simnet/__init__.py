@@ -2,8 +2,8 @@
 
 Drives the packet-level cluster simulation (`repro.core`): an event queue
 with a simulated clock, rate-limited links with propagation delay, bounded
-FIFO queues, seeded random streams, and statistics collectors (counters,
-histograms with percentiles, time series).
+FIFO queues, seeded random streams, and a histogram with exact percentiles
+(counters and timelines are :mod:`repro.obs.metrics`).
 """
 
 from .engine import Event, Simulator
@@ -11,7 +11,7 @@ from .links import Link
 from .partition import CrossLink, Partition, TransitRecord
 from .queues import FiniteQueue
 from .rng import RngStreams, node_seeds
-from .stats import Counter, Histogram, TimeSeries
+from .stats import Histogram
 
 __all__ = [
     "Event",
@@ -23,7 +23,5 @@ __all__ = [
     "FiniteQueue",
     "RngStreams",
     "node_seeds",
-    "Counter",
     "Histogram",
-    "TimeSeries",
 ]

@@ -1,34 +1,34 @@
 """Event queue and simulated clock.
 
-A classic calendar-based DES core: events are ``[time, seq, callback]``
-list entries; ties break by insertion order so runs are deterministic
-for a given seed.
+A calendar-queue DES core.  An event is a ``[time, seq, callback]`` list
+entry; ``seq`` comes from one global counter, so ties break by filing
+order and runs are deterministic for a given seed.
 
-The hot path is built around three ideas:
+There is one queue, a bucketed wheel: entry ``e`` lives in the mini-heap
+``buckets[int(e.time / quantum)]``, and a min-heap of the live bucket
+indices says which bucket is next.  The bucket index is monotone in
+time and a bucket pops by ``(time, seq)`` (C-level list comparison), so
+events run in exactly the order one big heap would give -- but most
+timers land a fixed small delay ahead of ``now``, so buckets stay tiny
+and filing is a dict lookup plus a push into a near-empty heap.
 
-* **Slim heap entries.**  Entries are plain three-element lists, so
-  ``heapq`` orders them with C-level list comparison -- no dataclass
-  ``__lt__`` dispatch, no attribute chasing.  :class:`Event` is only a
-  thin handle wrapped around the entry for callers that need to cancel.
-* **O(1) cancellation with compaction.**  ``Event.cancel()`` blanks the
-  entry's callback slot in place (lazy deletion).  Dead entries are
-  skipped when they surface; when they outnumber live ones the heap is
-  compacted, so cancellations cannot accumulate unboundedly.
-* **A bucketed near-future event wheel.**  High-rate homogeneous timers
-  (poll loops, NIC DMA ticks, link serialization) go through
-  :meth:`Simulator.schedule_timer`, which files them into per-quantum
-  mini-heap buckets instead of the main heap.  Most such timers land a
-  fixed small delay ahead of ``now``, so each bucket stays tiny and the
-  wheel replaces ``O(log n)`` heap churn with near-``O(1)`` dict pushes.
-  The run loop merges the wheel head and the heap head by ``(time,
-  seq)``, so global execution order is exactly what a single heap would
-  produce.
+The quantum is learned from the first positive offset a handle-free
+filer (:meth:`Simulator.schedule_timer` and friends -- the high-rate
+traffic) sees.  Until then it is infinite, which parks every entry in
+bucket 0 (``int(t / inf) == 0``): still a correct queue, just one heap;
+learning the quantum re-files whatever is parked there.  The
+handle-returning calls never teach it -- a 250 us fault time as the
+quantum would collapse a cluster run into a few giant buckets.
+
+:class:`Event` is a thin handle around an entry for callers that need
+to cancel: ``cancel()`` blanks the callback slot in place and the entry
+is dropped, unrun and uncounted, when it surfaces.
 """
 
 from __future__ import annotations
 
 import itertools
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -37,26 +37,21 @@ from ..errors import SimulationError
 _INF = float("inf")
 
 #: Callback-slot sentinel marking an entry that already executed, so a
-#: late ``cancel()`` on its handle is a no-op instead of a miscount.
+#: late ``cancel()`` on its handle is a no-op.
 _RAN = object()
-
-#: Start compacting only past this many dead entries (tiny heaps are
-#: cheaper to scan than to rebuild).
-_COMPACT_MIN = 64
 
 
 class Event:
     """Handle for one scheduled callback.  Ordering is (time, seq).
 
-    The handle wraps the engine's mutable ``[time, seq, callback]`` heap
-    entry; :meth:`cancel` invalidates the entry in place (O(1)), leaving
-    removal to the engine's lazy-deletion sweep.
+    The handle wraps the engine's mutable ``[time, seq, callback]`` queue
+    entry; :meth:`cancel` invalidates the entry in place (O(1)) and the
+    engine skips it when it reaches the head of the queue.
     """
 
-    __slots__ = ("_sim", "_entry")
+    __slots__ = ("_entry",)
 
-    def __init__(self, sim: "Simulator", entry: list):
-        self._sim = sim
+    def __init__(self, entry: list):
         self._entry = entry
 
     @property
@@ -77,16 +72,9 @@ class Event:
         return self._entry[2] is None
 
     def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when dequeued."""
-        entry = self._entry
-        slot = entry[2]
-        if slot is None or slot is _RAN:
-            return
-        entry[2] = None
-        sim = self._sim
-        sim._dead += 1
-        if sim._dead > _COMPACT_MIN and sim._dead * 2 > len(sim._heap):
-            sim._compact()
+        """Mark the event dead (idempotent; a no-op once it has run)."""
+        if self._entry[2] is not _RAN:
+            self._entry[2] = None
 
 
 class PeriodicTask:
@@ -114,16 +102,18 @@ class Simulator:
     so an un-instrumented run pays nothing per event for observability.
     """
 
+    #: Observability hooks; set per instance only under an enabled registry.
+    _obs_events = _obs_record = _obs_wall = _profiler = None
+
     def __init__(self, metrics=None):
         from ..obs.metrics import active_registry
-        self._heap = []
-        self._dead = 0
-        # Event wheel: bucket index -> mini-heap of entries, plus a
-        # min-heap of live bucket indices.  The quantum is learned from
-        # the first positive schedule_timer delay (deterministic).
+        # The queue: bucket index -> mini-heap of entries, plus a
+        # min-heap of the live bucket indices.  The quantum is infinite
+        # (everything parks in bucket 0) until the first positive
+        # handle-free offset teaches it (deterministic).
         self._buckets = {}
         self._bucket_keys = []
-        self._quantum = 0.0
+        self._quantum = _INF
         self._seq = itertools.count()
         self.now = 0.0
         self.events_run = 0
@@ -137,81 +127,66 @@ class Simulator:
                 "engine_wall_seconds",
                 help="real time spent inside Simulator.run")
             self._profiler = registry.profiler
-        else:
-            self._obs_events = None
-            self._obs_record = None
-            self._obs_wall = None
-            self._profiler = None
 
     # -- scheduling --------------------------------------------------------
 
+    def _file(self, entry: list, refiling: bool = False) -> None:
+        """Put ``entry`` into the bucket its time indexes.  A re-filing
+        was validated when first filed and is not checked against the
+        clock again (a budget-limited ``run(until=)`` may have stepped
+        the clock over it)."""
+        time = entry[0]
+        if not (refiling or self.now <= time < _INF):
+            raise SimulationError(
+                "cannot schedule at %r, clock at %r" % (time, self.now))
+        index = int(time / self._quantum)
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            self._buckets[index] = [entry]
+            heappush(self._bucket_keys, index)
+        else:
+            heappush(bucket, entry)
+
+    def _learn(self, offset: float) -> None:
+        """Take ``offset``, if positive, as the quantum and re-file what
+        was parked in bucket 0 while there was none."""
+        if offset > 0.0:
+            self._quantum = offset
+            parked = self._buckets.pop(0, ())
+            del self._bucket_keys[:]
+            for entry in parked:
+                self._file(entry, True)
+
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError("cannot schedule into the past (delay=%r)"
-                                  % delay)
-        entry = [self.now + delay, next(self._seq), callback]
-        heappush(self._heap, entry)
-        return Event(self, entry)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulation ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                "cannot schedule at %r, clock already at %r" % (time, self.now))
         entry = [time, next(self._seq), callback]
-        heappush(self._heap, entry)
-        return Event(self, entry)
+        self._file(entry)
+        return Event(entry)
 
     def schedule_timer(self, delay: float,
                        callback: Callable[[], None]) -> None:
         """Schedule a fire-and-forget callback ``delay`` seconds from now.
 
-        The fast path for high-rate homogeneous timers: the event lands
-        in the bucketed near-future wheel instead of the main heap and
-        no handle is returned, so it cannot be cancelled.  Execution
-        order relative to heap events is still globally (time, seq).
+        The front for high-rate homogeneous timers (poll loops, NIC DMA
+        ticks, link serialization): no handle is allocated, so the event
+        cannot be cancelled, and the first positive ``delay`` seen sets
+        the bucket width.
         """
-        if delay < 0:
-            raise SimulationError("cannot schedule into the past (delay=%r)"
-                                  % delay)
-        time = self.now + delay
-        quantum = self._quantum
-        if quantum == 0.0:
-            if delay <= 0.0:
-                # No timescale known yet: the heap is always correct.
-                heappush(self._heap, [time, next(self._seq), callback])
-                return
-            self._quantum = quantum = delay
-        index = int(time / quantum)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = [[time, next(self._seq), callback]]
-            heappush(self._bucket_keys, index)
-        else:
-            heappush(bucket, [time, next(self._seq), callback])
+        if self._quantum == _INF:
+            self._learn(delay)
+        self._file([self.now + delay, next(self._seq), callback])
 
     def schedule_timer_at(self, time: float,
                           callback: Callable[[], None]) -> None:
         """Absolute-time variant of :meth:`schedule_timer` (bulk arrival
         injection)."""
-        now = self.now
-        if time < now:
-            raise SimulationError(
-                "cannot schedule at %r, clock already at %r" % (time, now))
-        quantum = self._quantum
-        if quantum == 0.0:
-            if time <= now:
-                heappush(self._heap, [time, next(self._seq), callback])
-                return
-            self._quantum = quantum = time - now
-        index = int(time / quantum)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = [[time, next(self._seq), callback]]
-            heappush(self._bucket_keys, index)
-        else:
-            heappush(bucket, [time, next(self._seq), callback])
+        if self._quantum == _INF:
+            self._learn(time - self.now)
+        self._file([time, next(self._seq), callback])
 
     def preschedule_timers(self, times, callback: Callable[[], None]) -> None:
         """Bulk-file fire-and-forget callbacks at ascending absolute times.
@@ -230,19 +205,14 @@ class Simulator:
         if not len(times):
             return
         now = self.now
-        if times[0] < now:
+        if not now <= times[0] <= times[-1] < _INF:
             raise SimulationError(
-                "cannot schedule at %r, clock already at %r"
-                % (times[0], now))
-        if self._quantum == 0.0:
-            if times[0] > now:
-                self._quantum = times[0] - now
-            elif len(times) > 1 and times[1] > times[0]:
-                self._quantum = times[1] - times[0]
-            else:
-                for time in times:
-                    self.schedule_timer_at(time, callback)
-                return
+                "cannot schedule at %r..%r, clock at %r"
+                % (times[0], times[-1], now))
+        if self._quantum == _INF:
+            # The first arrival is usually at the clock: take the first gap.
+            second = times[1] if len(times) > 1 else times[0]
+            self._learn(times[0] - now or second - times[0])
         quantum = self._quantum
         seq = self._seq
         buckets = self._buckets
@@ -274,17 +244,17 @@ class Simulator:
             bucket_keys.extend(new_keys)  # ascending: already a heap
 
     def timer_filer(self) -> Callable[[float, Callable[[], None]], None]:
-        """A prebound ``file_at(time, callback)`` closure over the wheel.
+        """A prebound ``file_at(time, callback)`` closure over the queue.
 
         ``TimedForwardingRun`` schedules one successor timer per poll from
         its innermost loop; this closure is :meth:`schedule_timer_at` minus
         per-call attribute chasing and validation.  The caller must pass
-        ``time >= now`` (poll delays are always positive).  Falls back to
-        the full method while the quantum is still unknown -- the first
-        absolute-time call through that path learns it.
+        a finite ``time >= now`` (poll delays are always positive).  Falls
+        back to the full method while the quantum is still unknown -- the
+        first absolute-time call through that path learns it.
         """
         quantum = self._quantum
-        if quantum == 0.0:
+        if quantum == _INF:
             return self.schedule_timer_at
         seq = self._seq
         buckets = self._buckets
@@ -333,75 +303,26 @@ class Simulator:
         self.schedule(first_delay, tick)
         return task
 
-    # -- queue maintenance -------------------------------------------------
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and rebuild the heap (amortized O(n))."""
-        self._heap = [entry for entry in self._heap if entry[2] is not None]
-        heapify(self._heap)
-        self._dead = 0
-
-    def _prune_dead_head(self) -> None:
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heappop(heap)
-            self._dead -= 1
-
-    def _wheel_pop(self):
-        """Pop the wheel's earliest entry (caller checked it is wanted)."""
-        keys = self._bucket_keys
-        bucket = self._buckets[keys[0]]
-        entry = heappop(bucket)
-        if not bucket:
-            del self._buckets[keys[0]]
-            heappop(keys)
-        return entry
-
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
-        self._prune_dead_head()
-        heap = self._heap
-        if self._bucket_keys:
-            wheel_time = self._buckets[self._bucket_keys[0]][0][0]
-            if heap and heap[0][0] <= wheel_time:
-                return heap[0][0]
-            return wheel_time
-        return heap[0][0] if heap else None
+        keys = self._bucket_keys
+        while keys:
+            bucket = self._buckets[keys[0]]
+            if bucket[0][2] is not None:
+                return bucket[0][0]
+            heappop(bucket)  # cancelled: dropped on the way to the head
+            if not bucket:
+                del self._buckets[heappop(keys)]
+        return None
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> bool:
-        """Run the next event.  Returns False when no events remain."""
-        self._prune_dead_head()
-        heap = self._heap
-        if self._bucket_keys:
-            wheel_entry = self._buckets[self._bucket_keys[0]][0]
-            if heap and heap[0] < wheel_entry:
-                entry = heappop(heap)
-                callback = entry[2]
-                entry[2] = _RAN
-            else:
-                entry = self._wheel_pop()
-                callback = entry[2]
-        elif heap:
-            entry = heappop(heap)
-            callback = entry[2]
-            entry[2] = _RAN
-        else:
-            return False
-        self._run_event(entry[0], callback)
-        return True
-
-    def _run_event(self, time: float, callback: Callable[[], None]) -> None:
-        """Execute one event at ``time`` and book it (the un-inlined form
-        of what the :meth:`run` loops do per event)."""
-        self.now = time
-        if self._profiler is not None:
-            self._profiler.begin_event()
-        callback()
-        self.events_run += 1
-        if self._obs_record is not None:
-            self._obs_record(time)
+        """Run the next event (a one-event :meth:`run`).  Returns False
+        when no events remain."""
+        before = self.events_run
+        self.run(max_events=1)
+        return self.events_run > before
 
     def run_as_of(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` now, as the event at past ``time`` it replaces.
@@ -413,7 +334,7 @@ class Simulator:
         sees ``sim.now == time``, so whatever it schedules lands relative
         to ``time`` exactly as if it had run on time; it is counted and
         binned as one event at ``time`` (``events_run``, ``sim_events``,
-        the profiler's event boundary -- the same booking :meth:`step`
+        the profiler's event boundary -- the same booking :meth:`run`
         does); then the clock is restored.  Anything left pending before
         the restored clock means the caller's "nothing could have
         observed it" was wrong, and raises instead of letting the run
@@ -424,7 +345,13 @@ class Simulator:
             raise SimulationError(
                 "cannot run as of %r, clock only at %r" % (time, clock))
         try:
-            self._run_event(time, callback)
+            self.now = time
+            if self._profiler is not None:
+                self._profiler.begin_event()
+            callback()
+            self.events_run += 1
+            if self._obs_record is not None:
+                self._obs_record(time)
         finally:
             self.now = clock
         pending = self.peek_time()
@@ -446,7 +373,7 @@ class Simulator:
         budget = _INF if max_events is None else max_events
         start = perf_counter()
         try:
-            if self._obs_record is not None or self._profiler is not None:
+            if self._obs_record is not None:
                 self._run_instrumented(horizon, budget)
             else:
                 self._run_plain(horizon, budget)
@@ -459,44 +386,24 @@ class Simulator:
             self.now = until
 
     def _run_plain(self, horizon: float, budget: float) -> None:
-        """Merged heap+wheel loop with every hot name bound to a local."""
-        heap = self._heap
+        """The event loop with every hot name bound to a local."""
         buckets = self._buckets
         keys = self._bucket_keys
         pop = heappop
         executed = 0
         try:
-            while executed < budget:
-                while heap and heap[0][2] is None:
-                    pop(heap)
-                    self._dead -= 1
-                if keys:
-                    bucket = buckets[keys[0]]
-                    entry = bucket[0]
-                    if heap and heap[0] < entry:
-                        entry = heap[0]
-                        if entry[0] > horizon:
-                            return
-                        pop(heap)
-                        callback = entry[2]
-                        entry[2] = _RAN
-                    else:
-                        if entry[0] > horizon:
-                            return
-                        pop(bucket)
-                        if not bucket:
-                            del buckets[keys[0]]
-                            pop(keys)
-                        callback = entry[2]
-                elif heap:
-                    entry = heap[0]
-                    if entry[0] > horizon:
-                        return
-                    pop(heap)
-                    callback = entry[2]
-                    entry[2] = _RAN
-                else:
+            while keys and executed < budget:
+                bucket = buckets[keys[0]]
+                entry = bucket[0]
+                if entry[0] > horizon:
                     return
+                pop(bucket)
+                if not bucket:
+                    del buckets[pop(keys)]
+                callback = entry[2]
+                if callback is None:
+                    continue
+                entry[2] = _RAN
                 self.now = entry[0]
                 callback()
                 executed += 1
@@ -505,12 +412,11 @@ class Simulator:
 
     def _run_instrumented(self, horizon: float, budget: float) -> None:
         """Same loop with the observability hooks inlined (no per-event
-        attribute chasing or closure calls; the ``is None`` checks ran
-        once, here).  The span-stack reset and the ``sim_events``
-        timeline's bin update are open-coded: both touch stable objects
-        (the profiler's stack list, the timeline's bin dict), so binding
-        them once is exactly equivalent to calling per event."""
-        heap = self._heap
+        attribute chasing or closure calls).  The span-stack reset and
+        the ``sim_events`` timeline's bin update are open-coded: both
+        touch stable objects (the profiler's stack list, the timeline's
+        bin dict), so binding them once is exactly equivalent to calling
+        per event."""
         buckets = self._buckets
         keys = self._bucket_keys
         pop = heappop
@@ -520,44 +426,25 @@ class Simulator:
         prof_stack = profiler._stack if profiler is not None else None
         record = self._obs_record
         timeline = self._obs_events
-        bin_sec = timeline.bin_sec if timeline is not None else 1.0
+        bin_sec = timeline.bin_sec
         # Bin dict of the unlabeled sim_events series; resolved after the
         # first record() so series creation stays as lazy as before.
         ebins = None
         executed = 0
         try:
-            while executed < budget:
-                while heap and heap[0][2] is None:
-                    pop(heap)
-                    self._dead -= 1
-                if keys:
-                    bucket = buckets[keys[0]]
-                    entry = bucket[0]
-                    if heap and heap[0] < entry:
-                        entry = heap[0]
-                        if entry[0] > horizon:
-                            return
-                        pop(heap)
-                        callback = entry[2]
-                        entry[2] = _RAN
-                    else:
-                        if entry[0] > horizon:
-                            return
-                        pop(bucket)
-                        if not bucket:
-                            del buckets[keys[0]]
-                            pop(keys)
-                        callback = entry[2]
-                elif heap:
-                    entry = heap[0]
-                    if entry[0] > horizon:
-                        return
-                    pop(heap)
-                    callback = entry[2]
-                    entry[2] = _RAN
-                else:
-                    return
+            while keys and executed < budget:
+                bucket = buckets[keys[0]]
+                entry = bucket[0]
                 now = entry[0]
+                if now > horizon:
+                    return
+                pop(bucket)
+                if not bucket:
+                    del buckets[pop(keys)]
+                callback = entry[2]
+                if callback is None:
+                    continue
+                entry[2] = _RAN
                 self.now = now
                 if prof_stack:
                     del prof_stack[:]
@@ -571,7 +458,7 @@ class Simulator:
                     else:
                         cell[0] += 1.0
                         cell[1] += 1
-                elif record is not None:
+                else:
                     record(now)
                     ebins = timeline._series[()].bins
         finally:

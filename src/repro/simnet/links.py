@@ -74,8 +74,8 @@ class Link:
         tx_time = self.serialization_time(packet)
         self.bytes_sent += packet.length
         self.packets_sent += 1
-        # Wheel timers: link completions are high-rate, homogeneous, and
-        # never cancelled, so they bypass the heap entirely.
+        # Link completions are high-rate, homogeneous, and never
+        # cancelled: the handle-free front.
         self.sim.schedule_timer(tx_time, self._finish_tx)
         self._schedule_delivery(packet, tx_time)
 

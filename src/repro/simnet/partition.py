@@ -1,7 +1,7 @@
 """Partitioned simulation islands with conservative lookahead.
 
-A :class:`Partition` wraps a :class:`Simulator` (its own heap, timer
-wheel, and RNG streams) plus the machinery to exchange packets with other
+A :class:`Partition` wraps a :class:`Simulator` (its own event queue and
+RNG streams) plus the machinery to exchange packets with other
 partitions: a :class:`CrossLink` keeps the shared queueing/serialization
 semantics of :class:`Link` but, instead of scheduling a delivery event on
 the (remote) peer, appends a timestamped :class:`TransitRecord` to the
@@ -206,7 +206,7 @@ class Partition:
             if record.deliver_time < sim.now:
                 sim.run_as_of(record.deliver_time, deliver)
             else:
-                sim.schedule_at(record.deliver_time, deliver)
+                sim.schedule_timer_at(record.deliver_time, deliver)
 
     # -- time advancement --------------------------------------------------
 

@@ -1,28 +1,10 @@
-"""Statistics collectors: counters, histograms, time series."""
+"""Statistics collector: a histogram with exact percentiles."""
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Tuple
-
-
-class Counter:
-    """A named bundle of monotonically increasing counts."""
-
-    def __init__(self):
-        self._counts: Dict[str, float] = {}
-
-    def add(self, name: str, amount: float = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> float:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self._counts)
+from typing import List
 
 
 class Histogram:
@@ -100,31 +82,3 @@ class Histogram:
             raise ValueError("empty histogram")
         self._ensure_sorted()
         return bisect.bisect_right(self._values, value) / len(self._values)
-
-
-class TimeSeries:
-    """(time, value) samples with windowed rate computation."""
-
-    def __init__(self):
-        self._samples: List[Tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        if self._samples and time < self._samples[-1][0]:
-            raise ValueError("time series must be recorded in order")
-        self._samples.append((time, value))
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def samples(self) -> List[Tuple[float, float]]:
-        return list(self._samples)
-
-    def total(self) -> float:
-        return sum(v for _, v in self._samples)
-
-    def rate_over(self, start: float, end: float) -> float:
-        """Sum of values with start < t <= end, divided by the window."""
-        if end <= start:
-            raise ValueError("window must have positive width")
-        acc = sum(v for t, v in self._samples if start < t <= end)
-        return acc / (end - start)

@@ -12,7 +12,8 @@ uniformly by:
 * :meth:`repro.core.RouteBricksRouter.simulate`
 * :func:`repro.perfmodel.max_loss_free_rate`
 
-The old positional signatures keep working through deprecation shims.
+The old positional signatures were removed: those entry points raise
+``TypeError`` naming the ``WorkloadSpec`` constructor to use instead.
 """
 
 from __future__ import annotations

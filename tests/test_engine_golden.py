@@ -1,21 +1,25 @@
-"""Golden event-order test across the engine refactor.
+"""Golden event-order test across the engine refactors.
 
 ``GOLDEN`` below is the (time, tag) execution order of a mixed
 schedule / schedule_at / schedule_every / cancel workload recorded on
-the pre-refactor engine (dataclass events, single heap).  The refactored
-heap+wheel engine must replay it exactly -- same times, same tie-break
-order, same number of executed events -- both when every timer goes
-through the heap (``use_timer=False``) and when the homogeneous poll
-chain rides the bucketed event wheel (``use_timer=True``).
+the original engine (dataclass events, one binary heap).  The bucketed
+single-queue engine must replay it exactly -- same times, same tie-break
+order, same number of executed events -- whichever front files the
+homogeneous poll chain: ``schedule`` (handle-returning, so nothing ever
+teaches the quantum and the whole run sits in bucket 0) or
+``schedule_timer`` (handle-free: the first 0.125 delay sets the bucket
+width and re-files what was parked).
 
 The heartbeat interval (0.25) and poll step (0.125) are binary-exact
 floats, so the schedule_every grid fix cannot shift any time in this
 workload: any divergence here is a real ordering regression.
 """
 
+import pytest
+
 from repro.simnet import Simulator
 
-#: Captured on the pre-refactor engine (see module docstring).
+#: Captured on the original engine (see module docstring).
 GOLDEN = [
     (0.0, "poll0"), (0.125, "poll1"), (0.25, "beat"), (0.25, "poll2"),
     (0.375, "poll3"), (0.5, "a"), (0.5, "b"), (0.5, "c"), (0.5, "beat"),
@@ -82,25 +86,16 @@ def drive(sim, log, use_timer=False):
 
 
 class TestGoldenOrder:
-    def test_heap_path_replays_golden(self):
+    @pytest.mark.parametrize("use_timer", [False, True],
+                             ids=["schedule", "schedule_timer"])
+    def test_replays_golden(self, use_timer):
         sim = Simulator()
         log = []
-        drive(sim, log, use_timer=False)
+        drive(sim, log, use_timer=use_timer)
         sim.run(until=2.0)
         assert log == GOLDEN
         assert sim.now == GOLDEN_FINAL_NOW
         assert sim.events_run == GOLDEN_EVENTS_RUN
-
-    def test_wheel_path_replays_golden(self):
-        sim = Simulator()
-        log = []
-        drive(sim, log, use_timer=True)
-        sim.run(until=2.0)
-        assert log == GOLDEN
-        assert sim.now == GOLDEN_FINAL_NOW
-        assert sim.events_run == GOLDEN_EVENTS_RUN
-        # The poll chain really went through the wheel, not the heap.
-        assert sim._quantum == 0.125
 
     def test_step_by_step_matches_run(self):
         """step() must produce the same order as the batch run loops."""

@@ -10,7 +10,6 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.hw import Server, nehalem_server
 from repro.hw.presets import NEHALEM_NEXT_GEN
 from repro.perfmodel import saturation_throughput
-from repro.simnet.stats import TimeSeries
 
 
 class TestGraphAddAll:
@@ -56,15 +55,6 @@ class TestNextGenServerAssembly:
         assert len(server.ports) == 16
         assert len(server.cores) == 32
         assert len(server.nics) == 8
-
-
-class TestTimeSeriesSamples:
-    def test_samples_copy(self):
-        series = TimeSeries()
-        series.record(1.0, 5)
-        samples = series.samples()
-        samples.append((2.0, 7))
-        assert len(series) == 1  # external mutation does not leak in
 
 
 class TestSchedulerErrors:

@@ -1,4 +1,6 @@
-"""Property tests on the cluster DES: conservation and ordering invariants."""
+"""Property tests on the DES: the engine's (time, filing order) contract
+against a sort-based reference, and the cluster's conservation and
+ordering invariants."""
 
 import random
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RouteBricksRouter
+from repro.simnet import Simulator
 from repro.workloads import FixedSizeWorkload
 
 
@@ -69,3 +72,172 @@ def test_single_path_traffic_never_reorders(seed):
     report = router.simulate(events)
     assert report.reordered_fraction == 0.0
     assert report.delivered_packets == 50
+
+
+# -- engine vs reference ------------------------------------------------------
+#
+# A program is a forest of filings.  Each filing names the front it goes
+# through, offsets from the clock at filing time, the filings its callback
+# makes when it runs (nested scheduling) and the handles its callback
+# cancels (by position in the list of handles issued so far -- so a
+# callback may cancel events that are pending, already run, already
+# cancelled, or itself).  The same program drives the real engine and a
+# reference that keeps a flat list and takes min (time, filing index).
+
+HANDLE_FRONTS = ("schedule", "schedule_at")
+FRONTS = HANDLE_FRONTS + ("schedule_timer", "schedule_timer_at",
+                          "preschedule_timers", "timer_filer")
+
+#: Binary-exact and inexact steps, exact ties, a zero, and two offsets six
+#: orders of magnitude either side of the rest (a far event under a tiny
+#: quantum; a tiny offset under a coarse one).
+OFFSETS = (0.0, 0.0, 0.125, 0.125, 0.25, 0.375, 0.1, 0.3, 1.0, 1e-9, 3e-9,
+           1e3)
+
+
+class ReferenceQueue:
+    """What the engine must be indistinguishable from."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_run = 0
+        self._filed = 0
+        self._pending = []
+
+    def file(self, front, offsets, callback):
+        records = []
+        for offset in offsets:
+            records.append([self.now + offset, self._filed, callback])
+            self._filed += 1
+        self._pending.extend(records)
+        return records[0] if front in HANDLE_FRONTS else None
+
+    @staticmethod
+    def cancel(record):
+        record[2] = None  # a record that already ran is no longer pending
+
+    def _live(self):
+        self._pending = [r for r in self._pending if r[2] is not None]
+        return sorted(self._pending, key=lambda r: (r[0], r[1]))
+
+    def peek_time(self):
+        live = self._live()
+        return live[0][0] if live else None
+
+    def run(self, until=None):
+        while True:
+            live = self._live()
+            if not live or (until is not None and live[0][0] > until):
+                break
+            record = live[0]
+            self._pending.remove(record)
+            self.now = record[0]
+            record[2]()
+            self.events_run += 1
+        if until is not None and self.now < until:
+            self.now = until
+
+
+class EngineQueue:
+    """The same four verbs over a real :class:`Simulator`."""
+
+    def __init__(self):
+        self.sim = Simulator()
+
+    now = property(lambda self: self.sim.now)
+    events_run = property(lambda self: self.sim.events_run)
+
+    def file(self, front, offsets, callback):
+        sim = self.sim
+        if front == "preschedule_timers":
+            return sim.preschedule_timers(
+                [sim.now + offset for offset in offsets], callback)
+        offset, = offsets
+        if front == "timer_filer":
+            return sim.timer_filer()(sim.now + offset, callback)
+        if front.endswith("_at"):
+            offset += sim.now
+        return getattr(sim, front)(offset, callback)
+
+    @staticmethod
+    def cancel(event):
+        event.cancel()
+
+    def peek_time(self):
+        return self.sim.peek_time()
+
+    def run(self, until=None):
+        self.sim.run(until=until)
+
+
+CANCELS = st.lists(st.integers(0, 50), max_size=3)
+
+
+def _filing(children):
+    single = st.tuples(
+        st.sampled_from([f for f in FRONTS if f != "preschedule_timers"]),
+        st.tuples(st.sampled_from(OFFSETS)), children, CANCELS)
+    bulk = st.tuples(
+        st.just("preschedule_timers"),
+        st.lists(st.sampled_from(OFFSETS), min_size=1,
+                 max_size=4).map(sorted).map(tuple), children, CANCELS)
+    return st.one_of(single, bulk)
+
+
+FILINGS = st.recursive(_filing(st.just(())),
+                       lambda inner: _filing(st.lists(inner, max_size=3)),
+                       max_leaves=25)
+
+
+def _play(queue, program, early_cancels, slices):
+    """Run ``program`` on ``queue``; returns everything observable."""
+    log = []
+    handles = []
+    labels = iter(range(10 ** 6))
+
+    def cancel(positions):
+        for position in positions:
+            if handles:
+                queue.cancel(handles[position % len(handles)])
+
+    def file(filing):
+        front, offsets, children, cancels = filing
+        label = next(labels)
+
+        def fire():
+            log.append((queue.now, label))
+            cancel(cancels)
+            for child in children:
+                file(child)
+
+        handle = queue.file(front, offsets, fire)
+        if handle is not None:
+            handles.append(handle)
+
+    for filing in program:
+        file(filing)
+    cancel(early_cancels)
+    observed = [queue.peek_time()]
+    horizon = 0.0
+    for step in slices:
+        horizon += step
+        queue.run(until=horizon)
+        observed.append((len(log), queue.now, queue.events_run,
+                         queue.peek_time()))
+    queue.run()
+    observed.append((queue.now, queue.events_run, queue.peek_time()))
+    return log, observed
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=st.lists(FILINGS, min_size=1, max_size=6),
+       early_cancels=CANCELS,
+       slices=st.lists(st.sampled_from([0.0, 0.0625, 0.125, 0.3, 1.0, 500.0]),
+                       max_size=5))
+def test_engine_matches_sorted_reference(program, early_cancels, slices):
+    """Whatever mix of fronts, cancels, nesting and ``run(until=)`` slices:
+    events run in (time, filing index) order, cancelled ones neither run
+    nor count, and ``now`` / ``events_run`` / ``peek_time()`` agree with
+    the reference after every slice."""
+    expected = _play(ReferenceQueue(), program, early_cancels, slices)
+    assert _play(EngineQueue(), program, early_cancels, slices) == expected

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.net import Packet
 from repro.simnet import FiniteQueue, Histogram, Link, RngStreams, Simulator
-from repro.simnet.stats import Counter, TimeSeries
 
 
 class TestSimulator:
@@ -124,15 +123,19 @@ class TestSimulator:
         assert sim.wall_clock_s > 0.0
 
     def test_cancelled_events_are_compacted(self):
+        """Mass cancellation: only the survivors run and count, and the
+        dead entries are dropped as they surface (nothing is rebuilt)."""
         sim = Simulator()
-        events = [sim.schedule(1.0 + i * 1e-6, lambda: None)
+        fired = []
+        events = [sim.schedule(1.0 + i * 1e-6, lambda i=i: fired.append(i))
                   for i in range(1000)]
         for event in events[100:]:
             event.cancel()
-        # Lazy deletion must not leave 900 dead entries in the heap.
-        assert len(sim._heap) < 300
+        assert sim.peek_time() == 1.0
         sim.run()
+        assert fired == list(range(100))
         assert sim.events_run == 100
+        assert sim.peek_time() is None
 
     def test_cancel_is_idempotent_and_noop_after_execution(self):
         sim = Simulator()
@@ -144,9 +147,44 @@ class TestSimulator:
         sim.run()
         ran.cancel()  # already executed: not a cancellation
         assert not ran.cancelled
-        # The swept cancellation was un-counted; the late cancel never
-        # counted at all, so the dead tally is back to zero.
-        assert sim._dead == 0
+        assert sim.events_run == 1
+
+    def test_cancelling_from_inside_a_callback_strands_nothing(self):
+        """At 4779a90 the mass cancel triggered a heap compaction that
+        rebound the heap under the running loop: the follow-on event at
+        1.5 never ran and ``run()`` returned with it still pending."""
+        sim = Simulator()
+        fired = []
+        doomed = [sim.schedule(2.0 + i * 1e-3, lambda: fired.append("doomed"))
+                  for i in range(200)]
+        sim.schedule(500.0, lambda: fired.append("late"))
+
+        def purge():
+            for event in doomed:
+                event.cancel()
+            sim.schedule(1.0, lambda: fired.append("follow-on"))
+
+        sim.schedule(0.5, purge)
+        sim.run()
+        assert fired == ["follow-on", "late"]
+        assert sim.now == 500.0
+        assert sim.events_run == 3
+        assert sim.peek_time() is None
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_are_rejected_on_every_front(self, bad):
+        sim = Simulator()
+        for front in (sim.schedule, sim.schedule_at,
+                      sim.schedule_timer, sim.schedule_timer_at):
+            with pytest.raises(SimulationError, match="cannot schedule"):
+                front(bad, lambda: None)
+        with pytest.raises(SimulationError, match="cannot schedule"):
+            sim.preschedule_timers([0.0, bad], lambda: None)
+        with pytest.raises(SimulationError, match="cannot schedule"):
+            sim.preschedule_timers([bad], lambda: None)
+        assert sim.peek_time() is None
+        sim.run()
+        assert sim.now == 0.0 and sim.events_run == 0
 
     def test_event_handle_exposes_time_seq_callback(self):
         sim = Simulator()
@@ -186,6 +224,81 @@ class TestSimulator:
         assert sim.peek_time() == 0.5
         sim.run()
         assert sim.peek_time() is None
+
+
+class TestQuantumCorners:
+    """Where the bucket width comes from, and that order never depends
+    on it."""
+
+    def test_zero_delay_events_at_time_zero_before_any_positive_offset(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_timer(0.0, lambda: order.append("timer"))
+        sim.schedule_timer_at(0.0, lambda: order.append("timer_at"))
+        sim.schedule(0.0, lambda: order.append("handle"))
+        sim.preschedule_timers([0.0, 0.0], lambda: order.append("bulk"))
+        assert sim.peek_time() == 0.0
+        sim.schedule_timer(1e-6, lambda: order.append("first positive"))
+        sim.schedule_timer(0.0, lambda: order.append("after"))
+        sim.run()
+        assert order == ["timer", "timer_at", "handle", "bulk", "bulk",
+                         "after", "first positive"]
+        assert sim.now == 1e-6
+
+    def test_handle_returning_call_never_teaches_the_quantum(self):
+        """A fault filed at 250 us before any traffic must not become the
+        bucket width (it would fold a whole cluster run into a few
+        buckets); the first handle-free offset does, and the parked fault
+        is re-filed under it."""
+        sim = Simulator()
+        order = []
+        fault = sim.schedule_at(250e-6, lambda: order.append("fault"))
+        sim.schedule(100e-6, lambda: order.append("tick"))
+        assert sim.peek_time() == 100e-6  # readable while still parked
+        sim.schedule_timer_at(1e-6, lambda: order.append("arrival"))
+        assert sim._quantum == 1e-6
+        assert fault.time == 250e-6 and not fault.cancelled
+        sim.schedule_timer(300e-6, lambda: order.append("late"))
+        sim.run()
+        assert order == ["arrival", "tick", "fault", "late"]
+
+    def test_learning_keeps_entries_the_clock_was_stepped_over(self):
+        """``run(until=, max_events=)`` may leave events behind the clock;
+        re-filing them under a freshly learned quantum must not take them
+        for new filings into the past."""
+        sim = Simulator()
+        order = []
+        for i in (1, 2, 3):
+            sim.schedule_at(float(i), lambda i=i: order.append(i))
+        sim.run(until=10.0, max_events=1)
+        sim.schedule_timer(0.5, lambda: order.append("timer"))
+        assert sim.peek_time() == 2.0
+        sim.run()
+        assert order == [1, 2, 3, "timer"] and sim.events_run == 4
+
+    def test_far_event_under_a_nanosecond_quantum(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_timer(1e-9, lambda: order.append("near"))
+        sim.schedule_timer(1e3, lambda: order.append("far timer"))
+        sim.schedule(1e3, lambda: order.append("far handle"))
+        sim.run(until=1.0)
+        assert order == ["near"] and sim.peek_time() == 1e3
+        sim.run()
+        assert order == ["near", "far timer", "far handle"]
+        assert sim.now == 1e3
+
+    def test_run_that_only_ever_used_the_handle_fronts(self):
+        sim = Simulator()
+        order = []
+        for i in (3, 1, 2):
+            sim.schedule_at(float(i), lambda i=i: order.append(i))
+        sim.schedule(1.0, lambda: sim.schedule(0.5, lambda: order.append(1.5)))
+        sim.run(until=1.0)
+        assert order == [1] and sim.peek_time() == 1.5
+        sim.run()
+        assert order == [1, 1.5, 2, 3]
+        assert sim.events_run == 5 and sim.peek_time() is None
 
 
 class TestRunAsOf:
@@ -381,15 +494,6 @@ class TestRng:
 
 
 class TestStats:
-    def test_counter(self):
-        c = Counter()
-        c.add("drops")
-        c.add("drops", 2)
-        assert c.get("drops") == 3
-        assert c.get("missing") == 0
-        with pytest.raises(ValueError):
-            c.add("drops", -1)
-
     def test_histogram_percentiles(self):
         h = Histogram()
         for v in range(1, 101):
@@ -418,16 +522,3 @@ class TestStats:
         h.observe(1)
         with pytest.raises(ValueError):
             h.percentile(101)
-
-    def test_time_series_rate(self):
-        ts = TimeSeries()
-        ts.record(0.5, 100)
-        ts.record(1.5, 200)
-        assert ts.rate_over(0, 2) == pytest.approx(150)
-        assert ts.total() == 300
-
-    def test_time_series_order_enforced(self):
-        ts = TimeSeries()
-        ts.record(1.0, 1)
-        with pytest.raises(ValueError):
-            ts.record(0.5, 1)
