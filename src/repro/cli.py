@@ -388,6 +388,7 @@ def _cmd_control(args) -> int:
 
 def _cmd_parallel(args) -> int:
     import re
+    from time import perf_counter
 
     from .core import RouteBricksRouter
     from .errors import ReproError
@@ -405,6 +406,7 @@ def _cmd_parallel(args) -> int:
     router = RouteBricksRouter(num_nodes=nodes, seed=args.seed)
     workload = WorkloadSpec.fixed(args.size).with_matrix(
         uniform_matrix(nodes, router.port_rate_bps * args.load))
+    start = perf_counter()
     try:
         report = simulate_parallel(
             router, workload, until=duration, workers=args.workers,
@@ -412,6 +414,7 @@ def _cmd_parallel(args) -> int:
     except ReproError as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
+    wall = perf_counter() - start
     print("cluster: %d nodes across %d worker(s) [%s backend], "
           "%g%% uniform load of %d B frames"
           % (nodes, report.workers, args.backend, args.load * 100,
@@ -427,8 +430,17 @@ def _cmd_parallel(args) -> int:
         print("engine: %d events in %d epochs; critical-path %.0f events/s"
               % (report.events_run, report.epochs,
                  report.events_run / busy))
+        # A partition's busy + barrier wait is the epochs' wall clock as
+        # it saw it; what the two figures leave of the call is process
+        # start, spec and fragment pickling, and the merge.
+        print("wall: %.2f s for the call -- partition set-up %.2f s "
+              "(slowest build + arrival realization, CPU), epochs %.2f s"
+              % (wall, max(report.partition_setup_seconds),
+                 min(b + w for b, w in zip(report.partition_busy_seconds,
+                                           report.barrier_wait_seconds))))
     else:
-        print("engine: %d events (single-heap run)" % report.events_run)
+        print("engine: %d events (single-heap run); wall: %.2f s for the "
+              "call" % (report.events_run, wall))
     return 0
 
 

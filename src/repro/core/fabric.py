@@ -13,11 +13,15 @@ stage servers ``("fly", stage, index)``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, List, Tuple
 
 from ..errors import TopologyError
+
+# networkx is imported where a graph is built or searched, not here:
+# ``repro.core`` loads this module, and the 0.12 s / 15 MiB the import
+# costs would be paid by every CLI command and every worker process.
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Per-server latency used in the Sec. 3.3 estimate (Sec. 6.2's 24 us).
 SERVER_LATENCY_USEC = 24.0
@@ -25,6 +29,8 @@ SERVER_LATENCY_USEC = 24.0
 
 def mesh_graph(num_servers: int) -> nx.DiGraph:
     """A full mesh of I/O servers."""
+    import networkx as nx
+
     if num_servers < 2:
         raise TopologyError("mesh needs >= 2 servers")
     graph = nx.DiGraph()
@@ -46,6 +52,8 @@ def fly_graph(k: int, stages: int, num_terminals: int = None) -> nx.DiGraph:
     at both ends; the same physical I/O servers act as sources and sinks
     (the fabric is used in a folded fashion, as in the paper's cluster).
     """
+    import networkx as nx
+
     if k < 2:
         raise TopologyError("fly needs k >= 2")
     if stages < 1:
@@ -90,6 +98,8 @@ def fly_graph(k: int, stages: int, num_terminals: int = None) -> nx.DiGraph:
 
 def torus_graph(radix: int, dimensions: int) -> nx.DiGraph:
     """A radix^dimensions torus of I/O servers (bidirectional rings)."""
+    import networkx as nx
+
     if radix < 2 or dimensions < 1:
         raise TopologyError("torus needs radix >= 2 and >= 1 dimension")
     graph = nx.DiGraph()
@@ -139,6 +149,7 @@ class FabricNetwork:
         """Shortest server path from I/O node src to I/O node dst."""
         key = (src_io, dst_io)
         if key not in self._paths:
+            import networkx as nx
             self._paths[key] = nx.shortest_path(
                 self.graph, ("io", src_io), ("io", dst_io))
         return self._paths[key]

@@ -57,16 +57,30 @@ def empty_registry_like(registry: MetricsRegistry) -> MetricsRegistry:
     return fresh
 
 
+def _range_checked(events, n: int, route_via_fib: bool):
+    """``events``, each ``(time, ingress, egress, packet)`` range-checked
+    as it is consumed -- FIB-routed runs ignore ``egress``."""
+    for event in events:
+        _, ingress, egress, _ = event
+        if not 0 <= ingress < n:
+            raise ConfigurationError("bad ingress node %r" % ingress)
+        if not route_via_fib and not 0 <= egress < n:
+            raise ConfigurationError("bad egress node %r" % egress)
+        yield event
+
+
 def checked_inputs(router, events, until, failed_links, faults,
                    route_via_fib: bool = False, observed: bool = False):
     """The one input check behind ``simulate`` and ``simulate_parallel``.
 
-    Returns ``(arrivals, failed_links, faults)``: ``events`` (realized
-    over the horizon when a :class:`~repro.workloads.WorkloadSpec`) as a
-    generator that range-checks each ``(time, ingress, egress, packet)``
-    as it is consumed -- FIB-routed runs ignore ``egress`` --, the failed
-    links as a checked tuple, and the fault schedule coerced from its
-    dict form and validated against the cluster size.
+    Returns ``(workload, arrivals, failed_links, faults)``.  A
+    :class:`~repro.workloads.WorkloadSpec` is checked against the cluster
+    and the horizon and comes back as ``workload``, for the partitions to
+    replay -- nothing is realized here (``arrivals`` is then empty).  Any
+    other ``events`` comes back as ``arrivals``, a generator that
+    range-checks each event as it is consumed (``workload`` is ``None``).
+    The failed links come back as a checked tuple, the fault schedule
+    coerced from its dict form and validated against the cluster size.
 
     ``observed`` says whether an enabled registry samples the run: with
     ``router.resequence`` the observer tick and the resequencers' expiry
@@ -81,8 +95,9 @@ def checked_inputs(router, events, until, failed_links, faults,
             "an observed resequencing run never drains (observer tick and "
             "expiry chain keep each other armed); give it a horizon "
             "(until=...) or a disabled registry")
+    workload = None
     if isinstance(events, WorkloadSpec):
-        workload = events
+        workload, events = events, ()
         if workload.matrix is None:
             raise ConfigurationError(
                 "workload %r has no traffic matrix; use with_matrix()"
@@ -91,11 +106,10 @@ def checked_inputs(router, events, until, failed_links, faults,
             raise ConfigurationError(
                 "workload matrix is %dx%d but the cluster has %d nodes"
                 % (workload.matrix.n, workload.matrix.n, n))
-        if until is None:
+        if until is None or until <= 0:
             raise ConfigurationError(
-                "simulating a WorkloadSpec needs an explicit horizon "
+                "simulating a WorkloadSpec needs a positive horizon "
                 "(until=...)")
-        events = workload.events(until)
     failed_links = tuple((src, dst) for src, dst in failed_links)
     for src, dst in failed_links:
         if not (0 <= src < n and 0 <= dst < n):
@@ -106,30 +120,25 @@ def checked_inputs(router, events, until, failed_links, faults,
         if not isinstance(faults, FaultSchedule):
             faults = FaultSchedule.from_dict(faults)
         faults.validate(n)
-
-    def arrivals():
-        for event in events:
-            _, ingress, egress, _ = event
-            if not 0 <= ingress < n:
-                raise ConfigurationError("bad ingress node %r" % ingress)
-            if not route_via_fib and not 0 <= egress < n:
-                raise ConfigurationError("bad egress node %r" % egress)
-            yield event
-
-    return arrivals(), failed_links, faults
+    return (workload, _range_checked(events, n, route_via_fib),
+            failed_links, faults)
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
     """Everything needed to build and drive one partition.
 
-    ``arrivals`` is any iterable of checked ``(time, ingress, egress,
-    packet)`` for this partition's ingress nodes, the packet live or in
-    ``to_wire()`` form.  A spec shipped to a worker uses the wire form
-    (the parent rolls the arrival process once, so the offered traffic
-    is identical at any worker count) and is then fully picklable: the
-    router carries only plain configuration and the fault schedule is
-    shared data every partition filters for itself.
+    The traffic is ``workload`` -- a validated
+    :class:`~repro.workloads.WorkloadSpec` the partition itself replays
+    over ``until``, building packets (ids ``packet_id_base`` + position
+    in the stream) for its own ingress nodes only -- plus ``arrivals``,
+    any iterable of checked ``(time, ingress, egress, packet)`` with
+    live packets for this partition's ingress nodes (a caller's event
+    list, split by owner).  A spec shipped to a worker is fully
+    picklable, and a few kilobytes whatever the horizon when the
+    traffic is a workload: the router carries only plain configuration
+    and the fault schedule is shared data every partition filters for
+    itself.
 
     With ``observe`` the partition samples its links on the observer
     tick grid: partition 0 runs the self-rearming tick chain in its own
@@ -153,6 +162,9 @@ class PartitionSpec:
     fib_push_latency_sec: float = 0.0
     route_via_fib: bool = False
     churn: Optional[object] = None      # armable, e.g. ChurnDriver
+    workload: Optional[object] = None   # WorkloadSpec
+    until: Optional[float] = None
+    packet_id_base: int = 0
     arrivals: Iterable[tuple] = ()
     observe: bool = False
     observer_interval_sec: float = 1e-4
@@ -307,21 +319,21 @@ class ClusterPartition(Partition):
         else:
             admit = ClusterNode.ingress
 
-        #: Arrivals scheduled here (the partition's share of the load).
+        #: Arrivals seen here: the whole run's when a workload is
+        #: replayed (those of other partitions' ingress nodes come with
+        #: no packet and are only counted), else this partition's share.
         self.offered_packets = 0
-        for time, ingress, egress, packet in spec.arrivals:
+        arrivals = spec.arrivals
+        if spec.workload is not None:
+            arrivals = _range_checked(
+                spec.workload.events(spec.until, owned=self.nodes,
+                                     id_base=spec.packet_id_base),
+                n, spec.route_via_fib)
+        for time, ingress, egress, packet in arrivals:
             self.offered_packets += 1
-            node = self.nodes[ingress]
-            # The wire form is decoded only when the arrival fires, so a
-            # worker never holds more live packets than are in flight.
-            # Its callback binds by defaults (one function + one tuple):
-            # a partial or a closure is one object more per pending
-            # arrival and measured 7 % more worker CPU while advancing.
-            sim.schedule_timer_at(time, (
-                partial(admit, node, packet, egress)
-                if isinstance(packet, Packet) else
-                lambda admit=admit, node=node, wire=packet, egress=egress:
-                admit(node, Packet.from_wire(wire), egress)))
+            if packet is not None:
+                sim.schedule_timer_at(time, partial(
+                    admit, self.nodes[ingress], packet, egress))
 
         self.observer = None
         if spec.observe:

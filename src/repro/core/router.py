@@ -22,7 +22,7 @@ from ..costs import DEFAULT_CONFIG, ServerConfig
 from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
-from ..net.packet import Packet
+from ..net.packet import Packet, packet_id_floor
 from ..obs.hooks import observer_interval
 from ..obs.metrics import active_registry
 from ..results import RunResult
@@ -96,6 +96,10 @@ class SimulationReport(RunResult):
     #: (index = partition id).  ``max`` of this list is the parallel
     #: critical path; empty for single-sim runs.
     partition_busy_seconds: List[float] = field(default_factory=list)
+    #: CPU seconds each partition spent being built, arrival realization
+    #: included -- work ``partition_busy_seconds`` does not cover (index
+    #: = partition id; empty for single-sim runs).
+    partition_setup_seconds: List[float] = field(default_factory=list)
     #: Wall seconds each partition spent stalled at epoch barriers
     #: waiting for the slowest sibling (index = partition id; empty for
     #: single-sim runs).  ``busy + wait`` per partition approximates the
@@ -279,7 +283,9 @@ class RouteBricksRouter:
 
         ``events`` yields (time, ingress node, egress node, packet) -- or
         is a :class:`~repro.workloads.WorkloadSpec` carrying a traffic
-        matrix, realized over the ``until`` horizon.  The report covers
+        matrix, which the partition realizes over the ``until`` horizon
+        with packet ids numbered from one base (see
+        :func:`~repro.net.packet.packet_id_floor`).  The report covers
         reordering (per the Sec. 6.2 metric), latency, goodput, and path
         statistics.
 
@@ -312,18 +318,21 @@ class RouteBricksRouter:
         from .partition import checked_inputs, merge_fragments
 
         registry = metrics if metrics is not None else active_registry()
-        arrivals, failed_links, faults = checked_inputs(
+        workload, arrivals, failed_links, faults = checked_inputs(
             self, events, until, failed_links, faults, route_via_fib,
             observed=registry.enabled)
+        id_base = packet_id_floor()
         part = self._whole_cluster_partition(
             registry,
             rate_limited_egress=rate_limited_egress,
             failed_links=failed_links, faults=faults, manager=manager,
             detection_latency_sec=detection_latency_sec,
             fib_push_latency_sec=fib_push_latency_sec,
-            route_via_fib=route_via_fib, churn=churn, arrivals=arrivals,
+            route_via_fib=route_via_fib, churn=churn, workload=workload,
+            until=until, packet_id_base=id_base, arrivals=arrivals,
             observe=registry.enabled,
             observer_interval_sec=observer_interval(until))
+        packet_id_floor(id_base + part.offered_packets)
         part.advance(until)
         return merge_fragments(
             [part.finish()], offered_packets=part.offered_packets,

@@ -31,6 +31,24 @@ from .addresses import MACAddress
 
 _packet_ids = itertools.count()
 
+
+def packet_id_floor(at_least: int = 0) -> int:
+    """Raise the process-wide id counter to ``at_least`` (never lower
+    it) and return the next id it will hand out.
+
+    A cluster run numbers its arrival stream ``base + position`` instead
+    of drawing ids, so that every partition replaying the stream -- in
+    this process, a forked one or a spawned one -- agrees on them: the
+    caller takes ``base = packet_id_floor()`` before the run and calls
+    ``packet_id_floor(base + arrivals)`` after it, which keeps ids drawn
+    later clear of the run's.
+    """
+    global _packet_ids
+    at_least = max(at_least, next(_packet_ids))
+    _packet_ids = itertools.count(at_least)
+    return at_least
+
+
 #: Cluster MACs encode a node id in the low byte, so a simulation only
 #: ever sees a handful of distinct values -- worth interning on decode.
 _mac_cache = {}
@@ -71,10 +89,12 @@ class Packet:
 
     def __init__(self, length: int, eth: Optional[EthernetHeader] = None,
                  ip: Optional[IPv4Header] = None, l4=None,
-                 payload: Optional[bytes] = None):
+                 payload: Optional[bytes] = None,
+                 packet_id: Optional[int] = None):
         if length < ETHERNET_HEADER_BYTES:
             raise PacketError("frame length %d below Ethernet minimum" % length)
-        self.packet_id = next(_packet_ids)
+        self.packet_id = (next(_packet_ids) if packet_id is None
+                          else packet_id)
         self.length = length
         self.eth = eth if eth is not None else EthernetHeader()
         self.ip = ip
@@ -93,8 +113,10 @@ class Packet:
     @classmethod
     def udp(cls, src, dst, length: int = 64, src_port: int = 1024,
             dst_port: int = 80, ttl: int = 64,
-            payload: Optional[bytes] = None) -> "Packet":
-        """Build a UDP-in-IPv4-in-Ethernet packet of total frame ``length``."""
+            payload: Optional[bytes] = None,
+            packet_id: Optional[int] = None) -> "Packet":
+        """Build a UDP-in-IPv4-in-Ethernet packet of total frame ``length``
+        (``packet_id``: an id the caller assigns instead of a fresh one)."""
         # IPv4Address is immutable: callers that already hold one (the
         # workload generators' pre-built flow tables) share it as-is.
         if not isinstance(src, IPv4Address):
@@ -108,7 +130,8 @@ class Packet:
         l4 = UDPHeader(src_port=src_port, dst_port=dst_port,
                        length=ip.total_length - IPV4_MIN_HEADER_BYTES)
         eth = EthernetHeader(ethertype=ETHERTYPE_IPV4)
-        return cls(length=length, eth=eth, ip=ip, l4=l4, payload=payload)
+        return cls(length=length, eth=eth, ip=ip, l4=l4, payload=payload,
+                   packet_id=packet_id)
 
     @classmethod
     def tcp(cls, src, dst, length: int = 64, src_port: int = 1024,

@@ -53,6 +53,7 @@ from ..core.partition import (
 from ..core.router import RouteBricksRouter, SimulationReport
 from ..core.topology import balanced_partitions
 from ..errors import ConfigurationError, SimulationError
+from ..net.packet import packet_id_floor
 from ..obs.hooks import observer_interval
 from ..obs.metrics import active_registry
 
@@ -60,20 +61,13 @@ BACKENDS = ("inline", "process")
 
 
 def _split_arrivals(arrivals, assignment: List[int]):
-    """Roll the arrival process once, in the parent.
-
-    Returns (offered count, per-partition ``(time, ingress, egress,
-    wire)`` lists).  Realizing centrally -- instead of per worker -- keeps
-    the offered traffic, the packet ids, and the flow sequence numbers
-    identical to a single-heap run at any worker count.
-    """
-    offered = 0
+    """A caller's events, split by the partition owning each ingress
+    node; the live packets ride the spec through ``Packet.__reduce__``.
+    (A workload is not split: every partition replays it for itself.)"""
     shares: List[List[tuple]] = [[] for _ in range(max(assignment) + 1)]
-    for time, ingress, egress, packet in arrivals:
-        offered += 1
-        shares[assignment[ingress]].append(
-            (time, ingress, egress, packet.to_wire()))
-    return offered, shares
+    for event in arrivals:
+        shares[assignment[event[1]]].append(event)
+    return shares
 
 
 def _tick_grid(interval: float, horizon: float) -> List[float]:
@@ -112,10 +106,20 @@ def _advance(part: ClusterPartition, until: float, parcels,
     return outgoing, part.peek_time(), busy
 
 
+def _build(spec: PartitionSpec):
+    """Build one partition -- realizing its arrivals -- and report its
+    initial state: (next pending time, lookahead, arrivals seen, CPU
+    seconds the build took)."""
+    start = process_time()
+    part = ClusterPartition(spec)
+    return part, (part.peek_time(), part.lookahead_sec,
+                  part.offered_packets, process_time() - start)
+
+
 def _worker_init(spec: PartitionSpec):
     global _WORKER
-    _WORKER = ClusterPartition(spec)
-    return _WORKER.peek_time(), _WORKER.lookahead_sec
+    _WORKER, state = _build(spec)
+    return state
 
 
 def _worker_advance(*epoch):
@@ -131,10 +135,11 @@ class _InlineBackend:
     tests, and ``workers`` > cores)."""
 
     def __init__(self, specs: List[PartitionSpec]):
-        self.partitions = [ClusterPartition(spec) for spec in specs]
+        self.specs = specs
 
     def init_state(self):
-        return [(p.peek_time(), p.lookahead_sec) for p in self.partitions]
+        self.partitions, state = zip(*(_build(spec) for spec in self.specs))
+        return state
 
     def advance_all(self, until, inboxes, keep_alive, sample):
         return [_advance(part, until, inboxes[pid], keep_alive[pid], sample)
@@ -217,7 +222,11 @@ def simulate_parallel(router: RouteBricksRouter,
     ``workers=1`` *is* ``simulate`` (one partition, no epoch loop).  For
     ``workers > 1`` the cluster is split into contiguous balanced node
     ranges and a fault schedule is applied partition-locally with
-    owner-side accounting.  Features that need one partition owning
+    owner-side accounting.  A ``WorkloadSpec`` is realized by the
+    partitions, never here: each replays the same seeded stream and
+    builds packets for its own ingress nodes only (see
+    :class:`~repro.core.partition.PartitionSpec`); any other ``events``
+    is split by owner.  Features that need one partition owning
     every node -- a control-plane ``manager``, ``router.resequence`` --
     are refused by :class:`~repro.core.partition.PartitionSpec`; use
     ``workers=1`` for those.
@@ -245,9 +254,10 @@ def simulate_parallel(router: RouteBricksRouter,
 
     registry = metrics if metrics is not None else active_registry()
     assignment = balanced_partitions(router.num_nodes, workers)
-    arrivals, failed_links, faults = checked_inputs(
+    workload, arrivals, failed_links, faults = checked_inputs(
         router, events, until, failed_links, faults)
-    offered, shares = _split_arrivals(arrivals, assignment)
+    shares = _split_arrivals(arrivals, assignment)
+    id_base = packet_id_floor()
 
     interval = observer_interval(until)
     observe = registry.enabled
@@ -262,7 +272,10 @@ def simulate_parallel(router: RouteBricksRouter,
         manager=manager,
         detection_latency_sec=detection_latency_sec,
         fib_push_latency_sec=fib_push_latency_sec,
-        arrivals=tuple(shares[pid]),
+        workload=workload,
+        until=until,
+        packet_id_base=id_base,
+        arrivals=shares[pid],
         observe=observe,
         observer_interval_sec=interval,
     ) for pid in range(workers)]
@@ -330,11 +343,19 @@ def simulate_parallel(router: RouteBricksRouter,
                 wait_gauge[pid](wait_totals[pid])
 
     try:
-        state = driver.init_state()
-        peeks: List[Optional[float]] = [peek for peek, _ in state]
+        peeks, lookaheads, seen, setup_seconds = map(
+            list, zip(*driver.init_state()))
+        # A replayed workload shows every partition the whole stream; a
+        # caller's event list was dealt out, each partition its share.
+        offered = seen[0] if workload is not None else sum(seen)
+        if workload is not None and seen != [offered] * workers:
+            raise SimulationError(
+                "partitions replayed different arrival streams: they "
+                "counted %s offered packets" % seen)
+        packet_id_floor(id_base + offered)
         # Two or more partitions of a full mesh: every one has
         # cross-links, so every lookahead is a number.
-        window = min(lookahead for _, lookahead in state)
+        window = min(lookaheads)
         ticks = _tick_grid(interval, until) if observe else []
         next_tick = 0
         inboxes: List[List] = [[] for _ in range(workers)]
@@ -405,6 +426,7 @@ def simulate_parallel(router: RouteBricksRouter,
         workers=workers, epochs=epochs,
         registry=registry if observe else None)
     report.partition_busy_seconds = busy_totals
+    report.partition_setup_seconds = setup_seconds
     report.barrier_wait_seconds = wait_totals
     report.lookahead_efficiency = (
         sim_covered / (epochs * window) if epochs else 0.0)
@@ -412,6 +434,12 @@ def simulate_parallel(router: RouteBricksRouter,
     report.load_imbalance = (max(busy_totals) / mean_busy
                              if mean_busy > 0 else 0.0)
     if observe:
+        setup_gauge = registry.gauge(
+            "parallel_setup_seconds",
+            help="CPU seconds building each partition, arrival "
+                 "realization included")
+        for pid, seconds in enumerate(setup_seconds):
+            setup_gauge.set(seconds, workers=workers, partition=pid)
         registry.gauge(
             "run_workers", help="partitions driving this run").set(workers)
         registry.gauge(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..net.addresses import IPv4Address
@@ -21,8 +21,9 @@ from .matrices import TrafficMatrix
 
 def matrix_events(matrix: TrafficMatrix, duration_sec: float,
                   packet_bytes: int = 740, flows_per_pair: int = 4,
-                  seed: int = 0, size_mix=None) \
-        -> Iterator[Tuple[float, int, int, Packet]]:
+                  seed: int = 0, size_mix=None, owned=None,
+                  id_base: Optional[int] = None) \
+        -> Iterator[Tuple[float, int, int, Optional[Packet]]]:
     """Yield (time, ingress, egress, packet) events realizing ``matrix``.
 
     Each nonzero demand entry runs an independent Poisson process at its
@@ -33,6 +34,14 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
     :class:`~repro.workloads.spec.WorkloadSpec`) draws per-packet frame
     sizes from a distribution; pair rates are then set by the mix's mean
     size so the bits/second demand is still honored in expectation.
+
+    Internal, for a cluster partition replaying the run's stream:
+    ``owned`` (a container of node ids) limits packet *construction* to
+    those ingress nodes -- every other arrival still rolls its dice,
+    advances its flow's sequence counter and is yielded, with ``None``
+    for the packet, so the owned ones are exactly the full stream's --
+    and ``id_base`` numbers packets ``id_base + position in the stream``
+    instead of drawing ids from the process-wide counter.
     """
     if duration_sec <= 0:
         raise ConfigurationError("duration must be positive")
@@ -78,19 +87,24 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
             first = rng.expovariate(1.0 / mean_gap)
             heapq.heappush(heap, (first, src, dst))
 
+    position = 0
     while heap:
         time, src, dst = heapq.heappop(heap)
         if time > duration_sec:
             continue
         state = pair_state[(src, dst)]
         flow_index = rng.randrange(len(state["flows"]))
-        fsrc, fdst, sport, dport = state["flows"][flow_index]
         length = int(round(rng.choices(sizes, weights=weights)[0]
                            if size_mix is not None else packet_bytes))
-        packet = Packet.udp(fsrc, fdst, length=length,
-                            src_port=sport, dst_port=dport)
         state["seq"][flow_index] += 1
-        packet.flow_seq = state["seq"][flow_index]
+        packet = None
+        if owned is None or src in owned:
+            fsrc, fdst, sport, dport = state["flows"][flow_index]
+            packet = Packet.udp(
+                fsrc, fdst, length=length, src_port=sport, dst_port=dport,
+                packet_id=None if id_base is None else id_base + position)
+            packet.flow_seq = state["seq"][flow_index]
+        position += 1
         yield time, src, dst, packet
         next_time = time + rng.expovariate(1.0 / state["mean_gap"])
         if next_time <= duration_sec:

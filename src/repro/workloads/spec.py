@@ -131,13 +131,16 @@ class WorkloadSpec:
             return lambda: only
         return lambda: rng.choices(sizes, weights=weights)[0]
 
-    def events(self, duration_sec: float) \
-            -> Iterator[Tuple[float, int, int, Packet]]:
+    def events(self, duration_sec: float, owned=None,
+               id_base: Optional[int] = None) \
+            -> Iterator[Tuple[float, int, int, Optional[Packet]]]:
         """Realize the workload as timed cluster events.
 
         Requires ``matrix``; demands become merged Poisson packet streams
         with sizes drawn from the mix (see
-        :func:`repro.workloads.cluster_traffic.matrix_events`).
+        :func:`repro.workloads.cluster_traffic.matrix_events`, also for
+        the internal ``owned`` / ``id_base`` a cluster partition passes
+        to replay the stream for its own ingress nodes).
         """
         if self.matrix is None:
             raise ConfigurationError(
@@ -147,4 +150,4 @@ class WorkloadSpec:
         return matrix_events(self.matrix, duration_sec,
                              size_mix=self.mix,
                              flows_per_pair=self.flows_per_pair,
-                             seed=self.seed)
+                             seed=self.seed, owned=owned, id_base=id_base)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import RouteBricksRouter
 from repro.errors import ConfigurationError
-from repro.workloads import permutation_matrix, uniform_matrix
+from repro.workloads import (WorkloadSpec, permutation_matrix,
+                             uniform_matrix)
 from repro.workloads.cluster_traffic import matrix_events, offered_packets
 
 
@@ -49,6 +50,40 @@ class TestMatrixEvents:
             list(matrix_events(matrix, duration_sec=0))
         with pytest.raises(ConfigurationError):
             list(matrix_events(matrix, 1e-3, packet_bytes=32))
+
+
+class TestPartitionReplay:
+    """What a cluster partition relies on when it replays the stream
+    for a subset of the ingress nodes."""
+
+    @pytest.mark.parametrize("spec", [WorkloadSpec.fixed(64, seed=12),
+                                      WorkloadSpec.abilene(seed=13)],
+                             ids=["fixed", "mixed"])
+    def test_owned_subset_is_the_full_stream_filtered(self, spec):
+        workload = spec.with_matrix(uniform_matrix(4, 2e9))
+        owned = {1, 2}
+        full = list(workload.events(1e-3, id_base=5000))
+        replay = list(workload.events(1e-3, owned=owned, id_base=5000))
+
+        def built(events):
+            return [(time, ingress, egress, packet.flow_seq, packet.length,
+                     packet.packet_id)
+                    for time, ingress, egress, packet in events
+                    if packet is not None]
+
+        # Every arrival is still rolled and yielded, in the same order...
+        assert ([event[:3] for event in replay]
+                == [event[:3] for event in full])
+        # ...foreign ones without a packet, owned ones exactly as the
+        # full stream has them, ids included.
+        assert all((packet is None) == (ingress not in owned)
+                   for _, ingress, _, packet in replay)
+        assert built(replay) == [row for row in built(full)
+                                 if row[1] in owned]
+        assert [row[5] for row in built(full)] == list(
+            range(5000, 5000 + len(full)))
+        if spec.name == "abilene":
+            assert len({row[4] for row in built(replay)}) > 1
 
 
 class TestMatrixThroughDES:

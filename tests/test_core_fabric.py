@@ -1,7 +1,12 @@
 """Tests for the explicit fabric graphs (mesh, k-ary n-fly, torus)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.fabric import (
     FabricNetwork,
     current_server_fabric,
@@ -155,3 +160,15 @@ class TestLatencyEstimates:
         fabric = FabricNetwork(mesh_graph(8))
         # Two-phase through a mesh: at most 3 servers -> 72 us.
         assert fabric.worst_case_vlb_latency_usec() == pytest.approx(72.0)
+
+
+def test_importing_the_cluster_does_not_import_networkx():
+    """Only the graph builders and the path search need networkx; the
+    packages every CLI command and every worker process loads must not
+    pay for it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = ("import sys, repro.core, repro.parallel; "
+             "sys.exit('networkx' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import RouteBricksRouter
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.parallel import runner, simulate_parallel
 from repro.workloads import WorkloadSpec
 from repro.workloads.matrices import uniform_matrix
@@ -88,3 +88,34 @@ def test_cli_reports_dead_worker_as_an_error(kill_worker_after_first_epoch,
     assert stderr.startswith("error: ")
     assert "partition %d" % VICTIM in stderr
     assert "Traceback" not in stderr
+
+
+class _BrokenDice(WorkloadSpec):
+    """Passes the parent's validation; fails when a partition replays
+    it.  (Module level, so a worker can unpickle it by reference.)"""
+
+    def events(self, duration_sec, owned=None, id_base=None):
+        raise ConfigurationError("the dice fell off the table")
+
+
+def test_realisation_error_in_a_worker_surfaces_as_itself(monkeypatch):
+    backends = []
+    init = runner._ProcessBackend.__init__
+
+    def recording(self, specs):
+        init(self, specs)
+        backends.append(self)
+
+    monkeypatch.setattr(runner._ProcessBackend, "__init__", recording)
+    router = RouteBricksRouter(num_nodes=4, seed=11)
+    workload = _BrokenDice(name="broken", mix=((64, 1.0),),
+                           matrix=uniform_matrix(4, 1e9))
+
+    error = _run_in_thread(lambda: simulate_parallel(
+        router, workload, until=2e-4, workers=2, backend="process"))
+
+    assert type(error) is ConfigurationError
+    assert "the dice fell off the table" in str(error)
+    backend, = backends
+    for pool in backend.pools:
+        assert not pool._processes
