@@ -16,7 +16,12 @@ from repro.analysis import format_table
 from repro.core import ClassicVlb, DirectVlb, RouteBricksRouter, analyze
 from repro.core.topology import FullMesh, KAryNFly, Torus
 from repro.perfmodel import max_loss_free_rate, per_packet_loads
-from repro.workloads import FlowGenerator, permutation_matrix, uniform_matrix
+from repro.workloads import (
+    FlowGenerator,
+    WorkloadSpec,
+    permutation_matrix,
+    uniform_matrix,
+)
 
 
 def test_numa_placement_ablation(benchmark, save_result):
@@ -25,7 +30,8 @@ def test_numa_placement_ablation(benchmark, save_result):
 
     def run():
         loads = per_packet_loads(cal.MINIMAL_FORWARDING, 64)
-        base = max_loss_free_rate(cal.MINIMAL_FORWARDING, 64)
+        base = max_loss_free_rate(
+            WorkloadSpec.fixed(64, app=cal.MINIMAL_FORWARDING))
         # Remote placement: charge the descriptor share of memory traffic
         # (23 % of accesses, Sec. 4.2) across the inter-socket link too.
         remote_qpi = loads.qpi_bytes + 0.23 * loads.mem_bytes

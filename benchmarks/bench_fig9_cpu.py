@@ -10,6 +10,7 @@ import pytest
 from repro import calibration as cal
 from repro.analysis import format_table, run_experiment
 from repro.perfmodel import max_loss_free_rate
+from repro.workloads import WorkloadSpec
 
 
 def test_fig9(benchmark, save_result):
@@ -26,7 +27,8 @@ def test_fig9(benchmark, save_result):
         assert len(loads) == 1  # constant in input rate
         # The load line crosses the bound at the measured saturation rate.
         app = cal.APPLICATIONS[app_name]
-        saturation = max_loss_free_rate(app, 64).rate_mpps
+        saturation = max_loss_free_rate(
+            WorkloadSpec.fixed(64, app=app)).rate_mpps
         load = next(iter(loads))
         bound_at_saturation = cal.NEHALEM_TOTAL_CYCLES_PER_SEC / (saturation * 1e6)
         assert load == pytest.approx(bound_at_saturation, rel=1e-6)

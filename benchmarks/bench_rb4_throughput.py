@@ -11,6 +11,7 @@ import pytest
 from repro import calibration as cal
 from repro.analysis import format_table, run_experiment
 from repro.core import RouteBricksRouter
+from repro.workloads import WorkloadSpec
 
 
 def test_rb4_throughput(benchmark, save_result):
@@ -32,7 +33,8 @@ def test_rb4_nic_accounting(benchmark):
 
     def decompose():
         router = RouteBricksRouter()
-        result = router.max_throughput(cal.ABILENE_MEAN_PACKET_BYTES)
+        result = router.max_throughput(
+            WorkloadSpec.fixed(cal.ABILENE_MEAN_PACKET_BYTES))
         per_port = result.per_port_bps
         internal = per_port / (router.num_nodes - 1)
         return per_port, internal
@@ -47,8 +49,9 @@ def test_rb4_64b_expected_window(benchmark):
     expected 12.7-19.4 Gbps window; the overhead brings it to 12."""
 
     def window():
-        plain = RouteBricksRouter(use_flowlets=False).max_throughput(64)
-        with_overhead = RouteBricksRouter().max_throughput(64)
+        small = WorkloadSpec.fixed(64)
+        plain = RouteBricksRouter(use_flowlets=False).max_throughput(small)
+        with_overhead = RouteBricksRouter().max_throughput(small)
         return plain.aggregate_gbps, with_overhead.aggregate_gbps
 
     plain, with_overhead = benchmark(window)

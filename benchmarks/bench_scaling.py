@@ -7,6 +7,7 @@ import pytest
 from repro import calibration as cal
 from repro.analysis import format_table
 from repro.core import RouteBricksRouter
+from repro.workloads import WorkloadSpec
 
 
 def test_linear_capacity_scaling(benchmark, save_result):
@@ -17,8 +18,9 @@ def test_linear_capacity_scaling(benchmark, save_result):
         # paper's linear-scaling claim covers).
         for n in (4, 8, 16, 32):
             router = RouteBricksRouter(num_nodes=n)
-            r64 = router.max_throughput(64)
-            rab = router.max_throughput(cal.ABILENE_MEAN_PACKET_BYTES)
+            r64 = router.max_throughput(WorkloadSpec.fixed(64))
+            rab = router.max_throughput(
+                WorkloadSpec.fixed(cal.ABILENE_MEAN_PACKET_BYTES))
             rows.append({"nodes": n,
                          "aggregate_64b_gbps": r64.aggregate_gbps,
                          "aggregate_abilene_gbps": rab.aggregate_gbps,

@@ -226,6 +226,31 @@ def _cmd_power(args) -> int:
     return 0
 
 
+def _rb_nodes(name: str,
+              expected: str = "topology must look like rb4/rb8/rb32"):
+    """Node count of an ``rbN`` preset name; ``None``, with the error
+    printed, for anything else."""
+    import re
+
+    match = re.fullmatch(r"rb(\d+)", name.lower())
+    if not match:
+        print("error: %s, got %r" % (expected, name), file=sys.stderr)
+        return None
+    return int(match.group(1))
+
+
+def _uniform_cluster(nodes: int, seed: int, size: int, load: float):
+    """A ``nodes``-node router and a fixed-``size`` workload offering
+    ``load`` of the port rate on a uniform matrix."""
+    from .core import RouteBricksRouter
+    from .workloads import WorkloadSpec
+    from .workloads.matrices import uniform_matrix
+
+    router = RouteBricksRouter(num_nodes=nodes, seed=seed)
+    return router, WorkloadSpec.fixed(size).with_matrix(
+        uniform_matrix(nodes, router.port_rate_bps * load))
+
+
 def _cmd_faults(args) -> int:
     from .errors import ReproError
     from .faults import (FaultSchedule, degradation_curve, linear_fraction,
@@ -250,10 +275,7 @@ def _cmd_faults(args) -> int:
 
     # action == "run": scripted fault injection through the DES, with the
     # control plane attached so convergence is visible.
-    from .core import RouteBricksRouter
     from .core.control import ClusterManager
-    from .workloads import WorkloadSpec
-    from .workloads.matrices import uniform_matrix
 
     duration = args.duration_ms * 1e-3
     if args.schedule:
@@ -270,14 +292,13 @@ def _cmd_faults(args) -> int:
         schedule = (FaultSchedule()
                     .crash_node(at=0.25 * duration, node=victim)
                     .recover_node(at=0.6 * duration, node=victim))
-    router = RouteBricksRouter(num_nodes=args.nodes, seed=args.seed)
+    router, workload = _uniform_cluster(args.nodes, args.seed, args.size,
+                                        args.load)
     manager = ClusterManager(port_rate_bps=router.port_rate_bps)
     for i in range(args.nodes):
         manager.add_node(external_port=i)
         manager.announce("10.%d.0.0/16" % i, i)
     manager.push_fibs()
-    workload = WorkloadSpec.fixed(args.size).with_matrix(
-        uniform_matrix(args.nodes, router.port_rate_bps * args.load))
     report = router.simulate(
         workload, until=duration, faults=schedule, manager=manager,
         detection_latency_sec=args.detection_usec * 1e-6)
@@ -303,16 +324,12 @@ def _cmd_faults(args) -> int:
 
 def _cmd_control(args) -> int:
     import math
-    import re
 
     from .control import ChurnSchedule, run_churn
 
-    match = re.fullmatch(r"rb(\d+)", args.topology.lower())
-    if not match:
-        print("error: topology must look like rb4/rb8/rb32, got %r"
-              % args.topology, file=sys.stderr)
+    nodes = _rb_nodes(args.topology)
+    if nodes is None:
         return 2
-    nodes = int(match.group(1))
     duration = args.duration_ms * 1e-3
 
     if args.action == "churn":
@@ -387,25 +404,17 @@ def _cmd_control(args) -> int:
 
 
 def _cmd_parallel(args) -> int:
-    import re
     from time import perf_counter
 
-    from .core import RouteBricksRouter
     from .errors import ReproError
     from .parallel import simulate_parallel
-    from .workloads import WorkloadSpec
-    from .workloads.matrices import uniform_matrix
 
-    match = re.fullmatch(r"rb(\d+)", args.topology.lower())
-    if not match:
-        print("error: topology must look like rb4/rb8/rb32, got %r"
-              % args.topology, file=sys.stderr)
+    nodes = _rb_nodes(args.topology)
+    if nodes is None:
         return 2
-    nodes = int(match.group(1))
     duration = args.duration_ms * 1e-3
-    router = RouteBricksRouter(num_nodes=nodes, seed=args.seed)
-    workload = WorkloadSpec.fixed(args.size).with_matrix(
-        uniform_matrix(nodes, router.port_rate_bps * args.load))
+    router, workload = _uniform_cluster(nodes, args.seed, args.size,
+                                        args.load)
     start = perf_counter()
     try:
         report = simulate_parallel(
@@ -569,8 +578,6 @@ def _cmd_obs(args) -> int:
         return 0 if report.agreement else 1
 
     if args.action == "timeline":
-        import re
-
         from .obs.timeline import chrome_trace, write_trace_json
 
         if len(args.names) != 1:
@@ -595,22 +602,16 @@ def _cmd_obs(args) -> int:
             name = doc.get("name", "bench")
             snapshot = doc.get("metrics") or {}
         else:
-            match = re.fullmatch(r"rb(\d+)", target.lower())
-            if not match:
-                print("error: name an rbN preset or a BENCH_*.json, got %r"
-                      % target, file=sys.stderr)
+            nodes = _rb_nodes(target,
+                              "name an rbN preset or a BENCH_*.json")
+            if nodes is None:
                 return 2
-            nodes = int(match.group(1))
-            from .core import RouteBricksRouter
             from .errors import ReproError
             from .obs.metrics import MetricsRegistry
             from .parallel import simulate_parallel
-            from .workloads import WorkloadSpec
-            from .workloads.matrices import uniform_matrix
 
-            router = RouteBricksRouter(num_nodes=nodes, seed=args.seed)
-            workload = WorkloadSpec.fixed(args.size).with_matrix(
-                uniform_matrix(nodes, router.port_rate_bps * 0.3))
+            router, workload = _uniform_cluster(nodes, args.seed,
+                                                args.size, 0.3)
             registry = MetricsRegistry(enabled=True, trace_sample_every=16,
                                        profile=True)
             try:

@@ -69,8 +69,17 @@ def _range_checked(events, n: int, route_via_fib: bool):
         yield event
 
 
+def checked_horizon(until) -> None:
+    """Refuse a horizon that is not a positive finite number: ``nan``
+    compares false against everything (the run would never reach it) and
+    ``inf`` makes a replayed workload an endless stream."""
+    if until is None or not 0 < until < float("inf"):
+        raise ConfigurationError(
+            "a run needs a finite, positive horizon, not until=%r" % until)
+
+
 def checked_inputs(router, events, until, failed_links, faults,
-                   route_via_fib: bool = False, observed: bool = False):
+                   route_via_fib: bool = False):
     """The one input check behind ``simulate`` and ``simulate_parallel``.
 
     Returns ``(workload, arrivals, failed_links, faults)``.  A
@@ -81,20 +90,12 @@ def checked_inputs(router, events, until, failed_links, faults,
     range-checks each event as it is consumed (``workload`` is ``None``).
     The failed links come back as a checked tuple, the fault schedule
     coerced from its dict form and validated against the cluster size.
-
-    ``observed`` says whether an enabled registry samples the run: with
-    ``router.resequence`` the observer tick and the resequencers' expiry
-    chain each re-arm while the other is pending, so that pair never
-    drains and needs a horizon.
+    The horizon must pass :func:`checked_horizon`, except that an event
+    list may run open-ended (``until=None``).
     """
     from ..workloads.spec import WorkloadSpec
 
     n = router.num_nodes
-    if until is None and observed and router.resequence:
-        raise ConfigurationError(
-            "an observed resequencing run never drains (observer tick and "
-            "expiry chain keep each other armed); give it a horizon "
-            "(until=...) or a disabled registry")
     workload = None
     if isinstance(events, WorkloadSpec):
         workload, events = events, ()
@@ -106,10 +107,8 @@ def checked_inputs(router, events, until, failed_links, faults,
             raise ConfigurationError(
                 "workload matrix is %dx%d but the cluster has %d nodes"
                 % (workload.matrix.n, workload.matrix.n, n))
-        if until is None or until <= 0:
-            raise ConfigurationError(
-                "simulating a WorkloadSpec needs a positive horizon "
-                "(until=...)")
+    if until is not None or workload is not None:
+        checked_horizon(until)
     failed_links = tuple((src, dst) for src, dst in failed_links)
     for src, dst in failed_links:
         if not (0 <= src < n and 0 <= dst < n):
@@ -140,11 +139,9 @@ class PartitionSpec:
     and the fault schedule is shared data every partition filters for
     itself.
 
-    With ``observe`` the partition samples its links on the observer
-    tick grid: partition 0 runs the self-rearming tick chain in its own
-    event queue (so a run has one tick event per sample at any partition
-    count), the others are sampled by the runner at epoch barriers that
-    land on the same grid.
+    With ``observe`` the partition has an observer, which whoever
+    drives it samples between advances (:meth:`ClusterPartition
+    .sample_barrier`) at the ticks of :func:`~repro.obs.hooks.next_tick`.
     """
 
     router: object                      # RouteBricksRouter
@@ -335,17 +332,9 @@ class ClusterPartition(Partition):
                 sim.schedule_timer_at(time, partial(
                     admit, self.nodes[ingress], packet, egress))
 
-        self.observer = None
-        if spec.observe:
-            self.observer = ClusterObserver(
-                sim, list(self.nodes.values()), registry,
-                interval_sec=spec.observer_interval_sec,
-                keep_alive=lambda: self.keep_alive)
-            if spec.partition_id == 0:
-                self.observer.start()
-            else:
-                # Barrier-sampled partitions still take the t=0 sample.
-                self.observer.sample()
+        self.observer = ClusterObserver(
+            sim, list(self.nodes.values()), registry,
+            interval_sec=spec.observer_interval_sec) if spec.observe else None
 
     def _egress_accounting(self):
         """The per-delivered-packet accounting callback."""
@@ -422,16 +411,19 @@ class ClusterPartition(Partition):
         sim.schedule(timeout / 2, expire_all)
 
     def sample_barrier(self) -> None:
-        """Take one observer sample at an epoch barrier (no-op for
-        partition 0, whose tick chain samples from inside the queue)."""
-        if self.observer is not None and self.spec.partition_id != 0:
+        """Take the observer sample of a tick the partition was just
+        advanced to.  A single heap would have run one tick event there;
+        partition 0 books its sample as that event (clock, profiler event
+        boundary, ``events_run``, ``sim_events``), so the merged counts
+        are the single heap's at any partition count."""
+        if self.spec.partition_id == 0:
+            self.sim.run_as_of(self.sim.now, self.observer.sample)
+        else:
             self.observer.sample()
 
     def finish(self) -> PartitionFragment:
-        """Stop observing, close the books, and hand over the results."""
+        """Close the books and hand over the results."""
         spec, frag = self.spec, self.fragment
-        if self.observer is not None:
-            self.observer.stop()
         if spec.churn is not None:
             spec.churn.finalize()
         for reseq in self.resequencers:

@@ -23,7 +23,7 @@ from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
 from ..net.packet import Packet, packet_id_floor
-from ..obs.hooks import observer_interval
+from ..obs.hooks import next_tick, observer_interval
 from ..obs.metrics import active_registry
 from ..results import RunResult
 from ..simnet.engine import Simulator
@@ -311,17 +311,19 @@ class RouteBricksRouter:
         update/sync callbacks interleave with forwarding events.
 
         The run is the one-partition case of the cluster builder
-        (:mod:`repro.core.partition`): one partition owning every node,
-        advanced once to the horizon -- no epochs, nothing crosses a
-        process boundary.
+        (:mod:`repro.core.partition`): one partition owning every node
+        -- no epochs, nothing crosses a process boundary -- advanced
+        straight to the horizon, or, when a registry observes, from one
+        observer tick to the next (:func:`~repro.obs.hooks.next_tick`)
+        with a sample at each.
         """
         from .partition import checked_inputs, merge_fragments
 
         registry = metrics if metrics is not None else active_registry()
         workload, arrivals, failed_links, faults = checked_inputs(
-            self, events, until, failed_links, faults, route_via_fib,
-            observed=registry.enabled)
+            self, events, until, failed_links, faults, route_via_fib)
         id_base = packet_id_floor()
+        interval = observer_interval(until)
         part = self._whole_cluster_partition(
             registry,
             rate_limited_egress=rate_limited_egress,
@@ -330,9 +332,14 @@ class RouteBricksRouter:
             fib_push_latency_sec=fib_push_latency_sec,
             route_via_fib=route_via_fib, churn=churn, workload=workload,
             until=until, packet_id_base=id_base, arrivals=arrivals,
-            observe=registry.enabled,
-            observer_interval_sec=observer_interval(until))
+            observe=registry.enabled, observer_interval_sec=interval)
         packet_id_floor(id_base + part.offered_packets)
+        tick = next_tick(0.0, interval, until) if registry.enabled else None
+        while tick is not None:
+            part.advance(tick)
+            part.sample_barrier()
+            tick = next_tick(tick, interval, until,
+                             part.peek_time() is not None)
         part.advance(until)
         return merge_fragments(
             [part.finish()], offered_packets=part.offered_packets,

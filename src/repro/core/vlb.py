@@ -14,7 +14,9 @@ that's why the 64 B and Abilene experiments route everything directly
 
 This module provides both the *analysis* (link loads, per-node processing
 rates -- the quantities the provisioning math needs) and the *policy*
-objects the DES nodes consult per flowlet.
+objects it is parameterized by.  The DES nodes do not consult them:
+:class:`~repro.core.node.ClusterNode` makes its own per-flowlet choice
+from local link state.
 """
 
 from __future__ import annotations

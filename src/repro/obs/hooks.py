@@ -2,12 +2,13 @@
 
 The timed single-server runners charge metrics inline (they own their
 poll loops), but the cluster DES is event-driven with no natural
-sampling point -- so :class:`ClusterObserver` rides the simulator's
-periodic-task machinery: every ``interval_sec`` it walks the mesh and
-records each internal link's queue occupancy, drop deltas, and byte
-deltas into timelines.  Per-hop latency histograms are charged by the
-nodes themselves (see :class:`repro.core.node.ClusterNode`); this
-observer covers the *shared* resources a single node cannot see whole.
+sampling point -- so whoever drives the partitions stops them at the
+tick times :func:`next_tick` hands out and has each one's
+:class:`ClusterObserver` walk its share of the mesh, recording every
+internal link's queue occupancy, drop deltas, and byte deltas into
+timelines.  Per-hop latency histograms are charged by the nodes
+themselves (see :class:`repro.core.node.ClusterNode`); this observer
+covers the *shared* resources a single node cannot see whole.
 
 Metric names written here:
 
@@ -19,7 +20,7 @@ Metric names written here:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 
@@ -28,28 +29,22 @@ DEFAULT_SAMPLES_PER_RUN = 50
 
 
 class ClusterObserver:
-    """Periodic sampler of the cluster's internal links.
+    """Sampler of one partition's internal links and external lines.
 
-    Construct it after :meth:`~repro.core.router.RouteBricksRouter
-    .build_simulation` and call :meth:`start` with the run horizon; it
-    cancels itself when the simulation drains.
+    Nothing of it lives in an event queue: the constructor takes the t=0
+    sample, and the driver of the run (``RouteBricksRouter.simulate`` for
+    its one partition, the epoch loop of :mod:`repro.parallel` at its
+    barriers) calls :meth:`sample` between advances, at the times
+    :func:`next_tick` gives.  So observing cannot keep a run alive, and
+    the cadence is the same at any partition count.
     """
 
     def __init__(self, sim, nodes, metrics: MetricsRegistry,
-                 interval_sec: float, keep_alive=None):
+                 interval_sec: float):
         if interval_sec <= 0:
             raise ValueError("observer interval must be positive")
         self.sim = sim
         self.nodes = nodes
-        self.metrics = metrics
-        self.interval_sec = interval_sec
-        #: Optional zero-arg callable consulted when the local queue has
-        #: drained: a partition passes one returning True while *other*
-        #: partitions still have pending work, so the sampling cadence
-        #: is that of one queue holding every pending event (it is always
-        #: False for a partition that owns every node).
-        self.keep_alive = keep_alive
-        self.samples = 0
         self._occupancy = metrics.timeline("link_occupancy",
                                            bin_sec=interval_sec)
         self._drops = metrics.timeline("link_drops", bin_sec=interval_sec)
@@ -58,7 +53,7 @@ class ClusterObserver:
         # last-seen cumulative (dropped, bytes_sent) per directed link,
         # so each sample records the delta for its bin.
         self._last: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._stopped = False
+        self.sample()
 
     def _links(self) -> List[Tuple[str, Tuple[int, int], object]]:
         out = []
@@ -71,7 +66,6 @@ class ClusterObserver:
     def sample(self) -> None:
         """Record one observation of every internal link and external line."""
         now = self.sim.now
-        self.samples += 1
         for name, key, link in self._links():
             prev_drops, prev_bytes = self._last.get(key, (0, 0))
             self._occupancy.record(now, len(link.queue), link=name)
@@ -87,24 +81,23 @@ class ClusterObserver:
                 self._ext.record(now, len(node.egress_link.queue),
                                  node=node.node_id)
 
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        self.sample()
-        # Re-arm only while the simulation has other work: a periodic
-        # task that unconditionally re-schedules would keep an
-        # open-ended run (``until=None``) alive forever.
-        if self.sim.peek_time() is not None or (
-                self.keep_alive is not None and self.keep_alive()):
-            self.sim.schedule(self.interval_sec, self._tick)
 
-    def start(self) -> None:
-        """Begin periodic sampling (plus one sample at t=0)."""
-        self.sample()
-        self.sim.schedule(self.interval_sec, self._tick)
+def next_tick(tick: float, interval_sec: float, until: Optional[float],
+              pending: bool = True) -> Optional[float]:
+    """The observer's tick rule: when to sample after the sample at
+    ``tick``, or ``None`` for "no more".
 
-    def stop(self) -> None:
-        self._stopped = True
+    The next sample is taken only if something was still ``pending``
+    anywhere after the last one (an open-ended run must drain, and a
+    drained one stops being sampled) and never past ``until``.  The
+    first tick, ``next_tick(0.0, ...)`` after the build-time sample, is
+    unconditional.  Times accumulate by float addition, so every driver
+    stops at the same floats.
+    """
+    if not pending:
+        return None
+    tick += interval_sec
+    return tick if until is None or tick <= until else None
 
 
 def observer_interval(until, default: float = 1e-4) -> float:

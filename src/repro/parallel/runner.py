@@ -6,7 +6,7 @@
 
 1. ``m`` = the later of the partitions' clock and the earliest pending
    event time across every partition (counting transit records not yet
-   injected);
+   injected, and the observer's next tick when a registry observes);
 2. the epoch ends at ``min(m + W, next observer tick, horizon)`` where
    ``W`` is the minimum cross-link propagation delay plus the minimum
    receive-side server latency -- a cross-partition send committed during
@@ -15,7 +15,8 @@
    which is strictly after the epoch (send time plus serialization plus
    at least ``W``);
 3. every partition advances to the epoch end, producing transit records
-   packed as one opaque parcel per destination partition;
+   packed as one opaque parcel per destination partition, and -- when the
+   epoch ended on a tick -- samples its links there;
 4. the parent routes the parcels by their headers, never decoding them;
    the destination sorts the records by the full ``(deliver_time,
    send_time, src_node, seq)`` key and, before the next epoch, schedules
@@ -23,10 +24,15 @@
    their timestamp (``Simulator.run_as_of``, which raises if ``W`` was
    too large).
 
-Epoch boundaries are forced onto the observer's tick grid (computed by
-the same cumulative float addition the in-queue tick chain performs), so
-barrier-sampled partitions observe their links at exactly the timestamps
-the single-sim observer would have used.
+Observation lives at the barrier, the one point where "is anything
+pending anywhere" is known: no partition has a tick in its queue.  The
+tick times and whether another one is due come from
+:func:`repro.obs.hooks.next_tick` -- the rule ``simulate`` steps its one
+partition by -- fed with what the barrier knows (a pending event or an
+undelivered parcel anywhere).  Partition 0 books each of its samples as
+the one tick event a single heap would have run
+(:meth:`~repro.core.partition.ClusterPartition.sample_barrier`), so
+``events_run`` and every snapshot are the single heap's.
 
 Two backends share this loop and the parcel path: ``"inline"`` runs
 every partition in the parent process, ``"process"`` gives each
@@ -46,6 +52,7 @@ from ..core.partition import (
     ClusterPartition,
     PartitionFragment,
     PartitionSpec,
+    checked_horizon,
     checked_inputs,
     empty_registry_like,
     merge_fragments,
@@ -54,7 +61,7 @@ from ..core.router import RouteBricksRouter, SimulationReport
 from ..core.topology import balanced_partitions
 from ..errors import ConfigurationError, SimulationError
 from ..net.packet import packet_id_floor
-from ..obs.hooks import observer_interval
+from ..obs.hooks import next_tick, observer_interval
 from ..obs.metrics import active_registry
 
 BACKENDS = ("inline", "process")
@@ -70,18 +77,6 @@ def _split_arrivals(arrivals, assignment: List[int]):
     return shares
 
 
-def _tick_grid(interval: float, horizon: float) -> List[float]:
-    """Observer tick times by cumulative addition -- the exact floats the
-    in-queue tick chain hits (each tick schedules the next at ``now +
-    interval``), not ``k * interval``, which can differ in the last ulp."""
-    ticks = []
-    t = interval
-    while t <= horizon:
-        ticks.append(t)
-        t += interval
-    return ticks
-
-
 # -- worker-process protocol --------------------------------------------------
 #
 # Each partition gets its own single-process pool; the partition object
@@ -91,12 +86,10 @@ def _tick_grid(interval: float, horizon: float) -> List[float]:
 _WORKER: Optional[ClusterPartition] = None
 
 
-def _advance(part: ClusterPartition, until: float, parcels,
-             keep_alive: bool, sample: bool):
+def _advance(part: ClusterPartition, until: float, parcels, sample: bool):
     """One partition's epoch: take delivery, run to the barrier, report
     (parcels by destination partition, next pending time, CPU seconds
     spent on delivery and advancing)."""
-    part.keep_alive = keep_alive
     start = process_time()
     part.inject(parcels)
     outgoing = part.advance(until)
@@ -141,8 +134,8 @@ class _InlineBackend:
         self.partitions, state = zip(*(_build(spec) for spec in self.specs))
         return state
 
-    def advance_all(self, until, inboxes, keep_alive, sample):
-        return [_advance(part, until, inboxes[pid], keep_alive[pid], sample)
+    def advance_all(self, until, inboxes, sample):
+        return [_advance(part, until, inboxes[pid], sample)
                 for pid, part in enumerate(self.partitions)]
 
     def finish(self) -> List[PartitionFragment]:
@@ -187,10 +180,9 @@ class _ProcessBackend:
     def init_state(self):
         return self._on_all(_worker_init, lambda pid: (self.specs[pid],))
 
-    def advance_all(self, until, inboxes, keep_alive, sample):
+    def advance_all(self, until, inboxes, sample):
         return self._on_all(
-            _worker_advance,
-            lambda pid: (until, inboxes[pid], keep_alive[pid], sample))
+            _worker_advance, lambda pid: (until, inboxes[pid], sample))
 
     def finish(self) -> List[PartitionFragment]:
         return self._on_all(_worker_finish, lambda pid: ())
@@ -235,9 +227,7 @@ def simulate_parallel(router: RouteBricksRouter,
     at any worker count (modulo the wall-clock ``engine_wall_seconds``
     counter); see ``tests/test_parallel.py`` for the enforced guarantee.
     """
-    if until is None or until <= 0:
-        raise ConfigurationError(
-            "parallel simulation needs a positive horizon (until=...)")
+    checked_horizon(until)
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
     if backend not in BACKENDS:
@@ -356,8 +346,7 @@ def simulate_parallel(router: RouteBricksRouter,
         # Two or more partitions of a full mesh: every one has
         # cross-links, so every lookahead is a number.
         window = min(lookaheads)
-        ticks = _tick_grid(interval, until) if observe else []
-        next_tick = 0
+        tick = next_tick(0.0, interval, until) if observe else None
         inboxes: List[List] = [[] for _ in range(workers)]
         epochs = 0
         clock = 0.0
@@ -365,6 +354,8 @@ def simulate_parallel(router: RouteBricksRouter,
             candidates = [peek for peek in peeks if peek is not None]
             candidates.extend(parcel.earliest
                               for inbox in inboxes for parcel in inbox)
+            if tick is not None:
+                candidates.append(tick)
             if not candidates:
                 break
             earliest = min(candidates)
@@ -374,18 +365,11 @@ def simulate_parallel(router: RouteBricksRouter,
             # before it, so that is where the safe window starts.
             epoch_start = max(earliest, clock)
             epoch_end = min(epoch_start + window, until)
-            sample = False
-            if next_tick < len(ticks) and ticks[next_tick] <= epoch_end:
-                epoch_end = ticks[next_tick]
-                sample = True
-                next_tick += 1
-            keep_alive = [
-                any(peeks[q] is not None for q in range(workers) if q != pid)
-                or any(inboxes[q] for q in range(workers) if q != pid)
-                for pid in range(workers)]
+            sample = tick is not None and tick <= epoch_end
+            if sample:
+                epoch_end = tick
             wall_start = perf_counter()
-            results = driver.advance_all(epoch_end, inboxes, keep_alive,
-                                         sample)
+            results = driver.advance_all(epoch_end, inboxes, sample)
             epoch_wall = perf_counter() - wall_start
             epochs += 1
             clock = epoch_end
@@ -399,6 +383,10 @@ def simulate_parallel(router: RouteBricksRouter,
                 peeks[pid] = peek
                 for destination, parcel in outgoing.items():
                     inboxes[destination].append(parcel)
+            if sample:
+                tick = next_tick(
+                    tick, interval, until,
+                    any(peek is not None for peek in peeks) or any(inboxes))
             if observe:
                 for pid, inbox in enumerate(inboxes):
                     if inbox:
@@ -414,8 +402,7 @@ def simulate_parallel(router: RouteBricksRouter,
         # them).  Charged as a final (non-epoch) barrier so the
         # telemetry sums cover every second a partition was busy.
         wall_start = perf_counter()
-        results = driver.advance_all(until, inboxes, [False] * workers,
-                                     False)
+        results = driver.advance_all(until, inboxes, False)
         charge_epoch(results, perf_counter() - wall_start, until)
         fragments = driver.finish()
     finally:

@@ -97,13 +97,14 @@ class Simulator:
     :meth:`run` (the ``wall_clock_s`` BENCH field).  When the registry
     carries a :class:`~repro.obs.profile.SpanProfiler` the engine also
     resets its span stack at each event boundary, so frames pushed by
-    one callback can never leak into the next.  All hooks are resolved
-    once at construction and :meth:`run` dispatches to a pre-bound loop,
-    so an un-instrumented run pays nothing per event for observability.
+    one callback can never leak into the next.  The hooks are resolved
+    once at construction; the one event loop in :meth:`run` reads them
+    into locals, so an unobserved run pays one ``is None`` check per
+    event for observability.
     """
 
     #: Observability hooks; set per instance only under an enabled registry.
-    _obs_events = _obs_record = _obs_wall = _profiler = None
+    _obs_record = _obs_wall = _profiler = None
 
     def __init__(self, metrics=None):
         from ..obs.metrics import active_registry
@@ -121,8 +122,7 @@ class Simulator:
         self.wall_clock_s = 0.0
         registry = metrics if metrics is not None else active_registry()
         if registry.enabled:
-            self._obs_events = registry.timeline("sim_events")
-            self._obs_record = self._obs_events.bind()
+            self._obs_record = registry.timeline("sim_events").bind()
             self._obs_wall = registry.counter(
                 "engine_wall_seconds",
                 help="real time spent inside Simulator.run")
@@ -371,73 +371,27 @@ class Simulator:
         """
         horizon = _INF if until is None else until
         budget = _INF if max_events is None else max_events
-        start = perf_counter()
-        try:
-            if self._obs_record is not None:
-                self._run_instrumented(horizon, budget)
-            else:
-                self._run_plain(horizon, budget)
-        finally:
-            elapsed = perf_counter() - start
-            self.wall_clock_s += elapsed
-            if self._obs_wall is not None:
-                self._obs_wall.inc(elapsed)
-        if until is not None and self.now < until:
-            self.now = until
-
-    def _run_plain(self, horizon: float, budget: float) -> None:
-        """The event loop with every hot name bound to a local."""
         buckets = self._buckets
         keys = self._bucket_keys
         pop = heappop
-        executed = 0
-        try:
-            while keys and executed < budget:
-                bucket = buckets[keys[0]]
-                entry = bucket[0]
-                if entry[0] > horizon:
-                    return
-                pop(bucket)
-                if not bucket:
-                    del buckets[pop(keys)]
-                callback = entry[2]
-                if callback is None:
-                    continue
-                entry[2] = _RAN
-                self.now = entry[0]
-                callback()
-                executed += 1
-        finally:
-            self.events_run += executed
-
-    def _run_instrumented(self, horizon: float, budget: float) -> None:
-        """Same loop with the observability hooks inlined (no per-event
-        attribute chasing or closure calls).  The span-stack reset and
-        the ``sim_events`` timeline's bin update are open-coded: both
-        touch stable objects (the profiler's stack list, the timeline's
-        bin dict), so binding them once is exactly equivalent to calling
-        per event."""
-        buckets = self._buckets
-        keys = self._bucket_keys
-        pop = heappop
-        profiler = self._profiler
-        # Truthiness doubles as the None check: an empty stack and a
-        # missing profiler both skip the clear.
-        prof_stack = profiler._stack if profiler is not None else None
+        # The hooks, as locals: the bound ``sim_events`` recorder and
+        # the profiler's span stack (cleared at each event boundary; it
+        # is a stable list, so binding it once equals calling
+        # ``begin_event`` per event).  Both exist only under an enabled
+        # registry, so an unobserved run pays one ``is None`` check per
+        # event for them.
         record = self._obs_record
-        timeline = self._obs_events
-        bin_sec = timeline.bin_sec
-        # Bin dict of the unlabeled sim_events series; resolved after the
-        # first record() so series creation stays as lazy as before.
-        ebins = None
+        profiler = self._profiler
+        prof_stack = profiler._stack if profiler is not None else None
         executed = 0
+        start = perf_counter()
         try:
             while keys and executed < budget:
                 bucket = buckets[keys[0]]
                 entry = bucket[0]
                 now = entry[0]
                 if now > horizon:
-                    return
+                    break
                 pop(bucket)
                 if not bucket:
                     del buckets[pop(keys)]
@@ -446,20 +400,19 @@ class Simulator:
                     continue
                 entry[2] = _RAN
                 self.now = now
-                if prof_stack:
-                    del prof_stack[:]
-                callback()
-                executed += 1
-                if ebins is not None:
-                    index = int(now / bin_sec)
-                    cell = ebins.get(index)
-                    if cell is None:
-                        ebins[index] = [1.0, 1, 1.0]
-                    else:
-                        cell[0] += 1.0
-                        cell[1] += 1
+                if record is None:
+                    callback()
                 else:
+                    if prof_stack:
+                        del prof_stack[:]
+                    callback()
                     record(now)
-                    ebins = timeline._series[()].bins
+                executed += 1
         finally:
             self.events_run += executed
+            elapsed = perf_counter() - start
+            self.wall_clock_s += elapsed
+            if self._obs_wall is not None:
+                self._obs_wall.inc(elapsed)
+        if until is not None and self.now < until:
+            self.now = until

@@ -52,11 +52,6 @@ class TransitRecord(NamedTuple):
     dst_node: int
     wire: tuple
 
-    def frame_bytes(self) -> int:
-        """Frame length of the carried packet (``Packet.to_wire()``'s
-        length field), for barrier byte-volume accounting."""
-        return self.wire[1]
-
 
 class Parcel(NamedTuple):
     """Everything one partition sends another at one barrier.
@@ -69,7 +64,7 @@ class Parcel(NamedTuple):
 
     earliest: float      # min deliver_time over the records
     count: int
-    frame_bytes: int
+    frame_bytes: int     # frame lengths of the carried packets, summed
     blob: bytes
 
 
@@ -120,10 +115,7 @@ class Partition:
     the table of local delivery callbacks for records addressed to its
     nodes.  The runner alternates :meth:`inject` / :meth:`advance` under
     a barrier protocol; ``assignment`` (node id -> partition id) says
-    which parcel an outgoing record joins; ``keep_alive`` is a
-    runner-maintained hint that other partitions still have pending work
-    (used by self-rearming observation loops that would otherwise stop
-    when the local queue drains).
+    which parcel an outgoing record joins.
     """
 
     #: Seconds a delivered record does nothing observable at its
@@ -137,8 +129,10 @@ class Partition:
         self.sim = Simulator(metrics=metrics)
         self.streams = RngStreams(seed).spawn("partition/%d" % partition_id)
         self.assignment = assignment
-        self.outbox: List[TransitRecord] = []
-        self.keep_alive = False
+        #: Destination partition -> the records bound for it, and the
+        #: frame bytes they carry.
+        self.outbox: Dict[int, List[TransitRecord]] = {}
+        self._outbox_bytes: Dict[int, int] = {}
         self._seq = 0
         self._destinations: Dict[int, Callable[[tuple], None]] = {}
         self._cross_links: List[CrossLink] = []
@@ -177,9 +171,12 @@ class Partition:
 
     def _emit(self, src_node: int, dst_node: int, send_time: float,
               deliver_time: float, packet) -> None:
-        self.outbox.append(TransitRecord(deliver_time, send_time, src_node,
-                                         self._seq, dst_node,
-                                         packet.to_wire()))
+        destination = self.assignment[dst_node]
+        self.outbox.setdefault(destination, []).append(TransitRecord(
+            deliver_time, send_time, src_node, self._seq, dst_node,
+            packet.to_wire()))
+        self._outbox_bytes[destination] = (
+            self._outbox_bytes.get(destination, 0) + packet.length)
         self._seq += 1
 
     def inject(self, parcels) -> None:
@@ -218,15 +215,11 @@ class Partition:
         """Run local events up to ``until`` and return (and clear) the
         outbox, packed as one parcel per destination partition."""
         self.sim.run(until=until)
-        by_destination: Dict[int, List[TransitRecord]] = {}
-        for record in self.outbox:
-            by_destination.setdefault(
-                self.assignment[record.dst_node], []).append(record)
-        self.outbox = []
+        outbox, frame_bytes = self.outbox, self._outbox_bytes
+        self.outbox, self._outbox_bytes = {}, {}
         return {
             destination: Parcel(
                 min(record.deliver_time for record in records),
-                len(records),
-                sum(record.frame_bytes() for record in records),
+                len(records), frame_bytes[destination],
                 pickle.dumps(records))
-            for destination, records in by_destination.items()}
+            for destination, records in outbox.items()}

@@ -12,7 +12,6 @@ from .abilene import AbileneTrace, ABILENE_SIZE_MIX
 from .matrices import TrafficMatrix, uniform_matrix, permutation_matrix, hotspot_matrix
 from .flowgen import Flow, FlowGenerator
 from .imix import ImixWorkload, MIXES
-from .churn import ChurnGenerator, Update
 from .zipf_flows import PacketRecord, SkewedFlowWorkload
 from .cluster_traffic import matrix_events, offered_packets
 from .pcapio import load_trace, save_trace
@@ -33,8 +32,6 @@ __all__ = [
     "FlowGenerator",
     "ImixWorkload",
     "MIXES",
-    "ChurnGenerator",
-    "Update",
     "PacketRecord",
     "SkewedFlowWorkload",
     "matrix_events",

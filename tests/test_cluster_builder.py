@@ -19,7 +19,7 @@ from repro.control import run_churn
 from repro.control.runner import announce_rib, build_cluster
 from repro.core import RouteBricksRouter
 from repro.core.partition import PartitionFragment, merge_fragments
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.faults import FaultSchedule
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.workloads import FlowGenerator, WorkloadSpec
@@ -81,13 +81,11 @@ def _scalars(report):
     }
 
 
-def _plain():
+def _plain(registry):
     router = RouteBricksRouter(num_nodes=NODES, seed=11)
-    registry = _registry()
     workload = WorkloadSpec.fixed(64).with_matrix(
         uniform_matrix(NODES, router.port_rate_bps * 0.3))
-    report = router.simulate(workload, until=UNTIL, metrics=registry)
-    return report, registry, {}
+    return router.simulate(workload, until=UNTIL, metrics=registry), {}
 
 
 def _reorder_prone_router():
@@ -100,30 +98,23 @@ def _bursty_trace():
                          intra_burst_gap_sec=4e-7, seed=1).timed_packets()
 
 
-def _resequenced_replay():
-    """``replay_pair`` runs open-ended (``until=None``).  Observation
-    stays off here: an observed open-ended resequencing run would never
-    drain, so it is refused (see
-    ``test_observed_open_ended_resequencing_is_refused``);
-    ``_resequenced_observed`` pins the instrumented resequencer under a
-    horizon instead."""
-    report = _reorder_prone_router().replay_pair(_bursty_trace())
-    return report, MetricsRegistry(enabled=False), {}
+def _resequenced_replay(registry):
+    """``replay_pair`` runs open-ended (``until=None``) and charges the
+    active registry."""
+    with use_registry(registry):
+        return _reorder_prone_router().replay_pair(_bursty_trace()), {}
 
 
-def _resequenced_observed():
-    registry = _registry()
+def _resequenced_observed(registry):
     events = ((time, 0, 1, packet) for time, packet in _bursty_trace())
-    report = _reorder_prone_router().simulate(events, until=9e-3,
-                                              metrics=registry)
-    return report, registry, {}
+    return _reorder_prone_router().simulate(events, until=9e-3,
+                                            metrics=registry), {}
 
 
-def _faults_with_manager():
+def _faults_with_manager(registry):
     router, manager = build_cluster(NODES, seed=7)
     announce_rib(manager, 64, seed=8)
     manager.push_fibs()
-    registry = _registry()
     workload = WorkloadSpec.fixed(64).with_matrix(
         uniform_matrix(NODES, router.port_rate_bps * 0.3))
     schedule = (FaultSchedule()
@@ -134,12 +125,11 @@ def _faults_with_manager():
     report = router.simulate(workload, until=UNTIL, faults=schedule,
                              manager=manager, detection_latency_sec=50e-6,
                              fib_push_latency_sec=20e-6, metrics=registry)
-    return report, registry, {"rib_version": manager.rib_version,
-                              "live_nodes": manager.live_nodes()}
+    return report, {"rib_version": manager.rib_version,
+                    "live_nodes": manager.live_nodes()}
 
 
-def _fib_routed_churn():
-    registry = _registry()
+def _fib_routed_churn(registry):
     churn = run_churn(NODES, routes=400, update_rate_per_sec=200e3,
                       duration_sec=1e-3, tail_sec=0.3e-3, seed=5,
                       verify_probes=64, metrics=registry)
@@ -153,7 +143,7 @@ def _fib_routed_churn():
         "unconverged": churn.unconverged,
         "consistent": churn.consistent,
     }
-    return churn.forwarding, registry, extra
+    return churn.forwarding, extra
 
 
 SCENARIOS = {
@@ -164,9 +154,17 @@ SCENARIOS = {
     "fib_routed_churn": _fib_routed_churn,
 }
 
+#: Pinned with observation off (recorded when an observed open-ended
+#: resequencing run was refused); ``_resequenced_observed`` pins the
+#: instrumented resequencer.
+UNOBSERVED_GOLDENS = {"resequenced_replay"}
 
-def observe(name):
-    report, registry, extra = SCENARIOS[name]()
+
+def observe(name, registry=None):
+    if registry is None:
+        registry = (MetricsRegistry(enabled=False)
+                    if name in UNOBSERVED_GOLDENS else _registry())
+    report, extra = SCENARIOS[name](registry)
     return report, {"scalars": _scalars(report), "extra": extra,
                     "snapshot_sha256": _snapshot_digest(registry)}
 
@@ -249,7 +247,13 @@ GOLDEN = {
             'direct': 9428,
             'dropped': 0,
             'duration': 0.009,
-            'events_run': 51783,
+            # Re-recorded once, with the snapshot digest below, when the
+            # observer left the event queue: 51783 pinned a run where
+            # observing added 51 events to ``resequenced_replay``'s 51732
+            # -- 50 ticks to the horizon plus an expiry the tick chain
+            # kept armed.  Now it adds the 45 ticks up to the drain; see
+            # test_observation_adds_only_its_tick_events.
+            'events_run': 51777,
             'fault_events': 0,
             'fault_flushed': 0,
             'fib_miss': 0,
@@ -271,7 +275,7 @@ GOLDEN = {
             'resequencer_held': 233,
             'resequencer_timeouts': 0,
         },
-        'snapshot_sha256': 'af68623f6e698a5df8fbb22bacdb5393a23332b0bd44c8d8fe5a6cdca5cf464d',
+        'snapshot_sha256': 'fb3f1538f835501d051b2e5442458d1f6b84e03861ac9022d00232b04f7310d2',
     },
     'faults_with_manager': {
         'extra': {
@@ -388,17 +392,44 @@ def test_scenarios_exercise_what_they_pin():
     assert churn["extra"]["consistent"]
 
 
-def test_observed_open_ended_resequencing_is_refused():
-    """The observer tick and the resequencers' expiry chain each re-arm
-    while the other is pending; without a horizon that pair used to run
-    until the OOM killer.  It is a ConfigurationError now, raised before
-    anything is built, on both open-ended entry points."""
-    router = _reorder_prone_router()
-    with pytest.raises(ConfigurationError, match="give it a horizon"):
-        router.simulate(iter(()), metrics=_registry())
-    with use_registry(_registry()):
-        with pytest.raises(ConfigurationError, match="give it a horizon"):
-            router.replay_pair(_bursty_trace())
+def _observer_samples(registry):
+    """Samples the run's observer took, the t=0 one included: it records
+    every link's occupancy once per sample."""
+    return registry.timeline("link_occupancy").totals(link="0-1")["count"]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_observation_adds_only_its_tick_events(name):
+    """Observing a run adds one event per observer sample after the t=0
+    one and changes nothing else the report says -- it cannot keep a run
+    (or a resequencer's expiry chain) alive.  ``resequenced_replay`` is
+    the open-ended case: observed, it drains like the unobserved run and
+    only its clock ends later, on the last tick."""
+    registry = _registry()
+    _, observed = observe(name, registry)
+    _, unobserved = observe(name, MetricsRegistry(enabled=False))
+    ticks = _observer_samples(registry) - 1
+    assert ticks >= 1
+    assert (observed["scalars"].pop("events_run")
+            == unobserved["scalars"].pop("events_run") + ticks)
+    if name == "resequenced_replay":
+        assert (observed["scalars"].pop("duration")
+                >= unobserved["scalars"].pop("duration"))
+    assert observed["scalars"] == unobserved["scalars"]
+    assert observed["extra"] == unobserved["extra"]
+
+
+def test_observed_open_ended_resequencing_drains():
+    """An observer tick in the queue and the resequencers' expiry chain
+    used to re-arm each other forever, so this was refused; with the tick
+    out of the queue an open-ended observed run just drains.  (The other
+    open-ended entry point, ``replay_pair``, is the ``resequenced_replay``
+    case of ``test_observation_adds_only_its_tick_events``.)"""
+    registry = _registry()
+    report = _reorder_prone_router().simulate(iter(()), metrics=registry)
+    # One expiry at timeout / 2 = 0.5 ms, and the five 0.1 ms ticks up to it.
+    assert report.events_run == 1 + 5
+    assert _observer_samples(registry) == 1 + 5
 
 
 class TestConservationSelfCheck:

@@ -64,6 +64,10 @@ class TestSchedule:
             ChurnSchedule.measured_rate(
                 [], rate_per_sec=1e3, duration_sec=0.01,
                 withdraw_fraction=0.7, reannounce_fraction=0.7)
+        with pytest.raises(ConfigurationError):
+            ChurnSchedule.measured_rate(
+                [], rate_per_sec=1e3, duration_sec=0.01,
+                withdraw_fraction=-0.1)
 
 
 class TestRunnerPieces:

@@ -8,11 +8,11 @@ traffic -- the whole library working together.
 
 import pytest
 
+from repro.control import ChurnSchedule
 from repro.core import RouteBricksRouter
 from repro.core.click_node import ClickCluster
 from repro.core.control import ClusterManager
 from repro.net import IPv4Address, Packet
-from repro.workloads.churn import ChurnGenerator
 from repro.workloads.pcapio import load_trace, save_trace
 
 
@@ -29,11 +29,11 @@ def manager():
 class TestFullStack:
     def test_control_plane_to_click_dataplane(self, manager, tmp_path):
         # 1. Churn the master RIB a little, re-announce, re-push.
-        fib = manager.build_fib()
-        churn = ChurnGenerator(fib, num_ports=4, withdraw_fraction=0.0,
-                               reannounce_fraction=0.0, seed=1)
-        for update in churn.updates(20):
-            manager.announce(update.prefix, update.route.port)
+        churn = ChurnSchedule.bursts(
+            list(manager.rib), burst_updates=20, interval_sec=1.0, bursts=1,
+            withdraw_fraction=0.0, reannounce_fraction=0.0, seed=1)
+        for update in churn:
+            manager.announce(update.prefix, update.port)
         manager.push_fibs()
         assert manager.stale_nodes() == []
 

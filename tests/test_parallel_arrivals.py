@@ -153,6 +153,11 @@ class TestFailEarly:
          "5x5 but the cluster has 4 nodes"),
         (_workload, 0.0, "positive horizon"),
         (_workload, -1e-3, "positive horizon"),
+        # Each partition would realise an endless stream / never see the
+        # horizon (every comparison against nan is false).
+        (_workload, float("inf"), "finite, positive horizon"),
+        (_workload, float("nan"), "finite, positive horizon"),
+        (_workload, None, "finite, positive horizon"),
     ])
     def test_bad_workload_is_refused_before_any_process_exists(
             self, monkeypatch, make_workload, until, match):
@@ -162,6 +167,13 @@ class TestFailEarly:
             simulate_parallel(router, make_workload(router), until=until,
                               workers=2, backend="process")
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"), 0.0])
+    def test_single_heap_refuses_a_horizon_it_cannot_reach(self, until):
+        router = _router()
+        for events in (_workload(router), []):
+            with pytest.raises(ConfigurationError, match="positive horizon"):
+                router.simulate(events, until=until)
 
     def test_bad_event_list_is_refused_before_any_process_exists(
             self, monkeypatch):

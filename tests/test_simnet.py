@@ -1,9 +1,13 @@
 """Tests for the discrete-event simulation engine."""
 
+import random
+from functools import partial
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net import Packet
+from repro.obs.metrics import MetricsRegistry
 from repro.simnet import FiniteQueue, Histogram, Link, RngStreams, Simulator
 
 
@@ -328,7 +332,6 @@ class TestRunAsOf:
         assert fired == [11.5]
 
     def test_binned_at_its_time_with_a_registry_on(self):
-        from repro.obs.metrics import MetricsRegistry
         registry = MetricsRegistry(enabled=True, timeline_bin_sec=1.0)
         sim = self._sim_at(10.0, metrics=registry)
         sim.run_as_of(4.5, lambda: None)
@@ -356,6 +359,61 @@ class TestRunAsOf:
         with pytest.raises(SimulationError, match="window is too large"):
             sim.run_as_of(4.0, lambda: sim.schedule_timer(3.0, lambda: None))
         assert sim.now == 10.0
+
+
+class TestObservedLoop:
+    """One event loop serves observed and unobserved runs: the hooks
+    change what is booked, never what runs."""
+
+    @staticmethod
+    def _drive(sim):
+        rng = random.Random(5)
+        order = []
+
+        def fire(tag):
+            order.append((tag, sim.now))
+            if len(order) < 400 and rng.random() < 0.7:
+                file = sim.schedule_timer if rng.random() < 0.5 \
+                    else sim.schedule
+                file(rng.choice((0.0, 1e-6, 3.7e-6)),
+                     partial(fire, len(order)))
+
+        for index in range(40):
+            sim.schedule_timer_at(index * 1e-6, partial(fire, -index))
+        sim.run(until=2e-5)
+        sim.run(max_events=7)
+        sim.run()
+        return order
+
+    def test_observed_and_unobserved_run_the_same_events(self):
+        registry = MetricsRegistry(enabled=True, profile=True)
+        observed = Simulator(metrics=registry)
+        unobserved = Simulator(metrics=MetricsRegistry(enabled=False))
+        assert self._drive(observed) == self._drive(unobserved)
+        assert observed.events_run == unobserved.events_run > 40
+        assert observed.now == unobserved.now
+        booked = registry.timeline("sim_events").totals()
+        assert booked["count"] == observed.events_run
+
+    def test_frame_leaked_by_a_raising_callback_is_gone_at_the_next_event(
+            self):
+        registry = MetricsRegistry(enabled=True, profile=True)
+        sim = Simulator(metrics=registry)
+        profiler = registry.profiler
+        stacks = []
+
+        def leak():
+            profiler.push("leaked")
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, leak)
+        sim.schedule(2.0, lambda: stacks.append(list(profiler._stack)))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert profiler._stack == ["leaked"]
+        sim.run()
+        assert stacks == [[]]
+        assert sim.events_run == 1  # the raising callback is not counted
 
 
 class TestFiniteQueue:
