@@ -2,13 +2,14 @@
 
 Each benchmark regenerates one paper artifact (table or figure), checks the
 paper-vs-measured shape, and writes the rendered rows to
-``benchmarks/results/<id>.txt`` so the harness leaves inspectable output.
+``benchmarks/results/<id>.txt``.  Those tables are tracked: CI reruns the
+benches and fails on ``git diff -- benchmarks/results``.
 
-Every test starts from the same RNG state (`_seed_rngs`), so scenario
-outputs -- and the ``BENCH_*.json`` scalars :mod:`repro.obs.benchrun`
-derives from them -- are bit-identical run to run; only wall-clock
-timings vary.  ``repro.obs.benchrun`` applies the same seed when it
-drives these files outside pytest.
+Every test starts from the same RNG state (`_seed_rngs`) and none reads
+a host clock, so scenario outputs -- and the ``BENCH_*.json`` scalars
+:mod:`repro.obs.benchrun` derives from them -- are bit-identical run to
+run.  ``repro.obs.benchrun`` applies the same seed when it drives these
+files outside pytest.
 """
 
 import pathlib

@@ -32,13 +32,13 @@ from repro.obs import compare  # noqa: E402 (needs the path insert)
 
 def unknown_scalar_keys(baseline_doc: dict, bench_doc: dict) -> list:
     """Scalar keys a fresh artifact carries that its baseline entry does
-    not, across *all* kinds.
+    not, of either kind.
 
-    ``compare_docs`` only surfaces "new" keys for the kinds it gates on
-    (rate by default), so a renamed time/count/perf scalar -- or a typo
-    in a new benchmark's summary keys -- used to vanish silently.  These
-    come back as warnings: baselines should be regenerated to cover
-    them, but an unknown key is never a failure.
+    ``compare_docs`` only surfaces "new" keys for the kind it gates on
+    (rate), so a renamed count scalar -- or a typo in a new benchmark's
+    summary keys -- would vanish silently.  These come back as
+    warnings: baselines should be regenerated to cover them, but an
+    unknown key is never a failure.
     """
     base_scalars = compare.baseline_scalars_for(baseline_doc,
                                                 bench_doc.get("name", ""))
@@ -89,7 +89,6 @@ def main(argv=None) -> int:
     regressed = False
     problems = False
     all_deltas = []
-    perf_deltas = []
     warnings = []
     for path in paths:
         try:
@@ -109,8 +108,6 @@ def main(argv=None) -> int:
                 continue
             deltas = compare.compare_docs(baseline, doc,
                                           tolerance=tolerance)
-            perf_deltas.extend(compare.compare_docs(
-                baseline, doc, tolerance=tolerance, kinds=("perf",)))
         except (OSError, json.JSONDecodeError, ValueError) as error:
             print("error: %s: %s" % (path, error), file=sys.stderr)
             problems = True
@@ -131,17 +128,6 @@ def main(argv=None) -> int:
     print(compare.summarize(all_deltas))
     for line in warnings:
         print(line)
-    if perf_deltas:
-        # Wall-clock engine speed plus the parallel-runtime telemetry
-        # (barrier_wait_seconds / lookahead_efficiency / imbalance per
-        # worker count) vs the baseline machine's.  Reported only --
-        # "perf" deltas classify as "info" and never gate, so a slow or
-        # oddly-scheduled CI runner cannot fail the build.
-        print("\nwall-clock & parallel-runtime perf "
-              "(informational, never gates):")
-        for delta in sorted(perf_deltas,
-                            key=lambda d: (d.benchmark, d.metric)):
-            print("  " + delta.describe())
     if problems:
         return 2
     if regressed:

@@ -507,22 +507,23 @@ def _cmd_obs(args) -> int:
         docs = []
         failed = False
         for name in names:
+            start = time.perf_counter()
             try:
                 doc = benchrun.run_benchmark(name, seed=args.seed)
             except FileNotFoundError as error:
                 print("error: %s" % error, file=sys.stderr)
                 return 2
+            wall = time.perf_counter() - start
             path = benchrun.write_bench_json(doc, out_dir)
             docs.append(doc)
             failed = failed or doc["status"] != "passed"
             rates = sum(1 for s in doc["scalars"].values()
                         if s["kind"] == "rate")
             print("%-24s %-7s %6.2fs  %2d tests, %2d rate scalars -> %s"
-                  % (doc["name"], doc["status"], doc["wall_time_sec"],
+                  % (doc["name"], doc["status"], wall,
                      len(doc["tests"]), rates, path))
         if args.update_baseline:
-            baseline = compare.make_baseline(
-                docs, created_unix=time.time())
+            baseline = compare.make_baseline(docs)
             with open(args.update_baseline, "w") as handle:
                 json.dump(baseline, handle, indent=2, sort_keys=True)
                 handle.write("\n")
@@ -656,9 +657,8 @@ def _cmd_obs(args) -> int:
             print("invalid document: %s" % "; ".join(problems),
                   file=sys.stderr)
             return 2
-        print("benchmark %s: %s in %.2fs (seed %s)"
-              % (doc["name"], doc["status"], doc["wall_time_sec"],
-                 doc.get("seed", "?")))
+        print("benchmark %s: %s (seed %s)"
+              % (doc["name"], doc["status"], doc.get("seed", "?")))
         for test in doc["tests"]:
             line = "  %-40s %s" % (test["name"], test["status"])
             if test["status"] not in ("passed",) and test.get("detail"):
@@ -688,10 +688,8 @@ def _cmd_obs(args) -> int:
     try:
         baseline_doc = compare.load_json(args.names[0])
         bench_doc = compare.load_json(args.names[1])
-        kinds = ("rate", "time") if args.times else ("rate",)
         deltas = compare.compare_docs(baseline_doc, bench_doc,
-                                      tolerance=args.tolerance,
-                                      kinds=kinds)
+                                      tolerance=args.tolerance)
     except (OSError, ValueError, json.JSONDecodeError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
@@ -901,9 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None,
                    help="diff: fractional regression threshold "
                         "(default 0.10)")
-    p.add_argument("--times", action="store_true",
-                   help="diff: also gate wall-time scalars (noisy on "
-                        "shared machines)")
     p.add_argument("--size", type=int, default=64,
                    help="explain/timeline: packet size in bytes "
                         "(default 64)")

@@ -11,7 +11,6 @@ versioned FIB snapshots and explicit consistency checks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -332,7 +331,6 @@ class ClusterManager:
         if not state.alive:
             raise ConfigurationError(
                 "node %d is down; it resyncs on recovery" % node_id)
-        started = time.perf_counter()
         deltas = (self.fib_deltas(state.fib_version)
                   if state.fib is not None else None)
         if deltas is None:
@@ -364,10 +362,6 @@ class ClusterManager:
                 "fib_updates_applied",
                 "FIB update operations applied to per-node tables",
             ).inc(result.ops_applied, node=node_id)
-            registry.counter(
-                "fib_update_seconds",
-                "wall seconds spent applying per-node FIB updates",
-            ).inc(time.perf_counter() - started, node=node_id)
         return result
 
     def push_fibs(self) -> int:

@@ -92,7 +92,7 @@ class ClusterNode:
             self._prof_frames = (
                 {frame: self._profiler.bind(node_frame, frame)
                  for frame in ("input", "intermediate", "link",
-                               "output", "egress_line")}
+                               "output", "egress_line", "reorder")}
                 if self._profiler is not None else None)
 
     # -- wiring -------------------------------------------------------------

@@ -378,14 +378,7 @@ class ClusterPartition(Partition):
                 if registry.enabled:
                     # Attribute the hold time before crediting egress:
                     # the reorder buffer is a latency stage of its own.
-                    profiler = registry.profiler
-                    if profiler is not None:
-                        last = packet.annotations.get("prof_t")
-                        if last is not None and sim.now > last:
-                            profiler.charge(
-                                to_usec(sim.now - last),
-                                "node%d" % node.node_id, "reorder")
-                        packet.annotations["prof_t"] = sim.now
+                    node._prof_charge(packet, "reorder")
                     trace = packet.annotations.get(TRACE_ANNOTATION)
                     if trace is not None:
                         trace.hop("reorder.release", sim.now)

@@ -3,24 +3,24 @@
 pytest-benchmark produces interactive output for humans; CI and the
 ``repro obs`` CLI need a machine-readable artifact instead.  This module
 imports one benchmark file, resolves its fixtures against lightweight
-stand-ins (a timing proxy for ``benchmark``, capture shims for
-``save_result``/``results_dir``/``tmp_path``, and the module's own
-``@pytest.fixture`` functions), runs every ``test_*`` under a fresh
-*enabled* :class:`~repro.obs.metrics.MetricsRegistry`, and emits a
-schema-versioned ``BENCH_<name>.json`` document
-(:data:`repro.obs.schema.BENCH_SCHEMA`).
+stand-ins (a call-through proxy for ``benchmark``, an in-memory
+``save_result``, a throw-away directory for ``results_dir``/``tmp_path``,
+and the module's own ``@pytest.fixture`` functions), runs every
+``test_*`` under a fresh *enabled*
+:class:`~repro.obs.metrics.MetricsRegistry`, and emits a schema-versioned
+``BENCH_<name>.json`` document (:data:`repro.obs.schema.BENCH_SCHEMA`).
 
 Scalars are harvested two ways:
 
 * rows/dicts returned through the ``benchmark`` proxy are walked for
   throughput-looking numeric keys (``*gbps``, ``*mpps``, ``rate*``...),
   exported as ``kind="rate"`` with ``.mean``/``.min`` aggregates;
-* per-test and whole-run wall time become ``kind="time"`` scalars;
 * selected registry totals (events run, packets dropped) become
   ``kind="count"``.
 
-Rates come from the seeded analytic/DES models, so they are bitwise
-reproducible; only the ``time`` scalars vary run to run.
+Both come from the seeded analytic/DES models and nothing here reads a
+host clock (``perfbench`` times runs, from outside), so a document is a
+pure function of code and seed.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ import pathlib
 import random
 import statistics
 import sys
-import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from .explain import explain_from_registry
 from .metrics import MetricsRegistry, use_registry
@@ -61,20 +60,12 @@ QUICK_BENCHMARKS = (
     "fig7_aggregate",
     "fig3_topology",
     "timed_server",
-    "parallel_scaling",
     "stateful_scr",
     "fib_churn",
 )
 
 #: Numeric dict keys harvested as rate scalars.
 _RATE_KEY_HINTS = ("gbps", "mpps", "mbps", "pps", "rate")
-#: Numeric dict keys harvested as kind="perf" scalars: engine-speed
-#: figures (events/s, parallel speedup, worker counts, barrier/epoch
-#: telemetry) that the regression checker surfaces but never gates on --
-#: they track the machine as much as the code.
-_PERF_KEY_HINTS = ("events_per_sec", "speedup", "workers",
-                   "barrier_wait", "lookahead", "imbalance",
-                   "convergence")
 #: String dict keys recorded verbatim (e.g. which resource binds).
 _LABEL_KEY_HINTS = ("binding", "bottleneck")
 
@@ -104,41 +95,23 @@ class BenchmarkProxy:
 
     Supports the two call styles the suite uses -- ``benchmark(fn,
     *args)`` and ``benchmark.pedantic(fn, args=..., rounds=...,
-    iterations=...)`` -- timing with ``perf_counter`` and returning the
-    target's result so assertions downstream still run.
+    iterations=...)`` -- calling the target and keeping its result, so
+    the scalars can be harvested and assertions downstream still run.
     """
 
     def __init__(self) -> None:
-        self.timings: List[float] = []
         self.last_result: Any = None
 
-    def _run(self, target: Callable, args: tuple, kwargs: dict) -> Any:
-        start = time.perf_counter()
-        result = target(*args, **kwargs)
-        self.timings.append(time.perf_counter() - start)
-        self.last_result = result
-        return result
-
     def __call__(self, target: Callable, *args, **kwargs) -> Any:
-        return self._run(target, args, kwargs)
+        self.last_result = target(*args, **kwargs)
+        return self.last_result
 
     def pedantic(self, target: Callable, args: tuple = (),
                  kwargs: Optional[dict] = None, rounds: int = 1,
                  iterations: int = 1, warmup_rounds: int = 0) -> Any:
-        result = None
         for _ in range(max(1, rounds) * max(1, iterations)):
-            result = self._run(target, args, kwargs or {})
-        return result
-
-    def stats(self) -> Dict[str, float]:
-        if not self.timings:
-            return {}
-        return {
-            "mean": statistics.fmean(self.timings),
-            "min": min(self.timings),
-            "max": max(self.timings),
-            "rounds": float(len(self.timings)),
-        }
+            self(target, *args, **(kwargs or {}))
+        return self.last_result
 
 
 class _Skipped(Exception):
@@ -215,9 +188,6 @@ def _harvest(value: Any, sink: Dict[str, Any], depth: int = 0) -> None:
                 numeric = (isinstance(item, (int, float))
                            and not isinstance(item, bool)
                            and math.isfinite(item))
-                if numeric and any(h in lowered for h in _PERF_KEY_HINTS):
-                    sink.setdefault("perf:" + key, []).append(float(item))
-                    continue
                 if numeric and any(h in lowered for h in _RATE_KEY_HINTS):
                     sink.setdefault(key, []).append(float(item))
                     continue
@@ -249,60 +219,33 @@ def _registry_counts(registry: MetricsRegistry) -> Dict[str, float]:
     return out
 
 
-def _parallel_perf_scalars(registry: MetricsRegistry) -> Dict[str, float]:
-    """Epoch/barrier telemetry the parallel runner charged, as ``perf``
-    scalars keyed by worker count (``run.imbalance{workers=4}``, ...).
-    Barrier wait is summed over partitions -- the aggregate stall the
-    sweep paid at that worker count."""
-    from .timeline import _parse_labels
-
-    out: Dict[str, float] = {}
-    for metric, key in (("parallel_lookahead_efficiency",
-                         "lookahead_efficiency"),
-                        ("parallel_imbalance", "imbalance")):
-        gauge = registry.get(metric)
-        if gauge is not None:
-            for label_str, value in gauge.series().items():
-                out["run.%s%s" % (key, label_str)] = value
-    wait = registry.get("parallel_barrier_wait_seconds")
-    if wait is not None:
-        per_workers: Dict[str, float] = {}
-        for label_str, value in wait.series().items():
-            workers = _parse_labels(label_str).get("workers", "?")
-            key = "run.barrier_wait_seconds{workers=%s}" % workers
-            per_workers[key] = per_workers.get(key, 0.0) + value
-        out.update(per_workers)
-    return out
-
-
-def run_benchmark(name: str, seed: int = DEFAULT_SEED,
-                  root: Optional[pathlib.Path] = None,
-                  trace_sample_every: int = 64) -> dict:
+def run_benchmark(name: str, seed: int = DEFAULT_SEED) -> dict:
     """Execute one benchmark scenario; returns a BENCH document."""
+    import tempfile
+
     import pytest
 
-    root = root or bench_root()
+    root = bench_root()
     short = normalize(name)
-    started = time.time()
-    wall_start = time.perf_counter()
     module = _load_module(short, root)
 
     tests = [(n, fn) for n, fn in sorted(vars(module).items())
              if n.startswith("test_") and inspect.isfunction(fn)]
-    registry = MetricsRegistry(enabled=True,
-                               trace_sample_every=trace_sample_every,
+    registry = MetricsRegistry(enabled=True, trace_sample_every=64,
                                profile=True)
     artifacts: Dict[str, str] = {}
     observations: Dict[str, Any] = {}
     test_entries: List[dict] = []
     scalars: Dict[str, dict] = {}
     module_cache: Dict[str, Any] = {}
-    tmp_dir = pathlib.Path(root) / "results"
 
     def save_result(artifact: str, text: str) -> None:
         artifacts[artifact] = text
 
-    with use_registry(registry):
+    # Files a scenario writes land in a directory that goes with the
+    # run, never in the source tree.
+    with tempfile.TemporaryDirectory() as scratch, use_registry(registry):
+        tmp_dir = pathlib.Path(scratch)
         for test_name, fn in tests:
             proxy = BenchmarkProxy()
             builtins = {
@@ -314,7 +257,6 @@ def run_benchmark(name: str, seed: int = DEFAULT_SEED,
             resolver = FixtureResolver(module, builtins, module_cache)
             _seed_everything(seed)
             entry = {"name": test_name, "status": "passed"}
-            test_start = time.perf_counter()
             try:
                 args = [resolver.resolve(p) for p
                         in inspect.signature(fn).parameters]
@@ -332,11 +274,7 @@ def run_benchmark(name: str, seed: int = DEFAULT_SEED,
                 entry["status"] = "error"
                 entry["detail"] = "".join(traceback.format_exception_only(
                     type(exc), exc)).strip()
-            entry["wall_time_sec"] = time.perf_counter() - test_start
             test_entries.append(entry)
-            if entry["status"] in ("passed", "failed"):
-                scalars["%s.wall_time_sec" % test_name] = {
-                    "value": entry["wall_time_sec"], "kind": "time"}
             if entry["status"] != "passed":
                 continue
             per_test: Dict[str, Any] = {}
@@ -345,55 +283,24 @@ def run_benchmark(name: str, seed: int = DEFAULT_SEED,
                 if key.startswith("label:"):
                     observations.setdefault(key, []).extend(values)
                     continue
-                if key.startswith("perf:"):
-                    scalars["%s.%s" % (test_name, key[len("perf:"):])] = {
-                        "value": statistics.fmean(values), "kind": "perf"}
-                    continue
                 scalars["%s.%s.mean" % (test_name, key)] = {
                     "value": statistics.fmean(values), "kind": "rate"}
                 scalars["%s.%s.min" % (test_name, key)] = {
                     "value": min(values), "kind": "rate"}
 
-    counts = _registry_counts(registry)
-    for key, value in counts.items():
+    for key, value in _registry_counts(registry).items():
         scalars["run.%s" % key] = {"value": value, "kind": "count"}
-    # Parallel runs record their partition count in the run_workers gauge
-    # (see repro.parallel.simulate_parallel); surface it so BENCH
-    # artifacts say what sharding produced them.
-    workers_gauge = registry.get("run_workers")
-    if workers_gauge is not None:
-        scalars["run.workers"] = {"value": workers_gauge.value(),
-                                  "kind": "perf"}
-    for key, value in _parallel_perf_scalars(registry).items():
-        scalars[key] = {"value": value, "kind": "perf"}
-
-    wall = time.perf_counter() - wall_start
-    scalars["run.wall_time_sec"] = {"value": wall, "kind": "time"}
-    # Engine speed: real seconds inside Simulator.run (charged by the
-    # engine to this counter) against events executed.  kind="perf" so
-    # the regression checker reports drift without ever gating on it.
-    wall_counter = registry.get("engine_wall_seconds")
-    wall_clock_s = wall_counter.total() if wall_counter is not None else 0.0
-    events_per_sec = (counts.get("sim_events", 0.0) / wall_clock_s
-                      if wall_clock_s > 0 else 0.0)
-    scalars["run.wall_clock_s"] = {"value": wall_clock_s, "kind": "perf"}
-    scalars["run.events_per_sec"] = {"value": events_per_sec, "kind": "perf"}
     status = "passed" if all(t["status"] in ("passed", "skipped")
                              for t in test_entries) else "failed"
     doc = {
         "schema": BENCH_SCHEMA,
         "name": short,
-        "created_unix": started,
         "seed": seed,
-        "wall_time_sec": wall,
-        "wall_clock_s": wall_clock_s,
-        "events_per_sec": events_per_sec,
         "status": status,
         "tests": test_entries,
         "scalars": scalars,
         "labels": {key[len("label:"):]: sorted(set(values))
-                   for key, values in observations.items()
-                   if key.startswith("label:")},
+                   for key, values in observations.items()},
         "metrics": registry.snapshot(),
         "explain": explain_from_registry(registry),
         "artifacts": sorted(artifacts),
@@ -434,16 +341,3 @@ def write_bench_json(doc: dict, out_dir: pathlib.Path) -> pathlib.Path:
     if trace_doc["traceEvents"]:
         write_trace_json(trace_doc, out_dir)
     return path
-
-
-def run_many(names: Sequence[str], seed: int = DEFAULT_SEED,
-             out_dir: Optional[pathlib.Path] = None,
-             root: Optional[pathlib.Path] = None
-             ) -> List[Tuple[dict, Optional[pathlib.Path]]]:
-    """Run several scenarios, optionally writing each BENCH file."""
-    results = []
-    for name in names:
-        doc = run_benchmark(name, seed=seed, root=root)
-        path = write_bench_json(doc, out_dir) if out_dir else None
-        results.append((doc, path))
-    return results

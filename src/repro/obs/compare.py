@@ -3,15 +3,11 @@
 One code path serves ``python -m repro obs diff`` and CI's
 ``scripts/check_bench_regression.py``: load two documents (a committed
 baseline and a fresh BENCH artifact, or two BENCH artifacts), compare
-the scalar metrics they share, and classify each delta.  ``rate``
-scalars regress downward, ``time`` scalars regress upward, ``count``
-scalars never fail the gate -- they exist so drift is *visible*, not to
-make CI flaky.
-
-By default only ``rate`` scalars gate: they derive from the analytic
-model and the seeded DES, so they are deterministic on any machine,
-while wall-clock timings on shared CI runners are not.  Pass
-``kinds=("rate", "time")`` for a local, quiet-machine check.
+the ``rate`` scalars they share, and classify each delta: a rate
+regresses downward.  ``count`` scalars ride along in the documents for
+``obs report`` and never gate.  Both derive from the analytic model and
+the seeded DES, so they are deterministic on any machine; wall-clock
+cost is not in these documents at all (``perfbench`` measures it).
 """
 
 from __future__ import annotations
@@ -27,11 +23,8 @@ from .schema import (
     validate_bench,
 )
 
-#: Fractional change beyond which a gated scalar fails (ISSUE: >10%).
+#: Fractional change beyond which a rate scalar fails (ISSUE: >10%).
 DEFAULT_TOLERANCE = 0.10
-
-#: Scalar kinds that gate by default (see module docstring).
-DEFAULT_KINDS = ("rate",)
 
 
 @dataclass(frozen=True)
@@ -68,16 +61,9 @@ def classify(kind: str, baseline: float, current: float,
             return 0.0, "ok"
         return None, "new"
     change = (current - baseline) / abs(baseline)
-    if kind == "perf":
-        # Wall-clock engine speed: purely informational.  Machines and
-        # CI runners differ too much for a portable threshold, so perf
-        # deltas are surfaced but can never regress a gate.
-        return change, "info"
     if kind == "rate" and change < -tolerance:
         return change, "regressed"
-    if kind == "time" and change > tolerance:
-        return change, "regressed"
-    if kind in ("rate", "time") and abs(change) > tolerance:
+    if kind == "rate" and change > tolerance:
         return change, "improved"
     return change, "ok"
 
@@ -85,14 +71,13 @@ def classify(kind: str, baseline: float, current: float,
 def compare_scalars(benchmark: str,
                     baseline: Dict[str, dict],
                     current: Dict[str, dict],
-                    tolerance: float = DEFAULT_TOLERANCE,
-                    kinds: Sequence[str] = DEFAULT_KINDS) -> List[Delta]:
-    """Compare two scalar maps (metric -> {value, kind})."""
+                    tolerance: float = DEFAULT_TOLERANCE) -> List[Delta]:
+    """Compare the rate scalars of two maps (metric -> {value, kind})."""
     deltas: List[Delta] = []
     for metric in sorted(baseline):
         cell = baseline[metric]
         kind = cell.get("kind", "count")
-        if kind not in kinds:
+        if kind != "rate":
             continue
         base_value = float(cell["value"])
         cur_cell = current.get(metric)
@@ -106,7 +91,7 @@ def compare_scalars(benchmark: str,
                             cur_value, change, status))
     for metric in sorted(set(current) - set(baseline)):
         kind = current[metric].get("kind", "count")
-        if kind in kinds:
+        if kind == "rate":
             deltas.append(Delta(benchmark, metric, kind, None,
                                 float(current[metric]["value"]), None,
                                 "new"))
@@ -127,8 +112,7 @@ def baseline_scalars_for(baseline_doc: dict,
 
 
 def compare_docs(baseline_doc: dict, bench_doc: dict,
-                 tolerance: float = DEFAULT_TOLERANCE,
-                 kinds: Sequence[str] = DEFAULT_KINDS) -> List[Delta]:
+                 tolerance: float = DEFAULT_TOLERANCE) -> List[Delta]:
     """Compare one BENCH document against a baseline (either shape).
 
     Raises ``ValueError`` when either document fails schema validation
@@ -150,11 +134,10 @@ def compare_docs(baseline_doc: dict, bench_doc: dict,
     if base_scalars is None:
         raise ValueError("baseline has no entry for benchmark %r" % name)
     return compare_scalars(name, base_scalars, bench_doc["scalars"],
-                           tolerance=tolerance, kinds=kinds)
+                           tolerance=tolerance)
 
 
 def make_baseline(bench_docs: Iterable[dict],
-                  created_unix: float,
                   tolerance: float = DEFAULT_TOLERANCE) -> dict:
     """Fold BENCH documents into a committable baseline file."""
     benchmarks = {}
@@ -166,7 +149,6 @@ def make_baseline(bench_docs: Iterable[dict],
         benchmarks[doc["name"]] = {"scalars": doc["scalars"]}
     return {
         "schema": BASELINE_SCHEMA,
-        "created_unix": created_unix,
         "tolerance": tolerance,
         "benchmarks": benchmarks,
     }
@@ -180,7 +162,7 @@ def load_json(path: str) -> dict:
 def summarize(deltas: Sequence[Delta]) -> str:
     """Human-readable digest, regressions first."""
     order = {"regressed": 0, "missing": 1, "new": 2, "improved": 3,
-             "info": 4, "ok": 5}
+             "ok": 4}
     lines = [d.describe()
              for d in sorted(deltas, key=lambda d: (order[d.status],
                                                     d.benchmark, d.metric))]

@@ -26,6 +26,9 @@ import contextlib
 import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
+# The value store behind one histogram series (exact quantiles).
+from ..simnet.stats import Histogram as _Reservoir
+
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
@@ -138,49 +141,18 @@ class Gauge(Metric):
                 for k, v in sorted(self._series.items())}
 
 
-class _Reservoir:
-    """Value store behind one histogram series (exact quantiles)."""
-
-    __slots__ = ("values", "sorted")
-
-    def __init__(self):
-        self.values: List[float] = []
-        self.sorted = True
-
-    def observe(self, value: float) -> None:
-        if self.values and value < self.values[-1]:
-            self.sorted = False
-        self.values.append(value)
-
-    def _ensure(self) -> None:
-        if not self.sorted:
-            self.values.sort()
-            self.sorted = True
-
-    def quantile(self, q: float) -> float:
-        if not self.values:
-            raise ValueError("empty histogram series")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        self._ensure()
-        if q == 0.0:
-            return self.values[0]
-        rank = max(1, math.ceil(q * len(self.values)))
-        return self.values[rank - 1]
-
-    def summary(self) -> Dict[str, float]:
-        self._ensure()
-        n = len(self.values)
-        # float() strips numpy scalars so snapshots stay JSON-able.
-        return {
-            "count": n,
-            "mean": float(sum(self.values) / n),
-            "min": float(self.values[0]),
-            "p50": float(self.quantile(0.50)),
-            "p90": float(self.quantile(0.90)),
-            "p99": float(self.quantile(0.99)),
-            "max": float(self.values[-1]),
-        }
+def _summary(series: _Reservoir) -> Dict[str, float]:
+    """The snapshot form of one histogram series."""
+    # float() strips numpy scalars so snapshots stay JSON-able.
+    return {
+        "count": len(series),
+        "mean": float(series.mean()),
+        "min": float(series.min()),
+        "p50": float(series.quantile(0.50)),
+        "p90": float(series.quantile(0.90)),
+        "p99": float(series.quantile(0.99)),
+        "max": float(series.max()),
+    }
 
 
 class Histogram(Metric):
@@ -211,7 +183,7 @@ class Histogram(Metric):
 
     def count(self, **labels) -> int:
         series = self._series.get(_label_key(labels))
-        return len(series.values) if series is not None else 0
+        return len(series) if series is not None else 0
 
     def quantile(self, q: float, **labels) -> float:
         series = self._series.get(_label_key(labels))
@@ -225,10 +197,10 @@ class Histogram(Metric):
         if series is None:
             raise ValueError("no series %r for labels %r"
                              % (self.name, labels))
-        return series.summary()
+        return _summary(series)
 
     def series(self) -> Dict[str, Dict[str, float]]:
-        return {_label_str(k): r.summary()
+        return {_label_str(k): _summary(r)
                 for k, r in sorted(self._series.items())}
 
 
@@ -493,9 +465,7 @@ class MetricsRegistry:
                     dest = mine._series.get(key)
                     if dest is None:
                         dest = mine._series[key] = _Reservoir()
-                    if reservoir.values:
-                        dest.values.extend(reservoir.values)
-                        dest.sorted = False
+                    dest.extend(reservoir)
         self.tracer.merge(other.tracer)
         if self.profiler is not None and other.profiler is not None:
             self.profiler.merge(other.profiler)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import List
 
-#: Schema tag for a single benchmark result document.  /2 added the
-#: mandatory ``wall_clock_s`` / ``events_per_sec`` engine-speed fields
-#: and the ``perf`` scalar kind.
-BENCH_SCHEMA = "repro.bench/2"
+#: Schema tag for a single benchmark result document.  /3 dropped
+#: everything read off a host clock (``time``/``perf`` scalars, wall and
+#: creation time): a document is a pure function of code and seed.
+BENCH_SCHEMA = "repro.bench/3"
 #: Schema tag for the committed multi-benchmark baseline.
 BASELINE_SCHEMA = "repro.bench-baseline/1"
 #: Schema tag for ``TRACE_<name>.json`` Chrome-trace-event timelines
@@ -25,21 +25,14 @@ BASELINE_SCHEMA = "repro.bench-baseline/1"
 #: ``chrome://tracing`` load it unmodified.
 TRACE_SCHEMA = "repro.trace-timeline/1"
 
-#: Scalar kinds the regression checker knows how to compare.
-#: ``rate``  -- higher is better (Gbps, Mpps, ...)
-#: ``time``  -- lower is better (wall-clock seconds)
-#: ``count`` -- informational; compared for drift, never failed on
-#: ``perf``  -- wall-clock engine speed; reported, never gated (CI
-#:              machines vary too much for a hard threshold)
-SCALAR_KINDS = ("rate", "time", "count", "perf")
+#: Scalar kinds a document may carry.
+#: ``rate``  -- higher is better (Gbps, Mpps, ...); the gated kind
+#: ``count`` -- informational (``obs report``, unknown-key warnings)
+SCALAR_KINDS = ("rate", "count")
 
 _REQUIRED_TOP = {
     "schema": str,
     "name": str,
-    "created_unix": (int, float),
-    "wall_time_sec": (int, float),
-    "wall_clock_s": (int, float),
-    "events_per_sec": (int, float),
     "status": str,
     "tests": list,
     "scalars": dict,
@@ -65,8 +58,8 @@ def validate_bench(doc) -> List[str]:
     if errors:
         return errors
     if doc["schema"] != BENCH_SCHEMA:
-        errors.append("schema is %r, this tool reads %r"
-                      % (doc["schema"], BENCH_SCHEMA))
+        return ["schema is %r, this tool reads %r"
+                % (doc["schema"], BENCH_SCHEMA)]
     if doc["status"] not in ("passed", "failed"):
         errors.append("status must be passed|failed, got %r" % doc["status"])
     for index, test in enumerate(doc["tests"]):

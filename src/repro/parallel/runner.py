@@ -224,8 +224,8 @@ def simulate_parallel(router: RouteBricksRouter,
     ``workers=1`` for those.
 
     Fault-free runs merge to bit-identical reports and metric snapshots
-    at any worker count (modulo the wall-clock ``engine_wall_seconds``
-    counter); see ``tests/test_parallel.py`` for the enforced guarantee.
+    at any worker count; see ``tests/test_parallel.py`` for the enforced
+    guarantee.
     """
     checked_horizon(until)
     if workers < 1:
@@ -427,11 +427,6 @@ def simulate_parallel(router: RouteBricksRouter,
                  "realization included")
         for pid, seconds in enumerate(setup_seconds):
             setup_gauge.set(seconds, workers=workers, partition=pid)
-        registry.gauge(
-            "run_workers", help="partitions driving this run").set(workers)
-        registry.gauge(
-            "run_epochs",
-            help="conservative-lookahead epochs executed").set(epochs)
         registry.gauge(
             "parallel_lookahead_efficiency",
             help="mean epoch length over the lookahead window W").set(

@@ -76,17 +76,11 @@ def predict(app: cal.AppCost, packet_bytes: int = 64,
         "cycles_per_packet": result.loads.cpu_cycles,
     }
     if cluster_nodes:
-        # Per-ingress-packet work: this app at the input node, minimal
-        # forwarding at the output node, flowlet tracking.
-        book = cal.DEFAULT_BOOKKEEPING_CYCLES
-        cycles = (app.cpu_cycles(packet_bytes) + book
-                  + cal.MINIMAL_FORWARDING.cpu_cycles(packet_bytes) + book
-                  + cal.REORDER_AVOIDANCE_CYCLES)
-        per_node_pps = cal.NEHALEM_TOTAL_CYCLES_PER_SEC / cycles
-        per_node_bps = per_node_pps * packet_bytes * 8
-        from ..core.router import RB4_NIC_EFFECTIVE_BPS
-        nic_bps = RB4_NIC_EFFECTIVE_BPS / (1 + 1 / (cluster_nodes - 1))
-        per_port = min(per_node_bps, nic_bps, cal.PORT_RATE_BPS)
+        # This app at the input nodes of a uniformly loaded cluster: the
+        # router's own operating point (CPU / NIC / link / port minimum).
+        from ..core.router import RouteBricksRouter
+        cluster = RouteBricksRouter(num_nodes=cluster_nodes).max_throughput(
+            WorkloadSpec.fixed(packet_bytes, app=app))
         out["cluster_nodes"] = cluster_nodes
-        out["cluster_gbps"] = per_port * cluster_nodes / 1e9
+        out["cluster_gbps"] = cluster.aggregate_gbps
     return out

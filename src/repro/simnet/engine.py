@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Callable, Optional
 
 from ..errors import SimulationError
@@ -92,19 +91,17 @@ class Simulator:
 
     ``metrics`` (or the active :mod:`repro.obs` registry, when enabled)
     receives a ``sim_events`` timeline of executed events -- the event-
-    rate trajectory bottleneck reports bin everything else against --
-    plus an ``engine_wall_seconds`` counter of real time spent inside
-    :meth:`run` (the ``wall_clock_s`` BENCH field).  When the registry
-    carries a :class:`~repro.obs.profile.SpanProfiler` the engine also
-    resets its span stack at each event boundary, so frames pushed by
-    one callback can never leak into the next.  The hooks are resolved
-    once at construction; the one event loop in :meth:`run` reads them
-    into locals, so an unobserved run pays one ``is None`` check per
-    event for observability.
+    rate trajectory bottleneck reports bin everything else against.
+    When the registry carries a :class:`~repro.obs.profile.SpanProfiler`
+    the engine also resets its span stack at each event boundary, so
+    frames pushed by one callback can never leak into the next.  The
+    hooks are resolved once at construction; the one event loop in
+    :meth:`run` reads them into locals, so an unobserved run pays one
+    ``is None`` check per event for observability.
     """
 
     #: Observability hooks; set per instance only under an enabled registry.
-    _obs_record = _obs_wall = _profiler = None
+    _obs_record = _profiler = None
 
     def __init__(self, metrics=None):
         from ..obs.metrics import active_registry
@@ -118,14 +115,9 @@ class Simulator:
         self._seq = itertools.count()
         self.now = 0.0
         self.events_run = 0
-        #: Real seconds spent inside :meth:`run` (accumulates).
-        self.wall_clock_s = 0.0
         registry = metrics if metrics is not None else active_registry()
         if registry.enabled:
             self._obs_record = registry.timeline("sim_events").bind()
-            self._obs_wall = registry.counter(
-                "engine_wall_seconds",
-                help="real time spent inside Simulator.run")
             self._profiler = registry.profiler
 
     # -- scheduling --------------------------------------------------------
@@ -384,7 +376,6 @@ class Simulator:
         profiler = self._profiler
         prof_stack = profiler._stack if profiler is not None else None
         executed = 0
-        start = perf_counter()
         try:
             while keys and executed < budget:
                 bucket = buckets[keys[0]]
@@ -410,9 +401,5 @@ class Simulator:
                 executed += 1
         finally:
             self.events_run += executed
-            elapsed = perf_counter() - start
-            self.wall_clock_s += elapsed
-            if self._obs_wall is not None:
-                self._obs_wall.inc(elapsed)
         if until is not None and self.now < until:
             self.now = until

@@ -52,17 +52,26 @@ class Histogram:
         self._values.extend(other._values)
         self._sorted = False
 
-    def percentile(self, p: float) -> float:
-        """Exact percentile (nearest-rank), p in [0, 100]."""
+    def _nearest_rank(self, scaled_rank: float) -> float:
+        """The observation at 1-based rank ``ceil(scaled_rank)``, at
+        least 1.  Percent and fraction callers each pass their own
+        product with ``n``: converting first would round differently."""
         if not self._values:
             raise ValueError("empty histogram")
+        self._ensure_sorted()
+        return self._values[max(1, math.ceil(scaled_rank)) - 1]
+
+    def percentile(self, p: float) -> float:
+        """Exact percentile (nearest-rank), p in [0, 100]."""
         if not 0 <= p <= 100:
             raise ValueError("percentile must be in [0, 100]")
-        self._ensure_sorted()
-        if p == 0:
-            return self._values[0]
-        rank = max(1, math.ceil(p / 100 * len(self._values)))
-        return self._values[rank - 1]
+        return self._nearest_rank(p / 100 * len(self._values))
+
+    def quantile(self, q: float) -> float:
+        """Exact quantile (nearest-rank), q in [0, 1]."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quantile must be in [0, 1]")
+        return self._nearest_rank(q * len(self._values))
 
     def min(self) -> float:
         self._ensure_sorted()

@@ -81,14 +81,13 @@ FORWARDING_CASES["legacy_twin"] = (32, 16, 5e9, 1e-3)
 
 
 def _snapshot_digest(registry):
-    """sha256 of the full-resolution snapshot minus wall-clock time.
+    """sha256 of the full-resolution snapshot.
     Trace packet ids become ranks: the id counter is process-global and
     counts every ``Packet`` built, which is not a simulated quantity
     (the per-packet loop built one per arrival, the token rings build
     one per *sampled* arrival)."""
     snap = json.loads(json.dumps(
         registry.snapshot(max_bins=1 << 30, max_traces=1 << 30)))
-    snap["counters"].pop("engine_wall_seconds", None)
     paths = snap["traces"]["paths"]
     rank = {pid: i for i, pid in enumerate(
         sorted(p["packet_id"] for p in paths))}

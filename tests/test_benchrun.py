@@ -11,7 +11,12 @@ import pytest
 from repro.cli import main
 from repro.obs import compare, make_baseline, run_benchmark, write_bench_json
 from repro.obs.benchrun import QUICK_BENCHMARKS, discover, normalize
-from repro.obs.schema import BASELINE_SCHEMA, BENCH_SCHEMA, validate_bench
+from repro.obs.schema import (
+    BASELINE_SCHEMA,
+    BENCH_SCHEMA,
+    SCALAR_KINDS,
+    validate_bench,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -49,64 +54,69 @@ class TestRunBenchmark:
 
     def test_rate_scalars_present(self, bench_doc):
         kinds = {cell["kind"] for cell in bench_doc["scalars"].values()}
-        assert "rate" in kinds and "time" in kinds
+        assert "rate" in kinds and kinds <= set(SCALAR_KINDS)
+        assert SCALAR_KINDS == ("rate", "count")
+
+    def test_document_carries_no_host_time(self, bench_doc):
+        for field in ("wall_clock_s", "events_per_sec", "wall_time_sec",
+                      "created_unix"):
+            assert field not in bench_doc
+        assert all(set(test) <= {"name", "status", "detail"}
+                   for test in bench_doc["tests"])
 
     def test_written_file_round_trips(self, bench_doc, tmp_path):
         path = write_bench_json(bench_doc, tmp_path)
         assert path.name == "BENCH_%s.json" % BENCH_NAME
         assert validate_bench(json.loads(path.read_text())) == []
 
-    def test_non_time_scalars_reproducible(self, bench_doc):
-        """Seeded scenarios must emit identical rates run-to-run (time
-        and perf kinds measure the host machine, not the model)."""
-        again = run_benchmark(BENCH_NAME)
-        stable = {k: v for k, v in bench_doc["scalars"].items()
-                  if v["kind"] not in ("time", "perf")}
-        stable_again = {k: v for k, v in again["scalars"].items()
-                        if v["kind"] not in ("time", "perf")}
-        assert stable == stable_again
+    def test_non_time_scalars_reproducible(self):
+        """A document is a pure function of code and seed: nothing has
+        to be filtered out before two runs compare equal (there are no
+        ``time``/``perf`` scalars left to drop).  ``timed_server`` is
+        the quick scenario that drives the DES."""
+        first = run_benchmark("timed_server")
+        again = run_benchmark("timed_server")
+        assert first["scalars"] and first["artifacts"]
+        for part in ("scalars", "labels", "artifacts"):
+            assert first[part] == again[part]
+        assert [(t["name"], t["status"]) for t in first["tests"]] \
+            == [(t["name"], t["status"]) for t in again["tests"]]
 
-    def test_perf_scalars_present(self, bench_doc):
-        assert bench_doc["scalars"]["run.wall_clock_s"]["kind"] == "perf"
-        assert bench_doc["scalars"]["run.events_per_sec"]["kind"] == "perf"
-        # fig6_queues is fully analytic -- no DES runs, so the engine
-        # wall clock is legitimately zero; it still must be present and
-        # bounded by the whole run's wall time.
-        assert bench_doc["wall_clock_s"] >= 0.0
-        assert bench_doc["events_per_sec"] >= 0.0
-        assert bench_doc["wall_clock_s"] <= bench_doc["wall_time_sec"]
+    def test_scenario_files_stay_out_of_the_source_tree(self):
+        """``tmp_path`` is a directory that goes with the run: the pcap
+        ``bench_substrates`` writes must not land under ``benchmarks/``."""
+        def tree():
+            # What ``git status --ignored benchmarks/`` would show a
+            # change in, byte-code caches aside -- without needing git.
+            return sorted(
+                (str(path), path.stat().st_size, path.stat().st_mtime_ns)
+                for path in (REPO_ROOT / "benchmarks").rglob("*")
+                if path.is_file() and "__pycache__" not in path.parts)
 
-    def test_perf_fields_nonzero_for_des_scenario(self):
-        from repro.obs.metrics import MetricsRegistry, use_registry
-        from repro.simnet import Simulator
-        registry = MetricsRegistry(enabled=True)
-        with use_registry(registry):
-            sim = Simulator()
-            sim.schedule(1.0, lambda: None)
-            sim.run()
-        wall = registry.get("engine_wall_seconds")
-        assert wall is not None and wall.total() > 0.0
+        before = tree()
+        doc = run_benchmark("substrates")
+        assert {t["name"]: t["status"] for t in doc["tests"]}[
+            "test_pcap_round_trip_throughput"] == "passed"
+        assert tree() == before
 
 
 class TestCompare:
     def test_classify_directions(self):
         assert compare.classify("rate", 10.0, 8.0, 0.10)[1] == "regressed"
         assert compare.classify("rate", 10.0, 12.0, 0.10)[1] == "improved"
-        assert compare.classify("time", 1.0, 1.5, 0.10)[1] == "regressed"
-        assert compare.classify("time", 1.0, 0.5, 0.10)[1] == "improved"
         assert compare.classify("rate", 10.0, 9.5, 0.10)[1] == "ok"
-        # Wall-clock perf never gates, however large the swing.
-        assert compare.classify("perf", 100.0, 10.0, 0.10)[1] == "info"
-        assert compare.classify("perf", 10.0, 100.0, 0.10)[1] == "info"
+        # Counts never gate, however large the swing.
+        assert compare.classify("count", 100.0, 10.0, 0.10)[1] == "ok"
+        assert compare.classify("count", 10.0, 100.0, 0.10)[1] == "ok"
 
     def test_make_baseline_and_compare(self, bench_doc):
-        baseline = make_baseline([bench_doc], created_unix=0.0)
+        baseline = make_baseline([bench_doc])
         assert baseline["schema"] == BASELINE_SCHEMA
         deltas = compare.compare_docs(baseline, bench_doc)
         assert deltas and all(d.status == "ok" for d in deltas)
 
     def test_degraded_rates_regress(self, bench_doc):
-        baseline = make_baseline([bench_doc], created_unix=0.0)
+        baseline = make_baseline([bench_doc])
         degraded = copy.deepcopy(bench_doc)
         for cell in degraded["scalars"].values():
             if cell["kind"] == "rate":
@@ -115,14 +125,14 @@ class TestCompare:
         assert any(d.regressed for d in deltas)
 
     def test_missing_benchmark_raises(self, bench_doc):
-        baseline = make_baseline([bench_doc], created_unix=0.0)
+        baseline = make_baseline([bench_doc])
         other = copy.deepcopy(bench_doc)
         other["name"] = "something_else"
         with pytest.raises(ValueError):
             compare.compare_docs(baseline, other)
 
     def test_invalid_document_raises(self, bench_doc):
-        baseline = make_baseline([bench_doc], created_unix=0.0)
+        baseline = make_baseline([bench_doc])
         with pytest.raises(ValueError):
             compare.compare_docs(baseline, {"schema": "bogus"})
 
@@ -206,8 +216,7 @@ class TestRegressionScript:
     def test_clean_results_pass(self, bench_doc, tmp_path):
         write_bench_json(bench_doc, tmp_path)
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
-            make_baseline([bench_doc], created_unix=0.0)))
+        baseline.write_text(json.dumps(make_baseline([bench_doc])))
         proc = self._run("--baseline", str(baseline),
                          "--results-dir", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
@@ -220,8 +229,7 @@ class TestRegressionScript:
                 cell["value"] *= 0.85
         write_bench_json(degraded, tmp_path)
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
-            make_baseline([bench_doc], created_unix=0.0)))
+        baseline.write_text(json.dumps(make_baseline([bench_doc])))
         proc = self._run("--baseline", str(baseline),
                          "--results-dir", str(tmp_path))
         assert proc.returncode == 1, proc.stdout + proc.stderr
@@ -237,8 +245,7 @@ class TestRegressionScript:
             "value": 3.0, "kind": "count"}
         write_bench_json(extended, tmp_path)
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
-            make_baseline([bench_doc], created_unix=0.0)))
+        baseline.write_text(json.dumps(make_baseline([bench_doc])))
         proc = self._run("--baseline", str(baseline),
                          "--results-dir", str(tmp_path))
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -253,13 +260,13 @@ class TestRegressionScript:
             "check_bench_regression", self.SCRIPT)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        baseline = make_baseline([bench_doc], created_unix=0.0)
+        baseline = make_baseline([bench_doc])
         extended = copy.deepcopy(bench_doc)
-        extended["scalars"]["test_x.sneaky_seconds"] = {
-            "value": 1.0, "kind": "time"}
+        extended["scalars"]["test_x.sneaky_events"] = {
+            "value": 1.0, "kind": "count"}
         assert module.unknown_scalar_keys(baseline, bench_doc) == []
         assert module.unknown_scalar_keys(baseline, extended) == \
-            ["test_x.sneaky_seconds"]
+            ["test_x.sneaky_events"]
         # No baseline entry for this benchmark: nothing to warn about
         # (compare_docs already hard-errors on that case).
         renamed = copy.deepcopy(bench_doc)
@@ -275,8 +282,7 @@ class TestRegressionScript:
         renamed["name"] = "unbaselined"
         write_bench_json(renamed, tmp_path)
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
-            make_baseline([bench_doc], created_unix=0.0)))
+        baseline.write_text(json.dumps(make_baseline([bench_doc])))
         strict = self._run("--baseline", str(baseline),
                            "--results-dir", str(tmp_path))
         assert strict.returncode == 2
@@ -302,29 +308,29 @@ class TestRegressionScript:
         assert deltas, "baseline has no rate scalars for %s" % BENCH_NAME
         assert all(not d.regressed for d in deltas)
 
-    def test_perf_section_reports_parallel_scalars(self, bench_doc,
-                                                   tmp_path):
-        """Satellite: barrier/lookahead/imbalance perf scalars show up
-        in the informational perf section and never gate."""
-        doc = copy.deepcopy(bench_doc)
-        doc["scalars"]["run.barrier_wait_seconds{workers=2}"] = {
-            "value": 0.5, "kind": "perf"}
-        doc["scalars"]["run.lookahead_efficiency{workers=2}"] = {
-            "value": 0.97, "kind": "perf"}
-        doc["scalars"]["run.imbalance{workers=2}"] = {
-            "value": 1.2, "kind": "perf"}
-        write_bench_json(doc, tmp_path)
+    def test_old_schema_documents_are_refused(self, bench_doc, tmp_path,
+                                              capsys):
+        """A ``repro.bench/2`` document (host-time fields, ``time`` and
+        ``perf`` scalars) is refused with both schema tags named, not
+        picked apart field by field."""
+        old = copy.deepcopy(bench_doc)
+        old.update(schema="repro.bench/2", created_unix=0.0,
+                   wall_time_sec=0.1, wall_clock_s=0.0, events_per_sec=0.0)
+        old["scalars"]["run.wall_time_sec"] = {"value": 0.1, "kind": "time"}
+        old["scalars"]["run.wall_clock_s"] = {"value": 0.0, "kind": "perf"}
+        assert BENCH_SCHEMA == "repro.bench/3"
+        (problem,) = validate_bench(old)
+        assert "repro.bench/2" in problem and "repro.bench/3" in problem
+        path = tmp_path / "BENCH_old.json"
+        path.write_text(json.dumps(old))
+        assert main(["obs", "report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "repro.bench/2" in err and "repro.bench/3" in err
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
-            make_baseline([doc], created_unix=0.0)))
-        proc = self._run("--baseline", str(baseline),
-                         "--results-dir", str(tmp_path))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "parallel-runtime perf (informational, never gates)" \
-            in proc.stdout
-        for key in ("barrier_wait_seconds", "lookahead_efficiency",
-                    "imbalance"):
-            assert key in proc.stdout
+        baseline.write_text(json.dumps(make_baseline([bench_doc])))
+        proc = self._run("--baseline", str(baseline), str(path))
+        assert proc.returncode == 2
+        assert "repro.bench/2" in proc.stderr
 
 
 class TestParallelTelemetryHarvest:
@@ -343,19 +349,18 @@ class TestParallelTelemetryHarvest:
                           backend="inline", metrics=registry)
         return registry
 
-    def test_parallel_perf_scalars_harvested(self):
-        from repro.obs.benchrun import _parallel_perf_scalars
-
-        scalars = _parallel_perf_scalars(self._parallel_registry())
-        assert scalars["run.barrier_wait_seconds{workers=2}"] > 0.0
-        assert 0.0 < scalars["run.lookahead_efficiency{workers=2}"] <= 1.0
-        assert scalars["run.imbalance{workers=2}"] >= 1.0
-
     def test_empty_registry_harvests_nothing(self):
-        from repro.obs.benchrun import _parallel_perf_scalars
+        """The registry contributes simulated totals only: nothing from
+        an empty one, and none of a parallel run's host-time telemetry
+        (the ``parallel_*`` gauges stay in the snapshot, for the
+        timeline)."""
+        from repro.obs.benchrun import _registry_counts
         from repro.obs.metrics import MetricsRegistry
 
-        assert _parallel_perf_scalars(MetricsRegistry(enabled=True)) == {}
+        assert _registry_counts(MetricsRegistry(enabled=True)) == {}
+        counts = _registry_counts(self._parallel_registry())
+        assert counts["sim_events"] > 0
+        assert set(counts) <= {"sim_events", "node_drops"}
 
 
 class TestTraceSidecar:

@@ -34,13 +34,11 @@ def _registry():
 
 
 def _snapshot_digest(registry):
-    """sha256 over the deterministic part of a snapshot: wall-clock
-    counters are dropped and trace packet ids rebased to the smallest
+    """sha256 over a snapshot, trace packet ids rebased to the smallest
     sampled id (the global packet-id counter depends on what ran
-    earlier in the process)."""
+    earlier in the process).  Nothing else is dropped: a single-heap
+    snapshot holds simulated quantities only."""
     snap = json.loads(json.dumps(registry.snapshot()))
-    for wall in ("engine_wall_seconds", "fib_update_seconds"):
-        snap["counters"].pop(wall, None)
     paths = snap["traces"]["paths"]
     if paths:
         base = min(p["packet_id"] for p in paths)

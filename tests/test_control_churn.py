@@ -160,7 +160,6 @@ class TestRunChurn:
                       load=0.05, seed=2)
         snap = registry.snapshot()
         assert "fib_updates_applied" in snap["counters"]
-        assert "fib_update_seconds" in snap["counters"]
         assert "convergence_seconds" in snap["gauges"]
         assert "convergence_usec" in snap["histograms"]
         assert "cluster_latency_usec" in snap["timelines"]

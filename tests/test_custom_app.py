@@ -82,6 +82,30 @@ class TestPredict:
         # alone, but carries the VLB forwarding+flowlet tax per node.
         assert 0 < result["cluster_gbps"] < 4 * result["server_gbps"]
 
+    @pytest.mark.parametrize("nodes", [2, 4, 8, 32])
+    @pytest.mark.parametrize("size", [64, 740, 1500])
+    def test_cluster_prediction_is_the_routers_operating_point(self, size,
+                                                                nodes):
+        """``predict`` reads the cluster figure off
+        ``RouteBricksRouter.max_throughput``; the hand derivation it used
+        to carry (CPU / NIC / port minimum) stays here as the reference."""
+        from repro.core.router import RB4_NIC_EFFECTIVE_BPS
+
+        for app in (define_application("nat", cycles_per_packet=600),
+                    define_application("dpi", cycles_per_packet=500,
+                                       cycles_per_byte=4.0),
+                    cal.IP_ROUTING):
+            book = cal.DEFAULT_BOOKKEEPING_CYCLES
+            cycles = (app.cpu_cycles(size) + book
+                      + cal.MINIMAL_FORWARDING.cpu_cycles(size) + book
+                      + cal.REORDER_AVOIDANCE_CYCLES)
+            cpu_bps = cal.NEHALEM_TOTAL_CYCLES_PER_SEC / cycles * size * 8
+            nic_bps = RB4_NIC_EFFECTIVE_BPS / (1 + 1 / (nodes - 1))
+            expected = min(cpu_bps, nic_bps, cal.PORT_RATE_BPS) * nodes / 1e9
+            result = predict(app, packet_bytes=size, cluster_nodes=nodes)
+            assert result["cluster_gbps"] == pytest.approx(expected,
+                                                           rel=1e-12)
+
     def test_routing_like_app_matches_routing(self):
         """Defining an app with IP routing's profile reproduces the
         routing operating point."""

@@ -119,9 +119,8 @@ class TestExplainFromRegistry:
     def test_bench_doc_with_explain_validates(self):
         # A minimal doc with the new optional section passes the schema.
         doc = {
-            "schema": "repro.bench/2", "name": "x", "created_unix": 0.0,
-            "wall_time_sec": 0.1, "wall_clock_s": 0.1,
-            "events_per_sec": 10.0, "status": "passed", "tests": [],
+            "schema": "repro.bench/3", "name": "x",
+            "status": "passed", "tests": [],
             "scalars": {}, "metrics": {},
             "explain": {"latency": None, "top_frames": [],
                         "span_paths": 0},
@@ -145,9 +144,8 @@ class TestCli:
 
     def test_explain_reads_bench_json(self, tmp_path, capsys):
         doc = {
-            "schema": "repro.bench/2", "name": "demo", "created_unix": 0.0,
-            "wall_time_sec": 0.1, "wall_clock_s": 0.1,
-            "events_per_sec": 10.0, "status": "passed", "tests": [],
+            "schema": "repro.bench/3", "name": "demo",
+            "status": "passed", "tests": [],
             "scalars": {}, "metrics": {},
             "explain": {
                 "latency": {

@@ -58,17 +58,13 @@ def _registry():
 def _normalize(snapshot):
     """Strip the non-deterministic parts of a snapshot.
 
-    ``engine_wall_seconds`` is wall time; ``run_workers``/``run_epochs``
-    and the ``parallel_*`` runtime telemetry (wall-clock barrier/busy
+    The ``parallel_*`` runtime telemetry (wall-clock barrier/busy
     accounting that only a partitioned run charges) intentionally
-    differ; trace packet ids are offset by the global packet-id
+    differs; trace packet ids are offset by the global packet-id
     counter's position when the run realized its arrivals, so they are
     rebased to the run's smallest sampled id.
     """
     snap = json.loads(json.dumps(snapshot))
-    snap.get("counters", {}).pop("engine_wall_seconds", None)
-    snap.get("gauges", {}).pop("run_workers", None)
-    snap.get("gauges", {}).pop("run_epochs", None)
     for section in ("counters", "gauges", "histograms", "timelines"):
         metrics = snap.get(section, {})
         for name in [n for n in metrics if n.startswith("parallel_")]:

@@ -119,13 +119,6 @@ class TestSimulator:
         sim.run()
         assert sim.events_run == 2
 
-    def test_wall_clock_accumulates(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        assert sim.wall_clock_s == 0.0
-        sim.run()
-        assert sim.wall_clock_s > 0.0
-
     def test_cancelled_events_are_compacted(self):
         """Mass cancellation: only the survivors run and count, and the
         dead entries are dropped as they surface (nothing is rebuilt)."""
