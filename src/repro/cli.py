@@ -404,6 +404,7 @@ def _cmd_control(args) -> int:
 
 
 def _cmd_parallel(args) -> int:
+    import resource
     from time import perf_counter
 
     from .errors import ReproError
@@ -424,6 +425,9 @@ def _cmd_parallel(args) -> int:
         print("error: %s" % error, file=sys.stderr)
         return 2
     wall = perf_counter() - start
+    # KiB on Linux; this process's own, not its workers'.
+    peak_rss = "peak RSS %.1f MiB" % (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     print("cluster: %d nodes across %d worker(s) [%s backend], "
           "%g%% uniform load of %d B frames"
           % (nodes, report.workers, args.backend, args.load * 100,
@@ -440,16 +444,18 @@ def _cmd_parallel(args) -> int:
               % (report.events_run, report.epochs,
                  report.events_run / busy))
         # A partition's busy + barrier wait is the epochs' wall clock as
-        # it saw it; what the two figures leave of the call is process
-        # start, spec and fragment pickling, and the merge.
+        # it saw it, arrival realization included; what the two figures
+        # leave of the call is process start, spec and fragment
+        # pickling, and the merge.
         print("wall: %.2f s for the call -- partition set-up %.2f s "
-              "(slowest build + arrival realization, CPU), epochs %.2f s"
+              "(slowest build only, CPU), epochs %.2f s; %s"
               % (wall, max(report.partition_setup_seconds),
                  min(b + w for b, w in zip(report.partition_busy_seconds,
-                                           report.barrier_wait_seconds))))
+                                           report.barrier_wait_seconds)),
+                 peak_rss))
     else:
         print("engine: %d events (single-heap run); wall: %.2f s for the "
-              "call" % (report.events_run, wall))
+              "call; %s" % (report.events_run, wall, peak_rss))
     return 0
 
 

@@ -12,6 +12,7 @@ spreading) is available for the ablation the paper reports (5.5 % vs
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -48,6 +49,12 @@ class ClusterNode:
         #: Called when a packet exits this node's external port.
         self.egress_callback: Optional[Callable[[Packet, float], None]] = None
         self.link_busy_threshold_sec = link_busy_threshold_sec
+        #: What this server adds in each role, fixed for the run (local
+        #: delivery sums two delays, in that order: floats).
+        self._input_sec = usec(server_latency_usec("input"))
+        self._output_sec = usec(server_latency_usec("output"))
+        self._intermediate_sec = usec(server_latency_usec("intermediate"))
+        self._local_sec = self._input_sec + self._output_sec
         self.ingress_packets = 0
         self.egress_packets = 0
         self.intermediate_packets = 0
@@ -224,16 +231,14 @@ class ClusterNode:
                                      key=self.node_id)
         encode_output_node(packet, egress_node, max_nodes=max(
             self.num_nodes, 1))
-        delay = usec(server_latency_usec("input"))
         if egress_node == self.node_id:
             # Arrived at its own output node: no internal traversal.
-            self.sim.schedule_timer(
-                delay + usec(server_latency_usec("output")),
-                lambda p=packet: self._egress(p))
+            self.sim.schedule_timer(self._local_sec,
+                                    partial(self._egress, packet))
             return
         first_hop = self.choose_path(packet, egress_node, self.sim.now)
-        self.sim.schedule_timer(
-            delay, lambda p=packet, h=first_hop: self._send(p, h))
+        self.sim.schedule_timer(self._input_sec,
+                                partial(self._send, packet, first_hop))
 
     def _send(self, packet: Packet, next_hop: int) -> None:
         if not self.alive:
@@ -292,14 +297,13 @@ class ClusterNode:
                 packet, "output" if output == self.node_id
                 else "intermediate")
         if output == self.node_id:
-            delay = usec(server_latency_usec("output"))
-            self.sim.schedule_timer(delay, lambda p=packet: self._egress(p))
+            self.sim.schedule_timer(self._output_sec,
+                                    partial(self._egress, packet))
             return
         # Intermediate role: queue-to-queue move, steer by MAC.
         self.intermediate_packets += 1
-        delay = usec(server_latency_usec("intermediate"))
-        self.sim.schedule_timer(
-            delay, lambda p=packet, h=output: self._send(p, h))
+        self.sim.schedule_timer(self._intermediate_sec,
+                                partial(self._send, packet, output))
 
     def _observe_hop(self, packet: Packet, role: str) -> None:
         """Charge one internal hop's latency to the role that received

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
@@ -42,6 +43,11 @@ from .node import ClusterNode
 from .reordering import ReorderingMeter
 from .resequencer import Resequencer
 from .router import SimulationReport
+
+
+#: Owned arrivals of a replayed workload filed at a time: what a
+#: partition holds of the stream beyond what is in flight.
+ARRIVAL_CHUNK = 1024
 
 
 def empty_registry_like(registry: MetricsRegistry) -> MetricsRegistry:
@@ -191,6 +197,10 @@ class PartitionFragment:
     """One partition's share of the run results (picklable)."""
 
     partition_id: int
+    #: Arrivals seen, complete once the run has pulled the last one: the
+    #: whole run's when a workload is replayed (foreign ones come with
+    #: no packet and are only counted), else this partition's share.
+    offered_packets: int = 0
     delivered_packets: int = 0
     delivered_bytes: int = 0
     direct_packets: int = 0
@@ -316,21 +326,25 @@ class ClusterPartition(Partition):
         else:
             admit = ClusterNode.ingress
 
-        #: Arrivals seen here: the whole run's when a workload is
-        #: replayed (those of other partitions' ingress nodes come with
-        #: no packet and are only counted), else this partition's share.
-        self.offered_packets = 0
-        arrivals = spec.arrivals
+        # A caller's list is resident already and need not be sorted:
+        # one chunk, filed now.  A workload is replayed as the clock
+        # reaches it: the queue holds what is in flight, not the horizon.
+        arrivals, chunk = spec.arrivals, None
         if spec.workload is not None:
-            arrivals = _range_checked(
+            arrivals, chunk = _range_checked(
                 spec.workload.events(spec.until, owned=self.nodes,
                                      id_base=spec.packet_id_base),
-                n, spec.route_via_fib)
-        for time, ingress, egress, packet in arrivals:
-            self.offered_packets += 1
-            if packet is not None:
-                sim.schedule_timer_at(time, partial(
-                    admit, self.nodes[ingress], packet, egress))
+                n, spec.route_via_fib), ARRIVAL_CHUNK
+
+        def arrival_timers():
+            for time, ingress, egress, packet in arrivals:
+                frag.offered_packets += 1
+                if packet is not None:
+                    yield time, partial(
+                        admit, self.nodes[ingress], packet, egress)
+
+        timers = arrival_timers()
+        sim.schedule_stream(iter(lambda: list(islice(timers, chunk)), []))
 
         self.observer = ClusterObserver(
             sim, list(self.nodes.values()), registry,

@@ -96,9 +96,9 @@ class SimulationReport(RunResult):
     #: (index = partition id).  ``max`` of this list is the parallel
     #: critical path; empty for single-sim runs.
     partition_busy_seconds: List[float] = field(default_factory=list)
-    #: CPU seconds each partition spent being built, arrival realization
-    #: included -- work ``partition_busy_seconds`` does not cover (index
-    #: = partition id; empty for single-sim runs).
+    #: CPU seconds each partition spent being built -- build only: its
+    #: arrivals are realized inside ``partition_busy_seconds``, as the
+    #: epochs reach them (index = partition id; empty for single-sim runs).
     partition_setup_seconds: List[float] = field(default_factory=list)
     #: Wall seconds each partition spent stalled at epoch barriers
     #: waiting for the slowest sibling (index = partition id; empty for
@@ -333,7 +333,6 @@ class RouteBricksRouter:
             route_via_fib=route_via_fib, churn=churn, workload=workload,
             until=until, packet_id_base=id_base, arrivals=arrivals,
             observe=registry.enabled, observer_interval_sec=interval)
-        packet_id_floor(id_base + part.offered_packets)
         tick = next_tick(0.0, interval, until) if registry.enabled else None
         while tick is not None:
             part.advance(tick)
@@ -341,8 +340,10 @@ class RouteBricksRouter:
             tick = next_tick(tick, interval, until,
                              part.peek_time() is not None)
         part.advance(until)
+        fragment = part.finish()
+        packet_id_floor(id_base + fragment.offered_packets)
         return merge_fragments(
-            [part.finish()], offered_packets=part.offered_packets,
+            [fragment], offered_packets=fragment.offered_packets,
             duration_sec=part.sim.now, workers=1, epochs=0)
 
     def replay_pair(self, timed_packets: Iterable[Tuple[float, Packet]],

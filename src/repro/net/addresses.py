@@ -169,11 +169,24 @@ class MACAddress:
         """Return a copy with the cluster node id encoded in the low byte."""
         if not 0 <= node_id <= self.NODE_ID_MASK:
             raise PacketError("node id %r does not fit in a MAC byte" % node_id)
-        return MACAddress((self.value & ~self.NODE_ID_MASK) | node_id)
+        return interned_mac((self.value & ~self.NODE_ID_MASK) | node_id)
 
     def node_id(self) -> int:
         """Extract the cluster node id encoded by :meth:`with_node_id`."""
         return self.value & self.NODE_ID_MASK
+
+
+#: Cluster MACs encode a node id in the low byte, so a simulation only
+#: ever sees a handful of distinct (immutable) values: worth interning.
+_interned_macs = {}
+
+
+def interned_mac(value: int) -> MACAddress:
+    """The one shared :class:`MACAddress` for ``value``."""
+    mac = _interned_macs.get(value)
+    if mac is None:
+        mac = _interned_macs[value] = MACAddress(value)
+    return mac
 
 
 def _parse_mac(text: str) -> int:

@@ -27,7 +27,7 @@ from .headers import (
     TCPHeader,
     UDPHeader,
 )
-from .addresses import MACAddress
+from .addresses import interned_mac
 
 _packet_ids = itertools.count()
 
@@ -47,18 +47,6 @@ def packet_id_floor(at_least: int = 0) -> int:
     at_least = max(at_least, next(_packet_ids))
     _packet_ids = itertools.count(at_least)
     return at_least
-
-
-#: Cluster MACs encode a node id in the low byte, so a simulation only
-#: ever sees a handful of distinct values -- worth interning on decode.
-_mac_cache = {}
-
-
-def _mac(value: int) -> MACAddress:
-    mac = _mac_cache.get(value)
-    if mac is None:
-        mac = _mac_cache[value] = MACAddress(value)
-    return mac
 
 
 class Packet:
@@ -260,7 +248,8 @@ class Packet:
         packet = object.__new__(cls)
         packet.packet_id = packet_id
         packet.length = length
-        packet.eth = EthernetHeader(dst=_mac(eth_dst), src=_mac(eth_src),
+        packet.eth = EthernetHeader(dst=interned_mac(eth_dst),
+                                    src=interned_mac(eth_src),
                                     ethertype=ethertype)
         if ipw is None:
             packet.ip = None

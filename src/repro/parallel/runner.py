@@ -100,13 +100,13 @@ def _advance(part: ClusterPartition, until: float, parcels, sample: bool):
 
 
 def _build(spec: PartitionSpec):
-    """Build one partition -- realizing its arrivals -- and report its
-    initial state: (next pending time, lookahead, arrivals seen, CPU
-    seconds the build took)."""
+    """Build one partition and report its initial state: (next pending
+    time, lookahead, CPU seconds the build took).  A replayed workload's
+    arrivals are realized as the epochs reach them, on the busy ledger."""
     start = process_time()
     part = ClusterPartition(spec)
     return part, (part.peek_time(), part.lookahead_sec,
-                  part.offered_packets, process_time() - start)
+                  process_time() - start)
 
 
 def _worker_init(spec: PartitionSpec):
@@ -333,16 +333,8 @@ def simulate_parallel(router: RouteBricksRouter,
                 wait_gauge[pid](wait_totals[pid])
 
     try:
-        peeks, lookaheads, seen, setup_seconds = map(
+        peeks, lookaheads, setup_seconds = map(
             list, zip(*driver.init_state()))
-        # A replayed workload shows every partition the whole stream; a
-        # caller's event list was dealt out, each partition its share.
-        offered = seen[0] if workload is not None else sum(seen)
-        if workload is not None and seen != [offered] * workers:
-            raise SimulationError(
-                "partitions replayed different arrival streams: they "
-                "counted %s offered packets" % seen)
-        packet_id_floor(id_base + offered)
         # Two or more partitions of a full mesh: every one has
         # cross-links, so every lookahead is a number.
         window = min(lookaheads)
@@ -408,6 +400,15 @@ def simulate_parallel(router: RouteBricksRouter,
     finally:
         driver.close()
 
+    # A replayed workload shows every partition the whole stream; a
+    # caller's event list was dealt out, each partition its share.
+    seen = [fragment.offered_packets for fragment in fragments]
+    offered = seen[0] if workload is not None else sum(seen)
+    if workload is not None and seen != [offered] * workers:
+        raise SimulationError(
+            "partitions replayed different arrival streams: they "
+            "counted %s offered packets" % seen)
+    packet_id_floor(id_base + offered)
     report = merge_fragments(
         fragments, offered_packets=offered, duration_sec=until,
         workers=workers, epochs=epochs,
@@ -423,8 +424,8 @@ def simulate_parallel(router: RouteBricksRouter,
     if observe:
         setup_gauge = registry.gauge(
             "parallel_setup_seconds",
-            help="CPU seconds building each partition, arrival "
-                 "realization included")
+            help="CPU seconds building each partition (build only: "
+                 "arrivals are realized inside the epochs, as busy)")
         for pid, seconds in enumerate(setup_seconds):
             setup_gauge.set(seconds, workers=workers, partition=pid)
         registry.gauge(

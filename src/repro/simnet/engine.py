@@ -28,12 +28,16 @@ is dropped, unrun and uncounted, when it surfaces.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from ..errors import SimulationError
 
 _INF = float("inf")
+
+#: Sequence numbers a stream reserves when armed: more than a run pulls.
+_STREAM_SEQS = 1 << 40
 
 #: Callback-slot sentinel marking an entry that already executed, so a
 #: late ``cancel()`` on its handle is a no-op.
@@ -179,6 +183,42 @@ class Simulator:
         if self._quantum == _INF:
             self._learn(time - self.now)
         self._file([time, next(self._seq), callback])
+
+    def schedule_stream(self, chunks) -> None:
+        """File a stream of ``(time, callback)`` timers a chunk at a time.
+
+        ``chunks`` iterates over lists of entries.  The first is filed
+        now, as :meth:`schedule_timer_at` would file each entry; the one
+        filed last in a chunk, when it runs, runs its callback and then
+        files the next chunk -- no event is added, the queue is never
+        empty while chunks remain, and it holds one chunk of the stream
+        at a time.  Times may come in any order within a chunk but must
+        not step back from one chunk to the next (a chunk that starts
+        behind the clock raises).  An empty chunk ends the stream.
+
+        The stream's sequence numbers are reserved here as one block, so
+        every ``(time, seq)`` tie orders as if it had all been filed now:
+        after what was filed before, in stream order, before anything
+        filed later (take a :meth:`timer_filer` after this, not before).
+        """
+        first = next(self._seq)
+        self._seq = itertools.count(first + _STREAM_SEQS)
+        seqs = itertools.count(first)
+        chunks = iter(chunks)
+
+        def file_next(callback=None):
+            if callback is not None:
+                callback()
+            entry = None
+            for time, timer in next(chunks, ()):
+                if self._quantum == _INF:
+                    self._learn(time - self.now)
+                entry = [time, next(seqs), timer]
+                self._file(entry)
+            if entry is not None:
+                entry[2] = partial(file_next, entry[2])
+
+        file_next()
 
     def preschedule_timers(self, times, callback: Callable[[], None]) -> None:
         """Bulk-file fire-and-forget callbacks at ascending absolute times.

@@ -8,6 +8,7 @@ use this.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from ..errors import ConfigurationError
@@ -88,7 +89,7 @@ class Link:
         serialization, stalls, and flush semantics above stay shared.
         """
         self.sim.schedule_timer(tx_time + self.propagation_sec,
-                                lambda p=packet: self.deliver(p))
+                                partial(self.deliver, packet))
 
     def _finish_tx(self) -> None:
         self._start_next()
