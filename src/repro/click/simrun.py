@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import count, cycle
+from itertools import accumulate, count, cycle, islice, repeat
 from typing import List, Optional
 
 from .. import calibration as cal
@@ -43,8 +43,9 @@ from .elements.standard import PacketQueue
 #: Re-exported from :mod:`repro.calibration`, the single owner.
 EMPTY_POLL_CYCLES = cal.EMPTY_POLL_CYCLES
 
-#: How much a :class:`TimedForwardingRun` holds between replays: at most
-#: this many filed arrivals and (about) this many logged polls.
+#: How much a timed run holds: at most this many filed arrivals and, in
+#: a :class:`TimedForwardingRun`, (about) this many logged polls between
+#: replays.
 REPLAY_CHUNK = 1024
 
 
@@ -146,6 +147,24 @@ def _noop_charge(cycles: float) -> None:
     """Stand-in profiler charge when no profiler is attached."""
 
 
+def _end_of_stream() -> None:
+    """The one event past the last arrival."""
+
+
+def _arrival_chunks(arrival, offered: int, interarrival: float, chunk: int):
+    """``offered`` arrivals from t = 0, as :meth:`Simulator.schedule_stream`
+    chunks of at most ``chunk``.
+
+    Arrival k fires at the chained float t[k] = t[k-1] + dt (never
+    k * dt), exactly as per-arrival ``schedule_timer(dt)`` would; one
+    extra no-op event past the last packet ends the stream.
+    """
+    times = accumulate(repeat(interarrival), initial=0.0)
+    for left in range(offered, 0, -chunk):
+        yield zip(islice(times, min(chunk, left)), repeat(arrival))
+    yield [(next(times), _end_of_stream)]
+
+
 class TimedForwardingRun:
     """Simulate minimal forwarding on one server at an offered load.
 
@@ -202,10 +221,9 @@ class TimedForwardingRun:
         ``Core.charge`` are replayed from the log in event order -- the
         same calls and float chains a per-poll charge would make.
 
-        Memory stays bounded by :data:`REPLAY_CHUNK`: arrivals are
-        bulk-filed one chunk at a time, and the last arrival of a chunk
-        replays and clears the log before filing the next chunk, so no
-        event is added and no per-arrival ``schedule_timer`` is paid.
+        Memory stays bounded by :data:`REPLAY_CHUNK`: arrivals stream in
+        a chunk at a time (:meth:`Simulator.schedule_stream`), and the
+        log is replayed and cleared between chunks.
         """
         if offered_bps <= 0 or duration_sec <= 0:
             raise ConfigurationError("offered load and duration must be > 0")
@@ -344,34 +362,14 @@ class TimedForwardingRun:
                 total_polls += len(log)
                 log.clear()
 
-        # Arrival k fires at the chained float t[k] = t[k-1] + dt (never
-        # k * dt), exactly as per-arrival schedule_timer(dt) would; one
-        # extra no-op event past the last packet ends the stream.
-        next_index, next_time = 0, 0.0
+        def chunks():
+            for arrivals in _arrival_chunks(arrival, offered, interarrival,
+                                            chunk):
+                replay()    # the previous chunk's last arrival just ran
+                yield arrivals
 
-        def file_chunk():
-            nonlocal next_index, next_time
-            stop = min(next_index + chunk, offered + 1)
-            times = []
-            for _ in range(next_index, stop):
-                times.append(next_time)
-                next_time += interarrival
-            next_index = stop
-            sim.preschedule_timers(times[:-1], arrival)
-            sim.preschedule_timers(
-                times[-1:], end_of_chunk if stop <= offered else end_of_stream)
-
-        def end_of_chunk():
-            arrival()
-            replay()
-            file_chunk()
-
-        def end_of_stream():
-            pass
-
-        # The first chunk is filed before any poll, so arrival 0 wins the
-        # t=0 tie-break against the cores' first polls.
-        file_chunk()
+        # Armed before any poll: an arrival wins every tie against one.
+        sim.schedule_stream(chunks())
         file_at = sim.timer_filer()
         kp = self.kp
         log_append = log.append
@@ -555,10 +553,7 @@ class TimedPipelineRun:
                       if obs is not None else None)
 
         def arrival(index=[0]):
-            try:
-                packet = next(packets)
-            except StopIteration:
-                return
+            packet = next(packets)
             queue = rx_queues[index[0] % len(rx_queues)]
             index[0] += 1
             if obs is not None:
@@ -572,11 +567,10 @@ class TimedPipelineRun:
                     queue.push(packet)
             else:
                 queue.push(packet)
-            schedule_timer(interarrival, arrival)
 
         clock_hz = self.server.spec.clock_hz
-        # As in TimedForwardingRun, polls and arrivals are homogeneous
-        # high-rate timers: the handle-free front.
+        # As in TimedForwardingRun, polls are homogeneous high-rate
+        # timers: the handle-free front.
         schedule_timer = sim.schedule_timer
 
         def make_poll_loop(replica):
@@ -690,7 +684,8 @@ class TimedPipelineRun:
                 schedule_timer(cycles / clock_hz, poll)
             return poll
 
-        sim.schedule(0.0, arrival)
+        sim.schedule_stream(
+            _arrival_chunks(arrival, offered, interarrival, REPLAY_CHUNK))
         for replica in self.replicas:
             sim.schedule(0.0, make_poll_loop(replica))
         sim.run(until=duration_sec)

@@ -21,36 +21,55 @@ from ..net.packet import Packet
 
 
 class ReorderingMeter:
-    """Observe egress packets and report the reordered-sequence fraction."""
+    """Observe egress packets and report the reordered-sequence fraction.
+
+    Each flow's egress order is folded as it is observed, so the meter
+    holds one small record per flow, not every sequence number.
+    ``flow_seq`` counts from 1: a flow's maximum starts at 0.
+    """
 
     def __init__(self):
-        self._egress_order: Dict[FiveTuple, List[int]] = {}
+        # Per flow: [max_seen, in_reordered_run, reordered, runs, packets];
+        # ``in_reordered_run`` is None until the flow's first packet.
+        self._flows: Dict[FiveTuple, list] = {}
+
+    @staticmethod
+    def _step(state: list, seq: int) -> None:
+        """Fold the next egress sequence number into a flow's record."""
+        state[4] += 1
+        if seq > state[0]:
+            state[0] = seq
+            if state[1] is not False:
+                state[1] = False
+                state[3] += 1
+        elif state[1] is not True:
+            # Overtaken by a later packet: one more reordered sequence.
+            state[1] = True
+            state[2] += 1
+            state[3] += 1
+
+    def _record(self, flow: FiveTuple) -> list:
+        state = self._flows.get(flow)
+        if state is None:
+            state = self._flows[flow] = [0, None, 0, 0, 0]
+        return state
 
     def observe(self, packet: Packet) -> None:
         """Record one packet leaving the cluster (uses ``flow_seq``)."""
-        flow = packet.five_tuple()
-        self._egress_order.setdefault(flow, []).append(packet.flow_seq)
+        self._step(self._record(packet.five_tuple()), packet.flow_seq)
 
     def observe_sequence(self, flow: FiveTuple, seqs: List[int]) -> None:
         """Record a whole flow's egress order at once (testing hook)."""
-        self._egress_order.setdefault(flow, []).extend(seqs)
+        state = self._record(flow)
+        for seq in seqs:
+            self._step(state, seq)
 
     @staticmethod
     def reordered_sequences(seqs: List[int]) -> int:
         """Number of reordered sequences in one flow's egress order."""
-        count = 0
-        max_seen = 0
-        in_reordered_run = False
-        for seq in seqs:
-            if seq > max_seen:
-                max_seen = seq
-                in_reordered_run = False
-            else:
-                # This packet was overtaken by a later one.
-                if not in_reordered_run:
-                    count += 1
-                    in_reordered_run = True
-        return count
+        meter = ReorderingMeter()
+        meter.observe_sequence(None, seqs)      # one anonymous flow
+        return meter.reordered_count()
 
     def total_sequences(self) -> int:
         """Total same-flow packet sequences observed.
@@ -59,29 +78,7 @@ class ReorderingMeter:
         one sequence; the fraction reordered is (reordered runs) / (all
         runs).
         """
-        total = 0
-        for seqs in self._egress_order.values():
-            total += self._runs(seqs)
-        return total
-
-    @staticmethod
-    def _runs(seqs: List[int]) -> int:
-        if not seqs:
-            return 0
-        runs = 1
-        max_seen = seqs[0]
-        in_reordered_run = False
-        for seq in seqs[1:]:
-            if seq > max_seen:
-                max_seen = seq
-                if in_reordered_run:
-                    runs += 1
-                    in_reordered_run = False
-            else:
-                if not in_reordered_run:
-                    runs += 1
-                    in_reordered_run = True
-        return runs
+        return sum(state[3] for state in self._flows.values())
 
     def reordered_count(self) -> int:
         """Total reordered sequences across every observed flow.
@@ -90,8 +87,7 @@ class ReorderingMeter:
         so a partitioned run's per-partition meters see disjoint flow
         sets -- summing their counts reproduces the global figure.
         """
-        return sum(self.reordered_sequences(seqs)
-                   for seqs in self._egress_order.values())
+        return sum(state[2] for state in self._flows.values())
 
     def reordered_fraction(self) -> float:
         """Reordered sequences per same-flow packet sequence observed.
@@ -111,7 +107,7 @@ class ReorderingMeter:
         return self.reordered_count() / total if total else 0.0
 
     def packets_observed(self) -> int:
-        return sum(len(seqs) for seqs in self._egress_order.values())
+        return sum(state[4] for state in self._flows.values())
 
     def flows_observed(self) -> int:
-        return len(self._egress_order)
+        return len(self._flows)

@@ -187,14 +187,16 @@ class Simulator:
     def schedule_stream(self, chunks) -> None:
         """File a stream of ``(time, callback)`` timers a chunk at a time.
 
-        ``chunks`` iterates over lists of entries.  The first is filed
-        now, as :meth:`schedule_timer_at` would file each entry; the one
-        filed last in a chunk, when it runs, runs its callback and then
-        files the next chunk -- no event is added, the queue is never
-        empty while chunks remain, and it holds one chunk of the stream
-        at a time.  Times may come in any order within a chunk but must
-        not step back from one chunk to the next (a chunk that starts
-        behind the clock raises).  An empty chunk ends the stream.
+        ``chunks`` iterates over chunks, each any iterable of entries
+        (``zip(times, repeat(callback))`` for homogeneous arrivals).  The
+        first is filed now, as :meth:`schedule_timer_at` would file each
+        entry; the one filed last in a chunk, when it runs, runs its
+        callback and then files the next chunk -- no event is added, the
+        queue is never empty while chunks remain, and it holds one chunk
+        of the stream at a time.  Times may come in any order within a
+        chunk but must not step back from one chunk to the next (a chunk
+        that starts behind the clock raises).  An empty chunk ends the
+        stream.  Producing a chunk must not itself schedule anything.
 
         The stream's sequence numbers are reserved here as one block, so
         every ``(time, seq)`` tie orders as if it had all been filed now:
@@ -205,75 +207,47 @@ class Simulator:
         self._seq = itertools.count(first + _STREAM_SEQS)
         seqs = itertools.count(first)
         chunks = iter(chunks)
+        buckets = self._buckets
+        keys = self._bucket_keys
 
         def file_next(callback=None):
             if callback is not None:
                 callback()
             entry = None
+            # An entry no earlier than any filed so far in this chunk is
+            # appended to a bucket this chunk created: nothing later is
+            # in it, so the list stays a valid heap without a push.
+            # ``latest`` starts at the clock, so whatever takes that path
+            # is also a valid time; the rest is checked by ``_file``.
+            latest = self.now
+            quantum = self._quantum
+            tail = tail_index = None
             for time, timer in next(chunks, ()):
-                if self._quantum == _INF:
+                if quantum == _INF:
                     self._learn(time - self.now)
+                    quantum = self._quantum
+                    tail_index = None   # learning re-files bucket 0
                 entry = [time, next(seqs), timer]
+                if latest <= time < _INF:
+                    latest = time
+                    index = int(time / quantum)
+                    if index == tail_index:
+                        if tail is not None:
+                            tail.append(entry)
+                            continue
+                    else:
+                        tail_index = index
+                        if index in buckets:
+                            tail = None
+                        else:
+                            tail = buckets[index] = [entry]
+                            heappush(keys, index)
+                            continue
                 self._file(entry)
             if entry is not None:
                 entry[2] = partial(file_next, entry[2])
 
         file_next()
-
-    def preschedule_timers(self, times, callback: Callable[[], None]) -> None:
-        """Bulk-file fire-and-forget callbacks at ascending absolute times.
-
-        ``TimedForwardingRun`` files its identical arrival events a chunk
-        at a time (the first before :meth:`run` starts, each later one
-        from the last arrival of the previous chunk), so the loop never
-        pays ``schedule_timer`` per arrival.
-        ``times`` must be sorted ascending and at/after the current
-        clock; each entry gets a fresh sequence number in list order, so
-        execution order is exactly what per-event ``schedule_timer``
-        calls at those times would have produced.  Appending in
-        ascending time order keeps every bucket a valid min-heap without
-        a single ``heappush``.
-        """
-        if not len(times):
-            return
-        now = self.now
-        if not now <= times[0] <= times[-1] < _INF:
-            raise SimulationError(
-                "cannot schedule at %r..%r, clock at %r"
-                % (times[0], times[-1], now))
-        if self._quantum == _INF:
-            # The first arrival is usually at the clock: take the first gap.
-            second = times[1] if len(times) > 1 else times[0]
-            self._learn(times[0] - now or second - times[0])
-        quantum = self._quantum
-        seq = self._seq
-        buckets = self._buckets
-        bucket_keys = self._bucket_keys
-        bucket = None
-        bucket_index = None
-        fresh = False
-        new_keys = []
-        for time in times:
-            index = int(time / quantum)
-            if index != bucket_index:
-                bucket_index = index
-                bucket = buckets.get(index)
-                fresh = bucket is None
-                if fresh:
-                    bucket = buckets[index] = []
-                    new_keys.append(index)
-            if fresh:
-                # Ascending appends into a fresh bucket keep the list
-                # sorted, and a sorted list is a valid min-heap.
-                bucket.append([time, next(seq), callback])
-            else:
-                # Pre-existing bucket with arbitrary entries: real push.
-                heappush(bucket, [time, next(seq), callback])
-        if bucket_keys:
-            for index in new_keys:
-                heappush(bucket_keys, index)
-        else:
-            bucket_keys.extend(new_keys)  # ascending: already a heap
 
     def timer_filer(self) -> Callable[[float, Callable[[], None]], None]:
         """A prebound ``file_at(time, callback)`` closure over the queue.

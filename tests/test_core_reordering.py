@@ -45,6 +45,57 @@ class TestReorderedSequences:
         assert 0 <= count <= displaced
 
 
+def _two_pass_reference(seqs):
+    """(reordered sequences, maximal runs) of one flow's whole egress
+    order: the two loops the meter ran over every stored order at the
+    end of a run, before it folded online."""
+    reordered = 0
+    max_seen = 0
+    in_reordered_run = False
+    for seq in seqs:
+        if seq > max_seen:
+            max_seen = seq
+            in_reordered_run = False
+        elif not in_reordered_run:
+            reordered += 1
+            in_reordered_run = True
+    runs = 1
+    max_seen = seqs[0]
+    in_reordered_run = False
+    for seq in seqs[1:]:
+        if seq > max_seen:
+            max_seen = seq
+            if in_reordered_run:
+                runs += 1
+                in_reordered_run = False
+        elif not in_reordered_run:
+            runs += 1
+            in_reordered_run = True
+    return reordered, runs
+
+
+class TestOnlineFold:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1,
+                    max_size=40),
+           st.integers(min_value=0, max_value=40))
+    def test_matches_the_two_pass_count_however_it_is_fed(self, seqs, cut):
+        whole, split, by_packet = (ReorderingMeter() for _ in range(3))
+        whole.observe_sequence(_flow(), seqs)
+        split.observe_sequence(_flow(), seqs[:cut])
+        split.observe_sequence(_flow(), seqs[cut:])
+        for seq in seqs:
+            packet = Packet.udp("1.0.0.1", "2.0.0.2", src_port=5)
+            packet.flow_seq = seq
+            by_packet.observe(packet)
+        reordered, runs = _two_pass_reference(seqs)
+        assert ReorderingMeter.reordered_sequences(seqs) == reordered
+        for meter in (whole, split, by_packet):
+            assert (meter.reordered_count(), meter.total_sequences(),
+                    meter.packets_observed(), meter.flows_observed()) \
+                == (reordered, runs, len(seqs), 1)
+
+
 class TestMeter:
     def test_observe_packets(self):
         meter = ReorderingMeter()

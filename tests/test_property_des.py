@@ -3,6 +3,7 @@ against a sort-based reference, and the cluster's conservation and
 ordering invariants."""
 
 import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,13 +87,30 @@ def test_single_path_traffic_never_reorders(seed):
 
 HANDLE_FRONTS = ("schedule", "schedule_at")
 FRONTS = HANDLE_FRONTS + ("schedule_timer", "schedule_timer_at",
-                          "preschedule_timers", "timer_filer")
+                          "timer_filer")
+#: One filing through ``schedule_stream``: its offsets are a tuple of
+#: chunks, handed over as lists of pairs or as ``zip`` iterables.
+STREAM_FRONTS = ("stream_of_lists", "stream_of_zips")
 
 #: Binary-exact and inexact steps, exact ties, a zero, and two offsets six
 #: orders of magnitude either side of the rest (a far event under a tiny
 #: quantum; a tiny offset under a coarse one).
 OFFSETS = (0.0, 0.0, 0.125, 0.125, 0.25, 0.375, 0.1, 0.3, 1.0, 1e-9, 3e-9,
            1e3)
+
+
+def _chunked_offsets(front, offsets):
+    """The offsets of one filing as chunks, in filing order (one chunk
+    unless it is a stream).  A stream may not step back across a chunk
+    boundary, so each chunk after the first counts its offsets from the
+    previous chunk's last entry."""
+    if front not in STREAM_FRONTS:
+        return [list(offsets)]
+    chunks, base = [], 0.0
+    for chunk in offsets:
+        chunks.append([base + offset for offset in chunk])
+        base = chunks[-1][-1]
+    return chunks
 
 
 class ReferenceQueue:
@@ -106,9 +124,10 @@ class ReferenceQueue:
 
     def file(self, front, offsets, callback):
         records = []
-        for offset in offsets:
-            records.append([self.now + offset, self._filed, callback])
-            self._filed += 1
+        for chunk in _chunked_offsets(front, offsets):
+            for offset in chunk:
+                records.append([self.now + offset, self._filed, callback])
+                self._filed += 1
         self._pending.extend(records)
         return records[0] if front in HANDLE_FRONTS else None
 
@@ -149,9 +168,15 @@ class EngineQueue:
 
     def file(self, front, offsets, callback):
         sim = self.sim
-        if front == "preschedule_timers":
-            return sim.preschedule_timers(
-                [sim.now + offset for offset in offsets], callback)
+        if front in STREAM_FRONTS:
+            now = sim.now   # the later chunks are pulled at later clocks
+            chunks = ([now + offset for offset in chunk]
+                      for chunk in _chunked_offsets(front, offsets))
+            if front == "stream_of_zips":
+                return sim.schedule_stream(
+                    zip(times, repeat(callback)) for times in chunks)
+            return sim.schedule_stream(
+                [[(time, callback) for time in times] for times in chunks])
         offset, = offsets
         if front == "timer_filer":
             return sim.timer_filer()(sim.now + offset, callback)
@@ -175,13 +200,15 @@ CANCELS = st.lists(st.integers(0, 50), max_size=3)
 
 def _filing(children):
     single = st.tuples(
-        st.sampled_from([f for f in FRONTS if f != "preschedule_timers"]),
+        st.sampled_from(FRONTS),
         st.tuples(st.sampled_from(OFFSETS)), children, CANCELS)
-    bulk = st.tuples(
-        st.just("preschedule_timers"),
-        st.lists(st.sampled_from(OFFSETS), min_size=1,
-                 max_size=4).map(sorted).map(tuple), children, CANCELS)
-    return st.one_of(single, bulk)
+    chunk = st.lists(st.sampled_from(OFFSETS), min_size=1,
+                     max_size=4).map(tuple)
+    stream = st.tuples(
+        st.sampled_from(STREAM_FRONTS),
+        st.lists(chunk, min_size=1, max_size=3).map(tuple),
+        children, CANCELS)
+    return st.one_of(single, stream)
 
 
 FILINGS = st.recursive(_filing(st.just(())),

@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulation engine."""
 
+import itertools
 import random
 from functools import partial
 
@@ -176,12 +177,24 @@ class TestSimulator:
             with pytest.raises(SimulationError, match="cannot schedule"):
                 front(bad, lambda: None)
         with pytest.raises(SimulationError, match="cannot schedule"):
-            sim.preschedule_timers([0.0, bad], lambda: None)
-        with pytest.raises(SimulationError, match="cannot schedule"):
-            sim.preschedule_timers([bad], lambda: None)
+            sim.schedule_stream([[(bad, lambda: None)]])
         assert sim.peek_time() is None
         sim.run()
         assert sim.now == 0.0 and sim.events_run == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5])
+    def test_stream_checks_every_time_of_a_chunk(self, bad):
+        """Entries in ascending order are appended to their bucket
+        without a push; a bad time right behind one -- not a number, not
+        finite, behind the clock -- is still refused."""
+        sim = Simulator()
+        sim.schedule_timer(1.0, lambda: None)
+        sim.run()
+        assert sim.now == 1.0
+        with pytest.raises(SimulationError, match="cannot schedule"):
+            sim.schedule_stream(
+                [[(2.0, lambda: None), (2.0, lambda: None),
+                  (bad, lambda: None)]])
 
     def test_event_handle_exposes_time_seq_callback(self):
         sim = Simulator()
@@ -192,6 +205,32 @@ class TestSimulator:
         assert first.callback is not None
         first.cancel()
         assert first.callback is None
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 8])
+    def test_stream_entry_precedes_a_timer_at_the_same_instant(self, chunk):
+        """A stream's sequence block is reserved when it is armed, so an
+        arrival runs before a poll filed for the same (binary-exact)
+        instant -- whether that arrival's chunk was already filed when
+        the poll was, or came later."""
+        sim = Simulator()
+        order = []
+        times = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
+        arrivals = iter([(time, partial(order.append, ("arrival", time)))
+                         for time in times])
+        sim.schedule_stream(
+            iter(lambda: list(itertools.islice(arrivals, chunk)), []))
+        file_at = sim.timer_filer()
+
+        def poll():
+            order.append(("poll", sim.now))
+            if sim.now < 1.25:
+                file_at(sim.now + 0.25, poll)   # lands on the next arrival
+                file_at(sim.now + 0.125, lambda: None)
+
+        sim.schedule_timer_at(0.0, poll)
+        sim.run()
+        assert order == [(kind, time) for time in times
+                         for kind in ("arrival", "poll")]
 
     def test_schedule_timer_interleaves_with_heap_events(self):
         sim = Simulator()
@@ -233,7 +272,8 @@ class TestQuantumCorners:
         sim.schedule_timer(0.0, lambda: order.append("timer"))
         sim.schedule_timer_at(0.0, lambda: order.append("timer_at"))
         sim.schedule(0.0, lambda: order.append("handle"))
-        sim.preschedule_timers([0.0, 0.0], lambda: order.append("bulk"))
+        sim.schedule_stream(
+            [zip([0.0, 0.0], itertools.repeat(lambda: order.append("bulk")))])
         assert sim.peek_time() == 0.0
         sim.schedule_timer(1e-6, lambda: order.append("first positive"))
         sim.schedule_timer(0.0, lambda: order.append("after"))

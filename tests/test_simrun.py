@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.click.simrun import TimedForwardingRun
+from repro.click import simrun
+from repro.click.simrun import TimedForwardingRun, TimedPipelineRun
 from repro.errors import ConfigurationError
 from repro.hw import nehalem_server
+from repro.obs.metrics import MetricsRegistry
+from repro.simnet.engine import Simulator
+
+from .test_batch import _snapshot_digest
 
 
 @pytest.fixture
@@ -63,3 +68,50 @@ class TestTimedRuns:
         server = nehalem_server(num_ports=4, queues_per_port=1)
         with pytest.raises(ConfigurationError):
             TimedForwardingRun(server)
+
+
+class TestChunkBoundaryIsUnobservable:
+    """``REPLAY_CHUNK`` bounds what a run holds; nothing it reports --
+    scalars, cycles, event count, registry snapshot -- may depend on it."""
+
+    @staticmethod
+    def _forwarding(server, registry):
+        return TimedForwardingRun(server, kp=32, kn=16, metrics=registry), \
+            14.6e9     # over the loss-free rate: drops and full bursts
+
+    @staticmethod
+    def _pipeline(server, registry):
+        return TimedPipelineRun(server, "routing", kp=8, kn=4,
+                                metrics=registry), 4e9
+
+    @staticmethod
+    def _observe(monkeypatch, build, chunk):
+        sims = []
+
+        class Recorded(Simulator):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                sims.append(self)
+
+        monkeypatch.setattr(simrun, "Simulator", Recorded)
+        monkeypatch.setattr(simrun, "REPLAY_CHUNK", chunk)
+        registry = MetricsRegistry(enabled=True, trace_sample_every=16,
+                                   profile=True)
+        server = nehalem_server(num_ports=4, queues_per_port=2)
+        run, offered_bps = build(server, registry)
+        report = run.run(offered_bps, duration_sec=2e-4, seed=3)
+        sim, = sims
+        return (report, sim.events_run,
+                [core.cycles_used for core in server.cores],
+                _snapshot_digest(registry))
+
+    @pytest.mark.parametrize("kind", ["_forwarding", "_pipeline"])
+    def test_reports_do_not_depend_on_the_chunk(self, monkeypatch, kind):
+        build = getattr(self, kind)
+        expected = self._observe(monkeypatch, build, simrun.REPLAY_CHUNK)
+        report, events_run = expected[:2]
+        assert report.forwarded_packets > 0
+        assert events_run > report.offered_packets + report.total_polls
+        # One arrival per chunk, chunks that divide nothing, one chunk.
+        for chunk in (1, 7, 1 << 30):
+            assert self._observe(monkeypatch, build, chunk) == expected
