@@ -27,7 +27,6 @@ def encode_output_node(packet: Packet, node_id: int,
             "node id %d not encodable (max %d with current NICs)"
             % (node_id, max_nodes))
     packet.eth.dst = packet.eth.dst.with_node_id(node_id)
-    packet.annotations["encoded_output"] = node_id
 
 
 def decode_output_node(packet: Packet) -> int:

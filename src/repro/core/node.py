@@ -267,8 +267,9 @@ class ClusterNode:
     def receive_wire(self, wire) -> None:
         """A packet arrives from another partition as a transit record.
 
-        Decodes the compact :meth:`~repro.net.packet.Packet.to_wire`
-        tuple, re-registers any in-flight path trace with the local
+        Builds it from the record's unpacked
+        :meth:`~repro.net.packet.Packet.to_wire` row and tail,
+        re-registers any in-flight path trace with the local
         sampler (so downstream hops keep appending to the same object and
         a later merge can stitch the full path back together), then takes
         the normal internal-receive path.

@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
-from ..net.packet import Packet
+from ..net.packet import Packet, WIRE_FORMAT
 from ..obs.hooks import ClusterObserver
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TRACE_ANNOTATION
@@ -232,6 +232,8 @@ class ClusterPartition(Partition):
     events are scheduled in, and so the tie-break among events at equal
     simulated times; it must not depend on how the cluster is sharded.
     """
+
+    packet_format = WIRE_FORMAT
 
     def __init__(self, spec: PartitionSpec):
         router = spec.router

@@ -10,7 +10,9 @@ functional paths (checksums, encryption) operate on real bytes when present.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import struct
 from typing import Optional
 
 from ..errors import PacketError
@@ -30,6 +32,16 @@ from .headers import (
 from .addresses import interned_mac
 
 _packet_ids = itertools.count()
+
+#: The fixed-width part of a packet on the wire, declared once: id,
+#: length; MACs (48 bits in a ``Q``), ethertype; the ten IPv4 fields;
+#: UDP's four; flow_seq; ingress/egress node (``_NO_NODE`` for None);
+#: arrival/departure time; presence bits; hop count and three hops.
+WIRE_FORMAT = "qIQQH" "IIBBHHBBHH" "HHHH" "q" "hh" "dd" "B" "Bhhh"
+_ROW = struct.Struct("<" + WIRE_FORMAT)
+_HAS_IP, _HAS_UDP, _NO_NODE = 1, 2, -1
+_NO_IP, _NO_UDP, _NO_TAIL = (0,) * 10, (0,) * 4, (None,) * 4
+_PATH_PAD = ((0, 0, 0), (0, 0), (0,), ())
 
 
 def packet_id_floor(at_least: int = 0) -> int:
@@ -185,97 +197,99 @@ class Packet:
         return packet
 
     def copy(self) -> "Packet":
-        """A shallow-ish copy with fresh identity (headers are re-created)."""
-        clone = Packet(self.length,
-                       eth=EthernetHeader(dst=self.eth.dst, src=self.eth.src,
-                                          ethertype=self.eth.ethertype),
-                       ip=None if self.ip is None else IPv4Header(
-                           src=self.ip.src, dst=self.ip.dst, ttl=self.ip.ttl,
-                           proto=self.ip.proto,
-                           total_length=self.ip.total_length,
-                           identification=self.ip.identification,
-                           checksum=self.ip.checksum),
-                       l4=self.l4, payload=self.payload)
+        """A copy with fresh identity and its own header objects (the
+        addresses inside them are immutable and shared)."""
+        clone = Packet(self.length, eth=copy.copy(self.eth),
+                       ip=copy.copy(self.ip), l4=copy.copy(self.l4),
+                       payload=self.payload)
         clone.flow_seq = self.flow_seq
         return clone
 
     # -- wire encoding (partition boundaries) ------------------------------
 
-    def to_wire(self):
-        """Encode the packet as a compact picklable tuple.
+    def to_wire(self, pack=_ROW.pack, *head):
+        """Encode the packet as ``(row, tail)``.
 
-        This is the hot-path encoding used when a packet crosses a
-        partition boundary in the parallel DES runner: headers collapse to
-        plain ints so the record pickles without touching the address
-        types, and :meth:`from_wire` restores the packet *losslessly* --
-        including ``packet_id`` (no new id is drawn).
+        ``row`` is one :data:`WIRE_FORMAT` struct holding what every
+        packet has; ``tail`` is ``None`` unless the packet carries
+        something uncommon -- payload bytes, annotations, an L4 header
+        that is not UDP (it rides as an object), a path of more than
+        three hops -- and is then ``(payload, annotations, l4, path)``.
+        :meth:`from_wire` restores the packet *losslessly*, including
+        ``packet_id`` (no new id is drawn).  A caller that frames the row
+        inside a wider struct (a partition's transit record) passes that
+        struct's ``pack`` and its leading values ``head``, so the record
+        is packed once.  A field that does not fit its column raises
+        :class:`PacketError`.
         """
-        ip = self.ip
-        l4 = self.l4
-        if l4 is None:
-            l4w = None
-        elif type(l4) is UDPHeader:
-            l4w = (0, l4.src_port, l4.dst_port, l4.length, l4.checksum)
-        elif type(l4) is TCPHeader:
-            l4w = (1, l4.src_port, l4.dst_port, l4.seq, l4.ack, l4.flags,
-                   l4.window, l4.checksum, l4.urgent)
+        ip, l4, path = self.ip, self.l4, self.path
+        present, hops, far = 0, len(path), None
+        if ip is None:
+            ipw = _NO_IP
         else:
-            l4w = (2, l4)  # uncommon header types ride as objects
-        return (
-            self.packet_id, self.length,
-            self.eth.dst.value, self.eth.src.value, self.eth.ethertype,
-            None if ip is None else (
-                ip.src.value, ip.dst.value, ip.ttl, ip.proto,
-                ip.total_length, ip.identification, ip.dscp, ip.flags,
-                ip.fragment_offset, ip.checksum),
-            l4w, self.payload, self.flow_seq,
-            self.ingress_node, self.egress_node, tuple(self.path),
-            self.arrival_time, self.departure_time,
-            dict(self.annotations) if self.annotations else None,
-        )
+            present = _HAS_IP
+            ipw = (ip.src.value, ip.dst.value, ip.ttl, ip.proto,
+                   ip.total_length, ip.identification, ip.dscp, ip.flags,
+                   ip.fragment_offset, ip.checksum)
+        if type(l4) is UDPHeader:
+            present |= _HAS_UDP
+            l4w, l4 = (l4.src_port, l4.dst_port, l4.length, l4.checksum), None
+        else:
+            l4w = _NO_UDP
+        if hops > 3:
+            far, path, hops = tuple(path), (), 0
+        tail = None
+        if (self.annotations or self.payload is not None or l4 is not None
+                or far is not None):
+            tail = (self.payload, dict(self.annotations), l4, far)
+        ingress, egress = self.ingress_node, self.egress_node
+        try:
+            return pack(
+                *head, self.packet_id, self.length, self.eth.dst.value,
+                self.eth.src.value, self.eth.ethertype, *ipw, *l4w,
+                self.flow_seq, _NO_NODE if ingress is None else ingress,
+                _NO_NODE if egress is None else egress, self.arrival_time,
+                self.departure_time, present, hops, *path,
+                *_PATH_PAD[hops]), tail
+        except struct.error as exc:
+            raise PacketError("packet %r does not fit the wire layout: %s"
+                              % (self.packet_id, exc)) from None
 
     @classmethod
     def from_wire(cls, wire) -> "Packet":
-        """Rebuild a packet encoded by :meth:`to_wire`.
+        """Rebuild a packet encoded by :meth:`to_wire`; ``row`` may
+        already be unpacked (the partition unpacks whole parcels).
 
         Restores the original ``packet_id`` without consuming a fresh one,
         so decoding on a receiving partition cannot perturb packet
         identity.
         """
-        (packet_id, length, eth_dst, eth_src, ethertype, ipw, l4w, payload,
-         flow_seq, ingress_node, egress_node, path, arrival_time,
-         departure_time, annotations) = wire
+        row, tail = wire
+        if type(row) is not tuple:
+            row = _ROW.unpack(row)
+        (packet_id, length, eth_dst, eth_src, ethertype, ip_src, ip_dst,
+         ttl, proto, total_length, identification, dscp, flags,
+         fragment_offset, checksum, src_port, dst_port, udp_length,
+         udp_checksum, flow_seq, ingress, egress, arrival_time,
+         departure_time, present, hops, *path) = row
+        payload, annotations, l4, far = tail or _NO_TAIL
         packet = object.__new__(cls)
         packet.packet_id = packet_id
         packet.length = length
-        packet.eth = EthernetHeader(dst=interned_mac(eth_dst),
-                                    src=interned_mac(eth_src),
-                                    ethertype=ethertype)
-        if ipw is None:
-            packet.ip = None
-        else:
-            packet.ip = IPv4Header(
-                src=IPv4Address(ipw[0]), dst=IPv4Address(ipw[1]), ttl=ipw[2],
-                proto=ipw[3], total_length=ipw[4], identification=ipw[5],
-                dscp=ipw[6], flags=ipw[7], fragment_offset=ipw[8],
-                checksum=ipw[9])
-        if l4w is None:
-            packet.l4 = None
-        elif l4w[0] == 0:
-            packet.l4 = UDPHeader(src_port=l4w[1], dst_port=l4w[2],
-                                  length=l4w[3], checksum=l4w[4])
-        elif l4w[0] == 1:
-            packet.l4 = TCPHeader(src_port=l4w[1], dst_port=l4w[2],
-                                  seq=l4w[3], ack=l4w[4], flags=l4w[5],
-                                  window=l4w[6], checksum=l4w[7],
-                                  urgent=l4w[8])
-        else:
-            packet.l4 = l4w[1]
+        # Positional: the row's columns are in the headers' field order.
+        packet.eth = EthernetHeader(interned_mac(eth_dst),
+                                    interned_mac(eth_src), ethertype)
+        packet.ip = IPv4Header(
+            IPv4Address(ip_src), IPv4Address(ip_dst), ttl, proto,
+            total_length, identification, dscp, flags, fragment_offset,
+            checksum) if present & _HAS_IP else None
+        packet.l4 = UDPHeader(src_port, dst_port, udp_length,
+                              udp_checksum) if present & _HAS_UDP else l4
         packet.payload = payload
         packet.flow_seq = flow_seq
-        packet.ingress_node = ingress_node
-        packet.egress_node = egress_node
-        packet.path = list(path)
+        packet.ingress_node = None if ingress == _NO_NODE else ingress
+        packet.egress_node = None if egress == _NO_NODE else egress
+        packet.path = path[:hops] if far is None else list(far)
         packet.arrival_time = arrival_time
         packet.departure_time = departure_time
         packet.annotations = dict(annotations) if annotations else {}

@@ -8,7 +8,7 @@ FIFO queues, seeded random streams, and a histogram with exact percentiles
 
 from .engine import Event, Simulator
 from .links import Link
-from .partition import CrossLink, Partition, TransitRecord
+from .partition import CrossLink, Partition
 from .queues import FiniteQueue
 from .rng import RngStreams, node_seeds
 from .stats import Histogram
@@ -19,7 +19,6 @@ __all__ = [
     "Link",
     "Partition",
     "CrossLink",
-    "TransitRecord",
     "FiniteQueue",
     "RngStreams",
     "node_seeds",

@@ -4,7 +4,7 @@ A :class:`Partition` wraps a :class:`Simulator` (its own event queue and
 RNG streams) plus the machinery to exchange packets with other
 partitions: a :class:`CrossLink` keeps the shared queueing/serialization
 semantics of :class:`Link` but, instead of scheduling a delivery event on
-the (remote) peer, appends a timestamped :class:`TransitRecord` to the
+the (remote) peer, packs a timestamped fixed-width record into the
 partition outbox.  At each epoch barrier the outbox leaves as one
 :class:`Parcel` per destination partition, which a runner routes by its
 header and the destination unpacks in :meth:`Partition.inject`.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import pickle
 from functools import partial
+from struct import Struct
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from ..errors import ConfigurationError
@@ -34,38 +35,32 @@ from .links import Link
 from .rng import RngStreams
 
 
-class TransitRecord(NamedTuple):
-    """A packet in flight between partitions.
-
-    Sorting records compares ``(deliver_time, send_time, src_node, seq)``,
-    which reproduces the single-heap engine's tie order: the global engine
-    breaks equal-time ties by schedule order, and a cross delivery is
-    scheduled at its send time.  ``wire`` is an opaque picklable payload
-    (``Packet.to_wire()`` for the cluster) and is never reached by the
-    comparison -- ``(src_node, seq)`` is already unique.
-    """
-
-    deliver_time: float
-    send_time: float
-    src_node: int
-    seq: int
-    dst_node: int
-    wire: tuple
+#: What leads every transit record: ``deliver_time, send_time, src_node,
+#: seq, dst_node``.  Sorting unpacked records compares the first four,
+#: which reproduces the single-heap engine's tie order (it breaks
+#: equal-time ties by schedule order, and a cross delivery is scheduled
+#: at its send time); ``(src_node, seq)`` is unique, so nothing after it
+#: -- the packet's own fields -- is ever reached by the comparison.
+RECORD_HEAD = "<ddhqh"
+_HEAD_FIELDS = 5
 
 
 class Parcel(NamedTuple):
     """Everything one partition sends another at one barrier.
 
     The header fields are all a runner needs (the epoch loop's earliest
-    pending time, the transit telemetry); ``blob`` is the pickled record
-    list, written by the source partition and read only by the
-    destination, so records cross the parent process as bytes.
+    pending time, the transit telemetry); ``blob`` is the records packed
+    end to end and ``tails`` the pickled ``{(src_node, seq): tail}`` of
+    those that have one (``None`` when none does), written by the source
+    partition and read only by the destination, so records cross the
+    parent process as bytes.
     """
 
     earliest: float      # min deliver_time over the records
     count: int
     frame_bytes: int     # frame lengths of the carried packets, summed
     blob: bytes
+    tails: Optional[bytes]
 
 
 class CrossLink(Link):
@@ -74,7 +69,7 @@ class CrossLink(Link):
     Send-side behavior (bounded FIFO, serialization at the link rate,
     stalls, flush-on-crash accounting) is inherited unchanged from
     :class:`Link`; only delivery differs -- the serialized packet becomes
-    a :class:`TransitRecord` in the owning partition's outbox.
+    a transit record in the owning partition's outbox.
     """
 
     def __init__(self, partition: "Partition", name: str, rate_bps: float,
@@ -122,6 +117,10 @@ class Partition:
     #: destination (a subclass that knows its receivers sets it); the
     #: part of :attr:`lookahead_sec` that makes deliveries arrive late.
     receive_delay_sec = 0.0
+    #: ``struct`` format of the fixed-width row ``packet.to_wire`` packs
+    #: behind :data:`RECORD_HEAD` (a subclass that knows its packets sets
+    #: it; this package never imports a packet type).
+    packet_format = ""
 
     def __init__(self, partition_id: int, *, assignment: Sequence[int],
                  seed: int = 0, metrics=None):
@@ -129,10 +128,10 @@ class Partition:
         self.sim = Simulator(metrics=metrics)
         self.streams = RngStreams(seed).spawn("partition/%d" % partition_id)
         self.assignment = assignment
-        #: Destination partition -> the records bound for it, and the
-        #: frame bytes they carry.
-        self.outbox: Dict[int, List[TransitRecord]] = {}
-        self._outbox_bytes: Dict[int, int] = {}
+        self._record = Struct(RECORD_HEAD + self.packet_format)
+        #: Destination partition -> ``[packed records, earliest deliver
+        #: time, frame bytes, tails by (src_node, seq)]`` bound for it.
+        self.outbox: Dict[int, list] = {}
         self._seq = 0
         self._destinations: Dict[int, Callable[[tuple], None]] = {}
         self._cross_links: List[CrossLink] = []
@@ -151,7 +150,8 @@ class Partition:
 
     def register_destination(self, node_id: int,
                              callback: Callable[[tuple], None]) -> None:
-        """Route incoming records for ``node_id`` to ``callback(wire)``."""
+        """Route incoming records for ``node_id`` to ``callback(wire)``
+        (``wire``: the record's unpacked packet fields and its tail)."""
         self._destinations[node_id] = callback
 
     @property
@@ -172,11 +172,18 @@ class Partition:
     def _emit(self, src_node: int, dst_node: int, send_time: float,
               deliver_time: float, packet) -> None:
         destination = self.assignment[dst_node]
-        self.outbox.setdefault(destination, []).append(TransitRecord(
-            deliver_time, send_time, src_node, self._seq, dst_node,
-            packet.to_wire()))
-        self._outbox_bytes[destination] = (
-            self._outbox_bytes.get(destination, 0) + packet.length)
+        box = self.outbox.get(destination)
+        if box is None:
+            box = self.outbox[destination] = [
+                bytearray(), deliver_time, 0, {}]
+        elif deliver_time < box[1]:
+            box[1] = deliver_time
+        row, tail = packet.to_wire(self._record.pack, deliver_time,
+                                   send_time, src_node, self._seq, dst_node)
+        box[0] += row
+        box[2] += packet.length
+        if tail is not None:
+            box[3][src_node, self._seq] = tail
         self._seq += 1
 
     def inject(self, parcels) -> None:
@@ -189,21 +196,28 @@ class Partition:
         sorted by their full tie-break key first, so the order they are
         applied or scheduled in (and hence local event seq order among
         equal-time deliveries) is independent of how the runner batched
-        them.
+        them.  The destination callback gets ``(packet fields, tail)``.
         """
         sim = self.sim
-        for record in sorted(record for parcel in parcels
-                             for record in pickle.loads(parcel.blob)):
-            callback = self._destinations.get(record.dst_node)
+        rows, tails = [], {}
+        for parcel in parcels:
+            rows.extend(self._record.iter_unpack(parcel.blob))
+            if parcel.tails is not None:
+                tails.update(pickle.loads(parcel.tails))
+        rows.sort()
+        for row in rows:
+            deliver_time, dst_node = row[0], row[4]
+            callback = self._destinations.get(dst_node)
             if callback is None:
                 raise ConfigurationError(
                     "partition %d has no destination for node %d"
-                    % (self.partition_id, record.dst_node))
-            deliver = partial(callback, record.wire)
-            if record.deliver_time < sim.now:
-                sim.run_as_of(record.deliver_time, deliver)
+                    % (self.partition_id, dst_node))
+            deliver = partial(callback, (
+                row[_HEAD_FIELDS:], tails.get(row[2:4])))  # (src, seq)
+            if deliver_time < sim.now:
+                sim.run_as_of(deliver_time, deliver)
             else:
-                sim.schedule_timer_at(record.deliver_time, deliver)
+                sim.schedule_timer_at(deliver_time, deliver)
 
     # -- time advancement --------------------------------------------------
 
@@ -215,11 +229,11 @@ class Partition:
         """Run local events up to ``until`` and return (and clear) the
         outbox, packed as one parcel per destination partition."""
         self.sim.run(until=until)
-        outbox, frame_bytes = self.outbox, self._outbox_bytes
-        self.outbox, self._outbox_bytes = {}, {}
+        outbox, self.outbox = self.outbox, {}
+        size = self._record.size
         return {
             destination: Parcel(
-                min(record.deliver_time for record in records),
-                len(records), frame_bytes[destination],
-                pickle.dumps(records))
-            for destination, records in outbox.items()}
+                earliest, len(blob) // size, frame_bytes, bytes(blob),
+                pickle.dumps(tails) if tails else None)
+            for destination, (blob, earliest, frame_bytes, tails)
+            in outbox.items()}

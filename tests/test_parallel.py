@@ -27,7 +27,8 @@ from repro.errors import ConfigurationError, SimulationError, TopologyError
 from repro.faults import FaultSchedule
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import BACKENDS, simulate_parallel
-from repro.simnet.partition import TransitRecord
+from repro.net.packet import WIRE_FORMAT, Packet
+from repro.simnet.partition import Partition
 from repro.simnet.rng import RngStreams, node_seeds
 from repro.units import usec
 from repro.workloads import WorkloadSpec
@@ -348,27 +349,132 @@ class TestValidation:
         assert BACKENDS == ("inline", "process")
 
 
+class _PacketPartition(Partition):
+    packet_format = WIRE_FORMAT
+
+
 class TestTransitRecords:
+    """Packets cross a boundary as packed records: ``_emit`` on the
+    source, one :class:`Parcel` per barrier, ``inject`` on the
+    destination."""
+
+    #: Nodes 0-1 live on partition 0, nodes 2-3 on partition 1.
+    ASSIGNMENT = [0, 0, 1, 1]
+
+    def _pair(self):
+        source = _PacketPartition(0, assignment=self.ASSIGNMENT)
+        sink = _PacketPartition(1, assignment=self.ASSIGNMENT)
+        applied = []
+        for node in (2, 3):
+            sink.register_destination(node, lambda wire, node=node: (
+                applied.append((sink.sim.now, node,
+                                Packet.from_wire(wire)))))
+        return source, sink, applied
+
+    def _uncommon_packet(self):
+        packet = Packet.tcp("1.2.3.4", "5.6.7.8", seq=1234, length=1500)
+        packet.payload = b"tail"
+        packet.path = [0, 1, 0, 1]
+        packet.annotations["hop_t"] = 1e-6
+        return packet
+
     def test_pickle_round_trip(self):
-        record = TransitRecord(deliver_time=1.5e-6, send_time=1.0e-6,
-                               src_node=0, seq=7, dst_node=3,
-                               wire=("opaque", 42))
-        clone = pickle.loads(pickle.dumps(record))
-        assert clone == record
-        assert clone.wire == ("opaque", 42)
+        # A parcel crosses the process backend's pipe pickled, header
+        # and all; what the destination builds from it is the packet
+        # that was sent -- row-only and tail-bearing records alike.
+        source, sink, applied = self._pair()
+        plain, uncommon = Packet.udp("10.0.0.1", "10.0.0.2"), \
+            self._uncommon_packet()
+        source._emit(0, 2, 1.0e-6, 1.5e-6, plain)
+        source._emit(1, 3, 1.0e-6, 2.5e-6, uncommon)
+        (parcel,) = source.advance(0.0).values()
+        sink.inject([pickle.loads(pickle.dumps(parcel))])
+        sink.advance(1.0)
+        assert [(t, node) for t, node, _ in applied] == [
+            (1.5e-6, 2), (2.5e-6, 3)]
+        for sent, (_, _, got) in zip((plain, uncommon), applied):
+            assert got.packet_id == sent.packet_id
+            assert (got.eth, got.ip, got.l4) == (sent.eth, sent.ip, sent.l4)
+            assert (got.payload, got.path, got.annotations) == (
+                sent.payload, sent.path, sent.annotations)
 
     def test_sort_key_matches_single_heap_tie_order(self):
         # Equal deliver times fall back to send time, then (src, seq) --
-        # the schedule-order tiebreak of the global engine.
-        records = [
-            TransitRecord(2e-6, 1.5e-6, 1, 0, 2, ()),
-            TransitRecord(2e-6, 1.0e-6, 1, 1, 2, ()),
-            TransitRecord(1e-6, 0.5e-6, 0, 5, 2, ()),
-            TransitRecord(2e-6, 1.0e-6, 0, 9, 2, ()),
-        ]
-        ordered = sorted(records)
-        assert [(r.src_node, r.seq) for r in ordered] == [
-            (0, 5), (0, 9), (1, 1), (1, 0)]
+        # the schedule-order tiebreak of the global engine -- however
+        # the records were batched into parcels.
+        emits = [  # (src_node, send_time, deliver_time), in seq order
+            (1, 1.5e-6, 2e-6), (1, 1.0e-6, 2e-6),
+            (0, 0.5e-6, 1e-6), (0, 1.0e-6, 2e-6), (0, 1.0e-6, 2e-6)]
+        expected = [2, 3, 4, 1, 0]
+        for flip in (False, True):
+            source, sink, applied = self._pair()
+            packets = [Packet.udp("10.0.0.1", "10.0.0.2") for _ in emits]
+            parcels = []
+            for batch in (range(0, 2), range(2, 5)):
+                for seq in batch:
+                    src_node, send_time, deliver_time = emits[seq]
+                    source._emit(src_node, 2, send_time, deliver_time,
+                                 packets[seq])
+                parcels.append(source.advance(0.0)[1])
+            sink.inject(parcels[::-1] if flip else parcels)
+            sink.advance(1.0)
+            assert [got.packet_id for _, _, got in applied] == [
+                packets[seq].packet_id for seq in expected]
+
+    def test_parcel_header_is_a_recount_of_its_records(self):
+        source, sink, applied = self._pair()
+        sent = [(Packet.udp("10.0.0.1", "10.0.0.2", length=64 + 100 * i),
+                 deliver_time)
+                for i, deliver_time in enumerate((3e-6, 1e-6, 2e-6))]
+        for packet, deliver_time in sent:
+            source._emit(0, 2, 0.5e-6, deliver_time, packet)
+        outgoing = source.advance(0.0)
+        assert list(outgoing) == [1] and source.advance(0.0) == {}
+        parcel = outgoing[1]
+        assert parcel.tails is None      # nothing uncommon aboard
+        sink.inject([parcel])
+        sink.advance(1.0)
+        assert parcel.count == len(applied) == 3
+        assert parcel.earliest == min(t for t, _, _ in applied) == 1e-6
+        assert parcel.frame_bytes == sum(
+            got.length for _, _, got in applied) == 64 + 164 + 264
+        assert len(parcel.blob) == 3 * source._record.size
+        source._emit(0, 3, 0.5e-6, 4e-6, self._uncommon_packet())
+        assert list(pickle.loads(source.advance(0.0)[1].tails)) == [(0, 3)]
+
+    def test_record_for_unregistered_node_raises(self):
+        source = _PacketPartition(0, assignment=[0, 1])
+        sink = _PacketPartition(1, assignment=[0, 1])
+        source._emit(0, 1, 0.5e-6, 1e-6, Packet.udp("10.0.0.1", "10.0.0.2"))
+        with pytest.raises(ConfigurationError, match="no destination"):
+            sink.inject(source.advance(0.0).values())
+
+    def test_tail_bearing_event_list_parity_on_process_backend(self):
+        # A caller's event *list* (pickled into each worker inside its
+        # PartitionSpec) of TCP and payload-bearing packets: every
+        # transit record has a tail, and workers=2 on the process
+        # backend still reports what workers=1 does.
+        def events(router):
+            n = router.num_nodes
+            for i in range(400):
+                if i % 2:
+                    packet = Packet.tcp(0x0A000001 + i % 7, 0x0B000001 + i,
+                                        length=128, src_port=2000 + i % 5,
+                                        seq=i)
+                else:
+                    packet = Packet.udp(0x0A000001 + i % 7, 0x0B000001 + i,
+                                        length=96, payload=b"p" * (i % 9))
+                packet.flow_seq = i
+                yield (i * 1e-6, i % n, (i * 7 + 1) % n, packet)
+
+        router = _router()
+        single = router.simulate(list(events(router)), until=UNTIL)
+        router = _router()
+        sharded = simulate_parallel(router, list(events(router)),
+                                    until=UNTIL, workers=2,
+                                    backend="process")
+        assert single.delivered_packets == 400
+        assert _report_scalars(sharded) == _report_scalars(single)
 
 
 class TestBalancedPartitions:
