@@ -27,6 +27,7 @@ quantity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -113,8 +114,10 @@ class FaultInjector:
                  detection_latency_sec: float = DEFAULT_DETECTION_LATENCY_SEC,
                  fib_push_latency_sec: float = 0.0,
                  num_nodes: int = None):
-        if detection_latency_sec < 0 or fib_push_latency_sec < 0:
-            raise ConfigurationError("latencies cannot be negative")
+        if not (0 <= detection_latency_sec < math.inf
+                and 0 <= fib_push_latency_sec < math.inf):
+            raise ConfigurationError("latencies must be finite and "
+                                     "non-negative")
         self.sim = sim
         self.nodes = {node.node_id: node for node in nodes}
         schedule.validate(len(self.nodes) if num_nodes is None

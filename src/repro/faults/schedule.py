@@ -27,6 +27,7 @@ consumed by :class:`repro.faults.FaultInjector` /
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -58,8 +59,9 @@ class FaultEvent:
     duration_sec: Optional[float] = None
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ConfigurationError("fault time cannot be negative")
+        if not 0 <= self.time < math.inf:
+            raise ConfigurationError("fault time must be finite and "
+                                     "non-negative, got %r" % (self.time,))
         if self.kind not in KINDS:
             raise ConfigurationError("unknown fault kind %r (have %s)"
                                      % (self.kind, list(KINDS)))
@@ -75,9 +77,10 @@ class FaultEvent:
             if self.target[0] == self.target[1]:
                 raise ConfigurationError("a link cannot loop back")
         if self.kind == NIC_STALL:
-            if self.duration_sec is None or self.duration_sec <= 0:
-                raise ConfigurationError("nic_stall needs a positive "
-                                         "duration_sec")
+            if self.duration_sec is None \
+                    or not 0 < self.duration_sec < math.inf:
+                raise ConfigurationError("nic_stall needs a positive, "
+                                         "finite duration_sec")
         elif self.duration_sec is not None:
             raise ConfigurationError("duration_sec only applies to "
                                      "nic_stall")

@@ -1,24 +1,14 @@
 """Event queue and simulated clock.
 
-A calendar-queue DES core.  An event is a ``[time, seq, callback]`` list
+A binary-heap DES core.  An event is a ``[time, seq, callback]`` list
 entry; ``seq`` comes from one global counter, so ties break by filing
 order and runs are deterministic for a given seed.
 
-There is one queue, a bucketed wheel: entry ``e`` lives in the mini-heap
-``buckets[int(e.time / quantum)]``, and a min-heap of the live bucket
-indices says which bucket is next.  The bucket index is monotone in
-time and a bucket pops by ``(time, seq)`` (C-level list comparison), so
-events run in exactly the order one big heap would give -- but most
-timers land a fixed small delay ahead of ``now``, so buckets stay tiny
-and filing is a dict lookup plus a push into a near-empty heap.
-
-The quantum is learned from the first positive offset a handle-free
-filer (:meth:`Simulator.schedule_timer` and friends -- the high-rate
-traffic) sees.  Until then it is infinite, which parks every entry in
-bucket 0 (``int(t / inf) == 0``): still a correct queue, just one heap;
-learning the quantum re-files whatever is parked there.  The
-handle-returning calls never teach it -- a 250 us fault time as the
-quantum would collapse a cluster run into a few giant buckets.
+The queue is one ``heapq`` list of those entries.  Lists compare at C
+level, element by element, and no two entries share a ``seq``, so the
+heap pops by ``(time, seq)`` and never looks at a callback.  Arrivals
+stream in a chunk at a time (:meth:`Simulator.schedule_stream`), so the
+heap holds what is in flight, not the horizon.
 
 :class:`Event` is a thin handle around an entry for callers that need
 to cancel: ``cancel()`` blanks the callback slot in place and the entry
@@ -109,13 +99,7 @@ class Simulator:
 
     def __init__(self, metrics=None):
         from ..obs.metrics import active_registry
-        # The queue: bucket index -> mini-heap of entries, plus a
-        # min-heap of the live bucket indices.  The quantum is infinite
-        # (everything parks in bucket 0) until the first positive
-        # handle-free offset teaches it (deterministic).
-        self._buckets = {}
-        self._bucket_keys = []
-        self._quantum = _INF
+        self._queue = []    # heap of [time, seq, callback]
         self._seq = itertools.count()
         self.now = 0.0
         self.events_run = 0
@@ -126,32 +110,14 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _file(self, entry: list, refiling: bool = False) -> None:
-        """Put ``entry`` into the bucket its time indexes.  A re-filing
-        was validated when first filed and is not checked against the
-        clock again (a budget-limited ``run(until=)`` may have stepped
-        the clock over it)."""
+    def _file(self, entry: list) -> None:
+        """Push ``entry`` onto the queue: the one place times are
+        checked (anything but ``now <= time < inf`` raises)."""
         time = entry[0]
-        if not (refiling or self.now <= time < _INF):
+        if not self.now <= time < _INF:
             raise SimulationError(
                 "cannot schedule at %r, clock at %r" % (time, self.now))
-        index = int(time / self._quantum)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = [entry]
-            heappush(self._bucket_keys, index)
-        else:
-            heappush(bucket, entry)
-
-    def _learn(self, offset: float) -> None:
-        """Take ``offset``, if positive, as the quantum and re-file what
-        was parked in bucket 0 while there was none."""
-        if offset > 0.0:
-            self._quantum = offset
-            parked = self._buckets.pop(0, ())
-            del self._bucket_keys[:]
-            for entry in parked:
-                self._file(entry, True)
+        heappush(self._queue, entry)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
@@ -169,19 +135,14 @@ class Simulator:
 
         The front for high-rate homogeneous timers (poll loops, NIC DMA
         ticks, link serialization): no handle is allocated, so the event
-        cannot be cancelled, and the first positive ``delay`` seen sets
-        the bucket width.
+        cannot be cancelled.
         """
-        if self._quantum == _INF:
-            self._learn(delay)
         self._file([self.now + delay, next(self._seq), callback])
 
     def schedule_timer_at(self, time: float,
                           callback: Callable[[], None]) -> None:
         """Absolute-time variant of :meth:`schedule_timer` (bulk arrival
         injection)."""
-        if self._quantum == _INF:
-            self._learn(time - self.now)
         self._file([time, next(self._seq), callback])
 
     def schedule_stream(self, chunks) -> None:
@@ -207,43 +168,15 @@ class Simulator:
         self._seq = itertools.count(first + _STREAM_SEQS)
         seqs = itertools.count(first)
         chunks = iter(chunks)
-        buckets = self._buckets
-        keys = self._bucket_keys
+        file = self._file
 
         def file_next(callback=None):
             if callback is not None:
                 callback()
             entry = None
-            # An entry no earlier than any filed so far in this chunk is
-            # appended to a bucket this chunk created: nothing later is
-            # in it, so the list stays a valid heap without a push.
-            # ``latest`` starts at the clock, so whatever takes that path
-            # is also a valid time; the rest is checked by ``_file``.
-            latest = self.now
-            quantum = self._quantum
-            tail = tail_index = None
             for time, timer in next(chunks, ()):
-                if quantum == _INF:
-                    self._learn(time - self.now)
-                    quantum = self._quantum
-                    tail_index = None   # learning re-files bucket 0
                 entry = [time, next(seqs), timer]
-                if latest <= time < _INF:
-                    latest = time
-                    index = int(time / quantum)
-                    if index == tail_index:
-                        if tail is not None:
-                            tail.append(entry)
-                            continue
-                    else:
-                        tail_index = index
-                        if index in buckets:
-                            tail = None
-                        else:
-                            tail = buckets[index] = [entry]
-                            heappush(keys, index)
-                            continue
-                self._file(entry)
+                file(entry)
             if entry is not None:
                 entry[2] = partial(file_next, entry[2])
 
@@ -255,27 +188,13 @@ class Simulator:
         ``TimedForwardingRun`` schedules one successor timer per poll from
         its innermost loop; this closure is :meth:`schedule_timer_at` minus
         per-call attribute chasing and validation.  The caller must pass
-        a finite ``time >= now`` (poll delays are always positive).  Falls
-        back to the full method while the quantum is still unknown -- the
-        first absolute-time call through that path learns it.
+        a finite ``time >= now`` (poll delays are always positive).
         """
-        quantum = self._quantum
-        if quantum == _INF:
-            return self.schedule_timer_at
+        queue = self._queue
         seq = self._seq
-        buckets = self._buckets
-        keys = self._bucket_keys
-        get = buckets.get
 
         def file_at(time: float, callback: Callable[[], None]) -> None:
-            entry = [time, next(seq), callback]
-            index = int(time / quantum)
-            bucket = get(index)
-            if bucket is None:
-                buckets[index] = [entry]
-                heappush(keys, index)
-            else:
-                heappush(bucket, entry)
+            heappush(queue, [time, next(seq), callback])
         return file_at
 
     def schedule_every(self, interval: float, callback: Callable[[], None],
@@ -311,14 +230,11 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
-        keys = self._bucket_keys
-        while keys:
-            bucket = self._buckets[keys[0]]
-            if bucket[0][2] is not None:
-                return bucket[0][0]
-            heappop(bucket)  # cancelled: dropped on the way to the head
-            if not bucket:
-                del self._buckets[heappop(keys)]
+        queue = self._queue
+        while queue:
+            if queue[0][2] is not None:
+                return queue[0][0]
+            heappop(queue)  # cancelled: dropped on the way to the head
         return None
 
     # -- execution ---------------------------------------------------------
@@ -377,8 +293,7 @@ class Simulator:
         """
         horizon = _INF if until is None else until
         budget = _INF if max_events is None else max_events
-        buckets = self._buckets
-        keys = self._bucket_keys
+        queue = self._queue
         pop = heappop
         # The hooks, as locals: the bound ``sim_events`` recorder and
         # the profiler's span stack (cleared at each event boundary; it
@@ -391,15 +306,12 @@ class Simulator:
         prof_stack = profiler._stack if profiler is not None else None
         executed = 0
         try:
-            while keys and executed < budget:
-                bucket = buckets[keys[0]]
-                entry = bucket[0]
+            while queue and executed < budget:
+                entry = queue[0]
                 now = entry[0]
                 if now > horizon:
                     break
-                pop(bucket)
-                if not bucket:
-                    del buckets[pop(keys)]
+                pop(queue)
                 callback = entry[2]
                 if callback is None:
                     continue

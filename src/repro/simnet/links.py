@@ -44,6 +44,7 @@ class Link:
         self._queued_bits = 0
         self.busy = False
         self.stalled = False
+        self._stall_end = 0.0
         self.bytes_sent = 0
         self.packets_sent = 0
 
@@ -103,11 +104,13 @@ class Link:
         if duration_sec <= 0:
             raise ConfigurationError("stall duration must be positive")
         self.stalled = True
+        self._stall_end = max(self._stall_end, self.sim.now + duration_sec)
         self.sim.schedule(duration_sec, self.resume)
 
     def resume(self) -> None:
-        """Restart transmission after a stall (idempotent)."""
-        if not self.stalled:
+        """Restart transmission once the latest stall has run out
+        (idempotent; a no-op while an overlapping stall still holds)."""
+        if not self.stalled or self.sim.now < self._stall_end:
             return
         self.stalled = False
         if not self.busy:

@@ -185,7 +185,7 @@ def _whole_partition(router, workload, until):
 
 
 def _pending(part):
-    return sum(len(bucket) for bucket in part.sim._buckets.values())
+    return len(part.sim._queue)
 
 
 class TestMemoryBound:

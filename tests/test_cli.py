@@ -81,6 +81,15 @@ class TestCli:
         assert "1 fault events" in out
         assert "1 failed" in out
 
+    def test_faults_run_refuses_a_non_finite_schedule(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "faults.json"
+        path.write_text('[{"time": 1e-4, "kind": "nic_stall", "node": 0,'
+                        ' "duration_sec": 1e400}]')
+        assert main(["faults", "run", "--nodes", "4", "--duration-ms", "1",
+                     "--load", "0.2", "--schedule", str(path)]) == 2
+        assert "cannot load fault schedule" in capsys.readouterr().err
+
     def test_trace_generate_and_info(self, capsys, tmp_path):
         path = str(tmp_path / "t.pcap")
         assert main(["trace", "generate", path, "--packets", "500"]) == 0

@@ -2,13 +2,11 @@
 
 ``GOLDEN`` below is the (time, tag) execution order of a mixed
 schedule / schedule_at / schedule_every / cancel workload recorded on
-the original engine (dataclass events, one binary heap).  The bucketed
-single-queue engine must replay it exactly -- same times, same tie-break
-order, same number of executed events -- whichever front files the
-homogeneous poll chain: ``schedule`` (handle-returning, so nothing ever
-teaches the quantum and the whole run sits in bucket 0) or
-``schedule_timer`` (handle-free: the first 0.125 delay sets the bucket
-width and re-files what was parked).
+the original engine (dataclass events, one binary heap).  The current
+engine must replay it exactly -- same times, same tie-break order, same
+number of executed events -- whichever front files the homogeneous poll
+chain: ``schedule`` (handle-returning) or ``schedule_timer``
+(handle-free).
 
 The heartbeat interval (0.25) and poll step (0.125) are binary-exact
 floats, so the schedule_every grid fix cannot shift any time in this

@@ -170,6 +170,15 @@ class TestInjectorValidation:
             FaultInjector(sim, nodes, FaultSchedule(),
                           detection_latency_sec=-1.0)
 
+    @pytest.mark.parametrize("latency", ["detection_latency_sec",
+                                         "fib_push_latency_sec"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_latency_rejected(self, latency, bad):
+        router = RouteBricksRouter(seed=1)
+        sim, nodes = router.build_simulation()
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultInjector(sim, nodes, FaultSchedule(), **{latency: bad})
+
     def test_node_recovery_does_not_resurrect_cut_cable(self):
         router = RouteBricksRouter(seed=1)
         sim, nodes = router.build_simulation()

@@ -50,6 +50,16 @@ class TestFaultEvent:
                            duration_sec=1e-4)
         assert event.duration_sec == 1e-4
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultEvent(time=bad, kind=NODE_DOWN, target=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_stall_duration_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultEvent(time=0.0, kind=NIC_STALL, target=1, duration_sec=bad)
+
     def test_duration_only_for_stall(self):
         with pytest.raises(ConfigurationError):
             FaultEvent(time=0.0, kind=NODE_DOWN, target=1, duration_sec=1.0)
@@ -118,6 +128,19 @@ class TestSerialization:
             {"events": [{"time": 0.5, "kind": "link_down",
                          "src": 1, "dst": 2}]})
         assert schedule.events()[0].target == (1, 2)
+
+    @pytest.mark.parametrize("text", [
+        '[{"time": NaN, "kind": "node_down", "node": 0}]',
+        '[{"time": 1e400, "kind": "node_down", "node": 0}]',
+        '[{"time": 0, "kind": "nic_stall", "node": 0, "duration_sec": NaN}]',
+        '[{"time": 0, "kind": "nic_stall", "node": 0, "duration_sec": 1e400}]',
+    ])
+    def test_from_json_rejects_non_finite_numbers(self, text):
+        """JSON's ``NaN`` and an overflowing ``1e400`` parse to floats
+        that no schedule can run; they are refused when loaded, not when
+        the simulator reaches them."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultSchedule.from_json(text)
 
     def test_from_dict_missing_fields_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -93,8 +93,8 @@ FRONTS = HANDLE_FRONTS + ("schedule_timer", "schedule_timer_at",
 STREAM_FRONTS = ("stream_of_lists", "stream_of_zips")
 
 #: Binary-exact and inexact steps, exact ties, a zero, and two offsets six
-#: orders of magnitude either side of the rest (a far event under a tiny
-#: quantum; a tiny offset under a coarse one).
+#: orders of magnitude either side of the rest (a far event beside a tiny
+#: offset, and the other way round).
 OFFSETS = (0.0, 0.0, 0.125, 0.125, 0.25, 0.375, 0.1, 0.3, 1.0, 1e-9, 3e-9,
            1e3)
 

@@ -184,9 +184,8 @@ class TestSimulator:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5])
     def test_stream_checks_every_time_of_a_chunk(self, bad):
-        """Entries in ascending order are appended to their bucket
-        without a push; a bad time right behind one -- not a number, not
-        finite, behind the clock -- is still refused."""
+        """A bad time right behind valid ascending ones -- not a number,
+        not finite, behind the clock -- is refused."""
         sim = Simulator()
         sim.schedule_timer(1.0, lambda: None)
         sim.run()
@@ -253,7 +252,7 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_timer_at(0.5, lambda: None)
 
-    def test_peek_time_covers_wheel(self):
+    def test_peek_time_covers_every_front(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.schedule_timer(0.5, lambda: None)
@@ -262,9 +261,9 @@ class TestSimulator:
         assert sim.peek_time() is None
 
 
-class TestQuantumCorners:
-    """Where the bucket width comes from, and that order never depends
-    on it."""
+class TestQueueOrder:
+    """Every front files into the one queue, and execution follows
+    ``(time, seq)`` whatever mix of fronts and offsets filed it."""
 
     def test_zero_delay_events_at_time_zero_before_any_positive_offset(self):
         sim = Simulator()
@@ -282,27 +281,25 @@ class TestQuantumCorners:
                          "after", "first positive"]
         assert sim.now == 1e-6
 
-    def test_handle_returning_call_never_teaches_the_quantum(self):
-        """A fault filed at 250 us before any traffic must not become the
-        bucket width (it would fold a whole cluster run into a few
-        buckets); the first handle-free offset does, and the parked fault
-        is re-filed under it."""
+    def test_handle_events_filed_before_traffic_keep_their_place(self):
+        """A cluster run files its faults and first observer tick before
+        any packet; the arrivals and timers filed after them still run in
+        time order around them."""
         sim = Simulator()
         order = []
         fault = sim.schedule_at(250e-6, lambda: order.append("fault"))
         sim.schedule(100e-6, lambda: order.append("tick"))
-        assert sim.peek_time() == 100e-6  # readable while still parked
+        assert sim.peek_time() == 100e-6
         sim.schedule_timer_at(1e-6, lambda: order.append("arrival"))
-        assert sim._quantum == 1e-6
         assert fault.time == 250e-6 and not fault.cancelled
         sim.schedule_timer(300e-6, lambda: order.append("late"))
         sim.run()
         assert order == ["arrival", "tick", "fault", "late"]
 
-    def test_learning_keeps_entries_the_clock_was_stepped_over(self):
+    def test_entries_the_clock_was_stepped_over_still_run(self):
         """``run(until=, max_events=)`` may leave events behind the clock;
-        re-filing them under a freshly learned quantum must not take them
-        for new filings into the past."""
+        filing a new timer after that must neither reject nor reorder
+        them."""
         sim = Simulator()
         order = []
         for i in (1, 2, 3):
@@ -313,7 +310,7 @@ class TestQuantumCorners:
         sim.run()
         assert order == [1, 2, 3, "timer"] and sim.events_run == 4
 
-    def test_far_event_under_a_nanosecond_quantum(self):
+    def test_far_event_beside_a_nanosecond_timer(self):
         sim = Simulator()
         order = []
         sim.schedule_timer(1e-9, lambda: order.append("near"))
@@ -566,6 +563,28 @@ class TestLink:
         assert link.queued_bits() == walked(link) == 0
         sim.run()
         assert link.queued_bits() == 0
+
+    @pytest.mark.parametrize("first, second", [(100e-6, 10e-6),
+                                               (10e-6, 95e-6)])
+    def test_overlapping_stalls_hold_until_the_latest_ends(self, first,
+                                                           second):
+        """A stall filed during another ends when the later of the two
+        does, whichever was filed first: the first ``resume`` to fire
+        must not un-stall the link early."""
+        sim = Simulator()
+        got = []
+        link = Link(sim, "l", rate_bps=8e9,
+                    deliver=lambda p: got.append(sim.now))
+        link.stall(first)
+        sim.schedule_at(5e-6, lambda: link.stall(second))
+        sim.schedule_at(25e-6, lambda: link.send(
+            Packet.udp("1.1.1.1", "2.2.2.2", length=1000)))
+        sim.run(until=50e-6)
+        assert link.stalled and got == []
+        sim.run()
+        # Stalled to 100 us, then 1 us serialization + 1 us propagation.
+        assert got == [pytest.approx(102e-6)]
+        assert not link.stalled
 
 
 class TestRng:
