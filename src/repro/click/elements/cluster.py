@@ -6,9 +6,11 @@ plus these:
 
 * :class:`VLBIngress` -- runs at a node's external port: looks up the
   output node (routing-table port = cluster node id), encodes it into the
-  destination MAC (Sec. 6.1), and picks the first hop with adaptive
-  Direct VLB + flowlet pinning.  Output ``i`` leads toward cluster node
-  ``i``; output ``self_node`` is the local egress path.
+  destination MAC (Sec. 6.1), and picks the first hop with
+  :func:`repro.core.vlb.first_hop` -- the adaptive Direct VLB + flowlet
+  decision the DES node runs -- reading the TX ring toward each peer as
+  its link state.  Output ``i`` leads toward cluster node ``i``; output
+  ``self_node`` is the local egress path.
 * :class:`VLBTransit` -- runs at internal ports: reads the output node
   from the receive queue's MAC (no IP processing) and forwards toward it,
   or delivers locally.
@@ -17,23 +19,30 @@ plus these:
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import List, Optional, Sequence
 
 from ... import calibration as cal
 from ...core.flowlet import FlowletTable
 from ...costs import DEFAULT_COST_MODEL, ResourceVector
 from ...core.mac_encoding import decode_output_node, encode_output_node
+from ...core.vlb import first_hop
 from ...errors import ConfigurationError
+from ...hw.nic import NicQueue
 from ...net.packet import Packet
 from ...routing.table import RoutingTable
 from ..element import Element
 
 
 class VLBIngress(Element):
-    """External-port ingress: route, encode, and load-balance."""
+    """External-port ingress: route, encode, and load-balance.
+
+    ``tx_rings[i]`` is the TX ring toward cluster node ``i``: a link is
+    available while its ring has room, and its load is the ring's
+    occupancy.  Without rings every link is free.
+    """
 
     def __init__(self, table: RoutingTable, self_node: int, num_nodes: int,
-                 link_available: Optional[Callable[[int], bool]] = None,
+                 tx_rings: Optional[Sequence[NicQueue]] = None,
                  use_flowlets: bool = True, seed: int = 0, name: str = ""):
         if num_nodes < 2:
             raise ConfigurationError("cluster needs >= 2 nodes")
@@ -44,7 +53,12 @@ class VLBIngress(Element):
         self.table = table
         self.self_node = self_node
         self.num_nodes = num_nodes
-        self.link_available = link_available or (lambda node: True)
+        if tx_rings is None:
+            self._available = lambda node: True
+        else:
+            self._available = (
+                lambda node: len(tx_rings[node]) < tx_rings[node].capacity)
+        self._load_of = lambda node: len(tx_rings[node])
         self.flowlets = FlowletTable() if use_flowlets else None
         self.rng = random.Random(seed)
         self.now = 0.0  # advanced by the caller (simulation clock)
@@ -56,16 +70,6 @@ class VLBIngress(Element):
             base = base + ResourceVector(
                 cpu_cycles=cal.REORDER_AVOIDANCE_CYCLES)
         self.set_cost_terms(base, per_byte)
-
-    def _fresh_path(self, egress: int) -> int:
-        if self.link_available(egress):
-            return egress
-        candidates = [i for i in range(self.num_nodes)
-                      if i not in (self.self_node, egress)
-                      and self.link_available(i)]
-        if not candidates:
-            return egress
-        return candidates[self.rng.randrange(len(candidates))]
 
     def process(self, packet: Packet, port: int) -> None:
         route = self.table.lookup(packet.ip.dst) if packet.ip else None
@@ -79,15 +83,9 @@ class VLBIngress(Element):
         if egress == self.self_node:
             self.push(packet, self.self_node)
             return
-        if self.flowlets is not None:
-            first_hop = self.flowlets.assign(
-                (packet.five_tuple(), egress), self.now,
-                path_available=lambda p: p != self.self_node
-                and self.link_available(p),
-                fresh_path=lambda: self._fresh_path(egress))
-        else:
-            first_hop = self._fresh_path(egress)
-        self.push(packet, first_hop)
+        self.push(packet, first_hop(
+            self.flowlets, packet, egress, self.now, self.self_node,
+            self.num_nodes, self._available, (), self._load_of, self.rng))
 
     def output_probabilities(self) -> List[float]:
         """Direct VLB spreads first hops uniformly over the nodes; the

@@ -6,6 +6,8 @@ This is the functional end-to-end router: the configuration mirrors RB4's
 
 * external ingress: PollDevice -> CheckIPHeader -> DecIPTTL -> VLBIngress
   -> ToDevice toward the chosen next hop (or the local external TX);
+  VLBIngress reads those ToDevices' TX rings as its link state, so a
+  full ring toward the output node detours via the least-loaded peer;
   routing misses feed an ICMP Destination Unreachable generator, TTL
   expiry an ICMP Time Exceeded generator;
 * internal ingress: PollDevice -> VLBTransit -> ToDevice (steering by the
@@ -93,6 +95,8 @@ class ClickClusterNode:
         ttl = g.add(DecIPTTL(name="ttl"))
         self.ingress = g.add(VLBIngress(
             table, self_node=self.node_id, num_nodes=self.num_nodes,
+            tx_rings=[self.to_devices[self.port_toward(node)].queue
+                      for node in range(self.num_nodes)],
             use_flowlets=use_flowlets, seed=seed, name="vlb-ingress"))
         ttl_icmp = g.add(IcmpErrorGenerator(router_address, "time-exceeded",
                                             name="icmp-ttl"))

@@ -102,10 +102,3 @@ class FlowletTable:
         """Flows seen within the last delta."""
         return sum(1 for entry in self._table.values()
                    if now - entry.last_seen <= self.delta_sec)
-
-
-def cpu_overhead_cycles() -> float:
-    """Per-ingress-packet CPU cost of reordering avoidance (calibrated from
-    RB4's measured 12 Gbps, Sec. 6.2): per-flow counters, arrival
-    timestamps, and link-utilization tracking."""
-    return cal.REORDER_AVOIDANCE_CYCLES

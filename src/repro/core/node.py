@@ -3,10 +3,12 @@
 Each node plays all three VLB roles (Fig. 2): *input* (full IP processing,
 output-node selection, path choice), *intermediate* (queue-to-queue move,
 steering by the MAC-encoded node id), and *output* (transmit on the
-external line).  Path choice is Direct VLB with adaptive local decisions
-plus the flowlet rule of Sec. 6.1; per-packet balancing (classic VLB
-spreading) is available for the ablation the paper reports (5.5 % vs
-0.15 % reordering).
+external line).  Path choice is :func:`repro.core.vlb.first_hop`, the
+adaptive Direct VLB decision the Click element runs too, fed from this
+node's links: available = up and backlogged less than the busy
+threshold, load = queued bits.  With flowlets (Sec. 6.1) the path is
+pinned per flow; without, the same rule runs unpinned per packet -- the
+reordering ablation the paper reports (5.5 % vs 0.15 %).
 """
 
 from __future__ import annotations
@@ -25,23 +27,25 @@ from ..units import to_usec, usec
 from .flowlet import FlowletTable
 from .latency import server_latency_usec
 from .mac_encoding import decode_output_node, encode_output_node
+from .vlb import first_hop
 
 
 class ClusterNode:
     """One server of the cluster router (DES behavior)."""
 
     def __init__(self, node_id: int, sim: Simulator, num_nodes: int,
-                 rng: random.Random, use_flowlets: bool = True,
-                 link_busy_threshold_sec: float = 200e-6,
-                 metrics=None):
+                 rng: random.Random, link_busy_threshold_sec: float,
+                 use_flowlets: bool = True, metrics=None):
         self.node_id = node_id
         self.sim = sim
         self.num_nodes = num_nodes
         self.rng = rng
-        self.use_flowlets = use_flowlets
         self.flowlets = FlowletTable() if use_flowlets else None
         #: Outgoing internal links, keyed by destination node id.
         self.links: Dict[int, Link] = {}
+        links = self.links
+        #: Path choice's load oracle, bound once (it runs per detour).
+        self._queued_bits = lambda peer: links[peer].queued_bits()
         #: Optional rate-limited external line; when set, egress packets
         #: serialize through it (and can be dropped under contention),
         #: which is what makes the fairness guarantee measurable.
@@ -174,40 +178,13 @@ class ClusterNode:
         backlog_sec = link.queued_bits() / link.rate_bps
         return backlog_sec < self.link_busy_threshold_sec
 
-    def _path_available(self, path: int, egress: int) -> bool:
-        """A path is its first hop: direct (path == egress) or via an
-        intermediate node id."""
-        if path == self.node_id:
-            return False
-        return self._link_available(path)
-
-    def _fresh_path(self, egress: int) -> int:
-        """Adaptive Direct VLB: direct while the direct link has headroom,
-        otherwise the least-loaded live intermediate."""
-        if self._link_available(egress):
-            return egress
-        candidates = [i for i in range(self.num_nodes)
-                      if i not in (self.node_id, egress)
-                      and i not in self.failed_hops]
-        if not candidates:
-            return egress
-        self.rng.shuffle(candidates)
-        return min(candidates,
-                   key=lambda i: self.links[i].queued_bits())
-
     def choose_path(self, packet: Packet, egress: int, now: float) -> int:
         """First hop for a packet entering here, destined for ``egress``."""
         if egress == self.node_id:
             return egress  # local delivery, no internal hop
-        if self.use_flowlets:
-            # Key by (flow, egress): a path pinned for one output node
-            # must never be reused for another.
-            return self.flowlets.assign(
-                (packet.five_tuple(), egress), now,
-                path_available=lambda p: self._path_available(p, egress),
-                fresh_path=lambda: self._fresh_path(egress))
-        # Per-packet balancing (the reordering-prone baseline).
-        return self._fresh_path(egress)
+        return first_hop(self.flowlets, packet, egress, now, self.node_id,
+                         self.num_nodes, self._link_available,
+                         self.failed_hops, self._queued_bits, self.rng)
 
     # -- roles ----------------------------------------------------------------
 

@@ -21,11 +21,6 @@ from typing import Callable, Dict, Hashable, Tuple
 from ..errors import ConfigurationError
 from ..net.packet import Packet
 
-#: CPU cost of resequencing per packet (tag insert + buffer management);
-#: roughly comparable to the flowlet overhead but paid at the *output*
-#: node, where forwarding work already competes for cycles.
-RESEQUENCE_CYCLES = 600.0
-
 
 @dataclass
 class _FlowState:
@@ -127,8 +122,3 @@ def added_latency_bound_sec(timeout_sec: float) -> float:
     if timeout_sec <= 0:
         raise ConfigurationError("timeout must be positive")
     return timeout_sec
-
-
-def cpu_overhead_cycles() -> float:
-    """Per-packet CPU cost of the resequencing alternative."""
-    return RESEQUENCE_CYCLES

@@ -8,21 +8,24 @@ Direct VLB [49]: each input routes up to R/N of the traffic addressed to
 each output *directly* and balances only the remainder, cutting the
 per-node rate to ~2R when the matrix is close to uniform.  RB4 goes one
 step further (adaptive, local information): a node sends *all* of a
-destination's traffic directly while the direct link has headroom --
+destination's traffic directly while the direct link has room --
 that's why the 64 B and Abilene experiments route everything directly
 (Sec. 6.2).
 
-This module provides both the *analysis* (link loads, per-node processing
-rates -- the quantities the provisioning math needs) and the *policy*
-objects it is parameterized by.  The DES nodes do not consult them:
-:class:`~repro.core.node.ClusterNode` makes its own per-flowlet choice
-from local link state.
+This module provides the *analysis* (link loads, per-node processing
+rates -- the quantities the provisioning math needs), the *policy*
+objects it is parameterized by, and the adaptive per-packet decision
+itself: :func:`first_hop` (over :func:`direct_first_hop`) is what both
+the DES node (:class:`~repro.core.node.ClusterNode`) and the Click
+element (:class:`~repro.click.elements.cluster.VLBIngress`) run, each
+with its own local link-state oracle.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from typing import Callable, Container
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -68,29 +71,16 @@ class ClassicVlb:
         accounted as balanced, matching the 3R bound."""
         return 0.0
 
-    def choose_intermediate(self, src: int, dst: int, n: int,
-                            rng: random.Random) -> int:
-        """Uniform over all nodes; picking src or dst degenerates to a
-        shorter path, as in the original scheme."""
-        return rng.randrange(n)
-
 
 class DirectVlb:
-    """Direct VLB with adaptive local decisions (what RB4 implements).
+    """Direct VLB (what RB4 implements), in its analysis form.
 
-    ``guaranteed_fraction`` of R/N per destination may always go direct
-    (the [49] rule); beyond that, a node keeps sending direct while its
-    local estimate of the direct link's utilization stays below
-    ``headroom`` -- the adaptation that routes everything directly for
-    uniform-ish matrices.
+    Up to R/N per destination goes direct (the [49] rule); the nodes'
+    adaptive rule on top -- direct while the direct link is free -- is
+    :func:`direct_first_hop`.
     """
 
     name = "direct"
-
-    def __init__(self, headroom: float = 0.95):
-        if not 0 < headroom <= 1:
-            raise ConfigurationError("headroom must be in (0, 1]")
-        self.headroom = headroom
 
     def direct_share(self, demand: float, port_rate_bps: float,
                      n: int) -> float:
@@ -102,16 +92,45 @@ class DirectVlb:
         """
         return min(demand, port_rate_bps / n)
 
-    def choose_intermediate(self, src: int, dst: int, n: int,
-                            rng: random.Random) -> int:
-        """Uniform over nodes other than src and dst."""
-        if n <= 2:
-            return dst
-        choice = rng.randrange(n - 2)
-        for excluded in sorted((src, dst)):
-            if choice >= excluded:
-                choice += 1
-        return choice
+
+def direct_first_hop(self_node: int, egress: int, num_nodes: int,
+                     available: Callable[[int], bool], failed: Container[int],
+                     load_of: Callable[[int], float], rng) -> int:
+    """Adaptive Direct VLB's first hop from local link state (Sec. 6.1).
+
+    Direct while ``available(egress)``; otherwise the least-``load_of``
+    live intermediate (not ``self_node``, ``egress`` or in ``failed``),
+    ties broken by an ``rng.shuffle``; direct again when none is live.
+    """
+    if available(egress):
+        return egress
+    candidates = [i for i in range(num_nodes)
+                  if i not in (self_node, egress) and i not in failed]
+    if not candidates:
+        return egress
+    rng.shuffle(candidates)
+    return min(candidates, key=load_of)
+
+
+def first_hop(flowlets, packet, egress: int, now: float, self_node: int,
+              num_nodes: int, available: Callable[[int], bool],
+              failed: Container[int], load_of: Callable[[int], float],
+              rng) -> int:
+    """The first hop for ``packet`` entering ``self_node`` for ``egress``.
+
+    Without a :class:`~repro.core.flowlet.FlowletTable` every packet
+    gets a fresh :func:`direct_first_hop`; with one, the path is pinned
+    per ``(flow, egress)`` -- a path pinned for one output node is never
+    reused for another -- and kept while ``available``.
+    """
+    if flowlets is None:
+        return direct_first_hop(self_node, egress, num_nodes, available,
+                                failed, load_of, rng)
+    return flowlets.assign(
+        (packet.five_tuple(), egress), now,
+        path_available=lambda p: p != self_node and available(p),
+        fresh_path=lambda: direct_first_hop(
+            self_node, egress, num_nodes, available, failed, load_of, rng))
 
 
 def analyze(matrix: TrafficMatrix, port_rate_bps: float,

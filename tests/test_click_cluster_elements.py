@@ -5,6 +5,7 @@ import pytest
 from repro.click import CounterElement, Discard
 from repro.click.elements.cluster import VLBIngress, VLBTransit
 from repro.errors import ConfigurationError
+from repro.hw.nic import NicQueue
 from repro.net import IPv4Address, Packet
 from repro.routing import Route, RoutingTable
 
@@ -15,6 +16,18 @@ def _table(num_nodes=4):
         table.add_route("10.%d.0.0/16" % node,
                         Route(port=node, next_hop=IPv4Address("10.%d.0.1" % node)))
     return table
+
+
+def _rings(num_nodes=4, full=(), loaded=()):
+    """TX rings toward each node: ``full`` ones at capacity, ``loaded``
+    ones holding one packet, the rest empty."""
+    rings = [NicQueue(node, "tx", capacity=4) for node in range(num_nodes)]
+    for node in full:
+        while rings[node].push(Packet.udp("1.1.1.1", "2.2.2.2")):
+            pass
+    for node in loaded:
+        rings[node].push(Packet.udp("1.1.1.1", "2.2.2.2"))
+    return rings
 
 
 def _wire(element):
@@ -48,9 +61,8 @@ class TestVLBIngress:
         assert packet.eth.dst.node_id() == 2
 
     def test_busy_direct_link_detours(self):
-        busy = {3}
         ingress = VLBIngress(_table(), self_node=0, num_nodes=4,
-                             link_available=lambda n: n not in busy,
+                             tx_rings=_rings(full={3}),
                              use_flowlets=False)
         sinks = _wire(ingress)
         for _ in range(20):
@@ -60,9 +72,8 @@ class TestVLBIngress:
         assert sinks[1].count + sinks[2].count == 20
 
     def test_flowlets_pin_path(self):
-        busy = {2}
         ingress = VLBIngress(_table(), self_node=0, num_nodes=4,
-                             link_available=lambda n: n not in busy,
+                             tx_rings=_rings(full={2}),
                              use_flowlets=True, seed=1)
         sinks = _wire(ingress)
         for i in range(10):
@@ -136,7 +147,8 @@ class TestTwoElementCluster:
         at node 3, local delivery at node 3."""
         ingress = VLBIngress(_table(), self_node=0, num_nodes=4,
                              use_flowlets=False, seed=2,
-                             link_available=lambda n: n == 1)  # force detour
+                             # Force a detour via the least-loaded node 1.
+                             tx_rings=_rings(full={3}, loaded={2}))
         transit = VLBTransit(self_node=1, num_nodes=4)
         egress = VLBTransit(self_node=3, num_nodes=4, name="egress")
         # ingress output 1 -> transit at node 1; transit output 3 -> node 3.

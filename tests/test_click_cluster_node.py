@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.click_node import ClickCluster, ClickClusterNode
+from repro.core.mac_encoding import encode_output_node
 from repro.errors import ConfigurationError
 from repro.net import IPv4Address, Packet
 from repro.net.icmp import TYPE_DEST_UNREACHABLE, TYPE_TIME_EXCEEDED
@@ -119,3 +120,25 @@ class TestEndToEnd:
         assert cluster.nodes[3].cycles_used() >= 0
         assert cluster.nodes[0].cycles_used() > \
             cluster.nodes[3].cycles_used()
+
+    def test_full_direct_ring_detours_via_least_loaded_peer(self, cluster):
+        node0 = cluster.nodes[0]
+
+        def queue_filler(dst):
+            filler = Packet.udp("172.16.9.9", "10.%d.0.9" % dst)
+            encode_output_node(filler, dst, max_nodes=4)
+            return node0.to_devices[node0.port_toward(dst)].queue.push(filler)
+
+        while queue_filler(3):  # the direct ring is full
+            pass
+        queue_filler(2)  # node 2's link is busier than node 1's
+        packet = Packet.udp("172.16.0.1", "10.3.5.5", length=200, ttl=9)
+        cluster.inject(0, packet)
+        cluster.run(rounds=40)
+        assert node0.to_devices[node0.port_toward(3)].packets_dropped == 0
+        assert any(out is packet for out in cluster.delivered[3])
+        assert packet.ip.ttl == 8
+        forwarded = {node.node_id: sum(
+            node.graph["transit-p%d" % p].forwarded for p in (1, 2, 3))
+            for node in cluster.nodes}
+        assert forwarded == {0: 0, 1: 1, 2: 0, 3: 0}

@@ -4,7 +4,9 @@ purely local information (a property VLB's design makes natural)."""
 import pytest
 
 from repro.core import RouteBricksRouter
+from repro.core.vlb import direct_first_hop
 from repro.errors import ConfigurationError
+from repro.net.packet import Packet
 from repro.workloads import FixedSizeWorkload
 
 
@@ -69,28 +71,36 @@ class TestFailedHopsWiring:
         sim, nodes = router.build_simulation()
         return sim, nodes
 
+    def _fresh_path(self, node, egress):
+        """The shared Direct-VLB rule, fed from ``node``'s own oracle."""
+        return direct_first_hop(
+            node.node_id, egress, node.num_nodes, node._link_available,
+            node.failed_hops, node._queued_bits, node.rng)
+
     def test_failed_hop_is_never_available(self):
         _, nodes = self._node()
         nodes[0].failed_hops.add(1)
         assert not nodes[0]._link_available(1)
-        assert not nodes[0]._path_available(1, egress=1)
+        for index in range(20):
+            packet = Packet.udp("10.0.0.1", "10.1.0.1", length=740,
+                                src_port=index)
+            assert nodes[0].choose_path(packet, egress=1, now=0.0) != 1
 
     def test_fresh_path_skips_failed_intermediates(self):
         _, nodes = self._node()
         # Direct link 0->1 dead, intermediate 2 dead: only 3 remains.
         nodes[0].failed_hops.update({1, 2})
         for _ in range(20):
-            assert nodes[0]._fresh_path(egress=1) == 3
+            assert self._fresh_path(nodes[0], egress=1) == 3
 
     def test_all_hops_failed_falls_back_to_direct(self):
         _, nodes = self._node()
         nodes[0].failed_hops.update({1, 2, 3})
         # Nothing is reachable; the node still answers (the send will
         # drop) instead of deadlocking path choice.
-        assert nodes[0]._fresh_path(egress=1) == 1
+        assert self._fresh_path(nodes[0], egress=1) == 1
 
     def test_choose_path_moves_pinned_flowlet_off_dead_hop(self):
-        from repro.net.packet import Packet
         sim, nodes = self._node()
         packet = Packet.udp("10.0.0.1", "10.1.0.1", length=740)
         first = nodes[0].choose_path(packet, egress=1, now=0.0)
@@ -103,7 +113,6 @@ class TestFailedHopsWiring:
 
     def test_send_to_failed_hop_counts_a_drop(self):
         _, nodes = self._node()
-        from repro.net.packet import Packet
         packet = Packet.udp("10.0.0.1", "10.1.0.1", length=740)
         nodes[0].failed_hops.add(1)
         before = nodes[0].dropped
@@ -111,7 +120,6 @@ class TestFailedHopsWiring:
         assert nodes[0].dropped == before + 1
 
     def test_dead_node_drops_everything_it_touches(self):
-        from repro.net.packet import Packet
         sim, nodes = self._node()
         nodes[0].fail()
         packet = Packet.udp("10.0.0.1", "10.1.0.1", length=740)
@@ -122,7 +130,6 @@ class TestFailedHopsWiring:
 
     def test_recover_resets_flowlet_state(self):
         _, nodes = self._node()
-        from repro.net.packet import Packet
         packet = Packet.udp("10.0.0.1", "10.1.0.1", length=740)
         nodes[0].choose_path(packet, egress=1, now=0.0)
         table_before = nodes[0].flowlets

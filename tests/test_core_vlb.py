@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import ClassicVlb, DirectVlb, analyze, check_throughput
 from repro.core.switching import check_fairness, jain_index
-from repro.core.vlb import processing_rate_bound, required_internal_link_rate
+from repro.core.vlb import (
+    direct_first_hop,
+    processing_rate_bound,
+    required_internal_link_rate,
+)
 from repro.errors import ConfigurationError
 from repro.workloads import (
     TrafficMatrix,
@@ -17,6 +21,14 @@ from repro.workloads import (
 )
 
 R = 10e9
+
+
+def _busy(node):
+    return False
+
+
+def _idle(node):
+    return 0
 
 
 class TestClassicVlb:
@@ -45,14 +57,6 @@ class TestClassicVlb:
         analysis = analyze(uniform_matrix(4, R), R, ClassicVlb())
         assert analysis.direct_fraction == 0.0
 
-    def test_intermediate_choice_uniform(self):
-        policy = ClassicVlb()
-        rng = random.Random(0)
-        picks = [policy.choose_intermediate(0, 1, 8, rng)
-                 for _ in range(4000)]
-        counts = [picks.count(i) for i in range(8)]
-        assert min(counts) > 350  # roughly uniform over all 8
-
 
 class TestDirectVlb:
     def test_uniform_matrix_processing_near_2r(self):
@@ -77,24 +81,33 @@ class TestDirectVlb:
         # Permutation: only R/8 of R per pair goes direct.
         assert perm.direct_fraction == pytest.approx(1 / 8, rel=0.01)
 
+    # The adaptive first hop both nodes run (direct_first_hop), with the
+    # direct link busy so every pick is an intermediate.
+
     def test_intermediate_never_src_or_dst(self):
-        policy = DirectVlb()
         rng = random.Random(1)
         for _ in range(500):
-            pick = policy.choose_intermediate(2, 5, 8, rng)
+            pick = direct_first_hop(2, 5, 8, _busy, (), _idle, rng)
             assert pick not in (2, 5)
             assert 0 <= pick < 8
 
     def test_intermediate_covers_all_candidates(self):
-        policy = DirectVlb()
         rng = random.Random(2)
-        picks = {policy.choose_intermediate(0, 7, 8, rng)
+        picks = {direct_first_hop(0, 7, 8, _busy, (), _idle, rng)
                  for _ in range(200)}
         assert picks == set(range(1, 7))
 
-    def test_bad_headroom(self):
-        with pytest.raises(ConfigurationError):
-            DirectVlb(headroom=0)
+    def test_least_loaded_intermediate_wins(self):
+        rng = random.Random(3)
+        loads = {1: 5, 2: 1, 3: 9, 4: 1, 5: 7, 6: 2}
+        picks = {direct_first_hop(0, 7, 8, _busy, {4}, loads.get, rng)
+                 for _ in range(50)}
+        assert picks == {2}  # 4 ties it but has failed
+        ties = {direct_first_hop(0, 7, 8, _busy, (), loads.get, rng)
+                for _ in range(50)}
+        assert ties == {2, 4}  # the shuffle breaks ties
+        assert direct_first_hop(0, 7, 8, lambda i: True, (), loads.get,
+                                rng) == 7  # direct while available
 
 
 class TestBounds:
