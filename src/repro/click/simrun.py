@@ -2,12 +2,14 @@
 
 Drives a server's cores in *simulated time*: each core repeatedly polls
 its RX queue, pays the calibrated per-packet (or empty-poll) cycle cost,
-and advances its own clock accordingly.  Offered load arrives as timed
-events.  This closes the loop between the analytic model and the DES: at
-offered loads below the model's saturation rate the run is loss-free; at
-higher loads the achieved rate plateaus at the model's prediction and RX
-rings overflow -- exactly how the paper measures the "maximum loss-free
-forwarding rate" (Sec. 5.1).
+and advances its own clock accordingly.  The polls are the only events:
+as in the paper's polling mode (Sec. 4.2) the NIC fills the RX ring and
+a core sees nothing until it polls, so each poll first delivers the
+arrivals due by its instant.  This closes the loop between the analytic
+model and the DES: at offered loads below the model's saturation rate
+the run is loss-free; at higher loads the achieved rate plateaus at the
+model's prediction and RX rings overflow -- exactly how the paper
+measures the "maximum loss-free forwarding rate" (Sec. 5.1).
 
 Two runners share that discipline: :class:`TimedForwardingRun` charges a
 preset application's cost as one number per packet (the original Sec. 5.1
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, count, cycle, islice, repeat
+from itertools import accumulate, chain, count, cycle, islice, repeat
 from typing import List, Optional
 
 from .. import calibration as cal
@@ -43,9 +45,8 @@ from .elements.standard import PacketQueue
 #: Re-exported from :mod:`repro.calibration`, the single owner.
 EMPTY_POLL_CYCLES = cal.EMPTY_POLL_CYCLES
 
-#: How much a timed run holds: at most this many filed arrivals and, in
-#: a :class:`TimedForwardingRun`, (about) this many logged polls between
-#: replays.
+#: How much a :class:`TimedForwardingRun` holds: it replays and clears
+#: its poll log every this many polls.
 REPLAY_CHUNK = 1024
 
 
@@ -147,22 +148,29 @@ def _noop_charge(cycles: float) -> None:
     """Stand-in profiler charge when no profiler is attached."""
 
 
-def _end_of_stream() -> None:
-    """The one event past the last arrival."""
+def _arrival_cursor(offered: int, interarrival: float, arrive):
+    """``offered`` arrivals from t = 0 as a cursor, not as events.
 
-
-def _arrival_chunks(arrival, offered: int, interarrival: float, chunk: int):
-    """``offered`` arrivals from t = 0, as :meth:`Simulator.schedule_stream`
-    chunks of at most ``chunk``.
-
-    Arrival k fires at the chained float t[k] = t[k-1] + dt (never
-    k * dt), exactly as per-arrival ``schedule_timer(dt)`` would; one
-    extra no-op event past the last packet ends the stream.
+    Arrival k is due at the chained float t[k] = t[k-1] + dt (never
+    k * dt).  ``advance(now)`` calls ``arrive(t)`` for each arrival due
+    at or before ``now`` not yet delivered, in order.  Each poll calls it
+    before reading its ring, so an arrival at the poll's instant is
+    there to pop; one call at the horizon after ``sim.run`` delivers the
+    rest.  Exact because an arrival pushes onto one RX ring and only that
+    ring's poll pops it, so each ring's pushes and pops keep their order.
     """
-    times = accumulate(repeat(interarrival), initial=0.0)
-    for left in range(offered, 0, -chunk):
-        yield zip(islice(times, min(chunk, left)), repeat(arrival))
-    yield [(next(times), _end_of_stream)]
+    times = chain(islice(accumulate(repeat(interarrival), initial=0.0),
+                         offered), (float("inf"),))
+    due = next(times)
+
+    def advance(now: float) -> None:
+        nonlocal due
+        t = due
+        while t <= now:
+            arrive(t)
+            t = next(times)
+        due = t
+    return advance
 
 
 class TimedForwardingRun:
@@ -212,18 +220,18 @@ class TimedForwardingRun:
             seed: int = 0) -> TimedRunReport:
         """Offer fixed-size packets at ``offered_bps`` for ``duration_sec``.
 
-        The event loop does only what changes simulated state.  Nothing
-        downstream of a preset application inspects a packet, so RX rings
-        carry token counts (:meth:`~repro.hw.nic.NicQueue.push_token`)
-        and a real Packet exists only for trace-sampled arrivals.  Each
-        poll pops its burst, appends one tuple to a log and files its
-        successor; counters, timelines, profiler frames, trace hops and
+        The polls are the only events.  Nothing downstream of a preset
+        application inspects a packet, so RX rings carry token counts
+        (:meth:`~repro.hw.nic.NicQueue.push_token`) and a real Packet
+        exists only for trace-sampled arrivals.  Each poll pushes the
+        arrivals due by its instant (:func:`_arrival_cursor`), pops its
+        burst, appends one tuple to a log and files its successor;
+        counters, timelines, profiler frames, trace hops and
         ``Core.charge`` are replayed from the log in event order -- the
         same calls and float chains a per-poll charge would make.
 
-        Memory stays bounded by :data:`REPLAY_CHUNK`: arrivals stream in
-        a chunk at a time (:meth:`Simulator.schedule_stream`), and the
-        log is replayed and cleared between chunks.
+        Memory stays bounded by :data:`REPLAY_CHUNK`: the log is replayed
+        and cleared every that many polls, and once after the run.
         """
         if offered_bps <= 0 or duration_sec <= 0:
             raise ConfigurationError("offered load and duration must be > 0")
@@ -245,11 +253,6 @@ class TimedForwardingRun:
         cycles_for = [self.cost_model.empty_poll_cycles] + [
             n * self.cycles_per_packet for n in range(1, self.kp + 1)]
         delay_for = [cycles / clock_hz for cycles in cycles_for]
-        # Arrivals per chunk.  The cores poll fastest when every poll is
-        # empty, which caps the polls one interarrival gap can log; sparse
-        # arrivals get short chunks so the log stays near REPLAY_CHUNK too.
-        chunk = max(1, int(REPLAY_CHUNK / max(
-            1.0, n_queues * interarrival / delay_for[0])))
         charge_by = [core.charge for core, _ in self._assignments]
         # One (queue index, time, burst, occupancy after, ring drops so
         # far) tuple per poll since the last replay.
@@ -258,10 +261,8 @@ class TimedForwardingRun:
 
         push_tokens = [queue.push_token for queue in queues]
         if obs is None:
-            push_cycle = cycle(push_tokens)
-
-            def arrival():
-                next(push_cycle)()
+            def arrival(t, push_next=cycle(push_tokens)):
+                next(push_next)()
 
             def replay():
                 nonlocal forwarded, empty_polls, total_polls
@@ -292,19 +293,18 @@ class TimedForwardingRun:
             base_enqueued = [queue.enqueued for queue in queues]
             popped = [0] * n_queues
 
-            def arrival():
+            def arrival(t):
                 i = next(arrivals)
                 qi = i % n_queues
                 pushed = push_tokens[qi]()
                 if not (first_seen + i) % sample_every:
-                    trace = tracer.start_trace(packet_at(i), sim.now,
-                                               "arrival")
+                    trace = tracer.start_trace(packet_at(i), t, "arrival")
                     if pushed:
                         pending[qi].append((
                             queues[qi].enqueued - base_enqueued[qi] - 1,
                             trace))
                     else:
-                        trace.hop("dropped", sim.now)
+                        trace.hop("dropped", t)
 
             prof = obs.profiler
             bind_frame = (prof.bind if prof is not None
@@ -362,17 +362,11 @@ class TimedForwardingRun:
                 total_polls += len(log)
                 log.clear()
 
-        def chunks():
-            for arrivals in _arrival_chunks(arrival, offered, interarrival,
-                                            chunk):
-                replay()    # the previous chunk's last arrival just ran
-                yield arrivals
-
-        # Armed before any poll: an arrival wins every tie against one.
-        sim.schedule_stream(chunks())
+        advance = _arrival_cursor(offered, interarrival, arrival)
         file_at = sim.timer_filer()
         kp = self.kp
         log_append = log.append
+        replay_every = REPLAY_CHUNK
 
         def make_poll_loop(queue, queue_index):
             pop_tokens = queue.pop_tokens
@@ -381,15 +375,19 @@ class TimedForwardingRun:
                 now = sim.now
                 if now >= duration_sec:
                     return
+                advance(now)
                 n = pop_tokens(kp)
                 log_append((queue_index, now, n, queue._tokens,
                             queue.dropped))
+                if len(log) >= replay_every:
+                    replay()
                 file_at(now + delay_for[n], poll)
             return poll
 
         for index, queue in enumerate(queues):
             sim.schedule(0.0, make_poll_loop(queue, index))
         sim.run(until=duration_sec)
+        advance(duration_sec)
         replay()
         if obs is not None:
             tracer.seen = first_seen + next(arrivals)
@@ -530,7 +528,10 @@ class TimedPipelineRun:
 
     def run(self, offered_bps: float, duration_sec: float = 5e-3,
             seed: int = 0) -> TimedRunReport:
-        """Offer fixed-size packets at ``offered_bps`` for ``duration_sec``."""
+        """Offer fixed-size packets at ``offered_bps`` for ``duration_sec``.
+
+        Each poll first delivers the arrivals due by its instant; only a
+        replica's own ``PollDevice.run_task`` pops its RX rings."""
         if offered_bps <= 0 or duration_sec <= 0:
             raise ConfigurationError("offered load and duration must be > 0")
         obs = _RunObs.resolve(self.metrics)
@@ -552,21 +553,18 @@ class TimedPipelineRun:
         poll_times = ({id(queue): [] for queue in rx_queues}
                       if obs is not None else None)
 
-        def arrival(index=[0]):
+        def arrival(t, index=count()):
             packet = next(packets)
-            queue = rx_queues[index[0] % len(rx_queues)]
-            index[0] += 1
-            if obs is not None:
-                trace = obs.tracer.maybe_start(packet, sim.now, "arrival")
+            queue = rx_queues[next(index) % len(rx_queues)]
+            trace = (obs.tracer.maybe_start(packet, t, "arrival")
+                     if obs is not None else None)
+            if queue.push(packet):
                 if trace is not None:
-                    if not queue.push(packet):
-                        trace.hop("dropped", sim.now)
-                    else:
-                        packet.annotations["rxq_id"] = id(queue)
-                else:
-                    queue.push(packet)
-            else:
-                queue.push(packet)
+                    packet.annotations["rxq_id"] = id(queue)
+            elif trace is not None:
+                trace.hop("dropped", t)
+
+        advance = _arrival_cursor(offered, interarrival, arrival)
 
         clock_hz = self.server.spec.clock_hz
         # As in TimedForwardingRun, polls are homogeneous high-rate
@@ -601,6 +599,7 @@ class TimedPipelineRun:
             def poll():
                 if sim.now >= duration_sec:
                     return
+                advance(sim.now)
                 state["polls"] += 1
                 if obs is not None:
                     for device in replica.polls:
@@ -684,11 +683,10 @@ class TimedPipelineRun:
                 schedule_timer(cycles / clock_hz, poll)
             return poll
 
-        sim.schedule_stream(
-            _arrival_chunks(arrival, offered, interarrival, REPLAY_CHUNK))
         for replica in self.replicas:
             sim.schedule(0.0, make_poll_loop(replica))
         sim.run(until=duration_sec)
+        advance(duration_sec)
 
         dropped = sum(queue.dropped for queue in rx_queues) - drops_before
         backlog = sum(len(queue) for queue in rx_queues)

@@ -25,6 +25,7 @@ matter:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -106,6 +107,12 @@ class CostModel:
             raise ConfigurationError("baseline app %r not in catalog"
                                      % baseline)
         self.baseline_name = baseline
+        # A timed run's empty poll files its successor this many cycles
+        # on: at zero it would refile at the same instant forever.
+        if not 0 < empty_poll_cycles < math.inf:
+            raise ConfigurationError(
+                "empty_poll_cycles must be finite and > 0 (got %r)"
+                % (empty_poll_cycles,))
         self.book_base_cycles = book_base_cycles
         self.book_poll_cycles = book_poll_cycles
         self.book_nic_cycles = book_nic_cycles

@@ -10,6 +10,17 @@ per-packet loops** (``batch=False``, the default).  The surviving
 cycle total, registry snapshot, and trace hop bit for bit -- do not
 regenerate the file to make a refactor pass.
 
+One exception, and how it was made: arrivals stopped being DES events
+(each poll now delivers the arrivals due by its instant), which moves
+only the engine's own ``sim_events`` timeline -- a count of events, not
+a simulated quantity.  So the snapshot digests hash the snapshot
+*without* that timeline, and every ``snapshot_sha256`` in the file was
+recomputed that way at 6ed096f, the last commit that still filed one
+event per arrival (``recorded_at_snapshot_sha256``), through
+:func:`_snapshot_digest` below.  The observed ``TimedPipelineRun``
+scenario of ``tests/test_simrun.py`` was recorded there too.  No other
+golden value was touched.
+
 The per-packet drop-accounting and scheduler-round checks that sat
 beside the twins stay here.
 """
@@ -73,7 +84,7 @@ FORWARDING_CASES = {
     for row, (kp, kn, rate) in _TABLE1.items()
     for load, factor in _LOADS.items()}
 # ... plus horizons too short for more than 0, 1 or 2 arrivals (the
-# end-of-stream edge: 64 B at 1 Gbps is one packet per 512 ns).
+# short-horizon edge: 64 B at 1 Gbps is one packet per 512 ns).
 FORWARDING_CASES.update({
     "offered_%d" % n: (32, 16, 1e9, (n + 0.5) * 512e-9) for n in (0, 1, 2)})
 # The scenario the live scalar==batch twin used to run.
@@ -81,13 +92,16 @@ FORWARDING_CASES["legacy_twin"] = (32, 16, 5e9, 1e-3)
 
 
 def _snapshot_digest(registry):
-    """sha256 of the full-resolution snapshot.
+    """sha256 of the full-resolution snapshot minus the engine's
+    ``sim_events`` timeline (how many events the simulator ran, not what
+    it simulated).
     Trace packet ids become ranks: the id counter is process-global and
     counts every ``Packet`` built, which is not a simulated quantity
     (the per-packet loop built one per arrival, the token rings build
     one per *sampled* arrival)."""
     snap = json.loads(json.dumps(
         registry.snapshot(max_bins=1 << 30, max_traces=1 << 30)))
+    del snap["timelines"]["sim_events"]
     paths = snap["traces"]["paths"]
     rank = {pid: i for i, pid in enumerate(
         sorted(p["packet_id"] for p in paths))}
@@ -153,8 +167,8 @@ def test_batch_keyword_is_accepted_and_ignored(flag):
 
 
 def test_forwarding_run_memory_is_bounded_by_the_chunk():
-    """Arrivals are filed -- and the poll log replayed -- a chunk at a
-    time, so a saturated run holds one chunk, not the whole horizon
+    """Arrivals are never filed and the poll log is replayed a chunk at
+    a time, so a saturated run holds one chunk, not the whole horizon
     (the unbounded log-and-replay peaked at 9.3 MiB here, the per-packet
     loop at 2.6)."""
     run = TimedForwardingRun(nehalem_server(), packet_bytes=PACKET_BYTES,
@@ -197,6 +211,21 @@ def test_preset_pipeline_matches_per_packet_golden(preset):
     golden = GOLDEN["pipeline"][preset]
     assert observe_pipeline(preset) == golden
     assert golden["report"]["forwarded"] > 0
+
+
+def test_observed_pipeline_matches_golden():
+    """``tests/test_simrun.py``'s observed routing run (over its loss-free
+    rate: drops and a full backlog), traces and profile on."""
+    registry = MetricsRegistry(enabled=True, trace_sample_every=16,
+                               profile=True)
+    server = nehalem_server(num_ports=4, queues_per_port=2)
+    run = TimedPipelineRun(server, "routing", kp=8, kn=4, metrics=registry)
+    report = run.run(4e9, duration_sec=2e-4, seed=3)
+    golden = GOLDEN["pipeline_observed"]
+    assert {"report": _report_scalars(report),
+            "core_cycles": [core.cycles_used for core in server.cores],
+            "snapshot_sha256": _snapshot_digest(registry)} == golden
+    assert golden["report"]["dropped"] > 0
 
 
 # -- drop accounting ---------------------------------------------------------

@@ -106,6 +106,13 @@ class TestCostModel:
         with pytest.raises(ConfigurationError):
             CostModel(baseline="nope")
 
+    @pytest.mark.parametrize("cycles", [0, -5, float("nan")])
+    def test_empty_poll_must_cost_something(self, cycles):
+        """A free empty poll would refile itself at the same instant and
+        spin a timed run forever; it is refused up front."""
+        with pytest.raises(ConfigurationError, match="empty_poll_cycles"):
+            CostModel(empty_poll_cycles=cycles)
+
     def test_app_vector_rejects_bad_size(self):
         with pytest.raises(ConfigurationError):
             DEFAULT_COST_MODEL.app_vector("routing", 0)

@@ -1,11 +1,16 @@
 """Tests for the timed single-server forwarding simulation."""
 
+import dataclasses
+
 import pytest
 
+from repro import calibration as cal
 from repro.click import simrun
 from repro.click.simrun import TimedForwardingRun, TimedPipelineRun
+from repro.costs import CostModel
 from repro.errors import ConfigurationError
 from repro.hw import nehalem_server
+from repro.hw.presets import NEHALEM
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet.engine import Simulator
 
@@ -70,30 +75,48 @@ class TestTimedRuns:
             TimedForwardingRun(server)
 
 
+def _record_sims(monkeypatch):
+    """Collect every Simulator the runners build (for ``events_run``)."""
+    sims = []
+
+    class Recorded(Simulator):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(simrun, "Simulator", Recorded)
+    return sims
+
+
+def _forwarding(server, registry):
+    return TimedForwardingRun(server, kp=32, kn=16, metrics=registry), \
+        14.6e9     # over the loss-free rate: drops and full bursts
+
+
+def _pipeline(server, registry):
+    return TimedPipelineRun(server, "routing", kp=8, kn=4,
+                            metrics=registry), 4e9
+
+
+def _pollers(run):
+    """How many poll loops a run drives (one per core it uses)."""
+    if isinstance(run, TimedPipelineRun):
+        return len(run.replicas)
+    return len(run.server.cores)
+
+
+#: Each test below runs once per runner, under the builder's name.
+both_runners = pytest.mark.parametrize(
+    "build", [_forwarding, _pipeline], ids=lambda build: build.__name__)
+
+
 class TestChunkBoundaryIsUnobservable:
     """``REPLAY_CHUNK`` bounds what a run holds; nothing it reports --
     scalars, cycles, event count, registry snapshot -- may depend on it."""
 
     @staticmethod
-    def _forwarding(server, registry):
-        return TimedForwardingRun(server, kp=32, kn=16, metrics=registry), \
-            14.6e9     # over the loss-free rate: drops and full bursts
-
-    @staticmethod
-    def _pipeline(server, registry):
-        return TimedPipelineRun(server, "routing", kp=8, kn=4,
-                                metrics=registry), 4e9
-
-    @staticmethod
     def _observe(monkeypatch, build, chunk):
-        sims = []
-
-        class Recorded(Simulator):
-            def __init__(self, **kwargs):
-                super().__init__(**kwargs)
-                sims.append(self)
-
-        monkeypatch.setattr(simrun, "Simulator", Recorded)
+        sims = _record_sims(monkeypatch)
         monkeypatch.setattr(simrun, "REPLAY_CHUNK", chunk)
         registry = MetricsRegistry(enabled=True, trace_sample_every=16,
                                    profile=True)
@@ -103,15 +126,93 @@ class TestChunkBoundaryIsUnobservable:
         sim, = sims
         return (report, sim.events_run,
                 [core.cycles_used for core in server.cores],
-                _snapshot_digest(registry))
+                _snapshot_digest(registry), _pollers(run))
 
-    @pytest.mark.parametrize("kind", ["_forwarding", "_pipeline"])
-    def test_reports_do_not_depend_on_the_chunk(self, monkeypatch, kind):
-        build = getattr(self, kind)
+    @both_runners
+    def test_reports_do_not_depend_on_the_chunk(self, monkeypatch, build):
         expected = self._observe(monkeypatch, build, simrun.REPLAY_CHUNK)
-        report, events_run = expected[:2]
+        report, events_run, _, _, pollers = expected
         assert report.forwarded_packets > 0
-        assert events_run > report.offered_packets + report.total_polls
-        # One arrival per chunk, chunks that divide nothing, one chunk.
+        # Polls are the only events; arrivals ride on them.
+        assert (report.total_polls <= events_run
+                <= report.total_polls + pollers)
+        # Replay after every poll, every 7 polls, once at the end.
         for chunk in (1, 7, 1 << 30):
             assert self._observe(monkeypatch, build, chunk) == expected
+
+
+class TestAnArrivalIsNotAnEvent:
+    """Arrivals fill the RX rings when a poll looks (polling mode), so a
+    run executes its polls -- plus, per core, at most the one that lands
+    exactly on the horizon and returns unlogged -- and nothing else."""
+
+    @pytest.mark.parametrize("offered_bps", [0.3e9, 5e9, 14.6e9])
+    @both_runners
+    def test_events_are_the_polls(self, monkeypatch, build, offered_bps):
+        sims = _record_sims(monkeypatch)
+        run, _ = build(nehalem_server(num_ports=4, queues_per_port=2),
+                       MetricsRegistry(enabled=False))
+        report = run.run(offered_bps, duration_sec=1e-4)
+        sim, = sims
+        assert report.offered_packets > 0
+        assert (report.total_polls <= sim.events_run
+                <= report.total_polls + _pollers(run))
+
+
+#: One empty poll's delay: an arrival gap of exactly this puts arrival k
+#: and a poll of an idle core at the same float instant.
+EMPTY_POLL_DELAY = simrun.EMPTY_POLL_CYCLES / NEHALEM.clock_hz
+
+
+def _tie_run(build, registry):
+    """A run whose RX ring 1 is polled by a core of its own."""
+    if build is _forwarding:
+        return TimedForwardingRun(
+            nehalem_server(num_ports=4, queues_per_port=2), metrics=registry)
+    return TimedPipelineRun(nehalem_server(num_ports=1, queues_per_port=2),
+                            "forwarding", metrics=registry)
+
+
+class TestArrivalEdges:
+    @both_runners
+    def test_an_arrival_at_a_polls_instant_is_popped_by_it(self, build):
+        """Arrival 1 (RX ring 1) lands at t = dt; ring 1's core polled
+        empty at t = 0, so its next poll is at 0 + dt, the same float.
+        The arrival is pushed first and that poll picks it up."""
+        registry = MetricsRegistry(enabled=True, trace_sample_every=1)
+        offered_bps = 64 * 8 / EMPTY_POLL_DELAY
+        assert 64 * 8 / offered_bps == EMPTY_POLL_DELAY
+        _tie_run(build, registry).run(offered_bps,
+                                      duration_sec=4 * EMPTY_POLL_DELAY)
+        hops = {hop.site: hop.time for hop in registry.tracer.traces[1].hops}
+        assert hops["arrival"] == hops["pickup"] == EMPTY_POLL_DELAY
+
+    def test_arrivals_after_the_last_poll_are_delivered(self, monkeypatch):
+        """Every core polls once, at t = 0, and next long after the
+        horizon; the other 59 arrivals land in their rings after the
+        run, so four-slot rings hold 32 and drop 27."""
+        sims = _record_sims(monkeypatch)
+        server = nehalem_server(num_ports=4, queues_per_port=2)
+        for port in server.ports:
+            for queue in port.rx_queues:
+                queue.capacity = 4
+        slow = dataclasses.replace(cal.MINIMAL_FORWARDING,
+                                   cpu_base_cycles=1e12)
+        run = TimedForwardingRun(server, app=slow,
+                                 cost_model=CostModel(empty_poll_cycles=1e12))
+        report = run.run(1e9, duration_sec=60.5 * 512e-9)
+        assert (report.offered_packets, report.total_polls,
+                report.forwarded_packets, report.residual_backlog,
+                report.dropped_packets) == (60, 8, 1, 32, 27)
+        assert sims[0].events_run == 8
+
+    @both_runners
+    def test_a_horizon_shorter_than_one_gap_offers_nothing(self, build):
+        """1 Gbps of 64 B is one packet per 512 ns; a 300 ns run offers
+        none, and its cores only poll."""
+        run, _ = build(nehalem_server(num_ports=4, queues_per_port=2),
+                       MetricsRegistry(enabled=False))
+        report = run.run(1e9, duration_sec=300e-9)
+        assert (report.offered_packets, report.forwarded_packets,
+                report.dropped_packets, report.residual_backlog) == (0, 0, 0, 0)
+        assert report.empty_polls == report.total_polls > 0
