@@ -5,11 +5,12 @@ its RX queue, pays the calibrated per-packet (or empty-poll) cycle cost,
 and advances its own clock accordingly.  The polls are the only events:
 as in the paper's polling mode (Sec. 4.2) the NIC fills the RX ring and
 a core sees nothing until it polls, so each poll first delivers the
-arrivals due by its instant.  This closes the loop between the analytic
-model and the DES: at offered loads below the model's saturation rate
-the run is loss-free; at higher loads the achieved rate plateaus at the
-model's prediction and RX rings overflow -- exactly how the paper
-measures the "maximum loss-free forwarding rate" (Sec. 5.1).
+arrivals due by its instant, then charges its core and -- with a
+registry on -- makes one ``observe`` call.  This closes the loop between
+the analytic model and the DES: at offered loads below the model's
+saturation rate the run is loss-free; at higher loads the achieved rate
+plateaus at the model's prediction and RX rings overflow -- exactly how
+the paper measures the "maximum loss-free forwarding rate" (Sec. 5.1).
 
 Two runners share that discipline: :class:`TimedForwardingRun` charges a
 preset application's cost as one number per packet (the original Sec. 5.1
@@ -23,6 +24,7 @@ for custom pipelines.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, cycle, islice, repeat
@@ -45,10 +47,6 @@ from .elements.standard import PacketQueue
 #: Re-exported from :mod:`repro.calibration`, the single owner.
 EMPTY_POLL_CYCLES = cal.EMPTY_POLL_CYCLES
 
-#: How much a :class:`TimedForwardingRun` holds: it replays and clears
-#: its poll log every this many polls.
-REPLAY_CHUNK = 1024
-
 
 class _RunObs:
     """Resolved metric handles for one timed run (absent when disabled).
@@ -62,7 +60,6 @@ class _RunObs:
     """
 
     def __init__(self, registry):
-        self.registry = registry
         self.profiler = registry.profiler
         self.core_cycles = registry.counter(
             "core_cycles", help="cycles charged per core, busy vs empty")
@@ -93,6 +90,29 @@ class _RunObs:
                 self.core_cycles.bind(core=core_id, kind="empty"),
                 self.core_polls.bind(core=core_id, kind="busy"),
                 self.core_polls.bind(core=core_id, kind="empty"))
+
+    def bind_frame(self, *frames: str):
+        """A pre-bound profiler charge for ``frames`` (a no-op without a
+        profiler)."""
+        if self.profiler is None:
+            return lambda cycles: None
+        return self.profiler.bind(*frames)
+
+    def ring_sampler(self, queue, label: str):
+        """The per-poll sample of one RX ring: its occupancy, and the
+        drops since the previous sample when there are any."""
+        record_occupancy = self.rxq_occupancy.bind(queue=label)
+        record_drops = self.rxq_drops.bind(queue=label)
+        seen = queue.dropped
+
+        def sample(now: float) -> None:
+            nonlocal seen
+            record_occupancy(now, len(queue))
+            dropped = queue.dropped
+            if dropped > seen:
+                record_drops(now, dropped - seen)
+                seen = dropped
+        return sample
 
     def charge_bus(self, mem: float, io: float, pcie: float,
                    qpi: float) -> None:
@@ -144,8 +164,11 @@ class TimedRunReport:
                 and self.residual_backlog <= max_backlog_packets)
 
 
-def _noop_charge(cycles: float) -> None:
-    """Stand-in profiler charge when no profiler is attached."""
+def _check_load(offered_bps: float, duration_sec: float) -> None:
+    """Both runners' ``run`` take a finite, positive load and horizon."""
+    if not (0 < offered_bps < math.inf and 0 < duration_sec < math.inf):
+        raise ConfigurationError(
+            "offered load and duration must be finite and > 0")
 
 
 def _arrival_cursor(offered: int, interarrival: float, arrive):
@@ -206,15 +229,13 @@ class TimedForwardingRun:
             cost_model.app_vector(app, packet_bytes).cpu_cycles
             + cost_model.bookkeeping_cycles(kp, kn))
         # Pair each core with one RX queue, spreading cores over ports.
-        self._assignments = []
         cores = server.cores
         queues = [queue for port in server.ports for queue in port.rx_queues]
         if len(queues) < len(cores):
             raise ConfigurationError(
                 "need >= 1 RX queue per core (%d cores, %d queues)"
                 % (len(cores), len(queues)))
-        for index, core in enumerate(cores):
-            self._assignments.append((core, queues[index]))
+        self._assignments = list(zip(cores, queues))
 
     def run(self, offered_bps: float, duration_sec: float = 5e-3,
             seed: int = 0) -> TimedRunReport:
@@ -225,16 +246,12 @@ class TimedForwardingRun:
         (:meth:`~repro.hw.nic.NicQueue.push_token`) and a real Packet
         exists only for trace-sampled arrivals.  Each poll pushes the
         arrivals due by its instant (:func:`_arrival_cursor`), pops its
-        burst, appends one tuple to a log and files its successor;
-        counters, timelines, profiler frames, trace hops and
-        ``Core.charge`` are replayed from the log in event order -- the
-        same calls and float chains a per-poll charge would make.
-
-        Memory stays bounded by :data:`REPLAY_CHUNK`: the log is replayed
-        and cleared every that many polls, and once after the run.
+        burst, charges its core the burst's cycles and counts the poll;
+        with a registry on it then makes one ``observe`` call (counters,
+        ring samples, profiler frame, trace hops).  Last it files its
+        successor.  The run holds nothing per poll.
         """
-        if offered_bps <= 0 or duration_sec <= 0:
-            raise ConfigurationError("offered load and duration must be > 0")
+        _check_load(offered_bps, duration_sec)
         obs = _RunObs.resolve(self.metrics)
         sim = Simulator(metrics=self.metrics)
         interarrival = self.packet_bytes * 8 / offered_bps
@@ -253,27 +270,12 @@ class TimedForwardingRun:
         cycles_for = [self.cost_model.empty_poll_cycles] + [
             n * self.cycles_per_packet for n in range(1, self.kp + 1)]
         delay_for = [cycles / clock_hz for cycles in cycles_for]
-        charge_by = [core.charge for core, _ in self._assignments]
-        # One (queue index, time, burst, occupancy after, ring drops so
-        # far) tuple per poll since the last replay.
-        log: List[tuple] = []
         forwarded = empty_polls = total_polls = 0
 
         push_tokens = [queue.push_token for queue in queues]
         if obs is None:
             def arrival(t, push_next=cycle(push_tokens)):
                 next(push_next)()
-
-            def replay():
-                nonlocal forwarded, empty_polls, total_polls
-                for qi, _, n, _, _ in log:
-                    if n:
-                        forwarded += n
-                    else:
-                        empty_polls += 1
-                    charge_by[qi](cycles_for[n])
-                total_polls += len(log)
-                log.clear()
         else:
             # Every packet of this run carries the same app vector, so
             # bus bytes are chargeable per burst without walking elements.
@@ -288,10 +290,9 @@ class TimedForwardingRun:
             arrivals = count()
             first_seen = tracer.seen
             # Per queue: (ring position, trace) of sampled arrivals not
-            # yet picked up, and how many descriptors polls have popped.
+            # yet picked up.
             pending = [deque() for _ in queues]
             base_enqueued = [queue.enqueued for queue in queues]
-            popped = [0] * n_queues
 
             def arrival(t):
                 i = next(arrivals)
@@ -306,89 +307,79 @@ class TimedForwardingRun:
                     else:
                         trace.hop("dropped", t)
 
-            prof = obs.profiler
-            bind_frame = (prof.bind if prof is not None
-                          else lambda *frames: _noop_charge)
             app_frame = getattr(self.app, "name", "app")
-            # Per queue: the empty-poll and busy-poll chargers, the ring
-            # timelines, the core's trace label, its poll times (the
-            # poll-wait split) and the ring drops already recorded.
-            handles = []
-            for index, (core, queue) in enumerate(self._assignments):
+
+            def observer(index, core, queue):
+                """One core's per-poll counters, ring sample, profiler
+                frame and trace hops."""
                 core_frame = "core%d" % core.core_id
                 (inc_busy_cycles, inc_empty_cycles,
                  inc_busy_polls, inc_empty_polls) = \
                     obs.core_handles(core.core_id)
-                handles.append((
-                    (bind_frame(core_frame, "empty_poll"),
-                     inc_empty_cycles, inc_empty_polls),
-                    (bind_frame(core_frame, app_frame),
-                     inc_busy_cycles, inc_busy_polls),
-                    obs.rxq_occupancy.bind(queue=str(index)),
-                    obs.rxq_drops.bind(queue=str(index)),
-                    core_frame, [], [queue.dropped]))
+                empty = (obs.bind_frame(core_frame, "empty_poll"),
+                         inc_empty_cycles, inc_empty_polls)
+                busy = (obs.bind_frame(core_frame, app_frame),
+                        inc_busy_cycles, inc_busy_polls)
+                sample_ring = obs.ring_sampler(queue, str(index))
+                traced = pending[index]
+                # The poll-wait split reads the core's poll times.
+                poll_times = []
+                popped = 0
 
-            def replay():
-                nonlocal forwarded, empty_polls, total_polls
-                for qi, now, n, occupancy, dropped in log:
-                    (empty, busy, record_occupancy, record_drops,
-                     core_frame, poll_times, seen_drops) = handles[qi]
+                def observe(now, n):
+                    nonlocal popped
                     poll_times.append(now)
                     cycles = cycles_for[n]
                     charge_frame, inc_cycles, inc_polls = busy if n else empty
                     charge_frame(cycles)
                     inc_cycles(cycles)
                     inc_polls()
-                    charge_by[qi](cycles)
-                    record_occupancy(now, occupancy)
-                    if dropped > seen_drops[0]:
-                        record_drops(now, dropped - seen_drops[0])
-                        seen_drops[0] = dropped
+                    sample_ring(now)
                     if not n:
-                        empty_polls += 1
-                        continue
-                    forwarded += n
+                        return
                     obs.charge_bus(n * vec.mem_bytes, n * vec.io_bytes,
                                    n * vec.pcie_bytes, n * vec.qpi_bytes)
-                    end = popped[qi] = popped[qi] + n
-                    traced = pending[qi]
-                    while traced and traced[0][0] < end:
+                    popped += n
+                    while traced and traced[0][0] < popped:
                         _, trace = traced.popleft()
                         trace.hop("poll", first_poll_after(
                             poll_times, trace.started, now))
                         trace.hop("pickup", now)
                         trace.hop(core_frame, now, note="forwarded")
                         trace.hop("service_done", now + delay_for[n])
-                total_polls += len(log)
-                log.clear()
+                return observe
 
         advance = _arrival_cursor(offered, interarrival, arrival)
         file_at = sim.timer_filer()
         kp = self.kp
-        log_append = log.append
-        replay_every = REPLAY_CHUNK
 
-        def make_poll_loop(queue, queue_index):
+        def make_poll_loop(index, core, queue):
             pop_tokens = queue.pop_tokens
+            charge = core.charge
+            observe = (observer(index, core, queue) if obs is not None
+                       else None)
 
             def poll():
+                nonlocal forwarded, empty_polls, total_polls
                 now = sim.now
                 if now >= duration_sec:
                     return
                 advance(now)
                 n = pop_tokens(kp)
-                log_append((queue_index, now, n, queue._tokens,
-                            queue.dropped))
-                if len(log) >= replay_every:
-                    replay()
+                total_polls += 1
+                forwarded += n
+                if not n:
+                    empty_polls += 1
+                charge(cycles_for[n])
+                if observe is not None:
+                    observe(now, n)
                 file_at(now + delay_for[n], poll)
             return poll
 
-        for index, queue in enumerate(queues):
-            sim.schedule(0.0, make_poll_loop(queue, index))
+        for index, (core, queue) in enumerate(self._assignments):
+            sim.schedule(0.0, make_poll_loop(index, core, queue))
         sim.run(until=duration_sec)
         advance(duration_sec)
-        replay()
         if obs is not None:
             tracer.seen = first_seen + next(arrivals)
 
@@ -420,12 +411,19 @@ def _find_loss_free_rate(run, max_backlog: int, low_bps: float,
     """Bisect ``run.run`` for the highest sustainable offered rate.
 
     ``max_backlog`` is what a sustainable run may leave queued: about
-    two poll batches per RX ring.
+    two poll batches per RX ring.  The bisection stops once the bounds
+    are within ``tolerance_bps`` or adjacent floats.
     """
+    if not 0 < tolerance_bps < math.inf:
+        raise ConfigurationError("tolerance must be finite and > 0")
+    if not (math.isfinite(low_bps) and math.isfinite(high_bps)):
+        raise ConfigurationError("search bounds must be finite")
     if low_bps >= high_bps:
         raise ConfigurationError("need low < high")
     while high_bps - low_bps > tolerance_bps:
         mid = (low_bps + high_bps) / 2
+        if not low_bps < mid < high_bps:
+            break
         if run.run(mid, duration_sec=duration_sec).sustainable(max_backlog):
             low_bps = mid
         else:
@@ -433,25 +431,10 @@ def _find_loss_free_rate(run, max_backlog: int, low_bps: float,
     return low_bps
 
 
-def _element_cycles(element: Element, d_packets: int,
-                    d_bytes: float) -> float:
-    """CPU cycles for ``d_packets``/``d_bytes`` of new work on an element.
-
-    Exact for affine costs: the deltas are integer packet/byte counts.
-    """
-    if d_packets <= 0:
-        return 0.0
-    return (d_packets * element.cost_base.cpu_cycles
-            + d_bytes * element.cost_per_byte.cpu_cycles)
-
-
 def _element_vector(element: Element, d_packets: int, d_bytes: float):
-    """Full :class:`~repro.costs.ResourceVector` for the same new work.
-
-    The CPU entry matches :func:`_element_cycles` exactly, so running
-    with observability on cannot change the simulated timing; the bus
-    entries feed the per-bus byte-utilization counters.
-    """
+    """The :class:`~repro.costs.ResourceVector` of ``d_packets`` /
+    ``d_bytes`` of new work on an element, or None for none.  Its CPU
+    entry is what the poll charges the core (exact for affine costs)."""
     if d_packets <= 0:
         return None
     return (element.cost_base.scaled(d_packets)
@@ -505,6 +488,8 @@ class TimedPipelineRun:
         queues_per_port = min(port.num_queues for port in server.ports)
         n_replicas = min(len(server.cores), queues_per_port)
         if replicas is not None:
+            if replicas < 1:
+                raise ConfigurationError("need >= 1 replica")
             if replicas > n_replicas:
                 raise ConfigurationError(
                     "%d replicas need %d cores and %d queues per port"
@@ -531,9 +516,10 @@ class TimedPipelineRun:
         """Offer fixed-size packets at ``offered_bps`` for ``duration_sec``.
 
         Each poll first delivers the arrivals due by its instant; only a
-        replica's own ``PollDevice.run_task`` pops its RX rings."""
-        if offered_bps <= 0 or duration_sec <= 0:
-            raise ConfigurationError("offered load and duration must be > 0")
+        replica's own ``PollDevice.run_task`` pops its RX rings.  A poll
+        serves its replica, charges its core, makes one ``observe`` call
+        when a registry is on, and files its successor."""
+        _check_load(offered_bps, duration_sec)
         obs = _RunObs.resolve(self.metrics)
         sim = Simulator(metrics=self.metrics)
         workload = FixedSizeWorkload(packet_bytes=self.packet_bytes,
@@ -543,30 +529,71 @@ class TimedPipelineRun:
         offered = int(duration_sec / interarrival)
         packets = workload.packets(offered)
 
-        state = {"forwarded": 0, "empty_polls": 0, "polls": 0}
         rx_queues = self._rx_queues()
         drops_before = sum(queue.dropped for queue in rx_queues)
         for queue in rx_queues:
             queue.clear()
-        # Per-RX-ring poll timestamps (obs-only) feed the traced packets'
-        # poll-wait vs ring-wait split at drain time.
-        poll_times = ({id(queue): [] for queue in rx_queues}
-                      if obs is not None else None)
 
         def arrival(t, index=count()):
             packet = next(packets)
             queue = rx_queues[next(index) % len(rx_queues)]
             trace = (obs.tracer.maybe_start(packet, t, "arrival")
                      if obs is not None else None)
-            if queue.push(packet):
-                if trace is not None:
-                    packet.annotations["rxq_id"] = id(queue)
-            elif trace is not None:
+            if not queue.push(packet) and trace is not None:
                 trace.hop("dropped", t)
 
         advance = _arrival_cursor(offered, interarrival, arrival)
 
         clock_hz = self.server.spec.clock_hz
+        empty_poll_cycles = self.cost_model.empty_poll_cycles
+        forwarded = empty_polls = total_polls = 0
+
+        def observer(replica):
+            """One replica's per-poll counters, ring samples, profiler
+            frames and trace hops."""
+            core_frame = "core%d" % replica.core.core_id
+            (inc_busy_cycles, inc_empty_cycles,
+             inc_busy_polls, inc_empty_polls) = \
+                obs.core_handles(replica.core.core_id)
+            charge_empty = obs.bind_frame(core_frame, "empty_poll")
+            charge_element = {id(e): obs.bind_frame(core_frame, e.name)
+                              for e in replica.elements}
+            samplers = [obs.ring_sampler(device.queue, device.name)
+                        for device in replica.polls]
+            # The poll-wait split reads the replica's poll times.
+            poll_times = []
+
+            def observe(now, cycles, work, drained):
+                poll_times.append(now)
+                if work is None:
+                    charge_empty(cycles)
+                    inc_empty_cycles(cycles)
+                    inc_empty_polls()
+                else:
+                    mem = io = pcie = qpi = 0.0
+                    for element, vec in work:
+                        charge_element[id(element)](vec.cpu_cycles)
+                        mem += vec.mem_bytes
+                        io += vec.io_bytes
+                        pcie += vec.pcie_bytes
+                        qpi += vec.qpi_bytes
+                    obs.charge_bus(mem, io, pcie, qpi)
+                    inc_busy_cycles(cycles)
+                    inc_busy_polls()
+                done = now + cycles / clock_hz
+                for device, packets in drained:
+                    for packet in packets:
+                        trace = packet.annotations.get(TRACE_ANNOTATION)
+                        if trace is not None:
+                            trace.hop("poll", first_poll_after(
+                                poll_times, trace.started, now))
+                            trace.hop("pickup", now)
+                            trace.hop(device.name, now, note="tx")
+                            trace.hop("service_done", done)
+                for sample in samplers:
+                    sample(now)
+            return observe
+
         # As in TimedForwardingRun, polls are homogeneous high-rate
         # timers: the handle-free front.
         schedule_timer = sim.schedule_timer
@@ -574,36 +601,16 @@ class TimedPipelineRun:
         def make_poll_loop(replica):
             counters = {id(e): (e.packets_in, e.bytes_in)
                         for e in replica.elements}
-            seen_drops = {id(d): d.queue.dropped for d in replica.polls}
-            core = replica.core
-            core_frame = "core%d" % core.core_id
-            empty_poll_cycles = self.cost_model.empty_poll_cycles
-            charge = core.charge
-            if obs is not None:
-                prof = obs.profiler
-                charge_element = ({id(e): prof.bind(core_frame, e.name)
-                                   for e in replica.elements}
-                                  if prof is not None else None)
-                charge_empty = (prof.bind(core_frame, "empty_poll")
-                                if prof is not None else None)
-                (inc_busy_cycles, inc_empty_cycles,
-                 inc_busy_polls, inc_empty_polls) = \
-                    obs.core_handles(core.core_id)
-                record_occupancy = {
-                    id(d): obs.rxq_occupancy.bind(queue=d.name)
-                    for d in replica.polls}
-                record_drops = {
-                    id(d): obs.rxq_drops.bind(queue=d.name)
-                    for d in replica.polls}
+            charge = replica.core.charge
+            observe = observer(replica) if obs is not None else None
 
             def poll():
-                if sim.now >= duration_sec:
+                nonlocal forwarded, empty_polls, total_polls
+                now = sim.now
+                if now >= duration_sec:
                     return
-                advance(sim.now)
-                state["polls"] += 1
-                if obs is not None:
-                    for device in replica.polls:
-                        poll_times[id(device.queue)].append(sim.now)
+                advance(now)
+                total_polls += 1
                 moved = 0
                 for device in replica.polls:
                     moved += device.run_task()
@@ -614,72 +621,29 @@ class TimedPipelineRun:
                             break
                         downstream.receive(packet)
                         moved += 1
-                traced_drained = []
-                for device in replica.tos:
-                    drained = device.drain()
-                    state["forwarded"] += len(drained)
-                    if obs is not None:
-                        for packet in drained:
-                            trace = packet.annotations.get(TRACE_ANNOTATION)
-                            if trace is not None:
-                                times = poll_times.get(
-                                    packet.annotations.pop("rxq_id", None))
-                                if times:
-                                    trace.hop("poll", first_poll_after(
-                                        times, trace.started, sim.now))
-                                trace.hop("pickup", sim.now)
-                                trace.hop(device.name, sim.now, note="tx")
-                                traced_drained.append(trace)
+                drained = [(device, device.drain()) for device in replica.tos]
+                forwarded += sum(len(packets) for _, packets in drained)
                 if moved:
+                    # The elements that did new work, with their cost.
                     cycles = 0.0
-                    mem = io = pcie = qpi = 0.0
+                    work = []
                     for element in replica.elements:
                         packets0, bytes0 = counters[id(element)]
-                        d_packets = element.packets_in - packets0
-                        d_bytes = element.bytes_in - bytes0
-                        if obs is None:
-                            cycles += _element_cycles(element, d_packets,
-                                                      d_bytes)
-                        else:
-                            vec = _element_vector(element, d_packets,
-                                                  d_bytes)
-                            if vec is not None:
-                                cycles += vec.cpu_cycles
-                                mem += vec.mem_bytes
-                                io += vec.io_bytes
-                                pcie += vec.pcie_bytes
-                                qpi += vec.qpi_bytes
-                                if charge_element is not None:
-                                    charge_element[id(element)](
-                                        vec.cpu_cycles)
+                        vec = _element_vector(
+                            element, element.packets_in - packets0,
+                            element.bytes_in - bytes0)
+                        if vec is not None:
+                            cycles += vec.cpu_cycles
+                            work.append((element, vec))
                         counters[id(element)] = (element.packets_in,
                                                  element.bytes_in)
-                    if obs is not None:
-                        obs.charge_bus(mem, io, pcie, qpi)
-                        inc_busy_cycles(cycles)
-                        inc_busy_polls()
                 else:
-                    state["empty_polls"] += 1
+                    empty_polls += 1
                     cycles = empty_poll_cycles
-                    if obs is not None:
-                        if charge_empty is not None:
-                            charge_empty(cycles)
-                        inc_empty_cycles(cycles)
-                        inc_empty_polls()
+                    work = None
                 charge(cycles)
-                if obs is not None:
-                    if traced_drained:
-                        t_done = sim.now + cycles / clock_hz
-                        for trace in traced_drained:
-                            trace.hop("service_done", t_done)
-                    for device in replica.polls:
-                        record_occupancy[id(device)](sim.now,
-                                                     len(device.queue))
-                        dropped = device.queue.dropped
-                        if dropped > seen_drops[id(device)]:
-                            record_drops[id(device)](
-                                sim.now, dropped - seen_drops[id(device)])
-                            seen_drops[id(device)] = dropped
+                if observe is not None:
+                    observe(now, cycles, work, drained)
                 schedule_timer(cycles / clock_hz, poll)
             return poll
 
@@ -694,12 +658,12 @@ class TimedPipelineRun:
             backlog += sum(len(queue) for queue, _ in replica.pulls)
         return TimedRunReport(
             offered_packets=offered,
-            forwarded_packets=state["forwarded"],
+            forwarded_packets=forwarded,
             dropped_packets=dropped,
             duration_sec=duration_sec,
             packet_bytes=self.packet_bytes,
-            empty_polls=state["empty_polls"],
-            total_polls=state["polls"],
+            empty_polls=empty_polls,
+            total_polls=total_polls,
             residual_backlog=backlog,
         )
 

@@ -5,7 +5,7 @@ code path held in lockstep by live scalar==batch twins.  The twins are
 gone with the switch; what replaces them is
 ``tests/data/timed_run_goldens.json``, **recorded at a734422 from the
 per-packet loops** (``batch=False``, the default).  The surviving
-``TimedForwardingRun.run`` (token rings + chunked log-and-replay) and
+``TimedForwardingRun.run`` (token rings, each poll charged as it runs) and
 ``TimedPipelineRun.run`` must reproduce every report scalar, per-core
 cycle total, registry snapshot, and trace hop bit for bit -- do not
 regenerate the file to make a refactor pass.
@@ -166,11 +166,11 @@ def test_batch_keyword_is_accepted_and_ignored(flag):
                                                   batch=flag))
 
 
-def test_forwarding_run_memory_is_bounded_by_the_chunk():
-    """Arrivals are never filed and the poll log is replayed a chunk at
-    a time, so a saturated run holds one chunk, not the whole horizon
-    (the unbounded log-and-replay peaked at 9.3 MiB here, the per-packet
-    loop at 2.6)."""
+def test_forwarding_run_holds_nothing_per_poll():
+    """Arrivals are never filed and each poll charges when it runs, so a
+    saturated run holds nothing that grows with the horizon (a log
+    replayed once at the end peaked at 9.3 MiB here, the per-packet loop
+    at 2.6)."""
     run = TimedForwardingRun(nehalem_server(), packet_bytes=PACKET_BYTES,
                              kp=32, kn=16,
                              metrics=MetricsRegistry(enabled=False))

@@ -1,11 +1,13 @@
 """Tests for the timed single-server forwarding simulation."""
 
 import dataclasses
+import math
 
 import pytest
 
 from repro import calibration as cal
 from repro.click import simrun
+from repro.click.pipelines import PRESET_PIPELINES
 from repro.click.simrun import TimedForwardingRun, TimedPipelineRun
 from repro.costs import CostModel
 from repro.errors import ConfigurationError
@@ -13,8 +15,6 @@ from repro.hw import nehalem_server
 from repro.hw.presets import NEHALEM
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet.engine import Simulator
-
-from .test_batch import _snapshot_digest
 
 
 @pytest.fixture
@@ -110,41 +110,109 @@ both_runners = pytest.mark.parametrize(
     "build", [_forwarding, _pipeline], ids=lambda build: build.__name__)
 
 
-class TestChunkBoundaryIsUnobservable:
-    """``REPLAY_CHUNK`` bounds what a run holds; nothing it reports --
-    scalars, cycles, event count, registry snapshot -- may depend on it."""
+def _idle(build):
+    """A runner with the registry off, built as ``build`` builds it."""
+    run, _ = build(nehalem_server(num_ports=4, queues_per_port=2),
+                   MetricsRegistry(enabled=False))
+    return run
+
+
+class TestBadInput:
+    """Bad input fails with ``ConfigurationError`` before anything runs."""
+
+    @pytest.mark.parametrize("offered_bps, duration_sec", [
+        (math.nan, 1e-4), (math.inf, 1e-4), (1e9, math.nan),
+        (1e9, math.inf)])
+    @both_runners
+    def test_run_needs_a_finite_load_and_horizon(self, build, offered_bps,
+                                                 duration_sec):
+        with pytest.raises(ConfigurationError, match="finite"):
+            _idle(build).run(offered_bps, duration_sec=duration_sec)
+
+    @pytest.mark.parametrize("replicas", [0, -1])
+    def test_a_pipeline_needs_a_replica(self, replicas):
+        with pytest.raises(ConfigurationError, match="replica"):
+            TimedPipelineRun(nehalem_server(num_ports=4, queues_per_port=2),
+                             "forwarding", replicas=replicas)
 
     @staticmethod
-    def _observe(monkeypatch, build, chunk):
-        sims = _record_sims(monkeypatch)
-        monkeypatch.setattr(simrun, "REPLAY_CHUNK", chunk)
-        registry = MetricsRegistry(enabled=True, trace_sample_every=16,
-                                   profile=True)
-        server = nehalem_server(num_ports=4, queues_per_port=2)
-        run, offered_bps = build(server, registry)
-        report = run.run(offered_bps, duration_sec=2e-4, seed=3)
-        sim, = sims
-        return (report, sim.events_run,
-                [core.cycles_used for core in server.cores],
-                _snapshot_digest(registry), _pollers(run))
+    def _scripted(build, ceiling_bps):
+        """A runner whose ``run`` is a stub: sustainable below
+        ``ceiling_bps``, and it records each rate it is asked for."""
+        run = _idle(build)
+        asked = []
+
+        def scripted(offered_bps, duration_sec):
+            asked.append(offered_bps)
+            assert len(asked) < 200, "the search does not stop"
+            return simrun.TimedRunReport(
+                offered_packets=1, forwarded_packets=1,
+                dropped_packets=int(offered_bps >= ceiling_bps),
+                duration_sec=duration_sec, packet_bytes=64,
+                empty_polls=0, total_polls=1)
+        run.run = scripted
+        return run, asked
+
+    @pytest.mark.parametrize("bounds", [
+        {"tolerance_bps": 0.0}, {"tolerance_bps": -1e9},
+        {"tolerance_bps": math.nan}, {"tolerance_bps": math.inf},
+        {"low_bps": math.nan}, {"low_bps": -math.inf},
+        {"high_bps": math.nan}, {"high_bps": math.inf}],
+        ids=lambda bounds: "%s=%s" % next(iter(bounds.items())))
+    @both_runners
+    def test_loss_free_search_needs_finite_bounds(self, build, bounds):
+        run, asked = self._scripted(build, 5e9)
+        with pytest.raises(ConfigurationError):
+            run.find_loss_free_rate(**bounds)
+        assert asked == []
 
     @both_runners
-    def test_reports_do_not_depend_on_the_chunk(self, monkeypatch, build):
-        expected = self._observe(monkeypatch, build, simrun.REPLAY_CHUNK)
-        report, events_run, _, _, pollers = expected
+    def test_loss_free_search_stops_at_float_resolution(self, build):
+        """A tolerance finer than the bounds' float spacing: ``mid``
+        rounds onto a bound, so the search stops there."""
+        run, asked = self._scripted(build, 1e9 + 0.5)
+        rate = run.find_loss_free_rate(low_bps=1e9, high_bps=1e9 + 1,
+                                       tolerance_bps=1e-12)
+        assert rate < 1e9 + 0.5 <= math.nextafter(rate, math.inf)
+        assert len(asked) < 30
+
+
+class TestObservingAPipelineChangesNothing:
+    """The registry only watches: a ``TimedPipelineRun`` with profile and
+    1-in-16 traces on reports, runs and charges exactly what it does with
+    the registry off, under its loss-free rate and over it."""
+
+    @staticmethod
+    def _run(monkeypatch, preset, offered_bps, registry):
+        sims = _record_sims(monkeypatch)
+        server = nehalem_server(num_ports=4, queues_per_port=2)
+        report = TimedPipelineRun(server, preset, kp=8, kn=4,
+                                  metrics=registry).run(
+            offered_bps, duration_sec=2e-4, seed=3)
+        sim, = sims
+        return (report, sim.events_run,
+                [core.cycles_used for core in server.cores])
+
+    @pytest.mark.parametrize("offered_bps", [0.25e9, 20e9],
+                             ids=["under", "over"])
+    @pytest.mark.parametrize("preset", sorted(PRESET_PIPELINES))
+    def test_observed_equals_unobserved(self, monkeypatch, preset,
+                                        offered_bps):
+        registry = MetricsRegistry(enabled=True, trace_sample_every=16,
+                                   profile=True)
+        observed = self._run(monkeypatch, preset, offered_bps, registry)
+        assert observed == self._run(monkeypatch, preset, offered_bps,
+                                     MetricsRegistry(enabled=False))
+        report = observed[0]
         assert report.forwarded_packets > 0
-        # Polls are the only events; arrivals ride on them.
-        assert (report.total_polls <= events_run
-                <= report.total_polls + pollers)
-        # Replay after every poll, every 7 polls, once at the end.
-        for chunk in (1, 7, 1 << 30):
-            assert self._observe(monkeypatch, build, chunk) == expected
+        assert report.loss_free == (offered_bps < 1e9)
+        assert registry.tracer.sampled > 0
 
 
 class TestAnArrivalIsNotAnEvent:
     """Arrivals fill the RX rings when a poll looks (polling mode), so a
     run executes its polls -- plus, per core, at most the one that lands
-    exactly on the horizon and returns unlogged -- and nothing else."""
+    exactly on the horizon and returns uncounted -- and nothing else."""
 
     @pytest.mark.parametrize("offered_bps", [0.3e9, 5e9, 14.6e9])
     @both_runners
