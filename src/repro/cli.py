@@ -1,4 +1,4 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command> [<action>]``.
 
 Commands
 --------
@@ -8,11 +8,26 @@ Commands
 ``server``       single-server saturation for an app / packet size
 ``pipeline``     compile a Click config: predicted rate + cost breakdown
 ``rb4``          the 4-node cluster's operating points
+``validate``     the analytic model against the timed DES (Table 1 grid)
+``power``        cluster power with managed CPU modes
 ``faults``       graceful degradation: analytic curve or a scripted DES run
+``control``      live control plane: RIB churn streamed into the FIBs
+``parallel``     the cluster DES partitioned across worker processes
 ``stateful``     stateful NF dispatch strategies under flow-skewed traffic
 ``trace``        generate or inspect pcap traces of the synthetic workloads
 ``obs``          run instrumented benchmarks, report/diff BENCH_*.json,
                  and ``explain`` a pipeline's binding resource
+
+One ``COMMANDS`` table of ``(name, help, arguments, handler)`` rows
+builds the parser; ``name`` is ``"command"`` or ``"command action"``,
+and each row declares only the flags its handler reads, so argparse
+refuses any other.
+
+Exit status: 0 when the command ran and its checks held; 1 when it ran
+and a check failed (``validate``, ``control run``, ``obs run``, ``obs
+explain``, ``obs diff``); 2 when the input was refused, either by
+argparse or by a handler raising, which ``main`` reports on stderr as
+``error: <reason>``.
 """
 
 from __future__ import annotations
@@ -25,6 +40,8 @@ import time
 
 from . import calibration as cal
 from .analysis import EXPERIMENTS, format_table, run_experiment
+from .errors import ConfigurationError, ReproError
+from .obs import benchrun, compare
 
 
 def _cmd_experiments(args) -> int:
@@ -64,12 +81,6 @@ def _cmd_plan(args) -> int:
     from .core.provision import SERVER_MODELS, cost_usd, provision
     from .core.topology import FullMesh, switched_cluster_equivalent_servers
 
-    if args.ports is None:
-        args.ports = args.ports_flag
-    if args.ports is None:
-        print("error: plan needs a port count (plan 4 or plan --ports 4)",
-              file=sys.stderr)
-        return 2
     rows = []
     for name in sorted(SERVER_MODELS):
         topo = provision(args.ports, name)
@@ -116,7 +127,6 @@ def _cmd_server(args) -> int:
 def _cmd_pipeline(args) -> int:
     from .analysis.bottleneck import pipeline_breakdown
     from .click.pipelines import PRESET_PIPELINES, build_pipeline
-    from .errors import ReproError
     from .hw.presets import NEHALEM
     from .hw.server import Server
 
@@ -127,20 +137,15 @@ def _cmd_pipeline(args) -> int:
             with open(args.config) as handle:
                 text = handle.read()
         except OSError as error:
-            print("error: cannot read Click config %r: %s"
-                  % (args.config, error), file=sys.stderr)
-            return 2
+            raise ConfigurationError("cannot read Click config %r: %s"
+                                     % (args.config, error)) from error
     queues = args.queues or NEHALEM.total_cores
 
     def fresh_server():
         return Server(NEHALEM, num_ports=args.ports, queues_per_port=queues)
 
-    try:
-        graph = build_pipeline(text, fresh_server(), kp=args.kp, kn=args.kn)
-        report = pipeline_breakdown(graph, packet_bytes=args.size)
-    except ReproError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
+    graph = build_pipeline(text, fresh_server(), kp=args.kp, kn=args.kn)
+    report = pipeline_breakdown(graph, packet_bytes=args.size)
     print("pipeline %s @ %dB on %s:" % (args.config, args.size, NEHALEM.name))
     print("  predicted loss-free rate: %.2f Gbps (%.2f Mpps)"
           % (report["rate_gbps"], report["rate_mpps"]))
@@ -228,14 +233,12 @@ def _cmd_power(args) -> int:
 
 def _rb_nodes(name: str,
               expected: str = "topology must look like rb4/rb8/rb32"):
-    """Node count of an ``rbN`` preset name; ``None``, with the error
-    printed, for anything else."""
+    """Node count of an ``rbN`` preset name; anything else is refused."""
     import re
 
     match = re.fullmatch(r"rb(\d+)", name.lower())
     if not match:
-        print("error: %s, got %r" % (expected, name), file=sys.stderr)
-        return None
+        raise ConfigurationError("%s, got %r" % (expected, name))
     return int(match.group(1))
 
 
@@ -251,31 +254,31 @@ def _uniform_cluster(nodes: int, seed: int, size: int, load: float):
         uniform_matrix(nodes, router.port_rate_bps * load))
 
 
-def _cmd_faults(args) -> int:
-    from .errors import ReproError
-    from .faults import (FaultSchedule, degradation_curve, linear_fraction,
-                         quadratic_fraction)
+def _cmd_faults_curve(args) -> int:
+    from .faults import degradation_curve, linear_fraction, quadratic_fraction
 
-    if args.action == "curve":
-        report = degradation_curve(
-            num_nodes=args.nodes,
-            uniform=not args.worst_case,
-            max_failed=args.max_failed)
-        ideal = quadratic_fraction if args.worst_case else linear_fraction
-        rows = [{"failed": p.failed_nodes, "live": p.live_nodes,
-                 "capacity_gbps": p.capacity_gbps,
-                 "fraction": p.capacity_fraction,
-                 "ideal": ideal(args.nodes, p.failed_nodes),
-                 "binding": p.binding}
-                for p in report.points]
-        print(format_table(rows, title="Degradation, %d nodes (%s traffic)"
-                           % (args.nodes,
-                              "worst-case" if args.worst_case else "uniform")))
-        return 0
+    report = degradation_curve(
+        num_nodes=args.nodes,
+        uniform=not args.worst_case,
+        max_failed=args.max_failed)
+    ideal = quadratic_fraction if args.worst_case else linear_fraction
+    rows = [{"failed": p.failed_nodes, "live": p.live_nodes,
+             "capacity_gbps": p.capacity_gbps,
+             "fraction": p.capacity_fraction,
+             "ideal": ideal(args.nodes, p.failed_nodes),
+             "binding": p.binding}
+            for p in report.points]
+    print(format_table(rows, title="Degradation, %d nodes (%s traffic)"
+                       % (args.nodes,
+                          "worst-case" if args.worst_case else "uniform")))
+    return 0
 
-    # action == "run": scripted fault injection through the DES, with the
-    # control plane attached so convergence is visible.
+
+def _cmd_faults_run(args) -> int:
+    """Scripted fault injection through the DES, with the control plane
+    attached so convergence is visible."""
     from .core.control import ClusterManager
+    from .faults import FaultSchedule
 
     duration = args.duration_ms * 1e-3
     if args.schedule:
@@ -284,9 +287,8 @@ def _cmd_faults(args) -> int:
                 schedule = FaultSchedule.from_json(handle.read())
             schedule.validate(args.nodes)
         except (OSError, ValueError, ReproError) as error:
-            print("error: cannot load fault schedule %r: %s"
-                  % (args.schedule, error), file=sys.stderr)
-            return 2
+            raise ConfigurationError("cannot load fault schedule %r: %s"
+                                     % (args.schedule, error)) from error
     else:
         victim = args.nodes - 1
         schedule = (FaultSchedule()
@@ -322,47 +324,49 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _cmd_control(args) -> int:
+def _cmd_control_churn(args) -> int:
+    """Convergence vs update rate sweep."""
+    from .control import run_churn
+
+    nodes = _rb_nodes(args.topology)
+    duration = args.duration_ms * 1e-3
+    try:
+        rates = [float(rate) for rate in args.rates.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            "--rates must be a comma list of numbers, got %r"
+            % args.rates) from None
+    rows = []
+    for rate in rates:
+        report = run_churn(num_nodes=nodes, routes=args.routes,
+                           update_rate_per_sec=rate,
+                           duration_sec=duration, load=args.load,
+                           packet_bytes=args.size, seed=args.seed)
+        rows.append({
+            "update_rate": rate,
+            "applied": report.updates_applied,
+            "fib_ops": report.fib_ops,
+            "mean_conv_usec": report.mean_convergence_usec,
+            "max_conv_usec": report.max_convergence_sec * 1e6,
+            "final_conv_usec": report.final_convergence_usec,
+            "fwd_gbps": report.forwarding.delivered_bps / 1e9,
+            "p99_usec": report.forwarding.latency_usec.percentile(99),
+            "consistent": report.consistent,
+        })
+    print(format_table(rows, title="Convergence vs update rate, "
+                                   "%d nodes, %d routes"
+                       % (nodes, args.routes)))
+    return 0
+
+
+def _cmd_control_run(args) -> int:
+    """One forwarding run, optionally with live churn."""
     import math
 
     from .control import ChurnSchedule, run_churn
 
     nodes = _rb_nodes(args.topology)
-    if nodes is None:
-        return 2
     duration = args.duration_ms * 1e-3
-
-    if args.action == "churn":
-        # Convergence vs update rate sweep.
-        try:
-            rates = [float(rate) for rate in args.rates.split(",")]
-        except ValueError:
-            print("error: --rates must be a comma list of numbers, got %r"
-                  % args.rates, file=sys.stderr)
-            return 2
-        rows = []
-        for rate in rates:
-            report = run_churn(num_nodes=nodes, routes=args.routes,
-                               update_rate_per_sec=rate,
-                               duration_sec=duration, load=args.load,
-                               packet_bytes=args.size, seed=args.seed)
-            rows.append({
-                "update_rate": rate,
-                "applied": report.updates_applied,
-                "fib_ops": report.fib_ops,
-                "mean_conv_usec": report.mean_convergence_usec,
-                "max_conv_usec": report.max_convergence_sec * 1e6,
-                "final_conv_usec": report.final_convergence_usec,
-                "fwd_gbps": report.forwarding.delivered_bps / 1e9,
-                "p99_usec": report.forwarding.latency_usec.percentile(99),
-                "consistent": report.consistent,
-            })
-        print(format_table(rows, title="Convergence vs update rate, "
-                                       "%d nodes, %d routes"
-                           % (nodes, args.routes)))
-        return 0
-
-    # action == "run": one forwarding run, optionally with live churn.
     burst = None
     if args.burst is not None:
         burst = (args.burst, duration / 4, 3)
@@ -407,23 +411,16 @@ def _cmd_parallel(args) -> int:
     import resource
     from time import perf_counter
 
-    from .errors import ReproError
     from .parallel import simulate_parallel
 
     nodes = _rb_nodes(args.topology)
-    if nodes is None:
-        return 2
     duration = args.duration_ms * 1e-3
     router, workload = _uniform_cluster(nodes, args.seed, args.size,
                                         args.load)
     start = perf_counter()
-    try:
-        report = simulate_parallel(
-            router, workload, until=duration, workers=args.workers,
-            backend=args.backend)
-    except ReproError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
+    report = simulate_parallel(
+        router, workload, until=duration, workers=args.workers,
+        backend=args.backend)
     wall = perf_counter() - start
     # KiB on Linux; this process's own, not its workers'.
     peak_rss = "peak RSS %.1f MiB" % (
@@ -459,18 +456,21 @@ def _cmd_parallel(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace_generate(args) -> int:
     from .workloads.abilene import AbileneTrace
     from .workloads.pcapio import save_trace
 
-    if args.action == "generate":
-        trace = AbileneTrace(seed=args.seed)
-        count = save_trace(args.path,
-                           trace.timed_packets(args.packets,
-                                               rate_bps=args.gbps * 1e9))
-        print("wrote %d packets to %s" % (count, args.path))
-        return 0
+    trace = AbileneTrace(seed=args.seed)
+    count = save_trace(args.path,
+                       trace.timed_packets(args.packets,
+                                           rate_bps=args.gbps * 1e9))
+    print("wrote %d packets to %s" % (count, args.path))
+    return 0
+
+
+def _cmd_trace_info(args) -> int:
     from .analysis.trace_report import characterize_pcap
+
     report = characterize_pcap(args.path)
     print("%s: %d packets, mean size %.1f B, duration %.3f s"
           % (args.path, report.packets, report.mean_bytes,
@@ -489,216 +489,160 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_obs(args) -> int:
-    from .obs import benchrun, compare
+def _load_bench(path: str) -> dict:
+    """A BENCH_*.json document; one that does not validate is refused."""
+    from .obs.schema import validate_bench
 
-    if args.seed is None:
-        args.seed = benchrun.DEFAULT_SEED
-    if args.tolerance is None:
-        args.tolerance = compare.DEFAULT_TOLERANCE
+    doc = compare.load_json(path)
+    problems = validate_bench(doc)
+    if problems:
+        raise ConfigurationError("invalid document: %s"
+                                 % "; ".join(problems))
+    return doc
 
-    if args.action == "run":
-        if args.all:
-            names = benchrun.discover()
-        elif args.quick:
-            names = list(benchrun.QUICK_BENCHMARKS)
-        else:
-            names = args.names
-        if not names:
-            print("error: name one or more benchmarks, or pass "
-                  "--quick/--all; available:\n  %s"
-                  % "\n  ".join(benchrun.discover()), file=sys.stderr)
-            return 2
-        out_dir = pathlib.Path(args.out_dir)
-        docs = []
-        failed = False
-        for name in names:
-            start = time.perf_counter()
-            try:
-                doc = benchrun.run_benchmark(name, seed=args.seed)
-            except FileNotFoundError as error:
-                print("error: %s" % error, file=sys.stderr)
-                return 2
-            wall = time.perf_counter() - start
-            path = benchrun.write_bench_json(doc, out_dir)
-            docs.append(doc)
-            failed = failed or doc["status"] != "passed"
-            rates = sum(1 for s in doc["scalars"].values()
-                        if s["kind"] == "rate")
-            print("%-24s %-7s %6.2fs  %2d tests, %2d rate scalars -> %s"
-                  % (doc["name"], doc["status"], wall,
-                     len(doc["tests"]), rates, path))
-        if args.update_baseline:
-            baseline = compare.make_baseline(docs)
-            with open(args.update_baseline, "w") as handle:
-                json.dump(baseline, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print("baseline (%d benchmarks) -> %s"
-                  % (len(docs), args.update_baseline))
-        return 1 if failed else 0
 
-    if args.action == "explain":
-        if len(args.names) != 1:
-            print("usage: repro obs explain <preset|BENCH_<name>.json> "
-                  "[--size N] [--duration-ms MS]", file=sys.stderr)
-            return 2
-        target = args.names[0]
-        if target.endswith(".json"):
-            # A finished benchmark document: print its explain section.
-            try:
-                doc = compare.load_json(target)
-            except (OSError, json.JSONDecodeError) as error:
-                print("error: %s" % error, file=sys.stderr)
-                return 2
-            section = doc.get("explain")
-            if not section:
-                print("error: %s carries no explain section (re-run "
-                      "'repro obs run %s')" % (target, doc.get("name", "?")),
-                      file=sys.stderr)
-                return 2
-            print("explain: benchmark %s" % doc.get("name", "?"))
-            for row in section.get("top_frames") or []:
-                print("  %-28s %12.0f  (%4.1f%%)"
-                      % (row["element"], row["self"],
-                         row["fraction"] * 100))
-            latency = section.get("latency")
-            if latency:
-                print("  latency (mean %.2f usec over %d traces):"
-                      % (latency["mean_end_to_end_usec"],
-                         latency["packets"]))
-                for stage, usec_value in latency["stages_usec"].items():
-                    if usec_value:
-                        print("    %-16s %8.3f usec  (%5.1f%%)"
-                              % (stage, usec_value,
-                                 latency["stage_fractions"][stage] * 100))
-            return 0
-        from .errors import ConfigurationError
-        from .obs.explain import explain_pipeline, format_explain
-        try:
-            report = explain_pipeline(
-                target, packet_bytes=args.size,
-                duration_sec=args.duration_ms * 1e-3)
-        except ConfigurationError as error:
-            print("error: %s" % error, file=sys.stderr)
-            return 2
-        print(format_explain(report))
-        return 0 if report.agreement else 1
+def _cmd_obs_run(args) -> int:
+    if args.all:
+        names = benchrun.discover()
+    elif args.quick:
+        names = list(benchrun.QUICK_BENCHMARKS)
+    else:
+        names = args.names
+    if not names:
+        raise ConfigurationError(
+            "name one or more benchmarks, or pass --quick/--all; "
+            "available:\n  %s" % "\n  ".join(benchrun.discover()))
+    out_dir = pathlib.Path(args.out_dir)
+    docs = []
+    failed = False
+    for name in names:
+        start = time.perf_counter()
+        doc = benchrun.run_benchmark(name, seed=args.seed)
+        wall = time.perf_counter() - start
+        path = benchrun.write_bench_json(doc, out_dir)
+        docs.append(doc)
+        failed = failed or doc["status"] != "passed"
+        rates = sum(1 for s in doc["scalars"].values()
+                    if s["kind"] == "rate")
+        print("%-24s %-7s %6.2fs  %2d tests, %2d rate scalars -> %s"
+              % (doc["name"], doc["status"], wall,
+                 len(doc["tests"]), rates, path))
+    if args.update_baseline:
+        baseline = compare.make_baseline(docs)
+        with open(args.update_baseline, "w") as handle:
+            json.dump(baseline, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("baseline (%d benchmarks) -> %s"
+              % (len(docs), args.update_baseline))
+    return 1 if failed else 0
 
-    if args.action == "timeline":
-        from .obs.timeline import chrome_trace, write_trace_json
 
-        if len(args.names) != 1:
-            print("usage: repro obs timeline <rbN|BENCH_<name>.json> "
-                  "[--workers N] [--duration-ms MS] [--out-dir DIR]",
-                  file=sys.stderr)
-            return 2
-        target = args.names[0]
-        if target.endswith(".json"):
-            # A finished benchmark document: export its metrics section.
-            from .obs.schema import validate_bench
-            try:
-                doc = compare.load_json(target)
-            except (OSError, json.JSONDecodeError) as error:
-                print("error: %s" % error, file=sys.stderr)
-                return 2
-            problems = validate_bench(doc)
-            if problems:
-                print("invalid document: %s" % "; ".join(problems),
-                      file=sys.stderr)
-                return 2
-            name = doc.get("name", "bench")
-            snapshot = doc.get("metrics") or {}
-        else:
-            nodes = _rb_nodes(target,
-                              "name an rbN preset or a BENCH_*.json")
-            if nodes is None:
-                return 2
-            from .errors import ReproError
-            from .obs.metrics import MetricsRegistry
-            from .parallel import simulate_parallel
-
-            router, workload = _uniform_cluster(nodes, args.seed,
-                                                args.size, 0.3)
-            registry = MetricsRegistry(enabled=True, trace_sample_every=16,
-                                       profile=True)
-            try:
-                report = simulate_parallel(
-                    router, workload, until=args.duration_ms * 1e-3,
-                    workers=args.workers, backend="inline",
-                    metrics=registry)
-            except ReproError as error:
-                print("error: %s" % error, file=sys.stderr)
-                return 2
-            print("ran %s: %d epochs across %d partitions, "
-                  "lookahead efficiency %.2f, imbalance %.2f"
-                  % (target, report.epochs, report.workers,
-                     report.lookahead_efficiency, report.load_imbalance))
-            name = target.lower()
-            snapshot = registry.snapshot()
-        trace_doc = chrome_trace(name, snapshot)
-        path = write_trace_json(trace_doc, pathlib.Path(args.out_dir))
-        meta = trace_doc["metadata"]
-        print("timeline %s: %d events (%d spans) on %d track(s) -> %s"
-              % (name, meta["events"], meta["spans"], len(meta["tracks"]),
-                 path))
-        for track in meta["tracks"]:
-            print("  %s" % track)
-        print("open in https://ui.perfetto.dev or chrome://tracing")
+def _cmd_obs_explain(args) -> int:
+    target = args.target
+    if target.endswith(".json"):
+        # A finished benchmark document: print its explain section.
+        doc = compare.load_json(target)
+        section = doc.get("explain")
+        if not section:
+            raise ConfigurationError(
+                "%s carries no explain section (re-run 'repro obs run %s')"
+                % (target, doc.get("name", "?")))
+        print("explain: benchmark %s" % doc.get("name", "?"))
+        for row in section.get("top_frames") or []:
+            print("  %-28s %12.0f  (%4.1f%%)"
+                  % (row["element"], row["self"],
+                     row["fraction"] * 100))
+        latency = section.get("latency")
+        if latency:
+            print("  latency (mean %.2f usec over %d traces):"
+                  % (latency["mean_end_to_end_usec"],
+                     latency["packets"]))
+            for stage, usec_value in latency["stages_usec"].items():
+                if usec_value:
+                    print("    %-16s %8.3f usec  (%5.1f%%)"
+                          % (stage, usec_value,
+                             latency["stage_fractions"][stage] * 100))
         return 0
+    from .obs.explain import explain_pipeline, format_explain
+    report = explain_pipeline(
+        target, packet_bytes=args.size,
+        duration_sec=args.duration_ms * 1e-3)
+    print(format_explain(report))
+    return 0 if report.agreement else 1
 
-    if args.action == "report":
-        from .obs.schema import validate_bench
 
-        if len(args.names) != 1:
-            print("usage: repro obs report BENCH_<name>.json",
-                  file=sys.stderr)
-            return 2
-        try:
-            doc = compare.load_json(args.names[0])
-        except (OSError, json.JSONDecodeError) as error:
-            print("error: %s" % error, file=sys.stderr)
-            return 2
-        problems = validate_bench(doc)
-        if problems:
-            print("invalid document: %s" % "; ".join(problems),
-                  file=sys.stderr)
-            return 2
-        print("benchmark %s: %s (seed %s)"
-              % (doc["name"], doc["status"], doc.get("seed", "?")))
-        for test in doc["tests"]:
-            line = "  %-40s %s" % (test["name"], test["status"])
-            if test["status"] not in ("passed",) and test.get("detail"):
-                line += "  (%s)" % test["detail"]
-            print(line)
-        for name in sorted(doc["scalars"]):
-            cell = doc["scalars"][name]
-            print("  %-44s %12.6g  %s"
-                  % (name, cell["value"], cell["kind"]))
-        metrics = doc.get("metrics", {})
-        for section in ("counters", "gauges", "histograms", "timelines"):
-            entries = metrics.get(section) or {}
-            if entries:
-                print("  %s: %s" % (section, ", ".join(sorted(entries))))
-        traces = metrics.get("traces") or {}
-        if traces.get("seen"):
-            print("  traces: %d sampled of %d packets (1 in %d)"
-                  % (traces["sampled"], traces["seen"],
-                     traces["sample_every"]))
-        return 0
+def _cmd_obs_timeline(args) -> int:
+    from .obs.timeline import chrome_trace, write_trace_json
 
-    # action == "diff"
-    if len(args.names) != 2:
-        print("usage: repro obs diff BASELINE.json BENCH_current.json",
-              file=sys.stderr)
-        return 2
-    try:
-        baseline_doc = compare.load_json(args.names[0])
-        bench_doc = compare.load_json(args.names[1])
-        deltas = compare.compare_docs(baseline_doc, bench_doc,
-                                      tolerance=args.tolerance)
-    except (OSError, ValueError, json.JSONDecodeError) as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
+    target = args.target
+    if target.endswith(".json"):
+        # A finished benchmark document: export its metrics section.
+        doc = _load_bench(target)
+        name = doc.get("name", "bench")
+        snapshot = doc.get("metrics") or {}
+    else:
+        nodes = _rb_nodes(target,
+                          "name an rbN preset or a BENCH_*.json")
+        from .obs.metrics import MetricsRegistry
+        from .parallel import simulate_parallel
+
+        router, workload = _uniform_cluster(nodes, args.seed,
+                                            args.size, 0.3)
+        registry = MetricsRegistry(enabled=True, trace_sample_every=16,
+                                   profile=True)
+        report = simulate_parallel(
+            router, workload, until=args.duration_ms * 1e-3,
+            workers=args.workers, backend="inline",
+            metrics=registry)
+        print("ran %s: %d epochs across %d partitions, "
+              "lookahead efficiency %.2f, imbalance %.2f"
+              % (target, report.epochs, report.workers,
+                 report.lookahead_efficiency, report.load_imbalance))
+        name = target.lower()
+        snapshot = registry.snapshot()
+    trace_doc = chrome_trace(name, snapshot)
+    path = write_trace_json(trace_doc, pathlib.Path(args.out_dir))
+    meta = trace_doc["metadata"]
+    print("timeline %s: %d events (%d spans) on %d track(s) -> %s"
+          % (name, meta["events"], meta["spans"], len(meta["tracks"]),
+             path))
+    for track in meta["tracks"]:
+        print("  %s" % track)
+    print("open in https://ui.perfetto.dev or chrome://tracing")
+    return 0
+
+
+def _cmd_obs_report(args) -> int:
+    doc = _load_bench(args.bench)
+    print("benchmark %s: %s (seed %s)"
+          % (doc["name"], doc["status"], doc.get("seed", "?")))
+    for test in doc["tests"]:
+        line = "  %-40s %s" % (test["name"], test["status"])
+        if test["status"] not in ("passed",) and test.get("detail"):
+            line += "  (%s)" % test["detail"]
+        print(line)
+    for name in sorted(doc["scalars"]):
+        cell = doc["scalars"][name]
+        print("  %-44s %12.6g  %s"
+              % (name, cell["value"], cell["kind"]))
+    metrics = doc.get("metrics", {})
+    for section in ("counters", "gauges", "histograms", "timelines"):
+        entries = metrics.get(section) or {}
+        if entries:
+            print("  %s: %s" % (section, ", ".join(sorted(entries))))
+    traces = metrics.get("traces") or {}
+    if traces.get("seen"):
+        print("  traces: %d sampled of %d packets (1 in %d)"
+              % (traces["sampled"], traces["seen"],
+                 traces["sample_every"]))
+    return 0
+
+
+def _cmd_obs_diff(args) -> int:
+    baseline_doc = compare.load_json(args.baseline)
+    bench_doc = compare.load_json(args.current)
+    deltas = compare.compare_docs(baseline_doc, bench_doc,
+                                  tolerance=args.tolerance)
     print(compare.summarize(deltas))
     return 1 if any(d.regressed for d in deltas) else 0
 
@@ -731,198 +675,198 @@ def _cmd_stateful(args) -> int:
     return 0
 
 
+def _arg(*flags, **options):
+    """One ``add_argument`` call, held as data."""
+    return flags, options
+
+
+# Flags that more than one row declares.
+APP = _arg("--app", choices=sorted(cal.APPLICATIONS), default="forwarding")
+NODES = _arg("--nodes", type=int, default=4)
+SEED = _arg("--seed", type=int, default=0)
+LOAD = _arg("--load", type=float, default=0.3,
+            help="offered load as a fraction of port rate")
+TOPOLOGY = _arg("topology", nargs="?", default="rb4",
+                help="cluster size as rbN (default rb4)")
+CONTROL = (TOPOLOGY,
+           _arg("--routes", type=int, default=20000,
+                help="synthetic RIB size (default 20000)"),
+           _arg("--load", type=float, default=0.2,
+                help="offered load as a fraction of port rate"),
+           _arg("--size", type=int, default=256, help="frame bytes"),
+           _arg("--duration-ms", type=float, default=2.0), SEED)
+PCAP = _arg("path")
+OUT_DIR = _arg("--out-dir", default="benchmarks/results",
+               help="where the JSON document lands")
+BENCH_SEED = _arg("--seed", type=int, default=benchrun.DEFAULT_SEED,
+                  help="RNG seed for every scenario")
+DES_RUN = (_arg("--size", type=int, default=64,
+                help="packet size in bytes (default 64)"),
+           _arg("--duration-ms", type=float, default=1.0,
+                help="DES run length in milliseconds"))
+
+# (name, help, arguments, handler): name is "command" or "command action".
+# A command row whose handler is None needs an action; one with a handler
+# runs the action row sharing that handler, at its defaults, when no
+# action is named.
+COMMANDS = (
+    ("experiments", "run paper experiments",
+     (_arg("which", nargs="?", default="list",
+           help="'list', 'summary', 'all', or an experiment id "
+                "(e.g. T1, F8)"),), _cmd_experiments),
+    ("plan", "size a cluster for N ports",
+     (_arg("--ports", type=int, required=True,
+           help="external 10 Gbps ports"),), _cmd_plan),
+    ("server", "single-server saturation",
+     (APP, _arg("--size", type=int, default=64),
+      _arg("--spec", choices=["nehalem", "next-gen", "xeon"],
+           default="nehalem"),
+      _arg("--no-nic-limit", action="store_true")), _cmd_server),
+    ("pipeline", "compile a Click config to a rate prediction",
+     (_arg("config", help="path to a .click file, or a preset name "
+                          "(forwarding, routing, ipsec)"),
+      _arg("--size", type=int, default=64, help="packet bytes"),
+      _arg("--kp", type=int, default=cal.DEFAULT_KP),
+      _arg("--kn", type=int, default=cal.DEFAULT_KN),
+      _arg("--ports", type=int, default=1,
+           help="NIC ports on the modeled server"),
+      _arg("--queues", type=int, default=None,
+           help="queues per port (default: one per core)"),
+      _arg("--des", action="store_true",
+           help="also binary-search the timed simulation's "
+                "loss-free rate and compare")), _cmd_pipeline),
+    ("rb4", "cluster operating points", (NODES,), _cmd_rb4),
+    ("validate", "analytic model vs timed DES", (), _cmd_validate),
+    ("power", "power estimates with managed modes",
+     (APP, _arg("--servers", type=int, default=4)), _cmd_power),
+    ("faults", "fault injection and graceful degradation "
+               "(default action: curve)", (), _cmd_faults_curve),
+    ("faults curve", "analytic degradation curve",
+     (NODES, _arg("--worst-case", action="store_true",
+                  help="worst-case matrix instead of uniform"),
+      _arg("--max-failed", type=int, default=None,
+           help="largest failure count to evaluate")), _cmd_faults_curve),
+    ("faults run", "scripted fault injection through the DES",
+     (NODES, _arg("--size", type=float, default=1024,
+                  help="frame bytes (default 1024)"),
+      _arg("--schedule", help="JSON fault schedule (default: "
+                              "crash+recover the last node)"),
+      LOAD, _arg("--duration-ms", type=float, default=2.0),
+      _arg("--detection-usec", type=float, default=100.0,
+           help="peer/control failure-detection latency"), SEED),
+     _cmd_faults_run),
+    ("control", "live control plane: RIB churn streamed into the "
+                "forwarding cluster's FIBs", (), None),
+    ("control run", "one forwarding run, optionally with live churn",
+     CONTROL + (
+         _arg("--churn", action="store_true",
+              help="stream RIB updates during forwarding"),
+         _arg("--update-rate", type=float, default=2e5,
+              help="mean update rate per second (measured-rate "
+                   "churn; compressed timescale)"),
+         _arg("--burst", type=int, default=None,
+              help="burst mode, N updates per storm (3 storms)")),
+     _cmd_control_run),
+    ("control churn", "convergence vs update rate sweep",
+     CONTROL + (_arg("--rates", default="1e5,4e5",
+                     help="comma list of update rates to sweep"),),
+     _cmd_control_churn),
+    ("parallel", "partitioned cluster DES across worker processes "
+                 "(conservative lookahead)", (), None),
+    ("parallel run", "one partitioned cluster run",
+     (TOPOLOGY, _arg("--workers", type=int, default=2,
+                     help="partitions / worker processes (1 = single-heap)"),
+      _arg("--backend", choices=["inline", "process"], default="process",
+           help="inline: all partitions in this process; "
+                "process: one worker process per partition"),
+      _arg("--size", type=int, default=64, help="frame bytes"), LOAD,
+      _arg("--duration-ms", type=float, default=1.0), SEED),
+     _cmd_parallel),
+    ("stateful", "stateful NF dispatch strategies (locks / rss / scr) "
+                 "under flow-skewed traffic", (), None),
+    ("stateful run", "one NF under each dispatch strategy",
+     (_arg("nf", choices=["nat", "firewall", "policer", "lb"]),
+      _arg("--strategy", choices=["locks", "rss", "scr", "all"],
+           default="all", help="dispatch strategy, or 'all' for a "
+                               "comparison table (default)"),
+      _arg("--cores", type=int, default=4),
+      _arg("--skew", type=float, default=1.1,
+           help="Zipf exponent of the flow-popularity law"),
+      _arg("--flows", type=int, default=512,
+           help="concurrently live flow slots"),
+      _arg("--packets", type=int, default=20_000),
+      _arg("--churn", type=float, default=None,
+           help="mean flow lifetime in packets (default: no churn)"),
+      SEED), _cmd_stateful),
+    ("trace", "generate/inspect pcap traces", (), None),
+    ("trace generate", "write a synthetic Abilene pcap",
+     (PCAP, _arg("--packets", type=int, default=10_000),
+      _arg("--gbps", type=float, default=10.0), SEED),
+     _cmd_trace_generate),
+    ("trace info", "characterize a pcap",
+     (PCAP, _arg("--detail", action="store_true",
+                 help="flow/burstiness/size breakdown")), _cmd_trace_info),
+    ("obs", "instrumented benchmark runs and regression diffs "
+            "(BENCH_*.json)", (), None),
+    ("obs run", "run benchmarks into BENCH_<name>.json",
+     (_arg("names", nargs="*",
+           help="benchmark names (bench_ prefix optional)"),
+      _arg("--quick", action="store_true", help="the fast CI subset"),
+      _arg("--all", action="store_true",
+           help="every benchmarks/bench_*.py"), OUT_DIR, BENCH_SEED,
+      _arg("--update-baseline", metavar="PATH",
+           help="also bake the results into a baseline file")),
+     _cmd_obs_run),
+    ("obs report", "print one BENCH json",
+     (_arg("bench", help="a BENCH_<name>.json"),), _cmd_obs_report),
+    ("obs diff", "compare a BENCH json against a baseline",
+     (_arg("baseline"), _arg("current", help="a BENCH_<name>.json"),
+      _arg("--tolerance", type=float, default=compare.DEFAULT_TOLERANCE,
+           help="fractional regression threshold (default 0.10)")),
+     _cmd_obs_diff),
+    ("obs explain", "a pipeline's binding resource",
+     (_arg("target", help="a preset pipeline or a BENCH json"),)
+     + DES_RUN, _cmd_obs_explain),
+    ("obs timeline", "export a Chrome/Perfetto trace",
+     (_arg("target", help="an rbN preset or a BENCH json"),) + DES_RUN
+     + (OUT_DIR, BENCH_SEED,
+        _arg("--workers", type=int, default=2,
+             help="partitions for an rbN preset run (default 2)")),
+     _cmd_obs_timeline),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="RouteBricks reproduction toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("experiments", help="run paper experiments")
-    p.add_argument("which", nargs="?", default="list",
-                   help="'list', 'summary', 'all', or an experiment id "
-                        "(e.g. T1, F8)")
-    p.set_defaults(func=_cmd_experiments)
-
-    p = sub.add_parser("plan", help="size a cluster for N ports")
-    p.add_argument("ports", type=int, nargs="?", default=None)
-    p.add_argument("--ports", type=int, dest="ports_flag", default=None,
-                   help="alternative to the positional port count")
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("server", help="single-server saturation")
-    p.add_argument("--app", choices=sorted(cal.APPLICATIONS),
-                   default="forwarding")
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--spec", choices=["nehalem", "next-gen", "xeon"],
-                   default="nehalem")
-    p.add_argument("--no-nic-limit", action="store_true")
-    p.set_defaults(func=_cmd_server)
-
-    p = sub.add_parser("pipeline",
-                       help="compile a Click config to a rate prediction")
-    p.add_argument("config",
-                   help="path to a .click file, or a preset name "
-                        "(forwarding, routing, ipsec)")
-    p.add_argument("--size", type=int, default=64, help="packet bytes")
-    p.add_argument("--kp", type=int, default=cal.DEFAULT_KP)
-    p.add_argument("--kn", type=int, default=cal.DEFAULT_KN)
-    p.add_argument("--ports", type=int, default=1,
-                   help="NIC ports on the modeled server")
-    p.add_argument("--queues", type=int, default=None,
-                   help="queues per port (default: one per core)")
-    p.add_argument("--des", action="store_true",
-                   help="also binary-search the timed simulation's "
-                        "loss-free rate and compare")
-    p.set_defaults(func=_cmd_pipeline)
-
-    p = sub.add_parser("rb4", help="cluster operating points")
-    p.add_argument("--nodes", type=int, default=4)
-    p.set_defaults(func=_cmd_rb4)
-
-    p = sub.add_parser("validate", help="analytic model vs timed DES")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("power", help="power estimates with managed modes")
-    p.add_argument("--app", choices=sorted(cal.APPLICATIONS),
-                   default="forwarding")
-    p.add_argument("--servers", type=int, default=4)
-    p.set_defaults(func=_cmd_power)
-
-    p = sub.add_parser("faults",
-                       help="fault injection and graceful degradation")
-    p.add_argument("action", nargs="?", choices=["curve", "run"],
-                   default="curve")
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--size", type=float, default=1024,
-                   help="frame bytes (default 1024)")
-    p.add_argument("--worst-case", action="store_true",
-                   help="curve: worst-case matrix instead of uniform")
-    p.add_argument("--max-failed", type=int, default=None,
-                   help="curve: largest failure count to evaluate")
-    p.add_argument("--schedule",
-                   help="run: JSON fault schedule (default: crash+recover "
-                        "the last node)")
-    p.add_argument("--load", type=float, default=0.3,
-                   help="run: offered load as a fraction of port rate")
-    p.add_argument("--duration-ms", type=float, default=2.0)
-    p.add_argument("--detection-usec", type=float, default=100.0,
-                   help="run: peer/control failure-detection latency")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_faults)
-
-    p = sub.add_parser("control",
-                       help="live control plane: RIB churn streamed into "
-                            "the forwarding cluster's FIBs")
-    p.add_argument("action", choices=["run", "churn"])
-    p.add_argument("topology", nargs="?", default="rb4",
-                   help="cluster size as rbN (default rb4)")
-    p.add_argument("--churn", action="store_true",
-                   help="run: stream RIB updates during forwarding")
-    p.add_argument("--routes", type=int, default=20000,
-                   help="synthetic RIB size (default 20000)")
-    p.add_argument("--update-rate", type=float, default=2e5,
-                   help="mean update rate per second (measured-rate "
-                        "churn; compressed timescale)")
-    p.add_argument("--burst", type=int, default=None,
-                   help="run: burst mode, N updates per storm (3 storms)")
-    p.add_argument("--rates", default="1e5,4e5",
-                   help="churn: comma list of update rates to sweep")
-    p.add_argument("--load", type=float, default=0.2,
-                   help="offered load as a fraction of port rate")
-    p.add_argument("--size", type=int, default=256, help="frame bytes")
-    p.add_argument("--duration-ms", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_control)
-
-    p = sub.add_parser("parallel",
-                       help="partitioned cluster DES across worker "
-                            "processes (conservative lookahead)")
-    p.add_argument("action", choices=["run"])
-    p.add_argument("topology", nargs="?", default="rb4",
-                   help="cluster size as rbN (default rb4)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="partitions / worker processes (1 = single-heap)")
-    p.add_argument("--backend", choices=["inline", "process"],
-                   default="process",
-                   help="inline: all partitions in this process; "
-                        "process: one worker process per partition")
-    p.add_argument("--size", type=int, default=64, help="frame bytes")
-    p.add_argument("--load", type=float, default=0.3,
-                   help="offered load as a fraction of port rate")
-    p.add_argument("--duration-ms", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_parallel)
-
-    p = sub.add_parser("stateful",
-                       help="stateful NF dispatch strategies (locks / "
-                            "rss / scr) under flow-skewed traffic")
-    p.add_argument("action", choices=["run"])
-    p.add_argument("nf", choices=["nat", "firewall", "policer", "lb"])
-    p.add_argument("--strategy", choices=["locks", "rss", "scr", "all"],
-                   default="all",
-                   help="dispatch strategy, or 'all' for a comparison "
-                        "table (default)")
-    p.add_argument("--cores", type=int, default=4)
-    p.add_argument("--skew", type=float, default=1.1,
-                   help="Zipf exponent of the flow-popularity law")
-    p.add_argument("--flows", type=int, default=512,
-                   help="concurrently live flow slots")
-    p.add_argument("--packets", type=int, default=20_000)
-    p.add_argument("--churn", type=float, default=None,
-                   help="mean flow lifetime in packets (default: no churn)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_stateful)
-
-    p = sub.add_parser("trace", help="generate/inspect pcap traces")
-    p.add_argument("action", choices=["generate", "info"])
-    p.add_argument("path")
-    p.add_argument("--packets", type=int, default=10_000)
-    p.add_argument("--gbps", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--detail", action="store_true",
-                   help="flow/burstiness/size breakdown for 'info'")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("obs",
-                       help="instrumented benchmark runs and regression "
-                            "diffs (BENCH_*.json)")
-    p.add_argument("action",
-                   choices=["run", "report", "diff", "explain", "timeline"])
-    p.add_argument("names", nargs="*",
-                   help="run: benchmark names (bench_ prefix optional); "
-                        "report: one BENCH json; diff: baseline + current; "
-                        "explain: a preset pipeline or a BENCH json; "
-                        "timeline: an rbN preset or a BENCH json")
-    p.add_argument("--quick", action="store_true",
-                   help="run: the fast CI subset")
-    p.add_argument("--all", action="store_true",
-                   help="run: every benchmarks/bench_*.py")
-    p.add_argument("--out-dir", default="benchmarks/results",
-                   help="run: where BENCH_<name>.json lands")
-    p.add_argument("--seed", type=int, default=None,
-                   help="run: RNG seed for every scenario")
-    p.add_argument("--update-baseline", metavar="PATH",
-                   help="run: also bake the results into a baseline file")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="diff: fractional regression threshold "
-                        "(default 0.10)")
-    p.add_argument("--size", type=int, default=64,
-                   help="explain/timeline: packet size in bytes "
-                        "(default 64)")
-    p.add_argument("--duration-ms", type=float, default=1.0,
-                   help="explain/timeline: DES run length in milliseconds")
-    p.add_argument("--workers", type=int, default=2,
-                   help="timeline: partitions for an rbN preset run "
-                        "(default 2)")
-    p.set_defaults(func=_cmd_obs)
+    commands = parser.add_subparsers(dest="command", required=True)
+    parsers, actions = {}, {}
+    for name, help_text, arguments, handler in COMMANDS:
+        command, _, action = name.partition(" ")
+        if not action:
+            p = parsers[command] = commands.add_parser(command,
+                                                       help=help_text)
+        else:
+            if command not in actions:
+                group = parsers[command]
+                actions[command] = group.add_subparsers(
+                    dest="action", required=group.get_default("func") is None)
+            p = actions[command].add_parser(action, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
+        if action and handler is parsers[command].get_default("func"):
+            parsers[command].set_defaults(**vars(p.parse_args([])))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as error:
+    except (ReproError, OSError, ValueError, KeyError) as error:
+        if isinstance(error, KeyError) and error.args:
+            error = error.args[0]
         print("error: %s" % error, file=sys.stderr)
         return 2
 

@@ -84,18 +84,18 @@ def checked_horizon(until) -> None:
             "a run needs a finite, positive horizon, not until=%r" % until)
 
 
-def checked_inputs(router, events, until, failed_links, faults,
+def checked_inputs(router, events, until, faults,
                    route_via_fib: bool = False):
     """The one input check behind ``simulate`` and ``simulate_parallel``.
 
-    Returns ``(workload, arrivals, failed_links, faults)``.  A
+    Returns ``(workload, arrivals, faults)``.  A
     :class:`~repro.workloads.WorkloadSpec` is checked against the cluster
     and the horizon and comes back as ``workload``, for the partitions to
     replay -- nothing is realized here (``arrivals`` is then empty).  Any
     other ``events`` comes back as ``arrivals``, a generator that
     range-checks each event as it is consumed (``workload`` is ``None``).
-    The failed links come back as a checked tuple, the fault schedule
-    coerced from its dict form and validated against the cluster size.
+    The fault schedule comes back coerced from its dict form and
+    validated against the cluster size.
     The horizon must pass :func:`checked_horizon`, except that an event
     list may run open-ended (``until=None``).
     """
@@ -115,18 +115,13 @@ def checked_inputs(router, events, until, failed_links, faults,
                 % (workload.matrix.n, workload.matrix.n, n))
     if until is not None or workload is not None:
         checked_horizon(until)
-    failed_links = tuple((src, dst) for src, dst in failed_links)
-    for src, dst in failed_links:
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ConfigurationError("bad failed link (%r, %r)" % (src, dst))
     if faults is not None:
         # Here, so a fault-free call never loads the faults package.
         from ..faults.schedule import FaultSchedule
         if not isinstance(faults, FaultSchedule):
             faults = FaultSchedule.from_dict(faults)
         faults.validate(n)
-    return (workload, _range_checked(events, n, route_via_fib),
-            failed_links, faults)
+    return workload, _range_checked(events, n, route_via_fib), faults
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,6 @@ class PartitionSpec:
     #: registry, which in an inline run would be the parent's.
     registry: MetricsRegistry
     rate_limited_egress: bool = False
-    failed_links: Tuple[Tuple[int, int], ...] = ()
     faults: Optional[object] = None     # FaultSchedule
     manager: Optional[object] = None    # ClusterManager
     detection_latency_sec: Optional[float] = None
@@ -227,7 +221,7 @@ class PartitionFragment:
 class ClusterPartition(Partition):
     """The live simulation island for one :class:`PartitionSpec`.
 
-    Construction order (mesh, failed links, fault injector, churn,
+    Construction order (mesh, fault injector, churn,
     egress accounting, resequencers, arrivals, observer) is the order
     events are scheduled in, and so the tie-break among events at equal
     simulated times; it must not depend on how the cluster is sharded.
@@ -282,9 +276,6 @@ class ClusterPartition(Partition):
                     rate_bps=router.port_rate_bps,
                     deliver=node._egress_done,
                     queue_packets=256)
-        for src_id, dst_id in spec.failed_links:
-            if src_id in self.nodes:
-                self.nodes[src_id].failed_hops.add(dst_id)
 
         self.injector = None
         if spec.faults is not None:

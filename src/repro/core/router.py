@@ -271,7 +271,6 @@ class RouteBricksRouter:
                  events,
                  until: Optional[float] = None,
                  rate_limited_egress: bool = False,
-                 failed_links: Iterable[Tuple[int, int]] = (),
                  faults=None,
                  manager=None,
                  detection_latency_sec: Optional[float] = None,
@@ -289,12 +288,12 @@ class RouteBricksRouter:
         reordering (per the Sec. 6.2 metric), latency, goodput, and path
         statistics.
 
-        ``failed_links`` marks directed (src, dst) internal cables as
-        down from the start.  ``faults`` scripts *timed* failures: a
-        :class:`~repro.faults.FaultSchedule` (or its dict/JSON-dict
-        form).  Crashed nodes lose their queued and in-flight packets;
-        peers detect the failure after ``detection_latency_sec`` and
-        Direct VLB re-balances around it with local information only.
+        ``faults`` scripts failures: a :class:`~repro.faults.FaultSchedule`
+        (or its dict/JSON-dict form); a cable down from the start is a
+        ``fail_link`` at t = 0.  Crashed nodes lose their queued and
+        in-flight packets; peers detect the failure after
+        ``detection_latency_sec`` and Direct VLB re-balances around it
+        with local information only.
         With a :class:`~repro.core.control.ClusterManager` as
         ``manager``, node failures also trigger the control-plane
         reaction (reprovision + FIB re-push) and each reaction's
@@ -320,14 +319,14 @@ class RouteBricksRouter:
         from .partition import checked_inputs, merge_fragments
 
         registry = metrics if metrics is not None else active_registry()
-        workload, arrivals, failed_links, faults = checked_inputs(
-            self, events, until, failed_links, faults, route_via_fib)
+        workload, arrivals, faults = checked_inputs(
+            self, events, until, faults, route_via_fib)
         id_base = packet_id_floor()
         interval = observer_interval(until)
         part = self._whole_cluster_partition(
             registry,
             rate_limited_egress=rate_limited_egress,
-            failed_links=failed_links, faults=faults, manager=manager,
+            faults=faults, manager=manager,
             detection_latency_sec=detection_latency_sec,
             fib_push_latency_sec=fib_push_latency_sec,
             route_via_fib=route_via_fib, churn=churn, workload=workload,

@@ -24,7 +24,6 @@ TYPE_ECHO_REQUEST = 8
 TYPE_TIME_EXCEEDED = 11
 
 CODE_NET_UNREACHABLE = 0
-CODE_FRAG_NEEDED = 4
 CODE_TTL_EXCEEDED = 0
 
 ICMP_HEADER_BYTES = 8
@@ -96,14 +95,6 @@ def destination_unreachable(offending: Packet,
     """ICMP Destination Unreachable (the routing-miss path)."""
     return icmp_error_packet(offending, router_address,
                              TYPE_DEST_UNREACHABLE, CODE_NET_UNREACHABLE)
-
-
-def fragmentation_needed(offending: Packet,
-                         router_address: IPv4Address) -> Packet:
-    """ICMP Fragmentation Needed (DF set but the egress MTU is smaller);
-    the packet path-MTU discovery relies on."""
-    return icmp_error_packet(offending, router_address,
-                             TYPE_DEST_UNREACHABLE, CODE_FRAG_NEEDED)
 
 
 def parse_icmp(packet: Packet) -> IcmpHeader:

@@ -200,7 +200,6 @@ def simulate_parallel(router: RouteBricksRouter,
                       workers: int = 1,
                       backend: str = "process",
                       rate_limited_egress: bool = False,
-                      failed_links=(),
                       faults=None,
                       manager=None,
                       detection_latency_sec: Optional[float] = None,
@@ -238,14 +237,14 @@ def simulate_parallel(router: RouteBricksRouter,
         return router.simulate(
             events, until=until,
             rate_limited_egress=rate_limited_egress,
-            failed_links=failed_links, faults=faults, manager=manager,
+            faults=faults, manager=manager,
             detection_latency_sec=detection_latency_sec,
             fib_push_latency_sec=fib_push_latency_sec, metrics=metrics)
 
     registry = metrics if metrics is not None else active_registry()
     assignment = balanced_partitions(router.num_nodes, workers)
-    workload, arrivals, failed_links, faults = checked_inputs(
-        router, events, until, failed_links, faults)
+    workload, arrivals, faults = checked_inputs(
+        router, events, until, faults)
     shares = _split_arrivals(arrivals, assignment)
     id_base = packet_id_floor()
 
@@ -257,7 +256,6 @@ def simulate_parallel(router: RouteBricksRouter,
         partition_id=pid,
         registry=empty_registry_like(registry),
         rate_limited_egress=rate_limited_egress,
-        failed_links=failed_links,
         faults=faults,
         manager=manager,
         detection_latency_sec=detection_latency_sec,

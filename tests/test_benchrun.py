@@ -201,8 +201,11 @@ class TestCliObs:
         bad.write_text("{}")
         assert main(["obs", "timeline", str(bad),
                      "--out-dir", str(tmp_path)]) == 2
-        assert main(["obs", "timeline"]) == 2
         capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", "timeline"])
+        assert exit_info.value.code == 2
+        assert "target" in capsys.readouterr().err
 
 
 class TestRegressionScript:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestCli:
@@ -20,7 +20,7 @@ class TestCli:
         assert main(["experiments", "Z9"]) == 2
 
     def test_plan(self, capsys):
-        assert main(["plan", "64"]) == 0
+        assert main(["plan", "--ports", "64"]) == 0
         out = capsys.readouterr().out
         assert "KAryNFly" in out
         assert "switched" in out
@@ -49,8 +49,10 @@ class TestCli:
         assert "N=4 ports" in out
 
     def test_plan_without_ports_errors(self, capsys):
-        assert main(["plan"]) == 2
-        assert "port count" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plan"])
+        assert exit_info.value.code == 2
+        assert "--ports" in capsys.readouterr().err
 
     def test_faults_curve(self, capsys):
         assert main(["faults", "curve", "--nodes", "8"]) == 0
@@ -116,6 +118,66 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestRefusedInput:
+    """A bad value is refused with exit 2 and one ``error:`` line, never
+    a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["server", "--size", "0"],
+        ["rb4", "--nodes", "1"],
+        ["plan", "--ports", "0"],
+        ["power", "--servers", "0"],
+        ["faults", "curve", "--nodes", "1"],
+        ["faults", "run", "--duration-ms", "0"],
+        ["stateful", "run", "nat", "--cores", "0"],
+        ["trace", "info", "no-such-trace.pcap"],
+        ["control", "run", "--duration-ms", "-1"],
+    ], ids=" ".join)
+    def test_bad_value_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["obs", "diff", "a.json", "b.json", "--quick"],
+        ["control", "churn", "rb4", "--update-rate", "1e6"],
+        ["faults", "curve", "--schedule", "x.json"],
+        ["trace", "info", "p.pcap", "--packets", "5"],
+    ], ids=" ".join)
+    def test_flag_of_another_action_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert flag in capsys.readouterr().err
+
+    def test_every_flag_is_read_by_its_handler(self):
+        """Walk the parser: each (command, action) accepts only the
+        arguments its handler reads."""
+        import argparse
+        import inspect
+
+        def walk(parser, path):
+            handler = parser.get_default("func")
+            subs = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            if handler is not None:
+                source = inspect.getsource(handler)
+                for action in parser._actions:
+                    if action.dest in ("help", "command", "action") or \
+                            action in subs:
+                        continue
+                    assert "args.%s" % action.dest in source, \
+                        (path, action.dest)
+            for sub in subs:
+                for name, child in sub.choices.items():
+                    yield from walk(child, path + (name,))
+            yield path
+
+        assert len(list(walk(build_parser(), ()))) > 13
 
 
 class TestParallelCommand:

@@ -1,14 +1,12 @@
 """Tests for the added standard elements: Paint, Meter, RandomSample,
-and the ESP decapsulation element."""
+SetTTL and SourceFilter."""
 
 import pytest
 
 from repro.click import CounterElement, Discard
-from repro.click.elements.ipsec_decap import IPsecESPDecap
 from repro.click.elements.standard import CheckPaint, Meter, Paint, RandomSample
-from repro.crypto import EspContext, esp_encapsulate
 from repro.errors import ConfigurationError
-from repro.net import IPv4Address, Packet
+from repro.net import Packet
 
 
 def _counted(element, n_outputs=None):
@@ -143,61 +141,3 @@ class TestSourceFilter:
         packet = Packet.udp("1.1.1.1", "2.2.2.2", ttl=64)
         graph["t"].receive(packet)
         assert packet.ip.ttl == 9
-
-
-class TestEspDecapElement:
-    def _contexts(self):
-        key = b"\x09" * 16
-        make = lambda: EspContext(spi=5, key=key,
-                                  tunnel_src=IPv4Address("172.16.0.1"),
-                                  tunnel_dst=IPv4Address("172.16.0.2"))
-        return make(), make()
-
-    def test_decrypts_valid_packets(self):
-        enc_ctx, dec_ctx = self._contexts()
-        decap = IPsecESPDecap(dec_ctx)
-        good, bad = _counted(decap)
-        inner = Packet.udp("10.0.0.1", "10.0.0.2", length=120, src_port=33)
-        decap.receive(esp_encapsulate(enc_ctx, inner))
-        assert good.count == 1
-        assert decap.decrypted == 1
-
-    def test_non_esp_to_error_port(self):
-        _, dec_ctx = self._contexts()
-        decap = IPsecESPDecap(dec_ctx)
-        good, bad = _counted(decap)
-        decap.receive(Packet.udp("1.1.1.1", "2.2.2.2"))
-        assert bad.count == 1
-        assert decap.failed == 1
-
-    def test_wrong_key_fails(self):
-        enc_ctx, _ = self._contexts()
-        other = EspContext(spi=5, key=b"\xFF" * 16,
-                           tunnel_src=IPv4Address("172.16.0.1"),
-                           tunnel_dst=IPv4Address("172.16.0.2"))
-        decap = IPsecESPDecap(other)
-        good, bad = _counted(decap)
-        decap.receive(esp_encapsulate(enc_ctx,
-                                      Packet.udp("1.1.1.1", "2.2.2.2")))
-        assert bad.count == 1
-
-    def test_replay_window(self):
-        enc_ctx, dec_ctx = self._contexts()
-        decap = IPsecESPDecap(dec_ctx, replay_window=4)
-        good, bad = _counted(decap)
-        inner = Packet.udp("10.0.0.1", "10.0.0.2")
-        packets = [esp_encapsulate(enc_ctx, inner) for _ in range(8)]
-        # Deliver the newest first, then an ancient one.
-        decap.receive(packets[7])  # seq 8
-        decap.receive(packets[0])  # seq 1: outside window of 4
-        assert decap.replayed == 1
-        assert good.count == 1
-
-    def test_error_port_optional(self):
-        _, dec_ctx = self._contexts()
-        decap = IPsecESPDecap(dec_ctx)
-        sink = CounterElement()
-        sink.connect_to(Discard())
-        decap.connect_to(sink, output=0)
-        decap.receive(Packet.udp("1.1.1.1", "2.2.2.2"))  # fails -> dropped
-        assert decap.packets_dropped == 1

@@ -6,6 +6,7 @@ import pytest
 from repro.core import RouteBricksRouter
 from repro.core.vlb import direct_first_hop
 from repro.errors import ConfigurationError
+from repro.faults import FaultSchedule
 from repro.net.packet import Packet
 from repro.workloads import FixedSizeWorkload
 
@@ -17,10 +18,18 @@ def _events(num_nodes=4, packets=1200, ingress=0, egress=1, seed=7):
             for index, packet in enumerate(workload.packets(packets))]
 
 
+def _cut(*links):
+    """A schedule that cuts each directed (src, dst) cable at t = 0."""
+    schedule = FaultSchedule()
+    for src, dst in links:
+        schedule.fail_link(at=0.0, src=src, dst=dst)
+    return schedule
+
+
 class TestFailedLinks:
     def test_direct_link_down_traffic_detours(self):
         router = RouteBricksRouter(seed=1)
-        report = router.simulate(_events(), failed_links=[(0, 1)])
+        report = router.simulate(_events(), faults=_cut((0, 1)))
         # Everything still arrives -- via intermediates.
         assert report.delivered_packets == report.offered_packets
         assert report.indirect_packets == report.offered_packets
@@ -34,7 +43,7 @@ class TestFailedLinks:
     def test_two_dead_links_still_one_path_left(self):
         router = RouteBricksRouter(seed=2)
         report = router.simulate(
-            _events(), failed_links=[(0, 1), (0, 2)])
+            _events(), faults=_cut((0, 1), (0, 2)))
         # Only the 0->3->1 path remains.
         assert report.delivered_packets == report.offered_packets
         stats = {s["node"]: s for s in report.node_stats}
@@ -45,21 +54,36 @@ class TestFailedLinks:
         # know, so packets are lost at node 2.
         router = RouteBricksRouter(seed=3)
         report = router.simulate(
-            _events(), failed_links=[(0, 1), (0, 3), (2, 1)])
+            _events(), faults=_cut((0, 1), (0, 3), (2, 1)))
         assert report.dropped_packets == report.offered_packets
         assert report.delivered_packets == 0
 
     def test_failure_costs_latency(self):
         baseline = RouteBricksRouter(seed=4).simulate(_events())
         detoured = RouteBricksRouter(seed=4).simulate(
-            _events(), failed_links=[(0, 1)])
+            _events(), faults=_cut((0, 1)))
         assert detoured.latency_usec.percentile(50) > \
             baseline.latency_usec.percentile(50)
 
     def test_bad_link_spec_rejected(self):
         router = RouteBricksRouter()
         with pytest.raises(ConfigurationError):
-            router.simulate(_events(packets=1), failed_links=[(0, 9)])
+            router.simulate(_events(packets=1), faults=_cut((0, 9)))
+
+    def test_cut_cable_stays_down_when_its_far_end_recovers(self):
+        # Node 1 crashes and comes back while the 0 -> 1 cable is cut:
+        # the recovery must not revive the cable.
+        schedule = (_cut((0, 1)).crash_node(at=0.5e-3, node=1)
+                    .recover_node(at=1.0e-3, node=1))
+        router = RouteBricksRouter(seed=3, use_flowlets=False)
+        report = router.simulate(_events(packets=3000), faults=schedule)
+        assert report.delivered_packets > 0
+        assert report.direct_packets == 0
+
+    def test_a_cut_cable_is_a_fault_event_only(self):
+        with pytest.raises(TypeError):
+            RouteBricksRouter().simulate(_events(packets=1),
+                                         failed_links=[(0, 1)])
 
 
 class TestFailedHopsWiring:

@@ -65,9 +65,9 @@ class TestNodeCrash:
         # node 2 then dies mid-run, so flowlets pinned to it must spill
         # to node 3 -- the only intermediate left.
         router = RouteBricksRouter(seed=3)
-        schedule = FaultSchedule().crash_node(at=0.4e-3, node=2)
-        report = router.simulate(_pair_events(), failed_links=[(0, 1)],
-                                 faults=schedule,
+        schedule = (FaultSchedule().fail_link(at=0.0, src=0, dst=1)
+                    .crash_node(at=0.4e-3, node=2))
+        report = router.simulate(_pair_events(), faults=schedule,
                                  detection_latency_sec=20e-6)
         stats = {s["node"]: s for s in report.node_stats}
         assert stats[3]["intermediate"] > 0

@@ -122,63 +122,6 @@ class TestReassembly:
         assert reassembler.expire(now=2.0) == 1
         assert reassembler.timed_out == 1
 
-class TestFragmenterElement:
-    def _build(self, mtu=1000):
-        from repro.click import CounterElement, Discard
-        from repro.click.elements.fragment import IPFragmenter
-        element = IPFragmenter(mtu=mtu)
-        out = CounterElement(name="frag-out")
-        icmp = CounterElement(name="frag-icmp")
-        out.connect_to(Discard(name="frag-d0"))
-        icmp.connect_to(Discard(name="frag-d1"))
-        element.connect_to(out, output=0)
-        element.connect_to(icmp, output=1)
-        return element, out, icmp
-
-    def test_fragments_flow_out(self):
-        element, out, icmp = self._build(mtu=1000)
-        element.receive(_big_packet(2500))
-        assert out.count >= 3
-        assert element.fragmented_packets == 1
-        assert icmp.count == 0
-
-    def test_small_packets_pass(self):
-        element, out, _ = self._build(mtu=1500)
-        element.receive(Packet.udp("1.1.1.1", "2.2.2.2", length=200))
-        assert out.count == 1
-        assert element.fragmented_packets == 0
-
-    def test_df_generates_icmp(self):
-        element, out, icmp = self._build(mtu=1000)
-        packet = _big_packet(2500)
-        packet.ip.flags = FLAG_DF
-        element.receive(packet)
-        assert icmp.count == 1
-        assert out.count == 0
-        assert element.df_rejections == 1
-
-    def test_fragment_then_reassemble_through_element(self):
-        element, out, _ = self._build(mtu=900)
-        captured = []
-        # Swap the sink for a capturing one.
-        out.process = lambda packet, port: captured.append(packet)
-        packet = _big_packet(2600, ident=9)
-        element.receive(packet)
-        reassembler = Reassembler()
-        whole = None
-        for fragment in captured:
-            result = reassembler.offer(fragment)
-            if result is not None:
-                whole = result
-        assert whole is not None
-        assert whole.ip.identification == 9
-
-    def test_bad_mtu(self):
-        from repro.click.elements.fragment import IPFragmenter
-        with pytest.raises(Exception):
-            IPFragmenter(mtu=40)
-
-
 class TestFragmentProperties:
     @settings(max_examples=25, deadline=None)
     @given(payload=st.integers(min_value=100, max_value=4000),

@@ -140,7 +140,10 @@ class TestCli:
         assert "agrees with the analytic model" in out
 
     def test_explain_usage_error(self, capsys):
-        assert main(["obs", "explain"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", "explain"])
+        assert exit_info.value.code == 2
+        assert "target" in capsys.readouterr().err
 
     def test_explain_reads_bench_json(self, tmp_path, capsys):
         doc = {

@@ -291,8 +291,9 @@ class TestPartitionedFaults:
         assert _report_scalars(report) == _report_scalars(legacy_report)
 
     def test_failed_links_parity(self):
-        legacy_report, legacy_snap = _legacy(failed_links=[(0, 2)])
-        report, snap = _parallel(2, failed_links=[(0, 2)])
+        cut = FaultSchedule().fail_link(at=0.0, src=0, dst=2)
+        legacy_report, legacy_snap = _legacy(faults=cut)
+        report, snap = _parallel(2, faults=cut)
         assert _report_scalars(report) == _report_scalars(legacy_report)
         assert snap == legacy_snap
         assert report.indirect_packets > 0  # re-balanced around the link
