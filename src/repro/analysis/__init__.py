@@ -2,21 +2,19 @@
 
 Reproduces Sec. 5.3's approach: measure per-packet loads on every system
 component under increasing input rates, compare them against nominal and
-empirical upper bounds, and identify the bottleneck.  Includes the
-empty-poll correction for CPU load (Click polls at 100 % utilization;
-"true" load subtracts cycles burned on empty polls) and plain-text
-table/series formatting for the benchmark harness.
+empirical upper bounds, and identify the bottleneck.  Includes plain-text
+table formatting for the benchmark harness.  (The empty-poll correction
+for measured CPU load lives next to its one caller, in
+:mod:`repro.obs.explain`.)
 """
 
 from .bottleneck import (
     BottleneckReport,
-    cpu_load_from_polling,
     deconstruct,
     load_series,
 )
-from .report import ascii_bars, format_series, format_table
+from .report import ascii_bars, format_table
 from .experiments import EXPERIMENTS, run_experiment
-from .profile import measured_load_is_flat, profile_cpu_load
 from .sensitivity import conclusions_at, robustness_sweep
 from .summary import headline_rows, summary_text
 from .trace_report import characterize, characterize_pcap
@@ -24,16 +22,12 @@ from .validation import max_relative_error, validate_forwarding
 
 __all__ = [
     "BottleneckReport",
-    "cpu_load_from_polling",
     "deconstruct",
     "load_series",
     "ascii_bars",
-    "format_series",
     "format_table",
     "EXPERIMENTS",
     "run_experiment",
-    "measured_load_is_flat",
-    "profile_cpu_load",
     "conclusions_at",
     "robustness_sweep",
     "headline_rows",

@@ -136,23 +136,3 @@ def pipeline_breakdown(graph, packet_bytes: float = 64,
         "component_rates_pps": result.component_rates_pps,
         "elements": element_costs(graph, packet_bytes),
     }
-
-
-def cpu_load_from_polling(total_cycles: float, total_packets: int,
-                          empty_polls: int,
-                          cycles_per_empty_poll: float =
-                          cal.EMPTY_POLL_CYCLES) -> float:
-    """The Sec. 5.3 empty-poll correction.
-
-    Click polls continuously, so raw CPU utilization is always 100 %;
-    the true per-packet load deducts ``empty_polls x ce`` from the cycle
-    total before dividing by packets.
-    """
-    if total_packets <= 0:
-        raise ValueError("need >= 1 packet")
-    if empty_polls < 0 or total_cycles < 0:
-        raise ValueError("counts cannot be negative")
-    useful = total_cycles - empty_polls * cycles_per_empty_poll
-    if useful < 0:
-        raise ValueError("empty-poll cycles exceed total cycles")
-    return useful / total_packets

@@ -1,8 +1,8 @@
-"""Plain-text tables and series for the benchmark harness output."""
+"""Plain-text tables and bar charts for the benchmark harness output."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 
 def format_table(rows: Sequence[Dict], columns: Sequence[str] = None,
@@ -34,15 +34,6 @@ def format_table(rows: Sequence[Dict], columns: Sequence[str] = None,
     return "\n".join(lines)
 
 
-def format_series(name: str, xs: Iterable, ys: Iterable,
-                  x_label: str = "x", y_label: str = "y",
-                  float_format: str = "%.3f") -> str:
-    """Render an (x, y) series as two aligned columns."""
-    rows = [{x_label: x, y_label: y} for x, y in zip(xs, ys)]
-    return format_table(rows, [x_label, y_label], title=name,
-                        float_format=float_format)
-
-
 def ascii_bars(labels: Sequence[str], values: Sequence[float],
                width: int = 50, title: str = "",
                unit: str = "") -> str:
@@ -62,18 +53,3 @@ def ascii_bars(labels: Sequence[str], values: Sequence[float],
                      % (label.ljust(label_width), bar.ljust(width), value,
                         unit))
     return "\n".join(lines)
-
-
-def paper_vs_measured(rows: List[dict]) -> str:
-    """Render {metric, paper, measured} comparison rows with a ratio column."""
-    enriched = []
-    for row in rows:
-        entry = dict(row)
-        paper = row.get("paper")
-        measured = row.get("measured")
-        if isinstance(paper, (int, float)) and isinstance(measured, (int, float)) \
-                and paper:
-            entry["ratio"] = measured / paper
-        enriched.append(entry)
-    columns = ["metric", "paper", "measured", "ratio"]
-    return format_table(enriched, columns, float_format="%.3f")

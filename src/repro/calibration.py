@@ -132,7 +132,7 @@ DEFAULT_BOOKKEEPING_CYCLES = bookkeeping_cycles()  # 254.6
 #: Cycles burned by a poll that finds no packets (Sec. 5.3's "ce").  Click
 #: polls continuously, so raw CPU utilization is always 100 %; both the
 #: timed simulation and the empty-poll correction in the utilization
-#: accounting (repro.analysis.bottleneck.cpu_load_from_polling) use this
+#: accounting (repro.obs.explain.cpu_load_from_polling) use this
 #: constant to separate useful work from idle polling.
 EMPTY_POLL_CYCLES = 120.0
 

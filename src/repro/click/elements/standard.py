@@ -134,22 +134,6 @@ class Paint(Element):
         self.push(packet)
 
 
-class CheckPaint(Element):
-    """Packets painted ``color`` exit output 0; everything else output 1."""
-
-    n_outputs = 2
-
-    def __init__(self, color: int, name: str = ""):
-        super().__init__(name)
-        self.color = color
-
-    def process(self, packet: Packet, port: int) -> None:
-        if packet.annotations.get("paint") == self.color:
-            self.push(packet, 0)
-        else:
-            self.push(packet, 1)
-
-
 class RandomSample(Element):
     """Forward each packet with probability ``p``; drop the rest.
 

@@ -152,12 +152,6 @@ class TimedRunReport:
     def loss_free(self) -> bool:
         return self.dropped_packets == 0
 
-    @property
-    def loss_fraction(self) -> float:
-        if not self.offered_packets:
-            return 0.0
-        return self.dropped_packets / self.offered_packets
-
     def sustainable(self, max_backlog_packets: int) -> bool:
         """Loss-free *and* not merely buffering the excess in the rings."""
         return (self.dropped_packets == 0

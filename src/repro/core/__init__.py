@@ -15,7 +15,7 @@ Parallelizes a router with N external ports across commodity servers:
 """
 
 from .vlb import DirectVlb, ClassicVlb, VlbAnalysis, analyze
-from .fabric import FabricNetwork, fly_graph, mesh_graph, torus_graph
+from .fabric import FabricNetwork, fly_graph, mesh_graph
 from .flowlet import FlowletTable
 from .resequencer import Resequencer
 from .mac_encoding import decode_output_node, encode_output_node
@@ -46,7 +46,6 @@ __all__ = [
     "FabricNetwork",
     "mesh_graph",
     "fly_graph",
-    "torus_graph",
     "FlowletTable",
     "Resequencer",
     "encode_output_node",

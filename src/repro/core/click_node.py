@@ -169,12 +169,6 @@ class ClickClusterNode:
         """Total CPU cycles charged across this node's cores."""
         return sum(core.cycles_used for core in self.server.cores)
 
-    def cost_breakdown(self, packet_bytes: float = 64) -> List[dict]:
-        """Traversal-weighted per-element resource costs of this node's
-        graph (one row per element, from :func:`repro.costs.element_costs`)."""
-        from ..costs import element_costs
-        return element_costs(self.graph, packet_bytes)
-
     def drain_external(self) -> List:
         """Packets leaving on the external line."""
         return self.to_devices[0].drain()

@@ -59,10 +59,6 @@ class ClusterEstimate:
     def gbps_per_rack_unit(self) -> float:
         return self.capacity_gbps / self.rack_units
 
-    @property
-    def watts_per_gbps(self) -> float:
-        return self.power_kw * 1e3 / self.capacity_gbps
-
 
 def estimate_cluster(num_servers: int, port_gbps_per_server: float = 10.0,
                      integrated_nics: bool = False,

@@ -1,4 +1,4 @@
-"""Multi-hop interconnect fabrics: explicit graphs for mesh, fly, torus.
+"""Multi-hop interconnect fabrics: explicit graphs for mesh and fly.
 
 `repro.core.topology` sizes clusters; this module *builds* them as graphs
 so paths, per-node transit loads, and latency can be computed explicitly.
@@ -96,40 +96,6 @@ def fly_graph(k: int, stages: int, num_terminals: int = None) -> nx.DiGraph:
     return graph
 
 
-def torus_graph(radix: int, dimensions: int) -> nx.DiGraph:
-    """A radix^dimensions torus of I/O servers (bidirectional rings)."""
-    import networkx as nx
-
-    if radix < 2 or dimensions < 1:
-        raise TopologyError("torus needs radix >= 2 and >= 1 dimension")
-    graph = nx.DiGraph()
-    total = radix ** dimensions
-    for i in range(total):
-        graph.add_node(("io", i))
-
-    def coords(i: int) -> Tuple[int, ...]:
-        out = []
-        for _ in range(dimensions):
-            out.append(i % radix)
-            i //= radix
-        return tuple(out)
-
-    def index(coordinates) -> int:
-        i = 0
-        for axis in reversed(range(dimensions)):
-            i = i * radix + coordinates[axis]
-        return i
-
-    for i in range(total):
-        c = coords(i)
-        for axis in range(dimensions):
-            for step in (1, -1):
-                neighbor = list(c)
-                neighbor[axis] = (neighbor[axis] + step) % radix
-                graph.add_edge(("io", i), ("io", index(neighbor)))
-    return graph
-
-
 class FabricNetwork:
     """Path and load computations over an explicit fabric graph."""
 
@@ -141,9 +107,6 @@ class FabricNetwork:
         if len(self.io_nodes) < 2:
             raise TopologyError("fabric needs >= 2 I/O nodes")
         self._paths: Dict[Tuple[Hashable, Hashable], List] = {}
-
-    def num_servers(self) -> int:
-        return self.graph.number_of_nodes()
 
     def path(self, src_io: int, dst_io: int) -> List:
         """Shortest server path from I/O node src to I/O node dst."""
@@ -158,36 +121,6 @@ class FabricNetwork:
         """Number of servers a packet traverses src -> dst (inclusive)."""
         return len(self.path(src_io, dst_io))
 
-    def vlb_hops(self, src_io: int, intermediate_io: int,
-                 dst_io: int) -> int:
-        """Servers traversed by a two-phase VLB route (intermediate
-        counted once)."""
-        first = self.path(src_io, intermediate_io)
-        second = self.path(intermediate_io, dst_io)
-        return len(first) + len(second) - 1
-
-    def path_latency_usec(self, num_servers_on_path: int,
-                          per_server_usec: float = SERVER_LATENCY_USEC) -> float:
-        """The Sec. 3.3 estimate: latency = servers-on-path x 24 us."""
-        if num_servers_on_path < 1:
-            raise TopologyError("a path visits >= 1 server")
-        return num_servers_on_path * per_server_usec
-
-    def worst_case_vlb_latency_usec(self) -> float:
-        """Max two-phase latency over sampled I/O triples."""
-        worst = 0
-        ios = range(len(self.io_nodes))
-        sample = list(ios)[: min(len(self.io_nodes), 8)]
-        for s in sample:
-            for d in sample:
-                if s == d:
-                    continue
-                for i in sample:
-                    if i in (s, d):
-                        continue
-                    worst = max(worst, self.vlb_hops(s, i, d))
-        return self.path_latency_usec(max(worst, 2))
-
     def transit_load(self, uniform_rate_bps: float) -> Dict[Hashable, float]:
         """Per-node transit rate for a uniform all-to-all demand, counting
         every node on each shortest path (endpoints included)."""
@@ -201,19 +134,6 @@ class FabricNetwork:
                 for node in self.path(s, d):
                     loads[node] += pair_rate
         return loads
-
-
-def current_server_fabric(num_ports: int) -> FabricNetwork:
-    """Build the fabric the provisioner would pick for 'current' servers."""
-    from .provision import provision
-    from .topology import FullMesh
-
-    topo = provision(num_ports, "current")
-    if isinstance(topo, FullMesh):
-        return FabricNetwork(mesh_graph(topo.io_servers))
-    k = topo.k
-    stages = topo.stages
-    return FabricNetwork(fly_graph(k, stages, num_terminals=topo.io_servers))
 
 
 def sec33_latency_estimate(num_ports: int = 1024) -> dict:

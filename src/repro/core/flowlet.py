@@ -97,8 +97,3 @@ class FlowletTable:
             stalest = min(self._table, key=lambda f: self._table[f].last_seen)
             del self._table[stalest]
             self.evictions += 1
-
-    def active_flows(self, now: float) -> int:
-        """Flows seen within the last delta."""
-        return sum(1 for entry in self._table.values()
-                   if now - entry.last_seen <= self.delta_sec)

@@ -71,27 +71,3 @@ def cluster_latency_usec(hops: int, kn: int = cal.DEFAULT_KN) -> float:
 def latency_range_usec(kn: int = cal.DEFAULT_KN) -> tuple:
     """(direct, indirect) latency -- the paper's 47.6-66.4 us range."""
     return cluster_latency_usec(2, kn), cluster_latency_usec(3, kn)
-
-
-def server_latency_with_timeout_usec(role: str, kn: int,
-                                     packet_rate_pps: float,
-                                     timeout_sec: float) -> float:
-    """Per-server latency with the batching-timeout driver feature.
-
-    The paper notes that at low packet rates NIC-driven batching inflates
-    latency, and proposes "a timeout to limit the amount of time a packet
-    can wait to be batched" as future driver work (Sec. 4.2).  With the
-    timeout, the batch wait is bounded by ``timeout_sec`` regardless of
-    how slowly the remaining kn-1 packets trickle in.
-    """
-    if role not in _ROLE_PROCESS_USEC:
-        raise ConfigurationError("role must be input|output|intermediate")
-    if timeout_sec <= 0:
-        raise ConfigurationError("timeout must be positive")
-    if packet_rate_pps <= 0:
-        raise ConfigurationError("packet rate must be positive")
-    dma = _ROLE_DMA_TRANSFERS[role] * cal.DMA_TRANSFER_USEC
-    natural_wait_usec = (kn - 1) / packet_rate_pps * 1e6
-    batch_wait = min(cal.BATCH_WAIT_USEC * (kn / cal.MAX_NIC_BATCH),
-                     natural_wait_usec, timeout_sec * 1e6)
-    return dma + batch_wait + _ROLE_PROCESS_USEC[role]

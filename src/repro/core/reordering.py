@@ -108,6 +108,3 @@ class ReorderingMeter:
 
     def packets_observed(self) -> int:
         return sum(state[4] for state in self._flows.values())
-
-    def flows_observed(self) -> int:
-        return len(self._flows)

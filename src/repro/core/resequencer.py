@@ -115,10 +115,3 @@ class Resequencer:
     def pending(self) -> int:
         """Packets currently held back."""
         return self._buffered()
-
-
-def added_latency_bound_sec(timeout_sec: float) -> float:
-    """Worst-case extra latency a resequenced packet can incur."""
-    if timeout_sec <= 0:
-        raise ConfigurationError("timeout must be positive")
-    return timeout_sec

@@ -30,11 +30,6 @@ class PortSizing:
     vlb_factor: float
     ports: int
 
-    @property
-    def utilized_fraction(self) -> float:
-        required = self.ports * self.port_rate_bps * self.vlb_factor
-        return required / self.processing_capacity_bps
-
 
 def processing_capacity_bps(workload: str = "realistic",
                             app_name: str = "routing",

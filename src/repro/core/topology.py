@@ -173,9 +173,6 @@ class Torus:
         needed = math.ceil(transit_demand_ports / max(transit_budget_per_server, 1e-9))
         return max(base, needed)
 
-    def degree(self) -> int:
-        return 2 * self.dimensions
-
 
 @dataclass(frozen=True)
 class ClosReference:

@@ -184,13 +184,6 @@ class CostModel:
             cycles *= spec.cpi_factor
         return vector.with_cpu(cycles)
 
-    def cpu_cycles_per_packet(self, app, packet_bytes: float,
-                              config: ServerConfig = DEFAULT_CONFIG,
-                              spec=None) -> float:
-        """Total CPU cycles/packet: application + book-keeping + penalties."""
-        return self.per_packet_vector(app, packet_bytes, config,
-                                      spec).cpu_cycles
-
     def per_packet_vector(self, app, packet_bytes: float,
                           config: ServerConfig = DEFAULT_CONFIG,
                           spec=None) -> ResourceVector:

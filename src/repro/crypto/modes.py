@@ -1,4 +1,4 @@
-"""Block-cipher modes of operation: CBC (with PKCS#7 padding) and CTR."""
+"""Block-cipher mode of operation: CBC with PKCS#7 padding (what ESP uses)."""
 
 from __future__ import annotations
 
@@ -57,18 +57,3 @@ def cbc_decrypt(cipher: AES128, iv: bytes, ciphertext: bytes) -> bytes:
         out.append(_xor_bytes(cipher.decrypt_block(block), previous))
         previous = block
     return pkcs7_unpad(b"".join(out))
-
-
-def ctr_transform(cipher: AES128, nonce: bytes, data: bytes) -> bytes:
-    """CTR-mode encrypt/decrypt (symmetric) with a 16-byte initial counter."""
-    if len(nonce) != _BLOCK:
-        raise CryptoError("CTR nonce must be %d bytes, got %d" % (_BLOCK, len(nonce)))
-    counter = int.from_bytes(nonce, "big")
-    out = bytearray()
-    for i in range(0, len(data), _BLOCK):
-        keystream = cipher.encrypt_block(
-            (counter & ((1 << 128) - 1)).to_bytes(_BLOCK, "big"))
-        chunk = data[i:i + _BLOCK]
-        out.extend(x ^ y for x, y in zip(chunk, keystream))
-        counter += 1
-    return bytes(out)

@@ -16,14 +16,13 @@ flow assignment and descriptor-ring batching.
 
 from .components import Bus, Core, MemoryController, Socket
 from .nic import Nic, NicPort, NicQueue
-from .dma import DmaEngine, pcie_bytes_for_packet
+from .dma import DmaEngine
 from .server import Server, ServerSpec
 from .presets import (
     NEHALEM,
     NEHALEM_NEXT_GEN,
     XEON_SHARED_BUS,
     nehalem_server,
-    xeon_server,
 )
 
 __all__ = [
@@ -35,12 +34,10 @@ __all__ = [
     "NicPort",
     "NicQueue",
     "DmaEngine",
-    "pcie_bytes_for_packet",
     "Server",
     "ServerSpec",
     "NEHALEM",
     "NEHALEM_NEXT_GEN",
     "XEON_SHARED_BUS",
     "nehalem_server",
-    "xeon_server",
 ]

@@ -93,11 +93,3 @@ class Socket:
     cores: List[Core] = field(default_factory=list)
     l3_bytes: int = 8 * 1024 * 1024
     memory: MemoryController = None
-
-    def core_count(self) -> int:
-        return len(self.cores)
-
-    def shares_cache(self, core_a: Core, core_b: Core) -> bool:
-        """True if both cores belong to this socket (and hence share L3)."""
-        return (core_a.socket_id == self.socket_id
-                and core_b.socket_id == self.socket_id)

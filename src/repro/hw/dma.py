@@ -11,17 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..calibration import (
-    DESCRIPTOR_BYTES,
-    DMA_TRANSFER_USEC,
-    PCIE_MAX_PAYLOAD_BYTES,
-)
-from ..errors import ConfigurationError
+from ..calibration import DMA_TRANSFER_USEC, PCIE_MAX_PAYLOAD_BYTES
 from ..units import usec
-
-#: PCIe TLP header overhead per transaction (12 B header + 4 B digest +
-#: framing), the standard figure for PCIe1.1.
-TLP_OVERHEAD_BYTES = 20
 
 
 def pcie_transactions_for(num_bytes: int) -> int:
@@ -31,21 +22,6 @@ def pcie_transactions_for(num_bytes: int) -> int:
     if num_bytes == 0:
         return 0
     return -(-num_bytes // PCIE_MAX_PAYLOAD_BYTES)  # ceil division
-
-
-def pcie_bytes_for_packet(packet_bytes: int, kn: int = 16) -> float:
-    """Total PCIe bytes (wire overhead included) to move one packet once.
-
-    Counts the packet payload, its share of a batched descriptor
-    transaction, and TLP headers.
-    """
-    if kn < 1:
-        raise ConfigurationError("kn must be >= 1, got %r" % kn)
-    payload_txns = pcie_transactions_for(packet_bytes)
-    payload_bytes = packet_bytes + payload_txns * TLP_OVERHEAD_BYTES
-    # One descriptor per packet; kn descriptors share a transaction.
-    descriptor_bytes = DESCRIPTOR_BYTES + TLP_OVERHEAD_BYTES / kn
-    return payload_bytes + descriptor_bytes
 
 
 @dataclass

@@ -175,9 +175,6 @@ class NicPort:
                 out.append(packet)
         return out
 
-    def total_rx_drops(self) -> int:
-        return sum(q.dropped for q in self.rx_queues)
-
 
 @dataclass
 class Nic:

@@ -85,8 +85,3 @@ def nehalem_server(num_ports: int = 4, queues_per_port: int = 8) -> Server:
     """The prototype server as evaluated: 4 x 10 G ports, multi-queue."""
     return Server(NEHALEM, num_ports=num_ports,
                   queues_per_port=queues_per_port)
-
-
-def xeon_server(num_ports: int = 4) -> Server:
-    """The shared-bus Xeon reference, single-queue NICs."""
-    return Server(XEON_SHARED_BUS, num_ports=num_ports, queues_per_port=1)

@@ -80,7 +80,7 @@ from .profile import (
     trace_delivered,
 )
 from .timeline import chrome_trace, write_trace_json
-from .trace import PathTrace, TraceSampler, trace_of
+from .trace import PathTrace, TraceSampler
 
 from .schema import (
     BASELINE_SCHEMA,
@@ -120,7 +120,6 @@ __all__ = [
     "run_benchmark",
     "set_active_registry",
     "trace_delivered",
-    "trace_of",
     "use_registry",
     "validate_bench",
     "validate_trace",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..calibration import EMPTY_POLL_CYCLES
 from ..results import RunResult
 from .profile import aggregate_breakdowns
 
@@ -67,11 +68,29 @@ class ExplainReport(RunResult):
         return self.predicted_bottleneck == self.observed_bottleneck
 
 
+def cpu_load_from_polling(total_cycles: float, total_packets: int,
+                          empty_polls: int,
+                          cycles_per_empty_poll: float =
+                          EMPTY_POLL_CYCLES) -> float:
+    """The Sec. 5.3 empty-poll correction.
+
+    Click polls continuously, so raw CPU utilization is always 100 %;
+    the true per-packet load deducts ``empty_polls x ce`` from the cycle
+    total before dividing by packets.
+    """
+    if total_packets <= 0:
+        raise ValueError("need >= 1 packet")
+    if empty_polls < 0 or total_cycles < 0:
+        raise ValueError("counts cannot be negative")
+    useful = total_cycles - empty_polls * cycles_per_empty_poll
+    if useful < 0:
+        raise ValueError("empty-poll cycles exceed total cycles")
+    return useful / total_packets
+
+
 def _observed_loads(registry, forwarded: int, empty_polls: int,
                     empty_poll_cycles: float) -> Dict[str, float]:
     """Per-packet component loads from a run's counters (Sec. 5.3)."""
-    from ..analysis.bottleneck import cpu_load_from_polling
-
     loads = {}
     core_cycles = registry.get("core_cycles")
     if core_cycles is not None and forwarded > 0:

@@ -59,9 +59,6 @@ class Metric:
         self.help = help
         self._series: Dict[LabelKey, object] = {}
 
-    def labelsets(self) -> List[LabelKey]:
-        return sorted(self._series)
-
     def __len__(self) -> int:
         return len(self._series)
 

@@ -275,19 +275,6 @@ def chrome_trace(name: str, snapshot: dict) -> dict:
     return doc
 
 
-def wall_compute_seconds(doc: dict) -> Dict[int, float]:
-    """Per-thread-id sum of the wall track's ``compute`` spans, in
-    seconds -- the quantity the acceptance contract checks against each
-    partition's ``busy_seconds``."""
-    out: Dict[int, float] = {}
-    for event in doc.get("traceEvents", []):
-        if event.get("pid") == PID_WALL and event.get("ph") == "X" \
-                and event.get("name") == "compute":
-            tid = event["tid"]
-            out[tid] = out.get(tid, 0.0) + event["dur"] / 1e6
-    return out
-
-
 def write_trace_json(doc: dict, out_dir) -> pathlib.Path:
     """Write ``TRACE_<name>.json`` (name from the doc's metadata)."""
     out_dir = pathlib.Path(out_dir)

@@ -205,8 +205,3 @@ class TraceSampler:
         if len(self.traces) < self.max_traces:
             self.traces.append(trace)
         return trace
-
-
-def trace_of(packet) -> Optional[PathTrace]:
-    """The packet's trace, if the sampler picked it."""
-    return packet.annotations.get(TRACE_ANNOTATION)

@@ -11,11 +11,9 @@ from ..costs import DEFAULT_COST_MODEL, ServerConfig
 from ..costs import ResourceVector as LoadVector
 from .bounds import ComponentBounds, bounds_for, stream_benchmark_bps
 from .batching import batching_rate_bps, batching_sweep
-from .throughput import (RateResult, max_loss_free_rate, rate_from_loads,
-                         saturation_throughput)
+from .throughput import RateResult, max_loss_free_rate, rate_from_loads
 from .scenarios import SCENARIOS, Scenario, scenario_rate_gbps
 from .projection import project_rates, projected_abilene_forwarding_bps
-from .sweep import app_sweep, batching_grid, bottleneck_crossover_bytes, size_sweep
 from .custom_app import define_application, predict
 from .queueing import loaded_cluster_latency_usec, md1_wait_sec
 
@@ -35,16 +33,11 @@ __all__ = [
     "RateResult",
     "max_loss_free_rate",
     "rate_from_loads",
-    "saturation_throughput",
     "SCENARIOS",
     "Scenario",
     "scenario_rate_gbps",
     "project_rates",
     "projected_abilene_forwarding_bps",
-    "app_sweep",
-    "batching_grid",
-    "bottleneck_crossover_bytes",
-    "size_sweep",
     "define_application",
     "predict",
     "loaded_cluster_latency_usec",

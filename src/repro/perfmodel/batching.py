@@ -1,4 +1,4 @@
-"""The batching model of Table 1 and latency/jitter trade-offs (Sec. 4.2).
+"""The batching model of Table 1 (Sec. 4.2).
 
 Poll-driven batching (``kp``: packets per Click poll) amortizes ring and
 socket-buffer bookkeeping; NIC-driven batching (``kn``: descriptors per
@@ -44,31 +44,3 @@ def batching_sweep(configs: Iterable[Tuple[int, int]] = ((1, 1), (32, 1), (32, 1
                 + DEFAULT_COST_MODEL.bookkeeping_cycles(kp, kn),
         })
     return rows
-
-
-def batching_added_latency_sec(kn: int, packet_rate_pps: float) -> float:
-    """Worst-case extra queueing delay from NIC-driven batching.
-
-    A packet may wait for ``kn - 1`` successors before its descriptor batch
-    is relayed (Sec. 4.2's latency caveat); at high rates the wait is
-    nanoseconds, at low rates it motivates the batching timeout.
-    """
-    if kn < 1:
-        raise ValueError("kn must be >= 1")
-    if packet_rate_pps <= 0:
-        raise ValueError("packet rate must be positive")
-    return (kn - 1) / packet_rate_pps
-
-
-def effective_kn_with_timeout(kn: int, packet_rate_pps: float,
-                              timeout_sec: float) -> float:
-    """Average batch size when a batching timeout caps the wait.
-
-    Models the driver feature the paper plans ("a timeout to limit the
-    amount of time a packet can wait"): if fewer than ``kn`` packets arrive
-    within the timeout, the batch is flushed early.
-    """
-    if timeout_sec <= 0:
-        raise ValueError("timeout must be positive")
-    expected_arrivals = packet_rate_pps * timeout_sec
-    return max(1.0, min(float(kn), expected_arrivals))

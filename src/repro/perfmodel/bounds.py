@@ -84,8 +84,3 @@ def stream_benchmark_bps(spec: ServerSpec, array_mib: int = 64,
     # empirical figure encodes.
     measured_fraction = spec.memory_empirical_bps / spec.memory_bps
     return spec.memory_bps * measured_fraction
-
-
-def empirical_io_bound_bps(spec: ServerSpec) -> float:
-    """The 1024 B minimal-forwarding empirical bound on the socket-I/O path."""
-    return spec.io_empirical_bps

@@ -16,7 +16,6 @@ trade-off discussion (Sec. 2).
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 from .. import calibration as cal
@@ -38,22 +37,6 @@ def md1_wait_sec(service_sec: float, utilization: float) -> float:
         return 0.0
     mu = 1.0 / service_sec
     return utilization / (2 * mu * (1 - utilization))
-
-
-def md1_wait_quantile_sec(service_sec: float, utilization: float,
-                          quantile: float = 0.99) -> float:
-    """Approximate delay quantile for M/D/1.
-
-    Uses the exponential-tail approximation P(W > t) ~ exp(-t/W_bar *
-    (1 - rho) adjusted): adequate for the "how bad is p99 under load"
-    question; exact transforms are overkill here.
-    """
-    if not 0 < quantile < 1:
-        raise ConfigurationError("quantile must be in (0, 1)")
-    mean = md1_wait_sec(service_sec, utilization)
-    if mean == 0:
-        return 0.0
-    return -mean * math.log(1 - quantile)
 
 
 def server_service_time_sec(app: cal.AppCost = cal.MINIMAL_FORWARDING,

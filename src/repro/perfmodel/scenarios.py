@@ -39,12 +39,6 @@ class Scenario:
     cores_per_fp: int
     rate_gbps: float  # per forwarding path
 
-    def violates_one_core_per_packet(self) -> bool:
-        return self.key in ("pipeline", "pipeline_cross_cache", "split")
-
-    def violates_one_core_per_queue(self) -> bool:
-        return self.key in ("split", "overlap")
-
 
 def _per_core_rate_pps(cycles_per_packet: float) -> float:
     return NEHALEM.clock_hz / cycles_per_packet

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .. import calibration as cal
 from ..costs import (DEFAULT_CONFIG, DEFAULT_COST_MODEL, ResourceVector,
                      ServerConfig)
 from ..errors import ConfigurationError
@@ -152,12 +151,3 @@ def max_loss_free_rate(workload: "WorkloadSpec",
     return rate_from_loads(loads, packet_bytes, spec=spec,
                            empirical_bounds=empirical_bounds,
                            nic_limited=nic_limited)
-
-
-def saturation_throughput(workload: "WorkloadSpec",
-                          spec: ServerSpec = NEHALEM,
-                          config: ServerConfig = DEFAULT_CONFIG) -> RateResult:
-    """Convenience wrapper for trace workloads: uses the workload's mean
-    packet size (per-packet costs are affine in size, so the mean is exact
-    for rate computations)."""
-    return max_loss_free_rate(workload, spec=spec, config=config)

@@ -151,10 +151,6 @@ class RoutingTable:
         """All installed (prefix, route) pairs."""
         return self._routes.items()
 
-    def add_default(self, route: Route) -> None:
-        """Install a 0.0.0.0/0 default route."""
-        self.add_route(Prefix(0, 0), route)
-
     def memory_bytes(self) -> int:
         """Approximate size of the lookup structure (DIR-24-8 only)."""
         if hasattr(self._lpm, "memory_bytes"):

@@ -130,23 +130,6 @@ class BinaryTrie:
                 best = (Prefix.from_address(addr, depth + 1), node.value)
         return best
 
-    def lookup_with_prefix(self, address) -> Tuple[Optional[Prefix], Optional[object]]:
-        """Like :meth:`lookup` but also returns the matching prefix."""
-        addr = int(IPv4Address(address))
-        best = (None, None)
-        node = self._root
-        if node.has_value:
-            best = (Prefix(0, 0), node.value)
-        for depth in range(32):
-            bit = (addr >> (31 - depth)) & 1
-            node = node.children[bit]
-            if node is None:
-                break
-            if node.has_value:
-                matched = Prefix.from_address(addr, depth + 1)
-                best = (matched, node.value)
-        return best
-
     def items(self) -> Iterator[Tuple[Prefix, object]]:
         """Yield (prefix, value) pairs in depth-first order."""
         stack = [(self._root, 0, 0)]

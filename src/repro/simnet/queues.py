@@ -27,9 +27,6 @@ class FiniteQueue(Generic[T]):
     def __len__(self) -> int:
         return len(self._items)
 
-    def is_empty(self) -> bool:
-        return not self._items
-
     def is_full(self) -> bool:
         return len(self._items) >= self.capacity
 
@@ -63,8 +60,3 @@ class FiniteQueue(Generic[T]):
     def utilization(self) -> float:
         """Current occupancy as a fraction of capacity."""
         return len(self._items) / self.capacity
-
-    def drop_rate(self) -> float:
-        """Fraction of offered items dropped so far."""
-        offered = self.enqueued + self.dropped
-        return self.dropped / offered if offered else 0.0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import List
 
@@ -84,10 +83,3 @@ class Histogram:
         if not self._values:
             raise ValueError("empty histogram")
         return self._values[-1]
-
-    def cdf_at(self, value: float) -> float:
-        """Fraction of observations <= value."""
-        if not self._values:
-            raise ValueError("empty histogram")
-        self._ensure_sorted()
-        return bisect.bisect_right(self._values, value) / len(self._values)

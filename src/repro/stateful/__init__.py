@@ -24,7 +24,6 @@ from .nf import (
 from .dispatch import (
     STRATEGIES,
     StrategyReport,
-    run_all_strategies,
     run_strategy,
 )
 
@@ -46,5 +45,4 @@ __all__ = [
     "STRATEGIES",
     "StrategyReport",
     "run_strategy",
-    "run_all_strategies",
 ]

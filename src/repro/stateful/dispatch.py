@@ -100,20 +100,6 @@ class StrategyReport:
             return 0.0
         return self.bytes_total * 8 / self.duration_sec / 1e9
 
-    def summary_row(self) -> Dict[str, float]:
-        """Flat scalars for tables and bench artifacts."""
-        return {
-            "strategy": self.strategy,
-            "nf": self.nf,
-            "cores": self.cores,
-            "mpps": self.throughput_mpps,
-            "gbps": self.throughput_gbps,
-            "lock_contended": self.lock_contended,
-            "coherence": self.coherence_transfers,
-            "scr_deltas": self.scr_deltas,
-            "flows": len(self.end_state),
-        }
-
 
 def _observe(report: StrategyReport, records: Sequence[PacketRecord],
              table_sizes: List[float]) -> None:
@@ -283,14 +269,3 @@ def run_strategy(nf: StatefulNF, records: Sequence[PacketRecord],
     _RUNNERS[strategy](nf, records, cores, model, report, sizes, rss_seed)
     _observe(report, records, sizes)
     return report
-
-
-def run_all_strategies(nf_factory, records: Sequence[PacketRecord],
-                       cores: int, model: Optional[CostModel] = None
-                       ) -> Dict[str, StrategyReport]:
-    """Run every strategy over the same history with a *fresh* NF each,
-    returning reports keyed by strategy name."""
-    records = list(records)
-    return {strategy: run_strategy(nf_factory(), records, cores, strategy,
-                                   model=model)
-            for strategy in STRATEGIES}

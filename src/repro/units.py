@@ -32,18 +32,9 @@ def gbps(value: float) -> float:
     return value * GIGA
 
 
-def to_gbps(bits_per_second: float) -> float:
-    """Convert bits/second to Gbps."""
-    return bits_per_second / GIGA
-
-
 def mpps(value: float) -> float:
     """Convert a rate expressed in Mpps to packets/second."""
     return value * MEGA
-
-def to_mpps(packets_per_second: float) -> float:
-    """Convert packets/second to Mpps."""
-    return packets_per_second / MEGA
 
 
 def ghz(value: float) -> float:
@@ -59,23 +50,6 @@ def usec(value: float) -> float:
 def to_usec(seconds: float) -> float:
     """Convert seconds to microseconds."""
     return seconds * 1e6
-
-
-def msec(value: float) -> float:
-    """Convert milliseconds to seconds."""
-    return value * 1e-3
-
-
-def packets_to_bits(num_packets: float, packet_bytes: float) -> float:
-    """Total bits carried by ``num_packets`` packets of ``packet_bytes``."""
-    return num_packets * packet_bytes * BITS_PER_BYTE
-
-
-def rate_bps_to_pps(bits_per_second: float, packet_bytes: float) -> float:
-    """Convert a bit rate to a packet rate for fixed-size packets."""
-    if packet_bytes <= 0:
-        raise ValueError("packet_bytes must be positive, got %r" % packet_bytes)
-    return bits_per_second / (packet_bytes * BITS_PER_BYTE)
 
 
 def rate_pps_to_bps(packets_per_second: float, packet_bytes: float) -> float:

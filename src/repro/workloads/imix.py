@@ -8,13 +8,9 @@ Abilene workloads when characterizing the rate-vs-size surface.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
-from ..net.addresses import IPv4Address
-from ..net.packet import Packet
-from .synthetic import PacketSource
 
 #: Named (size, weight) mixes; weights need not be normalized.
 MIXES: Dict[str, List[Tuple[int, float]]] = {
@@ -33,46 +29,6 @@ def mix_mean_bytes(mix: List[Tuple[int, float]]) -> float:
     if total_weight <= 0:
         raise ConfigurationError("mix weights must sum to > 0")
     return sum(size * weight for size, weight in mix) / total_weight
-
-
-class ImixWorkload(PacketSource):
-    """Generate packets whose sizes follow a named or custom IMIX."""
-
-    def __init__(self, mix="simple", num_flows: int = 64, seed: int = 0):
-        if isinstance(mix, str):
-            if mix not in MIXES:
-                raise ConfigurationError("unknown mix %r (have %s)"
-                                         % (mix, sorted(MIXES)))
-            mix = MIXES[mix]
-        if not mix or any(size < 64 or weight < 0 for size, weight in mix):
-            raise ConfigurationError("mix entries need size >= 64, weight >= 0")
-        if num_flows < 1:
-            raise ConfigurationError("need >= 1 flow")
-        self.mix = list(mix)
-        self.rng = random.Random(seed)
-        self._sizes, self._weights = zip(*self.mix)
-        self._flows = [(IPv4Address(self.rng.getrandbits(32)),
-                        IPv4Address(self.rng.getrandbits(32)),
-                        1024 + self.rng.randrange(60000), 80)
-                       for _ in range(num_flows)]
-        self._seq = [0] * num_flows
-
-    def mean_packet_bytes(self) -> float:
-        return mix_mean_bytes(self.mix)
-
-    def packets(self, count: int) -> Iterator[Packet]:
-        """Yield ``count`` packets, sizes drawn from the mix."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        for index in range(count):
-            flow = index % len(self._flows)
-            src, dst, sport, dport = self._flows[flow]
-            size = self.rng.choices(self._sizes, weights=self._weights)[0]
-            packet = Packet.udp(src, dst, length=size, src_port=sport,
-                                dst_port=dport)
-            self._seq[flow] += 1
-            packet.flow_seq = self._seq[flow]
-            yield packet
 
 
 def imix_rate_gbps(app_name: str = "forwarding", mix: str = "simple") -> float:

@@ -53,18 +53,6 @@ class TrafficMatrix:
                 return False
         return True
 
-    def uniformity(self) -> float:
-        """1.0 for a perfectly uniform off-diagonal matrix, less otherwise.
-
-        Computed as (mean off-diagonal demand) / (max off-diagonal demand);
-        a permutation matrix scores 1/(N-1)... -> 0 as N grows.
-        """
-        off_diag = self.demands[~np.eye(self.n, dtype=bool)]
-        peak = off_diag.max()
-        if peak == 0:
-            return 1.0
-        return float(off_diag.mean() / peak)
-
     def scaled(self, factor: float) -> "TrafficMatrix":
         return TrafficMatrix(self.demands * factor)
 
@@ -89,31 +77,4 @@ def permutation_matrix(n: int, port_rate_bps: float,
     matrix = np.zeros((n, n))
     for i in range(n):
         matrix[i][(i + shift) % n] = port_rate_bps
-    return TrafficMatrix(matrix)
-
-
-def hotspot_matrix(n: int, port_rate_bps: float, hot_node: int = 0,
-                   hot_fraction: float = 0.5) -> TrafficMatrix:
-    """Every input sends ``hot_fraction`` of its traffic to one output.
-
-    Still admissible only while n * hot_fraction <= 1 -- the constructor
-    scales hot demands down to keep the hot output at line rate, modeling
-    an output-constrained hotspot.
-    """
-    if n < 2:
-        raise ConfigurationError("need >= 2 nodes")
-    if not 0 < hot_fraction <= 1:
-        raise ConfigurationError("hot_fraction must be in (0, 1]")
-    if not 0 <= hot_node < n:
-        raise ConfigurationError("hot_node out of range")
-    matrix = np.zeros((n, n))
-    senders = [i for i in range(n) if i != hot_node]
-    hot_share = min(port_rate_bps * hot_fraction,
-                    port_rate_bps / len(senders))
-    for i in senders:
-        matrix[i][hot_node] = hot_share
-        cold = (port_rate_bps - hot_share) / max(1, n - 2)
-        for j in range(n):
-            if j not in (i, hot_node):
-                matrix[i][j] = cold
     return TrafficMatrix(matrix)

@@ -18,9 +18,9 @@ The old positional signatures were removed: those entry points raise
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .. import calibration as cal
 from ..errors import ConfigurationError
@@ -52,8 +52,11 @@ def _normalize_mix(mix) -> SizeMix:
                                      % (mix, sorted(MIXES)))
         mix = MIXES[mix]
     mix = tuple((float(size), float(weight)) for size, weight in mix)
-    if not mix or any(size < 64 or weight < 0 for size, weight in mix):
-        raise ConfigurationError("mix entries need size >= 64, weight >= 0")
+    # Written so that NaN fails too (every comparison with NaN is false).
+    if not mix or not all(64 <= size < math.inf and 0 <= weight < math.inf
+                          for size, weight in mix):
+        raise ConfigurationError("mix entries need finite size >= 64 and "
+                                 "finite weight >= 0")
     if sum(weight for _, weight in mix) <= 0:
         raise ConfigurationError("mix weights must sum to > 0")
     return mix
@@ -121,15 +124,6 @@ class WorkloadSpec:
                             matrix=matrix,
                             flows_per_pair=self.flows_per_pair,
                             seed=self.seed)
-
-    def size_sampler(self, rng: random.Random):
-        """A zero-argument callable drawing frame sizes from the mix."""
-        sizes = [size for size, _ in self.mix]
-        weights = [weight for _, weight in self.mix]
-        if len(sizes) == 1:
-            only = sizes[0]
-            return lambda: only
-        return lambda: rng.choices(sizes, weights=weights)[0]
 
     def events(self, duration_sec: float, owned=None,
                id_base: Optional[int] = None) \

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
@@ -78,12 +79,13 @@ class SkewedFlowWorkload:
                  rate_pps: float = 1e6, seed: int = 0):
         if num_flows < 1:
             raise ConfigurationError("need >= 1 flow slot")
-        if skew < 0:
-            raise ConfigurationError("skew exponent cannot be negative")
-        if churn_packets is not None and churn_packets < 1:
-            raise ConfigurationError("churn_packets must be >= 1 packet")
-        if rate_pps <= 0:
-            raise ConfigurationError("rate must be positive")
+        # Written so that NaN fails too (every comparison with NaN is false).
+        if not 0 <= skew < math.inf:
+            raise ConfigurationError("skew exponent must be finite and >= 0")
+        if churn_packets is not None and not 1 <= churn_packets < math.inf:
+            raise ConfigurationError("churn_packets must be finite and >= 1 packet")
+        if not 0 < rate_pps < math.inf:
+            raise ConfigurationError("rate must be finite and positive")
         self.num_flows = num_flows
         self.skew = skew
         self.churn_packets = churn_packets
@@ -127,14 +129,6 @@ class SkewedFlowWorkload:
                                 weights=self._size_weights)[0]
 
     # -- streams -----------------------------------------------------------
-
-    def flow_ids(self, count: int) -> Iterator[tuple]:
-        """The deterministic ``(slot, generation)`` stream, advancing
-        churn exactly as :meth:`records` would.  Consuming this stream
-        and consuming :meth:`records` from two equal-seeded instances
-        yields the same identities."""
-        for record in self.records(count):
-            yield (record.flow_slot, record.flow_generation)
 
     def records(self, count: int) -> Iterator[PacketRecord]:
         """Yield ``count`` packet records in arrival order."""

@@ -7,14 +7,12 @@ import pytest
 from repro import calibration as cal
 from repro.analysis import (
     EXPERIMENTS,
-    cpu_load_from_polling,
     deconstruct,
-    format_series,
     format_table,
     load_series,
     run_experiment,
 )
-from repro.analysis.report import paper_vs_measured
+from repro.obs.explain import cpu_load_from_polling
 
 
 class TestDeconstruction:
@@ -75,15 +73,6 @@ class TestReports:
 
     def test_format_table_empty(self):
         assert "(empty)" in format_table([], ["a"])
-
-    def test_format_series(self):
-        text = format_series("s", [1, 2], [3.0, 4.0], "x", "y")
-        assert "3.000" in text
-
-    def test_paper_vs_measured_ratio(self):
-        text = paper_vs_measured([
-            {"metric": "m", "paper": 10.0, "measured": 12.0}])
-        assert "1.200" in text
 
 
 class TestExperiments:

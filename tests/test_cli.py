@@ -131,7 +131,10 @@ class TestRefusedInput:
         ["power", "--servers", "0"],
         ["faults", "curve", "--nodes", "1"],
         ["faults", "run", "--duration-ms", "0"],
+        ["faults", "run", "--size", "inf"],
+        ["faults", "run", "--size", "nan"],
         ["stateful", "run", "nat", "--cores", "0"],
+        ["stateful", "run", "nat", "--skew", "nan"],
         ["trace", "info", "no-such-trace.pcap"],
         ["control", "run", "--duration-ms", "-1"],
     ], ids=" ".join)
@@ -139,6 +142,7 @@ class TestRefusedInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [

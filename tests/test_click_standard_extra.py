@@ -4,7 +4,7 @@ SetTTL and SourceFilter."""
 import pytest
 
 from repro.click import CounterElement, Discard
-from repro.click.elements.standard import CheckPaint, Meter, Paint, RandomSample
+from repro.click.elements.standard import Meter, Paint, RandomSample
 from repro.errors import ConfigurationError
 from repro.net import Packet
 
@@ -23,13 +23,12 @@ def _counted(element, n_outputs=None):
 class TestPaint:
     def test_paint_and_check(self):
         paint = Paint(color=7)
-        check = CheckPaint(color=7)
-        paint.connect_to(check)
-        match, other = _counted(check)
-        paint.receive(Packet.udp("1.1.1.1", "2.2.2.2"))
-        assert match.count == 1
-        check.receive(Packet.udp("1.1.1.1", "2.2.2.2"))  # unpainted
-        assert other.count == 1
+        (sink,) = _counted(paint)
+        packet = Packet.udp("1.1.1.1", "2.2.2.2")
+        assert "paint" not in packet.annotations
+        paint.receive(packet)
+        assert sink.count == 1
+        assert packet.annotations["paint"] == 7
 
 
 class TestMeter:

@@ -56,10 +56,6 @@ class TestEstimates:
         # The 4-socket follow-up shrinks form factor ~4x (Sec. 8).
         assert discussion.next_gen_form_factor_gain() == pytest.approx(4.0)
 
-    def test_watts_per_gbps(self):
-        rb4 = discussion.rb4_estimate()
-        assert rb4.watts_per_gbps == pytest.approx(65.0)
-
     def test_rejects_empty_cluster(self):
         with pytest.raises(ConfigurationError):
             discussion.estimate_cluster(0)

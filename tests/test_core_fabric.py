@@ -1,4 +1,4 @@
-"""Tests for the explicit fabric graphs (mesh, k-ary n-fly, torus)."""
+"""Tests for the explicit fabric graphs (mesh, k-ary n-fly)."""
 
 import os
 import subprocess
@@ -9,11 +9,9 @@ import pytest
 import repro
 from repro.core.fabric import (
     FabricNetwork,
-    current_server_fabric,
     fly_graph,
     mesh_graph,
     sec33_latency_estimate,
-    torus_graph,
 )
 from repro.errors import TopologyError
 
@@ -25,10 +23,6 @@ class TestMeshGraph:
             for d in range(6):
                 if s != d:
                     assert fabric.hops(s, d) == 2
-
-    def test_vlb_path_three_hops(self):
-        fabric = FabricNetwork(mesh_graph(6))
-        assert fabric.vlb_hops(0, 3, 5) == 3
 
     def test_transit_load_uniform(self):
         fabric = FabricNetwork(mesh_graph(4))
@@ -47,7 +41,7 @@ class TestFlyGraph:
         fabric = FabricNetwork(fly_graph(4, 3))
         assert len(fabric.io_nodes) == 64
         # 64 terminals + 3 stages x 16 switches.
-        assert fabric.num_servers() == 64 + 48
+        assert fabric.graph.number_of_nodes() == 64 + 48
 
     def test_all_pairs_reachable_in_n_plus_2(self):
         stages = 3
@@ -72,29 +66,6 @@ class TestFlyGraph:
         small = FabricNetwork(fly_graph(4, 2))
         large = FabricNetwork(fly_graph(4, 3))
         assert large.hops(0, 1) > small.hops(0, 1)
-
-
-class TestTorusGraph:
-    def test_degree(self):
-        graph = torus_graph(4, 2)
-        for node in graph.nodes:
-            assert graph.out_degree(node) == 4  # 2 per dimension
-
-    def test_wraparound(self):
-        fabric = FabricNetwork(torus_graph(4, 1))
-        # On a 4-ring, 0 -> 3 wraps in one hop (path of 2 servers).
-        assert fabric.hops(0, 3) == 2
-
-    def test_diameter_scales(self):
-        small = FabricNetwork(torus_graph(3, 2))
-        large = FabricNetwork(torus_graph(6, 2))
-        worst_small = max(small.hops(0, d) for d in range(1, 9))
-        worst_large = max(large.hops(0, d) for d in range(1, 36))
-        assert worst_large > worst_small
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(TopologyError):
-            torus_graph(1, 2)
 
 
 class TestFlyProperties:
@@ -144,22 +115,6 @@ class TestLatencyEstimates:
                                                                    rel=0.01)
         assert estimate["servers_on_path"] == 4
         assert estimate["latency_usec"] == pytest.approx(96.0)
-
-    def test_mesh_latency(self):
-        fabric = FabricNetwork(mesh_graph(4))
-        assert fabric.path_latency_usec(fabric.hops(0, 1)) == pytest.approx(
-            48.0)
-
-    def test_current_server_fabric_selection(self):
-        mesh = current_server_fabric(16)
-        assert mesh.num_servers() == 16
-        fly = current_server_fabric(64)
-        assert fly.num_servers() > 64  # intermediates appear
-
-    def test_worst_case_vlb_latency_bounded(self):
-        fabric = FabricNetwork(mesh_graph(8))
-        # Two-phase through a mesh: at most 3 servers -> 72 us.
-        assert fabric.worst_case_vlb_latency_usec() == pytest.approx(72.0)
 
 
 def test_importing_the_cluster_does_not_import_networkx():

@@ -58,12 +58,6 @@ class TestFlowletTable:
         assert len(table) <= 4
         assert table.evictions > 0
 
-    def test_active_flows(self):
-        table = FlowletTable(delta_sec=0.1)
-        table.assign(_flow(0), 0.0, lambda p: True, lambda: 1)
-        table.assign(_flow(1), 1.0, lambda p: True, lambda: 1)
-        assert table.active_flows(1.05) == 1
-
     def test_bad_params(self):
         with pytest.raises(ConfigurationError):
             FlowletTable(delta_sec=0)

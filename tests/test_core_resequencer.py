@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.resequencer import Resequencer, added_latency_bound_sec
+from repro.core.resequencer import Resequencer
 from repro.errors import ConfigurationError
 from repro.net import Packet
 
@@ -83,8 +83,6 @@ class TestResequencer:
             Resequencer(deliver=lambda p: None, timeout_sec=0)
         with pytest.raises(ConfigurationError):
             Resequencer(deliver=lambda p: None, max_buffer=0)
-        with pytest.raises(ConfigurationError):
-            added_latency_bound_sec(0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.permutations(list(range(1, 15))))

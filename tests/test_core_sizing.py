@@ -39,7 +39,8 @@ class TestPortsPerServer:
 
     def test_utilization_below_one(self):
         sizing = ports_per_server(1e9)
-        assert sizing.utilized_fraction <= 1.0
+        required = sizing.ports * sizing.port_rate_bps * sizing.vlb_factor
+        assert required <= sizing.processing_capacity_bps
 
     def test_next_gen_hosts_more_ports(self):
         now = ports_per_server(1e9, workload="worst-case")

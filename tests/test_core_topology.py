@@ -84,10 +84,6 @@ class TestTorus:
         torus = Torus(num_ports=n, ports_per_server=1)
         assert torus.total_servers() > fly.total_servers()
 
-    def test_degree(self):
-        assert Torus(num_ports=64, ports_per_server=1,
-                     dimensions=3).degree() == 6
-
     def test_average_hops_grow_with_radix(self):
         small = Torus(num_ports=64, ports_per_server=1)
         large = Torus(num_ports=4096, ports_per_server=1)

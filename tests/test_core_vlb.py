@@ -15,7 +15,6 @@ from repro.core.vlb import (
 from repro.errors import ConfigurationError
 from repro.workloads import (
     TrafficMatrix,
-    hotspot_matrix,
     permutation_matrix,
     uniform_matrix,
 )

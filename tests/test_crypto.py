@@ -8,7 +8,6 @@ from repro.crypto import (
     EspContext,
     cbc_decrypt,
     cbc_encrypt,
-    ctr_transform,
     esp_decapsulate,
     esp_encapsulate,
 )
@@ -123,23 +122,6 @@ class TestModes:
         cipher = AES128(b"\x00" * 16)
         with pytest.raises(CryptoError):
             cbc_decrypt(cipher, b"\x00" * 16, b"\x00" * 17)
-
-    @settings(max_examples=15, deadline=None)
-    @given(key=st.binary(min_size=16, max_size=16),
-           nonce=st.binary(min_size=16, max_size=16),
-           data=st.binary(min_size=0, max_size=100))
-    def test_ctr_is_an_involution(self, key, nonce, data):
-        cipher = AES128(key)
-        once = ctr_transform(cipher, nonce, data)
-        assert ctr_transform(cipher, nonce, once) == data
-        assert len(once) == len(data)
-
-    def test_ctr_counter_wraps(self):
-        cipher = AES128(b"\x01" * 16)
-        nonce = b"\xff" * 16  # counter at max; must wrap, not crash
-        data = b"x" * 48
-        assert ctr_transform(cipher, nonce,
-                             ctr_transform(cipher, nonce, data)) == data
 
 
 def _context(spi=7):

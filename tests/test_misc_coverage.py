@@ -9,7 +9,6 @@ from repro.click.simrun import TimedForwardingRun
 from repro.errors import ConfigurationError, SchedulingError
 from repro.hw import Server, nehalem_server
 from repro.hw.presets import NEHALEM_NEXT_GEN
-from repro.perfmodel import saturation_throughput
 
 
 class TestGraphAddAll:
@@ -21,17 +20,6 @@ class TestGraphAddAll:
         counter.connect_to(sink)
         graph.validate()
         assert len(graph) == 2
-
-
-class TestSaturationThroughput:
-    def test_matches_max_loss_free_rate(self):
-        from repro.perfmodel import max_loss_free_rate
-        from repro.workloads import WorkloadSpec
-        spec = WorkloadSpec.fixed(cal.ABILENE_MEAN_PACKET_BYTES,
-                                  app=cal.IP_ROUTING)
-        direct = max_loss_free_rate(spec)
-        wrapped = saturation_throughput(spec)
-        assert wrapped.rate_bps == pytest.approx(direct.rate_bps)
 
 
 class TestTimedRunWithRouting:

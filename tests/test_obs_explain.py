@@ -79,6 +79,17 @@ class TestAcceptanceMatrix:
         assert data["predicted_bottleneck"] == report.predicted_bottleneck
         assert "agreement" in report.summary() or "Explain" in str(report)
 
+    @pytest.mark.parametrize("load_fraction", [0.2, 0.9])
+    def test_observed_cpu_load_is_flat_in_rate(self, load_fraction):
+        # Sec. 5.3 conclusion 4: once empty polls are deducted, the
+        # measured cycles/packet is the calibrated constant at any rate.
+        report = explain_pipeline("forwarding", 64, duration_sec=_DURATION,
+                                  load_fraction=load_fraction)
+        calibrated = (cal.MINIMAL_FORWARDING.cpu_cycles(64)
+                      + cal.DEFAULT_BOOKKEEPING_CYCLES)
+        assert report.observed_loads["cpu"] == pytest.approx(calibrated,
+                                                             rel=0.02)
+
     def test_transcript_mentions_both_sides(self, matrix):
         text = format_explain(matrix[("ipsec", 64)])
         assert "predicted (analytic)" in text

@@ -27,7 +27,6 @@ from repro.obs.timeline import (
     PID_SIM,
     PID_WALL,
     chrome_trace,
-    wall_compute_seconds,
     write_trace_json,
 )
 from repro.parallel import simulate_parallel
@@ -122,10 +121,15 @@ class TestChromeTraceExport:
         # epoch/barrier spans reconstruct busy_seconds within 1%.
         report, registry = _run(2)
         doc = chrome_trace("rb4", registry.snapshot())
-        sums = wall_compute_seconds(doc)
+        compute = {}
+        for event in doc["traceEvents"]:
+            if event["pid"] == PID_WALL and event.get("ph") == "X" \
+                    and event.get("name") == "compute":
+                tid = event["tid"]
+                compute[tid] = compute.get(tid, 0.0) + event["dur"] / 1e6
         for pid, busy in enumerate(report.partition_busy_seconds):
             tid = 2 * 256 + pid
-            assert sums[tid] == pytest.approx(busy, rel=0.01)
+            assert compute[tid] == pytest.approx(busy, rel=0.01)
         barrier = {}
         for event in doc["traceEvents"]:
             if event["pid"] == PID_WALL and event.get("name") == "barrier":

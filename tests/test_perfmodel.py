@@ -6,7 +6,6 @@ from repro import calibration as cal
 from repro.errors import ConfigurationError
 from repro.hw.presets import NEHALEM, NEHALEM_NEXT_GEN, XEON_SHARED_BUS
 from repro.perfmodel import (
-    SCENARIOS,
     ServerConfig,
     batching_rate_bps,
     batching_sweep,
@@ -16,10 +15,6 @@ from repro.perfmodel import (
     project_rates,
     projected_abilene_forwarding_bps,
     scenario_rate_gbps,
-)
-from repro.perfmodel.batching import (
-    batching_added_latency_sec,
-    effective_kn_with_timeout,
 )
 from repro.perfmodel.bounds import stream_benchmark_bps
 from repro.perfmodel.scenarios import fig7_configurations
@@ -101,23 +96,6 @@ class TestBatching:
         with pytest.raises(ConfigurationError):
             ServerConfig(kn=17)
 
-    def test_batching_latency(self):
-        # At 1 Mpps, waiting for 15 more packets costs 15 us.
-        assert batching_added_latency_sec(16, 1e6) == pytest.approx(15e-6)
-        assert batching_added_latency_sec(1, 1e6) == 0.0
-
-    def test_effective_kn_with_timeout(self):
-        # Low rate: the timeout flushes nearly-empty batches.
-        assert effective_kn_with_timeout(16, 1000, 1e-3) == pytest.approx(1.0)
-        # High rate: full batches before the timeout.
-        assert effective_kn_with_timeout(16, 1e7, 1e-3) == 16.0
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            batching_added_latency_sec(0, 1e6)
-        with pytest.raises(ValueError):
-            effective_kn_with_timeout(16, 1e6, 0)
-
 
 class TestScenarios:
     def test_fig6_paper_anchors(self):
@@ -141,11 +119,6 @@ class TestScenarios:
     def test_multi_queue_fixes_overlap(self):
         assert scenario_rate_gbps("overlap_multi_queue") == pytest.approx(
             scenario_rate_gbps("parallel"))
-
-    def test_rule_flags(self):
-        assert SCENARIOS["pipeline"].violates_one_core_per_packet()
-        assert not SCENARIOS["parallel"].violates_one_core_per_packet()
-        assert SCENARIOS["overlap"].violates_one_core_per_queue()
 
     def test_unknown_scenario(self):
         with pytest.raises(KeyError):

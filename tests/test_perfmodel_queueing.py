@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.perfmodel.queueing import (
     latency_vs_load_curve,
     loaded_cluster_latency_usec,
-    md1_wait_quantile_sec,
     md1_wait_sec,
     server_service_time_sec,
     utilization_for_latency_budget,
@@ -28,18 +27,11 @@ class TestMd1:
         waits = [md1_wait_sec(1e-6, rho) for rho in (0.1, 0.5, 0.9)]
         assert waits == sorted(waits)
 
-    def test_quantile_exceeds_mean(self):
-        mean = md1_wait_sec(1e-6, 0.7)
-        p99 = md1_wait_quantile_sec(1e-6, 0.7, 0.99)
-        assert p99 > 3 * mean
-
     def test_bad_inputs(self):
         with pytest.raises(ConfigurationError):
             md1_wait_sec(0, 0.5)
         with pytest.raises(ConfigurationError):
             md1_wait_sec(1e-6, 1.0)
-        with pytest.raises(ConfigurationError):
-            md1_wait_quantile_sec(1e-6, 0.5, 1.5)
 
 
 class TestServerService:

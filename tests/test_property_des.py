@@ -2,6 +2,7 @@
 against a sort-based reference, and the cluster's conservation and
 ordering invariants."""
 
+import bisect
 import random
 from itertools import repeat
 
@@ -83,7 +84,8 @@ def test_single_path_traffic_never_reorders(seed):
 # cancels (by position in the list of handles issued so far -- so a
 # callback may cancel events that are pending, already run, already
 # cancelled, or itself).  The same program drives the real engine and a
-# reference that keeps a flat list and takes min (time, filing index).
+# reference that keeps one list sorted on (time, filing index) and runs
+# its head.
 
 HANDLE_FRONTS = ("schedule", "schedule_at")
 FRONTS = HANDLE_FRONTS + ("schedule_timer", "schedule_timer_at",
@@ -126,32 +128,36 @@ class ReferenceQueue:
         records = []
         for chunk in _chunked_offsets(front, offsets):
             for offset in chunk:
-                records.append([self.now + offset, self._filed, callback])
+                record = [self.now + offset, self._filed, callback]
+                bisect.insort(self._pending, record, key=lambda r: (r[0], r[1]))
+                records.append(record)
                 self._filed += 1
-        self._pending.extend(records)
         return records[0] if front in HANDLE_FRONTS else None
 
     @staticmethod
     def cancel(record):
-        record[2] = None  # a record that already ran is no longer pending
+        # A tombstone: the head skips it.  A record that already ran is
+        # no longer pending, so cancelling it changes nothing.
+        record[2] = None
 
-    def _live(self):
-        self._pending = [r for r in self._pending if r[2] is not None]
-        return sorted(self._pending, key=lambda r: (r[0], r[1]))
+    def _head(self):
+        pending = self._pending
+        while pending and pending[0][2] is None:
+            pending.pop(0)
+        return pending[0] if pending else None
 
     def peek_time(self):
-        live = self._live()
-        return live[0][0] if live else None
+        head = self._head()
+        return head[0] if head else None
 
     def run(self, until=None):
         while True:
-            live = self._live()
-            if not live or (until is not None and live[0][0] > until):
+            head = self._head()
+            if head is None or (until is not None and head[0] > until):
                 break
-            record = live[0]
-            self._pending.remove(record)
-            self.now = record[0]
-            record[2]()
+            self._pending.pop(0)
+            self.now = head[0]
+            head[2]()
             self.events_run += 1
         if until is not None and self.now < until:
             self.now = until

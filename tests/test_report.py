@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import ascii_bars, format_table, paper_vs_measured
+from repro.analysis.report import ascii_bars, format_table
 
 
 class TestAsciiBars:
@@ -33,17 +33,6 @@ class TestAsciiBars:
         text = ascii_bars(["short", "a-much-longer-label"], [1.0, 2.0])
         lines = text.splitlines()
         assert lines[0].index("#") == lines[1].index("#")
-
-
-class TestPaperVsMeasured:
-    def test_ratio_column(self):
-        text = paper_vs_measured([{"metric": "x", "paper": 2.0,
-                                   "measured": 1.0}])
-        assert "0.500" in text
-
-    def test_missing_values_tolerated(self):
-        text = paper_vs_measured([{"metric": "x", "measured": 1.0}])
-        assert "x" in text
 
 
 class TestFormatTableEdgeCases:

@@ -32,7 +32,7 @@ class TestRoutingTable:
     def test_default_route(self):
         table = RoutingTable()
         fallthrough = Route(port=9, next_hop=IPv4Address("10.9.9.1"))
-        table.add_default(fallthrough)
+        table.add_route("0.0.0.0/0", fallthrough)
         assert table.lookup("203.0.113.7") == fallthrough
 
     def test_trie_engine_agrees(self):

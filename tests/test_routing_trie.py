@@ -37,7 +37,7 @@ class TestLookup:
         assert trie.lookup("10.1.2.4") == "ten-one-two"
 
     def test_lookup_with_prefix(self, trie):
-        prefix, value = trie.lookup_with_prefix("10.1.2.3")
+        prefix, value = trie.lookup_covering("10.1.2.3", 32)
         assert prefix == Prefix.parse("10.1.2.0/24")
         assert value == "ten-one-two"
 

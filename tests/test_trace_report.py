@@ -7,7 +7,6 @@ from repro.analysis.trace_report import characterize, characterize_pcap
 from repro.errors import ConfigurationError
 from repro.net import Packet
 from repro.workloads import AbileneTrace, FlowGenerator
-from repro.workloads.imix import ImixWorkload
 from repro.workloads.pcapio import save_trace
 
 
@@ -36,13 +35,14 @@ class TestCharacterize:
             cal.ABILENE_MEAN_PACKET_BYTES, rel=0.05)
 
     def test_imix_size_shares(self):
-        workload = ImixWorkload("simple", seed=2)
-        pairs = [(i * 1e-6, p)
-                 for i, p in enumerate(workload.packets(6000))]
+        # The simple IMIX: 7 x 64 B, 4 x 570 B, 1 x 1518 B.
+        sizes = ([64] * 7 + [570] * 4 + [1518]) * 500
+        pairs = [(i * 1e-6, Packet.udp("10.0.0.1", "10.0.0.2", length=size))
+                 for i, size in enumerate(sizes)]
         shares = characterize(pairs).size_shares()
-        # 7:4:1 mix.
-        assert shares[64] == pytest.approx(7 / 12, abs=0.04)
-        assert shares[1518] == pytest.approx(1 / 12, abs=0.03)
+        assert shares[64] == pytest.approx(7 / 12)
+        assert shares[570] == pytest.approx(4 / 12)
+        assert shares[1518] == pytest.approx(1 / 12)
 
     def test_bursty_flows_have_high_cv(self):
         gen = FlowGenerator(num_flows=5, packets_per_flow=100,

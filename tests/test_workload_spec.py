@@ -1,12 +1,13 @@
 """The unified WorkloadSpec accepted by every throughput API."""
 
+import math
 
 import pytest
 
 from repro import calibration as cal
 from repro.core import RouteBricksRouter
 from repro.errors import ConfigurationError
-from repro.perfmodel import max_loss_free_rate, saturation_throughput
+from repro.perfmodel import max_loss_free_rate
 from repro.workloads import WorkloadSpec
 from repro.workloads.matrices import uniform_matrix
 
@@ -34,6 +35,20 @@ class TestSpecConstruction:
             WorkloadSpec(name="bad", mix=((32, 1.0),))
         with pytest.raises(ConfigurationError):
             WorkloadSpec(name="bad", mix=((64, 0.0),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_size_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            WorkloadSpec.fixed(value)
+        with pytest.raises(ConfigurationError):
+            WorkloadSpec(name="bad", mix=((64, 1.0), (value, 1.0)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            WorkloadSpec(name="z", mix=((64, value),))
+        with pytest.raises(ConfigurationError):
+            WorkloadSpec.imix([(64, 1.0), (1518, value)])
 
     def test_with_matrix(self):
         matrix = uniform_matrix(4, 1e9)
@@ -90,8 +105,6 @@ class TestRemovedLegacyForms:
     def test_old_positional_forms_raise(self):
         with pytest.raises(TypeError):
             max_loss_free_rate(cal.MINIMAL_FORWARDING, 64)
-        with pytest.raises(TypeError):
-            saturation_throughput(cal.MINIMAL_FORWARDING, 64)
         with pytest.raises(TypeError):
             RouteBricksRouter().max_throughput(64)
 

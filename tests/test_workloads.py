@@ -9,7 +9,6 @@ from repro.workloads import (
     FixedSizeWorkload,
     FlowGenerator,
     TrafficMatrix,
-    hotspot_matrix,
     permutation_matrix,
     uniform_matrix,
 )
@@ -116,15 +115,6 @@ class TestMatrices:
     def test_permutation_rejects_identity_shift(self):
         with pytest.raises(ConfigurationError):
             permutation_matrix(4, 10e9, shift=4)
-
-    def test_hotspot_admissible(self):
-        matrix = hotspot_matrix(6, 10e9, hot_node=2)
-        assert matrix.is_admissible(10e9)
-        assert matrix.col_sum(2) <= 10e9 * 1.0001
-
-    def test_uniformity_metric(self):
-        assert uniform_matrix(6, 10e9).uniformity() == pytest.approx(1.0)
-        assert permutation_matrix(6, 10e9).uniformity() < 0.3
 
     def test_scaled(self):
         matrix = uniform_matrix(4, 10e9).scaled(0.5)

@@ -1,11 +1,10 @@
-"""Tests for IMIX workloads."""
+"""Tests for the IMIX size mixes and their loss-free rates."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.workloads.imix import (
     MIXES,
-    ImixWorkload,
     imix_rate_gbps,
     mix_mean_bytes,
 )
@@ -23,38 +22,6 @@ class TestMixes:
     def test_bad_mix(self):
         with pytest.raises(ConfigurationError):
             mix_mean_bytes([(100, 0)])
-
-
-class TestImixWorkload:
-    def test_sizes_from_mix(self):
-        workload = ImixWorkload("simple", seed=1)
-        sizes = {p.length for p in workload.packets(300)}
-        assert sizes <= {64, 570, 1518}
-        assert len(sizes) == 3
-
-    def test_empirical_mean(self):
-        workload = ImixWorkload("simple", seed=2)
-        sizes = [p.length for p in workload.packets(12000)]
-        assert sum(sizes) / len(sizes) == pytest.approx(353, rel=0.05)
-
-    def test_custom_mix(self):
-        workload = ImixWorkload([(128, 1), (256, 1)], seed=3)
-        sizes = {p.length for p in workload.packets(100)}
-        assert sizes <= {128, 256}
-        assert workload.mean_packet_bytes() == 192
-
-    def test_flow_sequences(self):
-        workload = ImixWorkload("simple", num_flows=2, seed=4)
-        packets = list(workload.packets(6))
-        assert [p.flow_seq for p in packets[::2]] == [1, 2, 3]
-
-    def test_unknown_mix(self):
-        with pytest.raises(ConfigurationError):
-            ImixWorkload("jumbo")
-
-    def test_bad_sizes(self):
-        with pytest.raises(ConfigurationError):
-            ImixWorkload([(32, 1)])
 
 
 class TestImixRates:

@@ -1,5 +1,7 @@
 """Flow-skewed workload generator: determinism, skew shape, and churn."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -22,14 +24,11 @@ class TestDeterminism:
         assert first == second
 
     def test_same_seed_same_flow_id_stream(self):
-        first = list(_workload(churn_packets=50).flow_ids(600))
-        second = list(_workload(churn_packets=50).flow_ids(600))
+        first, second = (
+            [(r.flow_slot, r.flow_generation)
+             for r in _workload(churn_packets=50).records(600)]
+            for _ in range(2))
         assert first == second
-
-    def test_flow_ids_match_records(self):
-        ids = list(_workload(churn_packets=50).flow_ids(400))
-        records = list(_workload(churn_packets=50).records(400))
-        assert ids == [(r.flow_slot, r.flow_generation) for r in records]
 
     def test_different_seeds_differ(self):
         first = list(_workload(seed=1).records(200))
@@ -108,6 +107,12 @@ class TestValidation:
             _workload(churn_packets=0.5)
         with pytest.raises(ConfigurationError):
             _workload(rate_pps=0.0)
+
+    @pytest.mark.parametrize("name", ["skew", "churn_packets", "rate_pps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_raise(self, name, value):
+        with pytest.raises(ConfigurationError):
+            _workload(**{name: value})
 
     def test_negative_count_raises(self):
         with pytest.raises(ValueError):
