@@ -96,7 +96,7 @@ def test_flowlet_delta_sweep(benchmark, save_result):
             node.flowlets.delta_sec = delta
             node.egress_callback = lambda p, now, m=meter: m.observe(p)
         for t, p in gen.timed_packets():
-            sim.schedule_at(t, lambda n=nodes[0], p=p: n.ingress(p, 1))
+            sim.schedule_timer_at(t, lambda n=nodes[0], p=p: n.ingress(p, 1))
         sim.run()
         return meter.reordered_fraction()
 

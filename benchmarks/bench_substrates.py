@@ -111,8 +111,8 @@ def test_des_event_throughput(benchmark):
         link = Link(sim, "l", rate_bps=10e9,
                     deliver=lambda p: delivered.append(p))
         for i in range(2_000):
-            sim.schedule(i * 1e-7,
-                         lambda: link.send(Packet.udp("1.1.1.1", "2.2.2.2")))
+            sim.schedule_timer(
+                i * 1e-7, lambda: link.send(Packet.udp("1.1.1.1", "2.2.2.2")))
         sim.run()
         return len(delivered)
 

@@ -1,20 +1,33 @@
 #!/usr/bin/env python3
-"""Fail when ``src/repro`` holds a top-level def that only tests reach.
+"""Fail when ``src/repro`` holds a def or a module that only tests reach.
 
-A token walk counts every identifier-shaped word in the ``.py`` files
-under ``src``, ``benchmarks``, ``examples``, ``perfbench`` and
-``scripts``; ``__init__`` files are skipped, so a re-export is not a use.
-A top-level function or class in ``src/repro`` whose name occurs there
-only at its own definition is reached, if at all, from ``tests/`` alone:
-delete it with its tests, or add it to ``ALLOWED`` with the reason a
-test needs it to check *other* code (a reference, a verifier, a fixture).
+Two passes, both blind to ``__init__`` re-exports (a re-export is not a
+use):
+
+* **Words.**  A token walk counts every identifier-shaped word in the
+  ``.py`` files under ``src``, ``benchmarks``, ``examples``,
+  ``perfbench`` and ``scripts``.  A top-level function or class in
+  ``src/repro`` whose name occurs there only at its own definition is
+  reached, if at all, from ``tests/`` alone.
+* **Imports.**  An import walk starts at ``repro.cli``, ``repro.__main__``
+  and every file under ``benchmarks``, ``examples``, ``perfbench`` and
+  ``scripts``, and follows every ``import`` / ``from ... import`` in each
+  module it reaches, lazy function-level imports included.  A name
+  imported from a package counts as an import of the module the
+  package's ``__init__`` takes it from.  A ``src/repro`` module the walk
+  never reaches is reached, if at all, from ``tests/`` alone.
+
+Delete what only tests reach, with its tests, or add it to ``ALLOWED``
+(defs) or ``ALLOWED_MODULES`` with its reason: a test needs it to check
+*other* code (a reference, a verifier, a fixture), or DESIGN.md records
+why it stays.
 
 Usage::
 
     python scripts/check_test_only.py
 
-Prints every test-only def (allowed ones with their reason).  Exit
-codes: 0 every test-only def is allowed, 1 otherwise.
+Prints every test-only def and module (allowed ones with their reason).
+Exit codes: 0 everything test-only is allowed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -27,6 +40,8 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 ROOTS = ("src", "benchmarks", "examples", "perfbench", "scripts")
+ENTRY_ROOTS = ROOTS[1:]
+ENTRY_MODULES = ("repro.cli", "repro.__main__")
 SKIP = ("__init__.py", pathlib.Path(__file__).name)  # ALLOWED is not a use
 WORD = re.compile(r"[A-Za-z_]\w*")
 
@@ -39,6 +54,17 @@ ALLOWED = {
     "verify_checksum": "the decoder the checksum encoder is checked against",
     "parse_icmp": "the decoder the ICMP encoders are checked against",
     "worst_ratio_deviation": "the paper-narrative test's model-vs-paper check",
+}
+
+_SECTION_8 = ("DESIGN.md row 'section 8 only two new Click elements': "
+              "the Click-built cluster; ROADMAP items 13/16 decide")
+
+#: Modules no entry point imports, one DESIGN.md reason each.
+ALLOWED_MODULES = {
+    "repro.core.click_node": _SECTION_8,
+    "repro.click.elements.cluster": _SECTION_8,
+    "repro.click.elements.icmp": _SECTION_8 + " (its ICMP error path)",
+    "repro.net.icmp": _SECTION_8 + " (its ICMP error path)",
 }
 
 
@@ -60,15 +86,99 @@ def find_test_only():
     return [d for d in defs if uses[d[2]] <= 0]
 
 
+def _modules():
+    """Dotted name -> path of every module under ``src/repro``."""
+    modules = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        parts = path.relative_to(REPO_ROOT / "src").with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _imports(path, module=None):
+    """``(base, name)`` per import in ``path``, anywhere in the file: a
+    ``from base import name``, or ``(module, None)`` for ``import
+    module``.  ``module`` is the file's dotted name (to resolve relative
+    imports); ``None`` outside ``src``."""
+    package = None
+    if module is not None:
+        package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                if package is None:
+                    continue    # a sibling under an entry root: walked anyway
+                base = package.rsplit(".", node.level - 1)[0]
+                base = base + "." + node.module if node.module else base
+            for alias in node.names:
+                yield base, alias.name
+
+
+def find_unreached():
+    """``(path, module)`` of every ``src/repro`` module no entry point
+    imports, directly or through the modules it reaches."""
+    modules = _modules()
+    # package -> {name: (base, name) its __init__ imports it as}
+    exports = {
+        package: {name: (base, name) for base, name in _imports(path, package)}
+        for package, path in modules.items() if path.name == "__init__.py"}
+    reached = set()
+    pending = []
+
+    def reach(base, name):
+        if base not in modules:
+            return
+        parts = base.split(".")
+        for end in range(1, len(parts) + 1):   # a submodule runs its parents
+            prefix = ".".join(parts[:end])
+            if prefix not in reached:
+                reached.add(prefix)
+                if modules[prefix].name != "__init__.py":
+                    pending.append(prefix)
+        if name is None:
+            return
+        if base + "." + name in modules:
+            reach(base + "." + name, None)
+        elif name in exports.get(base, ()):
+            reach(*exports[base][name])
+
+    for root in ENTRY_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            for base, name in _imports(path):
+                reach(base, name)
+    for module in ENTRY_MODULES:
+        reach(module, None)
+    while pending:
+        module = pending.pop()
+        for base, name in _imports(modules[module], module):
+            reach(base, name)
+    return [(modules[m].relative_to(REPO_ROOT), m)
+            for m in sorted(modules) if m not in reached]
+
+
 def main() -> int:
     unallowed = 0
     for path, line, name in find_test_only():
         reason = ALLOWED.get(name)
         unallowed += reason is None
         print("%s:%d: %s: %s" % (path, line, name, reason or "only tests name it"))
+    unreached = 0
+    for path, module in find_unreached():
+        reason = ALLOWED_MODULES.get(module)
+        unreached += reason is None
+        print("%s: %s: %s" % (path, module, reason or "no entry point imports it"))
     if unallowed:
         print("%d test-only defs in src/repro are not in ALLOWED" % unallowed, file=sys.stderr)
-    return 1 if unallowed else 0
+    if unreached:
+        print("%d test-only modules in src/repro are not in ALLOWED_MODULES" % unreached,
+              file=sys.stderr)
+    return 1 if unallowed or unreached else 0
 
 
 if __name__ == "__main__":

@@ -425,10 +425,12 @@ def _cmd_parallel(args) -> int:
     # KiB on Linux; this process's own, not its workers'.
     peak_rss = "peak RSS %.1f MiB" % (
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-    print("cluster: %d nodes across %d worker(s) [%s backend], "
+    # One worker is ``router.simulate`` in this process: no backend ran.
+    backend = (" [%s backend]" % args.backend if report.workers > 1
+               else "")
+    print("cluster: %d nodes across %d worker(s)%s, "
           "%g%% uniform load of %d B frames"
-          % (nodes, report.workers, args.backend, args.load * 100,
-             args.size))
+          % (nodes, report.workers, backend, args.load * 100, args.size))
     print("offered %d, delivered %d, dropped %d (delivery %.1f%%)"
           % (report.offered_packets, report.delivered_packets,
              report.dropped_packets, report.delivery_ratio * 100))

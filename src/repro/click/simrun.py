@@ -371,7 +371,7 @@ class TimedForwardingRun:
             return poll
 
         for index, (core, queue) in enumerate(self._assignments):
-            sim.schedule(0.0, make_poll_loop(index, core, queue))
+            sim.schedule_timer(0.0, make_poll_loop(index, core, queue))
         sim.run(until=duration_sec)
         advance(duration_sec)
         if obs is not None:
@@ -642,7 +642,7 @@ class TimedPipelineRun:
             return poll
 
         for replica in self.replicas:
-            sim.schedule(0.0, make_poll_loop(replica))
+            sim.schedule_timer(0.0, make_poll_loop(replica))
         sim.run(until=duration_sec)
         advance(duration_sec)
 

@@ -406,9 +406,9 @@ class ClusterPartition(Partition):
             for reseq in self.resequencers:
                 reseq.expire(sim.now)
             if sim.peek_time() is not None:
-                sim.schedule(timeout / 2, expire_all)
+                sim.schedule_timer(timeout / 2, expire_all)
 
-        sim.schedule(timeout / 2, expire_all)
+        sim.schedule_timer(timeout / 2, expire_all)
 
     def sample_barrier(self) -> None:
         """Take the observer sample of a tick the partition was just

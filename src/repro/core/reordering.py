@@ -29,29 +29,25 @@ class ReorderingMeter:
     """
 
     def __init__(self):
-        # Per flow: [max_seen, in_reordered_run, reordered, runs, packets];
-        # ``in_reordered_run`` is None until the flow's first packet.
+        # Per flow: [max_seen, in_reordered_run, reordered, packets].
         self._flows: Dict[FiveTuple, list] = {}
 
     @staticmethod
     def _step(state: list, seq: int) -> None:
         """Fold the next egress sequence number into a flow's record."""
-        state[4] += 1
+        state[3] += 1
         if seq > state[0]:
             state[0] = seq
-            if state[1] is not False:
-                state[1] = False
-                state[3] += 1
-        elif state[1] is not True:
+            state[1] = False
+        elif not state[1]:
             # Overtaken by a later packet: one more reordered sequence.
             state[1] = True
             state[2] += 1
-            state[3] += 1
 
     def _record(self, flow: FiveTuple) -> list:
         state = self._flows.get(flow)
         if state is None:
-            state = self._flows[flow] = [0, None, 0, 0, 0]
+            state = self._flows[flow] = [0, False, 0, 0]
         return state
 
     def observe(self, packet: Packet) -> None:
@@ -71,15 +67,6 @@ class ReorderingMeter:
         meter.observe_sequence(None, seqs)      # one anonymous flow
         return meter.reordered_count()
 
-    def total_sequences(self) -> int:
-        """Total same-flow packet sequences observed.
-
-        Following the paper's normalization, every maximal in-order run is
-        one sequence; the fraction reordered is (reordered runs) / (all
-        runs).
-        """
-        return sum(state[3] for state in self._flows.values())
-
     def reordered_count(self) -> int:
         """Total reordered sequences across every observed flow.
 
@@ -95,16 +82,10 @@ class ReorderingMeter:
         The paper's example counts one reordered sequence in a 5-packet
         flow; normalizing by packets observed (each packet heads one
         potential same-flow sequence) reproduces the sub-percent scale of
-        the Sec. 6.2 numbers.  :meth:`reordered_run_fraction` provides the
-        alternative run-based normalization.
+        the Sec. 6.2 numbers.
         """
         total = self.packets_observed()
         return self.reordered_count() / total if total else 0.0
 
-    def reordered_run_fraction(self) -> float:
-        """Reordered runs over all maximal same-flow runs (stricter)."""
-        total = self.total_sequences()
-        return self.reordered_count() / total if total else 0.0
-
     def packets_observed(self) -> int:
-        return sum(state[4] for state in self._flows.values())
+        return sum(state[3] for state in self._flows.values())

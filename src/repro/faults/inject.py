@@ -135,7 +135,8 @@ class FaultInjector:
             # Node events are armed everywhere (bookkeeping + local peer
             # detection); link and NIC events only where they happen.
             if event.kind in (NODE_DOWN, NODE_UP) or self._owns(event):
-                sim.schedule_at(event.time, lambda e=event: self._apply(e))
+                sim.schedule_timer_at(event.time,
+                                      lambda e=event: self._apply(e))
 
     def _owns(self, event: FaultEvent) -> bool:
         """Does the faulted node (a link's transmit side) live here?"""
@@ -200,9 +201,9 @@ class FaultInjector:
             if node_id not in self.nodes:
                 self.log.shadow_events += 1
 
-        self.sim.schedule(detect, detected)
+        self.sim.schedule_timer(detect, detected)
         if self.manager is not None:
-            self.sim.schedule(
+            self.sim.schedule_timer(
                 detect + self.fib_push_latency_sec,
                 lambda: self._converge(kind, node_id, failed_at))
 

@@ -16,7 +16,6 @@ flow assignment and descriptor-ring batching.
 
 from .components import Bus, Core, MemoryController, Socket
 from .nic import Nic, NicPort, NicQueue
-from .dma import DmaEngine
 from .server import Server, ServerSpec
 from .presets import (
     NEHALEM,
@@ -33,7 +32,6 @@ __all__ = [
     "Nic",
     "NicPort",
     "NicQueue",
-    "DmaEngine",
     "Server",
     "ServerSpec",
     "NEHALEM",

@@ -12,7 +12,6 @@ from typing import List, Optional
 
 from ..errors import ConfigurationError
 from .components import Bus, Core, MemoryController, Socket
-from .dma import DmaEngine
 from .nic import Nic, NicPort
 
 
@@ -101,7 +100,6 @@ class Server:
         self.pcie = Bus(name="pcie", capacity_bps=spec.pcie_bps)
         self.fsb = (Bus(name="fsb", capacity_bps=spec.fsb_bps)
                     if spec.shared_bus else None)
-        self.dma = DmaEngine()
         self.nics: List[Nic] = []
         if num_ports is not None:
             self.attach_ports(num_ports, queues_per_port or 1)

@@ -26,11 +26,6 @@ class FiveTuple:
     src_port: int
     dst_port: int
 
-    def reversed(self) -> "FiveTuple":
-        """The key of the reverse direction of this flow."""
-        return FiveTuple(src=self.dst, dst=self.src, proto=self.proto,
-                         src_port=self.dst_port, dst_port=self.src_port)
-
     def as_ints(self):
         """Tuple of plain ints (handy for hashing and dict keys)."""
         return (int(self.src), int(self.dst), self.proto,

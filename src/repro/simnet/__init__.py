@@ -6,7 +6,7 @@ FIFO queues, seeded random streams, and a histogram with exact percentiles
 (counters and timelines are :mod:`repro.obs.metrics`).
 """
 
-from .engine import Event, Simulator
+from .engine import Simulator
 from .links import Link
 from .partition import CrossLink, Partition
 from .queues import FiniteQueue
@@ -14,7 +14,6 @@ from .rng import RngStreams, node_seeds
 from .stats import Histogram
 
 __all__ = [
-    "Event",
     "Simulator",
     "Link",
     "Partition",

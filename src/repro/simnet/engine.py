@@ -1,18 +1,17 @@
 """Event queue and simulated clock.
 
-A binary-heap DES core.  An event is a ``[time, seq, callback]`` list
-entry; ``seq`` comes from one global counter, so ties break by filing
-order and runs are deterministic for a given seed.
+A binary-heap DES core.  An event is a ``(time, seq, callback)`` tuple;
+``seq`` comes from one global counter, so ties break by filing order and
+runs are deterministic for a given seed.
 
-The queue is one ``heapq`` list of those entries.  Lists compare at C
+The queue is one ``heapq`` list of those tuples.  Tuples compare at C
 level, element by element, and no two entries share a ``seq``, so the
-heap pops by ``(time, seq)`` and never looks at a callback.  Arrivals
-stream in a chunk at a time (:meth:`Simulator.schedule_stream`), so the
-heap holds what is in flight, not the horizon.
-
-:class:`Event` is a thin handle around an entry for callers that need
-to cancel: ``cancel()`` blanks the callback slot in place and the entry
-is dropped, unrun and uncounted, when it surfaces.
+heap pops by ``(time, seq)`` and never looks at a callback.  Every event
+is fire-and-forget: nothing is withdrawn once filed, as in the paper's
+polling servers, where a core files its next poll and never takes it
+back.  Arrivals stream in a chunk at a time
+(:meth:`Simulator.schedule_stream`), so the heap holds what is in
+flight, not the horizon.
 """
 
 from __future__ import annotations
@@ -29,56 +28,6 @@ _INF = float("inf")
 #: Sequence numbers a stream reserves when armed: more than a run pulls.
 _STREAM_SEQS = 1 << 40
 
-#: Callback-slot sentinel marking an entry that already executed, so a
-#: late ``cancel()`` on its handle is a no-op.
-_RAN = object()
-
-
-class Event:
-    """Handle for one scheduled callback.  Ordering is (time, seq).
-
-    The handle wraps the engine's mutable ``[time, seq, callback]`` queue
-    entry; :meth:`cancel` invalidates the entry in place (O(1)) and the
-    engine skips it when it reaches the head of the queue.
-    """
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry: list):
-        self._entry = entry
-
-    @property
-    def time(self) -> float:
-        return self._entry[0]
-
-    @property
-    def seq(self) -> int:
-        return self._entry[1]
-
-    @property
-    def callback(self) -> Optional[Callable[[], None]]:
-        slot = self._entry[2]
-        return None if slot is None or slot is _RAN else slot
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[2] is None
-
-    def cancel(self) -> None:
-        """Mark the event dead (idempotent; a no-op once it has run)."""
-        if self._entry[2] is not _RAN:
-            self._entry[2] = None
-
-
-class PeriodicTask:
-    """Handle for a :meth:`Simulator.schedule_every` chain."""
-
-    def __init__(self):
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
 
 class Simulator:
     """A discrete-event simulator with a monotonically advancing clock.
@@ -92,6 +41,11 @@ class Simulator:
     hooks are resolved once at construction; the one event loop in
     :meth:`run` reads them into locals, so an unobserved run pays one
     ``is None`` check per event for observability.
+
+    Events are filed by :meth:`schedule_timer` / :meth:`schedule_timer_at`
+    (one at a time), :meth:`schedule_stream` (a chunked stream) or a
+    :meth:`timer_filer` closure (the server poll loop); all four draw
+    from one sequence counter, and none returns a handle.
     """
 
     #: Observability hooks; set per instance only under an enabled registry.
@@ -99,7 +53,7 @@ class Simulator:
 
     def __init__(self, metrics=None):
         from ..obs.metrics import active_registry
-        self._queue = []    # heap of [time, seq, callback]
+        self._queue = []    # heap of (time, seq, callback)
         self._seq = itertools.count()
         self.now = 0.0
         self.events_run = 0
@@ -110,7 +64,7 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _file(self, entry: list) -> None:
+    def _file(self, entry: tuple) -> None:
         """Push ``entry`` onto the queue: the one place times are
         checked (anything but ``now <= time < inf`` raises)."""
         time = entry[0]
@@ -119,31 +73,15 @@ class Simulator:
                 "cannot schedule at %r, clock at %r" % (time, self.now))
         heappush(self._queue, entry)
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        return self.schedule_at(self.now + delay, callback)
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute simulation ``time``."""
-        entry = [time, next(self._seq), callback]
-        self._file(entry)
-        return Event(entry)
-
     def schedule_timer(self, delay: float,
                        callback: Callable[[], None]) -> None:
-        """Schedule a fire-and-forget callback ``delay`` seconds from now.
-
-        The front for high-rate homogeneous timers (poll loops, NIC DMA
-        ticks, link serialization): no handle is allocated, so the event
-        cannot be cancelled.
-        """
-        self._file([self.now + delay, next(self._seq), callback])
+        """Schedule ``callback`` to run ``delay`` seconds from now."""
+        self._file((self.now + delay, next(self._seq), callback))
 
     def schedule_timer_at(self, time: float,
                           callback: Callable[[], None]) -> None:
-        """Absolute-time variant of :meth:`schedule_timer` (bulk arrival
-        injection)."""
-        self._file([time, next(self._seq), callback])
+        """Schedule ``callback`` at absolute simulation ``time``."""
+        self._file((time, next(self._seq), callback))
 
     def schedule_stream(self, chunks) -> None:
         """File a stream of ``(time, callback)`` timers a chunk at a time.
@@ -173,12 +111,16 @@ class Simulator:
         def file_next(callback=None):
             if callback is not None:
                 callback()
-            entry = None
+            # Each entry is filed once the next one is read, so the last
+            # is known -- and wrapped -- before it is filed.
+            last = None
             for time, timer in next(chunks, ()):
-                entry = [time, next(seqs), timer]
-                file(entry)
-            if entry is not None:
-                entry[2] = partial(file_next, entry[2])
+                if last is not None:
+                    file(last)
+                last = (time, next(seqs), timer)
+            if last is not None:
+                time, seq, timer = last
+                file((time, seq, partial(file_next, timer)))
 
         file_next()
 
@@ -194,57 +136,15 @@ class Simulator:
         seq = self._seq
 
         def file_at(time: float, callback: Callable[[], None]) -> None:
-            heappush(queue, [time, next(seq), callback])
+            heappush(queue, (time, next(seq), callback))
         return file_at
 
-    def schedule_every(self, interval: float, callback: Callable[[], None],
-                       until: Optional[float] = None,
-                       start_delay: Optional[float] = None) -> "PeriodicTask":
-        """Run ``callback`` every ``interval`` seconds (heartbeats, health
-        probes).  Rescheduling stops after ``until`` (absolute time) or
-        once the returned task's :meth:`~PeriodicTask.cancel` is called.
-
-        Tick ``k`` fires at exactly ``start + k * interval`` -- computed
-        from an integer tick index against the task's start time, never
-        by repeatedly adding ``interval`` to the current clock, so
-        long-horizon periodic timers stay on the grid instead of
-        accumulating float rounding drift.
-        """
-        if interval <= 0:
-            raise SimulationError("interval must be positive")
-        task = PeriodicTask()
-        first_delay = interval if start_delay is None else start_delay
-        start = self.now + first_delay
-        ticks = itertools.count(1)
-
-        def tick():
-            if task.cancelled:
-                return
-            callback()
-            next_time = start + next(ticks) * interval
-            if until is None or next_time <= until:
-                self.schedule_at(next_time, tick)
-
-        self.schedule(first_delay, tick)
-        return task
-
     def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or None if the queue is empty."""
+        """Timestamp of the next event, or None if the queue is empty."""
         queue = self._queue
-        while queue:
-            if queue[0][2] is not None:
-                return queue[0][0]
-            heappop(queue)  # cancelled: dropped on the way to the head
-        return None
+        return queue[0][0] if queue else None
 
     # -- execution ---------------------------------------------------------
-
-    def step(self) -> bool:
-        """Run the next event (a one-event :meth:`run`).  Returns False
-        when no events remain."""
-        before = self.events_run
-        self.run(max_events=1)
-        return self.events_run > before
 
     def run_as_of(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` now, as the event at past ``time`` it replaces.
@@ -283,16 +183,14 @@ class Simulator:
                 "clock (%r): the lookahead window is too large"
                 % (time, pending, clock))
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run events until the horizon, event budget, or queue exhaustion.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events until the horizon or queue exhaustion.
 
         ``until`` advances the clock to exactly that time even if the
-        queue drains -- or the event budget is exhausted -- earlier, so
-        rate computations over a fixed window are exact.
+        queue drains earlier, so rate computations over a fixed window
+        are exact.
         """
         horizon = _INF if until is None else until
-        budget = _INF if max_events is None else max_events
         queue = self._queue
         pop = heappop
         # The hooks, as locals: the bound ``sim_events`` recorder and
@@ -306,16 +204,10 @@ class Simulator:
         prof_stack = profiler._stack if profiler is not None else None
         executed = 0
         try:
-            while queue and executed < budget:
-                entry = queue[0]
-                now = entry[0]
-                if now > horizon:
+            while queue:
+                if queue[0][0] > horizon:
                     break
-                pop(queue)
-                callback = entry[2]
-                if callback is None:
-                    continue
-                entry[2] = _RAN
+                now, _, callback = pop(queue)
                 self.now = now
                 if record is None:
                     callback()

@@ -105,7 +105,7 @@ class Link:
             raise ConfigurationError("stall duration must be positive")
         self.stalled = True
         self._stall_end = max(self._stall_end, self.sim.now + duration_sec)
-        self.sim.schedule(duration_sec, self.resume)
+        self.sim.schedule_timer(duration_sec, self.resume)
 
     def resume(self) -> None:
         """Restart transmission once the latest stall has run out

@@ -9,6 +9,7 @@ and the contracts that moved with the totals -- ``offered_packets`` and
 the packet-id floor are known when the run ends, not when it is built.
 """
 
+import heapq
 import itertools
 import os
 import random
@@ -44,8 +45,8 @@ def _stream_times(seed, count):
 
 def _scenario(file_stream, times, drive):
     """Events armed before the stream, the stream (callbacks scheduling
-    at equal and later grid times, one cancelling a handle mid-run), and
-    events filed after it; returns what ran, in order."""
+    at equal and later grid times), and events filed after it; returns
+    what ran, in order."""
     sim = Simulator()
     log = []
 
@@ -56,9 +57,7 @@ def _scenario(file_stream, times, drive):
         return lambda: mark(label)
 
     for tick in range(0, len(times) // 3, 2):
-        sim.schedule_at(tick * GRID, marker("before-%d" % tick))
-    doomed = sim.schedule_at(times[len(times) // 2] + GRID,
-                             marker("cancelled: must never run"))
+        sim.schedule_timer_at(tick * GRID, marker("before-%d" % tick))
 
     def arrival(index):
         def run():
@@ -66,14 +65,12 @@ def _scenario(file_stream, times, drive):
             sim.schedule_timer(0.0, marker("same-time-%d" % index))
             sim.schedule_timer(GRID * (1 + index % 3),
                                marker("later-%d" % index))
-            if index == len(times) // 2:
-                doomed.cancel()
         return run
 
     file_stream(sim, ((time, arrival(index))
                       for index, time in enumerate(times)))
     for tick in range(1, len(times) // 3, 2):
-        sim.schedule_at(tick * GRID, marker("after-%d" % tick))
+        sim.schedule_timer_at(tick * GRID, marker("after-%d" % tick))
     drive(sim)
     assert sim.peek_time() is None
     return log, sim.events_run
@@ -98,16 +95,17 @@ def _run_all(sim):
 
 
 def _run_in_budgets(sim):
+    """Slices of about seven events: each runs to the time of the
+    seventh event pending when it starts."""
     while sim.peek_time() is not None:
-        sim.run(max_events=7)
+        sim.run(until=heapq.nsmallest(7, sim._queue)[-1][0])
 
 
 def _run_in_windows(sim):
     until = 0.0
     while sim.peek_time() is not None:
         until += 2.5 * GRID
-        sim.run(until=until, max_events=11)
-    sim.run(until=until)
+        sim.run(until=until)
 
 
 class TestChunkedFiler:
@@ -135,9 +133,9 @@ class TestChunkedFiler:
 
         sim.schedule_stream(_chunked(entries(), 8))
         assert len(pulled) == 8
-        sim.run(max_events=7)
-        assert len(pulled) == 8
-        sim.run(max_events=1)       # the chunk's last entry files the next
+        sim.run(until=6 * GRID)
+        assert len(pulled) == 8 and sim.events_run == 7
+        sim.run(until=7 * GRID)     # the chunk's last entry files the next
         assert len(pulled) == 16
         sim.run()
         assert len(pulled) == 100 and sim.events_run == 100
@@ -313,7 +311,7 @@ class TestQueueNeverLooksDrained:
         admitted = 0
         while admitted < owned:
             assert part.peek_time() is not None
-            assert part.sim.step()
+            part.sim.run(until=part.peek_time())
             admitted = sum(node.ingress_packets
                            for node in part.nodes.values())
         assert owned > 8 * 4

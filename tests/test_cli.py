@@ -199,6 +199,19 @@ class TestParallelCommand:
         out = capsys.readouterr().out
         assert "single-heap run" in out
 
+    def test_single_worker_names_no_backend(self, capsys):
+        """One worker runs ``router.simulate`` in the calling process, so
+        the header names no backend; more than one names the one used."""
+        assert main(["parallel", "run", "rb4", "--workers", "1",
+                     "--duration-ms", "0.4"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("cluster: 4 nodes across 1 worker(s), ")
+        assert "backend" not in header
+        assert main(["parallel", "run", "rb4", "--workers", "2",
+                     "--backend", "inline", "--duration-ms", "0.4"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "across 2 worker(s) [inline backend], " in header
+
     def test_parallel_matches_across_worker_counts(self, capsys):
         assert main(["parallel", "run", "rb4", "--workers", "1",
                      "--backend", "inline", "--duration-ms", "0.4"]) == 0

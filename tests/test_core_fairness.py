@@ -39,8 +39,8 @@ class TestFairness:
             lambda p, now: shares.__setitem__(
                 p.annotations["sender"], shares[p.annotations["sender"]] + 1))
         for t, ingress, egress, packet in sim_events:
-            sim.schedule_at(t, lambda n=nodes[ingress], p=packet:
-                            n.ingress(p, 0))
+            sim.schedule_timer_at(t, lambda n=nodes[ingress], p=packet:
+                                  n.ingress(p, 0))
         sim.run()
         delivered = sum(shares.values())
         offered = len(sim_events)

@@ -46,9 +46,9 @@ class TestReorderedSequences:
 
 
 def _two_pass_reference(seqs):
-    """(reordered sequences, maximal runs) of one flow's whole egress
-    order: the two loops the meter ran over every stored order at the
-    end of a run, before it folded online."""
+    """Reordered sequences in one flow's whole egress order: the loop
+    the meter ran over every stored order at the end of a run, before it
+    folded online."""
     reordered = 0
     max_seen = 0
     in_reordered_run = False
@@ -59,19 +59,7 @@ def _two_pass_reference(seqs):
         elif not in_reordered_run:
             reordered += 1
             in_reordered_run = True
-    runs = 1
-    max_seen = seqs[0]
-    in_reordered_run = False
-    for seq in seqs[1:]:
-        if seq > max_seen:
-            max_seen = seq
-            if in_reordered_run:
-                runs += 1
-                in_reordered_run = False
-        elif not in_reordered_run:
-            runs += 1
-            in_reordered_run = True
-    return reordered, runs
+    return reordered
 
 
 class TestOnlineFold:
@@ -88,12 +76,11 @@ class TestOnlineFold:
             packet = Packet.udp("1.0.0.1", "2.0.0.2", src_port=5)
             packet.flow_seq = seq
             by_packet.observe(packet)
-        reordered, runs = _two_pass_reference(seqs)
+        reordered = _two_pass_reference(seqs)
         assert ReorderingMeter.reordered_sequences(seqs) == reordered
         for meter in (whole, split, by_packet):
-            assert (meter.reordered_count(), meter.total_sequences(),
-                    meter.packets_observed()) \
-                == (reordered, runs, len(seqs))
+            assert (meter.reordered_count(), meter.packets_observed()) \
+                == (reordered, len(seqs))
 
 
 class TestMeter:
@@ -114,10 +101,3 @@ class TestMeter:
 
     def test_no_packets(self):
         assert ReorderingMeter().reordered_fraction() == 0.0
-
-    def test_run_fraction_differs_from_packet_fraction(self):
-        meter = ReorderingMeter()
-        meter.observe_sequence(_flow(), [1, 4, 2, 3, 5])
-        # 1 reordered / 5 packets vs 1 reordered / 3 runs.
-        assert meter.reordered_fraction() == pytest.approx(0.2)
-        assert meter.reordered_run_fraction() == pytest.approx(1 / 3)

@@ -1,16 +1,20 @@
 """Golden event-order test across the engine refactors.
 
-``GOLDEN`` below is the (time, tag) execution order of a mixed
-schedule / schedule_at / schedule_every / cancel workload recorded on
-the original engine (dataclass events, one binary heap).  The current
-engine must replay it exactly -- same times, same tie-break order, same
-number of executed events -- whichever front files the homogeneous poll
-chain: ``schedule`` (handle-returning) or ``schedule_timer``
-(handle-free).
+``GOLDEN`` below is the (time, tag) execution order of a mixed workload
+recorded on the original engine (dataclass events, one binary heap): a
+periodic heartbeat, a self-rescheduling poll chain, tie-breaking
+one-shots, cancellations and nested scheduling.  The engine has since
+dropped periodic tasks and cancellation, so :func:`drive` files the same
+workload minus the heartbeat and the two cancelled one-shots, and the
+tests check it against ``GOLDEN`` with the beats taken out.  Removing
+filings cannot reorder the rest: every surviving event keeps its time
+and its place among the others in filing order.  The current engine
+must replay it exactly -- same times, same tie-break order, same number
+of executed events -- whichever front files the homogeneous poll chain:
+``schedule_timer`` or a :meth:`~Simulator.timer_filer` closure.
 
-The heartbeat interval (0.25) and poll step (0.125) are binary-exact
-floats, so the schedule_every grid fix cannot shift any time in this
-workload: any divergence here is a real ordering regression.
+The poll step (0.125) is a binary-exact float, so any divergence here is
+a real ordering regression.
 """
 
 import pytest
@@ -28,24 +32,34 @@ GOLDEN = [
     (1.375, "poll11"),
 ]
 
-#: Total events executed, including the cancelled heartbeat's final
-#: no-op tick at 1.25 and excluding the two cancelled one-shots.
+#: Total events executed on the original engine, including the
+#: cancelled heartbeat's final no-op tick at 1.25 and excluding the two
+#: cancelled one-shots.
 GOLDEN_EVENTS_RUN = 25
 
 GOLDEN_FINAL_NOW = 2.0
 
+#: What :func:`drive` must replay: ``GOLDEN`` without the heartbeat, and
+#: its count without the four beats and the no-op tick.
+EXPECTED = [event for event in GOLDEN if event[1] != "beat"]
+EXPECTED_EVENTS_RUN = GOLDEN_EVENTS_RUN - 5
 
-def drive(sim, log, use_timer=False):
-    """The recorded workload: periodic beats, a self-rescheduling poll
-    chain, tie-breaking one-shots, pre-run and mid-run cancellations,
-    and nested scheduling from inside a callback."""
-    timer = (sim.schedule_timer if use_timer
-             else (lambda d, cb: sim.schedule(d, cb)))
+
+def drive(sim, log, use_filer=False):
+    """The recorded workload minus its heartbeat and cancelled one-shots:
+    a self-rescheduling poll chain, tie-breaking one-shots and nested
+    scheduling from inside a callback."""
+    if use_filer:
+        file_at = sim.timer_filer()
+
+        def timer(delay, callback):
+            file_at(sim.now + delay, callback)
+    else:
+        timer = sim.schedule_timer
 
     def note(tag):
         log.append((sim.now, tag))
 
-    beat = sim.schedule_every(0.25, lambda: note("beat"))
     n = [0]
 
     def poll():
@@ -55,55 +69,44 @@ def drive(sim, log, use_timer=False):
             timer(0.125, poll)
 
     timer(0.0, poll)
-    sim.schedule(0.5, lambda: note("a"))
-    sim.schedule(0.5, lambda: note("b"))
-    sim.schedule_at(0.5, lambda: note("c"))
-    dead = sim.schedule(0.375, lambda: note("dead"))
-    dead.cancel()
-    victim = sim.schedule(0.75, lambda: note("victim"))
-
-    def killer():
-        note("killer")
-        victim.cancel()
-
-    sim.schedule(0.625, killer)
+    sim.schedule_timer(0.5, lambda: note("a"))
+    sim.schedule_timer(0.5, lambda: note("b"))
+    sim.schedule_timer_at(0.5, lambda: note("c"))
+    sim.schedule_timer(0.625, lambda: note("killer"))
 
     def nest():
         note("nest")
-        sim.schedule(0.125, lambda: note("nested-child"))
+        sim.schedule_timer(0.125, lambda: note("nested-child"))
         timer(0.0625, lambda: note("timer-child"))
 
-    sim.schedule(1.0, nest)
-
-    def stop():
-        note("stop-beat")
-        beat.cancel()
-
-    sim.schedule(1.0625, stop)
-    return beat
+    sim.schedule_timer(1.0, nest)
+    sim.schedule_timer(1.0625, lambda: note("stop-beat"))
 
 
 class TestGoldenOrder:
-    @pytest.mark.parametrize("use_timer", [False, True],
-                             ids=["schedule", "schedule_timer"])
-    def test_replays_golden(self, use_timer):
+    @pytest.mark.parametrize("use_filer", [True, False],
+                             ids=["timer_filer", "schedule_timer"])
+    def test_replays_golden(self, use_filer):
         sim = Simulator()
         log = []
-        drive(sim, log, use_timer=use_timer)
+        drive(sim, log, use_filer=use_filer)
         sim.run(until=2.0)
-        assert log == GOLDEN
+        assert log == EXPECTED
         assert sim.now == GOLDEN_FINAL_NOW
-        assert sim.events_run == GOLDEN_EVENTS_RUN
+        assert sim.events_run == EXPECTED_EVENTS_RUN
 
     def test_step_by_step_matches_run(self):
-        """step() must produce the same order as the batch run loops."""
+        """Running one event instant at a time (``run(until=)`` the next
+        pending time) must produce the same order as one batch run."""
         sim = Simulator()
         log = []
-        drive(sim, log, use_timer=True)
+        drive(sim, log)
         while sim.peek_time() is not None and sim.peek_time() <= 2.0:
-            assert sim.step()
-        assert log == GOLDEN
-        assert sim.events_run == GOLDEN_EVENTS_RUN
+            before = sim.events_run
+            sim.run(until=sim.peek_time())
+            assert sim.events_run > before
+        assert log == EXPECTED
+        assert sim.events_run == EXPECTED_EVENTS_RUN
 
     def test_epoch_sliced_run_matches_batch(self):
         """Repeated run(until=slice) calls -- the parallel runner's epoch
@@ -114,11 +117,11 @@ class TestGoldenOrder:
         for epoch in (0.0625, 0.1, 0.125, 0.33, 1.0):
             sim = Simulator()
             log = []
-            drive(sim, log, use_timer=True)
+            drive(sim, log)
             t = 0.0
             while t < GOLDEN_FINAL_NOW:
                 t = min(t + epoch, GOLDEN_FINAL_NOW)
                 sim.run(until=t)
-            assert log == GOLDEN, "epoch=%r diverged" % epoch
+            assert log == EXPECTED, "epoch=%r diverged" % epoch
             assert sim.now == GOLDEN_FINAL_NOW
-            assert sim.events_run == GOLDEN_EVENTS_RUN
+            assert sim.events_run == EXPECTED_EVENTS_RUN

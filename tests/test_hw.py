@@ -15,7 +15,6 @@ from repro.hw import (
     ServerSpec,
     nehalem_server,
 )
-from repro.hw.dma import DmaEngine, pcie_transactions_for
 from repro.net import Packet
 
 
@@ -161,23 +160,3 @@ class TestNic:
         assert not queue.is_shared()
         queue.note_access(1)
         assert queue.is_shared()
-
-
-class TestDma:
-    def test_pcie_transactions(self):
-        assert pcie_transactions_for(0) == 0
-        assert pcie_transactions_for(64) == 1
-        assert pcie_transactions_for(256) == 1
-        assert pcie_transactions_for(257) == 2
-        assert pcie_transactions_for(1024) == 4
-
-    def test_dma_transfer_time_scales(self):
-        dma = DmaEngine()
-        t64 = dma.transfer_time(64)
-        t1024 = dma.transfer_time(1024)
-        assert t64 == pytest.approx(2.56e-6)
-        assert t1024 > t64
-
-    def test_dma_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            DmaEngine().transfer_time(0)

@@ -97,13 +97,6 @@ class TestFlows:
         with pytest.raises(PacketError):
             packet.five_tuple()
 
-    def test_reversed(self):
-        ft = FiveTuple(IPv4Address(1), IPv4Address(2), 6, 10, 20)
-        back = ft.reversed()
-        assert back.src == IPv4Address(2)
-        assert back.dst_port == 10
-        assert back.reversed() == ft
-
     def test_rss_hash_deterministic(self):
         ft = FiveTuple(IPv4Address("9.9.9.9"), IPv4Address("8.8.8.8"),
                        17, 53, 53)

@@ -54,9 +54,9 @@ def test_paths_are_loop_free(seed):
     for node in nodes:
         node.egress_callback = lambda p, now: paths.append(p.path)
     for time, ingress, egress, packet in _random_events(4, 100, seed):
-        sim.schedule_at(time,
-                        lambda n=nodes[ingress], p=packet, e=egress:
-                        n.ingress(p, e))
+        sim.schedule_timer_at(time,
+                              lambda n=nodes[ingress], p=packet, e=egress:
+                              n.ingress(p, e))
     sim.run()
     for path in paths:
         assert 1 <= len(path) <= 3
@@ -79,17 +79,12 @@ def test_single_path_traffic_never_reorders(seed):
 # -- engine vs reference ------------------------------------------------------
 #
 # A program is a forest of filings.  Each filing names the front it goes
-# through, offsets from the clock at filing time, the filings its callback
-# makes when it runs (nested scheduling) and the handles its callback
-# cancels (by position in the list of handles issued so far -- so a
-# callback may cancel events that are pending, already run, already
-# cancelled, or itself).  The same program drives the real engine and a
-# reference that keeps one list sorted on (time, filing index) and runs
-# its head.
+# through, offsets from the clock at filing time and the filings its
+# callback makes when it runs (nested scheduling).  The same program
+# drives the real engine and a reference that keeps one list sorted on
+# (time, filing index) and runs its head.
 
-HANDLE_FRONTS = ("schedule", "schedule_at")
-FRONTS = HANDLE_FRONTS + ("schedule_timer", "schedule_timer_at",
-                          "timer_filer")
+FRONTS = ("schedule_timer", "schedule_timer_at", "timer_filer")
 #: One filing through ``schedule_stream``: its offsets are a tuple of
 #: chunks, handed over as lists of pairs or as ``zip`` iterables.
 STREAM_FRONTS = ("stream_of_lists", "stream_of_zips")
@@ -125,35 +120,19 @@ class ReferenceQueue:
         self._pending = []
 
     def file(self, front, offsets, callback):
-        records = []
         for chunk in _chunked_offsets(front, offsets):
             for offset in chunk:
-                record = [self.now + offset, self._filed, callback]
+                record = (self.now + offset, self._filed, callback)
                 bisect.insort(self._pending, record, key=lambda r: (r[0], r[1]))
-                records.append(record)
                 self._filed += 1
-        return records[0] if front in HANDLE_FRONTS else None
-
-    @staticmethod
-    def cancel(record):
-        # A tombstone: the head skips it.  A record that already ran is
-        # no longer pending, so cancelling it changes nothing.
-        record[2] = None
-
-    def _head(self):
-        pending = self._pending
-        while pending and pending[0][2] is None:
-            pending.pop(0)
-        return pending[0] if pending else None
 
     def peek_time(self):
-        head = self._head()
-        return head[0] if head else None
+        return self._pending[0][0] if self._pending else None
 
     def run(self, until=None):
-        while True:
-            head = self._head()
-            if head is None or (until is not None and head[0] > until):
+        while self._pending:
+            head = self._pending[0]
+            if until is not None and head[0] > until:
                 break
             self._pending.pop(0)
             self.now = head[0]
@@ -164,7 +143,7 @@ class ReferenceQueue:
 
 
 class EngineQueue:
-    """The same four verbs over a real :class:`Simulator`."""
+    """The same three verbs over a real :class:`Simulator`."""
 
     def __init__(self):
         self.sim = Simulator()
@@ -179,20 +158,19 @@ class EngineQueue:
             chunks = ([now + offset for offset in chunk]
                       for chunk in _chunked_offsets(front, offsets))
             if front == "stream_of_zips":
-                return sim.schedule_stream(
+                sim.schedule_stream(
                     zip(times, repeat(callback)) for times in chunks)
-            return sim.schedule_stream(
-                [[(time, callback) for time in times] for times in chunks])
+            else:
+                sim.schedule_stream(
+                    [[(time, callback) for time in times] for times in chunks])
+            return
         offset, = offsets
         if front == "timer_filer":
-            return sim.timer_filer()(sim.now + offset, callback)
+            sim.timer_filer()(sim.now + offset, callback)
+            return
         if front.endswith("_at"):
             offset += sim.now
-        return getattr(sim, front)(offset, callback)
-
-    @staticmethod
-    def cancel(event):
-        event.cancel()
+        getattr(sim, front)(offset, callback)
 
     def peek_time(self):
         return self.sim.peek_time()
@@ -201,19 +179,16 @@ class EngineQueue:
         self.sim.run(until=until)
 
 
-CANCELS = st.lists(st.integers(0, 50), max_size=3)
-
-
 def _filing(children):
     single = st.tuples(
         st.sampled_from(FRONTS),
-        st.tuples(st.sampled_from(OFFSETS)), children, CANCELS)
+        st.tuples(st.sampled_from(OFFSETS)), children)
     chunk = st.lists(st.sampled_from(OFFSETS), min_size=1,
                      max_size=4).map(tuple)
     stream = st.tuples(
         st.sampled_from(STREAM_FRONTS),
         st.lists(chunk, min_size=1, max_size=3).map(tuple),
-        children, CANCELS)
+        children)
     return st.one_of(single, stream)
 
 
@@ -222,34 +197,24 @@ FILINGS = st.recursive(_filing(st.just(())),
                        max_leaves=25)
 
 
-def _play(queue, program, early_cancels, slices):
+def _play(queue, program, slices):
     """Run ``program`` on ``queue``; returns everything observable."""
     log = []
-    handles = []
     labels = iter(range(10 ** 6))
 
-    def cancel(positions):
-        for position in positions:
-            if handles:
-                queue.cancel(handles[position % len(handles)])
-
     def file(filing):
-        front, offsets, children, cancels = filing
+        front, offsets, children = filing
         label = next(labels)
 
         def fire():
             log.append((queue.now, label))
-            cancel(cancels)
             for child in children:
                 file(child)
 
-        handle = queue.file(front, offsets, fire)
-        if handle is not None:
-            handles.append(handle)
+        queue.file(front, offsets, fire)
 
     for filing in program:
         file(filing)
-    cancel(early_cancels)
     observed = [queue.peek_time()]
     horizon = 0.0
     for step in slices:
@@ -264,13 +229,11 @@ def _play(queue, program, early_cancels, slices):
 
 @settings(max_examples=300, deadline=None)
 @given(program=st.lists(FILINGS, min_size=1, max_size=6),
-       early_cancels=CANCELS,
        slices=st.lists(st.sampled_from([0.0, 0.0625, 0.125, 0.3, 1.0, 500.0]),
                        max_size=5))
-def test_engine_matches_sorted_reference(program, early_cancels, slices):
-    """Whatever mix of fronts, cancels, nesting and ``run(until=)`` slices:
-    events run in (time, filing index) order, cancelled ones neither run
-    nor count, and ``now`` / ``events_run`` / ``peek_time()`` agree with
-    the reference after every slice."""
-    expected = _play(ReferenceQueue(), program, early_cancels, slices)
-    assert _play(EngineQueue(), program, early_cancels, slices) == expected
+def test_engine_matches_sorted_reference(program, slices):
+    """Whatever mix of fronts, nesting and ``run(until=)`` slices: events
+    run in (time, filing index) order, and ``now`` / ``events_run`` /
+    ``peek_time()`` agree with the reference after every slice."""
+    expected = _play(ReferenceQueue(), program, slices)
+    assert _play(EngineQueue(), program, slices) == expected

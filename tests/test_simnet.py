@@ -16,9 +16,9 @@ class TestSimulator:
     def test_events_run_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.schedule(2.0, lambda: order.append("b"))
-        sim.schedule(1.0, lambda: order.append("a"))
-        sim.schedule(3.0, lambda: order.append("c"))
+        sim.schedule_timer(2.0, lambda: order.append("b"))
+        sim.schedule_timer(1.0, lambda: order.append("a"))
+        sim.schedule_timer(3.0, lambda: order.append("c"))
         sim.run()
         assert order == ["a", "b", "c"]
         assert sim.now == 3.0
@@ -27,7 +27,7 @@ class TestSimulator:
         sim = Simulator()
         order = []
         for tag in "abc":
-            sim.schedule(1.0, lambda t=tag: order.append(t))
+            sim.schedule_timer(1.0, lambda t=tag: order.append(t))
         sim.run()
         assert order == ["a", "b", "c"]
 
@@ -37,143 +37,46 @@ class TestSimulator:
 
         def first():
             seen.append(sim.now)
-            sim.schedule(0.5, lambda: seen.append(sim.now))
+            sim.schedule_timer(0.5, lambda: seen.append(sim.now))
 
-        sim.schedule(1.0, first)
+        sim.schedule_timer(1.0, first)
         sim.run()
         assert seen == [1.0, 1.5]
 
     def test_run_until_stops_and_advances_clock(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(5.0, lambda: fired.append(5))
+        sim.schedule_timer(1.0, lambda: fired.append(1))
+        sim.schedule_timer(5.0, lambda: fired.append(5))
         sim.run(until=2.0)
         assert fired == [1]
         assert sim.now == 2.0
         sim.run()
         assert fired == [1, 5]
 
-    def test_cancellation(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, lambda: fired.append(1))
-        event.cancel()
-        sim.run()
-        assert fired == []
-
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_timer(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.schedule_at(0.5, lambda: None)
+            sim.schedule_timer_at(0.5, lambda: None)
         with pytest.raises(SimulationError):
-            sim.schedule(-1.0, lambda: None)
-
-    def test_max_events(self):
-        sim = Simulator()
-        count = []
-        for i in range(10):
-            sim.schedule(i + 1.0, lambda: count.append(1))
-        sim.run(max_events=3)
-        assert len(count) == 3
-
-    def test_max_events_still_advances_clock_to_until(self):
-        """The run() contract: ``until`` lands the clock on the horizon
-        even when the event budget stops execution first."""
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(i + 1.0, lambda i=i: fired.append(i))
-        sim.run(until=10.0, max_events=2)
-        assert fired == [0, 1]
-        assert sim.now == 10.0
-
-    def test_schedule_every_stays_on_grid(self):
-        """Tick 10^6 of a 0.1 s heartbeat must land exactly on
-        ``start + 10^6 * interval``; rescheduling by repeatedly adding
-        the interval to the clock drifts off the grid long before
-        that."""
-        sim = Simulator()
-        interval = 0.1  # not binary-exact: repeated addition drifts
-        target = 10 ** 6 + 1  # callback k (0-based grid index k-1)
-        ticks = [0]
-        landed = {}
-
-        def tick():
-            ticks[0] += 1
-            if ticks[0] == target:
-                landed["now"] = sim.now
-
-        sim.schedule_every(interval, tick)
-        sim.run(max_events=target)
-        start = interval  # first tick: now (0.0) + default start delay
-        assert landed["now"] == start + 10 ** 6 * interval
+            sim.schedule_timer(-1.0, lambda: None)
 
     def test_events_run_counts_executions(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        cancelled = sim.schedule(2.0, lambda: None)
-        cancelled.cancel()
+        sim.schedule_timer(1.0, lambda: None)
+        sim.schedule_timer_at(2.0, lambda: None)
         sim.schedule_timer(3.0, lambda: None)
-        sim.run()
+        sim.run(until=2.5)
         assert sim.events_run == 2
-
-    def test_cancelled_events_are_compacted(self):
-        """Mass cancellation: only the survivors run and count, and the
-        dead entries are dropped as they surface (nothing is rebuilt)."""
-        sim = Simulator()
-        fired = []
-        events = [sim.schedule(1.0 + i * 1e-6, lambda i=i: fired.append(i))
-                  for i in range(1000)]
-        for event in events[100:]:
-            event.cancel()
-        assert sim.peek_time() == 1.0
         sim.run()
-        assert fired == list(range(100))
-        assert sim.events_run == 100
-        assert sim.peek_time() is None
-
-    def test_cancel_is_idempotent_and_noop_after_execution(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert event.cancelled
-        ran = sim.schedule(2.0, lambda: None)
-        sim.run()
-        ran.cancel()  # already executed: not a cancellation
-        assert not ran.cancelled
-        assert sim.events_run == 1
-
-    def test_cancelling_from_inside_a_callback_strands_nothing(self):
-        """At 4779a90 the mass cancel triggered a heap compaction that
-        rebound the heap under the running loop: the follow-on event at
-        1.5 never ran and ``run()`` returned with it still pending."""
-        sim = Simulator()
-        fired = []
-        doomed = [sim.schedule(2.0 + i * 1e-3, lambda: fired.append("doomed"))
-                  for i in range(200)]
-        sim.schedule(500.0, lambda: fired.append("late"))
-
-        def purge():
-            for event in doomed:
-                event.cancel()
-            sim.schedule(1.0, lambda: fired.append("follow-on"))
-
-        sim.schedule(0.5, purge)
-        sim.run()
-        assert fired == ["follow-on", "late"]
-        assert sim.now == 500.0
         assert sim.events_run == 3
-        assert sim.peek_time() is None
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_times_are_rejected_on_every_front(self, bad):
         sim = Simulator()
-        for front in (sim.schedule, sim.schedule_at,
-                      sim.schedule_timer, sim.schedule_timer_at):
+        for front in (sim.schedule_timer, sim.schedule_timer_at):
             with pytest.raises(SimulationError, match="cannot schedule"):
                 front(bad, lambda: None)
         with pytest.raises(SimulationError, match="cannot schedule"):
@@ -194,16 +97,6 @@ class TestSimulator:
             sim.schedule_stream(
                 [[(2.0, lambda: None), (2.0, lambda: None),
                   (bad, lambda: None)]])
-
-    def test_event_handle_exposes_time_seq_callback(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        second = sim.schedule(1.0, lambda: None)
-        assert first.time == second.time == 1.0
-        assert first.seq < second.seq
-        assert first.callback is not None
-        first.cancel()
-        assert first.callback is None
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 8])
     def test_stream_entry_precedes_a_timer_at_the_same_instant(self, chunk):
@@ -234,10 +127,11 @@ class TestSimulator:
     def test_schedule_timer_interleaves_with_heap_events(self):
         sim = Simulator()
         order = []
+        file_at = sim.timer_filer()
         sim.schedule_timer(1.0, lambda: order.append("w1"))
-        sim.schedule(1.0, lambda: order.append("h1"))
+        file_at(1.0, lambda: order.append("h1"))
         sim.schedule_timer(1.0, lambda: order.append("w2"))
-        sim.schedule(2.0, lambda: order.append("h2"))
+        file_at(2.0, lambda: order.append("h2"))
         sim.schedule_timer_at(2.0, lambda: order.append("w3"))
         sim.run()
         assert order == ["w1", "h1", "w2", "h2", "w3"]
@@ -247,14 +141,18 @@ class TestSimulator:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule_timer(-0.5, lambda: None)
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_timer(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_timer_at(0.5, lambda: None)
 
     def test_peek_time_covers_every_front(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_timer_at(1.0, lambda: None)
+        sim.schedule_stream([[(0.75, lambda: None)]])
+        assert sim.peek_time() == 0.75
+        sim.timer_filer()(0.625, lambda: None)
+        assert sim.peek_time() == 0.625
         sim.schedule_timer(0.5, lambda: None)
         assert sim.peek_time() == 0.5
         sim.run()
@@ -270,64 +168,51 @@ class TestQueueOrder:
         order = []
         sim.schedule_timer(0.0, lambda: order.append("timer"))
         sim.schedule_timer_at(0.0, lambda: order.append("timer_at"))
-        sim.schedule(0.0, lambda: order.append("handle"))
+        sim.timer_filer()(0.0, lambda: order.append("filer"))
         sim.schedule_stream(
             [zip([0.0, 0.0], itertools.repeat(lambda: order.append("bulk")))])
         assert sim.peek_time() == 0.0
         sim.schedule_timer(1e-6, lambda: order.append("first positive"))
         sim.schedule_timer(0.0, lambda: order.append("after"))
         sim.run()
-        assert order == ["timer", "timer_at", "handle", "bulk", "bulk",
+        assert order == ["timer", "timer_at", "filer", "bulk", "bulk",
                          "after", "first positive"]
         assert sim.now == 1e-6
 
-    def test_handle_events_filed_before_traffic_keep_their_place(self):
+    def test_events_filed_before_traffic_keep_their_place(self):
         """A cluster run files its faults and first observer tick before
         any packet; the arrivals and timers filed after them still run in
         time order around them."""
         sim = Simulator()
         order = []
-        fault = sim.schedule_at(250e-6, lambda: order.append("fault"))
-        sim.schedule(100e-6, lambda: order.append("tick"))
+        sim.schedule_timer_at(250e-6, lambda: order.append("fault"))
+        sim.schedule_timer(100e-6, lambda: order.append("tick"))
         assert sim.peek_time() == 100e-6
         sim.schedule_timer_at(1e-6, lambda: order.append("arrival"))
-        assert fault.time == 250e-6 and not fault.cancelled
+        assert sim.peek_time() == 1e-6
         sim.schedule_timer(300e-6, lambda: order.append("late"))
         sim.run()
         assert order == ["arrival", "tick", "fault", "late"]
-
-    def test_entries_the_clock_was_stepped_over_still_run(self):
-        """``run(until=, max_events=)`` may leave events behind the clock;
-        filing a new timer after that must neither reject nor reorder
-        them."""
-        sim = Simulator()
-        order = []
-        for i in (1, 2, 3):
-            sim.schedule_at(float(i), lambda i=i: order.append(i))
-        sim.run(until=10.0, max_events=1)
-        sim.schedule_timer(0.5, lambda: order.append("timer"))
-        assert sim.peek_time() == 2.0
-        sim.run()
-        assert order == [1, 2, 3, "timer"] and sim.events_run == 4
 
     def test_far_event_beside_a_nanosecond_timer(self):
         sim = Simulator()
         order = []
         sim.schedule_timer(1e-9, lambda: order.append("near"))
         sim.schedule_timer(1e3, lambda: order.append("far timer"))
-        sim.schedule(1e3, lambda: order.append("far handle"))
+        sim.schedule_timer_at(1e3, lambda: order.append("far timer_at"))
         sim.run(until=1.0)
         assert order == ["near"] and sim.peek_time() == 1e3
         sim.run()
-        assert order == ["near", "far timer", "far handle"]
+        assert order == ["near", "far timer", "far timer_at"]
         assert sim.now == 1e3
 
-    def test_run_that_only_ever_used_the_handle_fronts(self):
+    def test_nested_filing_across_a_run_until_slice(self):
         sim = Simulator()
         order = []
         for i in (3, 1, 2):
-            sim.schedule_at(float(i), lambda i=i: order.append(i))
-        sim.schedule(1.0, lambda: sim.schedule(0.5, lambda: order.append(1.5)))
+            sim.schedule_timer_at(float(i), lambda i=i: order.append(i))
+        sim.schedule_timer(1.0, lambda: sim.schedule_timer(
+            0.5, lambda: order.append(1.5)))
         sim.run(until=1.0)
         assert order == [1] and sim.peek_time() == 1.5
         sim.run()
@@ -340,7 +225,7 @@ class TestRunAsOf:
 
     def _sim_at(self, clock, metrics=None):
         sim = Simulator(metrics=metrics)
-        sim.schedule(clock, lambda: None)
+        sim.schedule_timer(clock, lambda: None)
         sim.run()
         return sim
 
@@ -403,15 +288,17 @@ class TestObservedLoop:
         def fire(tag):
             order.append((tag, sim.now))
             if len(order) < 400 and rng.random() < 0.7:
-                file = sim.schedule_timer if rng.random() < 0.5 \
-                    else sim.schedule
-                file(rng.choice((0.0, 1e-6, 3.7e-6)),
-                     partial(fire, len(order)))
+                delay = rng.choice((0.0, 1e-6, 3.7e-6))
+                if rng.random() < 0.5:
+                    sim.schedule_timer(delay, partial(fire, len(order)))
+                else:
+                    sim.schedule_timer_at(sim.now + delay,
+                                          partial(fire, len(order)))
 
         for index in range(40):
             sim.schedule_timer_at(index * 1e-6, partial(fire, -index))
         sim.run(until=2e-5)
-        sim.run(max_events=7)
+        sim.run(until=sim.peek_time())
         sim.run()
         return order
 
@@ -436,8 +323,8 @@ class TestObservedLoop:
             profiler.push("leaked")
             raise RuntimeError("boom")
 
-        sim.schedule(1.0, leak)
-        sim.schedule(2.0, lambda: stacks.append(list(profiler._stack)))
+        sim.schedule_timer(1.0, leak)
+        sim.schedule_timer(2.0, lambda: stacks.append(list(profiler._stack)))
         with pytest.raises(RuntimeError):
             sim.run()
         assert profiler._stack == ["leaked"]
@@ -575,8 +462,8 @@ class TestLink:
         link = Link(sim, "l", rate_bps=8e9,
                     deliver=lambda p: got.append(sim.now))
         link.stall(first)
-        sim.schedule_at(5e-6, lambda: link.stall(second))
-        sim.schedule_at(25e-6, lambda: link.send(
+        sim.schedule_timer_at(5e-6, lambda: link.stall(second))
+        sim.schedule_timer_at(25e-6, lambda: link.send(
             Packet.udp("1.1.1.1", "2.2.2.2", length=1000)))
         sim.run(until=50e-6)
         assert link.stalled and got == []
