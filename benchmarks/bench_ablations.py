@@ -15,7 +15,8 @@ from repro import calibration as cal
 from repro.analysis import format_table
 from repro.core import ClassicVlb, DirectVlb, RouteBricksRouter, analyze
 from repro.core.topology import FullMesh, KAryNFly, Torus
-from repro.perfmodel import max_loss_free_rate, per_packet_loads
+from repro.costs import per_packet_vector
+from repro.perfmodel import max_loss_free_rate
 from repro.workloads import (
     FlowGenerator,
     WorkloadSpec,
@@ -29,7 +30,7 @@ def test_numa_placement_ablation(benchmark, save_result):
     throughput is unchanged, matching the paper's 6.3 = 6.3 Gbps test."""
 
     def run():
-        loads = per_packet_loads(cal.MINIMAL_FORWARDING, 64)
+        loads = per_packet_vector(cal.MINIMAL_FORWARDING, 64)
         base = max_loss_free_rate(
             WorkloadSpec.fixed(64, app=cal.MINIMAL_FORWARDING))
         # Remote placement: charge the descriptor share of memory traffic

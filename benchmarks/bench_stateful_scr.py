@@ -22,7 +22,7 @@ locks at 4 cores under skew 1.1; RSS monotonically degrading in skew).
 
 from repro.analysis import format_table
 from repro.calibration import NEHALEM_CLOCK_HZ
-from repro.costs import DEFAULT_COST_MODEL
+from repro.costs import state_access_vector
 from repro.stateful import make_nf, run_strategy
 from repro.workloads import SkewedFlowWorkload
 
@@ -54,7 +54,7 @@ def _rss_mean_mpps(records, cores):
 
 def _stateless_ceiling_mpps(cores):
     """Perfect scaling of the full NF compute with zero sync cost."""
-    cycles = DEFAULT_COST_MODEL.state_access_vector(NF).cpu_cycles
+    cycles = state_access_vector(NF).cpu_cycles
     return cores * NEHALEM_CLOCK_HZ / cycles / 1e6
 
 

@@ -11,9 +11,11 @@ Public entry points
 -------------------
 
 ``repro.costs``
-    The unified cost layer: ``ResourceVector``, the calibrated
-    ``CostModel``, and the ``compile_loads`` pipeline compiler that the
-    analytic model, the Click scheduler, and the DES all charge from.
+    The unified cost layer: ``ResourceVector``, the cost functions over
+    the calibrated constants (``per_packet_vector``, the device and
+    application element terms), and the ``compile_loads`` pipeline
+    compiler that the analytic model, the Click scheduler, and the DES
+    all charge from.
 ``repro.perfmodel``
     Single-server performance model (Tables 1-3, Figs 6-10).
 ``repro.core``

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from .. import calibration as cal
-from ..costs import DEFAULT_CONFIG, DEFAULT_COST_MODEL, ServerConfig
+from ..costs import DEFAULT_CONFIG, ServerConfig, per_packet_vector
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
 from ..perfmodel.bounds import bounds_for
@@ -61,8 +61,7 @@ def deconstruct(app: cal.AppCost, packet_bytes: float = 64,
     from ..perfmodel.throughput import max_loss_free_rate
     from ..workloads.spec import WorkloadSpec
 
-    loads_vec = DEFAULT_COST_MODEL.per_packet_vector(
-        app, packet_bytes, config, spec)
+    loads_vec = per_packet_vector(app, packet_bytes, config, spec)
     result = max_loss_free_rate(WorkloadSpec.fixed(packet_bytes, app=app),
                                 spec=spec, config=config,
                                 empirical_bounds=True, nic_limited=False)
@@ -93,8 +92,7 @@ def load_series(app: cal.AppCost, packet_bytes: float = 64,
     """
     if rates_mpps is None:
         rates_mpps = [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
-    loads_vec = DEFAULT_COST_MODEL.per_packet_vector(
-        app, packet_bytes, config, spec)
+    loads_vec = per_packet_vector(app, packet_bytes, config, spec)
     bounds = bounds_for(spec)
     rows = []
     for mpps in rates_mpps:

@@ -56,7 +56,9 @@ gives phi = 842 cycles/packet of flowlet-tracking overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
+from .errors import ConfigurationError
 from .units import gbps, ghz
 
 # --------------------------------------------------------------------------
@@ -122,7 +124,8 @@ def bookkeeping_cycles(kp: int = DEFAULT_KP, kn: int = DEFAULT_KN) -> float:
     batch sizes; it is part of the application processing cost below.
     """
     if kp < 1 or kn < 1:
-        raise ValueError("batch sizes must be >= 1 (got kp=%r, kn=%r)" % (kp, kn))
+        raise ConfigurationError(
+            "batch sizes must be >= 1 (got kp=%r, kn=%r)" % (kp, kn))
     return BOOK_POLL_CYCLES / kp + BOOK_NIC_CYCLES / kn
 
 
@@ -289,6 +292,20 @@ APPLICATIONS = {
     "routing": IP_ROUTING,
     "ipsec": IPSEC,
 }
+
+
+def resolve_app(app: Union[str, AppCost, None]) -> AppCost:
+    """Accept an :class:`AppCost` or its :data:`APPLICATIONS` name; ``None``
+    is full IP routing."""
+    if app is None:
+        return IP_ROUTING
+    if isinstance(app, AppCost):
+        return app
+    if app in APPLICATIONS:
+        return APPLICATIONS[app]
+    raise ConfigurationError("unknown application %r (have %s)"
+                             % (app, sorted(APPLICATIONS)))
+
 
 # --------------------------------------------------------------------------
 # Parallelism penalties (Fig. 6, Fig. 7)

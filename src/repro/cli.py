@@ -139,7 +139,7 @@ def _cmd_pipeline(args) -> int:
         except OSError as error:
             raise ConfigurationError("cannot read Click config %r: %s"
                                      % (args.config, error)) from error
-    queues = args.queues or NEHALEM.total_cores
+    queues = NEHALEM.total_cores if args.queues is None else args.queues
 
     def fresh_server():
         return Server(NEHALEM, num_ports=args.ports, queues_per_port=queues)

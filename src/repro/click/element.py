@@ -54,7 +54,7 @@ class Element:
     cost_per_byte * packet.length`` on each component, either from the
     class-level term declarations or from terms set at construction via
     :meth:`set_cost_terms` (device and application elements derive theirs
-    from the shared :class:`~repro.costs.CostModel`).
+    from the cost functions in :mod:`repro.costs.model`).
     """
 
     #: Number of output ports; subclasses override as needed.

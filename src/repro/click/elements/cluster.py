@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 from ... import calibration as cal
 from ...core.flowlet import FlowletTable
-from ...costs import DEFAULT_COST_MODEL, ResourceVector
+from ...costs import ResourceVector, increment_terms
 from ...core.mac_encoding import decode_output_node, encode_output_node
 from ...core.vlb import first_hop
 from ...errors import ConfigurationError
@@ -65,7 +65,7 @@ class VLBIngress(Element):
         self.routed = 0
         self.misses = 0
         # Routing lookup + header work + reordering-avoidance tracking.
-        base, per_byte = DEFAULT_COST_MODEL.increment_terms("routing")
+        base, per_byte = increment_terms("routing")
         if use_flowlets:
             base = base + ResourceVector(
                 cpu_cycles=cal.REORDER_AVOIDANCE_CYCLES)

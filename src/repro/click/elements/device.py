@@ -7,8 +7,8 @@ poll-driven batching (up to ``kp`` packets per poll); ``ToDevice`` relays
 descriptors to the NIC in batches of ``kn`` (NIC-driven batching lives in
 the driver, modeled by the transmit path charging its amortized cost).
 
-Their cost terms come from :meth:`repro.costs.CostModel.rx_terms` and
-:meth:`~repro.costs.CostModel.tx_terms`: the RX element carries the
+Their cost terms come from :func:`repro.costs.rx_terms` and
+:func:`~repro.costs.tx_terms`: the RX element carries the
 amortized poll bookkeeping plus the packet-movement baseline (CPU and
 half of each bus term), the TX element the descriptor-relay share and
 the other bus half -- so an element-wise pipeline sum reproduces the
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List
 
 from ... import calibration as cal
-from ...costs import DEFAULT_COST_MODEL, CostModel
+from ...costs import rx_terms, tx_terms
 from ...errors import ConfigurationError
 from ...hw.nic import NicPort, NicQueue
 from ...net.packet import Packet
@@ -38,8 +38,7 @@ class PollDevice(Element):
     """
 
     def __init__(self, port: NicPort, queue_id: int = 0,
-                 kp: int = cal.DEFAULT_KP, name: str = "",
-                 cost_model: CostModel = DEFAULT_COST_MODEL):
+                 kp: int = cal.DEFAULT_KP, name: str = ""):
         if not 0 <= queue_id < port.num_queues:
             raise ConfigurationError(
                 "port %d has no RX queue %d" % (port.port_id, queue_id))
@@ -51,7 +50,7 @@ class PollDevice(Element):
         self.kp = kp
         self.empty_polls = 0
         self.total_polls = 0
-        self.set_cost_terms(*cost_model.rx_terms(kp))
+        self.set_cost_terms(*rx_terms(kp))
 
     def run_task(self) -> int:
         """One poll: move up to ``kp`` packets into the graph."""
@@ -79,8 +78,7 @@ class ToDevice(Element):
     n_outputs = 0
 
     def __init__(self, port: NicPort, queue_id: int = 0,
-                 kn: int = cal.DEFAULT_KN, name: str = "",
-                 cost_model: CostModel = DEFAULT_COST_MODEL):
+                 kn: int = cal.DEFAULT_KN, name: str = ""):
         if not 0 <= queue_id < port.num_queues:
             raise ConfigurationError(
                 "port %d has no TX queue %d" % (port.port_id, queue_id))
@@ -91,7 +89,7 @@ class ToDevice(Element):
         self.queue_id = queue_id
         self.queue: NicQueue = port.tx_queues[queue_id]
         self.kn = kn
-        self.set_cost_terms(*cost_model.tx_terms(kn))
+        self.set_cost_terms(*tx_terms(kn))
 
     def process(self, packet: Packet, port: int) -> None:
         if not self.port.transmit(packet, self.queue_id):

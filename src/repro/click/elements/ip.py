@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ...costs import DEFAULT_COST_MODEL
+from ...costs import increment_terms
 from ...errors import ConfigurationError
 from ...net.addresses import MACAddress
 from ...net.checksum import ttl_decrement_checksum
@@ -88,7 +88,7 @@ class LookupIPRoute(Element):
         self.misses = 0
         # The routing increment over minimal forwarding (lookup + header
         # work), from the calibrated application costs.
-        self.set_cost_terms(*DEFAULT_COST_MODEL.increment_terms("routing"))
+        self.set_cost_terms(*increment_terms("routing"))
 
     def process(self, packet: Packet, port: int) -> None:
         route = self.table.lookup(packet.ip.dst) if packet.ip else None

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ...costs import DEFAULT_COST_MODEL
+from ...costs import increment_terms
 from ...crypto.esp import EspContext, esp_encapsulate
 from ...errors import CryptoError
 from ...net.packet import Packet
@@ -27,7 +27,7 @@ class IPsecESPEncap(Element):
         self.failed = 0
         # AES cost: the ipsec increment over minimal forwarding --
         # calibrated cycles/byte plus the fixed ESP overhead.
-        self.set_cost_terms(*DEFAULT_COST_MODEL.increment_terms("ipsec"))
+        self.set_cost_terms(*increment_terms("ipsec"))
 
     def process(self, packet: Packet, port: int) -> None:
         if packet.ip is None:

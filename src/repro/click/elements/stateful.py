@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ...costs.model import DEFAULT_COST_MODEL
+from ...costs import state_access_vector
 from ...errors import ConfigurationError
 from ...net.packet import Packet
 from ...stateful.nf import FORWARD, StatefulNF, make_nf
@@ -45,7 +45,7 @@ class StatefulElement(Element):
         super().__init__(name)
         self.nf = nf
         self.flow_table = FlowTable(name=self.name)
-        self.set_cost_terms(DEFAULT_COST_MODEL.state_access_vector(nf.name))
+        self.set_cost_terms(state_access_vector(nf.name))
 
     def _advance(self, packet: Packet):
         """Run the NF for one packet; returns ``(entry, verdict)``."""

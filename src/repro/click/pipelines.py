@@ -9,8 +9,8 @@ replication), on top of the stateless default registry.
 
 :data:`PRESET_PIPELINES` holds the Click texts of the paper's three
 evaluated applications (Sec. 5.1) expressed in this element library --
-the same pipelines the calibrated :class:`~repro.costs.CostModel`
-describes analytically, which is what lets tests assert that
+the same pipelines :func:`repro.costs.per_packet_vector` describes
+analytically, which is what lets tests assert that
 :func:`repro.costs.compile_loads` reproduces the preset load vectors.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .. import calibration as cal
-from ..costs import DEFAULT_COST_MODEL, CostModel
 from ..crypto.esp import EspContext
 from ..errors import ConfigurationError
 from ..hw.server import Server
@@ -56,8 +55,7 @@ def demo_esp_context() -> EspContext:
 def pipeline_registry(server: Server, replica: int = 0,
                       kp: int = cal.DEFAULT_KP, kn: int = cal.DEFAULT_KN,
                       table: Optional[RoutingTable] = None,
-                      esp_context: Optional[EspContext] = None,
-                      cost_model: CostModel = DEFAULT_COST_MODEL
+                      esp_context: Optional[EspContext] = None
                       ) -> ElementRegistry:
     """The full element registry, bound to ``server``.
 
@@ -74,13 +72,11 @@ def pipeline_registry(server: Server, replica: int = 0,
 
     def poll_device(args, name):
         port = server.port(int(args[0]) if args else 0)
-        return PollDevice(port, queue_id=replica, kp=kp, name=name,
-                          cost_model=cost_model)
+        return PollDevice(port, queue_id=replica, kp=kp, name=name)
 
     def to_device(args, name):
         port = server.port(int(args[0]) if args else 0)
-        return ToDevice(port, queue_id=replica, kn=kn, name=name,
-                        cost_model=cost_model)
+        return ToDevice(port, queue_id=replica, kn=kn, name=name)
 
     registry.register("PollDevice", poll_device)
     registry.register("ToDevice", to_device)
@@ -133,8 +129,7 @@ PRESET_PIPELINES = {
 def build_pipeline(which_or_text: str, server: Server, replica: int = 0,
                    kp: int = cal.DEFAULT_KP, kn: int = cal.DEFAULT_KN,
                    table: Optional[RoutingTable] = None,
-                   esp_context: Optional[EspContext] = None,
-                   cost_model: CostModel = DEFAULT_COST_MODEL
+                   esp_context: Optional[EspContext] = None
                    ) -> RouterGraph:
     """Parse a preset name or raw Click text against ``server``."""
     text = PRESET_PIPELINES.get(which_or_text, which_or_text)
@@ -143,6 +138,5 @@ def build_pipeline(which_or_text: str, server: Server, replica: int = 0,
             "%r is neither a preset pipeline (%s) nor Click text"
             % (which_or_text, sorted(PRESET_PIPELINES)))
     registry = pipeline_registry(server, replica=replica, kp=kp, kn=kn,
-                                 table=table, esp_context=esp_context,
-                                 cost_model=cost_model)
+                                 table=table, esp_context=esp_context)
     return parse_config(text, registry)

@@ -31,7 +31,7 @@ from itertools import accumulate, chain, count, cycle, islice, repeat
 from typing import List, Optional
 
 from .. import calibration as cal
-from ..costs import DEFAULT_COST_MODEL, CostModel
+from ..costs import app_vector
 from ..errors import ConfigurationError
 from ..hw.server import Server
 from ..obs.metrics import active_registry
@@ -42,10 +42,6 @@ from ..workloads.synthetic import FixedSizeWorkload
 from .element import Element
 from .elements.device import PollDevice, ToDevice
 from .elements.standard import PacketQueue
-
-#: Cycles burned by a poll that finds no packets (Sec. 5.3's ce).
-#: Re-exported from :mod:`repro.calibration`, the single owner.
-EMPTY_POLL_CYCLES = cal.EMPTY_POLL_CYCLES
 
 
 class _RunObs:
@@ -205,7 +201,6 @@ class TimedForwardingRun:
     def __init__(self, server: Server, packet_bytes: int = 64,
                  kp: int = cal.DEFAULT_KP, kn: int = cal.DEFAULT_KN,
                  app: cal.AppCost = cal.MINIMAL_FORWARDING,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
                  batch: bool = False,
                  metrics=None):
         if not server.ports:
@@ -217,11 +212,10 @@ class TimedForwardingRun:
         self.kp = kp
         self.kn = kn
         self.app = app
-        self.cost_model = cost_model
         self.metrics = metrics
         self.cycles_per_packet = (
-            cost_model.app_vector(app, packet_bytes).cpu_cycles
-            + cost_model.bookkeeping_cycles(kp, kn))
+            app_vector(app, packet_bytes).cpu_cycles
+            + cal.bookkeeping_cycles(kp, kn))
         # Pair each core with one RX queue, spreading cores over ports.
         cores = server.cores
         queues = [queue for port in server.ports for queue in port.rx_queues]
@@ -261,7 +255,7 @@ class TimedForwardingRun:
         clock_hz = self.server.spec.clock_hz
         # Every poll charges one of kp+1 possible cycle values; index 0
         # is the empty poll.
-        cycles_for = [self.cost_model.empty_poll_cycles] + [
+        cycles_for = [cal.EMPTY_POLL_CYCLES] + [
             n * self.cycles_per_packet for n in range(1, self.kp + 1)]
         delay_for = [cycles / clock_hz for cycles in cycles_for]
         forwarded = empty_polls = total_polls = 0
@@ -273,7 +267,7 @@ class TimedForwardingRun:
         else:
             # Every packet of this run carries the same app vector, so
             # bus bytes are chargeable per burst without walking elements.
-            vec = self.cost_model.app_vector(self.app, self.packet_bytes)
+            vec = app_vector(self.app, self.packet_bytes)
             # Same flows and flow_seq as the per-packet generator, built
             # only for the 1-in-sample_every traced arrivals.
             packet_at = FixedSizeWorkload(
@@ -465,7 +459,6 @@ class TimedPipelineRun:
                  packet_bytes: int = 64,
                  kp: int = cal.DEFAULT_KP, kn: int = cal.DEFAULT_KN,
                  table=None, esp_context=None,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
                  replicas: Optional[int] = None,
                  metrics=None):
         from .pipelines import build_pipeline
@@ -477,7 +470,6 @@ class TimedPipelineRun:
         self.packet_bytes = packet_bytes
         self.kp = kp
         self.kn = kn
-        self.cost_model = cost_model
         self.metrics = metrics
         queues_per_port = min(port.num_queues for port in server.ports)
         n_replicas = min(len(server.cores), queues_per_port)
@@ -493,8 +485,7 @@ class TimedPipelineRun:
         for index in range(n_replicas):
             graph = build_pipeline(config_text, server, replica=index,
                                    kp=kp, kn=kn, table=table,
-                                   esp_context=esp_context,
-                                   cost_model=cost_model)
+                                   esp_context=esp_context)
             replica = _PipelineReplica(graph, server.cores[index])
             if not replica.polls:
                 raise ConfigurationError(
@@ -539,7 +530,7 @@ class TimedPipelineRun:
         advance = _arrival_cursor(offered, interarrival, arrival)
 
         clock_hz = self.server.spec.clock_hz
-        empty_poll_cycles = self.cost_model.empty_poll_cycles
+        empty_poll_cycles = cal.EMPTY_POLL_CYCLES
         forwarded = empty_polls = total_polls = 0
 
         def observer(replica):

@@ -233,8 +233,8 @@ class ClusterPartition(Partition):
         router = spec.router
         self.spec = spec
         registry = self.registry = spec.registry
-        super().__init__(spec.partition_id, seed=router.seed,
-                         metrics=registry, assignment=spec.assignment)
+        super().__init__(spec.partition_id, metrics=registry,
+                         assignment=spec.assignment)
         # What ClusterNode.receive_internal waits before doing anything
         # another event can see -- from the same calls it makes, so the
         # window cannot drift from the model (and if it did, the late

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
-from .model import DEFAULT_CONFIG, DEFAULT_COST_MODEL, CostModel, ServerConfig
+from .model import DEFAULT_CONFIG, ServerConfig, apply_cpu_penalties
 from .vector import ResourceVector
 
 
@@ -140,8 +140,7 @@ def element_costs(graph, packet_bytes: float = 64,
 def compile_loads(graph, packet_bytes: float = 64,
                   config: ServerConfig = DEFAULT_CONFIG,
                   spec=None,
-                  entry_weights: Optional[Dict[str, float]] = None,
-                  cost_model: CostModel = DEFAULT_COST_MODEL
+                  entry_weights: Optional[Dict[str, float]] = None
                   ) -> ResourceVector:
     """The per-packet load vector of an arbitrary pipeline.
 
@@ -150,7 +149,7 @@ def compile_loads(graph, packet_bytes: float = 64,
     charges (``config.multi_queue``, the spec's CPI inflation).  Batching
     amortization is *not* added here -- the device elements already carry
     their ``kp``/``kn`` shares -- so for the preset applications the
-    result equals :func:`repro.perfmodel.per_packet_loads` at the
+    result equals :func:`repro.costs.per_packet_vector` at the
     same batching configuration.
 
     The returned vector plugs straight into
@@ -168,4 +167,4 @@ def compile_loads(graph, packet_bytes: float = 64,
         if probability <= 0.0:
             continue
         total = total + element.resource_cost(probe).scaled(probability)
-    return cost_model.apply_cpu_penalties(total, config, spec)
+    return apply_cpu_penalties(total, config, spec)

@@ -102,7 +102,8 @@ class Server:
                     if spec.shared_bus else None)
         self.nics: List[Nic] = []
         if num_ports is not None:
-            self.attach_ports(num_ports, queues_per_port or 1)
+            self.attach_ports(num_ports, 1 if queues_per_port is None
+                              else queues_per_port)
 
     @property
     def cores(self) -> List[Core]:

@@ -182,8 +182,7 @@ def explain_pipeline(pipeline: str, packet_bytes: int = 64,
             "DES run forwarded no packets; raise duration_sec")
 
     observed = _observed_loads(registry, report.forwarded_packets,
-                               report.empty_polls,
-                               run.cost_model.empty_poll_cycles)
+                               report.empty_polls, EMPTY_POLL_CYCLES)
     bounds = bounds_for(spec)
     observed_rate_pps = report.forwarded_packets / report.duration_sec
     observed_utilization = {

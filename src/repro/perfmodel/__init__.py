@@ -7,8 +7,7 @@ Table 1, the Fig. 6 core/queue-assignment scenarios, and the Sec. 5.3
 scaling projections.
 """
 
-from ..costs import DEFAULT_COST_MODEL, ServerConfig
-from ..costs import ResourceVector as LoadVector
+from ..costs import ServerConfig
 from .bounds import ComponentBounds, bounds_for, stream_benchmark_bps
 from .batching import batching_rate_bps, batching_sweep
 from .throughput import RateResult, max_loss_free_rate, rate_from_loads
@@ -17,14 +16,8 @@ from .projection import project_rates, projected_abilene_forwarding_bps
 from .custom_app import define_application, predict
 from .queueing import loaded_cluster_latency_usec, md1_wait_sec
 
-#: ``per_packet_loads(app, packet_bytes, config=DEFAULT_CONFIG, spec=None)``:
-#: the full per-packet load vector (the Figs. 9-10 quantity).
-per_packet_loads = DEFAULT_COST_MODEL.per_packet_vector
-
 __all__ = [
-    "LoadVector",
     "ServerConfig",
-    "per_packet_loads",
     "ComponentBounds",
     "bounds_for",
     "stream_benchmark_bps",

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from ..costs import DEFAULT_COST_MODEL, ServerConfig
+from .. import calibration as cal
+from ..costs import ServerConfig, app_vector
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
 from ..workloads.spec import WorkloadSpec
@@ -39,8 +40,7 @@ def batching_sweep(configs: Iterable[Tuple[int, int]] = ((1, 1), (32, 1), (32, 1
             "kn": kn,
             "rate_gbps": rate / 1e9,
             "cycles_per_packet":
-                DEFAULT_COST_MODEL.app_vector("forwarding",
-                                              packet_bytes).cpu_cycles
-                + DEFAULT_COST_MODEL.bookkeeping_cycles(kp, kn),
+                app_vector("forwarding", packet_bytes).cpu_cycles
+                + cal.bookkeeping_cycles(kp, kn),
         })
     return rows

@@ -12,7 +12,8 @@ plus per-byte compute and extra memory touches -- and get back an
 from __future__ import annotations
 
 from .. import calibration as cal
-from ..costs import CACHE_LINE_BYTES, DEFAULT_COST_MODEL
+from ..costs import CACHE_LINE_BYTES
+from ..errors import ConfigurationError
 
 __all__ = ["CACHE_LINE_BYTES", "define_application", "predict"]
 
@@ -41,17 +42,45 @@ def define_application(name: str,
         Whether the application reads the payload (adds per-byte memory
         traffic beyond the forwarding path's).
 
-    Delegates to :meth:`repro.costs.CostModel.derive_application` on the
-    shared default model.
+    Exactly one of ``instructions_per_packet`` and ``cycles_per_packet``
+    is given; negative figures and a non-positive CPI are refused.  The
+    new app's memory traffic crosses QPI at the calibration's one-in-four
+    share, like the preset applications'.
     """
-    return DEFAULT_COST_MODEL.derive_application(
-        name,
-        instructions_per_packet=instructions_per_packet,
+    if (instructions_per_packet is None) == (cycles_per_packet is None):
+        raise ConfigurationError("give exactly one of "
+                                 "instructions_per_packet or "
+                                 "cycles_per_packet")
+    if instructions_per_packet is not None:
+        if instructions_per_packet < 0 or cycles_per_instruction <= 0:
+            raise ConfigurationError("bad instruction/CPI figures")
+        app_cycles = instructions_per_packet * cycles_per_instruction
+    else:
+        if cycles_per_packet < 0:
+            raise ConfigurationError("cycles_per_packet cannot be negative")
+        app_cycles = cycles_per_packet
+        instructions_per_packet = cycles_per_packet / cycles_per_instruction
+    if cycles_per_byte < 0 or extra_memory_lines < 0:
+        raise ConfigurationError("per-byte/memory figures cannot be negative")
+
+    base = cal.MINIMAL_FORWARDING
+    mem_base = base.mem_base_bytes + extra_memory_lines * CACHE_LINE_BYTES
+    mem_per_byte = base.mem_per_byte + (1.0 if touches_payload else 0.0)
+    return cal.AppCost(
+        name=name,
+        cpu_base_cycles=base.cpu_base_cycles + app_cycles,
+        cpu_per_byte_cycles=base.cpu_per_byte_cycles + cycles_per_byte,
+        mem_base_bytes=mem_base,
+        mem_per_byte=mem_per_byte,
+        io_base_bytes=base.io_base_bytes,
+        io_per_byte=base.io_per_byte,
+        pcie_base_bytes=base.pcie_base_bytes,
+        pcie_per_byte=base.pcie_per_byte,
+        qpi_base_bytes=mem_base * 0.25,
+        qpi_per_byte=mem_per_byte * 0.25,
+        instructions_per_packet=base.instructions_per_packet
+        + instructions_per_packet,
         cycles_per_instruction=cycles_per_instruction,
-        cycles_per_packet=cycles_per_packet,
-        cycles_per_byte=cycles_per_byte,
-        extra_memory_lines=extra_memory_lines,
-        touches_payload=touches_payload,
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from .. import calibration as cal
-from ..costs import DEFAULT_CONFIG, DEFAULT_COST_MODEL, ServerConfig
+from ..costs import DEFAULT_CONFIG, ServerConfig, per_packet_vector
 from ..hw.presets import NEHALEM, NEHALEM_NEXT_GEN
 from ..hw.server import ServerSpec
 from ..units import rate_pps_to_bps
@@ -53,8 +53,8 @@ def projected_abilene_forwarding_bps(spec: ServerSpec = NEHALEM,
     if not 0 < io_nominal_fraction <= 1:
         raise ValueError("io_nominal_fraction must be in (0, 1]")
     mean = cal.ABILENE_MEAN_PACKET_BYTES
-    loads = DEFAULT_COST_MODEL.per_packet_vector(
-        cal.MINIMAL_FORWARDING, mean, DEFAULT_CONFIG, spec)
+    loads = per_packet_vector(cal.MINIMAL_FORWARDING, mean, DEFAULT_CONFIG,
+                              spec)
     cpu_pps = spec.cycles_per_second / loads.cpu_cycles
     one_link_bps = spec.io_bps / 2  # per-socket I/O link
     io_pps = io_nominal_fraction * one_link_bps / 8 / loads.io_bytes

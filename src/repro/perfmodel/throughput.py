@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..costs import (DEFAULT_CONFIG, DEFAULT_COST_MODEL, ResourceVector,
-                     ServerConfig)
+from ..costs import (DEFAULT_CONFIG, ResourceVector, ServerConfig,
+                     per_packet_vector)
 from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
@@ -146,8 +146,7 @@ def max_loss_free_rate(workload: "WorkloadSpec",
     packet_bytes = workload.mean_packet_bytes
     if packet_bytes <= 0:
         raise ConfigurationError("packet size must be positive")
-    loads = DEFAULT_COST_MODEL.per_packet_vector(app, packet_bytes, config,
-                                                spec)
+    loads = per_packet_vector(app, packet_bytes, config, spec)
     return rate_from_loads(loads, packet_bytes, spec=spec,
                            empirical_bounds=empirical_bounds,
                            nic_limited=nic_limited)

@@ -2,7 +2,7 @@
 
 Drives the packet-level cluster simulation (`repro.core`): an event queue
 with a simulated clock, rate-limited links with propagation delay, bounded
-FIFO queues, seeded random streams, and a histogram with exact percentiles
+FIFO queues, per-node seed derivation, and a histogram with exact percentiles
 (counters and timelines are :mod:`repro.obs.metrics`).
 """
 
@@ -10,7 +10,7 @@ from .engine import Simulator
 from .links import Link
 from .partition import CrossLink, Partition
 from .queues import FiniteQueue
-from .rng import RngStreams, node_seeds
+from .rng import node_seeds
 from .stats import Histogram
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "Partition",
     "CrossLink",
     "FiniteQueue",
-    "RngStreams",
     "node_seeds",
     "Histogram",
 ]

@@ -32,7 +32,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 from ..errors import ConfigurationError
 from .engine import Simulator
 from .links import Link
-from .rng import RngStreams
 
 
 #: What leads every transit record: ``deliver_time, send_time, src_node,
@@ -123,10 +122,9 @@ class Partition:
     packet_format = ""
 
     def __init__(self, partition_id: int, *, assignment: Sequence[int],
-                 seed: int = 0, metrics=None):
+                 metrics=None):
         self.partition_id = partition_id
         self.sim = Simulator(metrics=metrics)
-        self.streams = RngStreams(seed).spawn("partition/%d" % partition_id)
         self.assignment = assignment
         self._record = Struct(RECORD_HEAD + self.packet_format)
         #: Destination partition -> ``[packed records, earliest deliver

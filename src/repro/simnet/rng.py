@@ -1,13 +1,12 @@
-"""Seeded, named random streams.
+"""Per-node random seeds.
 
-Every stochastic element of a simulation draws from its own named stream so
-that changing one workload knob does not perturb the random sequence seen
-by unrelated components (common random numbers across experiment arms).
+Every cluster node draws from its own :class:`random.Random`, seeded from
+the run's root seed by :func:`node_seeds`, so a node's random sequence
+does not depend on how the cluster is sharded.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import List
 
@@ -24,36 +23,3 @@ def node_seeds(seed: int, count: int) -> List[int]:
     """
     root = random.Random(seed)
     return [root.getrandbits(32) for _ in range(count)]
-
-
-class RngStreams:
-    """A factory of independent :class:`random.Random` streams."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-        self._streams = {}
-
-    def stream(self, name: str) -> random.Random:
-        """The stream for ``name``, created deterministically on first use."""
-        if name not in self._streams:
-            digest = hashlib.sha256(
-                ("%d/%s" % (self.seed, name)).encode()).digest()
-            self._streams[name] = random.Random(
-                int.from_bytes(digest[:8], "big"))
-        return self._streams[name]
-
-    def spawn(self, name: str) -> "RngStreams":
-        """A child stream factory seeded deterministically from this one.
-
-        The seed-sequence-style spawn used for per-partition randomness:
-        ``RngStreams(seed).spawn("partition/3")`` yields the same child on
-        every run and on every worker, independent of spawn order or of
-        which process performs the spawn, so sharded results cannot depend
-        on worker scheduling.
-        """
-        digest = hashlib.sha256(
-            ("%d/spawn/%s" % (self.seed, name)).encode()).digest()
-        return RngStreams(int.from_bytes(digest[:8], "big"))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams

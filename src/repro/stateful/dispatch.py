@@ -26,8 +26,8 @@ comparable:
     scales with cores while every replica converges to the shared-state
     outcome.
 
-Costs are charged from :data:`repro.costs.DEFAULT_COST_MODEL`'s
-calibrated ResourceVectors; throughput is the packet count divided by
+Costs are charged as the calibrated ResourceVectors of
+:mod:`repro.costs.model`; throughput is the packet count divided by
 the *bottleneck* core's cycle total -- the same max-core convention the
 rest of the repo uses for parallel pipelines.
 """
@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from .. import calibration as cal
-from ..costs.model import CostModel, DEFAULT_COST_MODEL
+from ..costs.model import (coherence_vector, lock_vector, scr_encode_vector,
+                           scr_replay_vector, state_access_vector)
 from ..costs.vector import ResourceVector
 from ..errors import ConfigurationError
 from ..net.flows import FiveTuple, queue_for_flow
@@ -141,13 +142,13 @@ def _observe(report: StrategyReport, records: Sequence[PacketRecord],
 
 
 def _run_locks(nf: StatefulNF, records: Sequence[PacketRecord], cores: int,
-               model: CostModel, report: StrategyReport,
-               sizes: List[float], rss_seed: Optional[int]) -> None:
+               report: StrategyReport, sizes: List[float],
+               rss_seed: Optional[int]) -> None:
     table = FlowTable()
-    access = model.state_access_vector(nf.name)
-    lock_free = model.lock_vector(contended=False)
-    lock_wait = model.lock_vector(contended=True)
-    coherence = model.coherence_vector()
+    access = state_access_vector(nf.name)
+    lock_free = lock_vector(contended=False)
+    lock_wait = lock_vector(contended=True)
+    coherence = coherence_vector()
     last_core: Dict[FiveTuple, int] = {}
     for start in range(0, len(records), cores):
         round_records = records[start:start + cores]
@@ -177,10 +178,10 @@ def _run_locks(nf: StatefulNF, records: Sequence[PacketRecord], cores: int,
 
 
 def _run_rss(nf: StatefulNF, records: Sequence[PacketRecord], cores: int,
-             model: CostModel, report: StrategyReport,
-             sizes: List[float], rss_seed: Optional[int]) -> None:
+             report: StrategyReport, sizes: List[float],
+             rss_seed: Optional[int]) -> None:
     shards = [FlowTable(name="core%d" % c) for c in range(cores)]
-    access = model.state_access_vector(nf.name)
+    access = state_access_vector(nf.name)
     for rec in records:
         if rss_seed is None:
             core = queue_for_flow(rec.key, cores)
@@ -199,12 +200,12 @@ def _run_rss(nf: StatefulNF, records: Sequence[PacketRecord], cores: int,
 
 
 def _run_scr(nf: StatefulNF, records: Sequence[PacketRecord], cores: int,
-             model: CostModel, report: StrategyReport,
-             sizes: List[float], rss_seed: Optional[int]) -> None:
+             report: StrategyReport, sizes: List[float],
+             rss_seed: Optional[int]) -> None:
     replicas = [FlowTable(name="replica%d" % c) for c in range(cores)]
-    access = model.state_access_vector(nf.name)
-    encode = model.scr_encode_vector()
-    replay = model.scr_replay_vector()
+    access = state_access_vector(nf.name)
+    encode = scr_encode_vector()
+    replay = scr_replay_vector()
     owner_cost = access + encode
     for rec in records:
         owner = rec.seq % cores
@@ -238,7 +239,6 @@ _RUNNERS = {"locks": _run_locks, "rss": _run_rss, "scr": _run_scr}
 
 def run_strategy(nf: StatefulNF, records: Sequence[PacketRecord],
                  cores: int, strategy: str,
-                 model: Optional[CostModel] = None,
                  core_hz: float = cal.NEHALEM_CLOCK_HZ,
                  rss_seed: Optional[int] = None) -> StrategyReport:
     """Run ``nf`` over ``records`` on ``cores`` cores with ``strategy``.
@@ -257,7 +257,6 @@ def run_strategy(nf: StatefulNF, records: Sequence[PacketRecord],
         raise ConfigurationError("need >= 1 core")
     if core_hz <= 0:
         raise ConfigurationError("core_hz must be positive")
-    model = model or DEFAULT_COST_MODEL
     records = list(records)
     report = StrategyReport(
         strategy=strategy, nf=nf.name, cores=cores, packets=len(records),
@@ -266,6 +265,6 @@ def run_strategy(nf: StatefulNF, records: Sequence[PacketRecord],
     if not records:
         return report
     sizes: List[float] = []
-    _RUNNERS[strategy](nf, records, cores, model, report, sizes, rss_seed)
+    _RUNNERS[strategy](nf, records, cores, report, sizes, rss_seed)
     _observe(report, records, sizes)
     return report

@@ -15,11 +15,10 @@ from .imix import MIXES
 from .zipf_flows import PacketRecord, SkewedFlowWorkload
 from .cluster_traffic import matrix_events, offered_packets
 from .pcapio import load_trace, save_trace
-from .spec import WorkloadSpec, resolve_app
+from .spec import WorkloadSpec
 
 __all__ = [
     "WorkloadSpec",
-    "resolve_app",
     "FixedSizeWorkload",
     "PacketSource",
     "AbileneTrace",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple
 
 from .. import calibration as cal
 from ..errors import ConfigurationError
@@ -31,18 +31,6 @@ from .matrices import TrafficMatrix
 
 #: A packet-size distribution: (frame bytes, weight) pairs.
 SizeMix = Tuple[Tuple[int, float], ...]
-
-
-def resolve_app(app: Union[str, cal.AppCost, None]) -> cal.AppCost:
-    """Accept an :class:`~repro.calibration.AppCost` or its catalog name."""
-    if app is None:
-        return cal.IP_ROUTING
-    if isinstance(app, cal.AppCost):
-        return app
-    if app in cal.APPLICATIONS:
-        return cal.APPLICATIONS[app]
-    raise ConfigurationError("unknown application %r (have %s)"
-                             % (app, sorted(cal.APPLICATIONS)))
 
 
 def _normalize_mix(mix) -> SizeMix:
@@ -81,7 +69,7 @@ class WorkloadSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mix", _normalize_mix(self.mix))
-        object.__setattr__(self, "app", resolve_app(self.app))
+        object.__setattr__(self, "app", cal.resolve_app(self.app))
         if self.flows_per_pair < 1:
             raise ConfigurationError("need >= 1 flow per pair")
 

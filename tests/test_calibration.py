@@ -4,6 +4,7 @@ paper's published operating points (the anchors everything else rests on)."""
 import pytest
 
 from repro import calibration as cal
+from repro.errors import ConfigurationError
 
 
 def _rate_bps(cycles_per_packet, packet_bytes=64):
@@ -30,9 +31,9 @@ class TestBatchingModel:
             > cal.bookkeeping_cycles(32, 16)
 
     def test_bookkeeping_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             cal.bookkeeping_cycles(0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             cal.bookkeeping_cycles(1, 0)
 
 

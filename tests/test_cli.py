@@ -137,6 +137,7 @@ class TestRefusedInput:
         ["stateful", "run", "nat", "--skew", "nan"],
         ["trace", "info", "no-such-trace.pcap"],
         ["control", "run", "--duration-ms", "-1"],
+        ["pipeline", "forwarding", "--queues", "0"],
     ], ids=" ".join)
     def test_bad_value_exits_2(self, argv, capsys):
         assert main(argv) == 2

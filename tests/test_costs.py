@@ -3,7 +3,7 @@
 The load-bearing property is *exactness*: compiling a preset application's
 Click pipeline element-by-element must reproduce the analytic per-packet
 load vector bit-for-bit (well, to float tolerance), because both sides now
-draw from the same :class:`~repro.costs.CostModel`.
+draw from the same cost functions (:mod:`repro.costs.model`).
 """
 
 import warnings
@@ -22,20 +22,24 @@ from repro.click import (
 )
 from repro.costs import (
     DEFAULT_CONFIG,
-    DEFAULT_COST_MODEL,
-    CostModel,
     ResourceVector,
     ServerConfig,
     ZERO_VECTOR,
+    app_vector,
     compile_loads,
     element_costs,
+    increment_terms,
+    per_packet_vector,
+    rx_terms,
     traversal_probabilities,
+    tx_terms,
 )
 from repro.errors import ConfigurationError
 from repro.hw.presets import NEHALEM, XEON_SHARED_BUS
 from repro.hw.server import Server
 from repro.net.packet import Packet
-from repro.perfmodel import per_packet_loads, rate_from_loads
+from repro.perfmodel import rate_from_loads
+from repro.perfmodel.custom_app import define_application
 
 COMPONENTS = ("cpu_cycles", "mem_bytes", "io_bytes", "pcie_bytes",
               "qpi_bytes")
@@ -79,92 +83,84 @@ class TestResourceVector:
             ResourceVector().cpu_cycles = 1.0
 
 
-# -- CostModel ---------------------------------------------------------------
+# -- the cost model ---------------------------------------------------------
 
 class TestCostModel:
     def test_bookkeeping_matches_table1(self):
-        model = DEFAULT_COST_MODEL
-        assert model.bookkeeping_cycles(32, 16) == pytest.approx(
+        assert cal.bookkeeping_cycles(32, 16) == pytest.approx(
             cal.BOOK_POLL_CYCLES / 32 + cal.BOOK_NIC_CYCLES / 16)
         # No batching: the full poll + NIC overhead per packet.
-        assert model.bookkeeping_cycles(1, 1) == pytest.approx(
+        assert cal.bookkeeping_cycles(1, 1) == pytest.approx(
             cal.BOOK_POLL_CYCLES + cal.BOOK_NIC_CYCLES)
 
     def test_bookkeeping_rejects_bad_batches(self):
         with pytest.raises(ConfigurationError):
-            DEFAULT_COST_MODEL.bookkeeping_cycles(0, 16)
+            cal.bookkeeping_cycles(0, 16)
 
     def test_app_resolution(self):
-        model = DEFAULT_COST_MODEL
-        assert model.app("ipsec") is cal.APPLICATIONS["ipsec"]
-        assert model.app(cal.MINIMAL_FORWARDING) is cal.MINIMAL_FORWARDING
-        assert model.app(None) is cal.APPLICATIONS["routing"]
+        assert cal.resolve_app("ipsec") is cal.APPLICATIONS["ipsec"]
+        assert (cal.resolve_app(cal.MINIMAL_FORWARDING)
+                is cal.MINIMAL_FORWARDING)
+        assert cal.resolve_app(None) is cal.APPLICATIONS["routing"]
         with pytest.raises(ConfigurationError):
-            model.app("quantum-routing")
-
-    def test_unknown_baseline_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CostModel(baseline="nope")
-
-    @pytest.mark.parametrize("cycles", [0, -5, float("nan")])
-    def test_empty_poll_must_cost_something(self, cycles):
-        """A free empty poll would refile itself at the same instant and
-        spin a timed run forever; it is refused up front."""
-        with pytest.raises(ConfigurationError, match="empty_poll_cycles"):
-            CostModel(empty_poll_cycles=cycles)
+            cal.resolve_app("quantum-routing")
 
     def test_app_vector_rejects_bad_size(self):
         with pytest.raises(ConfigurationError):
-            DEFAULT_COST_MODEL.app_vector("routing", 0)
+            app_vector("routing", 0)
 
     def test_per_packet_vector_equals_legacy_loads(self):
+        """The vector equals the calibration's own per-size AppCost
+        methods plus the Table 1 bookkeeping on the CPU."""
         for app in ("forwarding", "routing", "ipsec"):
+            cost = cal.APPLICATIONS[app]
             for size in (64, 1024):
-                vec = DEFAULT_COST_MODEL.per_packet_vector(app, size)
-                legacy = per_packet_loads(cal.APPLICATIONS[app], size)
+                vec = per_packet_vector(app, size)
                 for comp in COMPONENTS:
+                    legacy = getattr(cost, comp)(size)
+                    if comp == "cpu_cycles":
+                        legacy += cal.bookkeeping_cycles()
                     assert getattr(vec, comp) == pytest.approx(
-                        getattr(legacy, comp), rel=1e-12)
+                        legacy, rel=1e-12), (app, size, comp)
 
     def test_single_queue_penalty(self):
-        multi = DEFAULT_COST_MODEL.per_packet_vector(
+        multi = per_packet_vector(
             "routing", 64, ServerConfig(multi_queue=True))
-        single = DEFAULT_COST_MODEL.per_packet_vector(
+        single = per_packet_vector(
             "routing", 64, ServerConfig(multi_queue=False))
         assert single.cpu_cycles - multi.cpu_cycles == pytest.approx(
             cal.PIPELINE_SYNC_CYCLES)
         assert single.mem_bytes == multi.mem_bytes
 
     def test_shared_bus_cpi_inflation(self):
-        base = DEFAULT_COST_MODEL.per_packet_vector("routing", 64)
-        slow = DEFAULT_COST_MODEL.per_packet_vector(
+        base = per_packet_vector("routing", 64)
+        slow = per_packet_vector(
             "routing", 64, DEFAULT_CONFIG, XEON_SHARED_BUS)
         assert slow.cpu_cycles == pytest.approx(
             base.cpu_cycles * XEON_SHARED_BUS.cpi_factor)
 
     def test_decomposition_sums_to_application(self):
         """rx + tx + increment terms reassemble the whole-app vector."""
-        model = DEFAULT_COST_MODEL
         kp, kn = DEFAULT_CONFIG.kp, DEFAULT_CONFIG.kn
         for app in ("forwarding", "routing", "ipsec"):
             for size in (64, 1024):
-                rx_b, rx_s = model.rx_terms(kp)
-                tx_b, tx_s = model.tx_terms(kn)
-                inc_b, inc_s = model.increment_terms(app)
+                rx_b, rx_s = rx_terms(kp)
+                tx_b, tx_s = tx_terms(kn)
+                inc_b, inc_s = increment_terms(app)
                 total = (rx_b + tx_b + inc_b
                          + (rx_s + tx_s + inc_s).scaled(size))
-                expected = model.app_vector(app, size)
+                expected = app_vector(app, size)
                 expected = expected.with_cpu(
-                    expected.cpu_cycles + model.bookkeeping_cycles(kp, kn))
+                    expected.cpu_cycles + cal.bookkeeping_cycles(kp, kn))
                 for comp in COMPONENTS:
                     assert getattr(total, comp) == pytest.approx(
                         getattr(expected, comp), rel=1e-9), (app, size, comp)
 
     def test_derive_application_matches_custom_app(self):
-        app = DEFAULT_COST_MODEL.derive_application(
+        app = define_application(
             "dpi", cycles_per_packet=2000.0, cycles_per_byte=3.0,
             extra_memory_lines=2.0)
-        base = DEFAULT_COST_MODEL.baseline
+        base = cal.MINIMAL_FORWARDING
         assert app.cpu_base_cycles == pytest.approx(
             base.cpu_base_cycles + 2000.0)
         assert app.cpu_per_byte_cycles == pytest.approx(
@@ -172,7 +168,7 @@ class TestCostModel:
         assert app.mem_base_bytes == pytest.approx(
             base.mem_base_bytes + 2 * 64)
         with pytest.raises(ConfigurationError):
-            DEFAULT_COST_MODEL.derive_application("bad")
+            define_application("bad")
 
 
 # -- element costs ----------------------------------------------------------
@@ -198,7 +194,7 @@ class TestElementCosts:
     def test_device_elements_carry_model_terms(self):
         server = Server(NEHALEM, num_ports=1, queues_per_port=1)
         poll = PollDevice(server.port(0), queue_id=0, kp=32)
-        base, per_byte = DEFAULT_COST_MODEL.rx_terms(32)
+        base, per_byte = rx_terms(32)
         assert poll.cost_base == base
         assert poll.cost_per_byte == per_byte
 
@@ -295,7 +291,7 @@ def test_compile_loads_reproduces_preset_vectors(app, size):
     server = Server(NEHALEM, num_ports=1, queues_per_port=1)
     graph = build_pipeline(app, server)
     compiled = compile_loads(graph, packet_bytes=size)
-    analytic = per_packet_loads(cal.APPLICATIONS[app], size)
+    analytic = per_packet_vector(cal.APPLICATIONS[app], size)
     for comp in COMPONENTS:
         assert getattr(compiled, comp) == pytest.approx(
             getattr(analytic, comp), rel=1e-9), (app, size, comp)
@@ -306,7 +302,7 @@ def test_compile_loads_feeds_rate_solver():
     graph = build_pipeline("routing", server)
     loads = compile_loads(graph, packet_bytes=64)
     result = rate_from_loads(loads, 64)
-    legacy = rate_from_loads(per_packet_loads(cal.IP_ROUTING, 64), 64)
+    legacy = rate_from_loads(per_packet_vector(cal.IP_ROUTING, 64), 64)
     assert result.rate_bps == pytest.approx(legacy.rate_bps, rel=1e-9)
     assert result.bottleneck == legacy.bottleneck
 
@@ -348,7 +344,7 @@ def test_pipeline_breakdown_summary():
     assert summary["rate_gbps"] > 0
     assert summary["bottleneck"] in summary["loads"]
     assert len(summary["elements"]) == len(graph.elements())
-    legacy = rate_from_loads(per_packet_loads(cal.IP_ROUTING, 64), 64)
+    legacy = rate_from_loads(per_packet_vector(cal.IP_ROUTING, 64), 64)
     assert summary["rate_gbps"] == pytest.approx(
         legacy.rate_bps / 1e9, rel=1e-9)
 

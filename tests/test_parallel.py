@@ -29,7 +29,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.parallel import BACKENDS, simulate_parallel
 from repro.net.packet import WIRE_FORMAT, Packet
 from repro.simnet.partition import Partition
-from repro.simnet.rng import RngStreams, node_seeds
+from repro.simnet.rng import node_seeds
 from repro.units import usec
 from repro.workloads import WorkloadSpec
 from repro.workloads.matrices import uniform_matrix
@@ -507,18 +507,6 @@ class TestSeedDerivation:
         # A partition that re-derives the full chain and slices its local
         # range sees the same seeds the single sim assigned.
         assert node_seeds(SEED, 8)[:4] == node_seeds(SEED, 4)
-
-    def test_spawn_is_deterministic_and_independent(self):
-        a = RngStreams(3).spawn("partition/0")
-        b = RngStreams(3).spawn("partition/0")
-        c = RngStreams(3).spawn("partition/1")
-        assert a.stream("x").random() == b.stream("x").random()
-        assert (RngStreams(3).spawn("partition/0").stream("x").random()
-                != c.stream("x").random())
-        # Spawning is not the same as streaming: the child namespace is
-        # separate from the parent's own streams.
-        assert (RngStreams(3).spawn("p").seed
-                != RngStreams(3).stream("p").randint(0, 2 ** 63))
 
 
 class TestMergeFragments:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import calibration as cal
+from repro.costs import per_packet_vector
 from repro.errors import ConfigurationError
 from repro.hw.presets import NEHALEM, NEHALEM_NEXT_GEN, XEON_SHARED_BUS
 from repro.perfmodel import (
@@ -11,7 +12,6 @@ from repro.perfmodel import (
     batching_sweep,
     bounds_for,
     max_loss_free_rate,
-    per_packet_loads,
     project_rates,
     projected_abilene_forwarding_bps,
     scenario_rate_gbps,
@@ -206,27 +206,27 @@ class TestBounds:
 
 class TestLoads:
     def test_loads_positive(self):
-        loads = per_packet_loads(cal.IP_ROUTING, 64)
+        loads = per_packet_vector(cal.IP_ROUTING, 64)
         assert loads.cpu_cycles > 0
         assert loads.mem_bytes > 0
         assert loads.io_bytes > 0
 
     def test_single_queue_costs_more(self):
-        multi = per_packet_loads(cal.MINIMAL_FORWARDING, 64,
-                                 ServerConfig(multi_queue=True))
-        single = per_packet_loads(cal.MINIMAL_FORWARDING, 64,
-                                  ServerConfig(multi_queue=False))
+        multi = per_packet_vector(cal.MINIMAL_FORWARDING, 64,
+                                  ServerConfig(multi_queue=True))
+        single = per_packet_vector(cal.MINIMAL_FORWARDING, 64,
+                                   ServerConfig(multi_queue=False))
         assert single.cpu_cycles > multi.cpu_cycles
 
     def test_xeon_cpi_inflation(self):
-        plain = per_packet_loads(cal.MINIMAL_FORWARDING, 64, spec=NEHALEM)
-        xeon = per_packet_loads(cal.MINIMAL_FORWARDING, 64,
-                                spec=XEON_SHARED_BUS)
+        plain = per_packet_vector(cal.MINIMAL_FORWARDING, 64, spec=NEHALEM)
+        xeon = per_packet_vector(cal.MINIMAL_FORWARDING, 64,
+                                 spec=XEON_SHARED_BUS)
         assert xeon.cpu_cycles == pytest.approx(
             plain.cpu_cycles * cal.XEON_CPI_FACTOR)
 
     def test_scaled(self):
-        loads = per_packet_loads(cal.MINIMAL_FORWARDING, 64)
+        loads = per_packet_vector(cal.MINIMAL_FORWARDING, 64)
         doubled = loads.scaled(2)
         assert doubled.cpu_cycles == pytest.approx(2 * loads.cpu_cycles)
 

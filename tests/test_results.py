@@ -57,7 +57,7 @@ class TestRunResultProtocol:
 
     def test_nested_dataclasses_and_named_objects_convert(self):
         data = _rate().to_dict()
-        # The LoadVector dataclass inside the result becomes a plain dict.
+        # The ResourceVector dataclass inside the result becomes a plain dict.
         assert isinstance(data["loads"], dict)
         assert data["loads"]["cpu_cycles"] > 0
         # Dataclass values (AppCost) convert to their field dicts; plain

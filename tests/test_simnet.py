@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.net import Packet
 from repro.obs.metrics import MetricsRegistry
-from repro.simnet import FiniteQueue, Histogram, Link, RngStreams, Simulator
+from repro.simnet import FiniteQueue, Histogram, Link, Simulator
 
 
 class TestSimulator:
@@ -471,22 +471,6 @@ class TestLink:
         # Stalled to 100 us, then 1 us serialization + 1 us propagation.
         assert got == [pytest.approx(102e-6)]
         assert not link.stalled
-
-
-class TestRng:
-    def test_deterministic_streams(self):
-        a = RngStreams(seed=1).stream("x").random()
-        b = RngStreams(seed=1).stream("x").random()
-        assert a == b
-
-    def test_independent_streams(self):
-        streams = RngStreams(seed=1)
-        assert streams.stream("x").random() != streams.stream("y").random()
-
-    def test_different_seeds_differ(self):
-        a = RngStreams(seed=1).stream("x").random()
-        b = RngStreams(seed=2).stream("x").random()
-        assert a != b
 
 
 class TestStats:

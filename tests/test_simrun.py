@@ -9,7 +9,6 @@ from repro import calibration as cal
 from repro.click import simrun
 from repro.click.pipelines import PRESET_PIPELINES
 from repro.click.simrun import TimedForwardingRun, TimedPipelineRun
-from repro.costs import CostModel
 from repro.errors import ConfigurationError
 from repro.hw import nehalem_server
 from repro.hw.presets import NEHALEM
@@ -229,7 +228,7 @@ class TestAnArrivalIsNotAnEvent:
 
 #: One empty poll's delay: an arrival gap of exactly this puts arrival k
 #: and a poll of an idle core at the same float instant.
-EMPTY_POLL_DELAY = simrun.EMPTY_POLL_CYCLES / NEHALEM.clock_hz
+EMPTY_POLL_DELAY = cal.EMPTY_POLL_CYCLES / NEHALEM.clock_hz
 
 
 def _tie_run(build, registry):
@@ -266,8 +265,8 @@ class TestArrivalEdges:
                 queue.capacity = 4
         slow = dataclasses.replace(cal.MINIMAL_FORWARDING,
                                    cpu_base_cycles=1e12)
-        run = TimedForwardingRun(server, app=slow,
-                                 cost_model=CostModel(empty_poll_cycles=1e12))
+        monkeypatch.setattr(cal, "EMPTY_POLL_CYCLES", 1e12)
+        run = TimedForwardingRun(server, app=slow)
         report = run.run(1e9, duration_sec=60.5 * 512e-9)
         assert (report.offered_packets, report.total_polls,
                 report.forwarded_packets, report.residual_backlog,

@@ -9,7 +9,8 @@ a delta yields the entry the full computation produced.
 
 import pytest
 
-from repro.costs import DEFAULT_COST_MODEL
+from repro.costs import (lock_vector, scr_replay_vector,
+                         state_access_vector)
 from repro.errors import ConfigurationError
 from repro.net.addresses import IPv4Address
 from repro.net.flows import FiveTuple
@@ -161,21 +162,21 @@ class TestNFs:
 class TestCostVectors:
     def test_state_access_vector_known_nfs(self):
         for name in ("nat", "firewall", "policer", "lb"):
-            vector = DEFAULT_COST_MODEL.state_access_vector(name)
+            vector = state_access_vector(name)
             assert vector.cpu_cycles > 0 and vector.mem_bytes > 0
 
     def test_state_access_vector_unknown_raises(self):
         with pytest.raises(ConfigurationError):
-            DEFAULT_COST_MODEL.state_access_vector("dpi")
+            state_access_vector("dpi")
 
     def test_contended_lock_costs_more(self):
-        free = DEFAULT_COST_MODEL.lock_vector(contended=False)
-        contended = DEFAULT_COST_MODEL.lock_vector(contended=True)
+        free = lock_vector(contended=False)
+        contended = lock_vector(contended=True)
         assert contended.cpu_cycles > free.cpu_cycles > 0
 
     def test_replay_is_much_cheaper_than_full_compute(self):
-        replay = DEFAULT_COST_MODEL.scr_replay_vector()
-        full = DEFAULT_COST_MODEL.state_access_vector("nat")
+        replay = scr_replay_vector()
+        full = state_access_vector("nat")
         assert replay.cpu_cycles * 10 < full.cpu_cycles
 
 
