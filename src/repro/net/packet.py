@@ -75,6 +75,13 @@ class Packet:
     flow_seq:
         Per-flow sequence number stamped by the traffic generator; the
         reordering metric compares egress order against it.
+    flow_key:
+        The flow's :class:`~repro.net.flows.FiveTuple`, stamped by the
+        traffic generator (one object shared by every packet of a flow,
+        so per-flow tables hash a key they do not rebuild), or ``None``
+        -- then :meth:`five_tuple` derives the key from the headers.
+        :meth:`copy` and :meth:`from_wire` leave it ``None``: a copy's
+        headers may be rewritten, and a wire decode rebuilds the key.
     ingress_node, egress_node:
         Cluster node ids assigned by the VLB router.
     arrival_time, departure_time:
@@ -83,7 +90,7 @@ class Packet:
 
     __slots__ = (
         "packet_id", "length", "eth", "ip", "l4", "payload",
-        "flow_seq", "ingress_node", "egress_node", "path",
+        "flow_seq", "flow_key", "ingress_node", "egress_node", "path",
         "arrival_time", "departure_time", "annotations",
     )
 
@@ -101,6 +108,7 @@ class Packet:
         self.l4 = l4
         self.payload = payload
         self.flow_seq = 0
+        self.flow_key = None
         self.ingress_node = None
         self.egress_node = None
         self.path = []
@@ -148,7 +156,11 @@ class Packet:
     # -- flow identity ----------------------------------------------------
 
     def five_tuple(self) -> FiveTuple:
-        """The packet's flow key; raises for non-IP packets."""
+        """The packet's flow key -- the stamped :attr:`flow_key` when
+        there is one, else built from the headers; raises for non-IP
+        packets."""
+        if self.flow_key is not None:
+            return self.flow_key
         if self.ip is None:
             raise PacketError("packet %d has no IP header" % self.packet_id)
         src_port = getattr(self.l4, "src_port", 0)
@@ -216,7 +228,9 @@ class Packet:
         that is not UDP (it rides as an object), a path of more than
         three hops -- and is then ``(payload, annotations, l4, path)``.
         :meth:`from_wire` restores the packet *losslessly*, including
-        ``packet_id`` (no new id is drawn).  A caller that frames the row
+        ``packet_id`` (no new id is drawn), bar the ``flow_key`` stamp:
+        the decoded packet's :meth:`five_tuple` rebuilds an equal key
+        from the headers.  A caller that frames the row
         inside a wider struct (a partition's transit record) passes that
         struct's ``pack`` and its leading values ``head``, so the record
         is packed once.  A field that does not fit its column raises
@@ -287,6 +301,7 @@ class Packet:
                               udp_checksum) if present & _HAS_UDP else l4
         packet.payload = payload
         packet.flow_seq = flow_seq
+        packet.flow_key = None
         packet.ingress_node = None if ingress == _NO_NODE else ingress
         packet.egress_node = None if egress == _NO_NODE else egress
         packet.path = path[:hops] if far is None else list(far)

@@ -15,6 +15,8 @@ from typing import Iterator, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..net.addresses import IPv4Address
+from ..net.flows import FiveTuple
+from ..net.headers import PROTO_UDP
 from ..net.packet import Packet
 from .matrices import TrafficMatrix
 
@@ -28,7 +30,9 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
 
     Each nonzero demand entry runs an independent Poisson process at its
     rate; events from all pairs are merged in time order.  Per-flow
-    sequence numbers are stamped so reordering can be measured.
+    sequence numbers are stamped so reordering can be measured, and each
+    flow's one :class:`~repro.net.flows.FiveTuple` as its packets'
+    ``flow_key``.
 
     ``size_mix`` (optional (size, weight) pairs, e.g. from a
     :class:`~repro.workloads.spec.WorkloadSpec`) draws per-packet frame
@@ -73,12 +77,10 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
             if src == dst or demand <= 0:
                 continue
             mean_gap = packet_bits / demand
-            flows = []
-            for index in range(flows_per_pair):
-                flows.append((
-                    IPv4Address((10 << 24) | (src << 16) | index),
-                    IPv4Address((10 << 24) | (dst << 16) | index),
-                    1024 + index, 80))
+            flows = [FiveTuple(IPv4Address((10 << 24) | (src << 16) | index),
+                               IPv4Address((10 << 24) | (dst << 16) | index),
+                               PROTO_UDP, 1024 + index, 80)
+                     for index in range(flows_per_pair)]
             pair_state[(src, dst)] = {
                 "mean_gap": mean_gap,
                 "flows": flows,
@@ -99,11 +101,13 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
         state["seq"][flow_index] += 1
         packet = None
         if owned is None or src in owned:
-            fsrc, fdst, sport, dport = state["flows"][flow_index]
+            flow = state["flows"][flow_index]
             packet = Packet.udp(
-                fsrc, fdst, length=length, src_port=sport, dst_port=dport,
+                flow.src, flow.dst, length=length, src_port=flow.src_port,
+                dst_port=flow.dst_port,
                 packet_id=None if id_base is None else id_base + position)
             packet.flow_seq = state["seq"][flow_index]
+            packet.flow_key = flow
         position += 1
         yield time, src, dst, packet
         next_time = time + rng.expovariate(1.0 / state["mean_gap"])

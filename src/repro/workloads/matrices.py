@@ -24,8 +24,9 @@ class TrafficMatrix:
         matrix = np.asarray(demands, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ConfigurationError("traffic matrix must be square")
-        if (matrix < 0).any():
-            raise ConfigurationError("demands cannot be negative")
+        # Written so that NaN fails too (every comparison with NaN is false).
+        if not ((matrix >= 0) & (matrix < np.inf)).all():
+            raise ConfigurationError("demands must be finite and >= 0")
         self.demands = matrix
 
     @property

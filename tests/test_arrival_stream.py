@@ -9,6 +9,7 @@ and the contracts that moved with the totals -- ``offered_packets`` and
 the packet-id floor are known when the run ends, not when it is built.
 """
 
+import gc
 import heapq
 import itertools
 import os
@@ -20,6 +21,7 @@ from functools import partial
 import pytest
 
 import repro
+from repro.core import RouteBricksRouter
 from repro.errors import SimulationError
 from repro.net.packet import packet_id_floor
 from repro.obs.metrics import MetricsRegistry
@@ -27,7 +29,7 @@ from repro.parallel import simulate_parallel
 from repro.core import partition
 from repro.simnet.engine import Simulator
 from repro.workloads import WorkloadSpec
-from repro.workloads.matrices import TrafficMatrix
+from repro.workloads.matrices import TrafficMatrix, uniform_matrix
 
 from .test_parallel import UNTIL, _report_scalars, _router, _workload
 
@@ -229,6 +231,34 @@ class TestMemoryBound:
             for until in ("3e-4", "1.5e-3")))
         assert offered[1] > 4.5 * offered[0]
         assert (rss_kib[1] - rss_kib[0]) / 1024 < 12
+
+
+class TestCyclicGarbage:
+    def test_does_not_grow_with_the_horizon(self):
+        # ``Simulator.run`` pauses the collector, which is safe only while
+        # what a run leaves for it is bounded, not one cycle per packet:
+        # count it at the RB8 benchmark scenario and at 4x its horizon.
+        def garbage(until):
+            enabled = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                router = RouteBricksRouter(num_nodes=8, seed=20090917,
+                                           port_rate_bps=10e9)
+                report = router.simulate(
+                    WorkloadSpec.fixed(64, seed=20090917).with_matrix(
+                        uniform_matrix(8, 10e9 * 0.5)), until=until)
+                offered = report.offered_packets
+                del router, report
+                return offered, gc.collect()
+            finally:
+                if enabled:
+                    gc.enable()
+
+        (offered_1, garbage_1), (offered_4, garbage_4) = (
+            garbage(until) for until in (0.3e-3, 1.2e-3))
+        assert offered_4 > 3.5 * offered_1
+        assert garbage_4 <= 1.1 * garbage_1
 
 
 # -- (c) the contracts that moved with the totals -----------------------------

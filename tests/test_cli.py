@@ -133,6 +133,10 @@ class TestRefusedInput:
         ["faults", "run", "--duration-ms", "0"],
         ["faults", "run", "--size", "inf"],
         ["faults", "run", "--size", "nan"],
+        ["parallel", "run", "rb8", "--workers", "1", "--duration-ms", "0.01",
+         "--load", "inf"],
+        ["parallel", "run", "rb8", "--workers", "1", "--duration-ms", "0.01",
+         "--load", "nan"],
         ["stateful", "run", "nat", "--cores", "0"],
         ["stateful", "run", "nat", "--skew", "nan"],
         ["trace", "info", "no-such-trace.pcap"],

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import RouteBricksRouter
 from repro.errors import ConfigurationError
+from repro.net.flows import FiveTuple
 from repro.workloads import (WorkloadSpec, permutation_matrix,
                              uniform_matrix)
 from repro.workloads.cluster_traffic import matrix_events, offered_packets
@@ -37,6 +38,23 @@ class TestMatrixEvents:
             key = packet.five_tuple()
             assert packet.flow_seq == last.get(key, 0) + 1
             last[key] = packet.flow_seq
+
+    def test_each_flow_carries_one_shared_key(self):
+        # The stamped key is the one the headers give, and every packet
+        # of a flow holds the same object (per-flow tables hash it
+        # rather than a fresh key per lookup).
+        matrix = uniform_matrix(4, 2e9)
+        keys = {}
+        for _, src, dst, packet in matrix_events(matrix, 1e-3, seed=6,
+                                                 flows_per_pair=3):
+            ip, l4 = packet.ip, packet.l4
+            derived = FiveTuple(ip.src, ip.dst, ip.proto, l4.src_port,
+                                l4.dst_port)
+            assert packet.flow_key == derived
+            assert packet.five_tuple() is packet.flow_key
+            assert keys.setdefault(derived, packet.flow_key) \
+                is packet.flow_key
+        assert len(keys) == 4 * 3 * 3
 
     def test_deterministic(self):
         matrix = uniform_matrix(3, 1e9)

@@ -19,6 +19,8 @@ from repro.net.headers import (
     UDPHeader,
 )
 from repro.obs.trace import TRACE_ANNOTATION, PathTrace
+from repro.workloads.cluster_traffic import matrix_events
+from repro.workloads.matrices import uniform_matrix
 
 
 class TestPacketConstruction:
@@ -82,6 +84,31 @@ class TestPacketSerialization:
         clone.l4.src_port = 4321
         assert packet.l4.src_port == 1024
         assert Packet(64).copy().ip is None
+
+
+class TestFlowKeyStamp:
+    """A generated packet carries its flow's key; a copy or a wire
+    decode drops the stamp and derives the key from its headers."""
+
+    def _stamped(self):
+        _, _, _, packet = next(matrix_events(uniform_matrix(2, 1e9), 1e-3,
+                                             seed=1))
+        assert packet.flow_key is not None
+        return packet
+
+    def test_copy_reports_its_rewritten_port(self):
+        packet = self._stamped()
+        clone = packet.copy()
+        clone.l4.src_port = 4321
+        assert clone.five_tuple().src_port == 4321
+        assert packet.five_tuple().src_port == packet.l4.src_port != 4321
+
+    def test_wire_round_trip_gives_an_equal_key(self):
+        packet = self._stamped()
+        for decoded in (Packet.from_wire(packet.to_wire()),
+                        pickle.loads(pickle.dumps(packet))):
+            assert decoded.flow_key is None
+            assert decoded.five_tuple() == packet.five_tuple()
 
 
 class TestFlows:

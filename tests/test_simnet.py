@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulation engine."""
 
+import gc
 import itertools
 import random
 from functools import partial
@@ -218,6 +219,43 @@ class TestQueueOrder:
         sim.run()
         assert order == [1, 1.5, 2, 3]
         assert sim.events_run == 5 and sim.peek_time() is None
+
+
+class TestCollectorPause:
+    """``Simulator.run`` pauses the cyclic GC for its loop and leaves
+    ``gc.isenabled()`` as it found it: enabled, disabled, or after a
+    callback raised."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        sim = Simulator()
+        seen = []
+        sim.schedule_timer(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_state_is_restored_when_a_callback_raises(self):
+        gc.enable()
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule_timer(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert gc.isenabled()
 
 
 class TestRunAsOf:

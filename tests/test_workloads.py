@@ -126,6 +126,14 @@ class TestMatrices:
         with pytest.raises(ConfigurationError):
             TrafficMatrix([[0, -1], [1, 0]])
 
+    @pytest.mark.parametrize("demand", [float("nan"), float("inf"),
+                                        -float("inf")])
+    def test_rejects_non_finite_demands(self, demand):
+        # An infinite demand made a zero mean gap (arrivals at t = 0
+        # forever); a NaN one reached the engine as a NaN event time.
+        with pytest.raises(ConfigurationError):
+            TrafficMatrix([[0, demand], [1, 0]])
+
 
 class TestFlowGenerator:
     def test_packet_counts(self):
