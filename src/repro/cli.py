@@ -425,7 +425,7 @@ def _cmd_parallel(args) -> int:
     # KiB on Linux; this process's own, not its workers'.
     peak_rss = "peak RSS %.1f MiB" % (
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
-    # One worker is ``router.simulate`` in this process: no backend ran.
+    # One worker is one partition in this process: no backend ran.
     backend = (" [%s backend]" % args.backend if report.workers > 1
                else "")
     print("cluster: %d nodes across %d worker(s)%s, "

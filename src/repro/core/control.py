@@ -18,7 +18,6 @@ from ..errors import ConfigurationError, TopologyError
 from ..net.addresses import Prefix
 from ..results import RunResult
 from ..routing.table import Route, RoutingTable
-from .mac_encoding import mac_trick_feasible
 
 #: Journal ops: install/refresh the prefix -> node mapping, or drop it.
 FIB_SET = "set"
@@ -121,9 +120,6 @@ class ClusterManager:
         self._nodes[node_id] = NodeState(node_id=node_id,
                                          external_port=external_port)
         self._port_owner[external_port] = node_id
-        if not mac_trick_feasible(len(self._nodes)):
-            # Still allowed, but single-lookup forwarding stops working.
-            self._nodes[node_id].alive = True
         return node_id
 
     def remove_node(self, node_id: int) -> None:

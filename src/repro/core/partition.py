@@ -2,9 +2,9 @@
 
 :class:`ClusterPartition` is the only code that wires and accounts a
 packet-level run of a :class:`~repro.core.router.RouteBricksRouter`
-cluster.  ``router.simulate`` builds one partition that owns every node
-and advances it once; :mod:`repro.parallel` builds several, each owning
-a contiguous node range, and drives them in epochs.  Ownership decides
+cluster.  The one epoch loop, :func:`repro.parallel.runner
+.run_partitions`, builds one that owns every node (``router.simulate``)
+or several, each owning a contiguous node range.  Ownership decides
 two things only: a directed cable is a
 :class:`~repro.simnet.links.Link` when its receive side is local and a
 :class:`~repro.simnet.partition.CrossLink` when it is not, and features
@@ -42,7 +42,8 @@ from .latency import server_latency_usec
 from .node import ClusterNode
 from .reordering import ReorderingMeter
 from .resequencer import Resequencer
-from .router import SimulationReport
+from .router import (LINK_BUSY_THRESHOLD_SEC, RESEQUENCE_TIMEOUT_SEC,
+                     SimulationReport)
 
 
 #: Owned arrivals of a replayed workload filed at a time: what a
@@ -86,18 +87,17 @@ def checked_horizon(until) -> None:
 
 def checked_inputs(router, events, until, faults,
                    route_via_fib: bool = False):
-    """The one input check behind ``simulate`` and ``simulate_parallel``.
+    """The one input check of a cluster run: ``(workload, arrivals,
+    faults)``.
 
-    Returns ``(workload, arrivals, faults)``.  A
-    :class:`~repro.workloads.WorkloadSpec` is checked against the cluster
-    and the horizon and comes back as ``workload``, for the partitions to
-    replay -- nothing is realized here (``arrivals`` is then empty).  Any
-    other ``events`` comes back as ``arrivals``, a generator that
-    range-checks each event as it is consumed (``workload`` is ``None``).
-    The fault schedule comes back coerced from its dict form and
-    validated against the cluster size.
-    The horizon must pass :func:`checked_horizon`, except that an event
-    list may run open-ended (``until=None``).
+    A :class:`~repro.workloads.WorkloadSpec` is checked against the
+    cluster and the horizon and comes back as ``workload``, for the
+    partitions to replay (``arrivals`` is then empty; nothing is realized
+    here).  Any other ``events`` comes back as ``arrivals``, range-checked
+    as it is consumed.  The fault schedule comes back coerced from its
+    dict form and validated against the cluster size.  The horizon must
+    pass :func:`checked_horizon`, except that an event list may run
+    open-ended (``until=None``).
     """
     from ..workloads.spec import WorkloadSpec
 
@@ -140,9 +140,9 @@ class PartitionSpec:
     and the fault schedule is shared data every partition filters for
     itself.
 
-    With ``observe`` the partition has an observer, which whoever
-    drives it samples between advances (:meth:`ClusterPartition
-    .sample_barrier`) at the ticks of :func:`~repro.obs.hooks.next_tick`.
+    With ``observe`` the partition has an observer, which the epoch loop
+    samples between advances (:meth:`ClusterPartition.sample_barrier`)
+    at the ticks of :func:`~repro.obs.hooks.next_tick`.
     """
 
     router: object                      # RouteBricksRouter
@@ -250,7 +250,7 @@ class ClusterPartition(Partition):
                 node_id=i, sim=sim, num_nodes=n,
                 rng=random.Random(seeds[i]),
                 use_flowlets=router.use_flowlets,
-                link_busy_threshold_sec=router.link_busy_threshold_sec,
+                link_busy_threshold_sec=LINK_BUSY_THRESHOLD_SEC,
                 metrics=registry)
             for i in range(n) if spec.assignment[i] == spec.partition_id}
         for src_id, src in self.nodes.items():
@@ -378,7 +378,6 @@ class ClusterPartition(Partition):
         """The rejected alternative (Sec. 6.1): buffer out-of-order
         arrivals at the output node and release flows in order."""
         sim, registry = self.sim, self.registry
-        timeout = self.spec.router.resequence_timeout_sec
 
         def make_callback(node):
             def deliver(packet: Packet) -> None:
@@ -391,7 +390,8 @@ class ClusterPartition(Partition):
                         trace.hop("reorder.release", sim.now)
                 on_egress(packet, sim.now)
 
-            reseq = Resequencer(deliver=deliver, timeout_sec=timeout)
+            reseq = Resequencer(deliver=deliver,
+                                timeout_sec=RESEQUENCE_TIMEOUT_SEC)
             self.resequencers.append(reseq)
 
             def callback(packet: Packet, now: float) -> None:
@@ -406,9 +406,9 @@ class ClusterPartition(Partition):
             for reseq in self.resequencers:
                 reseq.expire(sim.now)
             if sim.peek_time() is not None:
-                sim.schedule_timer(timeout / 2, expire_all)
+                sim.schedule_timer(RESEQUENCE_TIMEOUT_SEC / 2, expire_all)
 
-        sim.schedule_timer(timeout / 2, expire_all)
+        sim.schedule_timer(RESEQUENCE_TIMEOUT_SEC / 2, expire_all)
 
     def sample_barrier(self) -> None:
         """Take the observer sample of a tick the partition was just
@@ -428,8 +428,7 @@ class ClusterPartition(Partition):
             spec.churn.finalize()
         for reseq in self.resequencers:
             # Final flush: release anything still held back.
-            reseq.expire(self.sim.now
-                         + spec.router.resequence_timeout_sec * 2)
+            reseq.expire(self.sim.now + RESEQUENCE_TIMEOUT_SEC * 2)
             frag.resequencer_held += reseq.held
             frag.resequencer_timeouts += reseq.timed_out
         frag.reordered_sequences = self.meter.reordered_count()

@@ -22,8 +22,7 @@ from ..costs import DEFAULT_CONFIG, ServerConfig
 from ..errors import ConfigurationError
 from ..hw.presets import NEHALEM
 from ..hw.server import ServerSpec
-from ..net.packet import Packet, packet_id_floor
-from ..obs.hooks import next_tick, observer_interval
+from ..net.packet import Packet
 from ..obs.metrics import active_registry
 from ..results import RunResult
 from ..simnet.engine import Simulator
@@ -37,6 +36,20 @@ from .node import ClusterNode
 #: traffic-generation figure because both ports move payload and
 #: descriptors concurrently).
 RB4_NIC_EFFECTIVE_BPS = gbps(11.67)
+
+#: How long a resequencer holds a flow's packet back waiting for its
+#: predecessors (the rejected Sec. 6.1 alternative, ``resequence=True``).
+RESEQUENCE_TIMEOUT_SEC = 1e-3
+
+#: Transmit backlog at which a node deems an internal link busy and
+#: detours through an intermediate (Direct VLB's local load check).
+LINK_BUSY_THRESHOLD_SEC = 50e-6
+
+#: Cable propagation delay on every internal link; it is also one term
+#: of a partitioned run's conservative-lookahead window (see
+#: :mod:`repro.parallel`), since cross-partition packets cannot arrive
+#: sooner than this after leaving their source.
+PROPAGATION_SEC = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,31 +98,26 @@ class SimulationReport(RunResult):
     #: egress node is resolved by a live per-node lookup instead of
     #: being precomputed -- see ``route_via_fib``).
     fib_miss_packets: int = 0
-    #: How the run was executed (filled in by repro.parallel): number of
-    #: worker partitions, conservative-lookahead epochs, and total DES
-    #: events across all partitions.  A single-sim run reports workers=1
-    #: and epochs=0.
+    #: How the run was executed: worker partitions, conservative-
+    #: lookahead epochs and DES events across all partitions (one
+    #: partition reports workers=1 and epochs=0).
     workers: int = 1
     epochs: int = 0
     events_run: int = 0
-    #: CPU seconds each partition spent advancing its event loop
-    #: (index = partition id).  ``max`` of this list is the parallel
-    #: critical path; empty for single-sim runs.
+    #: Where a partitioned run's host time went, by partition id (this
+    #: report is its only home; empty, or 0, for one partition): CPU
+    #: seconds advancing the event loop (``max`` is the critical path),
+    #: CPU seconds being built (build only: arrivals are realized inside
+    #: busy, as the epochs reach them), and wall seconds stalled at
+    #: barriers (``busy + wait`` approximates the wall clock under the
+    #: process backend).
     partition_busy_seconds: List[float] = field(default_factory=list)
-    #: CPU seconds each partition spent being built -- build only: its
-    #: arrivals are realized inside ``partition_busy_seconds``, as the
-    #: epochs reach them (index = partition id; empty for single-sim runs).
     partition_setup_seconds: List[float] = field(default_factory=list)
-    #: Wall seconds each partition spent stalled at epoch barriers
-    #: waiting for the slowest sibling (index = partition id; empty for
-    #: single-sim runs).  ``busy + wait`` per partition approximates the
-    #: run's wall clock under the process backend.
     barrier_wait_seconds: List[float] = field(default_factory=list)
-    #: Mean epoch length over the conservative-lookahead window ``W``
-    #: (1.0 = every epoch spans the full window; 0 for single-sim runs).
+    #: Mean epoch length over the lookahead window ``W`` (1.0 = every
+    #: epoch spans it), and the busiest partition's busy seconds over the
+    #: mean (1.0 = perfectly balanced).
     lookahead_efficiency: float = 0.0
-    #: Busiest partition's busy seconds over the mean (1.0 = perfectly
-    #: balanced; 0 for single-sim runs).
     load_imbalance: float = 0.0
 
     @property
@@ -132,6 +140,9 @@ class SimulationReport(RunResult):
 class RouteBricksRouter:
     """An N-node full-mesh RouteBricks cluster (RB4 when N = 4)."""
 
+    #: Every internal cable's delay, as the cluster builder wires it.
+    propagation_sec = PROPAGATION_SEC
+
     def __init__(self, num_nodes: int = cal.RB4_NODES,
                  port_rate_bps: float = cal.PORT_RATE_BPS,
                  internal_link_bps: float = cal.PORT_RATE_BPS,
@@ -139,15 +150,9 @@ class RouteBricksRouter:
                  config: ServerConfig = DEFAULT_CONFIG,
                  use_flowlets: bool = True,
                  resequence: bool = False,
-                 resequence_timeout_sec: float = 1e-3,
-                 nic_effective_bps: float = RB4_NIC_EFFECTIVE_BPS,
-                 link_busy_threshold_sec: float = 50e-6,
-                 seed: int = 0,
-                 propagation_sec: float = 1e-6):
+                 seed: int = 0):
         if num_nodes < 2:
             raise ConfigurationError("cluster needs >= 2 nodes")
-        if propagation_sec <= 0:
-            raise ConfigurationError("propagation delay must be positive")
         self.num_nodes = num_nodes
         self.port_rate_bps = port_rate_bps
         self.internal_link_bps = internal_link_bps
@@ -155,15 +160,7 @@ class RouteBricksRouter:
         self.config = config
         self.use_flowlets = use_flowlets
         self.resequence = resequence
-        self.resequence_timeout_sec = resequence_timeout_sec
-        self.nic_effective_bps = nic_effective_bps
-        self.link_busy_threshold_sec = link_busy_threshold_sec
         self.seed = seed
-        #: Cable propagation delay on every internal link; it is also one
-        #: term of a partitioned run's conservative-lookahead window (see
-        #: :mod:`repro.parallel`), since cross-partition packets cannot
-        #: arrive sooner than this after leaving their source.
-        self.propagation_sec = propagation_sec
 
     # -- analytic model ------------------------------------------------------
 
@@ -222,7 +219,7 @@ class RouteBricksRouter:
             internal_share = 1.0 / (n - 1)     # direct mesh spreading
         else:
             internal_share = 2.0 / n           # VLB two-phase per-link load
-        nic_bps = self.nic_effective_bps / (1.0 + internal_share)
+        nic_bps = RB4_NIC_EFFECTIVE_BPS / (1.0 + internal_share)
 
         # Internal links must carry their share at rate R.
         link_bps = self.internal_link_bps / internal_share
@@ -309,41 +306,20 @@ class RouteBricksRouter:
         (see :class:`~repro.control.ChurnDriver`) whose scheduled
         update/sync callbacks interleave with forwarding events.
 
-        The run is the one-partition case of the cluster builder
-        (:mod:`repro.core.partition`): one partition owning every node
-        -- no epochs, nothing crosses a process boundary -- advanced
-        straight to the horizon, or, when a registry observes, from one
-        observer tick to the next (:func:`~repro.obs.hooks.next_tick`)
-        with a sample at each.
+        The run is the one-partition case of the one epoch loop
+        (:func:`repro.parallel.runner.run_partitions`), in this process
+        and charging the caller's registry: with no cross-link, each
+        advance ends at the next observer tick or at the horizon, and
+        ``until=None`` runs until nothing is pending.
         """
-        from .partition import checked_inputs, merge_fragments
+        from ..parallel.runner import run_partitions
 
-        registry = metrics if metrics is not None else active_registry()
-        workload, arrivals, faults = checked_inputs(
-            self, events, until, faults, route_via_fib)
-        id_base = packet_id_floor()
-        interval = observer_interval(until)
-        part = self._whole_cluster_partition(
-            registry,
-            rate_limited_egress=rate_limited_egress,
-            faults=faults, manager=manager,
-            detection_latency_sec=detection_latency_sec,
+        return run_partitions(
+            self, events, until, metrics=metrics,
+            rate_limited_egress=rate_limited_egress, faults=faults,
+            manager=manager, detection_latency_sec=detection_latency_sec,
             fib_push_latency_sec=fib_push_latency_sec,
-            route_via_fib=route_via_fib, churn=churn, workload=workload,
-            until=until, packet_id_base=id_base, arrivals=arrivals,
-            observe=registry.enabled, observer_interval_sec=interval)
-        tick = next_tick(0.0, interval, until) if registry.enabled else None
-        while tick is not None:
-            part.advance(tick)
-            part.sample_barrier()
-            tick = next_tick(tick, interval, until,
-                             part.peek_time() is not None)
-        part.advance(until)
-        fragment = part.finish()
-        packet_id_floor(id_base + fragment.offered_packets)
-        return merge_fragments(
-            [fragment], offered_packets=fragment.offered_packets,
-            duration_sec=part.sim.now, workers=1, epochs=0)
+            route_via_fib=route_via_fib, churn=churn)
 
     def replay_pair(self, timed_packets: Iterable[Tuple[float, Packet]],
                     ingress: int = 0, egress: int = 1) -> SimulationReport:

@@ -225,7 +225,7 @@ class FaultInjector:
         link = node.links.get(dst)
         if link is not None:
             flushed = link.flush()
-            node.dropped += flushed
+            node._count_drop("cable_flush", flushed)
             self.log.flushed_packets += flushed
 
     def _link_up(self, event: FaultEvent) -> None:

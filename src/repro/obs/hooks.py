@@ -2,11 +2,11 @@
 
 The timed single-server runners charge metrics inline (they own their
 poll loops), but the cluster DES is event-driven with no natural
-sampling point -- so whoever drives the partitions stops them at the
-tick times :func:`next_tick` hands out and has each one's
-:class:`ClusterObserver` walk its share of the mesh, recording every
-internal link's queue occupancy, drop deltas, and byte deltas into
-timelines.  Per-hop latency histograms are charged by the nodes
+sampling point -- so the epoch loop that drives every cluster run stops
+its partitions at the tick times :func:`next_tick` hands out and has
+each one's :class:`ClusterObserver` walk its share of the mesh,
+recording every internal link's queue occupancy, drop deltas, and byte
+deltas into timelines.  Per-hop latency histograms are charged by the nodes
 themselves (see :class:`repro.core.node.ClusterNode`); this observer
 covers the *shared* resources a single node cannot see whole.
 
@@ -32,10 +32,9 @@ class ClusterObserver:
     """Sampler of one partition's internal links and external lines.
 
     Nothing of it lives in an event queue: the constructor takes the t=0
-    sample, and the driver of the run (``RouteBricksRouter.simulate`` for
-    its one partition, the epoch loop of :mod:`repro.parallel` at its
-    barriers) calls :meth:`sample` between advances, at the times
-    :func:`next_tick` gives.  So observing cannot keep a run alive, and
+    sample, and the epoch loop of :mod:`repro.parallel` (one partition
+    or several) calls :meth:`sample` at its barriers, between advances,
+    at the times :func:`next_tick` gives.  So observing cannot keep a run alive, and
     the cadence is the same at any partition count.
     """
 

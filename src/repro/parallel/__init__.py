@@ -8,10 +8,11 @@ delay, exchanging packets as timestamped transit records at epoch
 barriers.  RouteBricks scales a router by adding servers; the
 reproduction's simulator scales the same way by adding worker processes.
 
-Entry point: :func:`simulate_parallel` -- a drop-in sibling of
+Entry point: :func:`simulate_parallel` --
 :meth:`repro.core.router.RouteBricksRouter.simulate` with ``workers``
-and ``backend`` knobs.  Fault-free runs produce bit-identical reports
-and metric snapshots at any worker count.
+and ``backend`` knobs; both run the one epoch loop,
+:func:`repro.parallel.runner.run_partitions`.  Fault-free runs produce
+bit-identical reports and metric snapshots at any worker count.
 """
 
 from .runner import BACKENDS, simulate_parallel

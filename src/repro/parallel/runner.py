@@ -1,50 +1,38 @@
-"""Conservative-lookahead epoch loop driving partitioned cluster runs.
+"""The one epoch loop behind every packet-level cluster run.
 
-:func:`simulate_parallel` shards a
-:class:`~repro.core.router.RouteBricksRouter` cluster across
-``workers`` partitions and runs them in lock-stepped epochs:
-
-1. ``m`` = the later of the partitions' clock and the earliest pending
-   event time across every partition (counting transit records not yet
-   injected, and the observer's next tick when a registry observes);
-2. the epoch ends at ``min(m + W, next observer tick, horizon)`` where
-   ``W`` is the minimum cross-link propagation delay plus the minimum
-   receive-side server latency -- a cross-partition send committed during
-   the epoch may deliver inside it, but a delivery does nothing another
-   event can observe until the receiving server's latency has passed,
-   which is strictly after the epoch (send time plus serialization plus
-   at least ``W``);
-3. every partition advances to the epoch end, producing transit records
-   packed as one opaque parcel per destination partition, and -- when the
-   epoch ended on a tick -- samples its links there;
-4. the parent routes the parcels by their headers, never decoding them;
-   the destination sorts the records by the full ``(deliver_time,
-   send_time, src_node, seq)`` key and, before the next epoch, schedules
-   those still ahead of its clock and applies those behind it as of
-   their timestamp (``Simulator.run_as_of``, which raises if ``W`` was
-   too large).
+:func:`run_partitions` builds ``workers`` partitions of a
+:class:`~repro.core.router.RouteBricksRouter` cluster and runs them in
+lock-stepped epochs under conservative lookahead; ``router.simulate`` is
+its one-partition case, :func:`simulate_parallel` its entry point for
+several.  An epoch starts at ``m``, the later of the clock and the
+earliest thing pending anywhere (a queued event, an undelivered parcel,
+the next observer tick), and ends at ``min(m + W, next tick, horizon)``.
+``W`` is the minimum cross-link propagation delay plus the minimum
+receive-side server latency: a cross-partition send committed in the
+epoch may deliver inside it, but nothing another event can observe
+happens until after it.  One partition has no cross-link, so its ``W``
+is unbounded: it runs tick to tick, then to the horizon (or, open-ended,
+until drained).  At the barrier each partition hands over its transit
+records packed as one opaque parcel per destination partition; the
+parent routes parcels by their headers, and the destination applies
+records behind its clock as of their timestamp
+(``Simulator.run_as_of``, which raises if ``W`` was too large).
 
 Observation lives at the barrier, the one point where "is anything
-pending anywhere" is known: no partition has a tick in its queue.  The
-tick times and whether another one is due come from
-:func:`repro.obs.hooks.next_tick` -- the rule ``simulate`` steps its one
-partition by -- fed with what the barrier knows (a pending event or an
-undelivered parcel anywhere).  Partition 0 books each of its samples as
-the one tick event a single heap would have run
-(:meth:`~repro.core.partition.ClusterPartition.sample_barrier`), so
-``events_run`` and every snapshot are the single heap's.
+pending anywhere" is known: the tick rule is
+:func:`repro.obs.hooks.next_tick`, and partition 0 books each sample as
+the tick event a single heap would have run
+(:meth:`~repro.core.partition.ClusterPartition.sample_barrier`).
 
 Two backends share this loop and the parcel path: ``"inline"`` runs
 every partition in the parent process, ``"process"`` gives each
 partition a dedicated worker process that keeps its simulation state
-alive between epochs.  Results merge in partition-id order either way,
-which makes the outcome independent of worker scheduling.
+alive between epochs; one partition always runs inline.  Results merge
+in partition-id order either way.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter, process_time
 from typing import List, Optional
 
@@ -66,6 +54,17 @@ from ..obs.metrics import active_registry
 
 BACKENDS = ("inline", "process")
 
+#: An open-ended run's horizon, and one partition's lookahead window.
+_UNBOUNDED = float("inf")
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """``concurrent.futures.ProcessPoolExecutor``, imported on first use:
+    the process machinery costs ~20 ms and ~1 MiB to import, which a
+    one-partition run (every ``simulate``) never needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
+
 
 def _split_arrivals(arrivals, assignment: List[int]):
     """A caller's events, split by the partition owning each ingress
@@ -86,17 +85,18 @@ def _split_arrivals(arrivals, assignment: List[int]):
 _WORKER: Optional[ClusterPartition] = None
 
 
-def _advance(part: ClusterPartition, until: float, parcels, sample: bool):
-    """One partition's epoch: take delivery, run to the barrier, report
-    (parcels by destination partition, next pending time, CPU seconds
-    spent on delivery and advancing)."""
+def _advance(part: ClusterPartition, until: Optional[float], parcels,
+             sample: bool):
+    """One partition's epoch: take delivery, run to the barrier (``None``:
+    until drained), report (parcels by destination partition, next
+    pending time, CPU seconds spent on delivery and advancing, clock)."""
     start = process_time()
     part.inject(parcels)
     outgoing = part.advance(until)
     busy = process_time() - start
     if sample:
         part.sample_barrier()
-    return outgoing, part.peek_time(), busy
+    return outgoing, part.peek_time(), busy, part.sim.now
 
 
 def _build(spec: PartitionSpec):
@@ -163,6 +163,8 @@ class _ProcessBackend:
         results in partition order.  A worker that died (killed, out of
         memory) took its partition's state with it, so the run cannot
         continue: report which one instead of a bare pool error."""
+        from concurrent.futures.process import BrokenProcessPool
+
         pid = 0
         try:
             futures = []
@@ -206,25 +208,15 @@ def simulate_parallel(router: RouteBricksRouter,
                       fib_push_latency_sec: float = 0.0,
                       metrics=None) -> SimulationReport:
     """Run :meth:`RouteBricksRouter.simulate`'s workload sharded across
-    ``workers`` partitions under conservative lookahead.
+    ``workers`` contiguous balanced node ranges.
 
-    Every partition is built by the same
-    :class:`~repro.core.partition.ClusterPartition` ``simulate`` uses;
-    ``workers=1`` *is* ``simulate`` (one partition, no epoch loop).  For
-    ``workers > 1`` the cluster is split into contiguous balanced node
-    ranges and a fault schedule is applied partition-locally with
-    owner-side accounting.  A ``WorkloadSpec`` is realized by the
-    partitions, never here: each replays the same seeded stream and
-    builds packets for its own ingress nodes only (see
-    :class:`~repro.core.partition.PartitionSpec`); any other ``events``
-    is split by owner.  Features that need one partition owning
+    Both are :func:`run_partitions`, so ``workers=1`` is ``simulate``
+    whatever the ``backend``.  Features that need one partition owning
     every node -- a control-plane ``manager``, ``router.resequence`` --
-    are refused by :class:`~repro.core.partition.PartitionSpec`; use
-    ``workers=1`` for those.
-
-    Fault-free runs merge to bit-identical reports and metric snapshots
-    at any worker count; see ``tests/test_parallel.py`` for the enforced
-    guarantee.
+    are refused by :class:`~repro.core.partition.PartitionSpec`, and the
+    horizon must be finite.  Fault-free runs merge to bit-identical
+    reports and metric snapshots at any worker count
+    (``tests/test_parallel.py``).
     """
     checked_horizon(until)
     if workers < 1:
@@ -233,85 +225,81 @@ def simulate_parallel(router: RouteBricksRouter,
         raise ConfigurationError(
             "unknown backend %r (choose from %s)" % (backend,
                                                      ", ".join(BACKENDS)))
-    if workers == 1:
-        return router.simulate(
-            events, until=until,
-            rate_limited_egress=rate_limited_egress,
-            faults=faults, manager=manager,
-            detection_latency_sec=detection_latency_sec,
-            fib_push_latency_sec=fib_push_latency_sec, metrics=metrics)
+    return run_partitions(
+        router, events, until, workers, backend, metrics,
+        rate_limited_egress=rate_limited_egress, faults=faults,
+        manager=manager, detection_latency_sec=detection_latency_sec,
+        fib_push_latency_sec=fib_push_latency_sec)
 
+
+def run_partitions(router: RouteBricksRouter, events,
+                   until: Optional[float], workers: int = 1,
+                   backend: str = "inline", metrics=None, faults=None,
+                   route_via_fib: bool = False,
+                   **spec_fields) -> SimulationReport:
+    """Run ``events`` through ``workers`` partitions to ``until`` (one
+    partition may run open-ended, ``None``) and merge one report.
+
+    ``spec_fields`` are the other :class:`~repro.core.partition
+    .PartitionSpec` options.  A replayed ``WorkloadSpec`` is realized by
+    each partition for its own ingress nodes; a caller's event list is
+    split by owner.  One partition charges the caller's registry and its
+    report says nothing about partitions (``epochs == 0``); several each
+    charge their own registry, merged in partition order, and the report
+    carries where the host time went.
+    """
     registry = metrics if metrics is not None else active_registry()
+    single = workers == 1
     assignment = balanced_partitions(router.num_nodes, workers)
     workload, arrivals, faults = checked_inputs(
-        router, events, until, faults)
-    shares = _split_arrivals(arrivals, assignment)
+        router, events, until, faults, route_via_fib)
+    # One partition files the caller's iterable as it is, consumed once.
+    shares = [arrivals] if single else _split_arrivals(arrivals, assignment)
     id_base = packet_id_floor()
 
     interval = observer_interval(until)
     observe = registry.enabled
     specs = [PartitionSpec(
-        router=router,
-        assignment=tuple(assignment),
-        partition_id=pid,
-        registry=empty_registry_like(registry),
-        rate_limited_egress=rate_limited_egress,
-        faults=faults,
-        manager=manager,
-        detection_latency_sec=detection_latency_sec,
-        fib_push_latency_sec=fib_push_latency_sec,
-        workload=workload,
-        until=until,
-        packet_id_base=id_base,
-        arrivals=shares[pid],
-        observe=observe,
-        observer_interval_sec=interval,
-    ) for pid in range(workers)]
+        router=router, assignment=tuple(assignment), partition_id=pid,
+        registry=registry if single else empty_registry_like(registry),
+        faults=faults, route_via_fib=route_via_fib, workload=workload,
+        until=until, packet_id_base=id_base, arrivals=shares[pid],
+        observe=observe, observer_interval_sec=interval, **spec_fields)
+        for pid in range(workers)]
 
-    driver = (_InlineBackend(specs) if backend == "inline"
-              else _ProcessBackend(specs))
+    driver = (_ProcessBackend(specs) if backend == "process" and not single
+              else _InlineBackend(specs))
 
     # -- epoch/barrier telemetry ------------------------------------------
-    # Totals feed the report unconditionally (they cost one float add per
-    # partition per epoch); the per-epoch timelines and cumulative gauges
-    # are charged only when a registry is observing.  Barrier wait is
-    # reconstructed from the epoch's wall clock: under the process
-    # backend a partition stalls for ``epoch_wall - its busy``; under the
-    # inline backend the same formula charges each partition the time its
-    # siblings ran, i.e. the stall an actual parallel run would have hit.
+    # The totals feed a partitioned run's report (one float add per
+    # partition per epoch); the per-epoch series are charged only when a
+    # registry observes.  Barrier wait is ``epoch wall - its busy``: real
+    # stall under the process backend, and under the inline backend the
+    # time its siblings ran, i.e. the stall a parallel run would hit.
     busy_totals = [0.0] * workers
     wait_totals = [0.0] * workers
     sim_covered = 0.0
-    if observe:
-        epoch_busy_rec = [registry.timeline(
+    telemetry = observe and not single
+    if telemetry:
+        def per_partition(name, help):
+            timeline = registry.timeline(name, help=help)
+            return [timeline.bind(workers=workers, partition=pid)
+                    for pid in range(workers)]
+
+        epoch_busy_rec = per_partition(
             "parallel_epoch_busy_seconds",
-            help="per-epoch CPU seconds per partition, binned at the "
-                 "epoch's end time").bind(workers=workers, partition=pid)
-            for pid in range(workers)]
-        epoch_wait_rec = [registry.timeline(
+            "per-epoch CPU seconds per partition, binned at the epoch's "
+            "end time")
+        epoch_wait_rec = per_partition(
             "parallel_epoch_barrier_seconds",
-            help="per-epoch barrier-stall wall seconds per partition")
-            .bind(workers=workers, partition=pid)
-            for pid in range(workers)]
-        transit_rec = [registry.timeline(
+            "per-epoch barrier-stall wall seconds per partition")
+        transit_rec = per_partition(
             "parallel_transit_records",
-            help="cross-partition transit records delivered into each "
-                 "partition, binned at the carrying barrier")
-            .bind(workers=workers, partition=pid)
-            for pid in range(workers)]
-        transit_bytes_rec = [registry.timeline(
+            "cross-partition transit records delivered into each "
+            "partition, binned at the carrying barrier")
+        transit_bytes_rec = per_partition(
             "parallel_transit_bytes",
-            help="frame bytes riding cross-partition transit records")
-            .bind(workers=workers, partition=pid)
-            for pid in range(workers)]
-        busy_gauge = [registry.gauge(
-            "parallel_busy_seconds",
-            help="cumulative CPU seconds per partition")
-            .bind(workers=workers, partition=pid) for pid in range(workers)]
-        wait_gauge = [registry.gauge(
-            "parallel_barrier_wait_seconds",
-            help="cumulative barrier-stall wall seconds per partition")
-            .bind(workers=workers, partition=pid) for pid in range(workers)]
+            "frame bytes riding cross-partition transit records")
         epoch_len_obs = registry.histogram(
             "parallel_epoch_sim_seconds",
             help="simulated seconds covered per epoch, from the later of "
@@ -320,27 +308,27 @@ def simulate_parallel(router: RouteBricksRouter,
             ).bind(workers=workers)
 
     def charge_epoch(results, epoch_wall, epoch_end):
-        for pid, (_, _, busy) in enumerate(results):
+        for pid, (_, _, busy, _) in enumerate(results):
             wait = max(0.0, epoch_wall - busy)
             busy_totals[pid] += busy
             wait_totals[pid] += wait
-            if observe:
+            if telemetry:
                 epoch_busy_rec[pid](epoch_end, busy)
                 epoch_wait_rec[pid](epoch_end, wait)
-                busy_gauge[pid](busy_totals[pid])
-                wait_gauge[pid](wait_totals[pid])
 
+    horizon = _UNBOUNDED if until is None else until
     try:
         peeks, lookaheads, setup_seconds = map(
             list, zip(*driver.init_state()))
         # Two or more partitions of a full mesh: every one has
-        # cross-links, so every lookahead is a number.
-        window = min(lookaheads)
+        # cross-links, so every lookahead is a number.  One partition
+        # has none, and only the ticks and the horizon stop it.
+        window = _UNBOUNDED if single else min(lookaheads)
         tick = next_tick(0.0, interval, until) if observe else None
         inboxes: List[List] = [[] for _ in range(workers)]
         epochs = 0
         clock = 0.0
-        while clock < until:
+        while clock < horizon:
             candidates = [peek for peek in peeks if peek is not None]
             candidates.extend(parcel.earliest
                               for inbox in inboxes for parcel in inbox)
@@ -349,27 +337,30 @@ def simulate_parallel(router: RouteBricksRouter,
             if not candidates:
                 break
             earliest = min(candidates)
-            if earliest > until:
+            if earliest > horizon:
                 break
             # Records may now deliver behind the clock; nothing executes
             # before it, so that is where the safe window starts.
             epoch_start = max(earliest, clock)
-            epoch_end = min(epoch_start + window, until)
+            epoch_end = min(epoch_start + window, horizon)
             sample = tick is not None and tick <= epoch_end
             if sample:
                 epoch_end = tick
             wall_start = perf_counter()
-            results = driver.advance_all(epoch_end, inboxes, sample)
+            # An unbounded end is an open-ended run draining.
+            results = driver.advance_all(
+                epoch_end if epoch_end < _UNBOUNDED else None, inboxes,
+                sample)
             epoch_wall = perf_counter() - wall_start
             epochs += 1
-            clock = epoch_end
+            clock = results[0][3]   # every partition stops at the barrier
             covered = max(0.0, epoch_end - epoch_start)
             sim_covered += covered
             charge_epoch(results, epoch_wall, epoch_end)
-            if observe:
+            if telemetry:
                 epoch_len_obs(covered)
             inboxes = [[] for _ in range(workers)]
-            for pid, (outgoing, peek, _) in enumerate(results):
+            for pid, (outgoing, peek, _, _) in enumerate(results):
                 peeks[pid] = peek
                 for destination, parcel in outgoing.items():
                     inboxes[destination].append(parcel)
@@ -377,23 +368,22 @@ def simulate_parallel(router: RouteBricksRouter,
                 tick = next_tick(
                     tick, interval, until,
                     any(peek is not None for peek in peeks) or any(inboxes))
-            if observe:
+            if telemetry:
                 for pid, inbox in enumerate(inboxes):
                     if inbox:
                         transit_rec[pid](
                             epoch_end, sum(p.count for p in inbox))
                         transit_bytes_rec[pid](
                             epoch_end, sum(p.frame_bytes for p in inbox))
-        # Tail barrier: no executable events remain at or before the
-        # horizon, so advancing everyone to it runs no queued event -- it
-        # pins each clock to ``until`` and takes the last delivery
-        # (records due by the horizon are applied as of their time, the
-        # rest are left pending exactly as the single sim would leave
-        # them).  Charged as a final (non-epoch) barrier so the
-        # telemetry sums cover every second a partition was busy.
+        # Tail barrier: it runs no queued event, but pins each clock to
+        # ``until`` and takes the last delivery (records due by the
+        # horizon are applied as of their time, the rest left pending as
+        # a single heap would leave them); charged, so the telemetry
+        # sums cover every second a partition was busy.
         wall_start = perf_counter()
         results = driver.advance_all(until, inboxes, False)
-        charge_epoch(results, perf_counter() - wall_start, until)
+        charge_epoch(results, perf_counter() - wall_start, horizon)
+        clock = results[0][3]
         fragments = driver.finish()
     finally:
         driver.close()
@@ -408,9 +398,12 @@ def simulate_parallel(router: RouteBricksRouter,
             "counted %s offered packets" % seen)
     packet_id_floor(id_base + offered)
     report = merge_fragments(
-        fragments, offered_packets=offered, duration_sec=until,
-        workers=workers, epochs=epochs,
-        registry=registry if observe else None)
+        fragments, offered_packets=offered, duration_sec=clock,
+        workers=workers, epochs=0 if single else epochs,
+        registry=None if single else registry)
+    if single:
+        # No boundary and no barrier: nothing about partitions to report.
+        return report
     report.partition_busy_seconds = busy_totals
     report.partition_setup_seconds = setup_seconds
     report.barrier_wait_seconds = wait_totals
@@ -419,19 +412,4 @@ def simulate_parallel(router: RouteBricksRouter,
     mean_busy = sum(busy_totals) / workers
     report.load_imbalance = (max(busy_totals) / mean_busy
                              if mean_busy > 0 else 0.0)
-    if observe:
-        setup_gauge = registry.gauge(
-            "parallel_setup_seconds",
-            help="CPU seconds building each partition (build only: "
-                 "arrivals are realized inside the epochs, as busy)")
-        for pid, seconds in enumerate(setup_seconds):
-            setup_gauge.set(seconds, workers=workers, partition=pid)
-        registry.gauge(
-            "parallel_lookahead_efficiency",
-            help="mean epoch length over the lookahead window W").set(
-                report.lookahead_efficiency, workers=workers)
-        registry.gauge(
-            "parallel_imbalance",
-            help="busiest partition busy seconds over the mean").set(
-                report.load_imbalance, workers=workers)
     return report

@@ -430,6 +430,53 @@ def test_observed_open_ended_resequencing_drains():
     assert _observer_samples(registry) == 1 + 5
 
 
+# ``replay_pair`` with a registry: open-ended *and* observed, so the run
+# steps tick to tick until it drains.  Recorded at 8462f65, the last
+# commit where ``simulate`` had a tick loop of its own beside the epoch
+# loop; do not regenerate to make a refactor pass.
+OBSERVED_REPLAY_GOLDEN = {
+    'extra': {},
+    'scalars': {
+        'bytes': 7400000,
+        'convergence': [],
+        'delivered': 10000,
+        'direct': 9428,
+        'dropped': 0,
+        'duration': 0.008000000000000007,
+        'events_run': 51812,
+        'fault_events': 0,
+        'fault_flushed': 0,
+        'fib_miss': 0,
+        'flowlet_spills': 0,
+        'flowlet_switches': 0,
+        'indirect': 572,
+        'latency_count': 10000,
+        'latency_mean': 68.36404257770803,
+        'latency_p50': 65.4904111671746,
+        'latency_p99': 113.60578442131536,
+        'node_stats': [
+            (('egress', 0), ('ingress', 10000), ('intermediate', 0), ('node', 0)),
+            (('egress', 10000), ('ingress', 0), ('intermediate', 0), ('node', 1)),
+            (('egress', 0), ('ingress', 0), ('intermediate', 275), ('node', 2)),
+            (('egress', 0), ('ingress', 0), ('intermediate', 297), ('node', 3)),
+        ],
+        'offered': 10000,
+        'reordered_fraction': 0.0,
+        'resequencer_held': 233,
+        'resequencer_timeouts': 0,
+    },
+    'snapshot_sha256': 'fdb652f31062636e9485782bc77a46ca80fe15f54722cd8757dd0e86c854b240',
+}
+
+
+def test_observed_open_ended_replay_matches_recorded_golden():
+    report, observed = observe("resequenced_replay", _registry())
+    assert observed == OBSERVED_REPLAY_GOLDEN
+    assert report.workers == 1
+    assert report.epochs == 0
+    assert report.partition_busy_seconds == []
+
+
 class TestConservationSelfCheck:
     """``merge_fragments`` is the one place a report is assembled, so it
     refuses to assemble one that breaks packet conservation."""

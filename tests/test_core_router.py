@@ -42,10 +42,10 @@ class TestAnalyticThroughput:
         assert worst.aggregate_bps < uniform.aggregate_bps
 
     def test_port_rate_caps_throughput(self):
-        # A very fast spec would be port-limited at 10 Gbps per node.
+        # A very fast spec would be port-limited at 10 Gbps per node; at
+        # 16 nodes the NIC's internal share (1/15) leaves it room too.
         from repro.hw.presets import NEHALEM_NEXT_GEN
-        router = RouteBricksRouter(spec=NEHALEM_NEXT_GEN,
-                                   nic_effective_bps=1e12,
+        router = RouteBricksRouter(num_nodes=16, spec=NEHALEM_NEXT_GEN,
                                    internal_link_bps=1e12)
         result = router.max_throughput(WorkloadSpec.fixed(1024))
         assert result.binding == "port"

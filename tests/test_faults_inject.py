@@ -11,6 +11,7 @@ from repro.core import RouteBricksRouter
 from repro.core.control import ClusterManager
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultSchedule
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads import FixedSizeWorkload, WorkloadSpec
 from repro.workloads.matrices import uniform_matrix
 
@@ -144,6 +145,23 @@ class TestLinkFaults:
         report = router.simulate(_pair_events(), faults=schedule)
         assert report.fault_events == 6
         assert report.delivered_packets > 0.9 * report.offered_packets
+
+    def test_cut_cable_flush_is_a_counted_drop_cause(self):
+        # Slow internal links keep link 0->2 queued when it is cut, so
+        # the cut flushes packets; every drop must reach node_drops.
+        router = RouteBricksRouter(internal_link_bps=2.5e9)
+        registry = MetricsRegistry(enabled=True)
+        workload = WorkloadSpec.fixed(64).with_matrix(
+            uniform_matrix(4, router.port_rate_bps * 0.9))
+        report = router.simulate(
+            workload, until=0.4e-3,
+            faults=FaultSchedule().fail_link(at=0.2e-3, src=0, dst=2),
+            metrics=registry)
+        drops = registry.snapshot()["counters"]["node_drops"]
+        assert report.fault_flushed_packets > 0
+        assert drops["{node=0,reason=cable_flush}"] == \
+            report.fault_flushed_packets
+        assert sum(drops.values()) == report.dropped_packets
 
 
 class TestNicStall:
