@@ -202,12 +202,15 @@ def run_churn(num_nodes: int = 4, *,
     # Traffic: destinations sampled from the initial RIB (host bits
     # randomized), evenly paced to the offered load, ingress round-robin.
     # Egress is None -- with route_via_fib the ingress node resolves it
-    # from its live FIB at arrival time.
+    # from its live FIB at arrival time.  As ``matrix_events`` does, each
+    # packet carries its flow's one FiveTuple and a per-flow sequence
+    # number counted from 1, which the reordering meter reads.
     per_node_pps = load * router.port_rate_bps / (8.0 * packet_bytes)
     num_packets = max(1, int(per_node_pps * num_nodes * duration_sec))
     spacing = duration_sec / num_packets
     rng = random.Random(seed + 3)
     prefixes = list(manager.rib)
+    flows = {}      # (src, dst) -> [flow key, packets so far]
     events = []
     for i in range(num_packets):
         if rng.random() < hit_fraction:
@@ -219,6 +222,11 @@ def run_churn(num_nodes: int = 4, *,
             dst = rng.getrandbits(32)
         src = (10 << 24) | (i & 0xFFFF)
         packet = Packet.udp(src, dst, length=packet_bytes)
+        flow = flows.get((src, dst))
+        if flow is None:
+            flow = flows[src, dst] = [packet.five_tuple(), 0]
+        flow[1] += 1
+        packet.flow_key, packet.flow_seq = flow
         events.append((i * spacing, i % num_nodes, None, packet))
 
     horizon = duration_sec + max(tail_sec, 2 * sync_interval_sec)

@@ -291,8 +291,18 @@ class ClusterManager:
         (the caller must fall back to a full rebuild)."""
         if since_version < self._journal_floor:
             return None
-        return [delta for delta in self._journal
-                if delta.version > since_version]
+        # Versions never decrease along the journal, so the deltas past
+        # ``since_version`` are one tail: bisect for its start (what
+        # ``bisect_right`` on the versions would return).
+        journal = self._journal
+        lo, hi = 0, len(journal)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if journal[mid].version <= since_version:
+                lo = mid + 1
+            else:
+                hi = mid
+        return journal[lo:]
 
     def build_fib(self) -> RoutingTable:
         """Compile the RIB into a node FIB (prefix -> owning node id).

@@ -23,7 +23,7 @@ from ..obs.metrics import active_registry
 from ..obs.trace import TRACE_ANNOTATION
 from ..simnet.engine import Simulator
 from ..simnet.links import Link
-from ..units import to_usec, usec
+from ..units import usec
 from .flowlet import FlowletTable
 from .latency import server_latency_usec
 from .mac_encoding import decode_output_node, encode_output_node
@@ -32,6 +32,10 @@ from .vlb import first_hop
 
 class ClusterNode:
     """One server of the cluster router (DES behavior)."""
+
+    #: Per-frame profile chargers; set only under a registry with a
+    #: span profiler.
+    _prof_frames = None
 
     def __init__(self, node_id: int, sim: Simulator, num_nodes: int,
                  rng: random.Random, link_busy_threshold_sec: float,
@@ -88,23 +92,29 @@ class ClusterNode:
             self._drop_counter = registry.counter(
                 "node_drops", help="packets lost, by node and cause")
             self._tracer = registry.tracer
-            # Span profiler (None unless the registry carries one):
-            # cluster frames are charged in *microseconds* under
-            # ``node<N>`` so the collapsed stacks read as wall-clock.
-            self._profiler = registry.profiler
-            # Pre-bound per-role/per-frame charge closures: the label
-            # sets are fixed per node, so resolve them once instead of
-            # per packet hop.
+            # Pre-bound per-role charge closures and per-node trace
+            # sites: the label sets and names are fixed per node, so
+            # they are resolved once instead of per packet hop.
             self._observe_role = {
                 role: self._hop_latency.bind(role=role)
-                for role in ("input", "intermediate", "output")}
+                for role in ("intermediate", "output")}
             self._observe_path_hops = self._path_hops.bind()
+            self._sites = {
+                site: "node%d.%s" % (node_id, site)
+                for site in ("input", "tx", "intermediate", "output",
+                             "egress_q", "egress")}
+            # Span profiler frames (None unless the registry carries a
+            # profiler): one ``charge(packet)`` per frame, charging the
+            # simulated *microseconds* since the packet's ``prof_t``
+            # under ``node<N>`` (so the collapsed stacks read as
+            # wall-clock) and advancing the stamp.
+            profiler = registry.profiler
             node_frame = "node%d" % node_id
             self._prof_frames = (
-                {frame: self._profiler.bind(node_frame, frame)
+                {frame: profiler.bind_stamp(sim, node_frame, frame)
                  for frame in ("input", "intermediate", "link",
                                "output", "egress_line", "reorder")}
-                if self._profiler is not None else None)
+                if profiler is not None else None)
 
     # -- wiring -------------------------------------------------------------
 
@@ -121,17 +131,6 @@ class ClusterNode:
         self.dropped += amount
         if self.obs is not None and amount:
             self._drop_counter.inc(amount, node=self.node_id, reason=reason)
-
-    def _prof_charge(self, packet: Packet, frame: str) -> None:
-        """Charge the time since the packet's last profiled point to this
-        node's ``frame`` (microseconds), and advance the point."""
-        if self._profiler is None:
-            return
-        last = packet.annotations.get("prof_t")
-        now = self.sim.now
-        if last is not None and now > last:
-            self._prof_frames[frame](to_usec(now - last))
-        packet.annotations["prof_t"] = now
 
     # -- failure --------------------------------------------------------------
 
@@ -201,11 +200,23 @@ class ClusterNode:
         packet.arrival_time = self.sim.now
         packet.path = [self.node_id]
         if self.obs is not None:
-            packet.annotations["hop_t"] = self.sim.now
-            packet.annotations["prof_t"] = self.sim.now
-            self._tracer.maybe_start(packet, self.sim.now,
-                                     "node%d.input" % self.node_id,
-                                     key=self.node_id)
+            now = packet.hop_t = packet.prof_t = self.sim.now
+            tracer = self._tracer
+            if TRACE_ANNOTATION in packet.annotations:
+                # Re-entry: the packet's trace gets this hop appended.
+                tracer.maybe_start(packet, now, self._sites["input"],
+                                   key=self.node_id)
+            else:
+                # TraceSampler.maybe_start's keyed rule, inline: ``seen``
+                # and this node's count advance, and every
+                # ``sample_every``-th packet offered here starts a trace,
+                # so the others cost no sampler call.
+                seen_by_key = tracer._seen_by_key
+                index = seen_by_key.get(self.node_id, 0)
+                seen_by_key[self.node_id] = index + 1
+                tracer.seen += 1
+                if not index % tracer.sample_every:
+                    tracer.start_trace(packet, now, self._sites["input"])
         encode_output_node(packet, egress_node, max_nodes=max(
             self.num_nodes, 1))
         if egress_node == self.node_id:
@@ -223,13 +234,14 @@ class ClusterNode:
             self._count_drop("died_holding")
             return
         if self.obs is not None:
-            # Path length 1 means we are still the input node; anything
-            # longer means the intermediate role is transmitting.
-            role = "input" if len(packet.path) == 1 else "intermediate"
-            self._prof_charge(packet, role)
+            if self._prof_frames is not None:
+                # Path length 1 means we are still the input node;
+                # anything longer means the intermediate role transmits.
+                self._prof_frames["input" if len(packet.path) == 1
+                                  else "intermediate"](packet)
             trace = packet.annotations.get(TRACE_ANNOTATION)
             if trace is not None:
-                trace.hop("node%d.tx" % self.node_id, self.sim.now)
+                trace.hop(self._sites["tx"], self.sim.now)
         if next_hop in self.failed_hops:
             # A dead cable: anything committed to it is lost.
             self._count_drop("cut_cable")
@@ -271,9 +283,18 @@ class ClusterNode:
         output = decode_output_node(packet)
         packet.path.append(self.node_id)
         if self.obs is not None:
-            self._observe_hop(
-                packet, "output" if output == self.node_id
-                else "intermediate")
+            # One internal hop: its latency goes to the role that
+            # received it, and the packet's trace, if any, is extended.
+            role = "output" if output == self.node_id else "intermediate"
+            now = self.sim.now
+            if packet.hop_t is not None:
+                self._observe_role[role]((now - packet.hop_t) * 1e6)
+            packet.hop_t = now
+            if self._prof_frames is not None:
+                self._prof_frames["link"](packet)
+            trace = packet.annotations.get(TRACE_ANNOTATION)
+            if trace is not None:
+                trace.hop(self._sites[role], now)
         if output == self.node_id:
             self.sim.schedule_timer(self._output_sec,
                                     partial(self._egress, packet))
@@ -283,30 +304,17 @@ class ClusterNode:
         self.sim.schedule_timer(self._intermediate_sec,
                                 partial(self._send, packet, output))
 
-    def _observe_hop(self, packet: Packet, role: str) -> None:
-        """Charge one internal hop's latency to the role that received
-        it, and extend the packet's trace when it carries one."""
-        now = self.sim.now
-        last = packet.annotations.get("hop_t")
-        if last is not None:
-            self._observe_role[role](to_usec(now - last))
-        packet.annotations["hop_t"] = now
-        self._prof_charge(packet, "link")
-        trace = packet.annotations.get(TRACE_ANNOTATION)
-        if trace is not None:
-            trace.hop("node%d.%s" % (self.node_id, role), now)
-
     def _egress(self, packet: Packet) -> None:
         if not self.alive:
             self._count_drop("dead_egress")
             return
-        if self.obs is not None:
-            self._prof_charge(packet, "output")
+        if self._prof_frames is not None:
+            self._prof_frames["output"](packet)
         if self.egress_link is not None:
             if self.obs is not None:
                 trace = packet.annotations.get(TRACE_ANNOTATION)
                 if trace is not None:
-                    trace.hop("node%d.egress_q" % self.node_id, self.sim.now)
+                    trace.hop(self._sites["egress_q"], self.sim.now)
             if not self.egress_link.send(packet):
                 self._count_drop("egress_overflow")
             return
@@ -319,11 +327,12 @@ class ClusterNode:
         self.egress_packets += 1
         packet.departure_time = self.sim.now
         if self.obs is not None:
-            # Non-zero only when an external line serialized the packet.
-            self._prof_charge(packet, "egress_line")
+            if self._prof_frames is not None:
+                # Non-zero only when an external line serialized it.
+                self._prof_frames["egress_line"](packet)
             self._observe_path_hops(len(packet.path))
             trace = packet.annotations.get(TRACE_ANNOTATION)
             if trace is not None:
-                trace.hop("node%d.egress" % self.node_id, self.sim.now)
+                trace.hop(self._sites["egress"], self.sim.now)
         if self.egress_callback is not None:
             self.egress_callback(packet, self.sim.now)

@@ -64,15 +64,21 @@ def empty_registry_like(registry: MetricsRegistry) -> MetricsRegistry:
     return fresh
 
 
-def _range_checked(events, n: int, route_via_fib: bool):
+def _check_nodes(ingress, egress, n: int, route_via_fib: bool) -> None:
+    """Refuse an arrival whose nodes are not the cluster's -- FIB-routed
+    runs ignore ``egress``."""
+    if not 0 <= ingress < n:
+        raise ConfigurationError("bad ingress node %r" % ingress)
+    if not route_via_fib and not 0 <= egress < n:
+        raise ConfigurationError("bad egress node %r" % egress)
+
+
+def range_checked(events, n: int, route_via_fib: bool):
     """``events``, each ``(time, ingress, egress, packet)`` range-checked
-    as it is consumed -- FIB-routed runs ignore ``egress``."""
+    as it is consumed: how a caller's list is dealt out to several
+    partitions, each checked before it is indexed by owner."""
     for event in events:
-        _, ingress, egress, _ = event
-        if not 0 <= ingress < n:
-            raise ConfigurationError("bad ingress node %r" % ingress)
-        if not route_via_fib and not 0 <= egress < n:
-            raise ConfigurationError("bad egress node %r" % egress)
+        _check_nodes(event[1], event[2], n, route_via_fib)
         yield event
 
 
@@ -93,9 +99,11 @@ def checked_inputs(router, events, until, faults,
     A :class:`~repro.workloads.WorkloadSpec` is checked against the
     cluster and the horizon and comes back as ``workload``, for the
     partitions to replay (``arrivals`` is then empty; nothing is realized
-    here).  Any other ``events`` comes back as ``arrivals``, range-checked
-    as it is consumed.  The fault schedule comes back coerced from its
-    dict form and validated against the cluster size.  The horizon must
+    here).  Any other ``events`` comes back as ``arrivals``, as it is:
+    whoever consumes it checks each event's nodes then (the partition
+    filing it, or :func:`range_checked` dealing it out).  The fault
+    schedule comes back coerced from its dict form and validated against
+    the cluster size.  The horizon must
     pass :func:`checked_horizon`, except that an event list may run
     open-ended (``until=None``).
     """
@@ -121,7 +129,7 @@ def checked_inputs(router, events, until, faults,
         if not isinstance(faults, FaultSchedule):
             faults = FaultSchedule.from_dict(faults)
         faults.validate(n)
-    return workload, _range_checked(events, n, route_via_fib), faults
+    return workload, events, faults
 
 
 @dataclass(frozen=True)
@@ -324,17 +332,21 @@ class ClusterPartition(Partition):
         # reaches it: the queue holds what is in flight, not the horizon.
         arrivals, chunk = spec.arrivals, None
         if spec.workload is not None:
-            arrivals, chunk = _range_checked(
-                spec.workload.events(spec.until, owned=self.nodes,
-                                     id_base=spec.packet_id_base),
-                n, spec.route_via_fib), ARRIVAL_CHUNK
+            arrivals, chunk = spec.workload.events(
+                spec.until, owned=self.nodes,
+                id_base=spec.packet_id_base), ARRIVAL_CHUNK
+        nodes, any_egress = self.nodes, spec.route_via_fib
 
         def arrival_timers():
+            # The one pass over the stream: each arrival is range-checked
+            # and counted as it is consumed, and an owned one becomes
+            # its ingress node's timer.
             for time, ingress, egress, packet in arrivals:
+                if not (0 <= ingress < n and (any_egress or 0 <= egress < n)):
+                    _check_nodes(ingress, egress, n, any_egress)
                 frag.offered_packets += 1
                 if packet is not None:
-                    yield time, partial(
-                        admit, self.nodes[ingress], packet, egress)
+                    yield time, partial(admit, nodes[ingress], packet, egress)
 
         timers = arrival_timers()
         sim.schedule_stream(iter(lambda: list(islice(timers, chunk)), []))
@@ -384,7 +396,8 @@ class ClusterPartition(Partition):
                 if registry.enabled:
                     # Attribute the hold time before crediting egress:
                     # the reorder buffer is a latency stage of its own.
-                    node._prof_charge(packet, "reorder")
+                    if node._prof_frames is not None:
+                        node._prof_frames["reorder"](packet)
                     trace = packet.annotations.get(TRACE_ANNOTATION)
                     if trace is not None:
                         trace.hop("reorder.release", sim.now)

@@ -24,6 +24,7 @@ with its own local link-state oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Container
 
 import numpy as np
@@ -121,16 +122,17 @@ def first_hop(flowlets, packet, egress: int, now: float, self_node: int,
     Without a :class:`~repro.core.flowlet.FlowletTable` every packet
     gets a fresh :func:`direct_first_hop`; with one, the path is pinned
     per ``(flow, egress)`` -- a path pinned for one output node is never
-    reused for another -- and kept while ``available``.
+    reused for another -- and kept while ``available``.  ``egress`` is
+    never ``self_node`` (both callers deliver locally first), so no path
+    :func:`direct_first_hop` pins is ``self_node`` either.
     """
     if flowlets is None:
         return direct_first_hop(self_node, egress, num_nodes, available,
                                 failed, load_of, rng)
     return flowlets.assign(
-        (packet.five_tuple(), egress), now,
-        path_available=lambda p: p != self_node and available(p),
-        fresh_path=lambda: direct_first_hop(
-            self_node, egress, num_nodes, available, failed, load_of, rng))
+        (packet.five_tuple(), egress), now, available,
+        partial(direct_first_hop, self_node, egress, num_nodes, available,
+                failed, load_of, rng))
 
 
 def analyze(matrix: TrafficMatrix, port_rate_bps: float,

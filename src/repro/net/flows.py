@@ -18,13 +18,38 @@ _DEFAULT_HASH_SEED = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class FiveTuple:
-    """The classic (src IP, dst IP, proto, src port, dst port) flow key."""
+    """The classic (src IP, dst IP, proto, src port, dst port) flow key.
+
+    Hashed once, at construction, to the value a frozen dataclass would
+    compute per call (the hash of the field tuple): a generated flow's
+    one key is looked up at every flowlet and reorder-meter access.  The
+    fields and the hash live in slots; the pickled state is the plain
+    dataclass's field dict, and unpickling recomputes the hash.
+    """
+
+    __slots__ = ("src", "dst", "proto", "src_port", "dst_port", "_hash")
 
     src: IPv4Address
     dst: IPv4Address
     proto: int
     src_port: int
     dst_port: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((
+            self.src, self.dst, self.proto, self.src_port, self.dst_port)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __getstate__(self):
+        return {"src": self.src, "dst": self.dst, "proto": self.proto,
+                "src_port": self.src_port, "dst_port": self.dst_port}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def as_ints(self):
         """Tuple of plain ints (handy for hashing and dict keys)."""

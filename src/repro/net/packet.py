@@ -40,7 +40,7 @@ _packet_ids = itertools.count()
 WIRE_FORMAT = "qIQQH" "IIBBHHBBHH" "HHHH" "q" "hh" "dd" "B" "Bhhh"
 _ROW = struct.Struct("<" + WIRE_FORMAT)
 _HAS_IP, _HAS_UDP, _NO_NODE = 1, 2, -1
-_NO_IP, _NO_UDP, _NO_TAIL = (0,) * 10, (0,) * 4, (None,) * 4
+_NO_IP, _NO_UDP, _NO_TAIL = (0,) * 10, (0,) * 4, (None,) * 6
 _PATH_PAD = ((0, 0, 0), (0, 0), (0,), ())
 
 
@@ -86,12 +86,17 @@ class Packet:
         Cluster node ids assigned by the VLB router.
     arrival_time, departure_time:
         Simulation timestamps (seconds).
+    hop_t, prof_t:
+        Observation stamps (seconds), ``None`` unless an observed cluster
+        run set them: when the packet last crossed a hop (the per-hop
+        latency histograms) and its last profiled point (the span
+        profiler's per-node frames).
     """
 
     __slots__ = (
         "packet_id", "length", "eth", "ip", "l4", "payload",
         "flow_seq", "flow_key", "ingress_node", "egress_node", "path",
-        "arrival_time", "departure_time", "annotations",
+        "arrival_time", "departure_time", "annotations", "hop_t", "prof_t",
     )
 
     def __init__(self, length: int, eth: Optional[EthernetHeader] = None,
@@ -115,6 +120,7 @@ class Packet:
         self.arrival_time = 0.0
         self.departure_time = 0.0
         self.annotations = {}
+        self.hop_t = self.prof_t = None
 
     # -- construction -----------------------------------------------------
 
@@ -226,7 +232,8 @@ class Packet:
         packet has; ``tail`` is ``None`` unless the packet carries
         something uncommon -- payload bytes, annotations, an L4 header
         that is not UDP (it rides as an object), a path of more than
-        three hops -- and is then ``(payload, annotations, l4, path)``.
+        three hops, observation stamps -- and is then ``(payload,
+        annotations, l4, path, hop_t, prof_t)``.
         :meth:`from_wire` restores the packet *losslessly*, including
         ``packet_id`` (no new id is drawn), bar the ``flow_key`` stamp:
         the decoded packet's :meth:`five_tuple` rebuilds an equal key
@@ -253,9 +260,12 @@ class Packet:
         if hops > 3:
             far, path, hops = tuple(path), (), 0
         tail = None
+        hop_t, prof_t = self.hop_t, self.prof_t
         if (self.annotations or self.payload is not None or l4 is not None
-                or far is not None):
-            tail = (self.payload, dict(self.annotations), l4, far)
+                or far is not None or hop_t is not None
+                or prof_t is not None):
+            tail = (self.payload, dict(self.annotations), l4, far, hop_t,
+                    prof_t)
         ingress, egress = self.ingress_node, self.egress_node
         try:
             return pack(
@@ -286,7 +296,7 @@ class Packet:
          fragment_offset, checksum, src_port, dst_port, udp_length,
          udp_checksum, flow_seq, ingress, egress, arrival_time,
          departure_time, present, hops, *path) = row
-        payload, annotations, l4, far = tail or _NO_TAIL
+        payload, annotations, l4, far, hop_t, prof_t = tail or _NO_TAIL
         packet = object.__new__(cls)
         packet.packet_id = packet_id
         packet.length = length
@@ -308,6 +318,8 @@ class Packet:
         packet.arrival_time = arrival_time
         packet.departure_time = departure_time
         packet.annotations = dict(annotations) if annotations else {}
+        packet.hop_t = hop_t
+        packet.prof_t = prof_t
         return packet
 
     def __reduce__(self):

@@ -166,15 +166,27 @@ class Histogram(Metric):
 
     def bind(self, **labels):
         """A pre-resolved observer for one label set (see
-        :meth:`Counter.bind`)."""
+        :meth:`Counter.bind`).
+
+        The closure creates its series on first use and then keeps it,
+        appending as :meth:`~repro.simnet.stats.Histogram.observe` does:
+        one call per observation.  (Series are only ever created,
+        extended or sorted in place, never replaced.)
+        """
         key = _label_key(labels)
         store = self._series
+        series = values = None
 
         def observe(value: float) -> None:
-            series = store.get(key)
-            if series is None:
-                series = store[key] = _Reservoir()
-            series.observe(value)
+            nonlocal series, values
+            if values is None:
+                series = store.get(key)
+                if series is None:
+                    series = store[key] = _Reservoir()
+                values = series._values
+            if values and value < values[-1]:
+                series._sorted = False
+            values.append(value)
 
         return observe
 
@@ -251,11 +263,9 @@ class Timeline(Metric):
         """A pre-resolved recorder for one label set.
 
         The returned closure inlines the bin update (no label
-        canonicalization, no method dispatch per sample) -- the form the
-        DES engine uses for its per-event ``sim_events`` timeline.
-        Negative timestamps are rejected at :meth:`record` only; bound
-        recorders trust their callers (simulation clocks never run
-        backwards).
+        canonicalization, no method dispatch per sample).  Negative
+        timestamps are rejected at :meth:`record` only; bound recorders
+        trust their callers (simulation clocks never run backwards).
         """
         key = _label_key(labels)
         store = self._series
@@ -277,6 +287,32 @@ class Timeline(Metric):
                     cell[2] = value
 
         return record
+
+    def bind_count(self, **labels):
+        """A pre-resolved ``count(index, events)`` for one label set:
+        books ``events`` samples of value 1.0 into bin ``index`` at once,
+        leaving the cell exactly as ``events`` calls of a bound recorder
+        at times in that bin would (``[float(n), n, 1.0]`` for a new
+        cell).  The DES engine counts its ``sim_events`` per bin in a
+        local and books each bin through this.
+        """
+        key = _label_key(labels)
+        store = self._series
+
+        def count(index: int, events: int) -> None:
+            series = store.get(key)
+            if series is None:
+                series = store[key] = _TimelineSeries()
+            cell = series.bins.get(index)
+            if cell is None:
+                series.bins[index] = [float(events), events, 1.0]
+            else:
+                cell[0] += events
+                cell[1] += events
+                if cell[2] < 1.0:
+                    cell[2] = 1.0
+
+        return count
 
     def bins(self, **labels) -> List[Tuple[float, float, int, float]]:
         """Sorted ``(bin_start_sec, sum, count, max)`` rows for one series."""

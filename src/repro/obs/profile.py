@@ -105,6 +105,31 @@ class SpanProfiler:
 
         return charge
 
+    def bind_stamp(self, clock, *frames: str):
+        """A pre-resolved ``charge(packet)`` for one fixed path, in
+        microseconds of simulated time.
+
+        Charges the time since the packet's last profiled point
+        (``packet.prof_t``, when it has one and the clock ``clock.now``
+        is past it), as ``(now - last) * 1e6`` under :meth:`bind`'s
+        ``if value`` rule, then advances the point to ``now``: one call
+        per profiled hop.  The path is captured as in :meth:`bind`.
+        """
+        path = (self.root, *self._stack, *frames)
+        store = self._self
+        get = store.get
+
+        def charge(packet) -> None:
+            now = clock.now
+            last = packet.prof_t
+            if last is not None and now > last:
+                value = (now - last) * 1e6
+                if value:
+                    store[path] = get(path, 0.0) + value
+            packet.prof_t = now
+
+        return charge
+
     def merge(self, other: "SpanProfiler") -> None:
         """Sum another profiler's per-path self values into this one.
 

@@ -44,6 +44,7 @@ from ..core.partition import (
     checked_inputs,
     empty_registry_like,
     merge_fragments,
+    range_checked,
 )
 from ..core.router import RouteBricksRouter, SimulationReport
 from ..core.topology import balanced_partitions
@@ -254,7 +255,8 @@ def run_partitions(router: RouteBricksRouter, events,
     workload, arrivals, faults = checked_inputs(
         router, events, until, faults, route_via_fib)
     # One partition files the caller's iterable as it is, consumed once.
-    shares = [arrivals] if single else _split_arrivals(arrivals, assignment)
+    shares = [arrivals] if single else _split_arrivals(
+        range_checked(arrivals, router.num_nodes, route_via_fib), assignment)
     id_base = packet_id_floor()
 
     interval = observer_interval(until)

@@ -26,6 +26,11 @@ from ..errors import SimulationError
 
 _INF = float("inf")
 
+
+def _past(time: float, now: float) -> SimulationError:
+    return SimulationError("cannot schedule at %r, clock at %r" % (time, now))
+
+
 #: Sequence numbers a stream reserves when armed: more than a run pulls.
 _STREAM_SEQS = 1 << 40
 
@@ -36,21 +41,26 @@ class Simulator:
     ``metrics`` (or the active :mod:`repro.obs` registry, when enabled)
     receives a ``sim_events`` timeline of executed events -- the event-
     rate trajectory bottleneck reports bin everything else against.
-    When the registry carries a :class:`~repro.obs.profile.SpanProfiler`
-    the engine also resets its span stack at each event boundary, so
-    frames pushed by one callback can never leak into the next.  The
-    hooks are resolved once at construction; the one event loop in
-    :meth:`run` reads them into locals, so an unobserved run pays one
-    ``is None`` check per event for observability.
+    :meth:`run` counts a bin's events in a local and books the count
+    once, when the clock leaves the bin or the loop ends, so an observed
+    event costs no call for the timeline.  When the registry carries a
+    :class:`~repro.obs.profile.SpanProfiler` the engine also resets its
+    span stack at each event boundary, so frames pushed by one callback
+    can never leak into the next.  The hooks are resolved once at
+    construction; the one event loop in :meth:`run` reads them into
+    locals, so an unobserved run pays one ``is None`` check per event
+    for observability.
 
     Events are filed by :meth:`schedule_timer` / :meth:`schedule_timer_at`
     (one at a time), :meth:`schedule_stream` (a chunked stream) or a
     :meth:`timer_filer` closure (the server poll loop); all four draw
-    from one sequence counter, and none returns a handle.
+    from one sequence counter, and none returns a handle.  Every front
+    but :meth:`timer_filer` checks each time it files: anything but
+    ``now <= time < inf`` raises.
     """
 
     #: Observability hooks; set per instance only under an enabled registry.
-    _obs_record = _profiler = None
+    _obs_count = _obs_bin_sec = _profiler = None
 
     def __init__(self, metrics=None):
         from ..obs.metrics import active_registry
@@ -60,29 +70,28 @@ class Simulator:
         self.events_run = 0
         registry = metrics if metrics is not None else active_registry()
         if registry.enabled:
-            self._obs_record = registry.timeline("sim_events").bind()
+            timeline = registry.timeline("sim_events")
+            self._obs_count = timeline.bind_count()
+            self._obs_bin_sec = timeline.bin_sec
             self._profiler = registry.profiler
 
     # -- scheduling --------------------------------------------------------
 
-    def _file(self, entry: tuple) -> None:
-        """Push ``entry`` onto the queue: the one place times are
-        checked (anything but ``now <= time < inf`` raises)."""
-        time = entry[0]
-        if not self.now <= time < _INF:
-            raise SimulationError(
-                "cannot schedule at %r, clock at %r" % (time, self.now))
-        heappush(self._queue, entry)
-
     def schedule_timer(self, delay: float,
                        callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        self._file((self.now + delay, next(self._seq), callback))
+        now = self.now
+        time = now + delay
+        if not now <= time < _INF:
+            raise _past(time, now)
+        heappush(self._queue, (time, next(self._seq), callback))
 
     def schedule_timer_at(self, time: float,
                           callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute simulation ``time``."""
-        self._file((time, next(self._seq), callback))
+        if not self.now <= time < _INF:
+            raise _past(time, self.now)
+        heappush(self._queue, (time, next(self._seq), callback))
 
     def schedule_stream(self, chunks) -> None:
         """File a stream of ``(time, callback)`` timers a chunk at a time.
@@ -107,21 +116,26 @@ class Simulator:
         self._seq = itertools.count(first + _STREAM_SEQS)
         seqs = itertools.count(first)
         chunks = iter(chunks)
-        file = self._file
+        queue = self._queue
 
         def file_next(callback=None):
             if callback is not None:
                 callback()
             # Each entry is filed once the next one is read, so the last
-            # is known -- and wrapped -- before it is filed.
+            # is known -- and wrapped -- before it is filed.  Nothing
+            # runs in between, so checking a time as it is read is
+            # checking it as it is filed.
+            now = self.now
             last = None
             for time, timer in next(chunks, ()):
+                if not now <= time < _INF:
+                    raise _past(time, now)
                 if last is not None:
-                    file(last)
+                    heappush(queue, last)
                 last = (time, next(seqs), timer)
             if last is not None:
                 time, seq, timer = last
-                file((time, seq, partial(file_next, timer)))
+                heappush(queue, (time, seq, partial(file_next, timer)))
 
         file_next()
 
@@ -173,8 +187,8 @@ class Simulator:
                 self._profiler.begin_event()
             callback()
             self.events_run += 1
-            if self._obs_record is not None:
-                self._obs_record(time)
+            if self._obs_count is not None:
+                self._obs_count(int(time / self._obs_bin_sec), 1)
         finally:
             self.now = clock
         pending = self.peek_time()
@@ -200,16 +214,20 @@ class Simulator:
         horizon = _INF if until is None else until
         queue = self._queue
         pop = heappop
-        # The hooks, as locals: the bound ``sim_events`` recorder and
+        # The hooks, as locals: the bound ``sim_events`` bin counter and
         # the profiler's span stack (cleared at each event boundary; it
         # is a stable list, so binding it once equals calling
         # ``begin_event`` per event).  Both exist only under an enabled
         # registry, so an unobserved run pays one ``is None`` check per
-        # event for them.
-        record = self._obs_record
+        # event for them.  An observed event adds one to ``binned``, the
+        # count of bin ``index``; the count is booked when an event
+        # lands in another bin and when the loop ends, as many one-event
+        # records in that bin would have booked it.
+        count = self._obs_count
+        bin_sec = self._obs_bin_sec
         profiler = self._profiler
         prof_stack = profiler._stack if profiler is not None else None
-        executed = 0
+        index = binned = executed = 0
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -218,16 +236,23 @@ class Simulator:
                     break
                 now, _, callback = pop(queue)
                 self.now = now
-                if record is None:
+                if count is None:
                     callback()
                 else:
                     if prof_stack:
                         del prof_stack[:]
                     callback()
-                    record(now)
+                    if int(now / bin_sec) != index:
+                        if binned:
+                            count(index, binned)
+                        index = int(now / bin_sec)
+                        binned = 0
+                    binned += 1
                 executed += 1
         finally:
             self.events_run += executed
+            if binned:
+                count(index, binned)
             if collecting:
                 gc.enable()
         if until is not None and self.now < until:

@@ -48,10 +48,6 @@ class Link:
         self.bytes_sent = 0
         self.packets_sent = 0
 
-    def serialization_time(self, packet: Packet) -> float:
-        """Seconds to clock ``packet`` onto the wire."""
-        return packet.length * 8 / self.rate_bps
-
     def send(self, packet: Packet) -> bool:
         """Offer a packet to the link; False if the queue overflowed."""
         if not self.queue.offer(packet):
@@ -73,12 +69,11 @@ class Link:
             return
         self._queued_bits -= packet.length * 8
         self.busy = True
-        tx_time = self.serialization_time(packet)
+        tx_time = packet.length * 8 / self.rate_bps    # on the wire
         self.bytes_sent += packet.length
         self.packets_sent += 1
-        # Link completions are high-rate, homogeneous, and never
-        # cancelled: the handle-free front.
-        self.sim.schedule_timer(tx_time, self._finish_tx)
+        # The transmitter is free again once the packet is on the wire.
+        self.sim.schedule_timer(tx_time, self._start_next)
         self._schedule_delivery(packet, tx_time)
 
     def _schedule_delivery(self, packet: Packet, tx_time: float) -> None:
@@ -91,9 +86,6 @@ class Link:
         """
         self.sim.schedule_timer(tx_time + self.propagation_sec,
                                 partial(self.deliver, packet))
-
-    def _finish_tx(self) -> None:
-        self._start_next()
 
     def stall(self, duration_sec: float) -> None:
         """Stop draining the transmit queue for ``duration_sec``.

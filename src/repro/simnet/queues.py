@@ -32,12 +32,14 @@ class FiniteQueue(Generic[T]):
 
     def offer(self, item: T) -> bool:
         """Enqueue; returns False and counts a drop when full."""
-        if self.is_full():
+        items = self._items
+        if len(items) >= self.capacity:     # is_full(), inline
             self.dropped += 1
             return False
-        self._items.append(item)
+        items.append(item)
         self.enqueued += 1
-        self.high_watermark = max(self.high_watermark, len(self._items))
+        if len(items) > self.high_watermark:
+            self.high_watermark = len(items)
         return True
 
     def poll(self) -> Optional[T]:

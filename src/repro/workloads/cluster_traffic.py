@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import accumulate
 from typing import Iterator, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -66,6 +67,10 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
             packet_bytes = sizes[0]
         else:
             packet_bytes = mean_bytes
+            # What ``choices(sizes, weights=weights)`` accumulates per
+            # call: given once, each draw takes the same ``random()`` and
+            # bisects the same list.
+            cum_weights = list(accumulate(weights))
     packet_bits = packet_bytes * 8
 
     # Per-pair state: mean gap, flow pool, per-flow sequence counters.
@@ -96,7 +101,7 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
             continue
         state = pair_state[(src, dst)]
         flow_index = rng.randrange(len(state["flows"]))
-        length = int(round(rng.choices(sizes, weights=weights)[0]
+        length = int(round(rng.choices(sizes, cum_weights=cum_weights)[0]
                            if size_mix is not None else packet_bytes))
         state["seq"][flow_index] += 1
         packet = None

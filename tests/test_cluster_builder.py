@@ -350,7 +350,7 @@ GOLDEN = {
                 (('egress', 865), ('ingress', 839), ('intermediate', 0), ('node', 3)),
             ],
             'offered': 3906,
-            'reordered_fraction': 1.0,
+            'reordered_fraction': 0.0,
             'resequencer_held': 0,
             'resequencer_timeouts': 0,
         },

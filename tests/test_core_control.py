@@ -313,3 +313,50 @@ class TestDeltaJournal:
             assert (mine is None) == (theirs is None)
             if mine is not None:
                 assert mine.port == theirs.port
+
+
+class TestFibDeltasWindow:
+    """``fib_deltas`` bisects the journal for its tail; it must return
+    exactly what a filter over every entry returns."""
+
+    @staticmethod
+    def _linear(manager, since):
+        if since < manager._journal_floor:
+            return None
+        return [d for d in manager._journal if d.version > since]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("cap", [None, 16])
+    def test_matches_the_linear_filter(self, seed, cap, monkeypatch):
+        import random
+
+        from repro.core import control as control_mod
+
+        if cap is not None:
+            # Small enough that the journal is trimmed several times.
+            monkeypatch.setattr(control_mod, "MAX_JOURNAL_ENTRIES", cap)
+        rng = random.Random(seed)
+        manager = ClusterManager()
+        for port in range(4):
+            manager.add_node(external_port=port)
+        announced = []
+        for step in range(120):
+            roll = rng.random()
+            if roll < 0.5 or not announced:
+                prefix = "172.%d.%d.0/24" % (rng.randrange(4),
+                                             rng.randrange(64))
+                manager.announce(prefix, rng.randrange(4))
+                if prefix not in announced:
+                    announced.append(prefix)
+            elif roll < 0.7:
+                manager.withdraw(announced.pop(rng.randrange(len(announced))))
+            elif roll < 0.85:
+                manager.mark_failed(rng.randrange(4))
+            else:
+                manager.mark_recovered(rng.randrange(4))
+            for since in {0, manager._journal_floor, manager.rib_version,
+                          rng.randrange(manager.rib_version + 2)}:
+                assert manager.fib_deltas(since) == self._linear(
+                    manager, since)
+        if cap is not None:
+            assert manager._journal_floor > 0

@@ -146,6 +146,27 @@ class TestFlows:
         with pytest.raises(ValueError):
             queue_for_flow(ft, 0)
 
+    def test_hash_is_the_field_tuples_and_computed_once(self):
+        ft = FiveTuple(IPv4Address("10.1.2.3"), IPv4Address("10.4.5.6"),
+                       PROTO_UDP, 1024, 80)
+        assert hash(ft) == hash((ft.src, ft.dst, ft.proto, ft.src_port,
+                                 ft.dst_port))
+        assert hash(ft) == hash((IPv4Address("10.1.2.3"),
+                                 IPv4Address("10.4.5.6"), 17, 1024, 80))
+        assert ft._hash == hash(ft)
+
+    def test_pickle_round_trip_is_equal_and_rehashed(self):
+        ft = FiveTuple(IPv4Address("10.1.2.3"), IPv4Address("10.4.5.6"),
+                       PROTO_UDP, 1024, 80)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(ft, protocol=protocol))
+            assert clone == ft and hash(clone) == hash(ft)
+            assert {clone: 1}[ft] == 1
+        # The stored hash is not part of the pickled state.
+        assert ft.__getstate__() == {
+            "src": ft.src, "dst": ft.dst, "proto": PROTO_UDP,
+            "src_port": 1024, "dst_port": 80}
+
     def test_same_flow_same_queue(self):
         a = Packet.udp("10.0.0.1", "10.0.0.2", src_port=99, dst_port=80)
         b = Packet.udp("10.0.0.1", "10.0.0.2", src_port=99, dst_port=80,
@@ -234,6 +255,21 @@ class TestWireEncoding:
         row, tail = self._loaded_packet().to_wire()
         assert type(row) is bytes and len(row) == width
         assert tail is not None and plain(tail)
+
+    def test_observation_stamps_cross_the_wire_and_pickle(self):
+        # An observed cluster run stamps hop_t / prof_t on each packet;
+        # a packet crossing a partition boundary must keep both.
+        p = Packet.udp("10.0.0.1", "10.0.0.2")
+        p.hop_t, p.prof_t = 1.25e-4, 1.5e-4
+        row, tail = p.to_wire()
+        assert tail is not None
+        for clone in (Packet.from_wire((row, tail)),
+                      pickle.loads(pickle.dumps(p))):
+            assert (clone.hop_t, clone.prof_t) == (1.25e-4, 1.5e-4)
+            assert clone.annotations == {}
+        plain = Packet.from_wire(Packet.udp("10.0.0.1",
+                                            "10.0.0.2").to_wire())
+        assert plain.hop_t is None and plain.prof_t is None
 
     def test_wire_snapshot_is_independent_of_the_packet(self):
         p = self._loaded_packet()
@@ -355,6 +391,8 @@ def _packets(draw):
     packet.path = draw(st.lists(st.integers(0, 32767), max_size=5))
     packet.arrival_time, packet.departure_time = draw(_time), draw(_time)
     packet.annotations = draw(_annotations())
+    packet.hop_t = draw(st.one_of(st.none(), _time))
+    packet.prof_t = draw(st.one_of(st.none(), _time))
     return packet
 
 
@@ -362,12 +400,14 @@ def _packets(draw):
 @given(_packets())
 def test_any_packet_round_trips_through_wire_and_pickle(packet):
     """UDP/TCP/other-L4/no-L4 x IP or none x payload x annotations
-    (empty, floats, a PathTrace) x paths of 0-5 hops x None nodes: the
-    row + tail codec and pickle (which rides it) lose nothing."""
+    (empty, floats, a PathTrace) x observation stamps x paths of 0-5
+    hops x None nodes: the row + tail codec and pickle (which rides it)
+    lose nothing."""
     _assert_same_packet(packet, Packet.from_wire(packet.to_wire()))
     _assert_same_packet(packet, pickle.loads(pickle.dumps(packet)))
     row, tail = packet.to_wire()
     uncommon = (packet.payload is not None or bool(packet.annotations)
+                or packet.hop_t is not None or packet.prof_t is not None
                 or len(packet.path) > 3
                 or not isinstance(packet.l4, (UDPHeader, type(None))))
     assert (tail is not None) == uncommon

@@ -237,3 +237,55 @@ def test_engine_matches_sorted_reference(program, slices):
     ``peek_time()`` agree with the reference after every slice."""
     expected = _play(ReferenceQueue(), program, slices)
     assert _play(EngineQueue(), program, slices) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       bin_sec=st.sampled_from([1e-6, 3e-6, 1e-5, 1.0]),
+       slices=st.integers(min_value=1, max_value=6),
+       late=st.integers(min_value=0, max_value=4))
+def test_sim_events_bins_equal_one_record_per_event(seed, bin_sec, slices,
+                                                    late):
+    """``run`` counts ``sim_events`` per bin in locals and books a bin
+    when the clock leaves it; across ``run(until)`` slices, late events
+    (``run_as_of``) and bin crossings the timeline must hold exactly the
+    cells one ``record(now)`` per executed event leaves."""
+    from repro.obs.metrics import MetricsRegistry
+
+    rng = random.Random(seed)
+    registry = MetricsRegistry(enabled=True, timeline_bin_sec=bin_sec,
+                               profile=True)
+    reference = MetricsRegistry(enabled=True, timeline_bin_sec=bin_sec)
+    sim = Simulator(metrics=registry)
+
+    def fire():
+        reference.timeline("sim_events").record(sim.now)
+        if rng.random() < 0.6:
+            # Same instant, same bin, or a few bins on.
+            sim.schedule_timer(rng.choice((0.0, 1e-7, bin_sec / 2,
+                                           3 * bin_sec)), fire)
+
+    for _ in range(rng.randrange(1, 40)):
+        sim.schedule_timer_at(rng.random() * 20 * bin_sec, fire)
+    for _ in range(slices):
+        pending = sim.peek_time()
+        if pending is None:
+            break
+        sim.run(until=pending + rng.random() * 5 * bin_sec)
+        for _ in range(rng.randrange(late + 1)):
+            # A late event: booked at its own, earlier time.
+            sim.run_as_of(rng.random() * sim.now, lambda: reference.timeline(
+                "sim_events").record(sim.now))
+    sim.run()
+
+    def cells(reg):
+        series = reg.timeline("sim_events")._series
+        return {key: {index: (cell, [type(v) for v in cell])
+                      for index, cell in value.bins.items()}
+                for key, value in series.items()}
+
+    assert cells(registry) == cells(reference)
+    assert (registry.snapshot()["timelines"]
+            == reference.snapshot()["timelines"])
+    assert registry.timeline("sim_events").totals()["count"] == \
+        sim.events_run
