@@ -18,6 +18,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
+from ..net.addresses import INTERNED_MACS, MACAddress, interned_mac
 from ..net.packet import Packet
 from ..obs.metrics import active_registry
 from ..obs.trace import TRACE_ANNOTATION
@@ -26,8 +27,12 @@ from ..simnet.links import Link
 from ..units import usec
 from .flowlet import FlowletTable
 from .latency import server_latency_usec
-from .mac_encoding import decode_output_node, encode_output_node
+from .mac_encoding import encode_output_node
 from .vlb import first_hop
+
+#: :mod:`repro.core.mac_encoding`'s rule, inline: the low MAC byte.
+_NODE_ID_MASK = MACAddress.NODE_ID_MASK
+_KEEP_MAC = ~_NODE_ID_MASK
 
 
 class ClusterNode:
@@ -43,6 +48,8 @@ class ClusterNode:
         self.node_id = node_id
         self.sim = sim
         self.num_nodes = num_nodes
+        #: Node ids the low MAC byte can carry (a run refuses more nodes).
+        self._encodable = min(num_nodes, _NODE_ID_MASK + 1)
         self.rng = rng
         self.flowlets = FlowletTable() if use_flowlets else None
         #: Outgoing internal links, keyed by destination node id.
@@ -177,14 +184,6 @@ class ClusterNode:
         backlog_sec = link.queued_bits() / link.rate_bps
         return backlog_sec < self.link_busy_threshold_sec
 
-    def choose_path(self, packet: Packet, egress: int, now: float) -> int:
-        """First hop for a packet entering here, destined for ``egress``."""
-        if egress == self.node_id:
-            return egress  # local delivery, no internal hop
-        return first_hop(self.flowlets, packet, egress, now, self.node_id,
-                         self.num_nodes, self._link_available,
-                         self.failed_hops, self._queued_bits, self.rng)
-
     # -- roles ----------------------------------------------------------------
 
     def ingress(self, packet: Packet, egress_node: int) -> None:
@@ -217,16 +216,21 @@ class ClusterNode:
                 tracer.seen += 1
                 if not index % tracer.sample_every:
                     tracer.start_trace(packet, now, self._sites["input"])
-        encode_output_node(packet, egress_node, max_nodes=max(
-            self.num_nodes, 1))
+        if not 0 <= egress_node < self._encodable:
+            encode_output_node(packet, egress_node, self.num_nodes)  # raises
+        eth = packet.eth                    # encode_output_node, inline
+        mac = eth.dst.value & _KEEP_MAC | egress_node
+        eth.dst = INTERNED_MACS.get(mac) or interned_mac(mac)
         if egress_node == self.node_id:
             # Arrived at its own output node: no internal traversal.
             self.sim.schedule_timer(self._local_sec,
                                     partial(self._egress, packet))
             return
-        first_hop = self.choose_path(packet, egress_node, self.sim.now)
+        hop = first_hop(self.flowlets, packet, egress_node, self.sim.now,
+                        self.node_id, self.num_nodes, self._link_available,
+                        self.failed_hops, self._queued_bits, self.rng)
         self.sim.schedule_timer(self._input_sec,
-                                partial(self._send, packet, first_hop))
+                                partial(self._send, packet, hop))
 
     def _send(self, packet: Packet, next_hop: int) -> None:
         if not self.alive:
@@ -280,7 +284,7 @@ class ClusterNode:
             # In-flight delivery to a crashed server: lost.
             self._count_drop("dead_receiver")
             return
-        output = decode_output_node(packet)
+        output = packet.eth.dst.value & _NODE_ID_MASK  # decode_output_node
         packet.path.append(self.node_id)
         if self.obs is not None:
             # One internal hop: its latency goes to the role that

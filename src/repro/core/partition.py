@@ -29,6 +29,7 @@ from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
+from ..net.addresses import MACAddress
 from ..net.packet import Packet, WIRE_FORMAT
 from ..obs.hooks import ClusterObserver
 from ..obs.metrics import MetricsRegistry
@@ -37,7 +38,7 @@ from ..simnet.links import Link
 from ..simnet.partition import Partition
 from ..simnet.rng import node_seeds
 from ..simnet.stats import Histogram
-from ..units import to_usec, usec
+from ..units import usec
 from .latency import server_latency_usec
 from .node import ClusterNode
 from .reordering import ReorderingMeter
@@ -105,11 +106,15 @@ def checked_inputs(router, events, until, faults,
     schedule comes back coerced from its dict form and validated against
     the cluster size.  The horizon must
     pass :func:`checked_horizon`, except that an event list may run
-    open-ended (``until=None``).
+    open-ended (``until=None``).  A node id must fit one MAC byte.
     """
     from ..workloads.spec import WorkloadSpec
 
     n = router.num_nodes
+    if n > MACAddress.NODE_ID_MASK + 1:
+        raise ConfigurationError(
+            "a packet-level run encodes the output node in one MAC byte: "
+            "at most %d nodes, not %d" % (MACAddress.NODE_ID_MASK + 1, n))
     workload = None
     if isinstance(events, WorkloadSpec):
         workload, events = events, ()
@@ -375,7 +380,7 @@ class ClusterPartition(Partition):
             frag.delivered_packets += 1
             frag.delivered_bytes += packet.length
             meter.observe(packet)
-            latency = to_usec(now - packet.arrival_time)
+            latency = (now - packet.arrival_time) * 1e6   # usec
             observe_latency(latency)
             if latency_tl is not None:
                 latency_tl(now, latency)

@@ -14,7 +14,7 @@ above, <p2, p3> after p4 is a single reordered sequence.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..net.flows import FiveTuple
 from ..net.packet import Packet
@@ -32,9 +32,13 @@ class ReorderingMeter:
         # Per flow: [max_seen, in_reordered_run, reordered, packets].
         self._flows: Dict[FiveTuple, list] = {}
 
-    @staticmethod
-    def _step(state: list, seq: int) -> None:
-        """Fold the next egress sequence number into a flow's record."""
+    def observe(self, packet: Packet) -> None:
+        """Fold one packet leaving the cluster into its flow's record."""
+        flow = packet.flow_key or packet.five_tuple()
+        state = self._flows.get(flow)
+        if state is None:
+            state = self._flows[flow] = [0, False, 0, 0]
+        seq = packet.flow_seq
         state[3] += 1
         if seq > state[0]:
             state[0] = seq
@@ -43,29 +47,6 @@ class ReorderingMeter:
             # Overtaken by a later packet: one more reordered sequence.
             state[1] = True
             state[2] += 1
-
-    def _record(self, flow: FiveTuple) -> list:
-        state = self._flows.get(flow)
-        if state is None:
-            state = self._flows[flow] = [0, False, 0, 0]
-        return state
-
-    def observe(self, packet: Packet) -> None:
-        """Record one packet leaving the cluster (uses ``flow_seq``)."""
-        self._step(self._record(packet.five_tuple()), packet.flow_seq)
-
-    def observe_sequence(self, flow: FiveTuple, seqs: List[int]) -> None:
-        """Record a whole flow's egress order at once (testing hook)."""
-        state = self._record(flow)
-        for seq in seqs:
-            self._step(state, seq)
-
-    @staticmethod
-    def reordered_sequences(seqs: List[int]) -> int:
-        """Number of reordered sequences in one flow's egress order."""
-        meter = ReorderingMeter()
-        meter.observe_sequence(None, seqs)      # one anonymous flow
-        return meter.reordered_count()
 
     def reordered_count(self) -> int:
         """Total reordered sequences across every observed flow.

@@ -130,7 +130,7 @@ def first_hop(flowlets, packet, egress: int, now: float, self_node: int,
         return direct_first_hop(self_node, egress, num_nodes, available,
                                 failed, load_of, rng)
     return flowlets.assign(
-        (packet.five_tuple(), egress), now, available,
+        (packet.flow_key or packet.five_tuple(), egress), now, available,
         partial(direct_first_hop, self_node, egress, num_nodes, available,
                 failed, load_of, rng))
 

@@ -178,14 +178,15 @@ class MACAddress:
 
 #: Cluster MACs encode a node id in the low byte, so a simulation only
 #: ever sees a handful of distinct (immutable) values: worth interning.
-_interned_macs = {}
+#: A hot path may read it directly; only :func:`interned_mac` adds to it.
+INTERNED_MACS = {}
 
 
 def interned_mac(value: int) -> MACAddress:
     """The one shared :class:`MACAddress` for ``value``."""
-    mac = _interned_macs.get(value)
+    mac = INTERNED_MACS.get(value)
     if mac is None:
-        mac = _interned_macs[value] = MACAddress(value)
+        mac = INTERNED_MACS[value] = MACAddress(value)
     return mac
 
 

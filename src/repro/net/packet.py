@@ -28,6 +28,7 @@ from .headers import (
     PROTO_UDP,
     TCPHeader,
     UDPHeader,
+    _ZERO_MAC,
 )
 from .addresses import interned_mac
 
@@ -137,27 +138,27 @@ class Packet:
             src = IPv4Address(src)
         if not isinstance(dst, IPv4Address):
             dst = IPv4Address(dst)
-        ip = IPv4Header(src=src, dst=dst, ttl=ttl,
-                        proto=PROTO_UDP,
-                        total_length=max(length - ETHERNET_HEADER_BYTES,
-                                         IPV4_MIN_HEADER_BYTES))
-        l4 = UDPHeader(src_port=src_port, dst_port=dst_port,
-                       length=ip.total_length - IPV4_MIN_HEADER_BYTES)
-        eth = EthernetHeader(ethertype=ETHERTYPE_IPV4)
-        return cls(length=length, eth=eth, ip=ip, l4=l4, payload=payload,
-                   packet_id=packet_id)
+        # Positional, in the headers' field order, with the shared zero
+        # MAC: no default factory runs for a generated packet.
+        ip = IPv4Header(src, dst, ttl, PROTO_UDP,
+                        max(length - ETHERNET_HEADER_BYTES,
+                            IPV4_MIN_HEADER_BYTES))
+        return cls(length, EthernetHeader(_ZERO_MAC, _ZERO_MAC,
+                                          ETHERTYPE_IPV4), ip,
+                   UDPHeader(src_port, dst_port,
+                             ip.total_length - IPV4_MIN_HEADER_BYTES),
+                   payload, packet_id)
 
     @classmethod
     def tcp(cls, src, dst, length: int = 64, src_port: int = 1024,
             dst_port: int = 80, seq: int = 0, ttl: int = 64) -> "Packet":
         """Build a TCP-in-IPv4-in-Ethernet packet of total frame ``length``."""
-        ip = IPv4Header(src=IPv4Address(src), dst=IPv4Address(dst), ttl=ttl,
-                        proto=PROTO_TCP,
-                        total_length=max(length - ETHERNET_HEADER_BYTES,
-                                         IPV4_MIN_HEADER_BYTES))
-        l4 = TCPHeader(src_port=src_port, dst_port=dst_port, seq=seq)
-        eth = EthernetHeader(ethertype=ETHERTYPE_IPV4)
-        return cls(length=length, eth=eth, ip=ip, l4=l4, payload=None)
+        ip = IPv4Header(IPv4Address(src), IPv4Address(dst), ttl, PROTO_TCP,
+                        max(length - ETHERNET_HEADER_BYTES,
+                            IPV4_MIN_HEADER_BYTES))
+        return cls(length, EthernetHeader(_ZERO_MAC, _ZERO_MAC,
+                                          ETHERTYPE_IPV4), ip,
+                   TCPHeader(src_port, dst_port, seq))
 
     # -- flow identity ----------------------------------------------------
 

@@ -9,7 +9,7 @@ use this.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 from ..errors import ConfigurationError
 from ..net.packet import Packet
@@ -50,24 +50,33 @@ class Link:
 
     def send(self, packet: Packet) -> bool:
         """Offer a packet to the link; False if the queue overflowed."""
-        if not self.queue.offer(packet):
-            return False
-        self._queued_bits += packet.length * 8
-        if not self.busy:
-            self._start_next()
+        queue = self.queue
+        if self.busy or self.stalled:
+            if not queue.offer(packet):
+                return False
+            self._queued_bits += packet.length * 8
+            return True
+        # Idle, so the queue is empty (a link neither busy nor stalled has
+        # drained it): on the wire at once, booked as offer + poll would.
+        queue.enqueued += 1
+        queue.dequeued += 1
+        if not queue.high_watermark:
+            queue.high_watermark = 1
+        self._start_next(packet)
         return True
 
-    def _start_next(self) -> None:
-        if self.stalled:
-            # A stalled transmit queue (e.g. a wedged NIC ring): packets
-            # keep queueing -- and overflowing -- until resume().
-            self.busy = False
-            return
-        packet = self.queue.poll()
+    def _start_next(self, packet: Optional[Packet] = None) -> None:
         if packet is None:
-            self.busy = False
-            return
-        self._queued_bits -= packet.length * 8
+            if self.stalled:
+                # A stalled transmit queue (e.g. a wedged NIC ring): packets
+                # keep queueing -- and overflowing -- until resume().
+                self.busy = False
+                return
+            packet = self.queue.poll()
+            if packet is None:
+                self.busy = False
+                return
+            self._queued_bits -= packet.length * 8
         self.busy = True
         tx_time = packet.length * 8 / self.rate_bps    # on the wire
         self.bytes_sent += packet.length

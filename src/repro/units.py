@@ -47,11 +47,6 @@ def usec(value: float) -> float:
     return value * 1e-6
 
 
-def to_usec(seconds: float) -> float:
-    """Convert seconds to microseconds."""
-    return seconds * 1e6
-
-
 def rate_pps_to_bps(packets_per_second: float, packet_bytes: float) -> float:
     """Convert a packet rate to a bit rate for fixed-size packets."""
     if packet_bytes <= 0:

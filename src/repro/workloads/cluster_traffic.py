@@ -9,9 +9,11 @@ realistic flow structure.
 
 from __future__ import annotations
 
-import heapq
 import random
+from bisect import bisect_right
+from heapq import heappop, heappush
 from itertools import accumulate
+from math import log
 from typing import Iterator, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -55,69 +57,71 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
     if flows_per_pair < 1:
         raise ConfigurationError("need >= 1 flow per pair")
     rng = random.Random(seed)
+    cum_weights = None
     if size_mix is not None:
         sizes = [size for size, _ in size_mix]
         weights = [weight for _, weight in size_mix]
         if not sizes or min(sizes) < 64 or min(weights) < 0 \
-                or sum(weights) <= 0:
+                or not 0 < sum(weights) < float("inf"):
             raise ConfigurationError("bad size mix %r" % (size_mix,))
-        mean_bytes = (sum(s * w for s, w in size_mix) / sum(weights))
         if len(sizes) == 1:
-            size_mix = None
             packet_bytes = sizes[0]
         else:
-            packet_bytes = mean_bytes
-            # What ``choices(sizes, weights=weights)`` accumulates per
-            # call: given once, each draw takes the same ``random()`` and
-            # bisects the same list.
+            packet_bytes = sum(s * w for s, w in size_mix) / sum(weights)
+            # What ``choices(sizes, cum_weights=...)`` reads per call,
+            # given once; a drawn size is rounded as a fixed one is.
             cum_weights = list(accumulate(weights))
-    packet_bits = packet_bytes * 8
+            total, last = cum_weights[-1] + 0.0, len(cum_weights) - 1
+            lengths = [int(round(size)) for size in sizes]
+    packet_bits, length = packet_bytes * 8, int(round(packet_bytes))
+    flow_bits = int(flows_per_pair).bit_length()    # for ``randrange``
 
-    # Per-pair state: mean gap, flow pool, per-flow sequence counters.
+    # Per pair, in its heap entries: the Poisson rate (``expovariate``'s
+    # argument), the flow pool and the per-flow sequence counters.
     heap = []
-    pair_state = {}
     for src in range(matrix.n):
         for dst in range(matrix.n):
             demand = matrix.demands[src][dst]
             if src == dst or demand <= 0:
                 continue
-            mean_gap = packet_bits / demand
+            rate = 1.0 / (packet_bits / demand)
             flows = [FiveTuple(IPv4Address((10 << 24) | (src << 16) | index),
                                IPv4Address((10 << 24) | (dst << 16) | index),
                                PROTO_UDP, 1024 + index, 80)
                      for index in range(flows_per_pair)]
-            pair_state[(src, dst)] = {
-                "mean_gap": mean_gap,
-                "flows": flows,
-                "seq": [0] * flows_per_pair,
-            }
-            first = rng.expovariate(1.0 / mean_gap)
-            heapq.heappush(heap, (first, src, dst))
+            # (src, dst) is unique, so no comparison reaches the state.
+            heappush(heap, (rng.expovariate(rate), src, dst,
+                            (rate, flows, [0] * flows_per_pair)))
 
+    # ``randrange``, ``choices`` and ``expovariate``, inline: the random
+    # module's own formulas in Python 3.9-3.12 (pinned by a test).
+    draw, getrandbits = rng.random, rng.getrandbits
     position = 0
     while heap:
-        time, src, dst = heapq.heappop(heap)
+        time, src, dst, state = heappop(heap)
         if time > duration_sec:
             continue
-        state = pair_state[(src, dst)]
-        flow_index = rng.randrange(len(state["flows"]))
-        length = int(round(rng.choices(sizes, cum_weights=cum_weights)[0]
-                           if size_mix is not None else packet_bytes))
-        state["seq"][flow_index] += 1
+        rate, flows, seqs = state
+        flow_index = getrandbits(flow_bits)
+        while flow_index >= flows_per_pair:
+            flow_index = getrandbits(flow_bits)
+        if cum_weights is not None:
+            length = lengths[bisect_right(cum_weights, draw() * total,
+                                          0, last)]
+        seqs[flow_index] += 1
         packet = None
         if owned is None or src in owned:
-            flow = state["flows"][flow_index]
+            flow = flows[flow_index]
             packet = Packet.udp(
-                flow.src, flow.dst, length=length, src_port=flow.src_port,
-                dst_port=flow.dst_port,
+                flow.src, flow.dst, length, flow.src_port, flow.dst_port,
                 packet_id=None if id_base is None else id_base + position)
-            packet.flow_seq = state["seq"][flow_index]
+            packet.flow_seq = seqs[flow_index]
             packet.flow_key = flow
         position += 1
         yield time, src, dst, packet
-        next_time = time + rng.expovariate(1.0 / state["mean_gap"])
+        next_time = time + -log(1.0 - draw()) / rate
         if next_time <= duration_sec:
-            heapq.heappush(heap, (next_time, src, dst))
+            heappush(heap, (next_time, src, dst, state))
 
 
 def offered_packets(matrix: TrafficMatrix, duration_sec: float,

@@ -1,12 +1,20 @@
 """Tests for matrix-driven cluster traffic generation."""
 
+import heapq
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import RouteBricksRouter
 from repro.errors import ConfigurationError
+from repro.net import IPv4Address, Packet
 from repro.net.flows import FiveTuple
-from repro.workloads import (WorkloadSpec, permutation_matrix,
+from repro.net.headers import PROTO_UDP
+from repro.workloads import (TrafficMatrix, WorkloadSpec, permutation_matrix,
                              uniform_matrix)
+from repro.workloads.abilene import ABILENE_SIZE_MIX
+from repro.workloads.imix import MIXES
 from repro.workloads.cluster_traffic import matrix_events, offered_packets
 
 
@@ -68,6 +76,107 @@ class TestMatrixEvents:
             list(matrix_events(matrix, duration_sec=0))
         with pytest.raises(ConfigurationError):
             list(matrix_events(matrix, 1e-3, packet_bytes=32))
+
+
+def _library_events(matrix, duration_sec, packet_bytes=740,
+                    flows_per_pair=4, seed=0, size_mix=None, owned=None,
+                    id_base=None):
+    """The generator's loop as it was written against the ``random``
+    library calls (``expovariate``, ``randrange``, ``choices``): the
+    reference the inline draws must reproduce bit for bit."""
+    rng = random.Random(seed)
+    if size_mix is not None:
+        sizes = [size for size, _ in size_mix]
+        weights = [weight for _, weight in size_mix]
+        if len(sizes) == 1:
+            size_mix, packet_bytes = None, sizes[0]
+        else:
+            packet_bytes = sum(s * w for s, w in zip(sizes, weights)) \
+                / sum(weights)
+    heap, pairs = [], {}
+    for src in range(matrix.n):
+        for dst in range(matrix.n):
+            demand = matrix.demands[src][dst]
+            if src == dst or demand <= 0:
+                continue
+            mean_gap = packet_bytes * 8 / demand
+            flows = [FiveTuple(IPv4Address((10 << 24) | (src << 16) | i),
+                               IPv4Address((10 << 24) | (dst << 16) | i),
+                               PROTO_UDP, 1024 + i, 80)
+                     for i in range(flows_per_pair)]
+            pairs[src, dst] = (mean_gap, flows, [0] * flows_per_pair)
+            heapq.heappush(heap, (rng.expovariate(1.0 / mean_gap), src, dst))
+    position = 0
+    while heap:
+        time, src, dst = heapq.heappop(heap)
+        if time > duration_sec:
+            continue
+        mean_gap, flows, seqs = pairs[src, dst]
+        index = rng.randrange(len(flows))
+        length = int(round(rng.choices(sizes, weights=weights)[0]
+                           if size_mix is not None else packet_bytes))
+        seqs[index] += 1
+        packet = None
+        if owned is None or src in owned:
+            flow = flows[index]
+            packet = Packet.udp(
+                flow.src, flow.dst, length=length, src_port=flow.src_port,
+                dst_port=flow.dst_port,
+                packet_id=None if id_base is None else id_base + position)
+            packet.flow_seq, packet.flow_key = seqs[index], flow
+        position += 1
+        yield time, src, dst, packet
+        next_time = time + rng.expovariate(1.0 / mean_gap)
+        if next_time <= duration_sec:
+            heapq.heappush(heap, (next_time, src, dst))
+
+
+def _fields(event, with_id):
+    """Every field of a yielded event, packet included (its id only
+    when the caller numbers the stream)."""
+    time, src, dst, packet = event
+    if packet is None:
+        return time, src, dst, None
+    return (time, src, dst, packet.packet_id if with_id else None,
+            packet.length, packet.flow_seq, packet.flow_key,
+            packet.eth, packet.ip, packet.l4, packet.payload)
+
+
+_MIXES = st.sampled_from([
+    None,                                       # fixed size
+    [(64, 1)],                                  # a one-size mix
+    ABILENE_SIZE_MIX, MIXES["simple"], MIXES["cisco"],
+    [(64.4, 0.5), (300.5, 1.25), (1499.6, 2.0)],   # rounds both ways
+])
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(2, 6))
+    demands = [[0.0 if src == dst else draw(st.sampled_from(
+        [0.0, 0.0, 3e8, 1e9, 2.5e9])) for dst in range(n)]
+        for src in range(n)]
+    return TrafficMatrix(demands)
+
+
+class TestInlineDrawsAreTheLibrarys:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=_matrices(), size_mix=_MIXES,
+           packet_bytes=st.sampled_from([64, 740, 1500]),
+           flows_per_pair=st.integers(1, 7), seed=st.integers(0, 2**32),
+           owned=st.none() | st.sets(st.integers(0, 5)),
+           id_base=st.none() | st.integers(0, 10**6))
+    def test_every_yielded_field_matches_the_library_loop(
+            self, matrix, size_mix, packet_bytes, flows_per_pair, seed,
+            owned, id_base):
+        kwargs = dict(packet_bytes=packet_bytes,
+                      flows_per_pair=flows_per_pair, seed=seed,
+                      size_mix=size_mix, owned=owned, id_base=id_base)
+        lean = [_fields(event, id_base is not None)
+                for event in matrix_events(matrix, 2e-5, **kwargs)]
+        reference = [_fields(event, id_base is not None)
+                     for event in _library_events(matrix, 2e-5, **kwargs)]
+        assert lean == reference
 
 
 class TestPartitionReplay:

@@ -10,6 +10,8 @@ from repro.faults import FaultSchedule
 from repro.net.packet import Packet
 from repro.workloads import FixedSizeWorkload
 
+from .test_first_hop_parity import ingress_hop
+
 
 def _events(num_nodes=4, packets=1200, ingress=0, egress=1, seed=7):
     workload = FixedSizeWorkload(packet_bytes=740, num_flows=32, seed=seed)
@@ -108,7 +110,7 @@ class TestFailedHopsWiring:
         for index in range(20):
             packet = Packet.udp("10.0.0.1", "10.1.0.1", length=740,
                                 src_port=index)
-            assert nodes[0].choose_path(packet, egress=1, now=0.0) != 1
+            assert ingress_hop(nodes[0], packet, 1, 0.0) != 1
 
     def test_fresh_path_skips_failed_intermediates(self):
         _, nodes = self._node()
@@ -127,11 +129,11 @@ class TestFailedHopsWiring:
     def test_choose_path_moves_pinned_flowlet_off_dead_hop(self):
         sim, nodes = self._node()
         packet = Packet.udp("10.0.0.1", "10.1.0.1", length=740)
-        first = nodes[0].choose_path(packet, egress=1, now=0.0)
+        first = ingress_hop(nodes[0], packet, 1, 0.0)
         # Kill whatever hop the flowlet pinned; the next packet of the
         # same flow must move to a live path immediately.
         nodes[0].failed_hops.add(first)
-        second = nodes[0].choose_path(packet, egress=1, now=1e-6)
+        second = ingress_hop(nodes[0], packet, 1, 1e-6)
         assert second != first
         assert second not in nodes[0].failed_hops
 
@@ -155,7 +157,7 @@ class TestFailedHopsWiring:
     def test_recover_resets_flowlet_state(self):
         _, nodes = self._node()
         packet = Packet.udp("10.0.0.1", "10.1.0.1", length=740)
-        nodes[0].choose_path(packet, egress=1, now=0.0)
+        ingress_hop(nodes[0], packet, 1, 0.0)
         table_before = nodes[0].flowlets
         nodes[0].fail()
         nodes[0].recover()

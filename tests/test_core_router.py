@@ -113,6 +113,36 @@ def _gen(seed=1, packets_per_flow=240):
                          seed=seed)
 
 
+class TestMacByteLimit:
+    """A packet-level run encodes each packet's output node in one MAC
+    byte, so it takes at most 256 nodes; the analytic model takes any."""
+
+    @staticmethod
+    def _edge_events(n):
+        from repro.net import Packet
+        return [(0.0, 0, n - 1, Packet.udp("10.0.0.1", "10.1.0.1")),
+                (1e-6, n - 1, 0, Packet.udp("10.1.0.1", "10.0.0.1"))]
+
+    def test_256_nodes_simulate(self):
+        report = RouteBricksRouter(num_nodes=256, seed=1).simulate(
+            self._edge_events(256), until=1e-4)
+        assert report.delivered_packets == report.offered_packets == 2
+
+    def test_257_nodes_refused_before_any_event_runs(self):
+        consumed = []
+
+        def events():
+            for event in self._edge_events(257):
+                consumed.append(event)
+                yield event
+
+        router = RouteBricksRouter(num_nodes=257, seed=1)
+        with pytest.raises(ConfigurationError, match="MAC byte"):
+            router.simulate(events(), until=1e-4)
+        assert consumed == []
+        assert router.max_throughput(WorkloadSpec.fixed(64)).aggregate_bps > 0
+
+
 class TestSimulation:
     def test_all_packets_delivered(self):
         router = RouteBricksRouter(seed=1)

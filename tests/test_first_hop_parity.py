@@ -6,6 +6,7 @@ TX rings) seeded alike; every first hop, detours included, must match.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,6 +39,20 @@ class _ScriptedPort:
 
     def queued_bits(self):
         return float(self._occupancy[self._peer])
+
+
+def ingress_hop(node, packet, egress, now):
+    """The first hop ``node.ingress`` picks for ``packet`` at ``now``
+    (``egress`` itself for a local delivery): the event it files."""
+    sim, filed = node.sim, []
+    node.sim = SimpleNamespace(
+        now=now, schedule_timer=lambda delay, event: filed.append(event))
+    try:
+        node.ingress(packet, egress)
+    finally:
+        node.sim = sim
+    (event,) = filed
+    return event.args[1] if event.func == node._send else egress
 
 
 def _table():
@@ -86,8 +101,8 @@ def _first_hops(use_flowlets, seed=11):
         # about one time in five.
         occupancy[:] = [script.randrange(SLOTS + 1) for _ in range(NODES)]
         dst = "10.%d.1.1" % egress
-        des_hops.append(node.choose_path(
-            Packet.udp("172.16.0.1", dst, src_port=flow), egress, now))
+        des_hops.append(ingress_hop(
+            node, Packet.udp("172.16.0.1", dst, src_port=flow), egress, now))
         before = [sink.count for sink in sinks]
         ingress.now = now
         ingress.receive(Packet.udp("172.16.0.1", dst, src_port=flow))

@@ -36,6 +36,34 @@ class TestPacketConstruction:
         assert packet.ip.proto == PROTO_TCP
         assert packet.l4.seq == 77
 
+    @settings(max_examples=100, deadline=None)
+    @given(length=st.integers(64, 1518), src_port=st.integers(0, 65535),
+           dst_port=st.integers(0, 65535), ttl=st.integers(0, 255),
+           seq=st.integers(0, 2**32 - 1))
+    def test_factories_build_the_keyword_built_headers(
+            self, length, src_port, dst_port, ttl, seq):
+        # The factories build their headers positionally; the result
+        # must be the headers every field named, byte for byte.
+        ip_len = max(length - 14, 20)
+        for packet, l4 in (
+                (Packet.udp("10.0.0.1", "10.0.0.2", length=length,
+                            src_port=src_port, dst_port=dst_port, ttl=ttl),
+                 UDPHeader(src_port=src_port, dst_port=dst_port,
+                           length=ip_len - 20)),
+                (Packet.tcp("10.0.0.1", "10.0.0.2", length=length,
+                            src_port=src_port, dst_port=dst_port, seq=seq,
+                            ttl=ttl),
+                 TCPHeader(src_port=src_port, dst_port=dst_port, seq=seq))):
+            ip = IPv4Header(src=IPv4Address("10.0.0.1"),
+                            dst=IPv4Address("10.0.0.2"), ttl=ttl,
+                            proto=PROTO_UDP if type(l4) is UDPHeader
+                            else PROTO_TCP, total_length=ip_len)
+            keyword = Packet(length, eth=EthernetHeader(), ip=ip, l4=l4)
+            assert (packet.eth, packet.ip, packet.l4) \
+                == (keyword.eth, keyword.ip, keyword.l4)
+            assert packet.payload is None
+            assert packet.pack() == keyword.pack()
+
     def test_rejects_tiny_frame(self):
         with pytest.raises(PacketError):
             Packet(length=10)

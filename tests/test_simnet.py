@@ -6,11 +6,14 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net import Packet
+from repro.net.packet import WIRE_FORMAT
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet import FiniteQueue, Histogram, Link, Simulator
+from repro.simnet.partition import CrossLink, Partition
 
 
 class TestSimulator:
@@ -509,6 +512,91 @@ class TestLink:
         # Stalled to 100 us, then 1 us serialization + 1 us propagation.
         assert got == [pytest.approx(102e-6)]
         assert not link.stalled
+
+
+class _QueuedLink(Link):
+    """A link forced through ``offer``/``poll`` even when idle."""
+
+    def send(self, packet):
+        if not self.queue.offer(packet):
+            return False
+        self._queued_bits += packet.length * 8
+        if not self.busy:
+            self._start_next()
+        return True
+
+
+class _QueuedCrossLink(CrossLink):
+    send = _QueuedLink.send
+
+
+class _Boundary(Partition):
+    packet_format = WIRE_FORMAT
+
+
+def _link_state(link):
+    queue = link.queue
+    return (queue.enqueued, queue.dropped, queue.dequeued,
+            queue.high_watermark, len(queue), link._queued_bits,
+            link.bytes_sent, link.packets_sent, link.busy, link.stalled)
+
+
+_LINK_OPS = st.lists(st.one_of(
+    st.tuples(st.just("send"), st.integers(64, 1500)),
+    st.tuples(st.just("wait"), st.floats(0.0, 3e-6)),
+    st.tuples(st.just("stall"), st.floats(1e-7, 4e-6)),
+    st.tuples(st.just("flush"))), max_size=40)
+
+
+def _drive(link, sim, ops, sent):
+    """Apply ``ops`` to ``link``; returns its state after each op."""
+    states = []
+    for op in ops:
+        if op[0] == "send":
+            sent.append(link.send(Packet.udp("1.1.1.1", "2.2.2.2",
+                                             length=op[1], packet_id=0)))
+        elif op[0] == "wait":
+            sim.run(until=sim.now + op[1])
+        elif op[0] == "stall":
+            link.stall(op[1])
+        else:
+            link.flush()
+        states.append(_link_state(link))
+    sim.run()
+    states.append(_link_state(link))
+    return states
+
+
+class TestIdleSendIsTheQueuedSend:
+    """``Link.send`` puts a packet on an idle link's wire without the
+    queue round trip; every counter and delivery must be what the
+    round trip books."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_LINK_OPS, queue_packets=st.integers(1, 4))
+    def test_link(self, ops, queue_packets):
+        runs = []
+        for cls in (Link, _QueuedLink):
+            sim, got, sent = Simulator(), [], []
+            link = cls(sim, "l", rate_bps=8e9,
+                       deliver=lambda p, got=got, sim=sim: got.append(
+                           (sim.now, p.length)),
+                       propagation_sec=1e-6, queue_packets=queue_packets)
+            runs.append((_drive(link, sim, ops, sent), sent, got))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_LINK_OPS)
+    def test_cross_link(self, ops):
+        runs = []
+        for cls in (CrossLink, _QueuedCrossLink):
+            partition, sent = _Boundary(0, assignment=(0, 1)), []
+            link = cls(partition, "x", 8e9, 0, 1, queue_packets=2)
+            states = _drive(link, partition.sim, ops, sent)
+            runs.append((states, sent, {dst: (bytes(box[0]), box[1:])
+                                        for dst, box in
+                                        partition.outbox.items()}))
+        assert runs[0] == runs[1]
 
 
 class TestStats:
