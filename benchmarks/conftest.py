@@ -19,7 +19,7 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Keep in sync with ``repro.obs.benchrun.DEFAULT_SEED``.
+#: Keep in sync with ``repro.obs.schema.DEFAULT_SEED``.
 BENCH_SEED = 20090917
 
 

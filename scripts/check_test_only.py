@@ -14,7 +14,12 @@ use):
   ``scripts``, and follows every ``import`` / ``from ... import`` in each
   module it reaches, lazy function-level imports included.  A name
   imported from a package counts as an import of the module the
-  package's ``__init__`` takes it from.  A ``src/repro`` module the walk
+  package's ``__init__`` takes it from: eagerly (``from .x import
+  name``) or through its literal ``_EXPORTS`` table of lazy re-exports
+  (``{submodule: (name, ...)}``, see ``repro._lazy``), read with the
+  AST.  Of a reached ``__init__``'s own imports the walk follows only
+  the modules (``from .. import _lazy``, ``from . import partition``),
+  which run whenever the package does.  A ``src/repro`` module the walk
   never reaches is reached, if at all, from ``tests/`` alone.
 
 Delete what only tests reach, with its tests, or add it to ``ALLOWED``
@@ -120,14 +125,27 @@ def _imports(path, module=None):
                 yield base, alias.name
 
 
+def _exports(path, package):
+    """Name -> ``(base, name)`` for every name the ``__init__`` at
+    ``path`` re-exports, eagerly or through its ``_EXPORTS`` table."""
+    exports = {name: (base, name) for base, name in _imports(path, package)}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "_EXPORTS"
+                for target in node.targets):
+            for submodule, names in ast.literal_eval(node.value).items():
+                for name in names:
+                    exports[name] = (package + "." + submodule, name)
+    return exports
+
+
 def find_unreached():
     """``(path, module)`` of every ``src/repro`` module no entry point
     imports, directly or through the modules it reaches."""
     modules = _modules()
     # package -> {name: (base, name) its __init__ imports it as}
-    exports = {
-        package: {name: (base, name) for base, name in _imports(path, package)}
-        for package, path in modules.items() if path.name == "__init__.py"}
+    exports = {package: _exports(path, package)
+               for package, path in modules.items() if path.name == "__init__.py"}
     reached = set()
     pending = []
 
@@ -139,8 +157,7 @@ def find_unreached():
             prefix = ".".join(parts[:end])
             if prefix not in reached:
                 reached.add(prefix)
-                if modules[prefix].name != "__init__.py":
-                    pending.append(prefix)
+                pending.append(prefix)
         if name is None:
             return
         if base + "." + name in modules:
@@ -156,7 +173,10 @@ def find_unreached():
         reach(module, None)
     while pending:
         module = pending.pop()
+        package = modules[module].name == "__init__.py"
         for base, name in _imports(modules[module], module):
+            if package and name is not None and base + "." + name not in modules:
+                continue            # a re-export is not a use
             reach(base, name)
     return [(modules[m].relative_to(REPO_ROOT), m)
             for m in sorted(modules) if m not in reached]

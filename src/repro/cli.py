@@ -39,12 +39,13 @@ import sys
 import time
 
 from . import calibration as cal
-from .analysis import EXPERIMENTS, format_table, run_experiment
 from .errors import ConfigurationError, ReproError
-from .obs import benchrun, compare
+from .obs.schema import DEFAULT_SEED, DEFAULT_TOLERANCE
 
 
 def _cmd_experiments(args) -> int:
+    from .analysis.experiments import EXPERIMENTS, run_experiment
+
     if args.which == "list":
         for eid in sorted(EXPERIMENTS):
             doc = (EXPERIMENTS[eid].__doc__ or "").strip().splitlines()[0]
@@ -64,6 +65,8 @@ def _cmd_experiments(args) -> int:
 
 
 def _print_result(result: dict) -> None:
+    from .analysis.report import format_table
+
     for key, value in result.items():
         if key == "id":
             continue
@@ -78,6 +81,7 @@ def _print_result(result: dict) -> None:
 
 
 def _cmd_plan(args) -> int:
+    from .analysis.report import format_table
     from .core.provision import SERVER_MODELS, cost_usd, provision
     from .core.topology import FullMesh, switched_cluster_equivalent_servers
 
@@ -108,7 +112,7 @@ def _cmd_server(args) -> int:
 
     specs = {"nehalem": NEHALEM, "next-gen": NEHALEM_NEXT_GEN,
              "xeon": XEON_SHARED_BUS}
-    from .workloads import WorkloadSpec
+    from .workloads.spec import WorkloadSpec
 
     spec = specs[args.spec]
     result = max_loss_free_rate(
@@ -126,6 +130,7 @@ def _cmd_server(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     from .analysis.bottleneck import pipeline_breakdown
+    from .analysis.report import format_table
     from .click.pipelines import PRESET_PIPELINES, build_pipeline
     from .hw.presets import NEHALEM
     from .hw.server import Server
@@ -173,9 +178,10 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_rb4(args) -> int:
-    from .core import RouteBricksRouter
+    from .analysis.report import format_table
+    from .core.router import RouteBricksRouter
     from .core.latency import latency_range_usec
-    from .workloads import WorkloadSpec
+    from .workloads.spec import WorkloadSpec
 
     router = RouteBricksRouter(num_nodes=args.nodes)
     rows = []
@@ -195,6 +201,7 @@ def _cmd_rb4(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .analysis.report import format_table
     from .analysis.validation import max_relative_error, validate_forwarding
 
     points = validate_forwarding()
@@ -211,6 +218,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from .analysis.report import format_table
     from .core.power import cluster_power_kw, managed_power
 
     app = cal.APPLICATIONS[args.app]
@@ -245,8 +253,8 @@ def _rb_nodes(name: str,
 def _uniform_cluster(nodes: int, seed: int, size: int, load: float):
     """A ``nodes``-node router and a fixed-``size`` workload offering
     ``load`` of the port rate on a uniform matrix."""
-    from .core import RouteBricksRouter
-    from .workloads import WorkloadSpec
+    from .core.router import RouteBricksRouter
+    from .workloads.spec import WorkloadSpec
     from .workloads.matrices import uniform_matrix
 
     router = RouteBricksRouter(num_nodes=nodes, seed=seed)
@@ -255,6 +263,7 @@ def _uniform_cluster(nodes: int, seed: int, size: int, load: float):
 
 
 def _cmd_faults_curve(args) -> int:
+    from .analysis.report import format_table
     from .faults import degradation_curve, linear_fraction, quadratic_fraction
 
     report = degradation_curve(
@@ -326,6 +335,7 @@ def _cmd_faults_run(args) -> int:
 
 def _cmd_control_churn(args) -> int:
     """Convergence vs update rate sweep."""
+    from .analysis.report import format_table
     from .control import run_churn
 
     nodes = _rb_nodes(args.topology)
@@ -493,9 +503,10 @@ def _cmd_trace_info(args) -> int:
 
 def _load_bench(path: str) -> dict:
     """A BENCH_*.json document; one that does not validate is refused."""
+    from .obs.compare import load_json
     from .obs.schema import validate_bench
 
-    doc = compare.load_json(path)
+    doc = load_json(path)
     problems = validate_bench(doc)
     if problems:
         raise ConfigurationError("invalid document: %s"
@@ -504,6 +515,8 @@ def _load_bench(path: str) -> dict:
 
 
 def _cmd_obs_run(args) -> int:
+    from .obs import benchrun, compare
+
     if args.all:
         names = benchrun.discover()
     elif args.quick:
@@ -540,10 +553,12 @@ def _cmd_obs_run(args) -> int:
 
 
 def _cmd_obs_explain(args) -> int:
+    from .obs.compare import load_json
+
     target = args.target
     if target.endswith(".json"):
         # A finished benchmark document: print its explain section.
-        doc = compare.load_json(target)
+        doc = load_json(target)
         section = doc.get("explain")
         if not section:
             raise ConfigurationError(
@@ -641,6 +656,8 @@ def _cmd_obs_report(args) -> int:
 
 
 def _cmd_obs_diff(args) -> int:
+    from .obs import compare
+
     baseline_doc = compare.load_json(args.baseline)
     bench_doc = compare.load_json(args.current)
     deltas = compare.compare_docs(baseline_doc, bench_doc,
@@ -650,8 +667,9 @@ def _cmd_obs_diff(args) -> int:
 
 
 def _cmd_stateful(args) -> int:
+    from .analysis.report import format_table
     from .stateful import STRATEGIES, make_nf, run_strategy
-    from .workloads import SkewedFlowWorkload
+    from .workloads.zipf_flows import SkewedFlowWorkload
 
     workload = SkewedFlowWorkload(num_flows=args.flows, skew=args.skew,
                                   churn_packets=args.churn, seed=args.seed)
@@ -700,7 +718,7 @@ CONTROL = (TOPOLOGY,
 PCAP = _arg("path")
 OUT_DIR = _arg("--out-dir", default="benchmarks/results",
                help="where the JSON document lands")
-BENCH_SEED = _arg("--seed", type=int, default=benchrun.DEFAULT_SEED,
+BENCH_SEED = _arg("--seed", type=int, default=DEFAULT_SEED,
                   help="RNG seed for every scenario")
 DES_RUN = (_arg("--size", type=int, default=64,
                 help="packet size in bytes (default 64)"),
@@ -823,7 +841,7 @@ COMMANDS = (
      (_arg("bench", help="a BENCH_<name>.json"),), _cmd_obs_report),
     ("obs diff", "compare a BENCH json against a baseline",
      (_arg("baseline"), _arg("current", help="a BENCH_<name>.json"),
-      _arg("--tolerance", type=float, default=compare.DEFAULT_TOLERANCE,
+      _arg("--tolerance", type=float, default=DEFAULT_TOLERANCE,
            help="fractional regression threshold (default 0.10)")),
      _cmd_obs_diff),
     ("obs explain", "a pipeline's binding resource",

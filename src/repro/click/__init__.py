@@ -9,51 +9,23 @@ statically assigns tasks to cores and enforces the two RouteBricks rules
 (one core per queue, one core per packet).
 """
 
-from .element import Element, PushPort
-from .graph import RouterGraph
-from .config import ElementRegistry, default_registry, parse_config
-from .pipelines import PRESET_PIPELINES, build_pipeline, pipeline_registry
-from .scheduler import CoreThread, Scheduler
-from .simrun import TimedForwardingRun, TimedPipelineRun, TimedRunReport
-from .elements.standard import (
-    Classifier,
-    CounterElement,
-    Discard,
-    PacketQueue,
-    Tee,
-)
-from .elements.device import PollDevice, ToDevice
-from .elements.ip import CheckIPHeader, DecIPTTL, EtherEncap, LookupIPRoute
-from .elements.ipsec import IPsecESPEncap
-from .elements.loadbalance import FlowHashSwitch, RoundRobinSwitch
+from .. import _lazy
 
-__all__ = [
-    "Element",
-    "PushPort",
-    "RouterGraph",
-    "ElementRegistry",
-    "default_registry",
-    "parse_config",
-    "PRESET_PIPELINES",
-    "build_pipeline",
-    "pipeline_registry",
-    "CoreThread",
-    "Scheduler",
-    "TimedForwardingRun",
-    "TimedPipelineRun",
-    "TimedRunReport",
-    "Classifier",
-    "CounterElement",
-    "Discard",
-    "PacketQueue",
-    "Tee",
-    "PollDevice",
-    "ToDevice",
-    "CheckIPHeader",
-    "DecIPTTL",
-    "EtherEncap",
-    "LookupIPRoute",
-    "IPsecESPEncap",
-    "FlowHashSwitch",
-    "RoundRobinSwitch",
-]
+#: Submodule -> the public names it defines; each loads on first use.
+_EXPORTS = {
+    "element": ("Element", "PushPort"),
+    "graph": ("RouterGraph",),
+    "config": ("ElementRegistry", "default_registry", "parse_config"),
+    "pipelines": ("PRESET_PIPELINES", "build_pipeline", "pipeline_registry"),
+    "scheduler": ("CoreThread", "Scheduler"),
+    "simrun": ("TimedForwardingRun", "TimedPipelineRun", "TimedRunReport"),
+    "elements.standard": ("Classifier", "CounterElement", "Discard",
+                          "PacketQueue", "Tee"),
+    "elements.device": ("PollDevice", "ToDevice"),
+    "elements.ip": ("CheckIPHeader", "DecIPTTL", "EtherEncap",
+                    "LookupIPRoute"),
+    "elements.ipsec": ("IPsecESPEncap",),
+    "elements.loadbalance": ("FlowHashSwitch", "RoundRobinSwitch"),
+}
+
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, _EXPORTS)

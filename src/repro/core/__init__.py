@@ -14,59 +14,36 @@ Parallelizes a router with N external ports across commodity servers:
   packet-level DES; per-hop latency model in :mod:`.latency`.
 """
 
-from .vlb import DirectVlb, ClassicVlb, VlbAnalysis, analyze
-from .fabric import FabricNetwork, fly_graph, mesh_graph
-from .flowlet import FlowletTable
-from .resequencer import Resequencer
-from .mac_encoding import decode_output_node, encode_output_node
-from .topology import (
-    ClosReference,
-    FullMesh,
-    KAryNFly,
-    Torus,
-    switched_cluster_equivalent_servers,
-)
-from .provision import ServerModel, provision, SERVER_MODELS
-from .latency import cluster_latency_usec, server_latency_usec
-from .reordering import ReorderingMeter
-from .sizing import conclusion_claims, ports_per_server
-from .control import ClusterManager
-from .router import ClusterThroughput, RouteBricksRouter, SimulationReport
-# The cluster builder ``simulate`` runs on: loaded with the package (after
-# ``.router``, which it imports from) so that the first ``simulate`` call
-# does not read and compile a module inside the call.
-from . import partition  # noqa: F401
-from .switching import check_fairness, check_throughput
+from .. import _lazy
 
-__all__ = [
-    "DirectVlb",
-    "ClassicVlb",
-    "VlbAnalysis",
-    "analyze",
-    "FabricNetwork",
-    "mesh_graph",
-    "fly_graph",
-    "FlowletTable",
-    "Resequencer",
-    "encode_output_node",
-    "decode_output_node",
-    "FullMesh",
-    "KAryNFly",
-    "Torus",
-    "ClosReference",
-    "switched_cluster_equivalent_servers",
-    "ServerModel",
-    "provision",
-    "SERVER_MODELS",
-    "cluster_latency_usec",
-    "server_latency_usec",
-    "ReorderingMeter",
-    "conclusion_claims",
-    "ports_per_server",
-    "ClusterManager",
-    "ClusterThroughput",
-    "RouteBricksRouter",
-    "SimulationReport",
-    "check_fairness",
-    "check_throughput",
-]
+#: Submodule -> the public names it defines; each loads on first use,
+#: except ``provision``, bound below.
+_EXPORTS = {
+    "vlb": ("DirectVlb", "ClassicVlb", "VlbAnalysis", "analyze"),
+    "fabric": ("FabricNetwork", "mesh_graph", "fly_graph"),
+    "flowlet": ("FlowletTable",),
+    "resequencer": ("Resequencer",),
+    "mac_encoding": ("encode_output_node", "decode_output_node"),
+    "topology": ("FullMesh", "KAryNFly", "Torus", "ClosReference",
+                 "switched_cluster_equivalent_servers"),
+    "provision": ("ServerModel", "provision", "SERVER_MODELS"),
+    "latency": ("cluster_latency_usec", "server_latency_usec"),
+    "reordering": ("ReorderingMeter",),
+    "sizing": ("conclusion_claims", "ports_per_server"),
+    "control": ("ClusterManager",),
+    "router": ("ClusterThroughput", "RouteBricksRouter", "SimulationReport"),
+    "switching": ("check_fairness", "check_throughput"),
+}
+
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, _EXPORTS)
+
+# ``provision`` names both a submodule and the function it defines.
+# Loading the submodule sets the package attribute to the module, which a
+# lazy read would leave there; binding the function here, after the
+# submodule has loaded, keeps ``repro.core.provision`` the function.
+from .provision import provision  # noqa: E402
+
+# The cluster builder ``simulate`` runs on: loaded with the package so
+# that the first ``simulate`` call does not read and compile a module
+# inside the call.
+from . import partition  # noqa: E402,F401

@@ -39,6 +39,7 @@ from ..simnet.partition import Partition
 from ..simnet.rng import node_seeds
 from ..simnet.stats import Histogram
 from ..units import usec
+from ..workloads.spec import WorkloadSpec
 from .latency import server_latency_usec
 from .node import ClusterNode
 from .reordering import ReorderingMeter
@@ -108,8 +109,6 @@ def checked_inputs(router, events, until, faults,
     pass :func:`checked_horizon`, except that an event list may run
     open-ended (``until=None``).  A node id must fit one MAC byte.
     """
-    from ..workloads.spec import WorkloadSpec
-
     n = router.num_nodes
     if n > MACAddress.NODE_ID_MASK + 1:
         raise ConfigurationError(

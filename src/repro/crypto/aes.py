@@ -36,14 +36,25 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox():
-    # Multiplicative inverses via exhaustive products (field is tiny).
+def _gf_inverses():
+    """Multiplicative inverses in GF(2^8), with 0 for 0, from log and
+    antilog tables over the generator {03}: the inverse of g^i is
+    g^(255-i)."""
+    antilog = [0] * 255
+    log = [0] * 256
+    value = 1
+    for power in range(255):
+        antilog[power] = value
+        log[value] = power
+        value ^= _xtime(value)          # value * {03} = value * {02} ^ value
     inverse = [0] * 256
-    for a in range(1, 256):
-        for b in range(1, 256):
-            if _gf_mul(a, b) == 1:
-                inverse[a] = b
-                break
+    for value in range(1, 256):
+        inverse[value] = antilog[-log[value] % 255]
+    return inverse
+
+
+def _build_sbox():
+    inverse = _gf_inverses()
     sbox = [0] * 256
     for value in range(256):
         x = inverse[value]

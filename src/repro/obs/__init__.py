@@ -48,81 +48,25 @@ Metric names charged by the built-in instrumentation:
 =============================  ==========================================
 """
 
-from .benchrun import (
-    QUICK_BENCHMARKS,
-    discover,
-    run_benchmark,
-    write_bench_json,
-)
-from .compare import Delta, compare_docs, make_baseline
-from .explain import (
-    ExplainReport,
-    explain_from_registry,
-    explain_pipeline,
-    format_explain,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timeline,
-    active_registry,
-    set_active_registry,
-    use_registry,
-)
-from .profile import (
-    STAGES,
-    LatencyBreakdown,
-    SpanProfiler,
-    aggregate_breakdowns,
-    decompose_trace,
-    trace_delivered,
-)
-from .timeline import chrome_trace, write_trace_json
-from .trace import PathTrace, TraceSampler
+from .. import _lazy
 
-from .schema import (
-    BASELINE_SCHEMA,
-    BENCH_SCHEMA,
-    TRACE_SCHEMA,
-    validate_bench,
-    validate_trace,
-)
+#: Submodule -> the public names it defines; each loads on first use.
+_EXPORTS = {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                "Timeline", "active_registry", "set_active_registry",
+                "use_registry"),
+    "trace": ("PathTrace", "TraceSampler"),
+    "profile": ("STAGES", "LatencyBreakdown", "SpanProfiler",
+                "aggregate_breakdowns", "decompose_trace",
+                "trace_delivered"),
+    "explain": ("ExplainReport", "explain_from_registry",
+                "explain_pipeline", "format_explain"),
+    "timeline": ("chrome_trace", "write_trace_json"),
+    "schema": ("BASELINE_SCHEMA", "BENCH_SCHEMA", "TRACE_SCHEMA",
+               "validate_bench", "validate_trace"),
+    "benchrun": ("QUICK_BENCHMARKS", "discover", "run_benchmark",
+                 "write_bench_json"),
+    "compare": ("Delta", "compare_docs", "make_baseline"),
+}
 
-__all__ = [
-    "BASELINE_SCHEMA",
-    "BENCH_SCHEMA",
-    "TRACE_SCHEMA",
-    "Counter",
-    "Delta",
-    "ExplainReport",
-    "Gauge",
-    "Histogram",
-    "LatencyBreakdown",
-    "MetricsRegistry",
-    "PathTrace",
-    "QUICK_BENCHMARKS",
-    "STAGES",
-    "SpanProfiler",
-    "Timeline",
-    "TraceSampler",
-    "active_registry",
-    "aggregate_breakdowns",
-    "chrome_trace",
-    "compare_docs",
-    "decompose_trace",
-    "discover",
-    "explain_from_registry",
-    "explain_pipeline",
-    "format_explain",
-    "make_baseline",
-    "run_benchmark",
-    "set_active_registry",
-    "trace_delivered",
-    "use_registry",
-    "validate_bench",
-    "validate_trace",
-    "write_bench_json",
-    "write_trace_json",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, _EXPORTS)

@@ -38,16 +38,12 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .explain import explain_from_registry
 from .metrics import MetricsRegistry, use_registry
-from .schema import BENCH_SCHEMA, validate_bench
+from .schema import BENCH_SCHEMA, DEFAULT_SEED, validate_bench
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is baked into the image
     _np = None
-
-#: Default RNG seed applied before every test (satellite: reproducible
-#: bench JSON run-to-run).
-DEFAULT_SEED = 20090917  # RouteBricks' SOSP camera-ready era
 
 #: Quick subset used by CI's bench job -- the scenarios that finish in
 #: seconds and still cover the analytic model, the DES, and the cluster.

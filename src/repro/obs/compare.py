@@ -19,12 +19,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .schema import (
     BASELINE_SCHEMA,
     BENCH_SCHEMA,
+    DEFAULT_TOLERANCE,
     validate_baseline,
     validate_bench,
 )
-
-#: Fractional change beyond which a rate scalar fails (ISSUE: >10%).
-DEFAULT_TOLERANCE = 0.10
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,13 @@ TRACE_SCHEMA = "repro.trace-timeline/1"
 #: ``count`` -- informational (``obs report``, unknown-key warnings)
 SCALAR_KINDS = ("rate", "count")
 
+#: RNG seed applied before every benchmark test unless one is given, so
+#: that a document is the same run to run.
+DEFAULT_SEED = 20090917  # RouteBricks' SOSP camera-ready era
+
+#: Fractional change beyond which a rate scalar fails the regression gate.
+DEFAULT_TOLERANCE = 0.10
+
 _REQUIRED_TOP = {
     "schema": str,
     "name": str,

@@ -7,32 +7,19 @@ Abilene-I capture, matching its packet-size mixture and flow structure),
 and cluster traffic matrices (uniform, worst-case permutation).
 """
 
-from .synthetic import FixedSizeWorkload, PacketSource
-from .abilene import AbileneTrace, ABILENE_SIZE_MIX
-from .matrices import TrafficMatrix, uniform_matrix, permutation_matrix
-from .flowgen import Flow, FlowGenerator
-from .imix import MIXES
-from .zipf_flows import PacketRecord, SkewedFlowWorkload
-from .cluster_traffic import matrix_events, offered_packets
-from .pcapio import load_trace, save_trace
-from .spec import WorkloadSpec
+from .. import _lazy
 
-__all__ = [
-    "WorkloadSpec",
-    "FixedSizeWorkload",
-    "PacketSource",
-    "AbileneTrace",
-    "ABILENE_SIZE_MIX",
-    "TrafficMatrix",
-    "uniform_matrix",
-    "permutation_matrix",
-    "Flow",
-    "FlowGenerator",
-    "MIXES",
-    "PacketRecord",
-    "SkewedFlowWorkload",
-    "matrix_events",
-    "offered_packets",
-    "load_trace",
-    "save_trace",
-]
+#: Submodule -> the public names it defines; each loads on first use.
+_EXPORTS = {
+    "spec": ("WorkloadSpec",),
+    "synthetic": ("FixedSizeWorkload", "PacketSource"),
+    "abilene": ("AbileneTrace", "ABILENE_SIZE_MIX"),
+    "matrices": ("TrafficMatrix", "uniform_matrix", "permutation_matrix"),
+    "flowgen": ("Flow", "FlowGenerator"),
+    "imix": ("MIXES",),
+    "zipf_flows": ("PacketRecord", "SkewedFlowWorkload"),
+    "cluster_traffic": ("matrix_events", "offered_packets"),
+    "pcapio": ("load_trace", "save_trace"),
+}
+
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, _EXPORTS)

@@ -81,7 +81,9 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
     heap = []
     for src in range(matrix.n):
         for dst in range(matrix.n):
-            demand = matrix.demands[src][dst]
+            # A Python float, so arrival times, the clock and every
+            # latency sample after them are floats, not numpy scalars.
+            demand = float(matrix.demands[src][dst])
             if src == dst or demand <= 0:
                 continue
             rate = 1.0 / (packet_bits / demand)

@@ -26,6 +26,7 @@ from .. import calibration as cal
 from ..errors import ConfigurationError
 from ..net.packet import Packet
 from .abilene import ABILENE_SIZE_MIX
+from .cluster_traffic import matrix_events
 from .imix import MIXES, mix_mean_bytes
 from .matrices import TrafficMatrix
 
@@ -128,7 +129,6 @@ class WorkloadSpec:
             raise ConfigurationError(
                 "workload %r has no traffic matrix; use with_matrix() "
                 "before simulating" % self.name)
-        from .cluster_traffic import matrix_events
         return matrix_events(self.matrix, duration_sec,
                              size_mix=self.mix,
                              flows_per_pair=self.flows_per_pair,

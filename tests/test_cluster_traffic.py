@@ -245,3 +245,14 @@ class TestMatrixThroughDES:
         report = router.simulate(matrix_events(matrix, 1.2e-3, seed=9))
         assert report.delivery_ratio > 0.999
         assert report.indirect_fraction > 0.2
+
+    def test_times_and_samples_are_python_floats(self):
+        """A matrix holds numpy demands; what the run computes from them
+        (arrival times, the clock, latency samples) is plain float."""
+        matrix = uniform_matrix(4, 3e9)
+        times = [t for t, _, _, _ in matrix_events(matrix, 2e-4, seed=1)]
+        assert {type(t) for t in times} == {float}
+        report = RouteBricksRouter(seed=1).simulate(
+            WorkloadSpec.fixed(64, seed=1).with_matrix(matrix), until=2e-4)
+        assert type(report.latency_usec._values[0]) is float
+        assert {type(v) for v in report.latency_usec._values} == {float}

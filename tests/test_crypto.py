@@ -11,7 +11,7 @@ from repro.crypto import (
     esp_decapsulate,
     esp_encapsulate,
 )
-from repro.crypto.aes import INV_SBOX, SBOX
+from repro.crypto.aes import INV_SBOX, SBOX, _gf_inverses, _gf_mul
 from repro.crypto.modes import pkcs7_pad, pkcs7_unpad
 from repro.errors import CryptoError
 from repro.net import IPv4Address, Packet
@@ -37,6 +37,13 @@ class TestAES128:
     def test_sbox_is_a_permutation(self):
         assert sorted(SBOX) == list(range(256))
         assert all(INV_SBOX[SBOX[i]] == i for i in range(256))
+
+    def test_inverses_are_the_exhaustive_definition(self):
+        # b is a's inverse when a * b == 1 in GF(2^8); 0 maps to 0.
+        expected = [0] * 256
+        for a in range(1, 256):
+            expected[a] = next(b for b in range(1, 256) if _gf_mul(a, b) == 1)
+        assert _gf_inverses() == expected
 
     def test_sbox_known_entries(self):
         # Spot-check canonical S-box values.
