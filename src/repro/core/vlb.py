@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Container
-
-import numpy as np
+from typing import Callable, Container, List
 
 from ..errors import ConfigurationError
 from ..workloads.matrices import TrafficMatrix
@@ -43,17 +41,17 @@ class VlbAnalysis:
     the paper's "cR" quantity.
     """
 
-    link_loads: np.ndarray
-    node_processing: np.ndarray
+    link_loads: List[List[float]]
+    node_processing: List[float]
     direct_fraction: float
 
     @property
     def max_link_load(self) -> float:
-        return float(self.link_loads.max())
+        return max(map(max, self.link_loads))
 
     @property
     def max_node_processing(self) -> float:
-        return float(self.node_processing.max())
+        return max(self.node_processing)
 
     def c_factor(self, port_rate_bps: float) -> float:
         """The per-node processing multiple of R (between 2 and 3)."""
@@ -90,8 +88,10 @@ class DirectVlb:
         For analysis we apply the guarantee-preserving rule: up to R/N
         direct, remainder balanced -- the conservative (worst-case) figure
         used for provisioning.  The DES applies the adaptive rule on top.
+        Two nodes have no intermediate, so all of it goes direct, as
+        :func:`direct_first_hop` sends it when none is live.
         """
-        return min(demand, port_rate_bps / n)
+        return demand if n == 2 else min(demand, port_rate_bps / n)
 
 
 def direct_first_hop(self_node: int, egress: int, num_nodes: int,
@@ -149,16 +149,14 @@ def analyze(matrix: TrafficMatrix, port_rate_bps: float,
     n = matrix.n
     if n < 2:
         raise ConfigurationError("VLB needs >= 2 nodes")
-    demands = matrix.demands
-    links = np.zeros((n, n))
-    intermediate = np.zeros(n)
+    links = [[0.0] * n for _ in range(n)]
+    intermediate = [0.0] * n
     total_demand = 0.0
     total_direct = 0.0
-    for s in range(n):
-        for d in range(n):
-            if s == d or demands[s][d] == 0:
+    for s, row in enumerate(matrix.demands):
+        for d, demand in enumerate(row):
+            if s == d or demand == 0:
                 continue
-            demand = demands[s][d]
             total_demand += demand
             direct = policy.direct_share(demand, port_rate_bps, n)
             direct = min(direct, demand)
@@ -184,10 +182,8 @@ def analyze(matrix: TrafficMatrix, port_rate_bps: float,
                         links[s][i] += share
                         links[i][d] += share
                         intermediate[i] += share
-    node_processing = np.array([
-        matrix.row_sum(i) + matrix.col_sum(i) + intermediate[i]
-        for i in range(n)
-    ])
+    node_processing = [matrix.row_sum(i) + matrix.col_sum(i) + intermediate[i]
+                       for i in range(n)]
     direct_fraction = total_direct / total_demand if total_demand else 1.0
     return VlbAnalysis(link_loads=links, node_processing=node_processing,
                        direct_fraction=direct_fraction)

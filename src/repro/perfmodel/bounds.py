@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
 from ..hw.server import ServerSpec
 
 
@@ -75,6 +73,8 @@ def stream_benchmark_bps(spec: ServerSpec, array_mib: int = 64,
     path exists and is testable) and scale the spec's nominal bandwidth by
     the measured-locality factor.
     """
+    import numpy as np  # the one use; the rest of the module needs none
+
     rng = np.random.default_rng(seed)
     array = np.zeros(array_mib * 1024 * 1024 // 8, dtype=np.float64)
     indices = rng.integers(0, len(array), size=iterations)

@@ -13,7 +13,7 @@ import random
 from bisect import bisect_right
 from heapq import heappop, heappush
 from itertools import accumulate
-from math import log
+from math import fsum, log
 from typing import Iterator, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -79,11 +79,8 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
     # Per pair, in its heap entries: the Poisson rate (``expovariate``'s
     # argument), the flow pool and the per-flow sequence counters.
     heap = []
-    for src in range(matrix.n):
-        for dst in range(matrix.n):
-            # A Python float, so arrival times, the clock and every
-            # latency sample after them are floats, not numpy scalars.
-            demand = float(matrix.demands[src][dst])
+    for src, row in enumerate(matrix.demands):
+        for dst, demand in enumerate(row):
             if src == dst or demand <= 0:
                 continue
             rate = 1.0 / (packet_bits / demand)
@@ -129,5 +126,5 @@ def matrix_events(matrix: TrafficMatrix, duration_sec: float,
 def offered_packets(matrix: TrafficMatrix, duration_sec: float,
                     packet_bytes: int = 740) -> float:
     """Expected event count for a (matrix, duration) realization."""
-    total_bps = float(matrix.demands.sum())
+    total_bps = fsum(demand for row in matrix.demands for demand in row)
     return total_bps * duration_sec / (packet_bytes * 8)

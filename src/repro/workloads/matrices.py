@@ -8,7 +8,7 @@ matrices (where the full two-phase tax applies, c -> 3).  A
 
 from __future__ import annotations
 
-import numpy as np
+from math import fsum, inf
 
 from ..errors import ConfigurationError
 
@@ -17,29 +17,35 @@ class TrafficMatrix:
     """An N x N demand matrix in bits/second.
 
     Row = input node, column = output node.  The diagonal (self-traffic)
-    is typically zero.
+    is typically zero.  ``demands`` is a tuple of rows of Python floats:
+    N is at most a few hundred, and every reader walks it entry by entry.
     """
 
     def __init__(self, demands):
-        matrix = np.asarray(demands, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        try:
+            rows = tuple(tuple(float(demand) for demand in row)
+                         for row in demands)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                "traffic matrix must be rows of numbers") from None
+        if not rows or any(len(row) != len(rows) for row in rows):
             raise ConfigurationError("traffic matrix must be square")
         # Written so that NaN fails too (every comparison with NaN is false).
-        if not ((matrix >= 0) & (matrix < np.inf)).all():
+        if not all(0 <= demand < inf for row in rows for demand in row):
             raise ConfigurationError("demands must be finite and >= 0")
-        self.demands = matrix
+        self.demands = rows
 
     @property
     def n(self) -> int:
-        return self.demands.shape[0]
+        return len(self.demands)
 
     def row_sum(self, node: int) -> float:
         """Total traffic entering at ``node``."""
-        return float(self.demands[node].sum())
+        return fsum(self.demands[node])
 
     def col_sum(self, node: int) -> float:
         """Total traffic exiting at ``node``."""
-        return float(self.demands[:, node].sum())
+        return fsum(row[node] for row in self.demands)
 
     def is_admissible(self, port_rate_bps: float, tol: float = 1e-9) -> bool:
         """True if no input or output line is oversubscribed.
@@ -55,7 +61,8 @@ class TrafficMatrix:
         return True
 
     def scaled(self, factor: float) -> "TrafficMatrix":
-        return TrafficMatrix(self.demands * factor)
+        return TrafficMatrix([[demand * factor for demand in row]
+                              for row in self.demands])
 
 
 def uniform_matrix(n: int, port_rate_bps: float) -> TrafficMatrix:
@@ -63,9 +70,8 @@ def uniform_matrix(n: int, port_rate_bps: float) -> TrafficMatrix:
     if n < 2:
         raise ConfigurationError("need >= 2 nodes")
     demand = port_rate_bps / (n - 1)
-    matrix = np.full((n, n), demand)
-    np.fill_diagonal(matrix, 0.0)
-    return TrafficMatrix(matrix)
+    return TrafficMatrix([[0.0 if i == j else demand for j in range(n)]
+                          for i in range(n)])
 
 
 def permutation_matrix(n: int, port_rate_bps: float,
@@ -75,7 +81,5 @@ def permutation_matrix(n: int, port_rate_bps: float,
         raise ConfigurationError("need >= 2 nodes")
     if shift % n == 0:
         raise ConfigurationError("shift would create self-traffic")
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        matrix[i][(i + shift) % n] = port_rate_bps
-    return TrafficMatrix(matrix)
+    return TrafficMatrix([[port_rate_bps if j == (i + shift) % n else 0.0
+                           for j in range(n)] for i in range(n)])

@@ -247,8 +247,8 @@ class TestMatrixThroughDES:
         assert report.indirect_fraction > 0.2
 
     def test_times_and_samples_are_python_floats(self):
-        """A matrix holds numpy demands; what the run computes from them
-        (arrival times, the clock, latency samples) is plain float."""
+        """What the run computes from a matrix's demands (arrival times,
+        the clock, latency samples) is plain float."""
         matrix = uniform_matrix(4, 3e9)
         times = [t for t, _, _, _ in matrix_events(matrix, 2e-4, seed=1)]
         assert {type(t) for t in times} == {float}

@@ -80,6 +80,14 @@ class TestDirectVlb:
         # Permutation: only R/8 of R per pair goes direct.
         assert perm.direct_fraction == pytest.approx(1 / 8, rel=0.01)
 
+    def test_two_nodes_route_everything_direct(self):
+        # No intermediate exists, so nothing is left to balance (the
+        # remainder used to be divided over zero candidates).
+        analysis = analyze(uniform_matrix(2, R), R, DirectVlb())
+        assert analysis.direct_fraction == 1.0
+        assert analysis.link_loads == [[0.0, R], [R, 0.0]]
+        assert analysis.c_factor(R) == 2.0
+
     # The adaptive first hop both nodes run (direct_first_hop), with the
     # direct link busy so every pick is an intermediate.
 

@@ -131,3 +131,47 @@ class TestNothingLoadsInsideARun:
             print(json.dumps(sorted(set(sys.modules) - before)))
             """)
         assert got == ["repro.parallel", "repro.parallel.runner"]
+
+
+class TestNumpyIsNeverNeeded:
+    """The cluster and analytic paths run with numpy made unimportable,
+    so no call inside them reaches for it late either."""
+
+    @pytest.mark.parametrize("code", [
+        "import repro.core",
+        """
+        from repro.core import RouteBricksRouter
+        from repro.workloads import WorkloadSpec
+        from repro.workloads.matrices import uniform_matrix
+        spec = WorkloadSpec.fixed(64, seed=1).with_matrix(
+            uniform_matrix(4, 3e9))
+        RouteBricksRouter(num_nodes=4, seed=1).simulate(spec, until=1e-4)
+        """,
+        """
+        from repro.core import RouteBricksRouter
+        from repro.parallel.runner import simulate_parallel
+        from repro.workloads import WorkloadSpec
+        from repro.workloads.matrices import permutation_matrix
+        spec = WorkloadSpec.fixed(64, seed=1).with_matrix(
+            permutation_matrix(4, 3e9))
+        simulate_parallel(RouteBricksRouter(num_nodes=4, seed=1), spec,
+                          until=1e-4, workers=2, backend="inline")
+        """,
+        """
+        from repro.core import RouteBricksRouter
+        from repro.workloads import WorkloadSpec
+        RouteBricksRouter().max_throughput(WorkloadSpec.fixed(64))
+        """,
+        """
+        from repro import cli
+        assert cli.main(["parallel", "run", "rb8", "--workers", "2",
+                         "--backend", "inline", "--duration-ms", "0.05"]) == 0
+        assert cli.main(["rb4"]) == 0
+        """,
+    ], ids=["import", "simulate", "simulate_parallel", "max_throughput",
+            "cli"])
+    def test_runs_with_numpy_blocked(self, code):
+        got = _fresh('import json, sys\nsys.modules["numpy"] = None\n'
+                     + textwrap.dedent(code)
+                     + '\nprint(json.dumps(sys.modules["numpy"] is None))')
+        assert got is True

@@ -126,6 +126,23 @@ class TestMatrices:
         with pytest.raises(ConfigurationError):
             TrafficMatrix([[0, -1], [1, 0]])
 
+    @pytest.mark.parametrize("demands", [
+        [[0, 1, 2], [1, 0]],        # ragged rows
+        [[0, 1], [1, 0, 2]],
+        [[0, 1, 2]],                # one row of three
+        [1, 2],                     # rows that are not rows
+        [],                         # 0 x 0
+        [[]],                       # 1 x 0
+    ])
+    def test_rejects_tables_that_are_not_square(self, demands):
+        with pytest.raises(ConfigurationError):
+            TrafficMatrix(demands)
+
+    @pytest.mark.parametrize("demand", ["x", None, 1j, [1.0], 10 ** 400])
+    def test_rejects_non_numeric_demands(self, demand):
+        with pytest.raises(ConfigurationError):
+            TrafficMatrix([[0, demand], [1, 0]])
+
     @pytest.mark.parametrize("demand", [float("nan"), float("inf"),
                                         -float("inf")])
     def test_rejects_non_finite_demands(self, demand):
