@@ -2,11 +2,12 @@
 
 A DFZ router keeps forwarding while its control plane streams BGP
 updates into the FIB.  This benchmark runs the ``repro.control`` harness
-on a 4-node cluster: a synthetic RIB (the paper's Sec. 5.1 prefix-length
-mix) is announced to the :class:`~repro.core.control.ClusterManager`,
-initial FIBs are pushed, and then a Poisson update stream (announce /
-re-announce / withdraw) is applied on the simulation clock while traffic
-forwards through the live per-node ``Dir24_8`` tables -- incremental
+on a 4-node cluster (``repro.analysis.experiments.run_fib_churn``): a
+synthetic RIB (the paper's Sec. 5.1 prefix-length mix) is announced to
+the :class:`~repro.core.control.ClusterManager`, initial FIBs are
+pushed, and then a Poisson update stream (announce / re-announce /
+withdraw) is applied on the simulation clock while traffic forwards
+through the live per-node ``Dir24_8`` tables -- incremental
 insert/remove, never a rebuild.
 
 Measured:
@@ -18,73 +19,34 @@ Measured:
 * **forwarding under churn** -- goodput and tail latency with churn on
   vs off; streaming updates must not dent the dataplane.
 
-Acceptance, asserted inline: every run converges (no update left
+The scenario checks that every run converges (no update left
 undistributed), applies updates incrementally (zero rebuilds), leaves
 all four FIBs bit-consistent with an independent trie reference, and
-forwarding under churn holds >= 90 % of the quiet goodput.  Two runs at
-the same seed must be identical to the last field (the DES replays
-update application deterministically).
+that two runs at the same seed are identical to the last field (the DES
+replays update application deterministically).  Asserted here:
+forwarding under churn holds >= 90 % of the quiet goodput.
 """
 
-from repro.analysis import format_table
-from repro.control import ChurnSchedule, run_churn
+import pytest
 
-SEED = 20090917
-NODES = 4
-ROUTES = 4_000
-DURATION_SEC = 1e-3
-LOAD = 0.2
-RATES = (100_000.0, 400_000.0)
+from repro.analysis import format_table, run_experiment
+from repro.analysis.experiments import CHURN_NODES, CHURN_ROUTES
 
 
-def _run(rate=None, seed=SEED, schedule=None):
-    return run_churn(num_nodes=NODES, routes=ROUTES,
-                     update_rate_per_sec=rate or RATES[0],
-                     duration_sec=DURATION_SEC, load=LOAD,
-                     seed=seed, schedule=schedule)
+@pytest.fixture(scope="module")
+def result():
+    return run_experiment("FIB-CHURN")
 
 
-def test_convergence_vs_rate(benchmark, save_result):
+def test_convergence_vs_rate(result, save_result):
     """Convergence lag as the update rate quadruples."""
-
-    def sweep():
-        rows = []
-        summary = {}
-        for rate in RATES:
-            report = _run(rate)
-            # Every run must distribute everything it applied,
-            # incrementally, and leave consistent tables.
-            assert report.unconverged == 0
-            assert report.rebuilds == 0
-            assert report.consistent
-            rows.append({
-                "updates_per_sec": rate,
-                "applied": report.updates_applied,
-                "fib_ops": report.fib_ops,
-                "sync_ticks": report.sync_ticks,
-                "mean_conv_usec": report.mean_convergence_usec,
-                "max_conv_usec": report.max_convergence_sec * 1e6,
-                "final_conv_usec": report.final_convergence_usec,
-                "fwd_gbps": report.forwarding.delivered_bps / 1e9,
-                "p99_usec": report.forwarding.latency_usec.percentile(99),
-            })
-            key = "r%dk" % (rate / 1000)
-            summary["convergence_mean_usec_%s" % key] = \
-                report.mean_convergence_usec
-            summary["convergence_final_usec_%s" % key] = \
-                report.final_convergence_usec
-            summary["churn_fwd_gbps_%s" % key] = \
-                report.forwarding.delivered_bps / 1e9
-        return {"rows": rows, "summary": summary}
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = result["rows"]
+    rows = result["convergence_rows"]
     save_result("fib_churn_convergence", format_table(
         rows, ["updates_per_sec", "applied", "fib_ops", "sync_ticks",
                "mean_conv_usec", "max_conv_usec", "final_conv_usec",
                "fwd_gbps", "p99_usec"],
         title="Convergence vs update rate, %d nodes, %d routes"
-        % (NODES, ROUTES)))
+        % (CHURN_NODES, CHURN_ROUTES)))
     for row in rows:
         # The sync tick fires 100 us after the latest unsynced update:
         # convergence is bounded by that control-channel latency (plus
@@ -92,53 +54,21 @@ def test_convergence_vs_rate(benchmark, save_result):
         assert 0.0 < row["mean_conv_usec"] <= 500.0
         assert row["max_conv_usec"] <= 500.0
         # Updates batch onto ticks: more churn, fewer ticks per update.
-        assert row["fib_ops"] == row["applied"] * NODES
+        assert row["fib_ops"] == row["applied"] * CHURN_NODES
 
 
-def test_forwarding_under_churn(benchmark, save_result):
-    """Goodput and tail latency, churn on vs off, plus determinism."""
-
-    def compare():
-        quiet = _run(schedule=ChurnSchedule([]))
-        churned = _run(RATES[1])
-        again = _run(RATES[1])
-        # Bit-identical replay: the DES applies updates and forwards
-        # packets on one deterministic clock.
-        assert churned.to_dict() == again.to_dict()
-        assert quiet.updates_applied == 0
-        assert churned.consistent and quiet.consistent
-        rows = []
-        for label, report in (("quiet", quiet), ("churn", churned)):
-            fwd = report.forwarding
-            rows.append({
-                "scenario": label,
-                "updates": report.updates_applied,
-                "delivered": fwd.delivered_packets,
-                "fib_miss": fwd.fib_miss_packets,
-                "fwd_gbps": fwd.delivered_bps / 1e9,
-                "p50_usec": fwd.latency_usec.percentile(50),
-                "p99_usec": fwd.latency_usec.percentile(99),
-            })
-        quiet_gbps = rows[0]["fwd_gbps"]
-        churn_gbps = rows[1]["fwd_gbps"]
-        summary = {
-            "quiet_gbps": quiet_gbps,
-            "under_churn_gbps": churn_gbps,
-            "churn_goodput_fraction": churn_gbps / quiet_gbps,
-        }
-        return {"rows": rows, "summary": summary}
-
-    result = benchmark.pedantic(compare, rounds=1, iterations=1)
-    rows = result["rows"]
+def test_forwarding_under_churn(result, save_result):
+    """Goodput and tail latency, churn on vs off."""
+    rows = result["forwarding_rows"]
     save_result("fib_churn_forwarding", format_table(
         rows, ["scenario", "updates", "delivered", "fib_miss",
                "fwd_gbps", "p50_usec", "p99_usec"],
         title="Forwarding with and without live churn, %d nodes, "
-              "%d routes" % (NODES, ROUTES)))
-    summary = result["summary"]
+              "%d routes" % (CHURN_NODES, CHURN_ROUTES)))
+    quiet, churn = rows
     # Streaming updates must not dent the dataplane: control work is
     # control-plane cycles, not per-packet cost.
-    assert summary["churn_goodput_fraction"] >= 0.9
+    assert churn["fwd_gbps"] / quiet["fwd_gbps"] >= 0.9
     # Withdrawn routes turn hits into misses -- some loss of delivered
     # traffic is expected, total loss is not.
-    assert rows[1]["delivered"] > 0.8 * rows[0]["delivered"]
+    assert churn["delivered"] > 0.8 * quiet["delivered"]

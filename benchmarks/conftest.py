@@ -6,10 +6,11 @@ paper-vs-measured shape, and writes the rendered rows to
 benches and fails on ``git diff -- benchmarks/results``.
 
 Every test starts from the same RNG state (`_seed_rngs`) and none reads
-a host clock, so scenario outputs -- and the ``BENCH_*.json`` scalars
-:mod:`repro.obs.benchrun` derives from them -- are bit-identical run to
-run.  ``repro.obs.benchrun`` applies the same seed when it drives these
-files outside pytest.
+a host clock, so scenario outputs are bit-identical run to run.  The
+files whose scenario is registered in
+``repro.analysis.experiments.EXPERIMENTS`` call that product function,
+which ``repro obs run`` also runs (with the same seed) into
+``BENCH_<name>.json``.
 """
 
 import pathlib
@@ -25,14 +26,8 @@ BENCH_SEED = 20090917
 
 @pytest.fixture(autouse=True)
 def _seed_rngs():
-    """Pin every RNG a scenario might consult, per test."""
+    """Pin the global RNG a scenario might consult, per test."""
     random.seed(BENCH_SEED)
-    try:
-        import numpy
-    except ImportError:
-        pass
-    else:
-        numpy.random.seed(BENCH_SEED)
 
 
 @pytest.fixture(scope="session")

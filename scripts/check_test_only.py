@@ -8,7 +8,10 @@ use):
   ``.py`` files under ``src``, ``benchmarks``, ``examples``,
   ``perfbench`` and ``scripts``.  A top-level function or class in
   ``src/repro`` whose name occurs there only at its own definition is
-  reached, if at all, from ``tests/`` alone.
+  reached, if at all, from ``tests/`` alone.  A method (dunders aside)
+  that no code there reads as an attribute (``x.name``), and that no
+  ``_summary_fields`` tuple names (``RunResult.summary()`` reads those
+  with ``getattr``), is reached from ``tests/`` alone too.
 * **Imports.**  An import walk starts at ``repro.cli``, ``repro.__main__``
   and every file under ``benchmarks``, ``examples``, ``perfbench`` and
   ``scripts``, and follows every ``import`` / ``from ... import`` in each
@@ -50,7 +53,8 @@ ENTRY_MODULES = ("repro.cli", "repro.__main__")
 SKIP = ("__init__.py", pathlib.Path(__file__).name)  # ALLOWED is not a use
 WORD = re.compile(r"[A-Za-z_]\w*")
 
-#: Test-only defs that tests use to check other code, one reason each.
+#: Test-only defs (``Class.method`` for a method) that tests use to check
+#: other code, one reason each.
 ALLOWED = {
     "ClickCluster": "the section 8 end-to-end check runs a whole Click cluster",
     "check_fairness": "the section 3.1 fairness assertion on VLB egress shares",
@@ -59,6 +63,33 @@ ALLOWED = {
     "verify_checksum": "the decoder the checksum encoder is checked against",
     "parse_icmp": "the decoder the ICMP encoders are checked against",
     "worst_ratio_deviation": "the paper-narrative test's model-vs-paper check",
+    "RouterGraph.add_all": "tests build Click element graphs with it",
+    "CoreThread.add_pull_task": "Click's pull-side task, which the scheduler runs; "
+                                "no shipped config pipelines through one yet",
+    "TimedRunReport.loss_free": "tests check a timed run's verdict with it",
+    "ClusterManager.remove_node": "membership removal; tests check re-homing and "
+                                  "stale peers after it",
+    "Resequencer.pending": "tests check the reorder buffer drains with it",
+    "Reassembler.pending": "tests check the fragment buffer drains with it",
+    "DegradationReport.fractions": "tests check the degradation curve's shape with it",
+    "LatencyBreakdown.fractions": "tests check a latency decomposition's shares with it",
+    "LatencyBreakdown.conserved": "the decomposition's conservation check; tests run it "
+                                  "on every sampled journey",
+    "FaultSchedule.stall_nic": "the FaultSchedule DSL of DESIGN.md's 'Faults & "
+                               "degradation' row (NIC-queue stall)",
+    "FaultSchedule.flap_link": "the FaultSchedule DSL of DESIGN.md's 'Faults & "
+                               "degradation' row (link flap)",
+    "FaultSchedule.max_node_id": "the FaultSchedule DSL of DESIGN.md's 'Faults & "
+                                 "degradation' row (the nodes a script touches)",
+    "FaultSchedule.to_json": "the writer the CLI's schedule loader (from_json) is "
+                             "checked against",
+    "Nic.check_capacity": "the PCIe slot-budget guard, which no run calls yet",
+    "Packet.tcp": "builds the TCP packets tests feed the parsers and flow keys",
+    "SpanProfiler.self_value": "tests read the profiler's charges with it",
+    "SpanProfiler.total_value": "tests read the profiler's charges with it",
+    "PathTrace.sites": "tests read a sampled journey's hops with it",
+    "Core.utilization": "tests check a timed run's core load with it",
+    "Bus.utilization": "the bus counterpart of Core.utilization",
 }
 
 _SECTION_8 = ("DESIGN.md row 'section 8 only two new Click elements': "
@@ -73,22 +104,48 @@ ALLOWED_MODULES = {
 }
 
 
+def _attribute_uses(tree):
+    """Every attribute name ``tree`` reads (``x.name``), plus the names
+    in its ``_summary_fields`` tuples, which ``RunResult.summary()``
+    reads with ``getattr``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "_summary_fields"
+                for target in node.targets):
+            yield from ast.literal_eval(node.value)
+
+
 def find_test_only():
-    """``(path, line, name)`` of every top-level def named only where defined."""
+    """``(path, line, name)`` of every top-level def named only where
+    defined, and of every method no code reads as an attribute."""
     uses = collections.Counter()
+    attributes = set()
     defs = []
+    methods = []
     for root in ROOTS:
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
             if path.name in SKIP:
                 continue
             source = path.read_text()
+            tree = ast.parse(source)
             uses.update(WORD.findall(source))
-            if root == "src":
-                for node in ast.parse(source).body:
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                        defs.append((path.relative_to(REPO_ROOT), node.lineno, node.name))
+            attributes.update(_attribute_uses(tree))
+            if root != "src":
+                continue
+            where = path.relative_to(REPO_ROOT)
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defs.append((where, node.lineno, node.name))
+                if isinstance(node, ast.ClassDef):
+                    methods.extend((where, item.lineno, "%s.%s" % (node.name, item.name))
+                                   for item in node.body
+                                   if isinstance(item, ast.FunctionDef)
+                                   and not item.name.startswith("__"))
     uses.subtract(name for _, _, name in defs)  # a definition is not a use
-    return [d for d in defs if uses[d[2]] <= 0]
+    return [d for d in defs if uses[d[2]] <= 0] + [
+        m for m in methods if m[2].partition(".")[2] not in attributes]
 
 
 def _modules():

@@ -15,7 +15,7 @@ Commands
 ``parallel``     the cluster DES partitioned across worker processes
 ``stateful``     stateful NF dispatch strategies under flow-skewed traffic
 ``trace``        generate or inspect pcap traces of the synthetic workloads
-``obs``          run instrumented benchmarks, report/diff BENCH_*.json,
+``obs``          run paper scenarios, report/diff BENCH_*.json,
                  and ``explain`` a pipeline's binding resource
 
 One ``COMMANDS`` table of ``(name, help, arguments, handler)`` rows
@@ -24,10 +24,10 @@ and each row declares only the flags its handler reads, so argparse
 refuses any other.
 
 Exit status: 0 when the command ran and its checks held; 1 when it ran
-and a check failed (``validate``, ``control run``, ``obs run``, ``obs
-explain``, ``obs diff``); 2 when the input was refused, either by
-argparse or by a handler raising, which ``main`` reports on stderr as
-``error: <reason>``.
+and a check failed (``validate``, ``control run``, ``obs explain``,
+``obs diff``); 2 when the input was refused, either by argparse or by a
+handler raising (an ``obs run`` scenario whose own check fails raises),
+which ``main`` reports on stderr as ``error: <reason>``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import time
 
 from . import calibration as cal
 from .errors import ConfigurationError, ReproError
-from .obs.schema import DEFAULT_SEED, DEFAULT_TOLERANCE
+from .obs.schema import DEFAULT_SEED
 
 
 def _cmd_experiments(args) -> int:
@@ -49,7 +49,7 @@ def _cmd_experiments(args) -> int:
     if args.which == "list":
         for eid in sorted(EXPERIMENTS):
             doc = (EXPERIMENTS[eid].__doc__ or "").strip().splitlines()[0]
-            print("%-6s %s" % (eid, doc))
+            print("%-10s %s" % (eid, doc))
         return 0
     if args.which == "summary":
         from .analysis.summary import summary_text
@@ -68,7 +68,7 @@ def _print_result(result: dict) -> None:
     from .analysis.report import format_table
 
     for key, value in result.items():
-        if key == "id":
+        if key in ("id", "scalars"):
             continue
         if isinstance(value, list) and value and isinstance(value[0], dict):
             print(format_table(value, title=key))
@@ -515,33 +515,29 @@ def _load_bench(path: str) -> dict:
 
 
 def _cmd_obs_run(args) -> int:
+    from .analysis.experiments import EXPERIMENTS
     from .obs import benchrun, compare
 
     if args.all:
-        names = benchrun.discover()
+        names = list(EXPERIMENTS)
     elif args.quick:
         names = list(benchrun.QUICK_BENCHMARKS)
     else:
         names = args.names
     if not names:
         raise ConfigurationError(
-            "name one or more benchmarks, or pass --quick/--all; "
-            "available:\n  %s" % "\n  ".join(benchrun.discover()))
+            "name one or more scenarios, or pass --quick/--all; "
+            "available: %s" % ", ".join(EXPERIMENTS))
     out_dir = pathlib.Path(args.out_dir)
     docs = []
-    failed = False
     for name in names:
         start = time.perf_counter()
         doc = benchrun.run_benchmark(name, seed=args.seed)
         wall = time.perf_counter() - start
         path = benchrun.write_bench_json(doc, out_dir)
         docs.append(doc)
-        failed = failed or doc["status"] != "passed"
-        rates = sum(1 for s in doc["scalars"].values()
-                    if s["kind"] == "rate")
-        print("%-24s %-7s %6.2fs  %2d tests, %2d rate scalars -> %s"
-              % (doc["name"], doc["status"], wall,
-                 len(doc["tests"]), rates, path))
+        print("%-10s %6.2fs  %3d scalars -> %s"
+              % (name, wall, len(doc["scalars"]), path))
     if args.update_baseline:
         baseline = compare.make_baseline(docs)
         with open(args.update_baseline, "w") as handle:
@@ -549,7 +545,7 @@ def _cmd_obs_run(args) -> int:
             handle.write("\n")
         print("baseline (%d benchmarks) -> %s"
               % (len(docs), args.update_baseline))
-    return 1 if failed else 0
+    return 0
 
 
 def _cmd_obs_explain(args) -> int:
@@ -631,17 +627,13 @@ def _cmd_obs_timeline(args) -> int:
 
 def _cmd_obs_report(args) -> int:
     doc = _load_bench(args.bench)
-    print("benchmark %s: %s (seed %s)"
-          % (doc["name"], doc["status"], doc.get("seed", "?")))
-    for test in doc["tests"]:
-        line = "  %-40s %s" % (test["name"], test["status"])
-        if test["status"] not in ("passed",) and test.get("detail"):
-            line += "  (%s)" % test["detail"]
-        print(line)
+    print("benchmark %s (seed %s)" % (doc["name"], doc.get("seed", "?")))
     for name in sorted(doc["scalars"]):
         cell = doc["scalars"][name]
-        print("  %-44s %12.6g  %s"
-              % (name, cell["value"], cell["kind"]))
+        value = cell["value"]
+        print("  %-44s %12s  %s"
+              % (name, value if isinstance(value, str) else "%.6g" % value,
+                 cell["kind"]))
     metrics = doc.get("metrics", {})
     for section in ("counters", "gauges", "histograms", "timelines"):
         entries = metrics.get(section) or {}
@@ -658,12 +650,13 @@ def _cmd_obs_report(args) -> int:
 def _cmd_obs_diff(args) -> int:
     from .obs import compare
 
-    baseline_doc = compare.load_json(args.baseline)
     bench_doc = compare.load_json(args.current)
-    deltas = compare.compare_docs(baseline_doc, bench_doc,
-                                  tolerance=args.tolerance)
-    print(compare.summarize(deltas))
-    return 1 if any(d.regressed for d in deltas) else 0
+    lines = compare.compare_docs(compare.load_json(args.baseline), bench_doc)
+    for line in lines:
+        print(line)
+    print("%d scalar(s) in %s, %d differ from the baseline"
+          % (len(bench_doc["scalars"]), bench_doc["name"], len(lines)))
+    return 1 if lines else 0
 
 
 def _cmd_stateful(args) -> int:
@@ -828,21 +821,21 @@ COMMANDS = (
                  help="flow/burstiness/size breakdown")), _cmd_trace_info),
     ("obs", "instrumented benchmark runs and regression diffs "
             "(BENCH_*.json)", (), None),
-    ("obs run", "run benchmarks into BENCH_<name>.json",
+    ("obs run", "run paper scenarios into BENCH_<name>.json",
      (_arg("names", nargs="*",
-           help="benchmark names (bench_ prefix optional)"),
-      _arg("--quick", action="store_true", help="the fast CI subset"),
+           help="scenario names (see 'experiments list')"),
+      _arg("--quick", action="store_true",
+           help="the fast scenarios CI gates"),
       _arg("--all", action="store_true",
-           help="every benchmarks/bench_*.py"), OUT_DIR, BENCH_SEED,
+           help="every registered scenario"), OUT_DIR, BENCH_SEED,
       _arg("--update-baseline", metavar="PATH",
            help="also bake the results into a baseline file")),
      _cmd_obs_run),
     ("obs report", "print one BENCH json",
      (_arg("bench", help="a BENCH_<name>.json"),), _cmd_obs_report),
-    ("obs diff", "compare a BENCH json against a baseline",
-     (_arg("baseline"), _arg("current", help="a BENCH_<name>.json"),
-      _arg("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-           help="fractional regression threshold (default 0.10)")),
+    ("obs diff", "list every scalar a BENCH json and a baseline "
+                 "disagree on",
+     (_arg("baseline"), _arg("current", help="a BENCH_<name>.json")),
      _cmd_obs_diff),
     ("obs explain", "a pipeline's binding resource",
      (_arg("target", help="a preset pipeline or a BENCH json"),)

@@ -68,12 +68,6 @@ class ClickClusterNode:
             return 0
         return (peer - self.node_id) % self.num_nodes
 
-    def peer_of_port(self, port: int) -> int:
-        """The cluster node at the far end of local port ``port``."""
-        if port == 0:
-            raise ConfigurationError("port 0 is the external line")
-        return (self.node_id + port) % self.num_nodes
-
     # -- graph construction ---------------------------------------------------
 
     def _build(self, table: RoutingTable, use_flowlets: bool,

@@ -138,15 +138,3 @@ class Server:
             if candidate.port_id == port_id:
                 return candidate
         raise ConfigurationError("no port %d on this server" % port_id)
-
-    def reset_ledgers(self) -> None:
-        """Zero every component's cumulative-load counters."""
-        for core in self.cores:
-            core.reset()
-        for socket in self.sockets:
-            socket.memory.bus.reset()
-        self.io_bus.reset()
-        self.qpi.reset()
-        self.pcie.reset()
-        if self.fsb is not None:
-            self.fsb.reset()

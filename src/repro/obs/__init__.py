@@ -19,12 +19,12 @@ Three layers:
   analytic solver to name the binding resource and cross-check the
   DES-observed bottleneck against the model's prediction
   (``python -m repro obs explain``).
-* :mod:`repro.obs.benchrun` -- runs ``benchmarks/bench_*.py`` scenarios
-  outside pytest and emits schema-versioned ``BENCH_<name>.json``
-  artifacts (:mod:`repro.obs.schema`), which
-  :mod:`repro.obs.compare` diffs against a committed baseline -- the
-  CI perf-regression gate and ``python -m repro obs {run,report,diff}``
-  both consume exactly these.
+* :mod:`repro.obs.benchrun` -- runs a registered paper scenario
+  (:data:`repro.analysis.experiments.EXPERIMENTS`) with metrics on and
+  emits a schema-versioned ``BENCH_<name>.json`` artifact
+  (:mod:`repro.obs.schema`) of its declared scalars, which
+  :mod:`repro.obs.compare` holds exactly against a committed baseline
+  (``python -m repro obs {run,report,diff}``).
 * :mod:`repro.obs.timeline` -- :func:`chrome_trace` renders any metrics
   snapshot (live or from a BENCH document) as a Perfetto-loadable
   Chrome-trace-event ``TRACE_<name>.json``: parallel epoch/barrier
@@ -64,9 +64,8 @@ _EXPORTS = {
     "timeline": ("chrome_trace", "write_trace_json"),
     "schema": ("BASELINE_SCHEMA", "BENCH_SCHEMA", "TRACE_SCHEMA",
                "validate_bench", "validate_trace"),
-    "benchrun": ("QUICK_BENCHMARKS", "discover", "run_benchmark",
-                 "write_bench_json"),
-    "compare": ("Delta", "compare_docs", "make_baseline"),
+    "benchrun": ("QUICK_BENCHMARKS", "run_benchmark", "write_bench_json"),
+    "compare": ("compare_docs", "make_baseline"),
 }
 
 __getattr__, __dir__, __all__ = _lazy.attach(__name__, _EXPORTS)

@@ -1,23 +1,25 @@
 """The versioned on-disk contract for benchmark artifacts.
 
-``BENCH_<name>.json`` is the interchange format between the benchmark
-runner (:mod:`repro.obs.benchrun`), the CLI (``repro obs report/diff``),
-and CI's regression gate (``scripts/check_bench_regression.py``) -- all
-three validate against this module rather than trusting each other.
-Version the schema string on any incompatible change; consumers refuse
-documents whose major name does not match.
+``BENCH_<name>.json`` is the interchange format between the scenario
+runner (:mod:`repro.obs.benchrun`) and the CLI (``repro obs
+run/report/diff``), which validate against this module rather than
+trusting each other.  Version the schema string on any incompatible
+change; consumers refuse documents whose major name does not match.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 #: Schema tag for a single benchmark result document.  /3 dropped
-#: everything read off a host clock (``time``/``perf`` scalars, wall and
-#: creation time): a document is a pure function of code and seed.
-BENCH_SCHEMA = "repro.bench/3"
-#: Schema tag for the committed multi-benchmark baseline.
-BASELINE_SCHEMA = "repro.bench-baseline/1"
+#: everything read off a host clock; /4 dropped the pytest-shaped
+#: ``status``/``tests``/``artifacts``/``labels`` fields: a document is
+#: one registered scenario's declared scalars, ``label`` ones included.
+BENCH_SCHEMA = "repro.bench/4"
+#: Schema tag for the committed multi-benchmark baseline.  /2 dropped
+#: the rate tolerance: the gate is exact.
+BASELINE_SCHEMA = "repro.bench-baseline/2"
 #: Schema tag for ``TRACE_<name>.json`` Chrome-trace-event timelines
 #: (:mod:`repro.obs.timeline`).  The tag rides in the document's
 #: ``metadata`` object; the ``traceEvents`` payload itself follows the
@@ -25,30 +27,34 @@ BASELINE_SCHEMA = "repro.bench-baseline/1"
 #: ``chrome://tracing`` load it unmodified.
 TRACE_SCHEMA = "repro.trace-timeline/1"
 
-#: Scalar kinds a document may carry.
-#: ``rate``  -- higher is better (Gbps, Mpps, ...); the gated kind
-#: ``count`` -- informational (``obs report``, unknown-key warnings)
-SCALAR_KINDS = ("rate", "count")
+#: Scalar kinds a document may carry: ``rate`` (a throughput or
+#: capacity), ``count`` (any other finite number) and ``label`` (a
+#: string, e.g. which resource binds).  The gate holds all three exactly.
+SCALAR_KINDS = ("rate", "count", "label")
 
-#: RNG seed applied before every benchmark test unless one is given, so
-#: that a document is the same run to run.
+#: RNG seed applied before every scenario unless one is given, so that a
+#: document is the same run to run.
 DEFAULT_SEED = 20090917  # RouteBricks' SOSP camera-ready era
-
-#: Fractional change beyond which a rate scalar fails the regression gate.
-DEFAULT_TOLERANCE = 0.10
 
 _REQUIRED_TOP = {
     "schema": str,
     "name": str,
-    "status": str,
-    "tests": list,
     "scalars": dict,
     "metrics": dict,
 }
 
-_REQUIRED_TEST = {"name": str, "status": str}
 
-_STATUSES = ("passed", "failed", "error", "skipped")
+def _scalar_problem(cell) -> str:
+    """Why ``cell`` is not a ``{kind, value}`` scalar, or ``""``."""
+    if not isinstance(cell, dict) or cell.get("kind") not in SCALAR_KINDS:
+        return "kind is not one of %s" % (SCALAR_KINDS,)
+    value = cell.get("value")
+    if cell["kind"] == "label":
+        return "" if isinstance(value, str) else "value is not a string"
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        return "value is not a finite number"
+    return ""
 
 
 def validate_bench(doc) -> List[str]:
@@ -67,29 +73,10 @@ def validate_bench(doc) -> List[str]:
     if doc["schema"] != BENCH_SCHEMA:
         return ["schema is %r, this tool reads %r"
                 % (doc["schema"], BENCH_SCHEMA)]
-    if doc["status"] not in ("passed", "failed"):
-        errors.append("status must be passed|failed, got %r" % doc["status"])
-    for index, test in enumerate(doc["tests"]):
-        if not isinstance(test, dict):
-            errors.append("tests[%d] is not an object" % index)
-            continue
-        for key, types in _REQUIRED_TEST.items():
-            if not isinstance(test.get(key), types):
-                errors.append("tests[%d].%s missing or mistyped"
-                              % (index, key))
-        if test.get("status") not in _STATUSES:
-            errors.append("tests[%d].status %r not in %s"
-                          % (index, test.get("status"), _STATUSES))
-    for name, entry in doc["scalars"].items():
-        if not isinstance(entry, dict):
-            errors.append("scalars[%r] is not an object" % name)
-            continue
-        if not isinstance(entry.get("value"), (int, float)) \
-                or isinstance(entry.get("value"), bool):
-            errors.append("scalars[%r].value is not numeric" % name)
-        if entry.get("kind") not in SCALAR_KINDS:
-            errors.append("scalars[%r].kind %r not in %s"
-                          % (name, entry.get("kind"), SCALAR_KINDS))
+    for name, cell in doc["scalars"].items():
+        problem = _scalar_problem(cell)
+        if problem:
+            errors.append("scalars[%r]: %s" % (name, problem))
     metrics = doc["metrics"]
     for section in ("counters", "histograms", "timelines"):
         if section in metrics and not isinstance(metrics[section], dict):
@@ -193,9 +180,7 @@ def validate_baseline(doc) -> List[str]:
             errors.append("baseline benchmark %r has no scalars" % name)
             continue
         for metric, cell in entry["scalars"].items():
-            if not isinstance(cell, dict) \
-                    or not isinstance(cell.get("value"), (int, float)) \
-                    or cell.get("kind") not in SCALAR_KINDS:
-                errors.append("baseline %s.%s is malformed"
-                              % (name, metric))
+            problem = _scalar_problem(cell)
+            if problem:
+                errors.append("baseline %s.%s: %s" % (name, metric, problem))
     return errors

@@ -49,13 +49,6 @@ class PathTrace:
     def sites(self) -> List[str]:
         return [h.site for h in self.hops]
 
-    def last_time(self) -> float:
-        """Latest known timestamp (falls back to the start time)."""
-        for hop in reversed(self.hops):
-            if hop.time is not None:
-                return hop.time
-        return self.started
-
     def duration(self) -> float:
         """Seconds from the first to the last timestamped hop."""
         times = [h.time for h in self.hops if h.time is not None]

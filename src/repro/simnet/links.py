@@ -127,12 +127,6 @@ class Link:
                 return dropped
             dropped += 1
 
-    def utilization(self, elapsed_sec: float) -> float:
-        """Fraction of link capacity used over ``elapsed_sec``."""
-        if elapsed_sec <= 0:
-            raise ValueError("elapsed time must be positive")
-        return self.bytes_sent * 8 / (self.rate_bps * elapsed_sec)
-
     def queued_bits(self) -> int:
         """Bits currently waiting (used by the flowlet spreader's local
         load estimate)."""

@@ -58,7 +58,3 @@ class FiniteQueue(Generic[T]):
             out.append(self._items.popleft())
         self.dequeued += len(out)
         return out
-
-    def utilization(self) -> float:
-        """Current occupancy as a fraction of capacity."""
-        return len(self._items) / self.capacity

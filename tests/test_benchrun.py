@@ -1,16 +1,18 @@
-"""Tests for the benchmark runner, BENCH schema, and regression gate."""
+"""Tests for the scenario runner, the BENCH schema, and the exact gate."""
 
 import copy
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from repro.analysis.experiments import EXPERIMENTS
 from repro.cli import main
 from repro.obs import compare, make_baseline, run_benchmark, write_bench_json
-from repro.obs.benchrun import QUICK_BENCHMARKS, discover, normalize
+from repro.obs.benchrun import QUICK_BENCHMARKS
 from repro.obs.schema import (
     BASELINE_SCHEMA,
     BENCH_SCHEMA,
@@ -19,9 +21,10 @@ from repro.obs.schema import (
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+BASELINE = REPO_ROOT / "benchmarks" / "results" / "baseline.json"
 
 # One cheap, fully-analytic scenario reused across tests.
-BENCH_NAME = "fig6_queues"
+BENCH_NAME = "F6"
 
 
 @pytest.fixture(scope="module")
@@ -29,19 +32,45 @@ def bench_doc():
     return run_benchmark(BENCH_NAME)
 
 
-class TestNaming:
-    def test_normalize_accepts_all_spellings(self):
-        assert normalize("bench_fig6_queues") == "fig6_queues"
-        assert normalize("fig6_queues") == "fig6_queues"
-        assert normalize("bench_fig6_queues.py") == "fig6_queues"
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    """``repro obs run --quick`` in a fresh interpreter: its exit code,
+    every module it loaded (name -> file), and the directory it wrote."""
+    out_dir = tmp_path_factory.mktemp("quick")
+    script = (
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "rc = main(['obs', 'run', '--quick', '--out-dir', sys.argv[1]])\n"
+        "print(json.dumps({'rc': rc, 'modules': {\n"
+        "    name: getattr(module, '__file__', None)\n"
+        "    for name, module in list(sys.modules.items())}}))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, str(out_dir)],
+                          capture_output=True, text=True, env=env,
+                          cwd=str(out_dir), check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    result["out_dir"] = out_dir
+    return result
 
-    def test_discover_finds_the_quick_subset(self):
-        names = discover()
-        for name in QUICK_BENCHMARKS:
-            assert name in names
+
+def _quick_doc(quick_run, name):
+    return json.loads(
+        (quick_run["out_dir"] / ("BENCH_%s.json" % name)).read_text())
+
+
+def _diff(tmp_path, doc, baseline=BASELINE):
+    path = tmp_path / ("BENCH_%s.json" % doc["name"])
+    path.write_text(json.dumps(doc))
+    return main(["obs", "diff", str(baseline), str(path)])
+
+
+class TestNaming:
+    def test_quick_scenarios_are_registered(self):
+        assert set(QUICK_BENCHMARKS) <= set(EXPERIMENTS)
+        assert len(set(QUICK_BENCHMARKS)) == len(QUICK_BENCHMARKS)
 
     def test_unknown_benchmark_raises(self):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(KeyError):
             run_benchmark("no_such_scenario")
 
 
@@ -50,79 +79,88 @@ class TestRunBenchmark:
         assert validate_bench(bench_doc) == []
         assert bench_doc["schema"] == BENCH_SCHEMA
         assert bench_doc["name"] == BENCH_NAME
-        assert bench_doc["status"] == "passed"
 
     def test_rate_scalars_present(self, bench_doc):
         kinds = {cell["kind"] for cell in bench_doc["scalars"].values()}
         assert "rate" in kinds and kinds <= set(SCALAR_KINDS)
-        assert SCALAR_KINDS == ("rate", "count")
+        assert SCALAR_KINDS == ("rate", "count", "label")
 
     def test_document_carries_no_host_time(self, bench_doc):
         for field in ("wall_clock_s", "events_per_sec", "wall_time_sec",
                       "created_unix"):
             assert field not in bench_doc
-        assert all(set(test) <= {"name", "status", "detail"}
-                   for test in bench_doc["tests"])
 
     def test_written_file_round_trips(self, bench_doc, tmp_path):
         path = write_bench_json(bench_doc, tmp_path)
         assert path.name == "BENCH_%s.json" % BENCH_NAME
-        assert validate_bench(json.loads(path.read_text())) == []
+        assert json.loads(path.read_text()) \
+            == json.loads(json.dumps(bench_doc))
 
-    def test_non_time_scalars_reproducible(self):
-        """A document is a pure function of code and seed: nothing has
-        to be filtered out before two runs compare equal (there are no
-        ``time``/``perf`` scalars left to drop).  ``timed_server`` is
-        the quick scenario that drives the DES."""
-        first = run_benchmark("timed_server")
-        again = run_benchmark("timed_server")
-        assert first["scalars"] and first["artifacts"]
-        for part in ("scalars", "labels", "artifacts"):
-            assert first[part] == again[part]
-        assert [(t["name"], t["status"]) for t in first["tests"]] \
-            == [(t["name"], t["status"]) for t in again["tests"]]
+    def test_non_time_scalars_reproducible(self, quick_run):
+        """The gated scalars are a pure function of code and seed: the
+        DES scenario run here, after whatever this process ran before,
+        matches the one the quick run wrote from another interpreter.
+        (Sampled traces carry the process-wide packet ids.)"""
+        doc = run_benchmark("T1-DES")
+        assert doc["scalars"]
+        assert doc["scalars"] == _quick_doc(quick_run, "T1-DES")["scalars"]
 
-    def test_scenario_files_stay_out_of_the_source_tree(self):
-        """``tmp_path`` is a directory that goes with the run: the pcap
-        ``bench_substrates`` writes must not land under ``benchmarks/``."""
-        def tree():
-            # What ``git status --ignored benchmarks/`` would show a
-            # change in, byte-code caches aside -- without needing git.
-            return sorted(
-                (str(path), path.stat().st_size, path.stat().st_mtime_ns)
-                for path in (REPO_ROOT / "benchmarks").rglob("*")
-                if path.is_file() and "__pycache__" not in path.parts)
+    def test_invalid_declaration_raises(self, monkeypatch):
+        """A scenario that declares a non-finite number, or two scalars
+        under one name, gets no document."""
+        for scalars in ([("x.rate_gbps", "rate", float("inf"))],
+                        [("x.n", "count", 1), ("x.n", "count", 1)]):
+            monkeypatch.setitem(EXPERIMENTS, "BAD", lambda s=scalars: {
+                "id": "BAD", "scalars": s})
+            with pytest.raises(ValueError):
+                run_benchmark("BAD")
 
-        before = tree()
-        doc = run_benchmark("substrates")
-        assert {t["name"]: t["status"] for t in doc["tests"]}[
-            "test_pcap_round_trip_throughput"] == "passed"
-        assert tree() == before
+
+class TestQuickRun:
+    def test_loads_no_pytest_and_no_bench_file(self, quick_run):
+        assert quick_run["rc"] == 0
+        modules = quick_run["modules"]
+        assert not [name for name in modules
+                    if name.split(".")[0] in ("pytest", "_pytest")]
+        bench_dir = str(REPO_ROOT / "benchmarks")
+        assert not [path for path in modules.values()
+                    if path and path.startswith(bench_dir)]
+
+    def test_every_quick_document_dumps_without_default(self, quick_run):
+        """``write_bench_json`` passes no ``default=`` to ``json.dump``,
+        so the quick run writing every document is the check; each one
+        also declares at least one scalar of its own."""
+        assert quick_run["rc"] == 0
+        for name in QUICK_BENCHMARKS:
+            doc = _quick_doc(quick_run, name)
+            assert validate_bench(doc) == []
+            assert [key for key in doc["scalars"]
+                    if not key.startswith("run.")], name
+
+    def test_quick_run_is_the_committed_baseline(self, quick_run):
+        """The exact CI gate, in tier 1: the baseline holds every
+        declared scalar of every quick scenario and nothing else."""
+        docs = [_quick_doc(quick_run, name) for name in QUICK_BENCHMARKS]
+        assert make_baseline(docs) == compare.load_json(str(BASELINE))
 
 
 class TestCompare:
-    def test_classify_directions(self):
-        assert compare.classify("rate", 10.0, 8.0, 0.10)[1] == "regressed"
-        assert compare.classify("rate", 10.0, 12.0, 0.10)[1] == "improved"
-        assert compare.classify("rate", 10.0, 9.5, 0.10)[1] == "ok"
-        # Counts never gate, however large the swing.
-        assert compare.classify("count", 100.0, 10.0, 0.10)[1] == "ok"
-        assert compare.classify("count", 10.0, 100.0, 0.10)[1] == "ok"
-
     def test_make_baseline_and_compare(self, bench_doc):
         baseline = make_baseline([bench_doc])
         assert baseline["schema"] == BASELINE_SCHEMA
-        deltas = compare.compare_docs(baseline, bench_doc)
-        assert deltas and all(d.status == "ok" for d in deltas)
+        assert "tolerance" not in baseline
+        assert compare.compare_docs(baseline, bench_doc) == []
 
     def test_degraded_rates_regress(self, bench_doc):
         baseline = make_baseline([bench_doc])
         degraded = copy.deepcopy(bench_doc)
-        for cell in degraded["scalars"].values():
-            if cell["kind"] == "rate":
-                cell["value"] *= 0.85
-        deltas = compare.compare_docs(baseline, degraded)
-        assert any(d.regressed for d in deltas)
+        rates = [name for name, cell in degraded["scalars"].items()
+                 if cell["kind"] == "rate"]
+        for name in rates:
+            degraded["scalars"][name]["value"] *= 0.85
+        lines = compare.compare_docs(baseline, degraded)
+        assert len(lines) == len(rates)
+        assert all(line.startswith("F6/") for line in lines)
 
     def test_missing_benchmark_raises(self, bench_doc):
         baseline = make_baseline([bench_doc])
@@ -137,6 +175,62 @@ class TestCompare:
             compare.compare_docs(baseline, {"schema": "bogus"})
 
 
+def _raise(cell):
+    cell["value"] = cell["value"] + "x" if cell["kind"] == "label" \
+        else cell["value"] * 1.09
+
+
+def _lower(cell):
+    cell["value"] = cell["value"][:-1] if cell["kind"] == "label" \
+        else cell["value"] * 0.91
+
+
+class TestExactGateMutations:
+    """Moving one declared scalar of each kind, either way, or deleting
+    or adding one, fails ``obs diff`` against the committed baseline."""
+
+    @pytest.fixture(scope="class")
+    def rb4_doc(self):
+        return run_benchmark("RB4-T")
+
+    def test_unmutated_documents_pass(self, bench_doc, rb4_doc, tmp_path,
+                                      capsys):
+        assert _diff(tmp_path, bench_doc) == 0
+        assert _diff(tmp_path, rb4_doc) == 0
+        assert "0 differ" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mutate", [_raise, _lower, None],
+                             ids=["raised", "lowered", "deleted"])
+    @pytest.mark.parametrize("doc_name, scalar", [
+        ("bench_doc", "parallel.rate_gbps"),
+        ("bench_doc", "parallel.cores"),
+        ("rb4_doc", "64B.binding"),
+    ], ids=["rate", "count", "label"])
+    def test_mutated_scalar_fails(self, request, doc_name, scalar, mutate,
+                                  tmp_path, capsys):
+        doc = copy.deepcopy(request.getfixturevalue(doc_name))
+        if mutate is None:
+            del doc["scalars"][scalar]
+        else:
+            mutate(doc["scalars"][scalar])
+        assert _diff(tmp_path, doc) == 1
+        out = capsys.readouterr().out
+        assert "/%s: " % scalar in out and "1 differ" in out
+
+    def test_new_scalar_fails(self, bench_doc, tmp_path, capsys):
+        doc = copy.deepcopy(bench_doc)
+        doc["scalars"]["parallel.extra_gbps"] = {"kind": "rate",
+                                                 "value": 1.0}
+        assert _diff(tmp_path, doc) == 1
+        assert "missing -> 1.0 (rate)" in capsys.readouterr().out
+
+    def test_a_tripled_count_fails(self, quick_run, tmp_path, capsys):
+        doc = _quick_doc(quick_run, "FIB-CHURN")
+        doc["scalars"]["run.node_drops"]["value"] *= 3
+        assert _diff(tmp_path, doc) == 1
+        capsys.readouterr()
+
+
 class TestCliObs:
     def test_run_and_report(self, tmp_path, capsys):
         assert main(["obs", "run", BENCH_NAME,
@@ -145,7 +239,7 @@ class TestCliObs:
         assert validate_bench(json.loads(bench.read_text())) == []
         assert main(["obs", "report", str(bench)]) == 0
         out = capsys.readouterr().out
-        assert BENCH_NAME in out and "passed" in out
+        assert BENCH_NAME in out and "parallel.rate_gbps" in out
 
     def test_diff_exit_codes(self, tmp_path, capsys):
         assert main(["obs", "run", BENCH_NAME, "--out-dir", str(tmp_path),
@@ -153,14 +247,12 @@ class TestCliObs:
         bench = tmp_path / ("BENCH_%s.json" % BENCH_NAME)
         base = tmp_path / "base.json"
         assert main(["obs", "diff", str(base), str(bench)]) == 0
-        # Degrade every rate by 15% -> exit 1.
+        # Any change to any scalar -> exit 1.
         doc = json.loads(bench.read_text())
-        for cell in doc["scalars"].values():
-            if cell["kind"] == "rate":
-                cell["value"] *= 0.85
-        degraded = tmp_path / "degraded.json"
-        degraded.write_text(json.dumps(doc))
-        assert main(["obs", "diff", str(base), str(degraded)]) == 1
+        doc["scalars"]["parallel.cores"]["value"] += 1
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc))
+        assert main(["obs", "diff", str(base), str(changed)]) == 1
         # Garbage input -> exit 2.
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -170,7 +262,7 @@ class TestCliObs:
     def test_run_rejects_unknown_name(self, tmp_path, capsys):
         assert main(["obs", "run", "nope",
                      "--out-dir", str(tmp_path)]) == 2
-        capsys.readouterr()
+        assert "unknown experiment 'nope'" in capsys.readouterr().err
 
     def test_timeline_preset(self, tmp_path, capsys):
         from repro.obs.schema import validate_trace
@@ -209,131 +301,63 @@ class TestCliObs:
 
 
 class TestRegressionScript:
-    SCRIPT = str(REPO_ROOT / "scripts" / "check_bench_regression.py")
+    """The regression gate as CI scripts it: ``python -m repro obs
+    diff`` in a fresh interpreter, exit 0 on an exact match, 1 on any
+    difference, 2 on input it cannot read."""
 
     def _run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         return subprocess.run(
-            [sys.executable, self.SCRIPT, *argv],
-            capture_output=True, text=True)
+            [sys.executable, "-m", "repro", "obs", "diff", *argv],
+            capture_output=True, text=True, env=env)
 
     def test_clean_results_pass(self, bench_doc, tmp_path):
-        write_bench_json(bench_doc, tmp_path)
+        path = write_bench_json(bench_doc, tmp_path)
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(make_baseline([bench_doc])))
-        proc = self._run("--baseline", str(baseline),
-                         "--results-dir", str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
+        proc = self._run(str(baseline), str(path))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_15pct_degraded_fails(self, bench_doc, tmp_path):
-        """The ISSUE's acceptance check: a 15%-degraded copy must fail."""
         degraded = copy.deepcopy(bench_doc)
         for cell in degraded["scalars"].values():
             if cell["kind"] == "rate":
                 cell["value"] *= 0.85
-        write_bench_json(degraded, tmp_path)
+        path = write_bench_json(degraded, tmp_path)
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(make_baseline([bench_doc])))
-        proc = self._run("--baseline", str(baseline),
-                         "--results-dir", str(tmp_path))
+        proc = self._run(str(baseline), str(path))
         assert proc.returncode == 1, proc.stdout + proc.stderr
 
-    def test_unknown_scalar_keys_warn_without_failing(self, bench_doc,
-                                                      tmp_path):
-        """Scalars absent from the baseline entry surface as warnings
-        (all kinds), and never flip the exit code."""
-        extended = copy.deepcopy(bench_doc)
-        extended["scalars"]["test_extra.fresh_mpps.mean"] = {
-            "value": 1.0, "kind": "rate"}
-        extended["scalars"]["test_extra.oddball_events"] = {
-            "value": 3.0, "kind": "count"}
-        write_bench_json(extended, tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(make_baseline([bench_doc])))
-        proc = self._run("--baseline", str(baseline),
-                         "--results-dir", str(tmp_path))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "warning:" in proc.stdout
-        assert "test_extra.fresh_mpps.mean" in proc.stdout
-        # Non-gated kinds used to vanish silently; now they warn too.
-        assert "test_extra.oddball_events" in proc.stdout
-
-    def test_unknown_scalar_keys_helper(self, bench_doc):
-        import importlib.util
-        spec = importlib.util.spec_from_file_location(
-            "check_bench_regression", self.SCRIPT)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        baseline = make_baseline([bench_doc])
-        extended = copy.deepcopy(bench_doc)
-        extended["scalars"]["test_x.sneaky_events"] = {
-            "value": 1.0, "kind": "count"}
-        assert module.unknown_scalar_keys(baseline, bench_doc) == []
-        assert module.unknown_scalar_keys(baseline, extended) == \
-            ["test_x.sneaky_events"]
-        # No baseline entry for this benchmark: nothing to warn about
-        # (compare_docs already hard-errors on that case).
-        renamed = copy.deepcopy(bench_doc)
-        renamed["name"] = "unseen"
-        assert module.unknown_scalar_keys(baseline, renamed) == []
-
-    def test_unknown_benchmark_warns_only_with_flag(self, bench_doc,
-                                                    tmp_path):
-        """Artifacts with no baseline entry hard-error by default (the
-        PR gate) but downgrade to a warning under
-        --ignore-unknown-benchmarks (the nightly full-suite run)."""
-        renamed = copy.deepcopy(bench_doc)
-        renamed["name"] = "unbaselined"
-        write_bench_json(renamed, tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(make_baseline([bench_doc])))
-        strict = self._run("--baseline", str(baseline),
-                           "--results-dir", str(tmp_path))
-        assert strict.returncode == 2
-        relaxed = self._run("--baseline", str(baseline),
-                            "--results-dir", str(tmp_path),
-                            "--ignore-unknown-benchmarks")
-        assert relaxed.returncode == 0, relaxed.stdout + relaxed.stderr
-        assert "warning: unbaselined has no baseline entry" \
-            in relaxed.stdout
-
-    def test_missing_baseline_is_exit_2(self, tmp_path):
-        proc = self._run("--baseline", str(tmp_path / "absent.json"),
-                         "--results-dir", str(tmp_path))
+    def test_missing_baseline_is_exit_2(self, bench_doc, tmp_path):
+        path = write_bench_json(bench_doc, tmp_path)
+        proc = self._run(str(tmp_path / "absent.json"), str(path))
         assert proc.returncode == 2
 
-    def test_committed_baseline_matches_fresh_run(self):
+    def test_committed_baseline_matches_fresh_run(self, bench_doc):
         """The baseline in git must describe what the code produces
-        today -- otherwise the CI gate drifts into noise."""
-        committed = compare.load_json(
-            str(REPO_ROOT / "benchmarks" / "results" / "baseline.json"))
-        doc = run_benchmark(BENCH_NAME)
-        deltas = compare.compare_docs(committed, doc)
-        assert deltas, "baseline has no rate scalars for %s" % BENCH_NAME
-        assert all(not d.regressed for d in deltas)
+        today, to the last bit."""
+        committed = compare.load_json(str(BASELINE))
+        assert compare.compare_docs(committed, bench_doc) == []
 
     def test_old_schema_documents_are_refused(self, bench_doc, tmp_path,
                                               capsys):
-        """A ``repro.bench/2`` document (host-time fields, ``time`` and
-        ``perf`` scalars) is refused with both schema tags named, not
-        picked apart field by field."""
+        """A ``repro.bench/3`` document (pytest-shaped ``status`` and
+        ``tests``) is refused with both schema tags named, not picked
+        apart field by field."""
         old = copy.deepcopy(bench_doc)
-        old.update(schema="repro.bench/2", created_unix=0.0,
-                   wall_time_sec=0.1, wall_clock_s=0.0, events_per_sec=0.0)
-        old["scalars"]["run.wall_time_sec"] = {"value": 0.1, "kind": "time"}
-        old["scalars"]["run.wall_clock_s"] = {"value": 0.0, "kind": "perf"}
-        assert BENCH_SCHEMA == "repro.bench/3"
+        old.update(schema="repro.bench/3", status="passed", tests=[])
+        assert BENCH_SCHEMA == "repro.bench/4"
         (problem,) = validate_bench(old)
-        assert "repro.bench/2" in problem and "repro.bench/3" in problem
+        assert "repro.bench/3" in problem and "repro.bench/4" in problem
         path = tmp_path / "BENCH_old.json"
         path.write_text(json.dumps(old))
         assert main(["obs", "report", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "repro.bench/2" in err and "repro.bench/3" in err
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(make_baseline([bench_doc])))
-        proc = self._run("--baseline", str(baseline), str(path))
+        assert "repro.bench/3" in err and "repro.bench/4" in err
+        proc = self._run(str(BASELINE), str(path))
         assert proc.returncode == 2
-        assert "repro.bench/2" in proc.stderr
+        assert "repro.bench/3" in proc.stderr
 
 
 class TestParallelTelemetryHarvest:

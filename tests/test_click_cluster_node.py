@@ -27,16 +27,20 @@ def cluster(table):
 
 class TestPortArithmetic:
     def test_port_toward_and_back(self, table):
+        """Each peer has its own internal port, and the wiring agrees:
+        node 1's port toward a peer is that peer's port back, mirrored."""
         node = ClickClusterNode(1, 4, table)
-        for peer in (0, 2, 3):
-            port = node.port_toward(peer)
-            assert 1 <= port <= 3
-            assert node.peer_of_port(port) == peer
+        ports = [node.port_toward(peer) for peer in (0, 2, 3)]
+        assert sorted(ports) == [1, 2, 3]
+        for peer, port in zip((0, 2, 3), ports):
+            back = ClickClusterNode(peer, 4, table).port_toward(1)
+            assert back == 4 - port
 
     def test_external_port_guard(self, table):
+        """Port 0 is the external line: no peer is reached through it."""
         node = ClickClusterNode(0, 4, table)
-        with pytest.raises(ConfigurationError):
-            node.peer_of_port(0)
+        assert node.port_toward(0) == 0
+        assert 0 not in [node.port_toward(peer) for peer in (1, 2, 3)]
 
     def test_too_many_nodes(self, table):
         with pytest.raises(ConfigurationError):

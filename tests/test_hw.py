@@ -97,14 +97,6 @@ class TestServer:
         with pytest.raises(ConfigurationError):
             server.port(9)
 
-    def test_reset_ledgers(self):
-        server = nehalem_server()
-        server.cores[0].charge(100)
-        server.io_bus.charge(100)
-        server.reset_ledgers()
-        assert server.cores[0].cycles_used == 0
-        assert server.io_bus.bytes_moved == 0
-
 
 class TestNic:
     def _port(self, queues=4):

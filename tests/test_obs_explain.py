@@ -10,7 +10,7 @@ from repro.cli import main
 from repro.obs import ExplainReport, explain_pipeline, format_explain
 from repro.obs.explain import explain_from_registry
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.schema import validate_bench
+from repro.obs.schema import BENCH_SCHEMA, validate_bench
 
 #: Short DES windows keep the matrix fast; agreement is insensitive to
 #: the window because the charged loads are per-packet constants.
@@ -130,8 +130,7 @@ class TestExplainFromRegistry:
     def test_bench_doc_with_explain_validates(self):
         # A minimal doc with the new optional section passes the schema.
         doc = {
-            "schema": "repro.bench/3", "name": "x",
-            "status": "passed", "tests": [],
+            "schema": BENCH_SCHEMA, "name": "x",
             "scalars": {}, "metrics": {},
             "explain": {"latency": None, "top_frames": [],
                         "span_paths": 0},
@@ -158,8 +157,7 @@ class TestCli:
 
     def test_explain_reads_bench_json(self, tmp_path, capsys):
         doc = {
-            "schema": "repro.bench/3", "name": "demo",
-            "status": "passed", "tests": [],
+            "schema": BENCH_SCHEMA, "name": "demo",
             "scalars": {}, "metrics": {},
             "explain": {
                 "latency": {

@@ -453,13 +453,6 @@ class TestLink:
         assert results.count(False) >= 1
         assert link.queue.dropped >= 1
 
-    def test_utilization(self):
-        sim = Simulator()
-        link = Link(sim, "l", rate_bps=8e6, deliver=lambda p: None)
-        link.send(Packet.udp("1.1.1.1", "2.2.2.2", length=1000))
-        sim.run()
-        assert link.utilization(2e-3) == pytest.approx(0.5)
-
     def test_queued_bits(self):
         sim = Simulator()
         link = Link(sim, "l", rate_bps=1e3, deliver=lambda p: None)

@@ -50,7 +50,6 @@ class TestTimedRuns:
         assert rate / 1e9 == pytest.approx(1.46, rel=0.1)
 
     def test_cycles_charged_to_cores(self, run):
-        run.server.reset_ledgers()
         run.run(offered_bps=5e9, duration_sec=1e-3)
         used = [core.cycles_used for core in run.server.cores]
         assert all(u > 0 for u in used)
