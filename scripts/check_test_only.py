@@ -64,8 +64,6 @@ ALLOWED = {
     "parse_icmp": "the decoder the ICMP encoders are checked against",
     "worst_ratio_deviation": "the paper-narrative test's model-vs-paper check",
     "RouterGraph.add_all": "tests build Click element graphs with it",
-    "CoreThread.add_pull_task": "Click's pull-side task, which the scheduler runs; "
-                                "no shipped config pipelines through one yet",
     "TimedRunReport.loss_free": "tests check a timed run's verdict with it",
     "ClusterManager.remove_node": "membership removal; tests check re-homing and "
                                   "stale peers after it",
@@ -83,7 +81,6 @@ ALLOWED = {
                                  "degradation' row (the nodes a script touches)",
     "FaultSchedule.to_json": "the writer the CLI's schedule loader (from_json) is "
                              "checked against",
-    "Nic.check_capacity": "the PCIe slot-budget guard, which no run calls yet",
     "Packet.tcp": "builds the TCP packets tests feed the parsers and flow keys",
     "SpanProfiler.self_value": "tests read the profiler's charges with it",
     "SpanProfiler.total_value": "tests read the profiler's charges with it",

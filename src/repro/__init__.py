@@ -38,7 +38,6 @@ Public entry points
 
 from . import calibration, costs, units
 from .errors import (
-    CapacityError,
     ConfigurationError,
     CryptoError,
     PacketError,
@@ -58,7 +57,6 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "TopologyError",
-    "CapacityError",
     "PacketError",
     "RoutingError",
     "SchedulingError",

@@ -3,10 +3,9 @@
 Click composes routers from small elements connected through ports.  This
 reproduction keeps the push discipline (upstream calls downstream) that
 Click uses on the forwarding path, plus per-element packet/byte counters
-and a :meth:`Element.resource_cost` hook so the scheduler, the timed
+and one price, :meth:`Element.cost`, so the scheduler, the timed
 simulation, and the analytic pipeline compiler all charge the same
-per-packet :class:`~repro.costs.ResourceVector` for the work an element
-represents.
+:class:`~repro.costs.ResourceVector` for the work an element represents.
 """
 
 from __future__ import annotations
@@ -129,14 +128,12 @@ class Element:
         self.cost_base = base
         self.cost_per_byte = per_byte
 
-    def resource_cost(self, packet: Packet) -> ResourceVector:
-        """Per-packet cost of this element's work on every component.
-
-        Computed from the declared affine terms.
-        """
-        if self.cost_per_byte.is_zero():
-            return self.cost_base
-        return self.cost_base + self.cost_per_byte.scaled(packet.length)
+    def cost(self, packets: float, nbytes: float) -> ResourceVector:
+        """What ``packets`` packets of ``nbytes`` bytes in all cost on
+        every component.  Exact for any mix of sizes, since the terms are
+        affine; ``cost(1, L)`` is one ``L``-byte packet."""
+        return (self.cost_base.scaled(packets)
+                + self.cost_per_byte.scaled(nbytes))
 
     # -- static forwarding behaviour ---------------------------------------
 

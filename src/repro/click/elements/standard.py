@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ...errors import ConfigurationError
 from ...net.packet import Packet
@@ -36,9 +36,10 @@ class CounterElement(Element):
 class PacketQueue(Element):
     """A Click Queue: push in, explicit pull out.
 
-    Downstream is driven by :meth:`pull` (called by a schedulable task),
-    not by push propagation -- this is where pipelined configurations hand
-    packets between cores.
+    Downstream is driven by a pull task
+    (:meth:`~repro.click.scheduler.CoreThread.add_pull_task`), not by push
+    propagation -- this is where pipelined configurations hand packets
+    between cores.
     """
 
     def __init__(self, capacity: int = 1000, name: str = ""):
@@ -48,10 +49,6 @@ class PacketQueue(Element):
     def process(self, packet: Packet, port: int) -> None:
         if not self.fifo.offer(packet):
             self.drop(packet, "queue_full")
-
-    def pull(self) -> Optional[Packet]:
-        """Remove and return the oldest packet, or None."""
-        return self.fifo.poll()
 
     def __len__(self) -> int:
         return len(self.fifo)

@@ -33,6 +33,8 @@ class CoreThread:
         self.poll_tasks: List[PollDevice] = []
         self.pull_tasks: List[tuple] = []  # (PacketQueue, downstream Element)
         self.owned_elements: List[Element] = []
+        # Each owned element's (packets_in, bytes_in) at the last booking.
+        self._booked: List[tuple] = []
         self.packets_handled = 0
 
     def add_poll_task(self, device: PollDevice) -> None:
@@ -50,6 +52,7 @@ class CoreThread:
         """Statically assign ``element``'s work to this thread's core."""
         if element not in self.owned_elements:
             self.owned_elements.append(element)
+            self._booked.append((element.packets_in, element.bytes_in))
             if isinstance(element, ToDevice):
                 element.queue.note_access(self.core.core_id)
 
@@ -64,6 +67,23 @@ class CoreThread:
                 moved += 1
         self.packets_handled += moved
         return moved
+
+    def book_work(self) -> List[tuple]:
+        """The work each owned element did since the last booking, as
+        ``(element, ResourceVector)`` pairs in ownership order; the CPU
+        entries are what this thread's core is charged."""
+        work = []
+        booked = self._booked
+        for index, element in enumerate(self.owned_elements):
+            packets0, bytes0 = booked[index]
+            packets = element.packets_in
+            if packets > packets0:
+                nbytes = element.bytes_in
+                work.append((element,
+                             element.cost(packets - packets0,
+                                          nbytes - bytes0)))
+                booked[index] = (packets, nbytes)
+        return work
 
 
 class Scheduler:
@@ -128,45 +148,22 @@ class Scheduler:
                         "packets handed off across cores via %s" % queue.name)
         return violations
 
-    def run_rounds(self, rounds: int, kp: int = cal.DEFAULT_KP,
-                   charge_cycles: bool = True) -> int:
+    def run_rounds(self, rounds: int, kp: int = cal.DEFAULT_KP) -> int:
         """Run ``rounds`` scheduling rounds on every thread.
 
-        With ``charge_cycles``, each element's calibrated per-packet cost
-        vector -- evaluated at the *actual* mean size of the packets it
-        handled, since costs are affine in packet size -- is charged to
-        the owning core, so ``Core.cycles_used`` reflects Sec. 5.3's
-        accounting.  The device elements' terms already include the
-        irreducible per-packet base and the amortized batching shares.
+        Then each thread charges its core once, for the work its owned
+        elements booked (:meth:`CoreThread.book_work`), so
+        ``Core.cycles_used`` reflects Sec. 5.3's accounting.  The device
+        elements' terms already include the irreducible per-packet base
+        and the amortized batching shares.
         """
         if rounds < 1:
             raise SchedulingError("rounds must be >= 1")
         total = 0
-        before = {}
-        if charge_cycles:
-            for thread in self.threads:
-                for element in thread.owned_elements:
-                    before[id(element)] = (element.packets_in,
-                                           element.bytes_in)
         for _ in range(rounds):
             for thread in self.threads:
                 total += thread.run_once(kp)
-        if charge_cycles:
-            for thread in self.threads:
-                for element in thread.owned_elements:
-                    packets0, bytes0 = before[id(element)]
-                    handled = element.packets_in - packets0
-                    if handled <= 0:
-                        continue
-                    mean_bytes = (element.bytes_in - bytes0) / handled
-                    probe = _CostProbe(length=mean_bytes)
-                    per_packet = element.resource_cost(probe).cpu_cycles
-                    thread.core.charge(handled * per_packet)
+        for thread in self.threads:
+            thread.core.charge(sum(vec.cpu_cycles
+                                   for _, vec in thread.book_work()))
         return total
-
-
-class _CostProbe:
-    """A minimal stand-in packet for querying size-affine costs."""
-
-    def __init__(self, length: float):
-        self.length = length

@@ -12,12 +12,13 @@ saturation rate the run is loss-free; at higher loads the achieved rate
 plateaus at the model's prediction and RX rings overflow -- exactly how
 the paper measures the "maximum loss-free forwarding rate" (Sec. 5.1).
 
-Two runners share that discipline: :class:`TimedForwardingRun` charges a
-preset application's cost as one number per packet (the original Sec. 5.1
+Two runners share that discipline: :class:`TimedForwardingRun` charges
+minimal forwarding's cost as one number per packet (the original Sec. 5.1
 experiment), while :class:`TimedPipelineRun` instantiates an arbitrary
-Click configuration once per core (multi-queue replication) and charges
-each element's :class:`~repro.costs.ResourceVector` for the packets it
-actually handled -- the same vectors :func:`repro.costs.compile_loads`
+Click configuration once per core (multi-queue replication), runs each
+replica on a :mod:`repro.click.scheduler` thread, and charges each
+element's :meth:`~repro.click.element.Element.cost` for the packets it
+actually handled -- the same price :func:`repro.costs.compile_loads`
 sums analytically, which is what makes model-vs-DES agreement checkable
 for custom pipelines.
 """
@@ -28,7 +29,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, cycle, islice, repeat
-from typing import List, Optional
+from typing import Optional
 
 from .. import calibration as cal
 from ..costs import app_vector
@@ -39,7 +40,6 @@ from ..obs.profile import first_poll_after
 from ..obs.trace import TRACE_ANNOTATION
 from ..simnet.engine import Simulator
 from ..workloads.synthetic import FixedSizeWorkload
-from .element import Element
 from .elements.device import PollDevice, ToDevice
 from .elements.standard import PacketQueue
 
@@ -200,7 +200,6 @@ class TimedForwardingRun:
 
     def __init__(self, server: Server, packet_bytes: int = 64,
                  kp: int = cal.DEFAULT_KP, kn: int = cal.DEFAULT_KN,
-                 app: cal.AppCost = cal.MINIMAL_FORWARDING,
                  batch: bool = False,
                  metrics=None):
         if not server.ports:
@@ -211,10 +210,10 @@ class TimedForwardingRun:
         self.packet_bytes = packet_bytes
         self.kp = kp
         self.kn = kn
-        self.app = app
+        self.app = cal.MINIMAL_FORWARDING
         self.metrics = metrics
         self.cycles_per_packet = (
-            app_vector(app, packet_bytes).cpu_cycles
+            app_vector(self.app, packet_bytes).cpu_cycles
             + cal.bookkeeping_cycles(kp, kn))
         # Pair each core with one RX queue, spreading cores over ports.
         cores = server.cores
@@ -419,49 +418,27 @@ def _find_loss_free_rate(run, max_backlog: int, low_bps: float,
     return low_bps
 
 
-def _element_vector(element: Element, d_packets: int, d_bytes: float):
-    """The :class:`~repro.costs.ResourceVector` of ``d_packets`` /
-    ``d_bytes`` of new work on an element, or None for none.  Its CPU
-    entry is what the poll charges the core (exact for affine costs)."""
-    if d_packets <= 0:
-        return None
-    return (element.cost_base.scaled(d_packets)
-            + element.cost_per_byte.scaled(d_bytes))
-
-
-class _PipelineReplica:
-    """One core's instantiation of the pipeline (multi-queue slice)."""
-
-    def __init__(self, graph, core):
-        self.graph = graph
-        self.core = core
-        self.elements: List[Element] = graph.elements()
-        self.polls = [e for e in self.elements if isinstance(e, PollDevice)]
-        self.tos = [e for e in self.elements if isinstance(e, ToDevice)]
-        self.pulls = [(e, e.output(0).peer) for e in self.elements
-                      if isinstance(e, PacketQueue)
-                      and e.output(0).peer is not None]
-
-
 class TimedPipelineRun:
     """Simulate an arbitrary Click pipeline on one server at offered load.
 
     The configuration text (or a :data:`~repro.click.pipelines
     .PRESET_PIPELINES` name) is instantiated once per participating core,
     with each replica's device elements bound to NIC queue ``replica`` --
-    the multi-queue discipline.  Each poll event runs the replica's poll
-    devices, drives any Click ``Queue`` pulls, drains the TX rings, and
-    charges the core the element-wise resource cost of the packets that
-    actually moved.
+    the multi-queue discipline.  Each replica runs on a
+    :class:`~repro.click.scheduler.CoreThread` pinned to its core, which
+    owns the replica's elements in graph order: its PollDevices are poll
+    tasks and each Click ``Queue`` feeding a peer is a pull task.  A poll
+    event is one ``run_once``, the TX-ring drain, and a charge to the
+    core for the work the thread booked.
     """
 
     def __init__(self, server: Server, config_text: str,
                  packet_bytes: int = 64,
                  kp: int = cal.DEFAULT_KP, kn: int = cal.DEFAULT_KN,
                  table=None, esp_context=None,
-                 replicas: Optional[int] = None,
                  metrics=None):
         from .pipelines import build_pipeline
+        from .scheduler import Scheduler
         if not server.ports:
             raise ConfigurationError("server has no ports attached")
         if kp < 1 or not 1 <= kn <= cal.MAX_NIC_BATCH:
@@ -472,29 +449,31 @@ class TimedPipelineRun:
         self.kn = kn
         self.metrics = metrics
         queues_per_port = min(port.num_queues for port in server.ports)
-        n_replicas = min(len(server.cores), queues_per_port)
-        if replicas is not None:
-            if replicas < 1:
-                raise ConfigurationError("need >= 1 replica")
-            if replicas > n_replicas:
-                raise ConfigurationError(
-                    "%d replicas need %d cores and %d queues per port"
-                    % (replicas, replicas, replicas))
-            n_replicas = replicas
-        self.replicas: List[_PipelineReplica] = []
-        for index in range(n_replicas):
+        scheduler = Scheduler()
+        self.graphs = []
+        for index in range(min(len(server.cores), queues_per_port)):
             graph = build_pipeline(config_text, server, replica=index,
                                    kp=kp, kn=kn, table=table,
                                    esp_context=esp_context)
-            replica = _PipelineReplica(graph, server.cores[index])
-            if not replica.polls:
+            thread = scheduler.spawn(server.cores[index])
+            elements = graph.elements()
+            for element in elements:
+                thread.own(element)
+            for element in elements:
+                if isinstance(element, PollDevice):
+                    thread.add_poll_task(element)
+                elif (isinstance(element, PacketQueue)
+                      and element.output(0).peer is not None):
+                    thread.add_pull_task(element, element.output(0).peer)
+            if not thread.poll_tasks:
                 raise ConfigurationError(
                     "pipeline has no PollDevice; nothing drives it")
-            self.replicas.append(replica)
+            self.graphs.append(graph)
+        self.threads = scheduler.threads
 
     def _rx_queues(self):
-        return [poll.queue for replica in self.replicas
-                for poll in replica.polls]
+        return [poll.queue for thread in self.threads
+                for poll in thread.poll_tasks]
 
     def run(self, offered_bps: float, duration_sec: float = 5e-3,
             seed: int = 0) -> TimedRunReport:
@@ -502,13 +481,14 @@ class TimedPipelineRun:
 
         Each poll first delivers the arrivals due by its instant; only a
         replica's own ``PollDevice.run_task`` pops its RX rings.  A poll
-        serves its replica, charges its core, makes one ``observe`` call
-        when a registry is on, and files its successor."""
+        runs its thread once (``CoreThread.run_once``), drains the TX
+        rings, charges its core what the thread booked, makes one
+        ``observe`` call when a registry is on, and files its successor."""
         _check_load(offered_bps, duration_sec)
         obs = _RunObs.resolve(self.metrics)
         sim = Simulator(metrics=self.metrics)
         workload = FixedSizeWorkload(packet_bytes=self.packet_bytes,
-                                     num_flows=len(self.replicas) * 8,
+                                     num_flows=len(self.threads) * 8,
                                      seed=seed)
         interarrival = self.packet_bytes * 8 / offered_bps
         offered = int(duration_sec / interarrival)
@@ -516,8 +496,13 @@ class TimedPipelineRun:
 
         rx_queues = self._rx_queues()
         drops_before = sum(queue.dropped for queue in rx_queues)
+        # Clear any residue from a previous run, Click queues included.
         for queue in rx_queues:
             queue.clear()
+        for thread in self.threads:
+            for queue, _ in thread.pull_tasks:
+                while queue.fifo.poll() is not None:
+                    pass
 
         def arrival(t, index=count()):
             packet = next(packets)
@@ -533,18 +518,18 @@ class TimedPipelineRun:
         empty_poll_cycles = cal.EMPTY_POLL_CYCLES
         forwarded = empty_polls = total_polls = 0
 
-        def observer(replica):
+        def observer(thread):
             """One replica's per-poll counters, ring samples, profiler
             frames and trace hops."""
-            core_frame = "core%d" % replica.core.core_id
+            core_frame = "core%d" % thread.core.core_id
             (inc_busy_cycles, inc_empty_cycles,
              inc_busy_polls, inc_empty_polls) = \
-                obs.core_handles(replica.core.core_id)
+                obs.core_handles(thread.core.core_id)
             charge_empty = obs.bind_frame(core_frame, "empty_poll")
             charge_element = {id(e): obs.bind_frame(core_frame, e.name)
-                              for e in replica.elements}
+                              for e in thread.owned_elements}
             samplers = [obs.ring_sampler(device.queue, device.name)
-                        for device in replica.polls]
+                        for device in thread.poll_tasks]
             # The poll-wait split reads the replica's poll times.
             poll_times = []
 
@@ -582,12 +567,15 @@ class TimedPipelineRun:
         # As in TimedForwardingRun, polls are homogeneous high-rate
         # timers: the handle-free front.
         schedule_timer = sim.schedule_timer
+        kp = self.kp
 
-        def make_poll_loop(replica):
-            counters = {id(e): (e.packets_in, e.bytes_in)
-                        for e in replica.elements}
-            charge = replica.core.charge
-            observe = observer(replica) if obs is not None else None
+        def make_poll_loop(thread):
+            run_once = thread.run_once
+            book_work = thread.book_work
+            tos = [element for element in thread.owned_elements
+                   if isinstance(element, ToDevice)]
+            charge = thread.core.charge
+            observe = observer(thread) if obs is not None else None
 
             def poll():
                 nonlocal forwarded, empty_polls, total_polls
@@ -596,32 +584,12 @@ class TimedPipelineRun:
                     return
                 advance(now)
                 total_polls += 1
-                moved = 0
-                for device in replica.polls:
-                    moved += device.run_task()
-                for queue, downstream in replica.pulls:
-                    while True:
-                        packet = queue.pull()
-                        if packet is None:
-                            break
-                        downstream.receive(packet)
-                        moved += 1
-                drained = [(device, device.drain()) for device in replica.tos]
+                moved = run_once(kp)
+                drained = [(device, device.drain()) for device in tos]
                 forwarded += sum(len(packets) for _, packets in drained)
                 if moved:
-                    # The elements that did new work, with their cost.
-                    cycles = 0.0
-                    work = []
-                    for element in replica.elements:
-                        packets0, bytes0 = counters[id(element)]
-                        vec = _element_vector(
-                            element, element.packets_in - packets0,
-                            element.bytes_in - bytes0)
-                        if vec is not None:
-                            cycles += vec.cpu_cycles
-                            work.append((element, vec))
-                        counters[id(element)] = (element.packets_in,
-                                                 element.bytes_in)
+                    work = book_work()
+                    cycles = sum(vec.cpu_cycles for _, vec in work)
                 else:
                     empty_polls += 1
                     cycles = empty_poll_cycles
@@ -632,15 +600,15 @@ class TimedPipelineRun:
                 schedule_timer(cycles / clock_hz, poll)
             return poll
 
-        for replica in self.replicas:
-            sim.schedule_timer(0.0, make_poll_loop(replica))
+        for thread in self.threads:
+            sim.schedule_timer(0.0, make_poll_loop(thread))
         sim.run(until=duration_sec)
         advance(duration_sec)
 
         dropped = sum(queue.dropped for queue in rx_queues) - drops_before
         backlog = sum(len(queue) for queue in rx_queues)
-        for replica in self.replicas:
-            backlog += sum(len(queue) for queue, _ in replica.pulls)
+        for thread in self.threads:
+            backlog += sum(len(queue) for queue, _ in thread.pull_tasks)
         return TimedRunReport(
             offered_packets=offered,
             forwarded_packets=forwarded,

@@ -11,7 +11,7 @@ reproduction consumes, derived from the constants in
   scheduling penalties) and their base/per-byte terms for applications
   and for the RX/TX device elements.
 * :func:`compile_loads` -- walk a parsed Click graph, weight each
-  element's :meth:`resource_cost` by traversal probability, and produce
+  element's one-packet :meth:`cost` by traversal probability, and produce
   the ResourceVector the throughput solver consumes.
 """
 

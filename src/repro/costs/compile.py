@@ -3,8 +3,8 @@
 The paper evaluates three hand-calibrated applications; the compiler makes
 the same analytic treatment available to *any* pipeline: walk a parsed
 :class:`~repro.click.graph.RouterGraph`, weight each element's
-:meth:`~repro.click.element.Element.resource_cost` by the probability a
-packet traverses it, sum the vectors, and hand the result to the
+:meth:`~repro.click.element.Element.cost` of one packet by the probability
+a packet traverses it, sum the vectors, and hand the result to the
 bottleneck solver.  This is the graph-to-cost compilation that automatic
 NF-parallelization systems perform for real network functions, applied to
 the reproduction's element library.
@@ -24,15 +24,6 @@ from typing import Dict, List, Optional
 from ..errors import ConfigurationError
 from .model import DEFAULT_CONFIG, ServerConfig, apply_cpu_penalties
 from .vector import ResourceVector
-
-
-class _Probe:
-    """A minimal stand-in packet for evaluating size-affine costs."""
-
-    __slots__ = ("length",)
-
-    def __init__(self, length: float):
-        self.length = length
 
 
 def traversal_probabilities(graph,
@@ -119,11 +110,10 @@ def element_costs(graph, packet_bytes: float = 64,
     if packet_bytes <= 0:
         raise ConfigurationError("packet size must be positive")
     probabilities = traversal_probabilities(graph, entry_weights)
-    probe = _Probe(packet_bytes)
     rows = []
     for element in graph.elements():
         probability = probabilities[element.name]
-        vector = element.resource_cost(probe).scaled(probability)
+        vector = element.cost(1, packet_bytes).scaled(probability)
         rows.append({
             "element": element.name,
             "class": type(element).__name__,
@@ -144,7 +134,7 @@ def compile_loads(graph, packet_bytes: float = 64,
                   ) -> ResourceVector:
     """The per-packet load vector of an arbitrary pipeline.
 
-    Sums every element's :meth:`resource_cost` weighted by its traversal
+    Sums every element's one-packet :meth:`cost` weighted by its traversal
     probability, then applies the scheduling penalties the analytic model
     charges (``config.multi_queue``, the spec's CPI inflation).  Batching
     amortization is *not* added here -- the device elements already carry
@@ -160,11 +150,10 @@ def compile_loads(graph, packet_bytes: float = 64,
     if packet_bytes <= 0:
         raise ConfigurationError("packet size must be positive")
     probabilities = traversal_probabilities(graph, entry_weights)
-    probe = _Probe(packet_bytes)
     total = ResourceVector()
     for element in graph.elements():
         probability = probabilities[element.name]
         if probability <= 0.0:
             continue
-        total = total + element.resource_cost(probe).scaled(probability)
+        total = total + element.cost(1, packet_bytes).scaled(probability)
     return apply_cpu_penalties(total, config, spec)

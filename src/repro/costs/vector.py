@@ -60,10 +60,6 @@ class ResourceVector:
                               pcie_bytes=self.pcie_bytes,
                               qpi_bytes=self.qpi_bytes)
 
-    def is_zero(self) -> bool:
-        return not (self.cpu_cycles or self.mem_bytes or self.io_bytes
-                    or self.pcie_bytes or self.qpi_bytes)
-
 
 #: The additive identity, shared by every element with no declared cost.
 ZERO_VECTOR = ResourceVector()

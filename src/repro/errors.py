@@ -19,10 +19,6 @@ class TopologyError(ReproError):
     """A cluster topology cannot be built under the given constraints."""
 
 
-class CapacityError(ReproError):
-    """An operation exceeded the modeled capacity of a hardware component."""
-
-
 class PacketError(ReproError):
     """A packet could not be parsed, built, or processed."""
 

@@ -11,8 +11,9 @@ core.  The model provides:
 * :class:`NicPort` -- a port with per-queue RSS flow assignment, or
   MAC-based assignment for the cluster's output-node encoding trick
   (Sec. 6.1),
-* :class:`Nic` -- a card holding one or two ports that share a PCIe slot's
-  payload budget (12.3 Gbps on the prototype's PCIe1.1 x8 slots).
+* :class:`Nic` -- a card holding one or two ports in one PCIe slot (the
+  slot's 12.3 Gbps payload budget is the server spec's
+  ``nic_payload_limit_bps``).
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-from ..calibration import NIC_PAYLOAD_LIMIT_BPS
-from ..errors import CapacityError, ConfigurationError
+from ..errors import ConfigurationError
 from ..net.flows import queue_for_flow
 from ..net.packet import Packet
 
@@ -131,8 +131,6 @@ class NicPort:
                           for i in range(num_queues)]
         self.tx_queues = [NicQueue(i, "tx", ring_slots)
                           for i in range(num_queues)]
-        self.rx_bytes = 0
-        self.tx_bytes = 0
         #: When set, RX queue selection uses the destination MAC's encoded
         #: node id instead of the flow hash (the Sec. 6.1 trick).
         self.mac_steering = False
@@ -151,7 +149,6 @@ class NicPort:
 
     def receive(self, packet: Packet) -> bool:
         """Deliver an arriving packet into its RX queue; False on drop."""
-        self.rx_bytes += packet.length
         return self.rx_queues[self.classify(packet)].push(packet)
 
     def transmit(self, packet: Packet, queue_id: int = 0) -> bool:
@@ -159,10 +156,7 @@ class NicPort:
         if not 0 <= queue_id < self.num_queues:
             raise ConfigurationError(
                 "tx queue %d out of range for port %d" % (queue_id, self.port_id))
-        ok = self.tx_queues[queue_id].push(packet)
-        if ok:
-            self.tx_bytes += packet.length
-        return ok
+        return self.tx_queues[queue_id].push(packet)
 
     def drain(self) -> List[Packet]:
         """Pop everything from all TX queues (the wire side of the model)."""
@@ -178,28 +172,11 @@ class NicPort:
 
 @dataclass
 class Nic:
-    """A NIC card: up to two ports sharing one PCIe slot's payload budget."""
+    """A NIC card: up to two ports sharing one PCIe slot."""
 
     nic_id: int
     ports: List[NicPort] = field(default_factory=list)
-    payload_limit_bps: float = NIC_PAYLOAD_LIMIT_BPS
 
     def __post_init__(self):
         if not 1 <= len(self.ports) <= 2:
             raise ConfigurationError("a NIC holds 1 or 2 ports")
-
-    def offered_load_bps(self, elapsed_sec: float) -> float:
-        """Aggregate payload rate moved through this NIC (both directions
-        counted once each, per the paper's 12.3 Gbps per-NIC observation)."""
-        if elapsed_sec <= 0:
-            raise ValueError("elapsed time must be positive")
-        total_bytes = sum(p.rx_bytes + p.tx_bytes for p in self.ports)
-        return total_bytes * 8 / elapsed_sec
-
-    def check_capacity(self, elapsed_sec: float) -> None:
-        """Raise :class:`CapacityError` if the PCIe payload budget is blown."""
-        load = self.offered_load_bps(elapsed_sec)
-        if load > self.payload_limit_bps:
-            raise CapacityError(
-                "NIC %d offered %.2f Gbps exceeds slot limit %.2f Gbps"
-                % (self.nic_id, load / 1e9, self.payload_limit_bps / 1e9))

@@ -126,8 +126,7 @@ class Server:
                                      rate_bps=self.spec.port_rate_bps,
                                      num_queues=queues_per_port))
                 port_id += 1
-            self.nics.append(Nic(nic_id=len(self.nics), ports=ports,
-                                 payload_limit_bps=self.spec.nic_payload_limit_bps))
+            self.nics.append(Nic(nic_id=len(self.nics), ports=ports))
 
     @property
     def ports(self) -> List[NicPort]:

@@ -27,6 +27,7 @@ from typing import Dict
 from .explain import explain_from_registry
 from .metrics import MetricsRegistry, use_registry
 from .schema import BENCH_SCHEMA, DEFAULT_SEED, validate_bench
+from .trace import rebase_packet_ids
 
 #: The gated set, run by CI's bench job: every scenario that finishes in
 #: seconds.  ``T1-DES`` drives the DES hot paths, so its run also yields
@@ -65,12 +66,15 @@ def run_benchmark(name: str, seed: int = DEFAULT_SEED) -> dict:
         for key, value in _registry_counts(registry).items()]
     scalars = {key: {"kind": kind, "value": value}
                for key, kind, value in declared}
+    metrics = registry.snapshot()
+    traces = metrics["traces"]
+    traces["paths"] = rebase_packet_ids(traces["paths"])
     doc = {
         "schema": BENCH_SCHEMA,
         "name": name,
         "seed": seed,
         "scalars": scalars,
-        "metrics": registry.snapshot(),
+        "metrics": metrics,
         "explain": explain_from_registry(registry),
     }
     problems = validate_bench(doc)

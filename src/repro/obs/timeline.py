@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .profile import _classify
 from .schema import TRACE_SCHEMA, validate_trace
+from .trace import rebase_packet_ids
 
 __all__ = ["PID_SIM", "PID_WALL", "PID_PROFILE", "PID_PACKETS",
            "chrome_trace", "write_trace_json", "validate_trace"]
@@ -215,14 +216,11 @@ def _profile_events(snapshot: dict, events: List[dict]) -> None:
 def _packet_events(snapshot: dict, events: List[dict]) -> None:
     """pid 4: one thread per sampled packet; spans between consecutive
     timestamped hops, named by the latency-decomposition stage
-    classifier.  Packet ids are rebased to the run's smallest sampled id
-    so seeded reruns export identical ids regardless of the process's
-    global packet counter."""
-    paths = snapshot.get("traces", {}).get("paths") or []
-    ids = [p.get("packet_id", 0) for p in paths]
-    base = min(ids) if ids else 0
+    classifier.  Packet ids are counted from the run's smallest sampled
+    id (:func:`~repro.obs.trace.rebase_packet_ids`)."""
+    paths = rebase_packet_ids(snapshot.get("traces", {}).get("paths") or [])
     for tid, trace in enumerate(paths):
-        packet = trace.get("packet_id", 0) - base
+        packet = trace["packet_id"]
         events.append(_meta(PID_PACKETS, "packet %d" % packet, tid))
         hops = [(h["site"], h["time"]) for h in trace.get("hops", [])
                 if h.get("time") is not None]

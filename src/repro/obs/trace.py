@@ -198,3 +198,17 @@ class TraceSampler:
         if len(self.traces) < self.max_traces:
             self.traces.append(trace)
         return trace
+
+
+def rebase_packet_ids(paths: List[dict]) -> List[dict]:
+    """Snapshot trace dicts with packet ids counted from the smallest.
+
+    Packet ids come from one process-wide counter, so the same seeded
+    run numbers its packets differently after other runs in the same
+    process; rebased, a document is a function of code and seed alone.
+    """
+    if not paths:
+        return paths
+    base = min(path.get("packet_id", 0) for path in paths)
+    return [dict(path, packet_id=path.get("packet_id", 0) - base)
+            for path in paths]

@@ -18,8 +18,11 @@ a simulated quantity.  So the snapshot digests hash the snapshot
 recomputed that way at 6ed096f, the last commit that still filed one
 event per arrival (``recorded_at_snapshot_sha256``), through
 :func:`_snapshot_digest` below.  The observed ``TimedPipelineRun``
-scenario of ``tests/test_simrun.py`` was recorded there too.  No other
-golden value was touched.
+scenario of ``tests/test_simrun.py`` was recorded there too.  The
+``scheduler_rounds`` core total moved by one ulp, 11735.5 to
+11735.500000000002, when the scheduler began pricing work with the
+affine ``Element.cost(packets, bytes)`` in place of a mean-size probe
+packet.  No other golden value was touched.
 
 The per-packet drop-accounting and scheduler-round checks that sat
 beside the twins stay here.
@@ -192,12 +195,12 @@ def observe_pipeline(preset):
                            kp=8, kn=4)
     report = run.run(4e9, duration_sec=1e-3, seed=1)
     counters = {}
-    for index, replica in enumerate(run.replicas):
-        for element in replica.elements:
+    for index, thread in enumerate(run.threads):
+        for element in thread.owned_elements:
             counters["%d/%s" % (index, element.name)] = [
                 element.packets_in, element.bytes_in,
                 element.packets_out, element.packets_dropped]
-    loads = compile_loads(run.replicas[0].graph, packet_bytes=PACKET_BYTES)
+    loads = compile_loads(run.graphs[0], packet_bytes=PACKET_BYTES)
     return {"report": _report_scalars(report),
             "element_counters": counters,
             "compile_loads": [loads.cpu_cycles, loads.mem_bytes,

@@ -74,7 +74,7 @@ class TestElements:
         queue.receive(_udp())
         queue.receive(_udp())  # overflows
         assert queue.packets_dropped == 1
-        assert queue.pull() is not None
+        assert queue.fifo.poll() is not None
         assert len(queue) == 1
 
     def test_round_robin_switch(self):
@@ -240,8 +240,8 @@ class TestIPsecElement:
 
     def test_cycle_cost_scales_with_size(self):
         element = IPsecESPEncap(self._context())
-        small = element.resource_cost(_udp(length=64)).cpu_cycles
-        large = element.resource_cost(_udp(length=1500)).cpu_cycles
+        small = element.cost(1, 64).cpu_cycles
+        large = element.cost(1, 1500).cpu_cycles
         assert large > small + 1000
 
 

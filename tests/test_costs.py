@@ -6,6 +6,7 @@ load vector bit-for-bit (well, to float tolerance), because both sides now
 draw from the same cost functions (:mod:`repro.costs.model`).
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -19,6 +20,7 @@ from repro.click import (
     RouterGraph,
     Tee,
     build_pipeline,
+    pipeline_registry,
 )
 from repro.costs import (
     DEFAULT_CONFIG,
@@ -37,7 +39,6 @@ from repro.costs import (
 from repro.errors import ConfigurationError
 from repro.hw.presets import NEHALEM, XEON_SHARED_BUS
 from repro.hw.server import Server
-from repro.net.packet import Packet
 from repro.perfmodel import rate_from_loads
 from repro.perfmodel.custom_app import define_application
 
@@ -45,16 +46,12 @@ COMPONENTS = ("cpu_cycles", "mem_bytes", "io_bytes", "pcie_bytes",
               "qpi_bytes")
 
 
-def make_packet(size=64):
-    return Packet(length=size)
-
-
 # -- ResourceVector algebra -------------------------------------------------
 
 class TestResourceVector:
     def test_defaults_are_zero(self):
-        assert ResourceVector().is_zero()
-        assert ZERO_VECTOR.is_zero()
+        assert not any(dataclasses.astuple(ResourceVector()))
+        assert ZERO_VECTOR == ResourceVector()
 
     def test_add_and_sub(self):
         a = ResourceVector(cpu_cycles=100.0, mem_bytes=10.0)
@@ -178,7 +175,7 @@ class TestElementCosts:
         e = Element("e")
         e.set_cost_terms(ResourceVector(cpu_cycles=100.0),
                          ResourceVector(cpu_cycles=2.0, mem_bytes=1.0))
-        v = e.resource_cost(make_packet(100))
+        v = e.cost(1, 100)
         assert v.cpu_cycles == pytest.approx(300.0)
         assert v.mem_bytes == pytest.approx(100.0)
 
@@ -188,8 +185,32 @@ class TestElementCosts:
         e = Element("e")
         e.set_cost_terms(ResourceVector(cpu_cycles=5.0))
         assert not hasattr(e, "cycle_cost")
-        assert e.resource_cost(make_packet(100)).cpu_cycles == \
-            pytest.approx(5.0)
+        assert e.cost(1, 100).cpu_cycles == pytest.approx(5.0)
+
+    #: Arguments for every class the server-bound registry builds.
+    REGISTRY_ARGS = {
+        "CheckIPHeader": [], "ConnTrackFirewall": [], "Counter": [],
+        "DecIPTTL": [], "Discard": [], "DropFrontQueue": [],
+        "EtherEncap": [], "FlowHashSwitch": [], "IPsecESPEncap": [],
+        "L4LoadBalancer": [], "LookupIPRoute": [], "Meter": ["1e6"],
+        "NAT": [], "Paint": ["1"], "PollDevice": [], "Queue": [],
+        "RandomSample": ["0.5"], "RedQueue": [], "RoundRobinSwitch": [],
+        "SetTTL": ["64"], "SourceFilter": ["10.0.0.0/8"], "Tee": [],
+        "ToDevice": [], "TokenBucketPolicer": [],
+    }
+
+    @pytest.mark.parametrize("packet_bytes", [64, 1500])
+    def test_one_packet_costs_what_compile_loads_sums(self, packet_bytes):
+        """The DES price of one packet, ``cost(1, L)``, is bit for bit
+        the vector ``compile_loads`` adds for that element."""
+        server = Server(NEHALEM, num_ports=1, queues_per_port=1)
+        registry = pipeline_registry(server)
+        assert set(self.REGISTRY_ARGS) == set(registry._factories)
+        for class_name, args in self.REGISTRY_ARGS.items():
+            graph = RouterGraph()
+            element = graph.add(registry.create(class_name, args, "e"))
+            assert (compile_loads(graph, packet_bytes)
+                    == element.cost(1, packet_bytes)), class_name
 
     def test_device_elements_carry_model_terms(self):
         server = Server(NEHALEM, num_ports=1, queues_per_port=1)

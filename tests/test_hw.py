@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.hw import (
     NEHALEM,
     NEHALEM_NEXT_GEN,
@@ -132,12 +132,6 @@ class TestNic:
         port = self._port()
         with pytest.raises(ConfigurationError):
             port.transmit(Packet.udp("1.1.1.1", "2.2.2.2"), queue_id=9)
-
-    def test_nic_capacity_check(self):
-        nic = Nic(nic_id=0, ports=[self._port()], payload_limit_bps=12.3e9)
-        nic.ports[0].rx_bytes = int(13e9 / 8)  # 13 Gb in one second
-        with pytest.raises(CapacityError):
-            nic.check_capacity(1.0)
 
     def test_nic_port_count_limits(self):
         with pytest.raises(ConfigurationError):

@@ -5,7 +5,7 @@ import pytest
 from repro import calibration as cal
 from repro.click import RouterGraph
 from repro.click.elements.standard import CounterElement, Discard
-from repro.click.simrun import TimedForwardingRun
+from repro.click.simrun import TimedForwardingRun, TimedPipelineRun
 from repro.errors import ConfigurationError, SchedulingError
 from repro.hw import Server, nehalem_server
 from repro.hw.presets import NEHALEM_NEXT_GEN
@@ -24,15 +24,12 @@ class TestGraphAddAll:
 
 class TestTimedRunWithRouting:
     def test_routing_app_saturates_lower(self):
-        fwd_run = TimedForwardingRun(
-            nehalem_server(num_ports=4, queues_per_port=2))
-        rtr_run = TimedForwardingRun(
-            nehalem_server(num_ports=4, queues_per_port=2),
-            app=cal.IP_ROUTING)
+        fwd_run = TimedPipelineRun(nehalem_server(), "forwarding")
+        rtr_run = TimedPipelineRun(nehalem_server(), "routing")
         fwd = fwd_run.run(offered_bps=8e9, duration_sec=1e-3)
         rtr = rtr_run.run(offered_bps=8e9, duration_sec=1e-3)
         # 8 Gbps exceeds routing's 6.35 Gbps saturation but not
-        # forwarding's 9.77.
+        # forwarding's 9.77 (the presets' compiled loads).
         assert fwd.sustainable(max_backlog_packets=512)
         assert not rtr.sustainable(max_backlog_packets=512)
 

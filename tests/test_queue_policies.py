@@ -42,7 +42,7 @@ class TestRedQueue:
         for _ in range(500):
             queue.receive(_packet())
             if len(queue) > 0 and queue.packets_in % 3 == 0:
-                queue.pull()  # slow consumer
+                queue.fifo.poll()  # slow consumer
         assert queue.early_drops > 0
         # RED keeps the average occupancy near/below max_thresh.
         assert queue.avg < 2 * 60
@@ -79,7 +79,7 @@ class TestDropFrontQueue:
             queue.receive(_packet(seq))
         held = []
         while True:
-            packet = queue.pull()
+            packet = queue.fifo.poll()
             if packet is None:
                 break
             held.append(packet.flow_seq)

@@ -99,7 +99,7 @@ def _pipeline(server, registry):
 def _pollers(run):
     """How many poll loops a run drives (one per core it uses)."""
     if isinstance(run, TimedPipelineRun):
-        return len(run.replicas)
+        return len(run.threads)
     return len(run.server.cores)
 
 
@@ -126,12 +126,6 @@ class TestBadInput:
                                                  duration_sec):
         with pytest.raises(ConfigurationError, match="finite"):
             _idle(build).run(offered_bps, duration_sec=duration_sec)
-
-    @pytest.mark.parametrize("replicas", [0, -1])
-    def test_a_pipeline_needs_a_replica(self, replicas):
-        with pytest.raises(ConfigurationError, match="replica"):
-            TimedPipelineRun(nehalem_server(num_ports=4, queues_per_port=2),
-                             "forwarding", replicas=replicas)
 
     @staticmethod
     def _scripted(build, ceiling_bps):
@@ -207,6 +201,53 @@ class TestObservingAPipelineChangesNothing:
         assert registry.tracer.sampled > 0
 
 
+class TestAClickQueueHandoff:
+    """A ``Queue`` between the polls and the send: each replica's thread
+    drains it with a pull task, at most ``kp`` packets per poll."""
+
+    ONE_POLL = """
+        src :: PollDevice(0);
+        q :: Queue;
+        src -> q -> ToDevice(0);
+    """
+    TWO_POLLS = """
+        a :: PollDevice(0);
+        b :: PollDevice(1);
+        q :: Queue;
+        a -> q;
+        b -> q;
+        q -> ToDevice(0);
+    """
+
+    def test_low_load_forwards_everything(self):
+        run = TimedPipelineRun(nehalem_server(num_ports=1, queues_per_port=2),
+                               self.ONE_POLL, kp=8, kn=4)
+        report = run.run(1e9, duration_sec=2e-4)
+        assert report.offered_packets > 300
+        assert (report.forwarded_packets, report.dropped_packets,
+                report.residual_backlog) == (report.offered_packets, 0, 0)
+        assert sum(graph["q"].packets_in
+                   for graph in run.graphs) == report.forwarded_packets
+
+    def test_the_backlog_counts_the_click_queue(self):
+        """Two polls push up to 2 * kp per poll and the pull moves kp, so
+        under load the Click queue holds packets at the horizon."""
+        run = TimedPipelineRun(nehalem_server(num_ports=2, queues_per_port=2),
+                               self.TWO_POLLS, kp=8, kn=4)
+        report = run.run(3e9, duration_sec=2e-4)
+        in_click = sum(len(graph["q"]) for graph in run.graphs)
+        in_rings = sum(len(graph[name].queue) for graph in run.graphs
+                       for name in ("a", "b"))
+        assert in_click > 0 and report.dropped_packets == 0
+        assert report.residual_backlog == in_rings + in_click
+        assert report.offered_packets == (report.forwarded_packets
+                                          + report.residual_backlog)
+        # The next run starts from empty queues, as from empty rings.
+        report = run.run(0.2e9, duration_sec=2e-4)
+        assert (report.forwarded_packets, report.residual_backlog) == (
+            report.offered_packets, 0)
+
+
 class TestAnArrivalIsNotAnEvent:
     """Arrivals fill the RX rings when a poll looks (polling mode), so a
     run executes its polls -- plus, per core, at most the one that lands
@@ -265,7 +306,8 @@ class TestArrivalEdges:
         slow = dataclasses.replace(cal.MINIMAL_FORWARDING,
                                    cpu_base_cycles=1e12)
         monkeypatch.setattr(cal, "EMPTY_POLL_CYCLES", 1e12)
-        run = TimedForwardingRun(server, app=slow)
+        monkeypatch.setattr(cal, "MINIMAL_FORWARDING", slow)
+        run = TimedForwardingRun(server)
         report = run.run(1e9, duration_sec=60.5 * 512e-9)
         assert (report.offered_packets, report.total_polls,
                 report.forwarded_packets, report.residual_backlog,

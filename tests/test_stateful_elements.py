@@ -191,6 +191,6 @@ class TestRegistry:
     def test_elements_declare_calibrated_costs(self):
         for kind in ("nat", "firewall", "policer", "lb"):
             element = _element(kind)
-            cost = element.resource_cost(Packet.udp("10.0.0.1", "10.1.0.1"))
+            cost = element.cost(1, 64)
             assert cost.cpu_cycles > 0
             assert cost.mem_bytes > 0
