@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Fail when ``src/repro`` holds a def or a module that only tests reach.
+"""Fail when ``src/repro`` holds a def or a module that only tests reach,
+an attribute nothing reads, or an allowlist entry that names nothing.
 
-Two passes, both blind to ``__init__`` re-exports (a re-export is not a
-use):
+Two passes find what only tests reach, both blind to ``__init__``
+re-exports (a re-export is not a use):
 
 * **Words.**  A token walk counts every identifier-shaped word in the
   ``.py`` files under ``src``, ``benchmarks``, ``examples``,
@@ -30,12 +31,24 @@ Delete what only tests reach, with its tests, or add it to ``ALLOWED``
 *other* code (a reference, a verifier, a fixture), or DESIGN.md records
 why it stays.
 
+Two more passes have no allowlist:
+
+* **Unread attributes.**  An attribute that ``src/repro`` stores on
+  ``self`` (``self.name = ...``, ``self.name += 1``) must be read
+  somewhere under ``src``, ``benchmarks``, ``examples``, ``perfbench``,
+  ``scripts`` or ``tests``: as ``x.name``, or as a string (``getattr``,
+  ``_summary_fields``).  A counter nothing reads is dead weight on
+  every packet that bumps it.
+* **Stale entries.**  Every ``ALLOWED`` key names a def or method that
+  exists in ``src/repro``, and every ``ALLOWED_MODULES`` key a module.
+
 Usage::
 
     python scripts/check_test_only.py
 
-Prints every test-only def and module (allowed ones with their reason).
-Exit codes: 0 everything test-only is allowed, 1 otherwise.
+Prints every test-only def and module (allowed ones with their reason),
+every unread attribute and every stale entry.  Exit codes: 0 everything
+test-only is allowed and the other two passes find nothing, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -50,18 +63,18 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 ROOTS = ("src", "benchmarks", "examples", "perfbench", "scripts")
 ENTRY_ROOTS = ROOTS[1:]
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
-SKIP = ("__init__.py", pathlib.Path(__file__).name)  # ALLOWED is not a use
+SCRIPT = pathlib.Path(__file__).name
+SKIP = ("__init__.py", SCRIPT)  # ALLOWED is not a use
 WORD = re.compile(r"[A-Za-z_]\w*")
 
 #: Test-only defs (``Class.method`` for a method) that tests use to check
 #: other code, one reason each.
 ALLOWED = {
-    "ClickCluster": "the section 8 end-to-end check runs a whole Click cluster",
     "check_fairness": "the section 3.1 fairness assertion on VLB egress shares",
     "jain_index": "the section 3.1 fairness index beside check_fairness",
     "apply_history": "the serial reference every dispatch strategy is compared to",
     "verify_checksum": "the decoder the checksum encoder is checked against",
-    "parse_icmp": "the decoder the ICMP encoders are checked against",
+    "decode_output_node": "the decoder the MAC output-node encoder is checked against",
     "worst_ratio_deviation": "the paper-narrative test's model-vs-paper check",
     "RouterGraph.add_all": "tests build Click element graphs with it",
     "TimedRunReport.loss_free": "tests check a timed run's verdict with it",
@@ -89,16 +102,8 @@ ALLOWED = {
     "Bus.utilization": "the bus counterpart of Core.utilization",
 }
 
-_SECTION_8 = ("DESIGN.md row 'section 8 only two new Click elements': "
-              "the Click-built cluster; ROADMAP items 13/16 decide")
-
 #: Modules no entry point imports, one DESIGN.md reason each.
-ALLOWED_MODULES = {
-    "repro.core.click_node": _SECTION_8,
-    "repro.click.elements.cluster": _SECTION_8,
-    "repro.click.elements.icmp": _SECTION_8 + " (its ICMP error path)",
-    "repro.net.icmp": _SECTION_8 + " (its ICMP error path)",
-}
+ALLOWED_MODULES = {}
 
 
 def _attribute_uses(tree):
@@ -112,6 +117,21 @@ def _attribute_uses(tree):
                 getattr(target, "id", None) == "_summary_fields"
                 for target in node.targets):
             yield from ast.literal_eval(node.value)
+
+
+def _defs(tree, where):
+    """``(where, line, name)`` of ``tree``'s top-level defs, and of their
+    methods (``Class.method``, dunders aside)."""
+    defs, methods = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append((where, node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            methods.extend((where, item.lineno, "%s.%s" % (node.name, item.name))
+                           for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and not item.name.startswith("__"))
+    return defs, methods
 
 
 def find_test_only():
@@ -129,17 +149,10 @@ def find_test_only():
             tree = ast.parse(source)
             uses.update(WORD.findall(source))
             attributes.update(_attribute_uses(tree))
-            if root != "src":
-                continue
-            where = path.relative_to(REPO_ROOT)
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    defs.append((where, node.lineno, node.name))
-                if isinstance(node, ast.ClassDef):
-                    methods.extend((where, item.lineno, "%s.%s" % (node.name, item.name))
-                                   for item in node.body
-                                   if isinstance(item, ast.FunctionDef)
-                                   and not item.name.startswith("__"))
+            if root == "src":
+                new_defs, new_methods = _defs(tree, path.relative_to(REPO_ROOT))
+                defs += new_defs
+                methods += new_methods
     uses.subtract(name for _, _, name in defs)  # a definition is not a use
     return [d for d in defs if uses[d[2]] <= 0] + [
         m for m in methods if m[2].partition(".")[2] not in attributes]
@@ -236,6 +249,42 @@ def find_unreached():
             for m in sorted(modules) if m not in reached]
 
 
+def find_unread():
+    """``(path, line, name)`` of the first store of every ``self.name``
+    in ``src/repro`` that no file under ``ROOTS`` or ``tests`` reads."""
+    stores = {}
+    reads = set()
+    for root in ROOTS + ("tests",):
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            if path.name == SCRIPT:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    reads.add(node.value)       # getattr(x, "name")
+                elif not isinstance(node, ast.Attribute):
+                    continue
+                elif isinstance(node.ctx, ast.Load):
+                    reads.add(node.attr)
+                elif (root == "src" and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"):
+                    stores.setdefault(node.attr, (path.relative_to(REPO_ROOT),
+                                                  node.lineno))
+    return sorted((path, line, name) for name, (path, line) in stores.items()
+                  if name not in reads)
+
+
+def find_stale():
+    """Every ``ALLOWED`` or ``ALLOWED_MODULES`` key that names no def,
+    method or module in ``src/repro``."""
+    names = set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        defs, methods = _defs(ast.parse(path.read_text()), path)
+        names.update(name for _, _, name in defs + methods)
+    modules = _modules()
+    return sorted([name for name in ALLOWED if name not in names]
+                  + [module for module in ALLOWED_MODULES if module not in modules])
+
+
 def main() -> int:
     unallowed = 0
     for path, line, name in find_test_only():
@@ -247,12 +296,23 @@ def main() -> int:
         reason = ALLOWED_MODULES.get(module)
         unreached += reason is None
         print("%s: %s: %s" % (path, module, reason or "no entry point imports it"))
+    unread = find_unread()
+    for path, line, name in unread:
+        print("%s:%d: self.%s: stored, never read" % (path, line, name))
+    stale = find_stale()
+    for name in stale:
+        print("%s: allowlisted, but src/repro defines no such def or module" % name)
     if unallowed:
         print("%d test-only defs in src/repro are not in ALLOWED" % unallowed, file=sys.stderr)
     if unreached:
         print("%d test-only modules in src/repro are not in ALLOWED_MODULES" % unreached,
               file=sys.stderr)
-    return 1 if unallowed or unreached else 0
+    if unread:
+        print("%d attributes in src/repro are stored and never read" % len(unread),
+              file=sys.stderr)
+    if stale:
+        print("%d allowlist entries name nothing in src/repro" % len(stale), file=sys.stderr)
+    return 1 if unallowed or unreached or unread or stale else 0
 
 
 if __name__ == "__main__":

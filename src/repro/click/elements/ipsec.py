@@ -23,7 +23,6 @@ class IPsecESPEncap(Element):
         super().__init__(name)
         self.context = context
         self.functional = functional
-        self.encrypted = 0
         self.failed = 0
         # AES cost: the ipsec increment over minimal forwarding --
         # calibrated cycles/byte plus the fixed ESP overhead.
@@ -48,5 +47,4 @@ class IPsecESPEncap(Element):
             grown = packet.length + 44
             outer.length = grown + (-grown % 16)
             outer.annotations["esp_seq"] = self.context.next_seq()
-        self.encrypted += 1
         self.push(outer)

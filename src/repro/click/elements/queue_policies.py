@@ -46,7 +46,6 @@ class RedQueue(PacketQueue):
         self.gentle = gentle
         self.avg = 0.0
         self.early_drops = 0
-        self.forced_drops = 0
         self._rng = random.Random(seed)
 
     def drop_probability(self) -> float:
@@ -71,7 +70,6 @@ class RedQueue(PacketQueue):
             self.drop(packet)
             return
         if not self.fifo.offer(packet):
-            self.forced_drops += 1
             self.drop(packet)
 
 

@@ -176,8 +176,6 @@ class Meter(Element):
         self.now = 0.0
         self._tokens = float(burst)
         self._last = 0.0
-        self.conforming = 0
-        self.excess = 0
 
     def process(self, packet: Packet, port: int) -> None:
         elapsed = self.now - self._last
@@ -187,10 +185,8 @@ class Meter(Element):
             self._last = self.now
         if self._tokens >= 1.0:
             self._tokens -= 1.0
-            self.conforming += 1
             self.push(packet, 0)
         else:
-            self.excess += 1
             self.push(packet, 1)
 
 

@@ -35,7 +35,6 @@ class CoreThread:
         self.owned_elements: List[Element] = []
         # Each owned element's (packets_in, bytes_in) at the last booking.
         self._booked: List[tuple] = []
-        self.packets_handled = 0
 
     def add_poll_task(self, device: PollDevice) -> None:
         """Schedule a PollDevice on this thread and claim its queue."""
@@ -65,7 +64,6 @@ class CoreThread:
             for packet in queue.fifo.poll_batch(kp):
                 downstream.receive(packet)
                 moved += 1
-        self.packets_handled += moved
         return moved
 
     def book_work(self) -> List[tuple]:

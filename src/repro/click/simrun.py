@@ -475,6 +475,16 @@ class TimedPipelineRun:
         return [poll.queue for thread in self.threads
                 for poll in thread.poll_tasks]
 
+    def _capacity_drops(self) -> int:
+        """Packets lost to capacity so far: RX-ring overflows, and every
+        drop of a Click queue (it drops only when full or filling) or a
+        ToDevice (only when its TX ring is full).  A policy drop (a
+        policer, a filter) is the pipeline's verdict, not a loss."""
+        return (sum(queue.dropped for queue in self._rx_queues())
+                + sum(element.packets_dropped for thread in self.threads
+                      for element in thread.owned_elements
+                      if isinstance(element, (PacketQueue, ToDevice))))
+
     def run(self, offered_bps: float, duration_sec: float = 5e-3,
             seed: int = 0) -> TimedRunReport:
         """Offer fixed-size packets at ``offered_bps`` for ``duration_sec``.
@@ -495,7 +505,7 @@ class TimedPipelineRun:
         packets = workload.packets(offered)
 
         rx_queues = self._rx_queues()
-        drops_before = sum(queue.dropped for queue in rx_queues)
+        drops_before = self._capacity_drops()
         # Clear any residue from a previous run, Click queues included.
         for queue in rx_queues:
             queue.clear()
@@ -605,7 +615,7 @@ class TimedPipelineRun:
         sim.run(until=duration_sec)
         advance(duration_sec)
 
-        dropped = sum(queue.dropped for queue in rx_queues) - drops_before
+        dropped = self._capacity_drops() - drops_before
         backlog = sum(len(queue) for queue in rx_queues)
         for thread in self.threads:
             backlog += sum(len(queue) for queue, _ in thread.pull_tasks)

@@ -90,7 +90,8 @@ class ClusterManager:
     The manager owns the master RIB (prefix -> external port).  Each
     external port belongs to exactly one node; pushing the FIB gives every
     node an identical routing table whose ``Route.port`` values are
-    *cluster node ids* -- what ``VLBIngress`` consumes.
+    *cluster node ids* -- the egress a ``route_via_fib`` run's ingress
+    reads.
     """
 
     def __init__(self, port_rate_bps: float = 10e9):

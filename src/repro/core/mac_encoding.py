@@ -11,6 +11,7 @@ caps it at ~64 external ports with contemporary NICs -- checked here.
 from __future__ import annotations
 
 from ..errors import ConfigurationError
+from ..net.addresses import MACAddress
 from ..net.packet import Packet
 
 #: Receive-queue count of the prototype's NICs ("32-64 RX and TX queues
@@ -36,7 +37,7 @@ def decode_output_node(packet: Packet) -> int:
     headers: the RX queue the packet sits in implies its MAC, which
     implies the output node.
     """
-    return packet.eth.dst.node_id()
+    return packet.eth.dst.value & MACAddress.NODE_ID_MASK
 
 
 def rx_queues_needed(num_external_ports: int) -> int:

@@ -4,11 +4,11 @@ Each node plays all three VLB roles (Fig. 2): *input* (full IP processing,
 output-node selection, path choice), *intermediate* (queue-to-queue move,
 steering by the MAC-encoded node id), and *output* (transmit on the
 external line).  Path choice is :func:`repro.core.vlb.first_hop`, the
-adaptive Direct VLB decision the Click element runs too, fed from this
-node's links: available = up and backlogged less than the busy
-threshold, load = queued bits.  With flowlets (Sec. 6.1) the path is
-pinned per flow; without, the same rule runs unpinned per packet -- the
-reordering ablation the paper reports (5.5 % vs 0.15 %).
+adaptive Direct VLB decision, fed from this node's links: available = up
+and backlogged less than the busy threshold, load = queued bits.  With
+flowlets (Sec. 6.1) the path is pinned per flow; without, the same rule
+runs unpinned per packet -- the reordering ablation the paper reports
+(5.5 % vs 0.15 %).
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ class ClusterNode:
             # In-flight delivery to a crashed server: lost.
             self._count_drop("dead_receiver")
             return
-        output = packet.eth.dst.value & _NODE_ID_MASK  # decode_output_node
+        output = packet.eth.dst.value & _NODE_ID_MASK  # the output node's id
         packet.path.append(self.node_id)
         if self.obs is not None:
             # One internal hop: its latency goes to the role that

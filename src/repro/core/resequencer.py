@@ -26,7 +26,6 @@ from ..net.packet import Packet
 class _FlowState:
     next_expected: int = 1
     buffer: Dict[int, Tuple[Packet, float]] = field(default_factory=dict)
-    flushed: int = 0
 
 
 class Resequencer:
@@ -93,7 +92,6 @@ class Resequencer:
             self.deliver(packet)
             self.delivered += 1
             state.next_expected = max(state.next_expected, seq + 1)
-        state.flushed += 1
 
     def expire(self, now: float) -> int:
         """Flush flows whose oldest buffered packet exceeded the timeout.

@@ -166,14 +166,12 @@ class RouteBricksRouter:
 
     def _cycles_per_ingress_packet(self, packet_bytes: float,
                                    indirect_fraction: float,
-                                   ingress_app: cal.AppCost = None) -> float:
+                                   ingress_app: cal.AppCost) -> float:
         """CPU work one ingress packet induces across the cluster, charged
         per node (symmetric traffic): the ingress application at the input
-        node (full IP routing by default, as in RB4), minimal forwarding
-        at the output node, minimal forwarding at an intermediate for the
-        balanced share, plus flowlet bookkeeping."""
-        if ingress_app is None:
-            ingress_app = cal.IP_ROUTING
+        node (full IP routing in RB4), minimal forwarding at the output
+        node, minimal forwarding at an intermediate for the balanced
+        share, plus flowlet bookkeeping."""
         book = cal.bookkeeping_cycles(self.config.kp, self.config.kn)
         ingress = ingress_app.cpu_cycles(packet_bytes) + book
         forwarding = cal.MINIMAL_FORWARDING.cpu_cycles(packet_bytes) + book
@@ -182,13 +180,12 @@ class RouteBricksRouter:
                 + indirect_fraction * forwarding + overhead)
 
     def max_throughput(self, workload,
-                       uniform: bool = True,
-                       ingress_app: cal.AppCost = None) -> ClusterThroughput:
+                       uniform: bool = True) -> ClusterThroughput:
         """Analytic loss-free throughput for a workload.
 
         ``workload`` is a :class:`~repro.workloads.WorkloadSpec` (its
         size mix supplies the mean packet size and its ``app`` the
-        ingress application; an explicit ``ingress_app`` overrides).
+        ingress application).
 
         With a close-to-uniform matrix and adaptive Direct VLB, per-pair
         demand R/(N-1) stays below the internal link rate, so everything
@@ -204,12 +201,10 @@ class RouteBricksRouter:
                 "the bare packet-size form was removed -- use "
                 "WorkloadSpec.fixed(packet_bytes)")
         packet_bytes = workload.mean_packet_bytes
-        if ingress_app is None:
-            ingress_app = workload.app
         n = self.num_nodes
         indirect = 0.0 if uniform else 1.0
         cycles = self._cycles_per_ingress_packet(packet_bytes, indirect,
-                                                 ingress_app)
+                                                 workload.app)
         cpu_pps = self.spec.cycles_per_second / cycles
         cpu_bps = rate_pps_to_bps(cpu_pps, packet_bytes)
 

@@ -15,10 +15,9 @@ that's why the 64 B and Abilene experiments route everything directly
 This module provides the *analysis* (link loads, per-node processing
 rates -- the quantities the provisioning math needs), the *policy*
 objects it is parameterized by, and the adaptive per-packet decision
-itself: :func:`first_hop` (over :func:`direct_first_hop`) is what both
-the DES node (:class:`~repro.core.node.ClusterNode`) and the Click
-element (:class:`~repro.click.elements.cluster.VLBIngress`) run, each
-with its own local link-state oracle.
+itself: :func:`first_hop` (over :func:`direct_first_hop`), which the DES
+node (:class:`~repro.core.node.ClusterNode`) runs with its own links as
+the local link-state oracle.
 """
 
 from __future__ import annotations

@@ -8,9 +8,7 @@ core.  The model provides:
 * :class:`NicQueue` -- a bounded descriptor ring that records which cores
   access it (so the scheduler can detect rule violations and the
   performance model can charge lock-contention penalties),
-* :class:`NicPort` -- a port with per-queue RSS flow assignment, or
-  MAC-based assignment for the cluster's output-node encoding trick
-  (Sec. 6.1),
+* :class:`NicPort` -- a port with per-queue RSS flow assignment,
 * :class:`Nic` -- a card holding one or two ports in one PCIe slot (the
   slot's 12.3 Gbps payload budget is the server spec's
   ``nic_payload_limit_bps``).
@@ -36,14 +34,10 @@ class NicQueue:
     enqueue counts feed the loss-free-rate measurements.
     """
 
-    def __init__(self, queue_id: int, direction: str,
-                 capacity: int = DEFAULT_RING_SLOTS):
-        if direction not in ("rx", "tx"):
-            raise ConfigurationError("queue direction must be rx|tx")
+    def __init__(self, queue_id: int, capacity: int = DEFAULT_RING_SLOTS):
         if capacity < 1:
             raise ConfigurationError("ring capacity must be >= 1")
         self.queue_id = queue_id
-        self.direction = direction
         self.capacity = capacity
         self._ring = deque()
         #: Count-only occupancy used by ``TimedForwardingRun``: descriptors
@@ -127,13 +121,10 @@ class NicPort:
             raise ConfigurationError("port needs at least one queue")
         self.port_id = port_id
         self.rate_bps = rate_bps
-        self.rx_queues = [NicQueue(i, "rx", ring_slots)
+        self.rx_queues = [NicQueue(i, ring_slots)
                           for i in range(num_queues)]
-        self.tx_queues = [NicQueue(i, "tx", ring_slots)
+        self.tx_queues = [NicQueue(i, ring_slots)
                           for i in range(num_queues)]
-        #: When set, RX queue selection uses the destination MAC's encoded
-        #: node id instead of the flow hash (the Sec. 6.1 trick).
-        self.mac_steering = False
 
     @property
     def num_queues(self) -> int:
@@ -141,8 +132,6 @@ class NicPort:
 
     def classify(self, packet: Packet) -> int:
         """Pick the RX queue for an arriving packet."""
-        if self.mac_steering:
-            return packet.eth.dst.node_id() % self.num_queues
         if packet.ip is None:
             return packet.packet_id % self.num_queues
         return queue_for_flow(packet.five_tuple(), self.num_queues)

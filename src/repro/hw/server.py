@@ -95,7 +95,6 @@ class Server:
                         capacity_bps=spec.memory_bps / spec.sockets))
             self.sockets.append(Socket(socket_id=sid, cores=cores,
                                        l3_bytes=spec.l3_bytes, memory=memory))
-        self.io_bus = Bus(name="socket-io", capacity_bps=spec.io_bps)
         self.qpi = Bus(name="inter-socket", capacity_bps=spec.qpi_bps)
         self.pcie = Bus(name="pcie", capacity_bps=spec.pcie_bps)
         self.fsb = (Bus(name="fsb", capacity_bps=spec.fsb_bps)

@@ -107,7 +107,7 @@ class MACAddress:
     RouteBricks encodes the identity of a packet's *output node* in the
     destination MAC address so intermediate cluster nodes can switch packets
     queue-to-queue without touching IP headers (Sec. 6.1);
-    :meth:`with_node_id` / :meth:`node_id` implement that trick.
+    :meth:`with_node_id` implements that trick.
     """
 
     __slots__ = ("value",)
@@ -170,10 +170,6 @@ class MACAddress:
         if not 0 <= node_id <= self.NODE_ID_MASK:
             raise PacketError("node id %r does not fit in a MAC byte" % node_id)
         return interned_mac((self.value & ~self.NODE_ID_MASK) | node_id)
-
-    def node_id(self) -> int:
-        """Extract the cluster node id encoded by :meth:`with_node_id`."""
-        return self.value & self.NODE_ID_MASK
 
 
 #: Cluster MACs encode a node id in the low byte, so a simulation only

@@ -30,8 +30,8 @@ from .schema import BENCH_SCHEMA, DEFAULT_SEED, validate_bench
 from .trace import rebase_packet_ids
 
 #: The gated set, run by CI's bench job: every scenario that finishes in
-#: seconds.  ``T1-DES`` drives the DES hot paths, so its run also yields
-#: a ``PROFILE_*.collapsed`` span-profile sidecar.
+#: seconds.  ``T1-DES`` drives the DES hot paths, so its document also
+#: carries a collapsed span profile (``metrics.profile.collapsed``).
 QUICK_BENCHMARKS = ("T1", "T2", "F3", "F6", "F7", "F9", "RB4-T",
                     "T1-DES", "SCR", "FIB-CHURN")
 
@@ -87,23 +87,13 @@ def run_benchmark(name: str, seed: int = DEFAULT_SEED) -> dict:
 
 
 def write_bench_json(doc: dict, out_dir: pathlib.Path) -> pathlib.Path:
+    """Write ``BENCH_<name>.json``, the run's one record: its collapsed
+    profile is ``metrics.profile.collapsed``, and ``repro obs timeline``
+    exports its Perfetto trace."""
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / ("BENCH_%s.json" % doc["name"])
     with open(path, "w") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    # Sidecar: the run's collapsed-stack profile, ready for flamegraph
-    # tooling (and CI artifact upload).  Skipped when nothing was charged.
-    collapsed = (doc.get("metrics", {}).get("profile") or {}).get("collapsed")
-    if collapsed:
-        profile_path = out_dir / ("PROFILE_%s.collapsed" % doc["name"])
-        profile_path.write_text("\n".join(collapsed) + "\n")
-    # Sidecar: the Perfetto-loadable timeline of the same run (epochs,
-    # barriers, profiler frames, sampled packet journeys).  Skipped when
-    # the snapshot yields no events at all.
-    from .timeline import chrome_trace, write_trace_json
-    trace_doc = chrome_trace(doc["name"], doc.get("metrics") or {})
-    if trace_doc["traceEvents"]:
-        write_trace_json(trace_doc, out_dir)
     return path

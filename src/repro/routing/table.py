@@ -47,7 +47,6 @@ class RoutingTable:
             self._lpm = BinaryTrie()
         else:
             raise RoutingError("unknown LPM engine %r" % engine)
-        self.engine_name = engine
         self._routes = {}
         self._slot_cache = None  # slot-aligned (ports, next_hops, macs)
 

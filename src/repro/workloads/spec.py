@@ -2,7 +2,7 @@
 
 Historically each entry point took its own mix of positional arguments:
 ``max_loss_free_rate(app, packet_bytes)``,
-``RouteBricksRouter.max_throughput(packet_bytes, ingress_app=...)``,
+``RouteBricksRouter.max_throughput(packet_bytes)``,
 ``simulate(events)``.  A :class:`WorkloadSpec` bundles the three things a
 workload actually is -- a packet-size distribution, the application run on
 ingress, and (for cluster runs) a traffic matrix -- and is accepted
@@ -14,6 +14,7 @@ uniformly by:
 
 The old positional signatures were removed: those entry points raise
 ``TypeError`` naming the ``WorkloadSpec`` constructor to use instead.
+None takes the application beside the spec; ``app`` is its one home.
 """
 
 from __future__ import annotations

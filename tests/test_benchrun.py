@@ -397,25 +397,33 @@ class TestParallelTelemetryHarvest:
         assert set(counts) <= {"sim_events", "node_drops"}
 
 
-class TestTraceSidecar:
-    def test_analytic_scenario_skips_trace_sidecar(self, bench_doc,
-                                                   tmp_path):
-        # fig6 charges no timelines, profile frames, or sampled traces:
-        # an all-empty timeline would only confuse Perfetto users.
-        write_bench_json(bench_doc, tmp_path)
-        assert not list(tmp_path.glob("TRACE_*.json"))
+class TestTimelineFromBench:
+    """The BENCH document is the run's one record: ``obs timeline``
+    exports its Perfetto trace, and nothing is written beside it."""
 
-    def test_sidecar_written_when_snapshot_has_events(self, bench_doc,
-                                                      tmp_path):
-        from repro.obs.schema import validate_trace
-
+    @pytest.fixture
+    def parallel_doc(self, bench_doc):
         doc = copy.deepcopy(bench_doc)
         doc["name"] = "mini_parallel"
         registry = TestParallelTelemetryHarvest()._parallel_registry()
         doc["metrics"] = registry.snapshot()
-        write_bench_json(doc, tmp_path)
-        trace = tmp_path / "TRACE_mini_parallel.json"
-        assert trace.exists()
-        exported = json.loads(trace.read_text())
+        return doc
+
+    def test_write_bench_json_writes_only_the_document(self, bench_doc,
+                                                       parallel_doc, tmp_path):
+        written = [write_bench_json(doc, tmp_path)
+                   for doc in (bench_doc, parallel_doc)]
+        assert sorted(tmp_path.iterdir()) == sorted(written)
+
+    def test_timeline_exported_from_a_bench_document(self, parallel_doc,
+                                                     tmp_path, capsys):
+        from repro.obs.schema import validate_trace
+
+        path = write_bench_json(parallel_doc, tmp_path)
+        assert main(["obs", "timeline", str(path),
+                     "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        exported = json.loads(
+            (tmp_path / "TRACE_mini_parallel.json").read_text())
         assert validate_trace(exported) == []
         assert any(e["ph"] == "X" for e in exported["traceEvents"])

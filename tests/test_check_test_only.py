@@ -1,4 +1,5 @@
-"""``scripts/check_test_only.py`` finds defs and methods only tests name."""
+"""``scripts/check_test_only.py`` finds defs and methods only tests name,
+attributes nothing reads, and allowlist entries that name nothing."""
 
 import importlib.util
 import pathlib
@@ -33,7 +34,8 @@ class Planted:
 @pytest.fixture
 def checker(monkeypatch, tmp_path):
     """The script, pointed at a scratch tree holding one planted module
-    (``src/repro/planted.py``), an example that uses it, and a test."""
+    (``src/repro/planted.py``), an example that uses it, and a test, with
+    empty allowlists (the real ones name nothing in the scratch tree)."""
     spec = importlib.util.spec_from_file_location("check_test_only", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -48,6 +50,8 @@ def checker(monkeypatch, tmp_path):
         "from repro.planted import Planted\n"
         "assert Planted().only_tested() == 3\n")
     monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(module, "ALLOWED", {})
+    monkeypatch.setattr(module, "ALLOWED_MODULES", {})
     return module
 
 
@@ -62,6 +66,45 @@ def test_an_allowed_method_passes(checker, monkeypatch, capsys):
     monkeypatch.setitem(checker.ALLOWED, "Planted.only_tested", "a reason")
     assert checker.main() == 0
     assert "Planted.only_tested: a reason" in capsys.readouterr().out
+
+
+COUNTER = '''
+class Counter:
+    def __init__(self):
+        self.hits = 0
+        self.limit = 3
+
+    def bump(self):
+        self.hits += 1
+        return self.limit
+'''
+
+
+def test_an_attribute_nothing_reads_fails(checker, capsys):
+    root = checker.REPO_ROOT
+    (root / "src" / "repro" / "counter.py").write_text(COUNTER)
+    (root / "examples" / "count.py").write_text(
+        "from repro.counter import Counter\nCounter().bump()\n")
+    # ``self.hits += 1`` stores; only ``self.limit`` is ever read.
+    assert [(str(path), line, name) for path, line, name in checker.find_unread()] \
+        == [("src/repro/counter.py", 4, "hits")]
+    assert checker.main() == 1
+    assert "self.hits: stored, never read" in capsys.readouterr().out
+    # A read anywhere, a test's included, is a read.
+    (root / "tests" / "test_counter.py").write_text(
+        "from repro.counter import Counter\nassert Counter().hits == 0\n")
+    assert checker.find_unread() == []
+
+
+def test_a_stale_allowlist_entry_fails(checker, monkeypatch, capsys):
+    monkeypatch.setitem(checker.ALLOWED, "Planted.only_tested", "a reason")
+    monkeypatch.setitem(checker.ALLOWED, "Planted.gone", "a reason")
+    monkeypatch.setitem(checker.ALLOWED_MODULES, "repro.gone", "a reason")
+    assert checker.find_stale() == ["Planted.gone", "repro.gone"]
+    assert checker.main() == 1
+    out = capsys.readouterr().out
+    assert "Planted.gone: allowlisted, but src/repro defines no such" in out
+    assert "repro.gone: allowlisted" in out
 
 
 def test_the_repository_passes(capsys):

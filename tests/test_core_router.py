@@ -60,8 +60,7 @@ class TestAnalyticThroughput:
         aggregate throughput roughly with the encryption tax."""
         router = RouteBricksRouter()
         routing = router.max_throughput(WorkloadSpec.fixed(64))
-        ipsec = router.max_throughput(WorkloadSpec.fixed(64),
-                                      ingress_app=cal.IPSEC)
+        ipsec = router.max_throughput(WorkloadSpec.fixed(64, app=cal.IPSEC))
         assert ipsec.binding == "cpu"
         assert ipsec.aggregate_bps < routing.aggregate_bps / 2.5
 
@@ -69,8 +68,7 @@ class TestAnalyticThroughput:
         from repro.perfmodel import define_application
         dpi = define_application("dpi", cycles_per_packet=4000)
         router = RouteBricksRouter()
-        result = router.max_throughput(WorkloadSpec.fixed(64),
-                                       ingress_app=dpi)
+        result = router.max_throughput(WorkloadSpec.fixed(64, app=dpi))
         assert 0 < result.aggregate_gbps < 12.0
 
 

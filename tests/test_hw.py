@@ -108,13 +108,6 @@ class TestNic:
         b = Packet.udp("10.0.0.1", "10.0.0.2", src_port=9, dst_port=80)
         assert port.classify(a) == port.classify(b)
 
-    def test_mac_steering(self):
-        port = self._port(queues=4)
-        port.mac_steering = True
-        packet = Packet.udp("1.1.1.1", "2.2.2.2")
-        packet.eth.dst = packet.eth.dst.with_node_id(3)
-        assert port.classify(packet) == 3
-
     def test_receive_and_drain(self):
         port = self._port()
         packet = Packet.udp("1.1.1.1", "2.2.2.2")

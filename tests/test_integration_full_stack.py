@@ -1,16 +1,15 @@
 """Full-stack integration: every subsystem in one scenario.
 
 Builds a RIB, churns it, compiles FIBs through the control plane, writes a
-trace to a real pcap file, routes the loaded trace through the Click-built
-cluster (functional path), and cross-checks the DES view of the same
-traffic -- the whole library working together.
+trace to a real pcap file, and routes the loaded trace through the DES
+cluster by live per-node FIB lookups -- the whole library working
+together.
 """
 
 import pytest
 
 from repro.control import ChurnSchedule
 from repro.core import RouteBricksRouter
-from repro.core.click_node import ClickCluster
 from repro.core.control import ClusterManager
 from repro.net import IPv4Address, Packet
 from repro.workloads.pcapio import load_trace, save_trace
@@ -27,7 +26,7 @@ def manager():
 
 
 class TestFullStack:
-    def test_control_plane_to_click_dataplane(self, manager, tmp_path):
+    def test_control_plane_to_dataplane(self, manager, tmp_path):
         # 1. Churn the master RIB a little, re-announce, re-push.
         churn = ChurnSchedule.bursts(
             list(manager.rib), burst_updates=20, interval_sec=1.0, bursts=1,
@@ -37,10 +36,7 @@ class TestFullStack:
         manager.push_fibs()
         assert manager.stale_nodes() == []
 
-        # 2. Build the Click cluster from node 0's FIB.
-        cluster = ClickCluster(4, manager.fib_of(0), seed=2)
-
-        # 3. Write traffic to disk and load it back.
+        # 2. Write traffic to disk and load it back.
         path = str(tmp_path / "full.pcap")
         pairs = []
         for i in range(40):
@@ -50,23 +46,16 @@ class TestFullStack:
             pairs.append((i * 1e-5, packet))
         save_trace(path, pairs)
 
-        # 4. Route the loaded trace through the functional cluster.
-        loaded = 0
-        for _, packet in load_trace(path):
-            assert cluster.inject(0, packet)
-            loaded += 1
-        delivered = cluster.run(rounds=12)
-        assert delivered == loaded
-        for node in range(4):
-            assert len(cluster.delivered[node]) == 10
-
-        # 5. The DES view of the same matrix agrees on deliverability.
-        router = RouteBricksRouter(seed=3)
-        events = []
-        for index, (time, packet) in enumerate(pairs):
-            events.append((time, 0, index % 4, packet.copy()))
-        report = router.simulate(events)
+        # 3. Route the loaded trace in at node 0; each packet's egress
+        # comes from node 0's FIB at arrival, not from the event.
+        events = [(time, 0, None, packet)
+                  for time, packet in load_trace(path)]
+        assert len(events) == len(pairs)
+        report = RouteBricksRouter(seed=2).simulate(
+            events, manager=manager, route_via_fib=True)
+        assert report.fib_miss_packets == 0
         assert report.delivered_packets == len(events)
+        assert [stats["egress"] for stats in report.node_stats] == [10] * 4
 
     def test_membership_change_reaches_dataplane(self, manager):
         # Add a node and prefix; the new FIB routes to the new node.

@@ -54,7 +54,8 @@ class TestMACAddress:
     def test_node_id_encoding_round_trip(self):
         base = MACAddress("02:00:00:00:00:00")
         for node in (0, 1, 7, 63, 255):
-            assert base.with_node_id(node).node_id() == node
+            encoded = base.with_node_id(node)
+            assert encoded.value & MACAddress.NODE_ID_MASK == node
 
     def test_node_id_preserves_high_bytes(self):
         base = MACAddress("02:aa:bb:cc:dd:ee")

@@ -247,6 +247,40 @@ class TestAClickQueueHandoff:
         assert (report.forwarded_packets, report.residual_backlog) == (
             report.offered_packets, 0)
 
+    @pytest.mark.parametrize("queue", ["Queue(16)", "RedQueue(16)",
+                                       "DropFrontQueue(16)"])
+    def test_a_full_click_queue_is_a_drop(self, queue):
+        """A 16-slot queue overflows under the same load: its losses are
+        drops, so every offered packet is forwarded, dropped or held."""
+        run = TimedPipelineRun(nehalem_server(num_ports=2, queues_per_port=2),
+                               self.TWO_POLLS.replace("Queue;", queue + ";"),
+                               kp=8, kn=4)
+        report = run.run(3e9, duration_sec=2e-4)
+        queue_drops = sum(graph["q"].packets_dropped for graph in run.graphs)
+        assert queue_drops > 0
+        assert report.dropped_packets == queue_drops
+        assert report.offered_packets == (report.forwarded_packets
+                                          + report.dropped_packets
+                                          + report.residual_backlog)
+        assert not report.sustainable(2 * run.kp * 4)
+
+
+def test_a_full_tx_ring_is_a_drop():
+    """Two polls of 512 push 1,024 packets into one 512-slot TX ring
+    before the drain: the overflow is a drop, as an RX ring's is."""
+    run = TimedPipelineRun(nehalem_server(num_ports=2, queues_per_port=1), """
+        a :: PollDevice(0);
+        b :: PollDevice(1);
+        t :: ToDevice(0);
+        a -> t;
+        b -> t;
+    """, kp=512, kn=16)
+    report = run.run(20e9, duration_sec=2e-4)
+    assert run.graphs[0]["t"].packets_dropped > 0
+    assert report.offered_packets == (report.forwarded_packets
+                                      + report.dropped_packets
+                                      + report.residual_backlog)
+
 
 class TestAnArrivalIsNotAnEvent:
     """Arrivals fill the RX rings when a poll looks (polling mode), so a
