@@ -33,8 +33,8 @@ why it stays.
 
 Two more passes have no allowlist:
 
-* **Unread attributes.**  An attribute that ``src/repro`` stores on
-  ``self`` (``self.name = ...``, ``self.name += 1``) must be read
+* **Unread attributes.**  An attribute that ``src/repro`` stores
+  through a name (``self.name = ...``, ``report.name += 1``) must be read
   somewhere under ``src``, ``benchmarks``, ``examples``, ``perfbench``,
   ``scripts`` or ``tests``: as ``x.name``, or as a string (``getattr``,
   ``_summary_fields``).  A counter nothing reads is dead weight on
@@ -250,8 +250,9 @@ def find_unreached():
 
 
 def find_unread():
-    """``(path, line, name)`` of the first store of every ``self.name``
-    in ``src/repro`` that no file under ``ROOTS`` or ``tests`` reads."""
+    """``(path, line, name)`` of the first store of every ``x.name``
+    (``x`` any name: ``self``, a report, ...) in ``src/repro`` that no
+    file under ``ROOTS`` or ``tests`` reads."""
     stores = {}
     reads = set()
     for root in ROOTS + ("tests",):
@@ -265,8 +266,7 @@ def find_unread():
                     continue
                 elif isinstance(node.ctx, ast.Load):
                     reads.add(node.attr)
-                elif (root == "src" and isinstance(node.value, ast.Name)
-                      and node.value.id == "self"):
+                elif root == "src" and isinstance(node.value, ast.Name):
                     stores.setdefault(node.attr, (path.relative_to(REPO_ROOT),
                                                   node.lineno))
     return sorted((path, line, name) for name, (path, line) in stores.items()
@@ -298,7 +298,7 @@ def main() -> int:
         print("%s: %s: %s" % (path, module, reason or "no entry point imports it"))
     unread = find_unread()
     for path, line, name in unread:
-        print("%s:%d: self.%s: stored, never read" % (path, line, name))
+        print("%s:%d: .%s: stored, never read" % (path, line, name))
     stale = find_stale()
     for name in stale:
         print("%s: allowlisted, but src/repro defines no such def or module" % name)

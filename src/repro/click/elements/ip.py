@@ -22,17 +22,10 @@ from ..element import Element
 class CheckIPHeader(Element):
     """Validate the IP header; bad packets are dropped (and counted)."""
 
-    def __init__(self, name: str = ""):
-        super().__init__(name)
-        self.invalid = 0
-
     def process(self, packet: Packet, port: int) -> None:
-        if packet.ip is None or packet.eth.ethertype != ETHERTYPE_IPV4:
-            self.invalid += 1
-            self.drop(packet, "invalid_header")
-            return
-        if packet.ip.ttl <= 0 or packet.ip.total_length < 20:
-            self.invalid += 1
+        ip = packet.ip
+        if (ip is None or packet.eth.ethertype != ETHERTYPE_IPV4
+                or ip.ttl <= 0 or ip.total_length < 20):
             self.drop(packet, "invalid_header")
             return
         self.push(packet)
@@ -49,17 +42,12 @@ class DecIPTTL(Element):
     #: The time-exceeded port may legitimately dangle.
     optional_outputs = {1}
 
-    def __init__(self, name: str = ""):
-        super().__init__(name)
-        self.expired = 0
-
     def process(self, packet: Packet, port: int) -> None:
         ip = packet.ip
         if ip is None:
             self.drop(packet, "no_ip")
             return
         if ip.ttl <= 1:
-            self.expired += 1
             if self.output(1).peer is not None:
                 self.push(packet, 1)
             else:

@@ -7,43 +7,34 @@ we need 2 intermediate servers per port to provide N = 1024 external
 ports ... 96 usec of per-packet latency" (4 servers x 24 us) -- and feeds
 the fabric-aware VLB analysis.
 
-Graphs are directed; I/O servers are nodes named ``("io", i)`` and fly
-stage servers ``("fly", stage, index)``.
+Graphs are directed, as plain ``{node: [successors]}`` dicts; I/O servers
+are nodes named ``("io", i)`` and fly stage servers ``("fly", stage,
+index)``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Tuple
+from collections import deque
+from typing import Dict, Hashable, List, Tuple
 
 from ..errors import TopologyError
 
-# networkx is imported where a graph is built or searched, not here:
-# ``repro.core`` loads this module, and the 0.12 s / 15 MiB the import
-# costs would be paid by every CLI command and every worker process.
-if TYPE_CHECKING:
-    import networkx as nx
+#: A directed graph: each node's successors, in wiring order.
+Graph = Dict[Hashable, List[Hashable]]
 
 #: Per-server latency used in the Sec. 3.3 estimate (Sec. 6.2's 24 us).
 SERVER_LATENCY_USEC = 24.0
 
 
-def mesh_graph(num_servers: int) -> nx.DiGraph:
+def mesh_graph(num_servers: int) -> Graph:
     """A full mesh of I/O servers."""
-    import networkx as nx
-
     if num_servers < 2:
         raise TopologyError("mesh needs >= 2 servers")
-    graph = nx.DiGraph()
     nodes = [("io", i) for i in range(num_servers)]
-    graph.add_nodes_from(nodes)
-    for a in nodes:
-        for b in nodes:
-            if a != b:
-                graph.add_edge(a, b)
-    return graph
+    return {a: [b for b in nodes if b != a] for a in nodes}
 
 
-def fly_graph(k: int, stages: int, num_terminals: int = None) -> nx.DiGraph:
+def fly_graph(k: int, stages: int, num_terminals: int = None) -> Graph:
     """A k-ary n-fly: terminals enter stage 0 and exit after the last stage.
 
     The classic butterfly wiring: stage ``s`` switch ``j`` output ``d``
@@ -52,8 +43,6 @@ def fly_graph(k: int, stages: int, num_terminals: int = None) -> nx.DiGraph:
     at both ends; the same physical I/O servers act as sources and sinks
     (the fabric is used in a folded fashion, as in the paper's cluster).
     """
-    import networkx as nx
-
     if k < 2:
         raise TopologyError("fly needs k >= 2")
     if stages < 1:
@@ -65,15 +54,13 @@ def fly_graph(k: int, stages: int, num_terminals: int = None) -> nx.DiGraph:
         raise TopologyError("%d terminals exceed k^n = %d"
                             % (num_terminals, capacity))
     switches_per_stage = k ** (stages - 1)
-    graph = nx.DiGraph()
-    terminals = [("io", i) for i in range(num_terminals)]
-    graph.add_nodes_from(terminals)
+    graph = {("io", i): [] for i in range(num_terminals)}
     for stage in range(stages):
         for index in range(switches_per_stage):
-            graph.add_node(("fly", stage, index))
+            graph[("fly", stage, index)] = []
     # Terminal -> stage 0: terminal i attaches to switch i // k.
     for i in range(num_terminals):
-        graph.add_edge(("io", i), ("fly", 0, i // k))
+        graph[("io", i)].append(("fly", 0, i // k))
     # Stage s -> stage s+1 butterfly wiring.
     for stage in range(stages - 1):
         digit = stages - 2 - stage  # digit replaced at this stage
@@ -84,37 +71,49 @@ def fly_graph(k: int, stages: int, num_terminals: int = None) -> nx.DiGraph:
                 base = k ** digit
                 next_index = (index - ((index // base) % k) * base
                               + out * base)
-                graph.add_edge(("fly", stage, index),
-                               ("fly", stage + 1, next_index))
+                graph[("fly", stage, index)].append(
+                    ("fly", stage + 1, next_index))
     # Last stage -> terminals: switch j output d reaches terminal j*k + d.
     for index in range(switches_per_stage):
         for out in range(k):
             terminal = index * k + out
             if terminal < num_terminals:
-                graph.add_edge(("fly", stages - 1, index),
-                               ("io", terminal))
+                graph[("fly", stages - 1, index)].append(("io", terminal))
     return graph
 
 
 class FabricNetwork:
     """Path and load computations over an explicit fabric graph."""
 
-    def __init__(self, graph: nx.DiGraph):
-        if graph.number_of_nodes() < 2:
+    def __init__(self, graph: Graph):
+        if len(graph) < 2:
             raise TopologyError("fabric needs >= 2 nodes")
         self.graph = graph
-        self.io_nodes = sorted(n for n in graph.nodes if n[0] == "io")
+        self.io_nodes = sorted(n for n in graph if n[0] == "io")
         if len(self.io_nodes) < 2:
             raise TopologyError("fabric needs >= 2 I/O nodes")
         self._paths: Dict[Tuple[Hashable, Hashable], List] = {}
 
     def path(self, src_io: int, dst_io: int) -> List:
-        """Shortest server path from I/O node src to I/O node dst."""
+        """Shortest server path from I/O node src to I/O node dst (a
+        breadth-first search; mesh and fly paths are unique)."""
         key = (src_io, dst_io)
         if key not in self._paths:
-            import networkx as nx
-            self._paths[key] = nx.shortest_path(
-                self.graph, ("io", src_io), ("io", dst_io))
+            src, dst = ("io", src_io), ("io", dst_io)
+            parents = {src: src}
+            frontier = deque([src])
+            while dst not in parents:
+                if not frontier:
+                    raise TopologyError("no path from %r to %r" % (src, dst))
+                node = frontier.popleft()
+                for successor in self.graph[node]:
+                    if successor not in parents:
+                        parents[successor] = node
+                        frontier.append(successor)
+            path = [dst]
+            while path[-1] != src:
+                path.append(parents[path[-1]])
+            self._paths[key] = path[::-1]
         return self._paths[key]
 
     def hops(self, src_io: int, dst_io: int) -> int:
@@ -124,7 +123,7 @@ class FabricNetwork:
     def transit_load(self, uniform_rate_bps: float) -> Dict[Hashable, float]:
         """Per-node transit rate for a uniform all-to-all demand, counting
         every node on each shortest path (endpoints included)."""
-        loads = {node: 0.0 for node in self.graph.nodes}
+        loads = {node: 0.0 for node in self.graph}
         n = len(self.io_nodes)
         pair_rate = uniform_rate_bps / (n - 1)
         for s in range(n):

@@ -45,7 +45,6 @@ class FlowletTable:
         self._table: Dict[Hashable, _FlowletEntry] = {}
         self.switches = 0       # flowlet boundary re-assignments
         self.spills = 0         # mid-flowlet path changes (reordering risk)
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._table)
@@ -91,9 +90,7 @@ class FlowletTable:
                 if now - entry.last_seen > self.delta_sec]
         for flow in idle:
             del self._table[flow]
-            self.evictions += 1
         if len(self._table) >= self.max_entries:
             # Everything is active; evict the stalest entry.
             stalest = min(self._table, key=lambda f: self._table[f].last_seen)
             del self._table[stalest]
-            self.evictions += 1

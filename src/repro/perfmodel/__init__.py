@@ -8,7 +8,7 @@ scaling projections.
 """
 
 from ..costs import ServerConfig
-from .bounds import ComponentBounds, bounds_for, stream_benchmark_bps
+from .bounds import ComponentBounds, bounds_for
 from .batching import batching_rate_bps, batching_sweep
 from .throughput import RateResult, max_loss_free_rate, rate_from_loads
 from .scenarios import SCENARIOS, Scenario, scenario_rate_gbps
@@ -20,7 +20,6 @@ __all__ = [
     "ServerConfig",
     "ComponentBounds",
     "bounds_for",
-    "stream_benchmark_bps",
     "batching_rate_bps",
     "batching_sweep",
     "RateResult",

@@ -3,8 +3,9 @@
 For each system component the paper derives two upper bounds on achievable
 per-packet load: the *nominal* rated capacity and an *empirical* bound from
 a stress benchmark (a random-access "stream" for memory, 1024 B minimal
-forwarding for the I/O paths).  This module reproduces both, including a
-functional stream benchmark run against the simulated memory system.
+forwarding for the I/O paths).  This module reproduces both; the
+empirical figures are the paper's measurements, carried by the
+:class:`~repro.hw.server.ServerSpec`.
 """
 
 from __future__ import annotations
@@ -61,26 +62,3 @@ def bounds_for(spec: ServerSpec) -> Dict[str, ComponentBounds]:
                                         spec.fsb_bps * 0.8, unit="bps")
     return bounds
 
-
-def stream_benchmark_bps(spec: ServerSpec, array_mib: int = 64,
-                         iterations: int = 200_000, seed: int = 0) -> float:
-    """A functional analogue of the paper's memory "stream" benchmark.
-
-    Writes a constant to random locations of a large array and reports the
-    *modeled* sustained memory bandwidth: the random-access pattern defeats
-    caches and row-buffer locality, which the paper measured as 262/410 =
-    64 % of nominal.  We execute the access pattern for real (so the code
-    path exists and is testable) and scale the spec's nominal bandwidth by
-    the measured-locality factor.
-    """
-    import numpy as np  # the one use; the rest of the module needs none
-
-    rng = np.random.default_rng(seed)
-    array = np.zeros(array_mib * 1024 * 1024 // 8, dtype=np.float64)
-    indices = rng.integers(0, len(array), size=iterations)
-    array[indices] = 1.0  # the actual random-write stream
-    # Random single-word writes defeat row-buffer locality; the paper
-    # measured 262/410 = 64 % of nominal, which is what the spec's
-    # empirical figure encodes.
-    measured_fraction = spec.memory_empirical_bps / spec.memory_bps
-    return spec.memory_bps * measured_fraction

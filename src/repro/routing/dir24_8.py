@@ -49,7 +49,6 @@ class Dir24_8:
         self._free_values = []   # recycled value slots
         self._shadow = BinaryTrie()
         self._size = 0
-        self._long_stack = None  # cached np.stack of second-level tables
 
     def __len__(self) -> int:
         return self._size
@@ -118,7 +117,6 @@ class Dir24_8:
 
     def insert(self, prefix: Prefix, value) -> None:
         """Insert or replace the route for ``prefix``."""
-        self._long_stack = None
         old_value = self._shadow.get(prefix)
         vindex = self._intern(value)
         self._value_refs[vindex] += 1
@@ -137,7 +135,6 @@ class Dir24_8:
 
     def remove(self, prefix: Prefix) -> None:
         """Remove the route for ``prefix``; raises if absent."""
-        self._long_stack = None
         old_value = self._shadow.get(prefix)
         self._shadow.remove(prefix)  # raises RoutingError if absent
         self._size -= 1
@@ -253,51 +250,6 @@ class Dir24_8:
         if long_entry == _EMPTY:
             return None
         return self._values[long_entry]
-
-    def lookup_batch_slots(self, addresses: np.ndarray) -> np.ndarray:
-        """Vectorized lookup returning value-*slot* indices.
-
-        ``addresses`` is any integer array; the result is an int64 array
-        where entry ``i`` is the slot of the matched value (index into
-        :meth:`value_slots`) or ``-1`` for a miss.  Second-level tables
-        are resolved through a cached ``np.stack`` of all level-2 tables
-        (invalidated on any insert/remove), so the whole batch costs two
-        fancy-index operations regardless of size.
-        """
-        addresses = np.asarray(addresses, dtype=np.uint32)
-        entries = self._tbl24[
-            (addresses >> np.uint32(8)).astype(np.int64)].astype(np.int64)
-        if self._long_values:
-            long_mask = entries <= _LONG_BASE
-            if long_mask.any():
-                if self._long_stack is None:
-                    self._long_stack = np.stack(self._long_values)
-                tids = -(entries[long_mask] + 2)
-                offsets = (addresses[long_mask]
-                           & np.uint32(0xFF)).astype(np.int64)
-                entries[long_mask] = self._long_stack[tids, offsets]
-        return entries
-
-    def lookup_batch(self, addresses: np.ndarray) -> list:
-        """Vectorized lookup of a uint32 array of addresses.
-
-        Returns a list of values (``None`` for misses).  Used by the
-        workload-driven benchmarks and the batch dataplane, where
-        per-call Python overhead would otherwise dominate.
-        """
-        slots = self.lookup_batch_slots(addresses)
-        values = self._values
-        return [None if slot < 0 else values[slot]
-                for slot in slots.tolist()]
-
-    def value_slots(self) -> list:
-        """The slot-indexed value list (``None`` marks a freed slot).
-
-        Slot numbers returned by :meth:`lookup_batch_slots` index this
-        list; callers may build slot-aligned lookaside arrays from it
-        (see :meth:`repro.routing.table.RoutingTable.lookup_batch`).
-        """
-        return self._values
 
     def memory_bytes(self) -> int:
         """Approximate resident size of the lookup structures."""

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-import numpy as np
-
 from ..errors import RoutingError
 from ..net.addresses import IPv4Address, MACAddress, Prefix
 from .dir24_8 import Dir24_8
@@ -48,7 +46,6 @@ class RoutingTable:
         else:
             raise RoutingError("unknown LPM engine %r" % engine)
         self._routes = {}
-        self._slot_cache = None  # slot-aligned (ports, next_hops, macs)
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -59,7 +56,6 @@ class RoutingTable:
             prefix = Prefix.parse(prefix)
         self._lpm.insert(prefix, route)
         self._routes[prefix] = route
-        self._slot_cache = None
 
     def remove_route(self, prefix) -> None:
         """Remove the route for ``prefix``; raises if absent."""
@@ -69,7 +65,6 @@ class RoutingTable:
             raise RoutingError("no route for %s" % prefix)
         self._lpm.remove(prefix)
         del self._routes[prefix]
-        self._slot_cache = None
 
     def has_route(self, prefix) -> bool:
         """Exact-match membership test."""
@@ -80,64 +75,6 @@ class RoutingTable:
     def lookup(self, address) -> Optional[Route]:
         """Longest-prefix-match ``address`` to a :class:`Route` (or None)."""
         return self._lpm.lookup(address)
-
-    def _slot_columns(self):
-        """Slot-aligned (ports, next_hops, macs) arrays for DIR-24-8.
-
-        Aligned with :meth:`Dir24_8.value_slots` so a slot array from
-        ``lookup_batch_slots`` indexes straight into them; rebuilt lazily
-        after any route change.
-        """
-        if self._slot_cache is None:
-            values = self._lpm.value_slots()
-            n = len(values)
-            ports = np.full(n, -1, dtype=np.int64)
-            next_hops = np.full(n, None, dtype=object)
-            macs = np.full(n, None, dtype=object)
-            for i, route in enumerate(values):
-                if route is not None:
-                    ports[i] = route.port
-                    next_hops[i] = route.next_hop
-                    macs[i] = route.next_hop_mac
-            self._slot_cache = (ports, next_hops, macs)
-        return self._slot_cache
-
-    def lookup_batch(self, addresses):
-        """Vectorized LPM over an integer address array.
-
-        Returns ``(ports, next_hops, next_hop_macs)`` arrays; a port of
-        ``-1`` marks a miss (the corresponding next-hop entries are
-        None).  With the DIR-24-8 engine the whole batch resolves in a
-        handful of numpy operations; other engines fall back to a scalar
-        loop with identical results.
-        """
-        addresses = np.asarray(addresses, dtype=np.uint32)
-        n = len(addresses)
-        if hasattr(self._lpm, "lookup_batch_slots"):
-            ports, next_hops, macs = self._slot_columns()
-            if len(ports):
-                slots = self._lpm.lookup_batch_slots(addresses)
-                miss = slots < 0
-                safe = np.where(miss, 0, slots)
-                out_ports = ports[safe]
-                out_hops = next_hops[safe]
-                out_macs = macs[safe]
-                if miss.any():
-                    out_ports = out_ports.copy()
-                    out_ports[miss] = -1
-                    out_hops[miss] = None
-                    out_macs[miss] = None
-                return out_ports, out_hops, out_macs
-        out_ports = np.full(n, -1, dtype=np.int64)
-        out_hops = np.full(n, None, dtype=object)
-        out_macs = np.full(n, None, dtype=object)
-        for i, address in enumerate(addresses.tolist()):
-            route = self._lpm.lookup(address)
-            if route is not None:
-                out_ports[i] = route.port
-                out_hops[i] = route.next_hop
-                out_macs[i] = route.next_hop_mac
-        return out_ports, out_hops, out_macs
 
     def lookup_or_raise(self, address) -> Route:
         """Like :meth:`lookup` but raises :class:`RoutingError` on a miss."""

@@ -46,7 +46,6 @@ class Link:
         self.stalled = False
         self._stall_end = 0.0
         self.bytes_sent = 0
-        self.packets_sent = 0
 
     def send(self, packet: Packet) -> bool:
         """Offer a packet to the link; False if the queue overflowed."""
@@ -59,7 +58,6 @@ class Link:
         # Idle, so the queue is empty (a link neither busy nor stalled has
         # drained it): on the wire at once, booked as offer + poll would.
         queue.enqueued += 1
-        queue.dequeued += 1
         if not queue.high_watermark:
             queue.high_watermark = 1
         self._start_next(packet)
@@ -80,7 +78,6 @@ class Link:
         self.busy = True
         tx_time = packet.length * 8 / self.rate_bps    # on the wire
         self.bytes_sent += packet.length
-        self.packets_sent += 1
         # The transmitter is free again once the packet is on the wire.
         self.sim.schedule_timer(tx_time, self._start_next)
         self._schedule_delivery(packet, tx_time)

@@ -21,7 +21,6 @@ class FiniteQueue(Generic[T]):
         self._items = deque()
         self.enqueued = 0
         self.dropped = 0
-        self.dequeued = 0
         self.high_watermark = 0
 
     def __len__(self) -> int:
@@ -46,7 +45,6 @@ class FiniteQueue(Generic[T]):
         """Dequeue the oldest item, or None when empty."""
         if not self._items:
             return None
-        self.dequeued += 1
         return self._items.popleft()
 
     def poll_batch(self, max_items: int) -> List[T]:
@@ -56,5 +54,4 @@ class FiniteQueue(Generic[T]):
         out = []
         while self._items and len(out) < max_items:
             out.append(self._items.popleft())
-        self.dequeued += len(out)
         return out

@@ -69,7 +69,6 @@ class StrategyReport:
     #: Aggregate resource demand (all cores summed).
     resources: ResourceVector
     # state-sync counters
-    lock_acquires: int = 0
     lock_contended: int = 0
     coherence_transfers: int = 0
     scr_deltas: int = 0
@@ -158,7 +157,6 @@ def _run_locks(nf: StatefulNF, records: Sequence[PacketRecord], cores: int,
             contended = rec.key in seen_in_round
             seen_in_round[rec.key] = core
             cost = access + (lock_wait if contended else lock_free)
-            report.lock_acquires += 1
             if contended:
                 report.lock_contended += 1
             previous = last_core.get(rec.key)

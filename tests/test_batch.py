@@ -257,8 +257,7 @@ class TestDropAccounting:
         check.connect_to(Discard())
         for packet in [self._bad(), _udp(), self._bad(), _udp(ttl=0)]:
             check.receive(packet)
-        assert (check.packets_in, check.packets_dropped,
-                check.invalid) == (4, 3, 3)
+        assert (check.packets_in, check.packets_dropped) == (4, 3)
         (key, count), = registry._metrics["element_drops"].series().items()
         assert "invalid_header" in key and count == 3
 

@@ -89,11 +89,36 @@ def test_an_attribute_nothing_reads_fails(checker, capsys):
     assert [(str(path), line, name) for path, line, name in checker.find_unread()] \
         == [("src/repro/counter.py", 4, "hits")]
     assert checker.main() == 1
-    assert "self.hits: stored, never read" in capsys.readouterr().out
+    assert "counter.py:4: .hits: stored, never read" in capsys.readouterr().out
     # A read anywhere, a test's included, is a read.
     (root / "tests" / "test_counter.py").write_text(
         "from repro.counter import Counter\nassert Counter().hits == 0\n")
     assert checker.find_unread() == []
+
+
+REPORT = '''
+class Report:
+    def __init__(self):
+        self.packets = 0
+
+
+def tally(report):
+    report.packets += 1
+    report.unread += 1
+    return report.packets
+'''
+
+
+def test_an_attribute_stored_through_any_name_counts(checker, capsys):
+    root = checker.REPO_ROOT
+    (root / "src" / "repro" / "report.py").write_text(REPORT)
+    (root / "examples" / "tally.py").write_text(
+        "from repro.report import Report, tally\ntally(Report())\n")
+    # ``report.unread += 1`` stores through a name other than ``self``.
+    assert [(str(path), line, name) for path, line, name in checker.find_unread()] \
+        == [("src/repro/report.py", 9, "unread")]
+    assert checker.main() == 1
+    assert "report.py:9: .unread: stored, never read" in capsys.readouterr().out
 
 
 def test_a_stale_allowlist_entry_fails(checker, monkeypatch, capsys):

@@ -117,7 +117,7 @@ class TestIPElements:
         sink.connect_to(Discard())
         check.receive(Packet(length=64))  # no IP header
         check.receive(_udp())
-        assert check.invalid == 1
+        assert check.packets_dropped == 1
         assert sink.count == 1
 
     def test_dec_ttl_updates_checksum_incrementally(self):
@@ -138,11 +138,24 @@ class TestIPElements:
 
     def test_dec_ttl_expires(self):
         dec = DecIPTTL()
-        dec.connect_to(Discard(), output=0)
-        packet = _udp(ttl=1)
-        dec.receive(packet)
-        assert dec.expired == 1
+        forwarded = CounterElement()
+        dec.connect_to(forwarded, output=0)
+        forwarded.connect_to(Discard())
+        dec.receive(_udp(ttl=1))
         assert dec.packets_dropped == 1
+        assert forwarded.count == 0
+
+    def test_dec_ttl_expiry_goes_to_output_1_when_connected(self):
+        dec = DecIPTTL()
+        forwarded, expired = CounterElement(), CounterElement()
+        dec.connect_to(forwarded, output=0)
+        dec.connect_to(expired, output=1)
+        forwarded.connect_to(Discard())
+        expired.connect_to(Discard())
+        dec.receive(_udp(ttl=1))
+        dec.receive(_udp())
+        assert (forwarded.count, expired.count) == (1, 1)
+        assert dec.packets_dropped == 0
 
     def test_lookup_route_selects_port(self):
         table = RoutingTable()

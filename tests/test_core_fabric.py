@@ -41,7 +41,7 @@ class TestFlyGraph:
         fabric = FabricNetwork(fly_graph(4, 3))
         assert len(fabric.io_nodes) == 64
         # 64 terminals + 3 stages x 16 switches.
-        assert fabric.graph.number_of_nodes() == 64 + 48
+        assert len(fabric.graph) == 64 + 48
 
     def test_all_pairs_reachable_in_n_plus_2(self):
         stages = 3
@@ -73,7 +73,6 @@ class TestFlyProperties:
 
     def test_all_pairs_reachable_any_k_n(self):
         from hypothesis import given, settings, strategies as st
-        import networkx as nx
 
         @settings(max_examples=15, deadline=None)
         @given(k=st.integers(min_value=2, max_value=4),
@@ -98,10 +97,10 @@ class TestFlyProperties:
         @given(k=st.integers(min_value=2, max_value=5))
         def check(k):
             graph = fly_graph(k, 2)
-            for node in graph.nodes:
+            for node in graph:
                 if node[0] == "fly" and node[1] == 0:
                     # Interior stage nodes fan out k ways.
-                    assert graph.out_degree(node) == k
+                    assert len(graph[node]) == k
 
         check()
 
@@ -118,9 +117,9 @@ class TestLatencyEstimates:
 
 
 def test_importing_the_cluster_does_not_import_networkx():
-    """Only the graph builders and the path search need networkx; the
-    packages every CLI command and every worker process loads must not
-    pay for it."""
+    """The fabric graphs are plain adjacency dicts; the packages every
+    CLI command and every worker process loads must not pull in
+    networkx."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     probe = ("import sys, repro.core, repro.parallel; "
              "sys.exit('networkx' in sys.modules)")

@@ -1,20 +1,25 @@
-"""The import graph: lazy package re-exports, and what a run loads.
+"""The import graph: lazy package re-exports, what a run loads, and
+which third-party modules ``src/repro`` may import at all.
 
-Every check runs in a fresh interpreter, because the suite's own process
-has imported most of ``repro`` long before any test here runs.
+Every run-time check runs in a fresh interpreter, because the suite's
+own process has imported most of ``repro`` long before any test here
+runs.
 """
 
+import ast
 import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 #: Packages whose ``__init__`` re-exports through a ``repro._lazy`` table.
 LAZY_PACKAGES = ("repro.obs", "repro.click", "repro.workloads", "repro.core")
@@ -133,12 +138,50 @@ class TestNothingLoadsInsideARun:
         assert got == ["repro.parallel", "repro.parallel.runner"]
 
 
+def _declared_dependencies():
+    """Top-level module names of ``pyproject.toml``'s ``dependencies``
+    (read with a regex: ``tomllib`` is 3.11+)."""
+    listed = re.search(r"^dependencies\s*=\s*(\[[^\]]*\])",
+                       (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+    return {re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0]
+            for requirement in ast.literal_eval(listed)}
+
+
+def _third_party_imports():
+    """``(path, module)`` of every ``import``/``from ... import`` in
+    ``src/repro``, lazy and ``TYPE_CHECKING`` ones included, whose
+    top-level module is neither the standard library nor ``repro``."""
+    found = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names and top != "repro":
+                    found.add((path.relative_to(SRC).as_posix(), top))
+    return sorted(found)
+
+
+def test_the_one_third_party_import_is_declared_numpy_for_the_fib():
+    imports = _third_party_imports()
+    undeclared = [(path, module) for path, module in imports
+                  if module not in _declared_dependencies()]
+    assert undeclared == []
+    assert imports == [("repro/routing/dir24_8.py", "numpy")]
+
+
 class TestNumpyIsNeverNeeded:
-    """The cluster and analytic paths run with numpy made unimportable,
-    so no call inside them reaches for it late either."""
+    """The cluster and analytic paths run with numpy (and networkx)
+    made unimportable, so no call inside them reaches for it late
+    either."""
 
     @pytest.mark.parametrize("code", [
-        "import repro.core",
+        "import repro.core, repro.parallel",
         """
         from repro.core import RouteBricksRouter
         from repro.workloads import WorkloadSpec
@@ -168,10 +211,20 @@ class TestNumpyIsNeverNeeded:
                          "--backend", "inline", "--duration-ms", "0.05"]) == 0
         assert cli.main(["rb4"]) == 0
         """,
+        """
+        from repro.analysis import run_experiment
+        run_experiment("T2")
+        """,
+        """
+        from repro.core.fabric import FabricNetwork, fly_graph
+        FabricNetwork(fly_graph(4, 2)).transit_load(10e9)
+        """,
     ], ids=["import", "simulate", "simulate_parallel", "max_throughput",
-            "cli"])
+            "cli", "table2", "fabric"])
     def test_runs_with_numpy_blocked(self, code):
-        got = _fresh('import json, sys\nsys.modules["numpy"] = None\n'
+        got = _fresh('import json, sys\n'
+                     'sys.modules["numpy"] = sys.modules["networkx"] = None\n'
                      + textwrap.dedent(code)
-                     + '\nprint(json.dumps(sys.modules["numpy"] is None))')
-        assert got is True
+                     + '\nprint(json.dumps([sys.modules["numpy"] is None,'
+                       ' sys.modules["networkx"] is None]))')
+        assert got == [True, True]

@@ -16,7 +16,6 @@ from repro.perfmodel import (
     projected_abilene_forwarding_bps,
     scenario_rate_gbps,
 )
-from repro.perfmodel.bounds import stream_benchmark_bps
 from repro.perfmodel.scenarios import fig7_configurations
 from repro.workloads import WorkloadSpec
 
@@ -192,11 +191,6 @@ class TestBounds:
 
     def test_xeon_has_fsb_bound(self):
         assert "fsb" in bounds_for(XEON_SHARED_BUS)
-
-    def test_stream_benchmark(self):
-        measured = stream_benchmark_bps(NEHALEM, array_mib=8,
-                                        iterations=10_000)
-        assert measured == pytest.approx(262e9)
 
     def test_bound_rejects_bad_rate(self):
         bound = bounds_for(NEHALEM)["cpu"]

@@ -172,24 +172,6 @@ def test_dir24_8_matches_trie_oracle(ops, probes):
             assert fast.lookup(probe) == oracle.lookup(probe), hex(probe)
 
 
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_dir24_8_batch_lookup_matches_scalar(data):
-    import numpy as np
-
-    fast = Dir24_8()
-    n = data.draw(st.integers(min_value=1, max_value=10))
-    for i in range(n):
-        addr = data.draw(st.integers(min_value=0, max_value=(1 << 32) - 1))
-        length = data.draw(st.integers(min_value=1, max_value=32))
-        fast.insert(Prefix.from_address(addr, length), i + 1)
-    probes = data.draw(st.lists(
-        st.integers(min_value=0, max_value=(1 << 32) - 1),
-        min_size=1, max_size=20))
-    batch = fast.lookup_batch(np.array(probes, dtype=np.uint32))
-    assert batch == [fast.lookup(p) for p in probes]
-
-
 class TestUpdatePathRegressions:
     """Update-path regressions found while building live FIB churn."""
 
