@@ -5,7 +5,9 @@ This is the "D-lookup algorithm" the paper's IP-routing application uses
 prefixes of length <= 24 in one probe; prefixes longer than 24 bits divert
 the covering TBL24 slot to a 256-entry second-level table, for a worst case
 of two probes.  The structure is what gives hardware-speed lookups at the
-cost of memory -- the exact trade the paper leans on.
+cost of memory -- the exact trade the paper leans on.  Entries are int16
+and empty is 0, so a TBL24 page no prefix covers is never committed; the
+32,768th value slot or level-2 table widens all of them to int32, once.
 
 The implementation supports incremental insert/remove.  Each table entry
 records the length of the prefix that wrote it, so a shorter (less
@@ -24,9 +26,10 @@ from ..net.addresses import IPv4Address, Prefix
 from .trie import BinaryTrie
 
 _TBL24_SIZE = 1 << 24
-_EMPTY = -1
-#: TBL24 entries <= _LONG_BASE encode a second-level table id: tid = -(v+2).
-_LONG_BASE = -2
+#: Entry v: 0 is empty, v > 0 is value slot v - 1, and v <= _LONG_BASE is
+#: level-2 table _LONG_BASE - v.  Widened to int32 before |v| > 32767.
+_EMPTY = 0
+_LONG_BASE = -1
 
 
 class Dir24_8:
@@ -37,9 +40,9 @@ class Dir24_8:
     """
 
     def __init__(self):
-        self._tbl24 = np.full(_TBL24_SIZE, _EMPTY, dtype=np.int32)
+        self._tbl24 = np.zeros(_TBL24_SIZE, dtype=np.int16)
         self._depth24 = np.zeros(_TBL24_SIZE, dtype=np.int8)
-        self._long_values = []   # list of np.int32[256]
+        self._long_values = []   # list of 256-entry arrays, TBL24's dtype
         self._long_depths = []   # list of np.int8[256]
         self._free_long = []     # recycled second-level table ids
         self._values = []
@@ -76,6 +79,7 @@ class Dir24_8:
                 self._values[index] = value
             else:
                 index = len(self._values)
+                self._widen_for(index + 1)
                 self._values.append(value)
                 self._value_refs.append(0)
             if hashable:
@@ -103,15 +107,24 @@ class Dir24_8:
             self._values[index] = None
             self._free_values.append(index)
 
+    def _widen_for(self, code: int) -> None:
+        """Widen every table to int32, once, if int16 cannot hold ``code``."""
+        if code > np.iinfo(np.int16).max and self._tbl24.dtype == np.int16:
+            self._tbl24 = self._tbl24.astype(np.int32)
+            self._long_values = [t.astype(np.int32)
+                                 for t in self._long_values]
+
     def _alloc_long(self, fill_value: int, fill_depth: int) -> int:
         if self._free_long:
             tid = self._free_long.pop()
             self._long_values[tid].fill(fill_value)
             self._long_depths[tid].fill(fill_depth)
             return tid
-        self._long_values.append(np.full(256, fill_value, dtype=np.int32))
+        tid = len(self._long_values)
+        self._widen_for(tid + 1)
+        self._long_values.append(np.full(256, fill_value, self._tbl24.dtype))
         self._long_depths.append(np.full(256, fill_depth, dtype=np.int8))
-        return len(self._long_values) - 1
+        return tid
 
     # -- updates -----------------------------------------------------------
 
@@ -124,9 +137,9 @@ class Dir24_8:
         if old_value is None:
             self._size += 1
         if prefix.length <= 24:
-            self._write_short(prefix, vindex, prefix.length)
+            self._write_short(prefix, vindex + 1, prefix.length)
         else:
-            self._write_long(prefix, vindex, prefix.length)
+            self._write_long(prefix, vindex + 1, prefix.length)
         if old_value is not None:
             # Replacement: the displaced value loses this prefix's
             # reference (after the table rewrite, so its slot can never
@@ -144,22 +157,22 @@ class Dir24_8:
         cover_prefix, cover_value = self._shadow.lookup_covering(
             prefix.network, prefix.length - 1)
         if cover_value is None:
-            cover_index, cover_depth = _EMPTY, 0
+            cover_entry, cover_depth = _EMPTY, 0
         else:
-            cover_index = self._intern(cover_value)
+            cover_entry = self._intern(cover_value) + 1
             cover_depth = cover_prefix.length
         if prefix.length <= 24:
-            self._write_short(prefix, cover_index, cover_depth,
+            self._write_short(prefix, cover_entry, cover_depth,
                               overwrite_depth=prefix.length)
         else:
-            self._write_long(prefix, cover_index, cover_depth,
+            self._write_long(prefix, cover_entry, cover_depth,
                              overwrite_depth=prefix.length)
         # The removed prefix no longer references its value; its table
         # entries were just rewritten to the covering route, so the slot
         # can be reclaimed if this was the last reference.
         self._release(self._find_index(old_value))
 
-    def _write_short(self, prefix: Prefix, vindex: int, depth: int,
+    def _write_short(self, prefix: Prefix, entry: int, depth: int,
                      overwrite_depth: Optional[int] = None) -> None:
         """Write a <=24-bit prefix across its TBL24 range.
 
@@ -178,12 +191,12 @@ class Dir24_8:
             mask = dep == overwrite_depth
         # Plain slots: write directly.
         plain = mask & (tbl > _LONG_BASE)
-        tbl[plain] = vindex
+        tbl[plain] = entry
         dep[plain] = depth
         # Slots diverted to second-level tables: update their default part.
         diverted = np.nonzero(mask & (tbl <= _LONG_BASE))[0]
         for offset in diverted:
-            tid = -(int(tbl[offset]) + 2)
+            tid = _LONG_BASE - int(tbl[offset])
             lvals = self._long_values[tid]
             ldeps = self._long_depths[tid]
             # Only the slot's *background* entries (depth <= 24, i.e. not
@@ -194,7 +207,7 @@ class Dir24_8:
                 lmask = background & (ldeps <= depth)
             else:
                 lmask = background & (ldeps == overwrite_depth)
-            lvals[lmask] = vindex
+            lvals[lmask] = entry
             ldeps[lmask] = depth
             # TBL24's recorded depth for a diverted slot tracks the
             # background's prefix length (every background entry shares
@@ -202,17 +215,17 @@ class Dir24_8:
             # the new background depth alongside the rewrite.
             dep[offset] = depth
 
-    def _write_long(self, prefix: Prefix, vindex: int, depth: int,
+    def _write_long(self, prefix: Prefix, entry: int, depth: int,
                     overwrite_depth: Optional[int] = None) -> None:
         """Write a >24-bit prefix into (creating if needed) a level-2 table."""
         slot = prefix.network.value >> 8
-        entry = int(self._tbl24[slot])
-        if entry > _LONG_BASE:
+        current = int(self._tbl24[slot])
+        if current > _LONG_BASE:
             # Divert this slot: seed the new table with the current route.
-            tid = self._alloc_long(entry, int(self._depth24[slot]))
-            self._tbl24[slot] = -(tid + 2)
+            tid = self._alloc_long(current, int(self._depth24[slot]))
+            self._tbl24[slot] = _LONG_BASE - tid
         else:
-            tid = -(entry + 2)
+            tid = _LONG_BASE - current
         lvals = self._long_values[tid]
         ldeps = self._long_depths[tid]
         start = prefix.network.value & 0xFF
@@ -222,7 +235,7 @@ class Dir24_8:
             lmask = ldeps[sl] <= depth
         else:
             lmask = ldeps[sl] == overwrite_depth
-        lvals[sl][lmask] = vindex
+        lvals[sl][lmask] = entry
         ldeps[sl][lmask] = depth
         if overwrite_depth is not None and not (ldeps > 24).any():
             # Removal left no >24-bit prefix under this slot: every entry
@@ -239,20 +252,17 @@ class Dir24_8:
 
     def lookup(self, address) -> Optional[object]:
         """Longest-prefix-match ``address``; 1-2 table probes."""
-        addr = int(IPv4Address(address))
-        entry = int(self._tbl24[addr >> 8])
-        if entry >= 0:
-            return self._values[entry]
+        if type(address) is not int or not 0 <= address <= 0xFFFFFFFF:
+            address = int(IPv4Address(address))
+        entry = self._tbl24.item(address >> 8)
+        if entry <= _LONG_BASE:
+            entry = self._long_values[_LONG_BASE - entry].item(address & 0xFF)
         if entry == _EMPTY:
             return None
-        tid = -(entry + 2)
-        long_entry = int(self._long_values[tid][addr & 0xFF])
-        if long_entry == _EMPTY:
-            return None
-        return self._values[long_entry]
+        return self._values[entry - 1]
 
     def memory_bytes(self) -> int:
-        """Approximate resident size of the lookup structures."""
+        """Allocated bytes; untouched TBL24 pages are not resident."""
         total = self._tbl24.nbytes + self._depth24.nbytes
         for lvals, ldeps in zip(self._long_values, self._long_depths):
             total += lvals.nbytes + ldeps.nbytes

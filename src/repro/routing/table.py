@@ -88,7 +88,7 @@ class RoutingTable:
         return self._routes.items()
 
     def memory_bytes(self) -> int:
-        """Approximate size of the lookup structure (DIR-24-8 only)."""
+        """Allocated bytes of the lookup structure (DIR-24-8 only)."""
         if hasattr(self._lpm, "memory_bytes"):
             return self._lpm.memory_bytes()
         return 0

@@ -1,11 +1,13 @@
 """Tests for DIR-24-8, including property tests against the trie oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import RoutingError
-from repro.net import Prefix
+from repro.errors import PacketError, RoutingError
+from repro.net import IPv4Address, Prefix
 from repro.routing import BinaryTrie, Dir24_8
+from repro.routing.dir24_8 import _EMPTY, _LONG_BASE
 
 
 @pytest.fixture
@@ -50,11 +52,32 @@ class TestBasics:
         with pytest.raises(RoutingError):
             d.insert(Prefix.parse("1.0.0.0/8"), None)
 
+    def test_fresh_table_is_int16_and_48_mib(self):
+        d = Dir24_8()
+        assert d._tbl24.dtype == np.int16
+        assert d.memory_bytes() == 3 << 24  # int16 TBL24 + int8 depths
+
     def test_memory_accounting_grows_with_long_tables(self):
         d = Dir24_8()
         base = d.memory_bytes()
         d.insert(Prefix.parse("10.1.2.128/25"), "x")
         assert d.memory_bytes() > base
+
+
+class TestLookupInput:
+    def test_int_str_and_address_agree(self, table):
+        addr = IPv4Address("10.1.2.200")
+        assert table.lookup(addr.value) == "long"
+        assert table.lookup(addr) == "long"
+        assert table.lookup(str(addr)) == "long"
+        assert table.lookup(0) is None
+        assert table.lookup((1 << 32) - 1) is None
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 32, 1.5, "10.1.2"],
+                             ids=["negative", "2**32", "float", "malformed"])
+    def test_bad_address_raises_packet_error(self, table, bad):
+        with pytest.raises(PacketError):
+            table.lookup(bad)
 
 
 class TestRemoval:
@@ -192,8 +215,8 @@ class TestUpdatePathRegressions:
         assert d.lookup("10.1.2.1") == "specific"
         assert d.lookup("10.1.2.200") == "long"
         # TBL24 slots the default owned are genuinely empty again, not
-        # stale: depth 0, value -1.
-        assert int(d._tbl24[(99 << 16)]) == -1
+        # stale: depth 0, value empty.
+        assert int(d._tbl24[(99 << 16)]) == _EMPTY
         assert int(d._depth24[(99 << 16)]) == 0
         assert len(d) == 2
 
@@ -210,7 +233,7 @@ class TestUpdatePathRegressions:
         d.insert(Prefix.parse("0.0.0.0/0"), "default")
         d.insert(Prefix.parse("20.0.0.128/26"), "long")
         slot = 20 << 16
-        assert int(d._tbl24[slot]) <= -2  # diverted
+        assert int(d._tbl24[slot]) <= _LONG_BASE  # diverted
         d.remove(Prefix.parse("0.0.0.0/0"))
         assert d.lookup("20.0.0.1") is None     # background cleared
         assert d.lookup("20.0.0.129") == "long"  # owner intact
@@ -255,7 +278,7 @@ class TestUpdatePathRegressions:
         d.remove(p28)
         baseline = d.memory_bytes()
         assert d._free_long, "level-2 table was not recycled"
-        assert int(d._tbl24[(40 << 16) | 1]) >= -1  # un-diverted
+        assert int(d._tbl24[(40 << 16) | 1]) > _LONG_BASE  # un-diverted
         assert d.lookup("40.0.1.17") == "cover"
         for _ in range(50):
             d.insert(p28, "long")
@@ -304,7 +327,9 @@ class TestUpdatePathRegressions:
                 assert fresh.lookup(probe) == expect, hex(probe)
             # Churned table's memory stays within the fresh build plus
             # the recycled-table pool (no unbounded growth).
-            slack = len(d._free_long) * (256 * 4 + 256)
+            slack = sum(d._long_values[tid].nbytes
+                        + d._long_depths[tid].nbytes
+                        for tid in d._free_long)
             assert d.memory_bytes() <= fresh.memory_bytes() + slack
             # Value-slot refcounts: live slots sum to the route count,
             # freed slots are exactly the None entries.
@@ -312,3 +337,53 @@ class TestUpdatePathRegressions:
             assert refs == len(live)
             freed = {i for i, v in enumerate(d._values) if v is None}
             assert freed == set(d._free_values)
+
+
+class TestWideningBoundary:
+    """The 32,768th value slot or level-2 table is the first whose entry
+    int16 cannot hold: TBL24 and every level-2 table widen to int32
+    before it is written, once, and lookups do not change."""
+
+    @staticmethod
+    def _check(d, oracle, probes):
+        for probe in probes:
+            assert d.lookup(probe) == oracle.lookup(probe), hex(probe)
+
+    @pytest.mark.parametrize("length, distinct", [(24, True), (25, False)],
+                             ids=["value-slots", "level2-tables"])
+    def test_the_32768th_widens_to_int32(self, length, distinct):
+        # /24s with distinct values fill value slots; /25s in distinct
+        # /24s sharing one value each divert a slot to a level-2 table.
+        # A /25 under the first /24 gives the /24 run a level-2 table.
+        routes = [(Prefix.from_address(i << 8, length), i if distinct else 0)
+                  for i in range(1 << 15)]
+        routes.insert(1, (Prefix.parse("0.0.0.128/25"), 0))
+        d, oracle = Dir24_8(), BinaryTrie()
+        for prefix, value in routes[:-1]:
+            d.insert(prefix, value)
+            oracle.insert(prefix, value)
+        last, last_value = routes[-1]
+        probes = [p.network.value + off for p, _ in routes[::61] + [routes[-1]]
+                  for off in (0, 130, 255)]
+        assert d._tbl24.dtype == np.int16
+        self._check(d, oracle, probes)
+
+        d.insert(last, last_value)
+        oracle.insert(last, last_value)
+        assert d._tbl24.dtype == np.int32
+        assert {t.dtype for t in d._long_values} == {np.dtype(np.int32)}
+        self._check(d, oracle, probes)
+
+        # Insert/remove after widening: still a fresh rebuild's answers.
+        for table in (d, oracle):
+            table.remove(routes[0][0])
+            table.insert(Prefix.parse("0.0.0.0/23"), "new")
+            table.insert(Prefix.parse("0.0.1.64/26"), "newer")
+            table.remove(last)
+        assert d._tbl24.dtype == np.int32   # never narrows back
+        fresh = Dir24_8()
+        for prefix, value in oracle.items():
+            fresh.insert(prefix, value)
+        probes += [1 << 8, (1 << 8) + 70]
+        self._check(d, oracle, probes)
+        self._check(fresh, oracle, probes)
